@@ -14,11 +14,16 @@ class CatStateError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """Adaptive quadrature failed to reach the requested tolerance.
 
-    def __init__(self, message: str, achieved_rel_err: float = float("nan")):
+    index is the position of the failing integral in its batch.
+    """
+
+    def __init__(self, message: str, achieved_rel_err: float = float("nan"),
+                 index: int | None = None):
         super().__init__(message)
         self.achieved_rel_err = achieved_rel_err
+        self.index = index
 
 
 class MatchingError(RuntimeError):

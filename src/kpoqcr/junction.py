@@ -16,9 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChargeDistributionError
+from .errors import ChargeDistributionError, QuadratureError
 from .params import SystemParams
-from .quad import adaptive_gk
+from .quad import integrate
+# perfbench/tracing.py looks adaptive_gk up in this module and wraps it.
+# The tunneling integrals go through integrate, so this module never calls it.
+from .quad import adaptive_gk  # noqa: F401
 
 _THERMAL_WINDOW = 35.0   # Fermi factors are machine-zero this many k_B T out
 _PQ_TAIL_LIMIT = 1e-10   # required probability at the charge cutoff
@@ -38,33 +41,70 @@ def fermi(eps, t_hz: float):
     return 0.5 * (1.0 - np.tanh(eps / (2.0 * t_hz)))
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Resolved quadrature plan for one tunneling integral."""
+def pat_breakpoints(offsets, gap_hz: float, temp_s_hz: float,
+                    temp_n_hz: float) -> tuple[np.ndarray, np.ndarray]:
+    """Breakpoints and square-root edges of the tunneling integrals at these
+    offsets, one row each.
 
-    rel_tol: float
-    window: tuple[float, float]
-    split_points: tuple[float, ...]
-    sqrt_edges: tuple[float, ...]
+    The window covers both Fermi edges (0 and -offset) plus thermal padding.
+    The gap edges strictly inside it, the square-root singularities of the
+    density of states, are split points and square-root edges; NaN marks a
+    gap edge outside the window.
+    """
+    offsets = np.asarray(offsets, float)
+    pad = _THERMAL_WINDOW * max(temp_s_hz, temp_n_hz)
+    lo = np.minimum(0.0, -offsets) - pad
+    hi = np.maximum(0.0, -offsets) + pad
+    edges = np.array([-gap_hz, gap_hz])
+    inside = (lo[:, None] < edges) & (edges < hi[:, None])
+    edges = np.where(inside, edges, np.nan)
+    return np.column_stack([lo, hi, np.zeros_like(lo), -offsets, edges]), edges
 
 
-def build_quadrature_spec(
-    offset: float,
+def pat_integrals(
+    offsets,
+    forward,
     gap_hz: float,
+    gamma_dynes: float,
     temp_s_hz: float,
     temp_n_hz: float,
-    rel_tol: float,
-) -> QuadratureSpec:
-    """Window covering both Fermi edges plus the gap singularities."""
-    pad = _THERMAL_WINDOW * max(temp_s_hz, temp_n_hz)
-    lo = min(0.0, -offset) - pad
-    hi = max(0.0, -offset) + pad
-    splits = {lo, hi, 0.0, -offset}
-    edges = tuple(e for e in (-gap_hz, gap_hz) if lo < e < hi)
-    splits.update(edges)
-    inside = tuple(sorted(x for x in splits if lo <= x <= hi))
-    return QuadratureSpec(rel_tol=rel_tol, window=(lo, hi),
-                          split_points=inside, sqrt_edges=edges)
+    rel_tol: float = 1e-10,
+) -> np.ndarray:
+    """Tunneling integrals at many offsets, in one adaptive quadrature run.
+
+    forward[i] selects the forward (True) or backward integral at
+    offsets[i].  Each value depends only on its own offset and direction,
+    bit for bit, whatever else is in the batch.  Raises QuadratureError
+    naming the offset and direction of an integral that does not converge.
+    """
+    offsets = np.asarray(offsets, float)
+    forward = np.asarray(forward, bool)
+    bps, edges = pat_breakpoints(offsets, gap_hz, temp_s_hz, temp_n_hz)
+    if temp_s_hz == 0.0 and temp_n_hz == 0.0:
+        # Sharp Fermi seas: the support (0, -offset) or (-offset, 0) is
+        # empty for these; no breakpoints integrate to exactly zero.
+        bps[np.where(forward, offsets >= 0.0, offsets <= 0.0)] = np.nan
+    # Exponentially suppressed integrals hit the roundoff floor long before
+    # a pure relative tolerance; resolve them to rel_tol of the thermal
+    # scale instead, which is the absolute level at which they enter rates.
+    abs_floor = rel_tol * max(temp_s_hz, temp_n_hz)
+
+    def integrand(eps, offset, fwd):
+        ns = dynes_dos(eps, gap_hz, gamma_dynes)
+        fs = fermi(eps, temp_s_hz)
+        fn = fermi(eps + offset, temp_n_hz)
+        return np.where(fwd, ns * (1.0 - fs) * fn, ns * fs * (1.0 - fn))
+
+    try:
+        values, _err = integrate(integrand, bps, edges, rel_tol=rel_tol,
+                                 abs_tol=abs_floor, args=(offsets, forward))
+    except QuadratureError as exc:
+        i = exc.index
+        direction = "forward" if forward[i] else "backward"
+        raise QuadratureError(
+            f"{direction} tunneling integral at offset {float(offsets[i])!r} Hz: "
+            f"{exc}", exc.achieved_rel_err, i) from exc
+    return values
 
 
 def pat_integral(
@@ -75,47 +115,22 @@ def pat_integral(
     temp_s_hz: float,
     temp_n_hz: float,
     rel_tol: float = 1e-10,
-    quad: QuadratureSpec | None = None,
 ) -> float:
     """One tunneling integral; direction is 'forward' or 'backward'."""
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
-    forward = direction == "forward"
-    if temp_s_hz == 0.0 and temp_n_hz == 0.0:
-        # Sharp Fermi seas: support is (0, -offset) or (-offset, 0) exactly.
-        if forward and offset >= 0.0:
-            return 0.0
-        if not forward and offset <= 0.0:
-            return 0.0
-    if quad is None:
-        quad = build_quadrature_spec(offset, gap_hz, temp_s_hz, temp_n_hz, rel_tol)
-
-    def integrand(eps):
-        ns = dynes_dos(eps, gap_hz, gamma_dynes)
-        if forward:
-            return ns * (1.0 - fermi(eps, temp_s_hz)) * fermi(eps + offset, temp_n_hz)
-        return ns * fermi(eps, temp_s_hz) * (1.0 - fermi(eps + offset, temp_n_hz))
-
-    # Exponentially suppressed integrals hit the roundoff floor long before
-    # a pure relative tolerance; resolve them to rel_tol of the thermal
-    # scale instead, which is the absolute level at which they enter rates.
-    abs_floor = quad.rel_tol * max(temp_s_hz, temp_n_hz)
-    value, _err = adaptive_gk(
-        integrand,
-        breakpoints=quad.split_points,
-        sqrt_edges=quad.sqrt_edges,
-        rel_tol=quad.rel_tol,
-        abs_tol=abs_floor,
-    )
-    return value
+    return float(pat_integrals([offset], [direction == "forward"], gap_hz,
+                               gamma_dynes, temp_s_hz, temp_n_hz, rel_tol)[0])
 
 
 class PatIntegrator:
-    """Caches tunneling integrals keyed by (direction, offset).
+    """Caches tunneling integrals keyed by (forward, offset).
 
     Degenerate eigenstates are energy-snapped upstream, so transitions that
     must interfere share bit-identical offsets and therefore identical
-    cached values; interference cancellations then happen algebraically.
+    values; interference cancellations then happen algebraically.  The
+    batched entry point, integrals(), keeps this exact: a value depends only
+    on its key, never on what else was evaluated in the same batch.
     """
 
     def __init__(self, gap_hz: float, gamma_dynes: float, temp_s_hz: float,
@@ -132,25 +147,27 @@ class PatIntegrator:
         return cls(params.gap_hz, params.gamma_dynes, params.t_s_hz,
                    params.t_n_hz, params.quad_rel_tol)
 
-    def _lookup(self, forward: bool, offset: float) -> float:
-        key = (forward, offset)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = pat_integral(
-                offset,
-                "forward" if forward else "backward",
-                self.gap_hz, self.gamma_dynes,
-                self.temp_s_hz, self.temp_n_hz,
-                self.rel_tol,
-            )
-            self._cache[key] = hit
-        return hit
+    def integrals(self, keys) -> list[float]:
+        """Values for (forward, offset) keys, in order.
+
+        Keys not yet cached are integrated together in one batch and stored;
+        if one of them fails, QuadratureError propagates and none is stored.
+        """
+        cache = self._cache
+        missing = [k for k in dict.fromkeys(keys) if k not in cache]
+        if missing:
+            forward, offsets = zip(*missing)
+            values = pat_integrals(offsets, forward, self.gap_hz,
+                                   self.gamma_dynes, self.temp_s_hz,
+                                   self.temp_n_hz, self.rel_tol)
+            cache.update(zip(missing, values.tolist()))
+        return [cache[k] for k in keys]
 
     def forward(self, offset: float) -> float:
-        return self._lookup(True, float(offset))
+        return self.integrals([(True, float(offset))])[0]
 
     def backward(self, offset: float) -> float:
-        return self._lookup(False, float(offset))
+        return self.integrals([(False, float(offset))])[0]
 
     def __len__(self) -> int:
         return len(self._cache)
@@ -185,16 +202,24 @@ def charge_transition_rates(
     bias_v: float | None = None,
 ) -> tuple[float, float]:
     """Elastic island-charge rates (gain, loss) at charge q, Fock level m."""
+    return _charge_rates(params, integrator, [q], m, bias_v)[0]
+
+
+def _charge_rates(params, integrator, qs, m=0, bias_v=None):
+    """(gain, loss) at each charge in qs, from one batch of integrals."""
     if bias_v is None:
         bias_v = params.bias_v
     weight = elastic_weight(m, params.rho_c) * params.r_ratio
-    e_gain = params.e_island * (1.0 + 2.0 * q)
-    e_loss = params.e_island * (1.0 - 2.0 * q)
-    gain = weight * (forward_p(integrator, bias_v - e_gain)
-                     + forward_p(integrator, -bias_v - e_gain))
-    loss = weight * (forward_p(integrator, bias_v - e_loss)
-                     + forward_p(integrator, -bias_v - e_loss))
-    return gain, loss
+    energies = []
+    for q in qs:
+        e_gain = params.e_island * (1.0 + 2.0 * q)
+        e_loss = params.e_island * (1.0 - 2.0 * q)
+        energies += [bias_v - e_gain, -bias_v - e_gain,
+                     bias_v - e_loss, -bias_v - e_loss]
+    # forward_p(integrator, e) for every energy, batched.
+    f = integrator.integrals([(True, -e) for e in energies])
+    return [(weight * (f[i] + f[i + 1]), weight * (f[i + 2] + f[i + 3]))
+            for i in range(0, len(f), 4)]
 
 
 @dataclass(frozen=True)
@@ -237,12 +262,11 @@ def charge_distribution(
     bias_v = params.bias_v if pumped else 0.0
 
     def build(q_max: int) -> list[float]:
+        rates = _charge_rates(params, integrator, range(q_max + 1),
+                              bias_v=bias_v)
         rel = [1.0]
         for q in range(1, q_max + 1):
-            gain_prev, _ = charge_transition_rates(
-                params, integrator, q - 1, bias_v=bias_v)
-            _, loss_here = charge_transition_rates(
-                params, integrator, q, bias_v=bias_v)
+            gain_prev, loss_here = rates[q - 1][0], rates[q][1]
             if loss_here <= 0.0:
                 raise ChargeDistributionError(
                     f"vanishing charge-loss rate at q={q}; distribution undefined")

@@ -1,14 +1,35 @@
-"""Adaptive Gauss-Kronrod quadrature, vectorized over panels.
+"""Adaptive Gauss-Kronrod quadrature of many integrals in one run.
 
-Panels carry an optional square-root reparametrization anchored at a named
-edge point: on such a panel the integration variable is u with
-eps = edge +/- u^2, which turns an inverse-square-root integrable
-singularity at the edge (a BCS-like density-of-states peak) into a smooth
-integrand.  All active panels are evaluated in a single vectorized call per
-refinement round.
+Each integral is given by its breakpoints (interior discontinuities or kinks
+plus the two endpoints); one row of a 2-D breakpoint array per integral.
+Panels carry the index of the integral they belong to and an optional
+square-root reparametrization anchored at a named edge point: on such a
+panel the integration variable is u with eps = edge +/- u^2, which turns an
+inverse-square-root integrable singularity at the edge (a BCS-like
+density-of-states peak) into a smooth integrand.
+
+Integrals are processed in blocks of BLOCK_INTEGRALS.  Every refinement
+round of a block evaluates all of its new panels in vectorized integrand
+calls of at most CALL_POINTS points.  Convergence, splitting and the panel
+budget are decided per integral, and a converged integral leaves the active
+set.
+
+Batch independence: an integral's value and error depend only on its own
+breakpoints, never on which other integrals share the run.  Two choices
+make this exact, not merely close:
+
+- Panel sums are row-local, (vals * WGK).sum(axis=1), whose rounding sees
+  one panel's 15 values only.  A matrix-vector product vals @ WGK is not:
+  BLAS picks kernels and blocking by the number of rows, so a panel's
+  last bits would depend on how many panels share the call.
+- Per-integral totals use one fixed reduction, np.bincount, which adds an
+  integral's panel values in their order in the panel array.  That order
+  (kept panels first, then the left and then the right halves of the split
+  ones) is the same whatever else is in the block.
 """
 from __future__ import annotations
 
+from itertools import count
 from typing import Callable
 
 import numpy as np
@@ -48,83 +69,179 @@ WGK = np.concatenate([_WGK_HALF, [_WGK_CENTER], _WGK_HALF[::-1]])
 WG = np.zeros(15)
 WG[1:14:2] = np.concatenate([_WG_HALF, [_WG_CENTER], _WG_HALF[::-1]])
 
-_PLAIN = 0
-_SQRT = 1
+# Work sizes.  They bound memory and leave every result unchanged: blocks
+# and calls only group integrals and panels that are computed independently.
+BLOCK_INTEGRALS = 256
+CALL_POINTS = 2 ** 14
+_CALL_ROWS = CALL_POINTS // XGK.size
+
+# One panel in the u parameter.  sgn is 0 on a plain panel (eps = u) and
+# +1 or -1 on a square-root panel (eps = edge + sgn * u^2).
+_PANEL = np.dtype([("a", float), ("b", float), ("edge", float),
+                  ("sgn", float), ("owner", np.intp)])
 
 
-class _Panels:
-    """Structure-of-arrays panel set in the u parameter."""
+def plan_panels(breakpoints, sqrt_edges=()) -> np.ndarray:
+    """Initial panels of every integral, in one vectorized step.
 
-    def __init__(self, a, b, kind, edge, sgn):
-        self.a = np.asarray(a, float)
-        self.b = np.asarray(b, float)
-        self.kind = np.asarray(kind, np.int8)
-        self.edge = np.asarray(edge, float)
-        self.sgn = np.asarray(sgn, float)
+    breakpoints: shape (n, k), one row per integral; NaN marks an unused
+    slot and repeated values count once.  sqrt_edges: shape (n, e), the
+    edge values of each integral; a breakpoint equal to one of its
+    integral's edges anchors square-root panels on both sides.  A row with
+    fewer than two distinct breakpoints gets no panels and integrates to
+    zero.
 
-    def __len__(self) -> int:
-        return self.a.size
-
-    def split(self, mask: np.ndarray) -> "_Panels":
-        a, b = self.a[mask], self.b[mask]
-        mid = 0.5 * (a + b)
-        return _Panels(
-            np.concatenate([a, mid]),
-            np.concatenate([mid, b]),
-            np.tile(self.kind[mask], 2),
-            np.tile(self.edge[mask], 2),
-            np.tile(self.sgn[mask], 2),
-        )
-
-    def keep(self, mask: np.ndarray) -> "_Panels":
-        return _Panels(self.a[mask], self.b[mask], self.kind[mask],
-                       self.edge[mask], self.sgn[mask])
-
-
-def _evaluate(fn: Callable[[np.ndarray], np.ndarray], panels: _Panels):
-    """Kronrod and Gauss estimates plus error per panel."""
-    c = 0.5 * (panels.a + panels.b)
-    h = 0.5 * (panels.b - panels.a)
-    u = c[:, None] + h[:, None] * XGK[None, :]
-    sq = panels.kind == _SQRT
-    if np.any(sq):
-        eps = np.where(sq[:, None],
-                       panels.edge[:, None] + panels.sgn[:, None] * u * u, u)
-        jac = np.where(sq[:, None], 2.0 * u, 1.0)
-    else:
-        eps, jac = u, 1.0
-    vals = fn(eps) * jac
-    kron = h * (vals @ WGK)
-    gauss = h * (vals @ WG)
-    return kron, np.abs(kron - gauss)
+    Returns a _PANEL array sorted by owner, each integral's panels from
+    left to right.
+    """
+    x = np.sort(np.asarray(breakpoints, float), axis=1)
+    x[:, 1:][x[:, 1:] == x[:, :-1]] = np.nan
+    x = np.sort(x, axis=1)              # distinct values first, NaN last
+    is_edge = (x[:, :, None] == np.asarray(sqrt_edges)[:, None, :]).any(axis=2)
+    x0, x1 = x[:, :-1], x[:, 1:]
+    e0, e1 = is_edge[:, :-1], is_edge[:, 1:]
+    xm = 0.5 * (x0 + x1)
+    both = e0 & e1
+    # Up to two panels per interval: a plain one, one square-root panel
+    # anchored at its edge end, or two halves anchored at each end.
+    first_end = np.where(both, xm, x1)
+    first = np.where(e0 | e1, _sqrt_panel(x0, first_end, e0), _plain(x0, x1))
+    second = _sqrt_panel(xm, x1, np.zeros_like(e0))
+    panels = np.stack([first, second], axis=2)
+    owner = np.broadcast_to(np.arange(x.shape[0])[:, None, None], panels.shape)
+    panels["owner"] = owner
+    valid = ~np.isnan(x1)
+    keep = np.stack([valid, valid & both], axis=2)
+    return panels[keep]
 
 
-def _initial_panels(bps: np.ndarray, sqrt_edges: set[float]) -> _Panels:
-    a, b, kind, edge, sgn = [], [], [], [], []
+def _plain(x0, x1) -> np.ndarray:
+    out = np.zeros(x0.shape, _PANEL)
+    out["a"], out["b"] = x0, x1
+    return out
 
-    def plain(x0, x1):
-        a.append(x0); b.append(x1); kind.append(_PLAIN); edge.append(0.0); sgn.append(0.0)
 
-    def sqrt_panel(x0, x1, anchor):
-        # u in [0, sqrt(length)], eps = anchor + sgn * u^2
-        length = x1 - x0
-        a.append(0.0); b.append(np.sqrt(length)); kind.append(_SQRT)
-        edge.append(anchor); sgn.append(1.0 if anchor == x0 else -1.0)
+def _sqrt_panel(x0, x1, at_left) -> np.ndarray:
+    """u in [0, sqrt(x1 - x0)], eps = anchor +/- u^2 from the anchored end."""
+    out = np.zeros(x0.shape, _PANEL)
+    out["b"] = np.sqrt(x1 - x0)
+    out["edge"] = np.where(at_left, x0, x1)
+    out["sgn"] = np.where(at_left, 1.0, -1.0)
+    return out
 
-    for x0, x1 in zip(bps[:-1], bps[1:]):
-        left = x0 in sqrt_edges
-        right = x1 in sqrt_edges
-        if left and right:
-            xm = 0.5 * (x0 + x1)
-            sqrt_panel(x0, xm, x0)
-            sqrt_panel(xm, x1, x1)
-        elif left:
-            sqrt_panel(x0, x1, x0)
-        elif right:
-            sqrt_panel(x0, x1, x1)
-        else:
-            plain(x0, x1)
-    return _Panels(a, b, kind, edge, sgn)
+
+def _split(panels: np.ndarray) -> np.ndarray:
+    """Halves of each panel: all left halves, then all right halves."""
+    mid = 0.5 * (panels["a"] + panels["b"])
+    out = np.concatenate([panels, panels])
+    out["b"][:panels.size] = mid
+    out["a"][panels.size:] = mid
+    return out
+
+
+def _evaluate(fn, panels: np.ndarray, args) -> tuple[np.ndarray, np.ndarray]:
+    """Kronrod estimate and Kronrod-Gauss difference per panel."""
+    kron = np.empty(panels.size)
+    err = np.empty(panels.size)
+    for start in range(0, panels.size, _CALL_ROWS):
+        p = panels[start:start + _CALL_ROWS]
+        c = 0.5 * (p["a"] + p["b"])
+        h = 0.5 * (p["b"] - p["a"])
+        u = c[:, None] + h[:, None] * XGK[None, :]
+        sgn = p["sgn"][:, None]
+        sq = sgn != 0.0
+        eps = np.where(sq, p["edge"][:, None] + sgn * u * u, u)
+        jac = np.where(sq, 2.0 * u, 1.0)
+        vals = fn(eps, *(arg[p["owner"], None] for arg in args)) * jac
+        k = h * (vals * WGK).sum(axis=1)
+        g = h * (vals * WG).sum(axis=1)
+        kron[start:start + p.size] = k
+        err[start:start + p.size] = np.abs(k - g)
+    return kron, err
+
+
+def integrate(
+    fn: Callable[..., np.ndarray],
+    breakpoints,
+    sqrt_edges=(),
+    rel_tol: float = 1e-10,
+    abs_tol: float = 0.0,
+    panel_budget: int = 2 ** 14,
+    max_rounds: int = 64,
+    args=(),
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate one integral per row of breakpoints (see plan_panels).
+
+    fn(eps, *rows) is evaluated on an (m, 15) array of points; each entry
+    of rows is one array of args indexed by the integral of each point's
+    panel, shaped (m, 1) to broadcast against eps.  With args=() fn gets eps
+    alone.
+
+    Integral i has converged when its error estimate is at most
+    max(rel_tol * |value_i|, abs_tol); each round splits the panels of the
+    unconverged integrals that hold more than their equidistributed share
+    of that tolerance.  Returns (values, errors), one entry per row.
+    Raises QuadratureError, with .index naming the integral, if one stalls,
+    would exceed panel_budget panels, or is still short after max_rounds
+    rounds.
+    """
+    bps = np.array(breakpoints, float, ndmin=2)
+    n = bps.shape[0]
+    edges = np.asarray(sqrt_edges, float)
+    edges = np.broadcast_to(edges, (n, edges.shape[-1]))
+    values = np.zeros(n)
+    errors = np.zeros(n)
+    for start in range(0, n, BLOCK_INTEGRALS):
+        rows = slice(start, start + BLOCK_INTEGRALS)
+        block = bps[rows]
+        values[rows], errors[rows] = _integrate_block(
+            fn, plan_panels(block, edges[rows]), len(block), rel_tol,
+            abs_tol, panel_budget, max_rounds, [arg[rows] for arg in args],
+            start)
+    return values, errors
+
+
+def _integrate_block(fn, panels, n, rel_tol, abs_tol, panel_budget,
+                     max_rounds, args, first):
+    values = np.zeros(n)
+    errors = np.zeros(n)
+    live = np.ones(n, bool)
+    kron, err = _evaluate(fn, panels, args)
+    for rnd in count():
+        owner = panels["owner"]
+        total = np.bincount(owner, kron, n)
+        err_total = np.bincount(owner, err, n)
+        tol = np.maximum(rel_tol * np.abs(total), abs_tol)
+        done = live & (err_total <= tol)
+        values[done] = total[done]
+        errors[done] = err_total[done]
+        live &= ~done
+        if not live.any():
+            return values, errors
+        # Split every panel holding more than its equidistributed share.
+        n_panels = np.bincount(owner, minlength=n)
+        share = 0.5 * tol / np.maximum(n_panels, 1)
+        a, b = panels["a"], panels["b"]
+        splittable = b - a > 16.0 * np.finfo(float).eps * (
+            np.abs(a) + np.abs(b) + 1e-300)
+        bad = live[owner] & (err > share[owner]) & splittable
+        n_bad = np.bincount(owner[bad], minlength=n)
+        stuck = live & ((n_bad == 0) | (n_panels + n_bad > panel_budget)
+                        | (rnd == max_rounds))
+        if stuck.any():
+            i = int(np.argmax(stuck))
+            achieved = (err_total[i] / abs(total[i]) if total[i] != 0.0
+                        else float("inf"))
+            raise QuadratureError(
+                f"quadrature stalled at relative error {achieved:.3e} "
+                f"(requested {rel_tol:.3e}, {n_panels[i]} panels)",
+                achieved_rel_err=achieved, index=first + i)
+        keep = live[owner] & ~bad
+        new = _split(panels[bad])
+        new_kron, new_err = _evaluate(fn, new, args)
+        panels = np.concatenate([panels[keep], new])
+        kron = np.concatenate([kron[keep], new_kron])
+        err = np.concatenate([err[keep], new_err])
 
 
 def adaptive_gk(
@@ -136,7 +253,7 @@ def adaptive_gk(
     panel_budget: int = 2 ** 14,
     max_rounds: int = 64,
 ) -> tuple[float, float]:
-    """Integrate fn between the outermost breakpoints.
+    """Integrate fn between the outermost breakpoints: integrate with n = 1.
 
     breakpoints: interior discontinuities / kinks plus the two endpoints.
     sqrt_edges: breakpoints at which the integrand has an integrable
@@ -145,54 +262,6 @@ def adaptive_gk(
     Returns (value, error_estimate).  Raises QuadratureError if the budget
     is exhausted before the tolerance is met.
     """
-    bps = np.unique(np.asarray(breakpoints, float))
-    if bps.size < 2 or bps[-1] <= bps[0]:
-        return 0.0, 0.0
-    edges = {float(e) for e in sqrt_edges if bps[0] <= e <= bps[-1]}
-    panels = _initial_panels(bps, edges)
-    kron, err = _evaluate(fn, panels)
-
-    for _ in range(max_rounds):
-        total = float(kron.sum())
-        err_total = float(err.sum())
-        tol = max(rel_tol * abs(total), abs_tol)
-        if err_total <= tol:
-            return total, err_total
-        # Split every panel holding more than its equidistributed share.
-        share = 0.5 * tol / max(len(panels), 1)
-        width = panels.b - panels.a
-        splittable = width > 16.0 * np.finfo(float).eps * (
-            np.abs(panels.a) + np.abs(panels.b) + 1e-300)
-        bad = (err > share) & splittable
-        if not np.any(bad):
-            break
-        if len(panels) + int(bad.sum()) > panel_budget:
-            break
-        good = ~bad
-        new = panels.split(bad)
-        new_kron, new_err = _evaluate(fn, new)
-        panels = _concat(panels.keep(good), new)
-        kron = np.concatenate([kron[good], new_kron])
-        err = np.concatenate([err[good], new_err])
-
-    total = float(kron.sum())
-    err_total = float(err.sum())
-    tol = max(rel_tol * abs(total), abs_tol)
-    if err_total <= tol:
-        return total, err_total
-    achieved = err_total / abs(total) if total != 0.0 else float("inf")
-    raise QuadratureError(
-        f"quadrature stalled at relative error {achieved:.3e} "
-        f"(requested {rel_tol:.3e}, {len(panels)} panels)",
-        achieved_rel_err=achieved,
-    )
-
-
-def _concat(p1: _Panels, p2: _Panels) -> _Panels:
-    return _Panels(
-        np.concatenate([p1.a, p2.a]),
-        np.concatenate([p1.b, p2.b]),
-        np.concatenate([p1.kind, p2.kind]),
-        np.concatenate([p1.edge, p2.edge]),
-        np.concatenate([p1.sgn, p2.sgn]),
-    )
+    values, errors = integrate(fn, np.ravel(breakpoints), sqrt_edges,
+                               rel_tol, abs_tol, panel_budget, max_rounds)
+    return float(values[0]), float(errors[0])

@@ -192,6 +192,23 @@ def _sideband_parity(dm: int) -> float:
     return 1.0 if dm % 2 == 0 else -1.0
 
 
+def _sum_terms(integrator: PatIntegrator, terms, n_slots: int, zero):
+    """Sums of p * (forward(off_f) * wf + backward(off_b) * wb) per slot.
+
+    terms() yields (slot, p, wf, wb, off_f, off_b) tuples.  A first pass
+    collects their distinct offsets and integrates them in one batch; a
+    second pass adds each slot's terms in the order yielded, starting from
+    zero.  Only the distinct offsets are held, never the terms.
+    """
+    keys = dict.fromkeys(key for *_, off_f, off_b in terms()
+                         for key in ((True, off_f), (False, off_b)))
+    value = dict(zip(keys, integrator.integrals(keys)))
+    acc = [zero] * n_slots
+    for slot, p, wf, wb, off_f, off_b in terms():
+        acc[slot] += p * (value[True, off_f] * wf + value[False, off_b] * wb)
+    return acc
+
+
 def rate_table(
     params: SystemParams,
     spectrum: Spectrum,
@@ -225,41 +242,44 @@ def rate_table(
     base_b = {(dm, q): -params.e_island * (1.0 - 2.0 * q)
               - params.omega_rf * dm - params.bias_v
               for dm in dms for q, _ in charges}
-    fwd, bwd = integrator.forward, integrator.backward
 
-    gamma1: dict[tuple[int, int, int, int], complex] = {}
-    for mu, mup, nu, nup, de in matches.class1:
-        acc = 0j
-        for dm in dms:
-            pdm = _sideband_parity(dm)
-            if parity[mu] * parity[nu] != pdm:
-                continue
-            if parity[mup] * parity[nup] != pdm:
-                continue
-            wf = eta.f[dm][mu, nu] * eta.f[dm][mup, nup].conjugate()
-            wb = eta.b[dm][mu, nu] * eta.b[dm][mup, nup].conjugate()
-            for q, p in charges:
-                acc += p * (fwd(de + base_f[dm, q]) * wf
-                            + bwd(-de + base_b[dm, q]) * wb)
-        gamma1[(mu, mup, nu, nup)] = c1 * acc
-
-    core2: dict[tuple[int, int], complex] = {}
     n = energies.size
-    for m, xi in matches.class2_pairs:
-        acc = 0j
-        for dm in dms:
-            target = _sideband_parity(dm) * parity[m]
-            ef, eb = eta.f[dm], eta.b[dm]
-            for sigma in range(n):
-                if parity[sigma] != target:
+    keys1 = [(mu, mup, nu, nup) for mu, mup, nu, nup, _ in matches.class1]
+
+    def terms():
+        """Every term of every entry in summation order; class-1 entries
+        first, then the class-2 cores."""
+        for slot, (mu, mup, nu, nup, de) in enumerate(matches.class1):
+            for dm in dms:
+                pdm = _sideband_parity(dm)
+                if parity[mu] * parity[nu] != pdm:
                     continue
-                wf = ef[sigma, m].conjugate() * ef[sigma, xi]
-                wb = eb[sigma, m].conjugate() * eb[sigma, xi]
-                de = float(energies[sigma] - energies[m])
+                if parity[mup] * parity[nup] != pdm:
+                    continue
+                wf = eta.f[dm][mu, nu] * eta.f[dm][mup, nup].conjugate()
+                wb = eta.b[dm][mu, nu] * eta.b[dm][mup, nup].conjugate()
                 for q, p in charges:
-                    acc += p * (fwd(de + base_f[dm, q]) * wf
-                                + bwd(-de + base_b[dm, q]) * wb)
-        core2[(m, xi)] = c23 * acc
+                    yield (slot, p, wf, wb, de + base_f[dm, q],
+                           -de + base_b[dm, q])
+        for slot, (m, xi) in enumerate(matches.class2_pairs, len(keys1)):
+            for dm in dms:
+                target = _sideband_parity(dm) * parity[m]
+                ef, eb = eta.f[dm], eta.b[dm]
+                for sigma in range(n):
+                    if parity[sigma] != target:
+                        continue
+                    wf = ef[sigma, m].conjugate() * ef[sigma, xi]
+                    wb = eb[sigma, m].conjugate() * eb[sigma, xi]
+                    de = float(energies[sigma] - energies[m])
+                    for q, p in charges:
+                        yield (slot, p, wf, wb, de + base_f[dm, q],
+                               -de + base_b[dm, q])
+
+    acc = _sum_terms(integrator, terms,
+                     len(keys1) + len(matches.class2_pairs), 0j)
+    gamma1 = {key: c1 * a for key, a in zip(keys1, acc)}
+    core2 = {key: c23 * a
+             for key, a in zip(matches.class2_pairs, acc[len(keys1):])}
 
     if interference == "off":
         for key in ((0, 1, 1, 0), (1, 0, 0, 1)):
@@ -290,19 +310,21 @@ def transition_rate(
     energies, parity = spectrum.energies, spectrum.parity
     de = float(energies[i] - energies[j])
     charges = [(q, p) for q, p in pq.items() if p >= PQ_FLOOR]
-    acc = 0.0
-    for dm in range(-eta.dm_max, eta.dm_max + 1):
-        if parity[i] * parity[j] != _sideband_parity(dm):
-            continue
-        wf = abs(eta.f[dm][i, j]) ** 2
-        wb = abs(eta.b[dm][i, j]) ** 2
-        for q, p in charges:
-            off_f = de + params.e_island * (1.0 + 2.0 * q) \
-                + params.omega_rf * dm - params.bias_v
-            off_b = -de - params.e_island * (1.0 - 2.0 * q) \
-                - params.omega_rf * dm - params.bias_v
-            acc += p * (integrator.forward(off_f) * wf
-                        + integrator.backward(off_b) * wb)
+
+    def terms():
+        for dm in range(-eta.dm_max, eta.dm_max + 1):
+            if parity[i] * parity[j] != _sideband_parity(dm):
+                continue
+            wf = abs(eta.f[dm][i, j]) ** 2
+            wb = abs(eta.b[dm][i, j]) ** 2
+            for q, p in charges:
+                off_f = de + params.e_island * (1.0 + 2.0 * q) \
+                    + params.omega_rf * dm - params.bias_v
+                off_b = -de - params.e_island * (1.0 - 2.0 * q) \
+                    - params.omega_rf * dm - params.bias_v
+                yield 0, p, wf, wb, off_f, off_b
+
+    (acc,) = _sum_terms(integrator, terms, 1, 0.0)
     return 2.0 * params.r_ratio * acc
 
 

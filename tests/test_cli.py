@@ -116,6 +116,11 @@ def test_numerical_failures_exit_3(runner, tmp_path):
                                   "--from", "45e9", "--to", "45e9"])
     assert result.exit_code == 3
     assert "error:" in result.output
+    # A tolerance below roundoff stalls the tunneling quadrature.
+    cfg = _write(tmp_path, "q.json", {"quad_rel_tol": 1e-17})
+    result = runner.invoke(main, ["pq", "--config", cfg])
+    assert result.exit_code == 3
+    assert "tunneling integral at offset" in result.output
 
 
 def test_pq_command_and_pumped_flag(runner):

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from kpoqcr import (ChargeDistributionError, QuadratureError, SystemParams,
                     charge_distribution, dynes_dos, fermi, pat_integral)
-from kpoqcr.junction import (PatIntegrator, build_quadrature_spec,
-                             charge_transition_rates, elastic_weight,
-                             forward_p)
+from kpoqcr.junction import (PatIntegrator, charge_transition_rates,
+                             elastic_weight, forward_p, pat_breakpoints,
+                             pat_integrals)
 from kpoqcr.oracles import flat_dos_forward
-from kpoqcr.quad import adaptive_gk
+from kpoqcr.quad import BLOCK_INTEGRALS, adaptive_gk, plan_panels
 
 GAP = SystemParams().gap_hz
 
@@ -79,15 +79,17 @@ def test_integral_scale_invariance(scale, offset):
 
 
 def test_quadrature_spec_covers_edges():
-    spec = build_quadrature_spec(-10e9, GAP, 2e9, 2e9, 1e-10)
-    lo, hi = spec.window
+    bps, edges = pat_breakpoints([-10e9], GAP, 2e9, 2e9)
+    lo, hi = np.nanmin(bps), np.nanmax(bps)
     # Window spans both Fermi edges (0 and -offset) plus thermal padding,
     # and the gap singularities inside it are registered for sqrt panels.
     assert lo <= 0.0 <= hi and lo <= 10e9 <= hi
-    assert set(spec.sqrt_edges) == {-GAP, GAP}
-    for edge in spec.sqrt_edges:
+    panels = plan_panels(bps, edges)
+    sqrt_edges = panels["edge"][panels["sgn"] != 0.0]
+    assert set(sqrt_edges) == {-GAP, GAP}
+    for edge in sqrt_edges:
         assert lo < edge < hi
-        assert edge in spec.split_points
+        assert edge in bps
 
 
 def test_integrator_caches_by_offset(params):
@@ -99,6 +101,51 @@ def test_integrator_caches_by_offset(params):
     assert a == b and len(integ) == n1
     integ.backward(3e9)
     assert len(integ) == n1 + 1
+
+
+@pytest.mark.parametrize("temp_hz", [2.0836619123e9, 0.0])
+def test_batch_independence(temp_hz):
+    # An integral's value depends only on its own offset and direction, bit
+    # for bit: alone, or anywhere in a batch spanning several blocks.  With
+    # thermal padding every window holds both gap edges; at zero
+    # temperature a window holds at most one, and may end on it.
+    gamma = SystemParams().gamma_dynes
+    rng = np.random.default_rng(20260814)
+    special = [0.0, GAP, -GAP, GAP + 1.0, GAP - 1.0, -GAP + 1.0, -GAP - 1.0,
+               1e9, -1e9, 100e9, -100e9]
+    probe = special + rng.uniform(-120e9, 120e9, 100 - len(special)).tolist()
+    probe_keys = [(d, x) for x in probe for d in (True, False)]
+    filler = list(zip(rng.random(1900) < 0.5,
+                      rng.uniform(-150e9, 150e9, 1900).tolist()))
+    batch = probe_keys + filler
+    assert len(batch) > 4 * BLOCK_INTEGRALS
+
+    def run(keys):
+        fwd, off = zip(*keys)
+        return pat_integrals(off, fwd, GAP, gamma, temp_hz, temp_hz)
+
+    alone = [run([key])[0] for key in probe_keys]
+    first = run(batch)[:len(probe_keys)]
+    last = run(batch[::-1])[::-1][:len(probe_keys)]
+    want = [float(v).hex() for v in alone]
+    assert [float(v).hex() for v in first] == want
+    assert [float(v).hex() for v in last] == want
+
+
+def test_unconverged_integral_in_batch_raises(params):
+    # At rel_tol 1e-17 only integrals under the absolute floor converge;
+    # the one O(1) integral in the batch fails, names itself and caches
+    # nothing.
+    integ = PatIntegrator(params.gap_hz, params.gamma_dynes, params.t_s_hz,
+                          params.t_n_hz, rel_tol=1e-17)
+    keys = [(True, 200e9 + k * 1e9) for k in range(20)]
+    keys.insert(7, (False, -10e9))
+    with pytest.raises(QuadratureError,
+                       match=r"backward tunneling integral at offset "
+                             r"-10000000000\.0 Hz") as info:
+        integ.integrals(keys)
+    assert info.value.achieved_rel_err > 1e-17
+    assert len(integ) == 0
 
 
 def test_forward_p_detailed_balance(params, integrator):
