@@ -89,15 +89,19 @@ def pat_integrals(
     # scale instead, which is the absolute level at which they enter rates.
     abs_floor = rel_tol * max(temp_s_hz, temp_n_hz)
 
-    def integrand(eps, offset, fwd):
-        ns = dynes_dos(eps, gap_hz, gamma_dynes)
-        fs = fermi(eps, temp_s_hz)
-        fn = fermi(eps + offset, temp_n_hz)
-        return np.where(fwd, ns * (1.0 - fs) * fn, ns * fs * (1.0 - fn))
+    def backward_integrand(eps, offset):
+        return (dynes_dos(eps, gap_hz, gamma_dynes) * fermi(eps, temp_s_hz)
+                * (1.0 - fermi(eps + offset, temp_n_hz)))
+
+    def forward_integrand(eps, offset):
+        return (dynes_dos(eps, gap_hz, gamma_dynes)
+                * (1.0 - fermi(eps, temp_s_hz))
+                * fermi(eps + offset, temp_n_hz))
 
     try:
-        values, _err = integrate(integrand, bps, edges, rel_tol=rel_tol,
-                                 abs_tol=abs_floor, args=(offsets, forward))
+        values, _err = integrate((backward_integrand, forward_integrand), bps,
+                                 edges, rel_tol=rel_tol, abs_tol=abs_floor,
+                                 args=(offsets,), which=forward)
     except QuadratureError as exc:
         i = exc.index
         direction = "forward" if forward[i] else "backward"
@@ -124,13 +128,14 @@ def pat_integral(
 
 
 class PatIntegrator:
-    """Caches tunneling integrals keyed by (forward, offset).
+    """Caches tunneling integrals per direction, keyed by offset.
 
     Degenerate eigenstates are energy-snapped upstream, so transitions that
     must interfere share bit-identical offsets and therefore identical
     values; interference cancellations then happen algebraically.  The
-    batched entry point, integrals(), keeps this exact: a value depends only
-    on its key, never on what else was evaluated in the same batch.
+    batched entry point, evaluate(), keeps this exact: a value depends only
+    on its direction and offset, never on what else was evaluated in the
+    same batch.
     """
 
     def __init__(self, gap_hz: float, gamma_dynes: float, temp_s_hz: float,
@@ -140,37 +145,62 @@ class PatIntegrator:
         self.temp_s_hz = temp_s_hz
         self.temp_n_hz = temp_n_hz
         self.rel_tol = rel_tol
-        self._cache: dict[tuple[bool, float], float] = {}
+        self._cache: dict[bool, dict[float, float]] = {True: {}, False: {}}
 
     @classmethod
     def from_params(cls, params: SystemParams) -> "PatIntegrator":
         return cls(params.gap_hz, params.gamma_dynes, params.t_s_hz,
                    params.t_n_hz, params.quad_rel_tol)
 
-    def integrals(self, keys) -> list[float]:
-        """Values for (forward, offset) keys, in order.
+    def evaluate(self, forward_offsets,
+                 backward_offsets) -> tuple[np.ndarray, np.ndarray]:
+        """Forward integrals at forward_offsets and backward integrals at
+        backward_offsets, as arrays of the same shapes.
 
-        Keys not yet cached are integrated together in one batch and stored;
-        if one of them fails, QuadratureError propagates and none is stored.
+        Offsets not yet cached, of both directions, are integrated together
+        in one batch and stored; if one of them fails, QuadratureError
+        propagates and none is stored.
         """
-        cache = self._cache
-        missing = [k for k in dict.fromkeys(keys) if k not in cache]
-        if missing:
-            forward, offsets = zip(*missing)
-            values = pat_integrals(offsets, forward, self.gap_hz,
-                                   self.gamma_dynes, self.temp_s_hz,
-                                   self.temp_n_hz, self.rel_tol)
-            cache.update(zip(missing, values.tolist()))
-        return [cache[k] for k in keys]
+        lookups = []
+        for direction, offsets in ((True, forward_offsets),
+                                   (False, backward_offsets)):
+            offsets = np.asarray(offsets, float)
+            distinct, inverse = np.unique(offsets.ravel(), return_inverse=True)
+            lookups.append((self._cache[direction], offsets.shape,
+                            distinct.tolist(), inverse))
+        fwd_missing, bwd_missing = ([x for x in distinct if x not in cache]
+                                    for cache, _, distinct, _ in lookups)
+        if fwd_missing or bwd_missing:
+            n_fwd = len(fwd_missing)
+            values = pat_integrals(
+                fwd_missing + bwd_missing,
+                np.arange(n_fwd + len(bwd_missing)) < n_fwd, self.gap_hz,
+                self.gamma_dynes, self.temp_s_hz, self.temp_n_hz,
+                self.rel_tol).tolist()
+            self._cache[True].update(zip(fwd_missing, values[:n_fwd]))
+            self._cache[False].update(zip(bwd_missing, values[n_fwd:]))
+        return tuple(
+            np.array([cache[x] for x in distinct])[inverse].reshape(shape)
+            for cache, shape, distinct, inverse in lookups)
+
+    def integrals(self, keys) -> list[float]:
+        """Values for (forward, offset) keys, in order (see evaluate)."""
+        keys = list(keys)
+        forward = np.array([k[0] for k in keys], bool)
+        offsets = np.array([k[1] for k in keys], float)
+        values = np.empty(len(keys))
+        values[forward], values[~forward] = self.evaluate(offsets[forward],
+                                                          offsets[~forward])
+        return values.tolist()
 
     def forward(self, offset: float) -> float:
-        return self.integrals([(True, float(offset))])[0]
+        return float(self.evaluate([offset], ())[0][0])
 
     def backward(self, offset: float) -> float:
-        return self.integrals([(False, float(offset))])[0]
+        return float(self.evaluate((), [offset])[1][0])
 
     def __len__(self) -> int:
-        return len(self._cache)
+        return sum(map(len, self._cache.values()))
 
 
 def forward_p(integrator: PatIntegrator, energy_hz: float) -> float:
@@ -210,16 +240,16 @@ def _charge_rates(params, integrator, qs, m=0, bias_v=None):
     if bias_v is None:
         bias_v = params.bias_v
     weight = elastic_weight(m, params.rho_c) * params.r_ratio
-    energies = []
-    for q in qs:
-        e_gain = params.e_island * (1.0 + 2.0 * q)
-        e_loss = params.e_island * (1.0 - 2.0 * q)
-        energies += [bias_v - e_gain, -bias_v - e_gain,
-                     bias_v - e_loss, -bias_v - e_loss]
+    q = np.asarray(qs, float)
+    e_gain = params.e_island * (1.0 + 2.0 * q)
+    e_loss = params.e_island * (1.0 - 2.0 * q)
+    energies = np.stack([bias_v - e_gain, -bias_v - e_gain,
+                         bias_v - e_loss, -bias_v - e_loss], axis=1)
     # forward_p(integrator, e) for every energy, batched.
-    f = integrator.integrals([(True, -e) for e in energies])
-    return [(weight * (f[i] + f[i + 1]), weight * (f[i + 2] + f[i + 3]))
-            for i in range(0, len(f), 4)]
+    f, _ = integrator.evaluate(-energies, ())
+    gain = weight * (f[:, 0] + f[:, 1])
+    loss = weight * (f[:, 2] + f[:, 3])
+    return list(zip(gain.tolist(), loss.tolist()))
 
 
 @dataclass(frozen=True)

@@ -1,36 +1,41 @@
 """Adaptive Gauss-Kronrod quadrature of many integrals in one run.
 
 Each integral is given by its breakpoints (interior discontinuities or kinks
-plus the two endpoints); one row of a 2-D breakpoint array per integral.
-Panels carry the index of the integral they belong to and an optional
-square-root reparametrization anchored at a named edge point: on such a
-panel the integration variable is u with eps = edge +/- u^2, which turns an
-inverse-square-root integrable singularity at the edge (a BCS-like
-density-of-states peak) into a smooth integrand.
+plus the two endpoints), one row of a 2-D breakpoint array per integral, and
+by the integrand it selects from a short list.  Panels carry the index of
+the integral they belong to and an optional square-root reparametrization
+anchored at a named edge point: on such a panel the integration variable is
+u with eps = edge +/- u^2, which turns an inverse-square-root integrable
+singularity at the edge (a BCS-like density-of-states peak) into a smooth
+integrand.
 
 Integrals are processed in blocks of BLOCK_INTEGRALS.  Every refinement
 round of a block evaluates all of its new panels in vectorized integrand
-calls of at most CALL_POINTS points.  Convergence, splitting and the panel
+calls of at most CALL_POINTS points.  Each call holds one integrand and one
+panel kind: plain panels skip the square-root map and its Jacobian, and the
+halves of a split panel keep its kind.  Convergence, splitting and the panel
 budget are decided per integral, and a converged integral leaves the active
 set.
 
 Batch independence: an integral's value and error depend only on its own
-breakpoints, never on which other integrals share the run.  Two choices
-make this exact, not merely close:
+breakpoints and integrand, never on which other integrals share the run or
+how its panels are grouped into integrand calls.  Two choices make this
+exact, not merely close:
 
 - Panel sums are row-local, (vals * WGK).sum(axis=1), whose rounding sees
   one panel's 15 values only.  A matrix-vector product vals @ WGK is not:
   BLAS picks kernels and blocking by the number of rows, so a panel's
   last bits would depend on how many panels share the call.
 - Per-integral totals use one fixed reduction, np.bincount, which adds an
-  integral's panel values in their order in the panel array.  That order
+  integral's panel values in their order in the panel arrays.  That order
   (kept panels first, then the left and then the right halves of the split
-  ones) is the same whatever else is in the block.
+  ones) is the same whatever else is in the block; panels are regrouped by
+  integrand and kind only for evaluation.
 """
 from __future__ import annotations
 
 from itertools import count
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -74,14 +79,17 @@ WG[1:14:2] = np.concatenate([_WG_HALF, [_WG_CENTER], _WG_HALF[::-1]])
 BLOCK_INTEGRALS = 256
 CALL_POINTS = 2 ** 14
 _CALL_ROWS = CALL_POINTS // XGK.size
+# A panel narrower than this, relative to its endpoints, is not split.
+_MIN_WIDTH = 16.0 * np.finfo(float).eps
 
-# One panel in the u parameter.  sgn is 0 on a plain panel (eps = u) and
-# +1 or -1 on a square-root panel (eps = edge + sgn * u^2).
-_PANEL = np.dtype([("a", float), ("b", float), ("edge", float),
-                  ("sgn", float), ("owner", np.intp)])
+# Panels are the columns of a float array with these rows: the interval
+# [a, b] in the u parameter; edge and sgn, where sgn is 0 on a plain panel
+# (eps = u) and +1 or -1 on a square-root panel (eps = edge + sgn * u^2);
+# and, in a running block, the Kronrod estimate and its error.
+_A, _B, _EDGE, _SGN, _KRON, _ERR = range(6)
 
 
-def plan_panels(breakpoints, sqrt_edges=()) -> np.ndarray:
+def plan_panels(breakpoints, sqrt_edges=()) -> tuple[np.ndarray, np.ndarray]:
     """Initial panels of every integral, in one vectorized step.
 
     breakpoints: shape (n, k), one row per integral; NaN marks an unused
@@ -91,8 +99,9 @@ def plan_panels(breakpoints, sqrt_edges=()) -> np.ndarray:
     fewer than two distinct breakpoints gets no panels and integrates to
     zero.
 
-    Returns a _PANEL array sorted by owner, each integral's panels from
-    left to right.
+    Returns (panels, owner): panels has the rows a, b, edge and sgn, one
+    column per panel, and owner[j] is the integral of column j.  Columns
+    are sorted by owner, each integral's panels from left to right.
     """
     x = np.sort(np.asarray(breakpoints, float), axis=1)
     x[:, 1:][x[:, 1:] == x[:, :-1]] = np.nan
@@ -103,65 +112,70 @@ def plan_panels(breakpoints, sqrt_edges=()) -> np.ndarray:
     xm = 0.5 * (x0 + x1)
     both = e0 & e1
     # Up to two panels per interval: a plain one, one square-root panel
-    # anchored at its edge end, or two halves anchored at each end.
+    # anchored at its edge end, or two halves anchored at each end.  A
+    # square-root panel runs over u in [0, sqrt(width)] from its anchor.
     first_end = np.where(both, xm, x1)
-    first = np.where(e0 | e1, _sqrt_panel(x0, first_end, e0), _plain(x0, x1))
-    second = _sqrt_panel(xm, x1, np.zeros_like(e0))
-    panels = np.stack([first, second], axis=2)
-    owner = np.broadcast_to(np.arange(x.shape[0])[:, None, None], panels.shape)
-    panels["owner"] = owner
+    zero = np.zeros_like(x0)
+    first = np.where(e0 | e1,
+                     np.stack([zero, np.sqrt(first_end - x0),
+                               np.where(e0, x0, first_end),
+                               np.where(e0, 1.0, -1.0)]),
+                     np.stack([x0, x1, zero, zero]))
+    second = np.stack([zero, np.sqrt(x1 - xm), x1, zero - 1.0])
     valid = ~np.isnan(x1)
     keep = np.stack([valid, valid & both], axis=2)
-    return panels[keep]
-
-
-def _plain(x0, x1) -> np.ndarray:
-    out = np.zeros(x0.shape, _PANEL)
-    out["a"], out["b"] = x0, x1
-    return out
-
-
-def _sqrt_panel(x0, x1, at_left) -> np.ndarray:
-    """u in [0, sqrt(x1 - x0)], eps = anchor +/- u^2 from the anchored end."""
-    out = np.zeros(x0.shape, _PANEL)
-    out["b"] = np.sqrt(x1 - x0)
-    out["edge"] = np.where(at_left, x0, x1)
-    out["sgn"] = np.where(at_left, 1.0, -1.0)
-    return out
+    owner = np.broadcast_to(np.arange(x.shape[0])[:, None, None], keep.shape)
+    return np.stack([first, second], axis=3)[:, keep], owner[keep]
 
 
 def _split(panels: np.ndarray) -> np.ndarray:
-    """Halves of each panel: all left halves, then all right halves."""
-    mid = 0.5 * (panels["a"] + panels["b"])
-    out = np.concatenate([panels, panels])
-    out["b"][:panels.size] = mid
-    out["a"][panels.size:] = mid
+    """Halves of each panel column: all left halves, then all right halves."""
+    mid = 0.5 * (panels[_A] + panels[_B])
+    out = np.concatenate([panels, panels], axis=1)
+    out[_B, :mid.size] = mid
+    out[_A, mid.size:] = mid
     return out
 
 
-def _evaluate(fn, panels: np.ndarray, args) -> tuple[np.ndarray, np.ndarray]:
-    """Kronrod estimate and Kronrod-Gauss difference per panel."""
-    kron = np.empty(panels.size)
-    err = np.empty(panels.size)
-    for start in range(0, panels.size, _CALL_ROWS):
-        p = panels[start:start + _CALL_ROWS]
-        c = 0.5 * (p["a"] + p["b"])
-        h = 0.5 * (p["b"] - p["a"])
+def _evaluate(integrands, which, panels, owner, args) -> None:
+    """Fill in the Kronrod estimate and Kronrod-Gauss difference of every
+    panel.
+
+    Panels are taken in order of integrand and kind, CALL_POINTS points at
+    a time; each integrand call gets a run of panels of one integrand and
+    one kind.
+    """
+    group = 2 * which[owner] + (panels[_SGN] != 0.0)
+    order = np.argsort(group, kind="stable")
+    ends = np.cumsum(np.bincount(group)).tolist()
+    spans = list(zip([0] + ends[:-1], ends))     # group g is order[lo:hi]
+    for start in range(0, owner.size, _CALL_ROWS):
+        stop = min(start + _CALL_ROWS, owner.size)
+        sel = order[start:stop]
+        a, b, edge, sgn = panels[:_KRON, sel]
+        rows = [arg[owner[sel], None] for arg in args]
+        c = 0.5 * (a + b)
+        h = 0.5 * (b - a)
         u = c[:, None] + h[:, None] * XGK[None, :]
-        sgn = p["sgn"][:, None]
-        sq = sgn != 0.0
-        eps = np.where(sq, p["edge"][:, None] + sgn * u * u, u)
-        jac = np.where(sq, 2.0 * u, 1.0)
-        vals = fn(eps, *(arg[p["owner"], None] for arg in args)) * jac
+        vals = np.empty_like(u)
+        for g, (lo, hi) in enumerate(spans):
+            run = slice(max(lo, start) - start, min(hi, stop) - start)
+            if run.start >= run.stop:
+                continue
+            fn = integrands[g // 2]
+            ur = u[run]
+            if g % 2:
+                eps = edge[run, None] + sgn[run, None] * ur * ur
+                vals[run] = fn(eps, *(r[run] for r in rows)) * (2.0 * ur)
+            else:
+                vals[run] = fn(ur, *(r[run] for r in rows))
         k = h * (vals * WGK).sum(axis=1)
-        g = h * (vals * WG).sum(axis=1)
-        kron[start:start + p.size] = k
-        err[start:start + p.size] = np.abs(k - g)
-    return kron, err
+        panels[_KRON, sel] = k
+        panels[_ERR, sel] = np.abs(k - h * (vals * WG).sum(axis=1))
 
 
 def integrate(
-    fn: Callable[..., np.ndarray],
+    integrands: Sequence[Callable[..., np.ndarray]],
     breakpoints,
     sqrt_edges=(),
     rel_tol: float = 1e-10,
@@ -169,11 +183,14 @@ def integrate(
     panel_budget: int = 2 ** 14,
     max_rounds: int = 64,
     args=(),
+    which=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate one integral per row of breakpoints (see plan_panels).
 
-    fn(eps, *rows) is evaluated on an (m, 15) array of points; each entry
-    of rows is one array of args indexed by the integral of each point's
+    integrands is a sequence of callables; integral i uses
+    integrands[which[i]] (the first one when which is None).  An integrand
+    fn(eps, *rows) is evaluated on an (m, 15) array of points; each entry of
+    rows is one array of args indexed by the integral of each point's
     panel, shaped (m, 1) to broadcast against eps.  With args=() fn gets eps
     alone.
 
@@ -189,43 +206,45 @@ def integrate(
     n = bps.shape[0]
     edges = np.asarray(sqrt_edges, float)
     edges = np.broadcast_to(edges, (n, edges.shape[-1]))
+    which = np.zeros(n, np.intp) if which is None else np.asarray(which)
     values = np.zeros(n)
     errors = np.zeros(n)
     for start in range(0, n, BLOCK_INTEGRALS):
         rows = slice(start, start + BLOCK_INTEGRALS)
         block = bps[rows]
         values[rows], errors[rows] = _integrate_block(
-            fn, plan_panels(block, edges[rows]), len(block), rel_tol,
-            abs_tol, panel_budget, max_rounds, [arg[rows] for arg in args],
-            start)
+            integrands, which[rows], *plan_panels(block, edges[rows]),
+            len(block), rel_tol, abs_tol, panel_budget, max_rounds,
+            [arg[rows] for arg in args], start)
     return values, errors
 
 
-def _integrate_block(fn, panels, n, rel_tol, abs_tol, panel_budget,
-                     max_rounds, args, first):
+def _integrate_block(integrands, which, panels, owner, n, rel_tol, abs_tol,
+                     panel_budget, max_rounds, args, first):
     values = np.zeros(n)
     errors = np.zeros(n)
     live = np.ones(n, bool)
-    kron, err = _evaluate(fn, panels, args)
+    panels = np.concatenate([panels, np.empty((2, owner.size))])
+    _evaluate(integrands, which, panels, owner, args)
     for rnd in count():
-        owner = panels["owner"]
-        total = np.bincount(owner, kron, n)
-        err_total = np.bincount(owner, err, n)
+        total = np.bincount(owner, panels[_KRON], n)
+        err_total = np.bincount(owner, panels[_ERR], n)
         tol = np.maximum(rel_tol * np.abs(total), abs_tol)
         done = live & (err_total <= tol)
-        values[done] = total[done]
-        errors[done] = err_total[done]
+        np.copyto(values, total, where=done)
+        np.copyto(errors, err_total, where=done)
         live &= ~done
         if not live.any():
             return values, errors
         # Split every panel holding more than its equidistributed share.
         n_panels = np.bincount(owner, minlength=n)
         share = 0.5 * tol / np.maximum(n_panels, 1)
-        a, b = panels["a"], panels["b"]
-        splittable = b - a > 16.0 * np.finfo(float).eps * (
-            np.abs(a) + np.abs(b) + 1e-300)
-        bad = live[owner] & (err > share[owner]) & splittable
-        n_bad = np.bincount(owner[bad], minlength=n)
+        active = live[owner]
+        bad = np.flatnonzero(active & (panels[_ERR] > share[owner]))
+        a, b = panels[_A, bad], panels[_B, bad]
+        bad = bad[b - a > _MIN_WIDTH * (np.abs(a) + np.abs(b) + 1e-300)]
+        bad_owner = owner[bad]
+        n_bad = np.bincount(bad_owner, minlength=n)
         stuck = live & ((n_bad == 0) | (n_panels + n_bad > panel_budget)
                         | (rnd == max_rounds))
         if stuck.any():
@@ -236,12 +255,13 @@ def _integrate_block(fn, panels, n, rel_tol, abs_tol, panel_budget,
                 f"quadrature stalled at relative error {achieved:.3e} "
                 f"(requested {rel_tol:.3e}, {n_panels[i]} panels)",
                 achieved_rel_err=achieved, index=first + i)
-        keep = live[owner] & ~bad
-        new = _split(panels[bad])
-        new_kron, new_err = _evaluate(fn, new, args)
-        panels = np.concatenate([panels[keep], new])
-        kron = np.concatenate([kron[keep], new_kron])
-        err = np.concatenate([err[keep], new_err])
+        active[bad] = False
+        keep = np.flatnonzero(active)
+        new = _split(panels.take(bad, axis=1))
+        new_owner = np.concatenate([bad_owner, bad_owner])
+        _evaluate(integrands, which, new, new_owner, args)
+        panels = np.concatenate([panels.take(keep, axis=1), new], axis=1)
+        owner = np.concatenate([owner[keep], new_owner])
 
 
 def adaptive_gk(
@@ -262,6 +282,6 @@ def adaptive_gk(
     Returns (value, error_estimate).  Raises QuadratureError if the budget
     is exhausted before the tolerance is met.
     """
-    values, errors = integrate(fn, np.ravel(breakpoints), sqrt_edges,
+    values, errors = integrate((fn,), np.ravel(breakpoints), sqrt_edges,
                                rel_tol, abs_tol, panel_budget, max_rounds)
     return float(values[0]), float(errors[0])

@@ -17,12 +17,24 @@ where the primed sums run over energy-matched index sets.  gamma2 is
 independent of mup and gamma3 of mu; gamma3[mu,mup,xi] equals
 conj(gamma2[mup,., xi]) including the tunneling integrals, so only one
 core array is computed.
+
+Every entry is a sum of terms p_q * (F(off_f) * wf + B(off_b) * wb), with F
+and B the forward and backward tunneling integrals.  The terms are built as
+arrays, but each entry adds its terms one at a time (np.add.at, which is
+sequential in index order), starting from zero, in the order sideband dm,
+then intermediate state sigma (class-2 cores only), then charge q.  A
+pairwise or blocked sum would round differently, and the bit-flip
+suppression relies on interfering entries staying bit-identical.  The
+offsets keep two fixed associations: rate_table uses
+off_f = de + ((A_q + dm * omega_rf) - V), with the class-1 de =
+0.5 * (d1 + d2), and transition_rate uses off_f = ((de + A_q) +
+dm * omega_rf) - V.  They agree to roundoff only, so each path keeps its
+own.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
@@ -171,42 +183,33 @@ class RateTable:
     def n(self) -> int:
         return self.energies.size
 
-    @cached_property
-    def gamma2(self) -> dict[tuple[int, int, int], complex]:
-        return {(mu, mup, xi): val
-                for (mu, xi), val in self.core2.items()
-                for mup in range(self.n)}
-
-    @cached_property
-    def gamma3(self) -> dict[tuple[int, int, int], complex]:
-        return {(mu, mup, xi): complex(val).conjugate()
-                for (mup, xi), val in self.core2.items()
-                for mu in range(self.n)}
-
     def g1_diag(self, i: int, j: int) -> float:
         """Population transition rate |j> -> |i>, 1/s."""
         return complex(self.gamma1.get((i, i, j, j), 0j)).real
 
 
-def _sideband_parity(dm: int) -> float:
-    return 1.0 if dm % 2 == 0 else -1.0
+def _sideband_parity(dms: np.ndarray) -> np.ndarray:
+    """+1 on even sidebands, -1 on odd ones."""
+    return np.where(dms % 2 == 0, 1.0, -1.0)
 
 
-def _sum_terms(integrator: PatIntegrator, terms, n_slots: int, zero):
-    """Sums of p * (forward(off_f) * wf + backward(off_b) * wb) per slot.
+def _product(x, y):
+    """x * y for complex arrays, rounded like numpy's scalar product.
 
-    terms() yields (slot, p, wf, wb, off_f, off_b) tuples.  A first pass
-    collects their distinct offsets and integrates them in one batch; a
-    second pass adds each slot's terms in the order yielded, starting from
-    zero.  Only the distinct offsets are held, never the terms.
+    numpy's vectorized complex product fuses multiply-adds and can differ
+    from the scalar formula in the last bit; this keeps the scalar one.
     """
-    keys = dict.fromkeys(key for *_, off_f, off_b in terms()
-                         for key in ((True, off_f), (False, off_b)))
-    value = dict(zip(keys, integrator.integrals(keys)))
-    acc = [zero] * n_slots
-    for slot, p, wf, wb, off_f, off_b in terms():
-        acc[slot] += p * (value[True, off_f] * wf + value[False, off_b] * wb)
-    return acc
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _charges(pq: ChargeDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Charges above PQ_FLOOR and their probabilities."""
+    kept = [(q, p) for q, p in pq.items() if p >= PQ_FLOOR]
+    return (np.array([q for q, _ in kept], float),
+            np.array([p for _, p in kept]))
 
 
 def rate_table(
@@ -232,54 +235,48 @@ def rate_table(
 
     energies = spectrum.energies
     parity = spectrum.parity
-    c1 = 2.0 * params.r_ratio
-    c23 = -params.r_ratio
-    charges = [(q, p) for q, p in pq.items() if p >= PQ_FLOOR]
-    dms = list(range(-eta.dm_max, eta.dm_max + 1))
-    base_f = {(dm, q): params.e_island * (1.0 + 2.0 * q)
-              + params.omega_rf * dm - params.bias_v
-              for dm in dms for q, _ in charges}
-    base_b = {(dm, q): -params.e_island * (1.0 - 2.0 * q)
-              - params.omega_rf * dm - params.bias_v
-              for dm in dms for q, _ in charges}
+    qs, probs = _charges(pq)
+    dms = np.arange(-eta.dm_max, eta.dm_max + 1)
+    pdm = _sideband_parity(dms)
+    ef = np.stack([eta.f[dm] for dm in dms])
+    eb = np.stack([eta.b[dm] for dm in dms])
+    base_f = (params.e_island * (1.0 + 2.0 * qs)
+              + params.omega_rf * dms[:, None] - params.bias_v)
+    base_b = (-params.e_island * (1.0 - 2.0 * qs)
+              - params.omega_rf * dms[:, None] - params.bias_v)
 
-    n = energies.size
+    # Class-1 terms over (slot, dm), both factors parity-allowed.
     keys1 = [(mu, mup, nu, nup) for mu, mup, nu, nup, _ in matches.class1]
+    mu, mup, nu, nup = np.array(keys1, np.intp).reshape(-1, 4).T
+    de1 = np.array([de for *_, de in matches.class1], float)
+    slot1, d1 = np.nonzero(((parity[mu] * parity[nu])[:, None] == pdm)
+                           & ((parity[mup] * parity[nup])[:, None] == pdm))
+    i1, j1, k1, l1 = mu[slot1], nu[slot1], mup[slot1], nup[slot1]
+    # Class-2 terms over (pair, dm, sigma), sigma of the sideband's parity.
+    m, xi = np.array(matches.class2_pairs, np.intp).reshape(-1, 2).T
+    pair, d2, sigma = np.nonzero(
+        parity == pdm[:, None] * parity[m][:, None, None])
+    m2, xi2 = m[pair], xi[pair]
 
-    def terms():
-        """Every term of every entry in summation order; class-1 entries
-        first, then the class-2 cores."""
-        for slot, (mu, mup, nu, nup, de) in enumerate(matches.class1):
-            for dm in dms:
-                pdm = _sideband_parity(dm)
-                if parity[mu] * parity[nu] != pdm:
-                    continue
-                if parity[mup] * parity[nup] != pdm:
-                    continue
-                wf = eta.f[dm][mu, nu] * eta.f[dm][mup, nup].conjugate()
-                wb = eta.b[dm][mu, nu] * eta.b[dm][mup, nup].conjugate()
-                for q, p in charges:
-                    yield (slot, p, wf, wb, de + base_f[dm, q],
-                           -de + base_b[dm, q])
-        for slot, (m, xi) in enumerate(matches.class2_pairs, len(keys1)):
-            for dm in dms:
-                target = _sideband_parity(dm) * parity[m]
-                ef, eb = eta.f[dm], eta.b[dm]
-                for sigma in range(n):
-                    if parity[sigma] != target:
-                        continue
-                    wf = ef[sigma, m].conjugate() * ef[sigma, xi]
-                    wb = eb[sigma, m].conjugate() * eb[sigma, xi]
-                    de = float(energies[sigma] - energies[m])
-                    for q, p in charges:
-                        yield (slot, p, wf, wb, de + base_f[dm, q],
-                               -de + base_b[dm, q])
+    slot = np.concatenate([slot1, len(keys1) + pair])
+    d = np.concatenate([d1, d2])
+    de = np.concatenate([de1[slot1], energies[sigma] - energies[m2]])
 
-    acc = _sum_terms(integrator, terms,
-                     len(keys1) + len(matches.class2_pairs), 0j)
-    gamma1 = {key: c1 * a for key, a in zip(keys1, acc)}
-    core2 = {key: c23 * a
-             for key, a in zip(matches.class2_pairs, acc[len(keys1):])}
+    def weights(e):
+        """Sideband factor of every term row, from one direction's stack."""
+        return np.concatenate([_product(e[d1, i1, j1], e[d1, k1, l1].conj()),
+                               _product(e[d2, sigma, m2].conj(),
+                                        e[d2, sigma, xi2])])
+
+    wf, wb = weights(ef), weights(eb)
+    # One row of charge terms per (slot, dm[, sigma]), rows in slot order.
+    vf, vb = integrator.evaluate(de[:, None] + base_f[d],
+                                 -de[:, None] + base_b[d])
+    terms = probs * (vf * wf[:, None] + vb * wb[:, None])
+    acc = np.zeros(len(keys1) + len(matches.class2_pairs), complex)
+    np.add.at(acc, np.repeat(slot, qs.size), terms.ravel())
+    gamma1 = dict(zip(keys1, 2.0 * params.r_ratio * acc[:len(keys1)]))
+    core2 = dict(zip(matches.class2_pairs, -params.r_ratio * acc[len(keys1):]))
 
     if interference == "off":
         for key in ((0, 1, 1, 0), (1, 0, 0, 1)):
@@ -309,23 +306,22 @@ def transition_rate(
     """Single population rate gamma1[i,i,j,j] without building a full table."""
     energies, parity = spectrum.energies, spectrum.parity
     de = float(energies[i] - energies[j])
-    charges = [(q, p) for q, p in pq.items() if p >= PQ_FLOOR]
-
-    def terms():
-        for dm in range(-eta.dm_max, eta.dm_max + 1):
-            if parity[i] * parity[j] != _sideband_parity(dm):
-                continue
-            wf = abs(eta.f[dm][i, j]) ** 2
-            wb = abs(eta.b[dm][i, j]) ** 2
-            for q, p in charges:
-                off_f = de + params.e_island * (1.0 + 2.0 * q) \
-                    + params.omega_rf * dm - params.bias_v
-                off_b = -de - params.e_island * (1.0 - 2.0 * q) \
-                    - params.omega_rf * dm - params.bias_v
-                yield 0, p, wf, wb, off_f, off_b
-
-    (acc,) = _sum_terms(integrator, terms, 1, 0.0)
-    return 2.0 * params.r_ratio * acc
+    qs, probs = _charges(pq)
+    dms = np.arange(-eta.dm_max, eta.dm_max + 1)
+    dms = dms[parity[i] * parity[j] == _sideband_parity(dms)].tolist()
+    # Scalar abs: numpy's vectorized complex abs rounds differently.
+    wf = np.array([abs(eta.f[dm][i, j]) ** 2 for dm in dms])[:, None]
+    wb = np.array([abs(eta.b[dm][i, j]) ** 2 for dm in dms])[:, None]
+    dm = np.array(dms, float)[:, None]
+    off_f = de + params.e_island * (1.0 + 2.0 * qs) \
+        + params.omega_rf * dm - params.bias_v
+    off_b = -de - params.e_island * (1.0 - 2.0 * qs) \
+        - params.omega_rf * dm - params.bias_v
+    vf, vb = integrator.evaluate(off_f, off_b)
+    terms = (probs * (vf * wf + vb * wb)).ravel()
+    acc = np.zeros(1)
+    np.add.at(acc, np.zeros(terms.size, np.intp), terms)
+    return 2.0 * params.r_ratio * acc[0]
 
 
 def trace_residual(table: RateTable) -> float:

@@ -84,8 +84,8 @@ def test_quadrature_spec_covers_edges():
     # Window spans both Fermi edges (0 and -offset) plus thermal padding,
     # and the gap singularities inside it are registered for sqrt panels.
     assert lo <= 0.0 <= hi and lo <= 10e9 <= hi
-    panels = plan_panels(bps, edges)
-    sqrt_edges = panels["edge"][panels["sgn"] != 0.0]
+    (_a, _b, edge, sgn), _owner = plan_panels(bps, edges)
+    sqrt_edges = edge[sgn != 0.0]
     assert set(sqrt_edges) == {-GAP, GAP}
     for edge in sqrt_edges:
         assert lo < edge < hi
@@ -134,18 +134,28 @@ def test_batch_independence(temp_hz):
 
 def test_unconverged_integral_in_batch_raises(params):
     # At rel_tol 1e-17 only integrals under the absolute floor converge;
-    # the one O(1) integral in the batch fails, names itself and caches
-    # nothing.
-    integ = PatIntegrator(params.gap_hz, params.gamma_dynes, params.t_s_hz,
-                          params.t_n_hz, rel_tol=1e-17)
-    keys = [(True, 200e9 + k * 1e9) for k in range(20)]
-    keys.insert(7, (False, -10e9))
-    with pytest.raises(QuadratureError,
-                       match=r"backward tunneling integral at offset "
-                             r"-10000000000\.0 Hz") as info:
-        integ.integrals(keys)
-    assert info.value.achieved_rel_err > 1e-17
-    assert len(integ) == 0
+    # the one O(1) integral in each batch fails, names its own offset and
+    # direction and caches nothing: a backward one among forward ones, a
+    # forward one among backward ones, and one beyond the first block.
+    forward = [(True, 200e9 + k * 1e9) for k in range(20)]
+    backward = [(False, -200e9 - k * 1e9) for k in range(20)]
+    many = [(True, 200e9 + k * 1e8) for k in range(BLOCK_INTEGRALS + 50)]
+    cases = [
+        (forward[:7] + [(False, -10e9)] + forward[7:],
+         r"backward tunneling integral at offset -10000000000\.0 Hz"),
+        (backward[:7] + [(True, 10e9)] + backward[7:],
+         r"forward tunneling integral at offset 10000000000\.0 Hz"),
+        (many + [(False, -12e9)],
+         r"backward tunneling integral at offset -12000000000\.0 Hz"),
+    ]
+    for keys, message in cases:
+        integ = PatIntegrator(params.gap_hz, params.gamma_dynes,
+                              params.t_s_hz, params.t_n_hz, rel_tol=1e-17)
+        with pytest.raises(QuadratureError, match=message) as info:
+            integ.integrals(keys)
+        assert info.value.achieved_rel_err > 1e-17
+        assert len(integ) == 0
+    assert info.value.index >= BLOCK_INTEGRALS     # the last case's block
 
 
 def test_forward_p_detailed_balance(params, integrator):

@@ -104,10 +104,147 @@ def test_trace_and_hermiticity_identities(small_table):
     assert hermiticity_residual(small_table) <= 1e-12
 
 
-def test_gamma3_is_conjugate_gamma2(small_table):
-    g2, g3 = small_table.gamma2, small_table.gamma3
-    for (mu, mup, xi), val in g2.items():
-        assert g3[(mup, mu, xi)] == complex(val).conjugate()
+def test_core2_is_hermitian(table45, small_params, table_0k):
+    # gamma3 is the conjugate of gamma2 because the class-2 core is
+    # Hermitian over each degenerate pair, exactly: the (xi, m) terms are
+    # the conjugates of the (m, xi) terms, added in the same order.
+    spec = diagonalize_kpo(small_params.with_alpha(1.3))
+    alpha13 = rate_table(small_params.with_alpha(1.3), spec)
+    for table in (table45, table_0k[-1], alpha13):
+        assert table.core2
+        for (m, xi), val in table.core2.items():
+            assert table.core2[(xi, m)] == complex(val).conjugate()
+
+
+def _sequential_table(params, spectrum, eta, pq, integ, interference="on"):
+    """Reference assembly: every term of every entry in a plain loop, in
+    slot, dm, sigma, q order, added one at a time to 0j with numpy scalar
+    arithmetic and the table's offset association."""
+    matches = match_sets(spectrum, params.omega_rf, params.match_tol)
+    energies, parity = spectrum.energies, spectrum.parity
+    charges = [(q, p) for q, p in pq.items() if p >= PQ_FLOOR]
+    dms = range(-eta.dm_max, eta.dm_max + 1)
+
+    def sideband_parity(dm):
+        return 1.0 if dm % 2 == 0 else -1.0
+
+    def base(dm, q):
+        return (params.e_island * (1.0 + 2.0 * q) + params.omega_rf * dm
+                - params.bias_v,
+                -params.e_island * (1.0 - 2.0 * q) - params.omega_rf * dm
+                - params.bias_v)
+
+    terms = []          # (entry, p, wf, wb, off_f, off_b)
+    for mu, mup, nu, nup, de in matches.class1:
+        for dm in dms:
+            pdm = sideband_parity(dm)
+            if (parity[mu] * parity[nu] != pdm
+                    or parity[mup] * parity[nup] != pdm):
+                continue
+            wf = eta.f[dm][mu, nu] * eta.f[dm][mup, nup].conjugate()
+            wb = eta.b[dm][mu, nu] * eta.b[dm][mup, nup].conjugate()
+            for q, p in charges:
+                bf, bb = base(dm, q)
+                terms.append(((mu, mup, nu, nup), p, wf, wb,
+                              de + bf, -de + bb))
+    for m, xi in matches.class2_pairs:
+        for dm in dms:
+            target = sideband_parity(dm) * parity[m]
+            for sigma in range(energies.size):
+                if parity[sigma] != target:
+                    continue
+                wf = eta.f[dm][sigma, m].conjugate() * eta.f[dm][sigma, xi]
+                wb = eta.b[dm][sigma, m].conjugate() * eta.b[dm][sigma, xi]
+                de = float(energies[sigma] - energies[m])
+                for q, p in charges:
+                    bf, bb = base(dm, q)
+                    terms.append(((m, xi), p, wf, wb, de + bf, -de + bb))
+    keys = list(dict.fromkeys(key for *_, off_f, off_b in terms
+                              for key in ((True, off_f), (False, off_b))))
+    value = dict(zip(keys, integ.integrals(keys)))
+    acc = {key[:4]: 0j for key in matches.class1}
+    acc.update((pair, 0j) for pair in matches.class2_pairs)
+    for key, p, wf, wb, off_f, off_b in terms:
+        acc[key] += p * (value[True, off_f] * wf + value[False, off_b] * wb)
+    gamma1 = {k: 2.0 * params.r_ratio * v for k, v in acc.items()
+              if len(k) == 4}
+    core2 = {k: -params.r_ratio * v for k, v in acc.items() if len(k) == 2}
+    if interference == "off":
+        for key in ((0, 1, 1, 0), (1, 0, 0, 1)):
+            if key in gamma1:
+                gamma1[key] = 0j
+    return gamma1, core2
+
+
+def _sequential_transition_rate(params, spectrum, eta, pq, integ, i, j):
+    """Reference transition_rate: a plain loop in dm, q order with its own
+    offset association ((de + A) + B) - V."""
+    energies, parity = spectrum.energies, spectrum.parity
+    de = float(energies[i] - energies[j])
+    acc = 0.0
+    for dm in range(-eta.dm_max, eta.dm_max + 1):
+        if parity[i] * parity[j] != (1.0 if dm % 2 == 0 else -1.0):
+            continue
+        wf = abs(eta.f[dm][i, j]) ** 2
+        wb = abs(eta.b[dm][i, j]) ** 2
+        for q, p in pq.items():
+            if p < PQ_FLOOR:
+                continue
+            off_f = de + params.e_island * (1.0 + 2.0 * q) \
+                + params.omega_rf * dm - params.bias_v
+            off_b = -de - params.e_island * (1.0 - 2.0 * q) \
+                - params.omega_rf * dm - params.bias_v
+            acc += p * (integ.forward(off_f) * wf + integ.backward(off_b) * wb)
+    return 2.0 * params.r_ratio * acc
+
+
+def _hex(entries):
+    return {key: (complex(v).real.hex(), complex(v).imag.hex())
+            for key, v in entries.items()}
+
+
+@pytest.fixture(scope="module")
+def table_0k(params):
+    """Inputs and table at zero temperature: sharp Fermi seas, so many
+    integrals vanish exactly."""
+    p0 = params.replace(temp_n=0.0, temp_s=0.0)
+    spec = diagonalize_kpo(p0)
+    eta0 = eta_table(spec, p0.rho_c, p0.dm_max)
+    integ = PatIntegrator.from_params(p0)
+    pq0 = charge_distribution(p0, integ)
+    table = rate_table(p0, spec, eta=eta0, pq=pq0, integrator=integ)
+    return p0, spec, eta0, pq0, integ, table
+
+
+def test_assembly_bitwise_equals_sequential_loop(params, spectrum, eta, pq,
+                                                 integrator, table45,
+                                                 table_0k):
+    # The array assembly must reproduce the term-by-term loop bit for bit:
+    # the bit-flip suppression relies on interfering entries staying
+    # identical, so no tolerance applies.
+    off = rate_table(params, spectrum, eta=eta, pq=pq, integrator=integrator,
+                     interference="off")
+    cases = [((params, spectrum, eta, pq, integrator), "on", table45),
+             ((params, spectrum, eta, pq, integrator), "off", off),
+             (table_0k[:5], "on", table_0k[5])]
+    for inputs, interference, table in cases:
+        gamma1, core2 = _sequential_table(*inputs, interference=interference)
+        assert _hex(table.gamma1) == _hex(gamma1)
+        assert _hex(table.core2) == _hex(core2)
+
+
+def test_transition_rate_bitwise_equals_sequential_loop(params, spectrum,
+                                                        eta, pq, integrator,
+                                                        table_0k):
+    # Pairs across the spectrum: between the degenerate doublets the two
+    # offset associations round alike, so they alone would miss a swap.
+    pairs = [(i, j) for i in range(0, spectrum.n_keep, 2)
+             for j in range(spectrum.n_keep) if (i + j) % 3 == 0]
+    for inputs in ((params, spectrum, eta, pq, integrator), table_0k[:5]):
+        for i, j in pairs:
+            got = transition_rate(*inputs, i, j)
+            want = _sequential_transition_rate(*inputs, i, j)
+            assert float(got).hex() == float(want).hex()
 
 
 def test_population_rates_nonnegative(small_table):
