@@ -6,7 +6,7 @@ Three generator pieces act on it:
   coherent  : -i 2 pi (E_mu - E_mup) rho[mu,mup]   (zero inside snapped groups)
   lindblad  : single-photon loss (kappa) and pure dephasing (gamma_p),
               both angular rates 2 pi times the configured Hz values
-  tunneling : the matched gamma1/gamma2/gamma3 tensors of a RateTable
+  tunneling : the matched gamma1 and core2 arrays of a RateTable
 
 Propagation uses the classical fourth-order Runge-Kutta update, which for a
 linear autonomous generator is exactly the one-step matrix
@@ -57,18 +57,15 @@ def coherent_superop(energies: np.ndarray) -> np.ndarray:
 
 
 def qcr_superop(table: RateTable) -> np.ndarray:
+    """Tunneling superoperator: gamma1, plus core2 acting from the left and
+    its conjugate from the right, added in that order."""
     n = table.n
-    sup = np.zeros((n * n, n * n), dtype=complex)
-    for (mu, mup, nu, nup), val in table.gamma1.items():
-        sup[mu * n + mup, nu * n + nup] += val
-    for (mu, xi), val in table.core2.items():
-        for mup in range(n):
-            sup[mu * n + mup, xi * n + mup] += val
-    for (mup, xi), val in table.core2.items():
-        cval = complex(val).conjugate()
-        for mu in range(n):
-            sup[mu * n + mup, mu * n + xi] += cval
-    return sup
+    eye = np.eye(n)
+    core2 = table.core2
+    sup = (table.gamma1
+           + core2[:, None, :, None] * eye[None, :, None, :]
+           + eye[:, None, :, None] * core2.conj()[None, :, None, :])
+    return sup.reshape(n * n, n * n)
 
 
 @dataclass

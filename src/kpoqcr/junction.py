@@ -1,13 +1,20 @@
 """Photon-assisted tunneling integrals through a Dynes-broadened NIS junction.
 
-All energies are frequencies (E/h, Hz).  The two elementary integrals are
+All energies are frequencies (E/h, Hz).  One elementary integral serves both
+tunneling directions:
 
   forward(offset)  = int n_s(eps) [1 - f_S(eps)] f_N(eps + offset) d eps
   backward(offset) = int n_s(eps) f_S(eps) [1 - f_N(eps + offset)] d eps
+                   = forward(-offset)
 
 with n_s the smeared superconductor density of states at lead temperature
-T_S and f_N the island Fermi function at T_N.  Rate formulas supply the
-offset; the normalization 1/h is absorbed by the Hz energy convention.
+T_S and f_N the island Fermi function at T_N.  The identity is exact in the
+mathematics: substituting eps -> -eps maps one integrand onto the other,
+because n_s is even and f(-x) = 1 - f(x) for either Fermi function (also
+the zero-temperature step).  Negating an offset is exact in floating point,
+so terms of either direction that must interfere still share bit-identical
+offsets.  Rate formulas supply the offset; the normalization 1/h is absorbed
+by the Hz energy convention.
 """
 from __future__ import annotations
 
@@ -63,51 +70,43 @@ def pat_breakpoints(offsets, gap_hz: float, temp_s_hz: float,
 
 def pat_integrals(
     offsets,
-    forward,
     gap_hz: float,
     gamma_dynes: float,
     temp_s_hz: float,
     temp_n_hz: float,
     rel_tol: float = 1e-10,
 ) -> np.ndarray:
-    """Tunneling integrals at many offsets, in one adaptive quadrature run.
+    """Forward tunneling integrals at many offsets, in one adaptive
+    quadrature run.
 
-    forward[i] selects the forward (True) or backward integral at
-    offsets[i].  Each value depends only on its own offset and direction,
-    bit for bit, whatever else is in the batch.  Raises QuadratureError
-    naming the offset and direction of an integral that does not converge.
+    Each value depends only on its own offset, bit for bit, whatever else
+    is in the batch.  Raises QuadratureError naming the offset of an
+    integral that does not converge.
     """
     offsets = np.asarray(offsets, float)
-    forward = np.asarray(forward, bool)
     bps, edges = pat_breakpoints(offsets, gap_hz, temp_s_hz, temp_n_hz)
     if temp_s_hz == 0.0 and temp_n_hz == 0.0:
-        # Sharp Fermi seas: the support (0, -offset) or (-offset, 0) is
-        # empty for these; no breakpoints integrate to exactly zero.
-        bps[np.where(forward, offsets >= 0.0, offsets <= 0.0)] = np.nan
+        # Sharp Fermi seas: the support (0, -offset) is empty for these; no
+        # breakpoints integrate to exactly zero.
+        bps[offsets >= 0.0] = np.nan
     # Exponentially suppressed integrals hit the roundoff floor long before
     # a pure relative tolerance; resolve them to rel_tol of the thermal
     # scale instead, which is the absolute level at which they enter rates.
     abs_floor = rel_tol * max(temp_s_hz, temp_n_hz)
 
-    def backward_integrand(eps, offset):
-        return (dynes_dos(eps, gap_hz, gamma_dynes) * fermi(eps, temp_s_hz)
-                * (1.0 - fermi(eps + offset, temp_n_hz)))
-
-    def forward_integrand(eps, offset):
+    def integrand(eps, offset):
         return (dynes_dos(eps, gap_hz, gamma_dynes)
                 * (1.0 - fermi(eps, temp_s_hz))
                 * fermi(eps + offset, temp_n_hz))
 
     try:
-        values, _err = integrate((backward_integrand, forward_integrand), bps,
-                                 edges, rel_tol=rel_tol, abs_tol=abs_floor,
-                                 args=(offsets,), which=forward)
+        values, _err = integrate(integrand, bps, edges, rel_tol=rel_tol,
+                                 abs_tol=abs_floor, args=(offsets,))
     except QuadratureError as exc:
         i = exc.index
-        direction = "forward" if forward[i] else "backward"
         raise QuadratureError(
-            f"{direction} tunneling integral at offset {float(offsets[i])!r} Hz: "
-            f"{exc}", exc.achieved_rel_err, i) from exc
+            f"tunneling integral at offset {float(offsets[i])!r} Hz: {exc}",
+            exc.achieved_rel_err, i) from exc
     return values
 
 
@@ -123,19 +122,20 @@ def pat_integral(
     """One tunneling integral; direction is 'forward' or 'backward'."""
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
-    return float(pat_integrals([offset], [direction == "forward"], gap_hz,
-                               gamma_dynes, temp_s_hz, temp_n_hz, rel_tol)[0])
+    x = offset if direction == "forward" else -offset
+    return float(pat_integrals([x], gap_hz, gamma_dynes, temp_s_hz,
+                               temp_n_hz, rel_tol)[0])
 
 
 class PatIntegrator:
-    """Caches tunneling integrals per direction, keyed by offset.
+    """Caches forward tunneling integrals, keyed by offset.
 
     Degenerate eigenstates are energy-snapped upstream, so transitions that
     must interfere share bit-identical offsets and therefore identical
     values; interference cancellations then happen algebraically.  The
     batched entry point, evaluate(), keeps this exact: a value depends only
-    on its direction and offset, never on what else was evaluated in the
-    same batch.
+    on its offset, never on what else was evaluated in the same batch.
+    Backward integrals are looked up at the negated offset.
     """
 
     def __init__(self, gap_hz: float, gamma_dynes: float, temp_s_hz: float,
@@ -145,62 +145,40 @@ class PatIntegrator:
         self.temp_s_hz = temp_s_hz
         self.temp_n_hz = temp_n_hz
         self.rel_tol = rel_tol
-        self._cache: dict[bool, dict[float, float]] = {True: {}, False: {}}
+        self._cache: dict[float, float] = {}
 
     @classmethod
     def from_params(cls, params: SystemParams) -> "PatIntegrator":
         return cls(params.gap_hz, params.gamma_dynes, params.t_s_hz,
                    params.t_n_hz, params.quad_rel_tol)
 
-    def evaluate(self, forward_offsets,
-                 backward_offsets) -> tuple[np.ndarray, np.ndarray]:
-        """Forward integrals at forward_offsets and backward integrals at
-        backward_offsets, as arrays of the same shapes.
+    def evaluate(self, offsets) -> np.ndarray:
+        """Forward integrals at offsets, as an array of the same shape.
 
-        Offsets not yet cached, of both directions, are integrated together
-        in one batch and stored; if one of them fails, QuadratureError
-        propagates and none is stored.
+        Offsets not yet cached are integrated together in one batch and
+        stored; if one of them fails, QuadratureError propagates and none
+        is stored.
         """
-        lookups = []
-        for direction, offsets in ((True, forward_offsets),
-                                   (False, backward_offsets)):
-            offsets = np.asarray(offsets, float)
-            distinct, inverse = np.unique(offsets.ravel(), return_inverse=True)
-            lookups.append((self._cache[direction], offsets.shape,
-                            distinct.tolist(), inverse))
-        fwd_missing, bwd_missing = ([x for x in distinct if x not in cache]
-                                    for cache, _, distinct, _ in lookups)
-        if fwd_missing or bwd_missing:
-            n_fwd = len(fwd_missing)
-            values = pat_integrals(
-                fwd_missing + bwd_missing,
-                np.arange(n_fwd + len(bwd_missing)) < n_fwd, self.gap_hz,
-                self.gamma_dynes, self.temp_s_hz, self.temp_n_hz,
-                self.rel_tol).tolist()
-            self._cache[True].update(zip(fwd_missing, values[:n_fwd]))
-            self._cache[False].update(zip(bwd_missing, values[n_fwd:]))
-        return tuple(
-            np.array([cache[x] for x in distinct])[inverse].reshape(shape)
-            for cache, shape, distinct, inverse in lookups)
-
-    def integrals(self, keys) -> list[float]:
-        """Values for (forward, offset) keys, in order (see evaluate)."""
-        keys = list(keys)
-        forward = np.array([k[0] for k in keys], bool)
-        offsets = np.array([k[1] for k in keys], float)
-        values = np.empty(len(keys))
-        values[forward], values[~forward] = self.evaluate(offsets[forward],
-                                                          offsets[~forward])
-        return values.tolist()
+        offsets = np.asarray(offsets, float)
+        distinct, inverse = np.unique(offsets.ravel(), return_inverse=True)
+        distinct = distinct.tolist()
+        missing = [x for x in distinct if x not in self._cache]
+        if missing:
+            values = pat_integrals(missing, self.gap_hz, self.gamma_dynes,
+                                   self.temp_s_hz, self.temp_n_hz,
+                                   self.rel_tol)
+            self._cache.update(zip(missing, values.tolist()))
+        values = np.array([self._cache[x] for x in distinct])
+        return values[inverse].reshape(offsets.shape)
 
     def forward(self, offset: float) -> float:
-        return float(self.evaluate([offset], ())[0][0])
+        return float(self.evaluate([offset])[0])
 
     def backward(self, offset: float) -> float:
-        return float(self.evaluate((), [offset])[1][0])
+        return float(self.evaluate([-offset])[0])
 
     def __len__(self) -> int:
-        return sum(map(len, self._cache.values()))
+        return len(self._cache)
 
 
 def forward_p(integrator: PatIntegrator, energy_hz: float) -> float:
@@ -246,7 +224,7 @@ def _charge_rates(params, integrator, qs, m=0, bias_v=None):
     energies = np.stack([bias_v - e_gain, -bias_v - e_gain,
                          bias_v - e_loss, -bias_v - e_loss], axis=1)
     # forward_p(integrator, e) for every energy, batched.
-    f, _ = integrator.evaluate(-energies, ())
+    f = integrator.evaluate(-energies)
     gain = weight * (f[:, 0] + f[:, 1])
     loss = weight * (f[:, 2] + f[:, 3])
     return list(zip(gain.tolist(), loss.tolist()))

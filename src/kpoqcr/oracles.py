@@ -381,7 +381,7 @@ def run_oracle_suite(params: SystemParams | None = None) -> list[OracleReport]:
     # branch-flip rate, so agreement is limited by that roundoff floor.
     got = qcr_bitflip_rate(table)
     want = qcr_bitflip_closed(small, spec6, eta6, pq, integ)
-    floor = 1e-11 * max(abs(v) for v in table.core2.values())
+    floor = 1e-11 * float(np.abs(table.core2).max())
     rep = _report_abs("qcr_bitflip_signed_sum", got, want,
                       max(1e-8 * abs(want), floor), "cross-check")
     reports.append(rep)

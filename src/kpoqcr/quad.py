@@ -2,23 +2,22 @@
 
 Each integral is given by its breakpoints (interior discontinuities or kinks
 plus the two endpoints), one row of a 2-D breakpoint array per integral, and
-by the integrand it selects from a short list.  Panels carry the index of
-the integral they belong to and an optional square-root reparametrization
-anchored at a named edge point: on such a panel the integration variable is
-u with eps = edge +/- u^2, which turns an inverse-square-root integrable
-singularity at the edge (a BCS-like density-of-states peak) into a smooth
-integrand.
+by its arguments to the one integrand all integrals share.  Panels carry the
+index of the integral they belong to and an optional square-root
+reparametrization anchored at a named edge point: on such a panel the
+integration variable is u with eps = edge +/- u^2, which turns an
+inverse-square-root integrable singularity at the edge (a BCS-like
+density-of-states peak) into a smooth integrand.
 
 Integrals are processed in blocks of BLOCK_INTEGRALS.  Every refinement
 round of a block evaluates all of its new panels in vectorized integrand
-calls of at most CALL_POINTS points.  Each call holds one integrand and one
-panel kind: plain panels skip the square-root map and its Jacobian, and the
-halves of a split panel keep its kind.  Convergence, splitting and the panel
-budget are decided per integral, and a converged integral leaves the active
-set.
+calls of at most CALL_POINTS points, grouped by panel kind: plain panels
+skip the square-root map and its Jacobian, and the halves of a split panel
+keep its kind.  Convergence, splitting and the panel budget are decided per
+integral, and a converged integral leaves the active set.
 
 Batch independence: an integral's value and error depend only on its own
-breakpoints and integrand, never on which other integrals share the run or
+breakpoints and arguments, never on which other integrals share the run or
 how its panels are grouped into integrand calls.  Two choices make this
 exact, not merely close:
 
@@ -30,12 +29,12 @@ exact, not merely close:
   integral's panel values in their order in the panel arrays.  That order
   (kept panels first, then the left and then the right halves of the split
   ones) is the same whatever else is in the block; panels are regrouped by
-  integrand and kind only for evaluation.
+  kind only for evaluation.
 """
 from __future__ import annotations
 
 from itertools import count
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -137,18 +136,17 @@ def _split(panels: np.ndarray) -> np.ndarray:
     return out
 
 
-def _evaluate(integrands, which, panels, owner, args) -> None:
+def _evaluate(fn, panels, owner, args) -> None:
     """Fill in the Kronrod estimate and Kronrod-Gauss difference of every
     panel.
 
-    Panels are taken in order of integrand and kind, CALL_POINTS points at
-    a time; each integrand call gets a run of panels of one integrand and
-    one kind.
+    Panels are taken plain ones first, CALL_POINTS points at a time; each
+    integrand call gets a run of panels of one kind.
     """
-    group = 2 * which[owner] + (panels[_SGN] != 0.0)
-    order = np.argsort(group, kind="stable")
-    ends = np.cumsum(np.bincount(group)).tolist()
-    spans = list(zip([0] + ends[:-1], ends))     # group g is order[lo:hi]
+    sqrt_panel = panels[_SGN] != 0.0
+    order = np.argsort(sqrt_panel, kind="stable")
+    n_plain = owner.size - int(np.count_nonzero(sqrt_panel))
+    spans = ((0, n_plain), (n_plain, owner.size))   # order[lo:hi] per kind
     for start in range(0, owner.size, _CALL_ROWS):
         stop = min(start + _CALL_ROWS, owner.size)
         sel = order[start:stop]
@@ -158,13 +156,12 @@ def _evaluate(integrands, which, panels, owner, args) -> None:
         h = 0.5 * (b - a)
         u = c[:, None] + h[:, None] * XGK[None, :]
         vals = np.empty_like(u)
-        for g, (lo, hi) in enumerate(spans):
+        for is_sqrt, (lo, hi) in enumerate(spans):
             run = slice(max(lo, start) - start, min(hi, stop) - start)
             if run.start >= run.stop:
                 continue
-            fn = integrands[g // 2]
             ur = u[run]
-            if g % 2:
+            if is_sqrt:
                 eps = edge[run, None] + sgn[run, None] * ur * ur
                 vals[run] = fn(eps, *(r[run] for r in rows)) * (2.0 * ur)
             else:
@@ -175,7 +172,7 @@ def _evaluate(integrands, which, panels, owner, args) -> None:
 
 
 def integrate(
-    integrands: Sequence[Callable[..., np.ndarray]],
+    fn: Callable[..., np.ndarray],
     breakpoints,
     sqrt_edges=(),
     rel_tol: float = 1e-10,
@@ -183,16 +180,13 @@ def integrate(
     panel_budget: int = 2 ** 14,
     max_rounds: int = 64,
     args=(),
-    which=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate one integral per row of breakpoints (see plan_panels).
+    """Integrate fn over each row of breakpoints (see plan_panels).
 
-    integrands is a sequence of callables; integral i uses
-    integrands[which[i]] (the first one when which is None).  An integrand
-    fn(eps, *rows) is evaluated on an (m, 15) array of points; each entry of
-    rows is one array of args indexed by the integral of each point's
-    panel, shaped (m, 1) to broadcast against eps.  With args=() fn gets eps
-    alone.
+    fn(eps, *rows) is evaluated on an (m, 15) array of points; each entry
+    of rows is one array of args indexed by the integral of each point's
+    panel, shaped (m, 1) to broadcast against eps.  With args=() fn gets
+    eps alone.
 
     Integral i has converged when its error estimate is at most
     max(rel_tol * |value_i|, abs_tol); each round splits the panels of the
@@ -206,26 +200,25 @@ def integrate(
     n = bps.shape[0]
     edges = np.asarray(sqrt_edges, float)
     edges = np.broadcast_to(edges, (n, edges.shape[-1]))
-    which = np.zeros(n, np.intp) if which is None else np.asarray(which)
     values = np.zeros(n)
     errors = np.zeros(n)
     for start in range(0, n, BLOCK_INTEGRALS):
         rows = slice(start, start + BLOCK_INTEGRALS)
         block = bps[rows]
         values[rows], errors[rows] = _integrate_block(
-            integrands, which[rows], *plan_panels(block, edges[rows]),
-            len(block), rel_tol, abs_tol, panel_budget, max_rounds,
-            [arg[rows] for arg in args], start)
+            fn, *plan_panels(block, edges[rows]), len(block), rel_tol,
+            abs_tol, panel_budget, max_rounds, [arg[rows] for arg in args],
+            start)
     return values, errors
 
 
-def _integrate_block(integrands, which, panels, owner, n, rel_tol, abs_tol,
-                     panel_budget, max_rounds, args, first):
+def _integrate_block(fn, panels, owner, n, rel_tol, abs_tol, panel_budget,
+                     max_rounds, args, first):
     values = np.zeros(n)
     errors = np.zeros(n)
     live = np.ones(n, bool)
     panels = np.concatenate([panels, np.empty((2, owner.size))])
-    _evaluate(integrands, which, panels, owner, args)
+    _evaluate(fn, panels, owner, args)
     for rnd in count():
         total = np.bincount(owner, panels[_KRON], n)
         err_total = np.bincount(owner, panels[_ERR], n)
@@ -259,7 +252,7 @@ def _integrate_block(integrands, which, panels, owner, n, rel_tol, abs_tol,
         keep = np.flatnonzero(active)
         new = _split(panels.take(bad, axis=1))
         new_owner = np.concatenate([bad_owner, bad_owner])
-        _evaluate(integrands, which, new, new_owner, args)
+        _evaluate(fn, new, new_owner, args)
         panels = np.concatenate([panels.take(keep, axis=1), new], axis=1)
         owner = np.concatenate([owner[keep], new_owner])
 
@@ -282,6 +275,6 @@ def adaptive_gk(
     Returns (value, error_estimate).  Raises QuadratureError if the budget
     is exhausted before the tolerance is met.
     """
-    values, errors = integrate((fn,), np.ravel(breakpoints), sqrt_edges,
+    values, errors = integrate(fn, np.ravel(breakpoints), sqrt_edges,
                                rel_tol, abs_tol, panel_budget, max_rounds)
     return float(values[0]), float(errors[0])

@@ -7,29 +7,29 @@ omega_rf, so secular matching forces equal sideband indices on the two
 matrix-element factors of every second-order term; this is asserted, not
 assumed.
 
-Three tensors drive the density matrix in the eigenbasis:
+Two dense arrays drive the density matrix in the eigenbasis:
 
-  d rho[mu,mup] / dt  +=  sum' gamma1[mu,mup,nu,nup] rho[nu,nup]
-                        + sum' gamma2[mu,mup,xi] rho[xi,mup]
-                        + sum' gamma3[mu,mup,xi] rho[mu,xi]
+  d rho[mu,mup] / dt  +=  sum gamma1[mu,mup,nu,nup] rho[nu,nup]
+                        + sum core2[mu,xi] rho[xi,mup]
+                        + sum conj(core2[mup,xi]) rho[mu,xi]
 
-where the primed sums run over energy-matched index sets.  gamma2 is
-independent of mup and gamma3 of mu; gamma3[mu,mup,xi] equals
-conj(gamma2[mup,., xi]) including the tunneling integrals, so only one
-core array is computed.
+gamma1 has shape (n, n, n, n) and core2 shape (n, n).  Entries outside the
+energy-matched index sets are exactly zero.  The third term is the second
+one's Hermitian partner: core2 is Hermitian including the tunneling
+integrals, so only one core array is computed.
 
-Every entry is a sum of terms p_q * (F(off_f) * wf + B(off_b) * wb), with F
-and B the forward and backward tunneling integrals.  The terms are built as
-arrays, but each entry adds its terms one at a time (np.add.at, which is
-sequential in index order), starting from zero, in the order sideband dm,
-then intermediate state sigma (class-2 cores only), then charge q.  A
-pairwise or blocked sum would round differently, and the bit-flip
-suppression relies on interfering entries staying bit-identical.  The
-offsets keep two fixed associations: rate_table uses
-off_f = de + ((A_q + dm * omega_rf) - V), with the class-1 de =
-0.5 * (d1 + d2), and transition_rate uses off_f = ((de + A_q) +
-dm * omega_rf) - V.  They agree to roundoff only, so each path keeps its
-own.
+Every entry is a sum of terms p_q * (F(off_f) * wf + F(-off_b) * wb), with F
+the forward tunneling integral: the backward integral at off_b is F(-off_b)
+(see junction), and the negation is exact.  The terms are built as arrays,
+but each entry adds its terms one at a time (np.add.at, which is sequential
+in index order), starting from zero, in the order sideband dm, then
+intermediate state sigma (class-2 cores only), then charge q.  A pairwise
+or blocked sum would round differently, and the bit-flip suppression relies
+on interfering entries staying bit-identical.  The offsets keep two fixed
+associations: rate_table uses off_f = de + ((A_q + dm * omega_rf) - V),
+with the class-1 de = 0.5 * (d1 + d2), and transition_rate uses
+off_f = ((de + A_q) + dm * omega_rf) - V.  They agree to roundoff only, so
+each path keeps its own.
 """
 from __future__ import annotations
 
@@ -175,8 +175,8 @@ class RateTable:
     interference: str
     energies: np.ndarray
     parity: np.ndarray
-    gamma1: dict[tuple[int, int, int, int], complex]
-    core2: dict[tuple[int, int], complex] = field(repr=False)
+    gamma1: np.ndarray                  # (n, n, n, n) complex
+    core2: np.ndarray = field(repr=False)   # (n, n) complex
     pq: ChargeDistribution = field(repr=False, default=None)
 
     @property
@@ -185,7 +185,7 @@ class RateTable:
 
     def g1_diag(self, i: int, j: int) -> float:
         """Population transition rate |j> -> |i>, 1/s."""
-        return complex(self.gamma1.get((i, i, j, j), 0j)).real
+        return float(self.gamma1[i, i, j, j].real)
 
 
 def _sideband_parity(dms: np.ndarray) -> np.ndarray:
@@ -235,6 +235,7 @@ def rate_table(
 
     energies = spectrum.energies
     parity = spectrum.parity
+    n = energies.size
     qs, probs = _charges(pq)
     dms = np.arange(-eta.dm_max, eta.dm_max + 1)
     pdm = _sideband_parity(dms)
@@ -246,9 +247,9 @@ def rate_table(
               - params.omega_rf * dms[:, None] - params.bias_v)
 
     # Class-1 terms over (slot, dm), both factors parity-allowed.
-    keys1 = [(mu, mup, nu, nup) for mu, mup, nu, nup, _ in matches.class1]
-    mu, mup, nu, nup = np.array(keys1, np.intp).reshape(-1, 4).T
-    de1 = np.array([de for *_, de in matches.class1], float)
+    mu, mup, nu, nup = np.array([key[:4] for key in matches.class1],
+                                np.intp).reshape(-1, 4).T
+    de1 = np.array([key[4] for key in matches.class1], float)
     slot1, d1 = np.nonzero(((parity[mu] * parity[nu])[:, None] == pdm)
                            & ((parity[mup] * parity[nup])[:, None] == pdm))
     i1, j1, k1, l1 = mu[slot1], nu[slot1], mup[slot1], nup[slot1]
@@ -258,7 +259,11 @@ def rate_table(
         parity == pdm[:, None] * parity[m][:, None, None])
     m2, xi2 = m[pair], xi[pair]
 
-    slot = np.concatenate([slot1, len(keys1) + pair])
+    # Flat position of each term row's entry in one storage, gamma1 then
+    # core2.  Rows are in slot order, so each entry adds its terms in dm,
+    # sigma, q order.
+    entry = np.concatenate([((i1 * n + k1) * n + j1) * n + l1,
+                            n ** 4 + m2 * n + xi2])
     d = np.concatenate([d1, d2])
     de = np.concatenate([de1[slot1], energies[sigma] - energies[m2]])
 
@@ -270,18 +275,19 @@ def rate_table(
 
     wf, wb = weights(ef), weights(eb)
     # One row of charge terms per (slot, dm[, sigma]), rows in slot order.
-    vf, vb = integrator.evaluate(de[:, None] + base_f[d],
-                                 -de[:, None] + base_b[d])
+    off_f = de[:, None] + base_f[d]
+    off_b = -de[:, None] + base_b[d]
+    vf, vb = integrator.evaluate(np.stack([off_f, -off_b]))
     terms = probs * (vf * wf[:, None] + vb * wb[:, None])
-    acc = np.zeros(len(keys1) + len(matches.class2_pairs), complex)
-    np.add.at(acc, np.repeat(slot, qs.size), terms.ravel())
-    gamma1 = dict(zip(keys1, 2.0 * params.r_ratio * acc[:len(keys1)]))
-    core2 = dict(zip(matches.class2_pairs, -params.r_ratio * acc[len(keys1):]))
+    acc = np.zeros(n ** 4 + n ** 2, complex)
+    np.add.at(acc, np.repeat(entry, qs.size), terms.ravel())
+    gamma1 = 2.0 * params.r_ratio * acc[:n ** 4].reshape(n, n, n, n)
+    core2 = acc[n ** 4:].reshape(n, n)
+    # Scale the matched entries only: -r * 0j would leave a -0.0 elsewhere.
+    core2[m, xi] = -params.r_ratio * core2[m, xi]
 
     if interference == "off":
-        for key in ((0, 1, 1, 0), (1, 0, 0, 1)):
-            if key in gamma1:
-                gamma1[key] = 0j
+        gamma1[0, 1, 1, 0] = gamma1[1, 0, 0, 1] = 0j
 
     return RateTable(
         bias_v=params.bias_v,
@@ -317,7 +323,7 @@ def transition_rate(
         + params.omega_rf * dm - params.bias_v
     off_b = -de - params.e_island * (1.0 - 2.0 * qs) \
         - params.omega_rf * dm - params.bias_v
-    vf, vb = integrator.evaluate(off_f, off_b)
+    vf, vb = integrator.evaluate(np.stack([off_f, -off_b]))
     terms = (probs * (vf * wf + vb * wb)).ravel()
     acc = np.zeros(1)
     np.add.at(acc, np.zeros(terms.size, np.intp), terms)
@@ -327,31 +333,20 @@ def transition_rate(
 def trace_residual(table: RateTable) -> float:
     """Max over columns of the population-conservation sum; zero exactly.
 
-    For every initial state nu the total outflow generated by gamma2 and
-    gamma3 must cancel the inflow summed from gamma1.
+    For every initial state nu the outflow generated by core2 and its
+    conjugate must cancel the inflow summed from gamma1.
     """
-    n = table.n
-    worst = 0.0
-    scale = max((abs(v) for v in table.gamma1.values()), default=1.0)
-    for nu in range(n):
-        total = sum(table.gamma1.get((mu, mu, nu, nu), 0j) for mu in range(n))
-        total += table.core2.get((nu, nu), 0j)
-        total += complex(table.core2.get((nu, nu), 0j)).conjugate()
-        worst = max(worst, abs(total))
-    return worst / scale
+    inflow = np.einsum("iijj->ij", table.gamma1).sum(axis=0)
+    outflow = np.diagonal(table.core2)
+    total = inflow + outflow + outflow.conj()
+    return float(np.abs(total).max() / np.abs(table.gamma1).max())
 
 
 def hermiticity_residual(table: RateTable) -> float:
     """Max mismatch of gamma1 under (mu,mup,nu,nup) -> (mup,mu,nup,nu) conj."""
-    worst = 0.0
-    scale = max((abs(v) for v in table.gamma1.values()), default=1.0)
-    for (mu, mup, nu, nup), val in table.gamma1.items():
-        partner = table.gamma1.get((mup, mu, nup, nu))
-        if partner is None:
-            worst = max(worst, abs(val))
-        else:
-            worst = max(worst, abs(val - complex(partner).conjugate()))
-    return worst / scale
+    g = table.gamma1
+    mismatch = g - g.transpose(1, 0, 3, 2).conj()
+    return float(np.abs(mismatch).max() / np.abs(g).max())
 
 
 def qcr_bitflip_rate(table: RateTable) -> float:
@@ -359,19 +354,15 @@ def qcr_bitflip_rate(table: RateTable) -> float:
 
     Prepares the equal superposition of the two degenerate top states (the
     +alpha branch), applies the tunneling generator once, and projects onto
-    the opposite branch.  gamma2/gamma3 contributions cancel exactly by the
+    the opposite branch.  The core2 contributions cancel exactly by the
     sign structure; the residual is the genuine branch-flip rate.
     """
-    lrho: dict[tuple[int, int], complex] = {}
-    for a in (0, 1):
-        for b in (0, 1):
-            acc = 0j
-            for nu in (0, 1):
-                for nup in (0, 1):
-                    acc += table.gamma1.get((a, b, nu, nup), 0j) * 0.5
-            for xi in (0, 1):
-                acc += table.core2.get((a, xi), 0j) * 0.5
-                acc += complex(table.core2.get((b, xi), 0j)).conjugate() * 0.5
-            lrho[(a, b)] = acc
-    rate = 0.5 * (lrho[(0, 0)] + lrho[(1, 1)] - lrho[(0, 1)] - lrho[(1, 0)])
+    # L(rho)[a, b] over the qubit pair, added term by term in a fixed order:
+    # gamma1 over (nu, nup), then core2 and its conjugate per xi.
+    g = 0.5 * table.gamma1[:2, :2, :2, :2]
+    c = 0.5 * table.core2[:2, :2]
+    lrho = g[..., 0, 0] + g[..., 0, 1] + g[..., 1, 0] + g[..., 1, 1]
+    for xi in (0, 1):
+        lrho = lrho + c[:, None, xi] + c[None, :, xi].conj()
+    rate = 0.5 * (lrho[0, 0] + lrho[1, 1] - lrho[0, 1] - lrho[1, 0])
     return float(rate.real)

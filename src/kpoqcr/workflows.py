@@ -87,8 +87,8 @@ def _rates_point(params, spectrum, eta, transitions, interference):
                 for (i, ii, j, jj) in transitions]
     table = rate_table(params, spectrum, eta=eta, pq=pq,
                        interference=interference, integrator=integrator)
-    return [complex(table.gamma1.get(tuple(key), 0j)).real
-            for key in transitions]
+    keys = np.array(transitions, np.intp).reshape(-1, 4).T
+    return table.gamma1[tuple(keys)].real.tolist()
 
 
 def _rates_voltage_worker(job):

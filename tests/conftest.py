@@ -42,6 +42,19 @@ def table45(params, spectrum, eta, pq, integrator):
 
 
 @pytest.fixture(scope="session")
+def table_0k(params):
+    """Inputs and table at zero temperature: sharp Fermi seas, so many
+    integrals vanish exactly."""
+    p0 = params.replace(temp_n=0.0, temp_s=0.0)
+    spec = diagonalize_kpo(p0)
+    eta0 = eta_table(spec, p0.rho_c, p0.dm_max)
+    integ = PatIntegrator.from_params(p0)
+    pq0 = charge_distribution(p0, integ)
+    table = rate_table(p0, spec, eta=eta0, pq=pq0, integrator=integ)
+    return p0, spec, eta0, pq0, integ, table
+
+
+@pytest.fixture(scope="session")
 def small_params(params):
     """Reduced retained space; keeps tensor assembly cheap in unit tests."""
     return params.replace(n_keep=6, dm_max=2, quad_rel_tol=1e-8)

@@ -7,7 +7,7 @@ from scipy.linalg import expm
 
 from kpoqcr import (EvolveError, SteadyStateError, assemble_generator,
                     density_metrics, evolve, husimi_q, initial_state,
-                    steady_state)
+                    rate_table, steady_state)
 from kpoqcr.dynamics import (coherent_superop, dissipator_superop,
                              lindblad_dissipators, qcr_superop)
 
@@ -58,6 +58,32 @@ def test_lindblad_rates_scale(spectrum):
     p1 = lindblad_dissipators(spectrum, 0.0, 1.0)
     p2 = lindblad_dissipators(spectrum, 0.0, 3.0)
     assert np.allclose(p2, 3.0 * p1, atol=1e-12 * np.max(np.abs(p1)))
+
+
+def _qcr_superop_loop(table):
+    """Reference: every gamma1 entry, then core2 from the left, then its
+    conjugate from the right, added one at a time."""
+    n = table.n
+    sup = np.zeros((n * n, n * n), dtype=complex)
+    for (mu, mup, nu, nup), val in np.ndenumerate(table.gamma1):
+        sup[mu * n + mup, nu * n + nup] += val
+    for (mu, xi), val in np.ndenumerate(table.core2):
+        for mup in range(n):
+            sup[mu * n + mup, xi * n + mup] += val
+    for (mup, xi), val in np.ndenumerate(table.core2):
+        cval = complex(val).conjugate()
+        for mu in range(n):
+            sup[mu * n + mup, mu * n + xi] += cval
+    return sup
+
+
+def test_qcr_superop_bitwise_equals_entry_loop(params, spectrum, eta, pq,
+                                               integrator, table45,
+                                               table_0k):
+    off = rate_table(params, spectrum, eta=eta, pq=pq, integrator=integrator,
+                     interference="off")
+    for table in (table45, off, table_0k[-1]):
+        assert qcr_superop(table).tobytes() == _qcr_superop_loop(table).tobytes()
 
 
 def test_generator_conserves_trace(gen_on, gen_off, table45):

@@ -103,30 +103,69 @@ def test_integrator_caches_by_offset(params):
     assert len(integ) == n1 + 1
 
 
+def test_backward_is_cached_forward_at_negated_offset(params):
+    integ = PatIntegrator.from_params(params)
+    for x in (3e9, -3e9, params.gap_hz, 0.0):
+        want = integ.forward(-x)
+        n = len(integ)
+        assert float(integ.backward(x)).hex() == float(want).hex()
+        assert len(integ) == n
+
+
+@pytest.mark.parametrize("temp_k", [0.1, 0.01, 0.0])
+def test_backward_equals_its_own_integrand(params, temp_k):
+    # backward(x) = forward(-x) holds because the Dynes DOS is even and
+    # f(-x) = 1 - f(x).  The reference integrates the backward integrand
+    # itself on the breakpoints of offset x; the two quadratures differ
+    # only by their tolerance, or by the absolute floor rel_tol * k_B T.
+    p = params.replace(temp_n=temp_k, temp_s=temp_k)
+    gap, gd, t_s, t_n = p.gap_hz, p.gamma_dynes, p.t_s_hz, p.t_n_hz
+    rel_tol = 1e-10
+
+    def integrand(eps, offset):
+        return (dynes_dos(eps, gap, gd) * fermi(eps, t_s)
+                * (1.0 - fermi(eps + offset, t_n)))
+
+    reach = gap + 2.0 * p.omega_rf
+    shells = [gap + k * p.omega_rf for k in (-2, -1, 0, 1, 2)]
+    offsets = sorted({*np.linspace(-reach, reach, 25).tolist(),
+                      *shells, *(-x for x in shells)})
+    for x in offsets:
+        got = pat_integral(x, "backward", gap, gd, t_s, t_n, rel_tol)
+        bps, edges = pat_breakpoints([x], gap, t_s, t_n)
+        want, _err = adaptive_gk(lambda eps: integrand(eps, x), bps[0],
+                                 edges[0], rel_tol=rel_tol,
+                                 abs_tol=rel_tol * max(t_s, t_n))
+        if temp_k == 0.0 and x <= 0.0:
+            # Sharp Fermi seas: the support (-x, 0) is empty.
+            assert got == 0.0 and want == 0.0
+        else:
+            assert abs(got - want) <= max(1e-8 * abs(want), rel_tol * t_n)
+
+
 @pytest.mark.parametrize("temp_hz", [2.0836619123e9, 0.0])
 def test_batch_independence(temp_hz):
-    # An integral's value depends only on its own offset and direction, bit
-    # for bit: alone, or anywhere in a batch spanning several blocks.  With
-    # thermal padding every window holds both gap edges; at zero
+    # An integral's value depends only on its own offset, bit for bit:
+    # alone, or anywhere in a batch spanning several blocks.  Each probe
+    # offset comes with its negation, the lookup of the backward integral.
+    # With thermal padding every window holds both gap edges; at zero
     # temperature a window holds at most one, and may end on it.
     gamma = SystemParams().gamma_dynes
     rng = np.random.default_rng(20260814)
     special = [0.0, GAP, -GAP, GAP + 1.0, GAP - 1.0, -GAP + 1.0, -GAP - 1.0,
                1e9, -1e9, 100e9, -100e9]
     probe = special + rng.uniform(-120e9, 120e9, 100 - len(special)).tolist()
-    probe_keys = [(d, x) for x in probe for d in (True, False)]
-    filler = list(zip(rng.random(1900) < 0.5,
-                      rng.uniform(-150e9, 150e9, 1900).tolist()))
-    batch = probe_keys + filler
+    probe = [s * x for x in probe for s in (1.0, -1.0)]
+    filler = rng.uniform(-150e9, 150e9, 1900).tolist()
+    batch = probe + filler
     assert len(batch) > 4 * BLOCK_INTEGRALS
 
-    def run(keys):
-        fwd, off = zip(*keys)
-        return pat_integrals(off, fwd, GAP, gamma, temp_hz, temp_hz)
+    def run(offsets):
+        return pat_integrals(offsets, GAP, gamma, temp_hz, temp_hz)
 
-    alone = [run([key])[0] for key in probe_keys]
-    first = run(batch)[:len(probe_keys)]
-    last = run(batch[::-1])[::-1][:len(probe_keys)]
+    alone = [run([x])[0] for x in probe]
+    first = run(batch)[:len(probe)]
+    last = run(batch[::-1])[::-1][:len(probe)]
     want = [float(v).hex() for v in alone]
     assert [float(v).hex() for v in first] == want
     assert [float(v).hex() for v in last] == want
@@ -134,28 +173,37 @@ def test_batch_independence(temp_hz):
 
 def test_unconverged_integral_in_batch_raises(params):
     # At rel_tol 1e-17 only integrals under the absolute floor converge;
-    # the one O(1) integral in each batch fails, names its own offset and
-    # direction and caches nothing: a backward one among forward ones, a
+    # the one O(1) integral in each batch fails, names its own forward
+    # offset and caches nothing: a backward one among forward ones, a
     # forward one among backward ones, and one beyond the first block.
+    # Backward keys are looked up at the negated offset, as the rate
+    # paths do.
     forward = [(True, 200e9 + k * 1e9) for k in range(20)]
-    backward = [(False, -200e9 - k * 1e9) for k in range(20)]
+    backward = [(False, -200.5e9 - k * 1e9) for k in range(20)]
     many = [(True, 200e9 + k * 1e8) for k in range(BLOCK_INTEGRALS + 50)]
     cases = [
         (forward[:7] + [(False, -10e9)] + forward[7:],
-         r"backward tunneling integral at offset -10000000000\.0 Hz"),
-        (backward[:7] + [(True, 10e9)] + backward[7:],
-         r"forward tunneling integral at offset 10000000000\.0 Hz"),
+         r"tunneling integral at offset 10000000000\.0 Hz"),
+        (backward[:7] + [(True, 11e9)] + backward[7:],
+         r"tunneling integral at offset 11000000000\.0 Hz"),
         (many + [(False, -12e9)],
-         r"backward tunneling integral at offset -12000000000\.0 Hz"),
+         r"tunneling integral at offset 12000000000\.0 Hz"),
     ]
     for keys, message in cases:
         integ = PatIntegrator(params.gap_hz, params.gamma_dynes,
                               params.t_s_hz, params.t_n_hz, rel_tol=1e-17)
+        offsets = [x if is_forward else -x for is_forward, x in keys]
         with pytest.raises(QuadratureError, match=message) as info:
-            integ.integrals(keys)
+            integ.evaluate(offsets)
         assert info.value.achieved_rel_err > 1e-17
         assert len(integ) == 0
-    assert info.value.index >= BLOCK_INTEGRALS     # the last case's block
+    # The integrator integrates its distinct offsets in sorted order; in
+    # the order given, the last case's failure lies beyond the first block
+    # and its index counts from the start of the batch.
+    with pytest.raises(QuadratureError, match=message) as info:
+        pat_integrals(offsets, params.gap_hz, params.gamma_dynes,
+                      params.t_s_hz, params.t_n_hz, rel_tol=1e-17)
+    assert info.value.index == len(offsets) - 1 >= BLOCK_INTEGRALS
 
 
 def test_forward_p_detailed_balance(params, integrator):
