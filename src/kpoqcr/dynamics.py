@@ -30,6 +30,8 @@ from .spectrum import Spectrum, build_fock_operators, coherent_state
 _STEP_SAFETY = 0.1      # h <= safety / ||L||_inf
 _MAX_HALVINGS = 10
 _TRACE_TOL = 1e-9       # allowed trace drift per unit normalized time
+_SNAP_REL = 1e-9        # interval lengths and times this close are equal
+_HUSIMI_ROWS = 1024     # phase-space points per Husimi matrix product
 
 
 def dissipator_superop(op: np.ndarray) -> np.ndarray:
@@ -170,11 +172,15 @@ def _step_matrix(total: np.ndarray, h: float) -> np.ndarray:
 
 
 class _Propagator:
-    """Caches interval-advance matrices per (generator, dt)."""
+    """Caches interval-advance matrices per generator and interval length.
+
+    Lengths that agree to a relative _SNAP_REL share the matrix of the first
+    of them: the spacings of a uniform grid differ by a few ulps only.
+    """
 
     def __init__(self, h_step: float | None):
         self.h_step = h_step
-        self._cache: dict[tuple[int, float], np.ndarray] = {}
+        self._cache: dict[int, list[tuple[float, np.ndarray]]] = {}
 
     def _resolve_h(self, gen: Generator, dt: float) -> float:
         h_max = _STEP_SAFETY / gen.norm_inf
@@ -192,14 +198,15 @@ class _Propagator:
     def advance(self, gen: Generator, dt: float, vec: np.ndarray) -> np.ndarray:
         if dt <= 0.0:
             return vec
-        key = (id(gen), dt)
-        mat = self._cache.get(key)
-        if mat is None:
-            h = self._resolve_h(gen, dt)
-            n_steps = max(1, math.ceil(dt / h - 1e-12))
-            mat = np.linalg.matrix_power(
-                _step_matrix(gen.total, dt / n_steps), n_steps)
-            self._cache[key] = mat
+        mats = self._cache.setdefault(id(gen), [])
+        for dt_built, mat in mats:
+            if math.isclose(dt, dt_built, rel_tol=_SNAP_REL):
+                return mat @ vec
+        h = self._resolve_h(gen, dt)
+        n_steps = max(1, math.ceil(dt / h - 1e-12))
+        mat = np.linalg.matrix_power(
+            _step_matrix(gen.total, dt / n_steps), n_steps)
+        mats.append((dt, mat))
         return mat @ vec
 
 
@@ -231,6 +238,12 @@ def evolve(
     else:
         gen_pair = tuple(generators)
         t_on = (schedule or {}).get("t_qcr_on")
+        if t_on is not None:
+            # A switch-on time a rounding error away from a grid time is
+            # that grid time, not the start of a sliver segment.
+            near = float(t_grid[np.argmin(np.abs(t_grid - t_on))])
+            if math.isclose(t_on, near, rel_tol=_SNAP_REL):
+                t_on = near
 
     def gen_at(t0: float) -> Generator:
         if t_on is None:
@@ -340,8 +353,14 @@ def husimi_q(
         [np.ones((alphas.size, 1), complex), np.cumprod(steps, axis=1)], axis=1)
     amps *= np.exp(-0.5 * np.abs(alphas) ** 2)[:, None]
     rho_f = spectrum.vectors @ np.asarray(rho_eig, complex) @ spectrum.vectors.conj().T
-    q = np.real(np.einsum("gm,mn,gn->g", amps.conj(), rho_f, amps)) / math.pi
-    return q.reshape(im_axis.size, re_axis.size)
+    # <alpha| rho |alpha> as a matrix product, in row chunks that keep the
+    # (rows, n_fock) intermediate small.
+    q = np.empty(alphas.size)
+    for start in range(0, alphas.size, _HUSIMI_ROWS):
+        chunk = amps[start:start + _HUSIMI_ROWS]
+        q[start:start + chunk.shape[0]] = (
+            (chunk.conj() @ rho_f) * chunk).sum(axis=1).real
+    return (q / math.pi).reshape(im_axis.size, re_axis.size)
 
 
 def density_metrics(rho: np.ndarray) -> dict[str, float]:

@@ -35,17 +35,67 @@ _PQ_TAIL_LIMIT = 1e-10   # required probability at the charge cutoff
 
 
 def dynes_dos(eps, gap_hz: float, gamma_dynes: float):
-    """Smeared superconducting density of states, normalized and even."""
-    z = (np.asarray(eps, float) + 1j * gamma_dynes * gap_hz) / gap_hz
-    return np.abs(np.real(z / np.sqrt(z * z - 1.0)))
+    """Smeared superconducting density of states, normalized and even.
+
+    With x = eps / gap and y = gamma_dynes > 0 the Dynes form is
+    n_s = |Re(z / w)|, z = x + i y, w = sqrt(z^2 - 1) the principal root.
+    It is evaluated in real arithmetic.  Write z^2 - 1 = a + i b with
+
+      a = x^2 - (y^2 + 1),  b = 2 y x,  r = sqrt(a^2 + b^2) = |w|^2.
+
+    The components of w are sqrt((r + a) / 2) and sqrt((r - a) / 2), the
+    imaginary one with the sign of b.  Take the larger one without
+    cancellation, p = sqrt((r + |a|) / 2); the other one is |b| / (2 p).
+    Re(z / w) = (x Re w + y Im w) / r, and with sign(b) = sign(x):
+
+      a >= 0 (outside the gap):  Re w = p,  n_s = |x| (p^2 + y^2) / (p r)
+      a <  0 (inside the gap):   Im w = p,  n_s = y (x^2 + p^2) / (p r)
+
+    The branch keeps r + a from cancelling inside the gap, where the subgap
+    leakage lives.  Every quantity depends on x through |x| or x^2 only,
+    so the result is exactly even.  Scalars and 0-d input give a scalar.
+    """
+    shape = np.shape(eps)
+    y = gamma_dynes
+    x = np.array(eps, float, copy=None, ndmin=1) / gap_hz
+    x2 = x * x
+    a = x2 - (y * y + 1.0)
+    outside = a >= 0.0
+    r = a * a
+    b = x * (2.0 * y)
+    b *= b
+    r += b
+    np.sqrt(r, out=r)
+    p2 = np.abs(a, out=a)
+    p2 += r
+    p2 *= 0.5
+    # Numerator m * (p^2 + k): (m, k) = (|x|, y^2) outside, (y, x^2) inside.
+    m = np.abs(x, out=x)
+    np.copyto(x2, y * y, where=outside)
+    x2 += p2
+    np.logical_not(outside, out=outside)
+    np.copyto(m, y, where=outside)
+    m *= x2
+    den = np.sqrt(p2, out=p2)
+    den *= r
+    m /= den
+    return m.reshape(shape)[()]
 
 
 def fermi(eps, t_hz: float):
-    """Fermi factor at thermal frequency t = k_B T / h; step function at t=0."""
+    """Fermi factor at thermal frequency t = k_B T / h; step function at t=0.
+
+    Computes 0.5 * (1 - tanh(eps / (2 t))) in one fresh array; scalars and
+    0-d input give a scalar.
+    """
     eps = np.asarray(eps, float)
     if t_hz == 0.0:
         return np.where(eps < 0, 1.0, np.where(eps > 0, 0.0, 0.5))
-    return 0.5 * (1.0 - np.tanh(eps / (2.0 * t_hz)))
+    f = np.divide(eps, 2.0 * t_hz, out=np.empty(eps.shape))
+    np.tanh(f, out=f)
+    np.subtract(1.0, f, out=f)
+    f *= 0.5
+    return f[()]
 
 
 def pat_breakpoints(offsets, gap_hz: float, temp_s_hz: float,
@@ -66,6 +116,24 @@ def pat_breakpoints(offsets, gap_hz: float, temp_s_hz: float,
     inside = (lo[:, None] < edges) & (edges < hi[:, None])
     edges = np.where(inside, edges, np.nan)
     return np.column_stack([lo, hi, np.zeros_like(lo), -offsets, edges]), edges
+
+
+def pat_integrand(gap_hz: float, gamma_dynes: float, temp_s_hz: float,
+                  temp_n_hz: float):
+    """The forward tunneling integrand, fn(eps, offset) =
+    n_s(eps) * (1 - f_S(eps)) * f_N(eps + offset), multiplied in that order.
+
+    It works in place on arrays of its own and never writes into eps, which
+    the quadrature may reuse.
+    """
+    def integrand(eps, offset):
+        out = dynes_dos(eps, gap_hz, gamma_dynes)
+        f_s = fermi(eps, temp_s_hz)
+        out *= np.subtract(1.0, f_s, out=f_s)
+        out *= fermi(eps + offset, temp_n_hz)
+        return out
+
+    return integrand
 
 
 def pat_integrals(
@@ -94,11 +162,7 @@ def pat_integrals(
     # scale instead, which is the absolute level at which they enter rates.
     abs_floor = rel_tol * max(temp_s_hz, temp_n_hz)
 
-    def integrand(eps, offset):
-        return (dynes_dos(eps, gap_hz, gamma_dynes)
-                * (1.0 - fermi(eps, temp_s_hz))
-                * fermi(eps + offset, temp_n_hz))
-
+    integrand = pat_integrand(gap_hz, gamma_dynes, temp_s_hz, temp_n_hz)
     try:
         values, _err = integrate(integrand, bps, edges, rel_tol=rel_tol,
                                  abs_tol=abs_floor, args=(offsets,))
@@ -156,17 +220,24 @@ class PatIntegrator:
         """Forward integrals at offsets, as an array of the same shape.
 
         Offsets not yet cached are integrated together in one batch and
-        stored; if one of them fails, QuadratureError propagates and none
-        is stored.
+        stored; if one of them fails, none is stored and QuadratureError
+        propagates, its index the first position of the failing offset in
+        the flattened offsets.
         """
         offsets = np.asarray(offsets, float)
         distinct, inverse = np.unique(offsets.ravel(), return_inverse=True)
         distinct = distinct.tolist()
         missing = [x for x in distinct if x not in self._cache]
         if missing:
-            values = pat_integrals(missing, self.gap_hz, self.gamma_dynes,
-                                   self.temp_s_hz, self.temp_n_hz,
-                                   self.rel_tol)
+            try:
+                values = pat_integrals(missing, self.gap_hz, self.gamma_dynes,
+                                       self.temp_s_hz, self.temp_n_hz,
+                                       self.rel_tol)
+            except QuadratureError as exc:
+                k = distinct.index(missing[exc.index])
+                raise QuadratureError(
+                    str(exc), exc.achieved_rel_err,
+                    int(np.argmax(inverse == k))) from exc
             self._cache.update(zip(missing, values.tolist()))
         values = np.array([self._cache[x] for x in distinct])
         return values[inverse].reshape(offsets.shape)

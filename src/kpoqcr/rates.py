@@ -300,6 +300,24 @@ def rate_table(
     )
 
 
+def transition_offsets(params: SystemParams, spectrum: Spectrum,
+                       dm_max: int, pq: ChargeDistribution, i: int, j: int):
+    """Parity-allowed sidebands of the |j> -> |i> rate, and the forward
+    integral offsets its terms read, shape (2, sidebands, charges): off_f
+    and -off_b, each associated as ((de + A_q) + dm * omega_rf) - V."""
+    energies, parity = spectrum.energies, spectrum.parity
+    de = float(energies[i] - energies[j])
+    qs, _probs = _charges(pq)
+    dms = np.arange(-dm_max, dm_max + 1)
+    dms = dms[parity[i] * parity[j] == _sideband_parity(dms)].tolist()
+    dm = np.array(dms, float)[:, None]
+    off_f = de + params.e_island * (1.0 + 2.0 * qs) \
+        + params.omega_rf * dm - params.bias_v
+    off_b = -de - params.e_island * (1.0 - 2.0 * qs) \
+        - params.omega_rf * dm - params.bias_v
+    return dms, np.stack([off_f, -off_b])
+
+
 def transition_rate(
     params: SystemParams,
     spectrum: Spectrum,
@@ -310,20 +328,12 @@ def transition_rate(
     j: int,
 ) -> float:
     """Single population rate gamma1[i,i,j,j] without building a full table."""
-    energies, parity = spectrum.energies, spectrum.parity
-    de = float(energies[i] - energies[j])
-    qs, probs = _charges(pq)
-    dms = np.arange(-eta.dm_max, eta.dm_max + 1)
-    dms = dms[parity[i] * parity[j] == _sideband_parity(dms)].tolist()
+    dms, offsets = transition_offsets(params, spectrum, eta.dm_max, pq, i, j)
+    _qs, probs = _charges(pq)
     # Scalar abs: numpy's vectorized complex abs rounds differently.
     wf = np.array([abs(eta.f[dm][i, j]) ** 2 for dm in dms])[:, None]
     wb = np.array([abs(eta.b[dm][i, j]) ** 2 for dm in dms])[:, None]
-    dm = np.array(dms, float)[:, None]
-    off_f = de + params.e_island * (1.0 + 2.0 * qs) \
-        + params.omega_rf * dm - params.bias_v
-    off_b = -de - params.e_island * (1.0 - 2.0 * qs) \
-        - params.omega_rf * dm - params.bias_v
-    vf, vb = integrator.evaluate(np.stack([off_f, -off_b]))
+    vf, vb = integrator.evaluate(offsets)
     terms = (probs * (vf * wf + vb * wb)).ravel()
     acc = np.zeros(1)
     np.add.at(acc, np.zeros(terms.size, np.intp), terms)

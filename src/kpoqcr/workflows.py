@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .junction import PatIntegrator, charge_distribution
 from .params import SystemParams
 from .rates import (eta_table, match_sets, qcr_bitflip_rate, rate_table,
-                    transition_rate)
+                    transition_offsets, transition_rate)
 from .spectrum import diagonalize_kpo
 
 # Population rates |j> -> |i> reported by default: the two cooling channels,
@@ -83,8 +83,13 @@ def _rates_point(params, spectrum, eta, transitions, interference):
     pq = charge_distribution(params, integrator)
     diagonal = all(i == ii and j == jj for (i, ii, j, jj) in transitions)
     if diagonal and interference == "on":
+        pairs = [(i, j) for (i, _ii, j, _jj) in transitions]
+        # One quadrature for the whole point; the rates then hit the cache.
+        integrator.evaluate(np.concatenate([
+            transition_offsets(params, spectrum, eta.dm_max, pq, i, j)[1]
+            .ravel() for i, j in pairs]))
         return [transition_rate(params, spectrum, eta, pq, integrator, i, j)
-                for (i, ii, j, jj) in transitions]
+                for i, j in pairs]
     table = rate_table(params, spectrum, eta=eta, pq=pq,
                        interference=interference, integrator=integrator)
     keys = np.array(transitions, np.intp).reshape(-1, 4).T

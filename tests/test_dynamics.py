@@ -8,8 +8,10 @@ from scipy.linalg import expm
 from kpoqcr import (EvolveError, SteadyStateError, assemble_generator,
                     density_metrics, evolve, husimi_q, initial_state,
                     rate_table, steady_state)
+from kpoqcr import dynamics
 from kpoqcr.dynamics import (coherent_superop, dissipator_superop,
                              lindblad_dissipators, qcr_superop)
+from kpoqcr.spectrum import coherent_state
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +186,45 @@ def test_evolve_toy_generator_small_step_limit(rng):
     assert np.max(np.abs(traj.states[-1] - ref)) < 1e-12
 
 
+def test_evolve_shares_step_matrices_across_grid_spacings(rng, monkeypatch):
+    # The README schedule: uniform-grid spacings differ by a few ulps and
+    # the switch-on time lies a rounding error off grid point 100.  One
+    # matrix per generator serves the whole run.
+    gen_off, gen_on = _toy_generator(rng), _toy_generator(rng)
+    built = []
+
+    def counted(total, h):
+        built.append(h)
+        return step_matrix(total, h)
+
+    step_matrix = dynamics._step_matrix
+    monkeypatch.setattr(dynamics, "_step_matrix", counted)
+    t_grid = np.linspace(0.0, 1e-4, 201)
+    t_on = 5e-5
+    assert len(set(np.diff(t_grid).tolist())) > 2
+    rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    traj = evolve(rho0, (gen_off, gen_on), {"t_qcr_on": t_on}, t_grid)
+    assert len(built) <= 2
+    n = gen_on.n
+    ref = (expm(gen_on.total * (t_grid[-1] - t_on))
+           @ expm(gen_off.total * t_on) @ rho0.reshape(n * n))
+    # Switching a grid step early or late would be off by about 1e-9.
+    assert np.max(np.abs(traj.states[-1].reshape(n * n) - ref)) < 1e-12
+
+
+def test_evolve_halves_oversized_steps(rng):
+    gen = _toy_generator(rng)
+    h_max = dynamics._STEP_SAFETY / gen.norm_inf
+    rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    t_grid = np.array([0.0, 10.0 * h_max])
+    # 3 h_max halves twice, to the step given directly here.
+    halved = evolve(rho0, gen, None, t_grid, h_step=3.0 * h_max)
+    direct = evolve(rho0, gen, None, t_grid, h_step=0.75 * h_max)
+    assert halved.states.tobytes() == direct.states.tobytes()
+    with pytest.raises(EvolveError, match="cannot be halved"):
+        evolve(rho0, gen, None, t_grid, h_step=2.0 ** 12 * h_max)
+
+
 def test_evolve_is_linear(spectrum, gen_on):
     t_grid = np.array([0.0, 1e-5])
     rho_a = initial_state(spectrum, "phi0")
@@ -253,6 +294,19 @@ def test_husimi_normalization(spectrum):
     q = husimi_q(rho, spectrum, axis, axis)
     cell = (axis[1] - axis[0]) ** 2
     assert float(q.sum() * cell) == pytest.approx(1.0, abs=5e-3)
+
+
+def test_husimi_matches_einsum_contraction(spectrum, rng):
+    # The README grid, 81 x 81 over +-4, against the direct contraction.
+    rho = _random_density(rng, spectrum.n_keep)
+    axis = np.linspace(-4.0, 4.0, 81)
+    q = husimi_q(rho, spectrum, axis, axis)
+    alphas = (axis[None, :] + 1j * axis[:, None]).ravel()
+    amps = np.array([coherent_state(a, spectrum.n_fock, tol=1.0)
+                     for a in alphas])
+    rho_f = spectrum.vectors @ rho @ spectrum.vectors.conj().T
+    want = np.real(np.einsum("gm,mn,gn->g", amps.conj(), rho_f, amps)) / math.pi
+    assert np.max(np.abs(q.ravel() - want)) < 1e-14
 
 
 def test_density_metrics_flags_defects():

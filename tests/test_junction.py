@@ -10,7 +10,7 @@ from kpoqcr import (ChargeDistributionError, QuadratureError, SystemParams,
                     charge_distribution, dynes_dos, fermi, pat_integral)
 from kpoqcr.junction import (PatIntegrator, charge_transition_rates,
                              elastic_weight, forward_p, pat_breakpoints,
-                             pat_integrals)
+                             pat_integrals, pat_integrand)
 from kpoqcr.oracles import flat_dos_forward
 from kpoqcr.quad import BLOCK_INTEGRALS, adaptive_gk, plan_panels
 
@@ -26,6 +26,74 @@ def test_dynes_dos_floor_symmetry_and_asymptote():
                        atol=0.0)
     assert dynes_dos(50 * GAP, GAP, gd) == pytest.approx(
         50.0 / math.sqrt(50.0**2 - 1.0), rel=1e-6)
+
+
+def _dynes_dos_complex(eps, gap_hz, gamma_dynes):
+    """Reference: the Dynes form in complex arithmetic."""
+    z = (np.asarray(eps, float) + 1j * gamma_dynes * gap_hz) / gap_hz
+    return np.abs(np.real(z / np.sqrt(z * z - 1.0)))
+
+
+def _dos_grid():
+    """+-3 gaps, both sides of each gap edge down to 1e-6 of the gap, and
+    the subgap region."""
+    near = np.logspace(-6, -2, 400)
+    edges = [s * GAP * (1.0 + t * near)
+             for s in (1.0, -1.0) for t in (1.0, -1.0)]
+    return np.concatenate([np.linspace(-3 * GAP, 3 * GAP, 20001), *edges,
+                           np.linspace(-0.999 * GAP, 0.999 * GAP, 4001)])
+
+
+@pytest.mark.parametrize("gd", [1e-4, 1e-2])
+def test_dynes_dos_matches_complex_form(gd):
+    eps = _dos_grid()
+    want = _dynes_dos_complex(eps, GAP, gd)
+    got = dynes_dos(eps, GAP, gd)
+    assert np.max(np.abs(got - want) / want) < 2e-12
+
+
+def test_dynes_dos_is_bitwise_even():
+    eps = _dos_grid()
+    assert dynes_dos(eps, GAP, 1e-4).tobytes() == \
+        dynes_dos(-eps, GAP, 1e-4).tobytes()
+
+
+@pytest.mark.parametrize("value", [0.0, 0.3 * GAP, -1.5 * GAP])
+def test_kernels_take_scalars_and_0d_arrays(value):
+    t = 2e9
+    for kernel in (lambda e: dynes_dos(e, GAP, 1e-4), lambda e: fermi(e, t),
+                   lambda e: fermi(e, 0.0)):
+        want = kernel(np.array([value]))[0]
+        for arg in (value, np.float64(value), np.array(value)):
+            got = kernel(arg)
+            assert np.ndim(got) == 0 and float(got) == want
+
+
+def test_fermi_is_the_tanh_form_bitwise():
+    t = 2.0836619123e9
+    eps = np.concatenate([np.linspace(-40 * t, 40 * t, 4001),
+                          np.linspace(-1e-3 * t, 1e-3 * t, 101)])
+    want = 0.5 * (1.0 - np.tanh(eps / (2.0 * t)))
+    assert fermi(eps, t).tobytes() == want.tobytes()
+    assert fermi(eps[7], t) == want[7]
+
+
+@pytest.mark.parametrize("temp_hz", [2.0836619123e9, 0.0])
+def test_integrand_is_the_product_and_leaves_eps_alone(temp_hz):
+    # The quadrature hands the integrand views of its node array and reuses
+    # them afterwards; a read-only view fails on any write.
+    gd = SystemParams().gamma_dynes
+    rng = np.random.default_rng(5)
+    nodes = rng.uniform(-3 * GAP, 3 * GAP, (64, 15))
+    kept = nodes.copy()
+    eps = nodes[8:40]
+    eps.flags.writeable = False
+    offset = rng.uniform(-100e9, 100e9, (32, 1))
+    got = pat_integrand(GAP, gd, temp_hz, temp_hz)(eps, offset)
+    want = (dynes_dos(eps, GAP, gd) * (1.0 - fermi(eps, temp_hz))
+            * fermi(eps + offset, temp_hz))
+    assert got.tobytes() == want.tobytes()
+    assert nodes.tobytes() == kept.tobytes()
 
 
 def test_fermi_limits():
@@ -183,13 +251,13 @@ def test_unconverged_integral_in_batch_raises(params):
     many = [(True, 200e9 + k * 1e8) for k in range(BLOCK_INTEGRALS + 50)]
     cases = [
         (forward[:7] + [(False, -10e9)] + forward[7:],
-         r"tunneling integral at offset 10000000000\.0 Hz"),
+         r"tunneling integral at offset 10000000000\.0 Hz", 7),
         (backward[:7] + [(True, 11e9)] + backward[7:],
-         r"tunneling integral at offset 11000000000\.0 Hz"),
+         r"tunneling integral at offset 11000000000\.0 Hz", 7),
         (many + [(False, -12e9)],
-         r"tunneling integral at offset 12000000000\.0 Hz"),
+         r"tunneling integral at offset 12000000000\.0 Hz", len(many)),
     ]
-    for keys, message in cases:
+    for keys, message, position in cases:
         integ = PatIntegrator(params.gap_hz, params.gamma_dynes,
                               params.t_s_hz, params.t_n_hz, rel_tol=1e-17)
         offsets = [x if is_forward else -x for is_forward, x in keys]
@@ -197,9 +265,19 @@ def test_unconverged_integral_in_batch_raises(params):
             integ.evaluate(offsets)
         assert info.value.achieved_rel_err > 1e-17
         assert len(integ) == 0
-    # The integrator integrates its distinct offsets in sorted order; in
-    # the order given, the last case's failure lies beyond the first block
-    # and its index counts from the start of the batch.
+        # The index is the failing offset's position among the offsets
+        # given, not in the sorted list of distinct ones integrated.
+        assert info.value.index == position
+    # A repeated offset reports its first position, also in a 2-d input.
+    integ = PatIntegrator(params.gap_hz, params.gamma_dynes, params.t_s_hz,
+                          params.t_n_hz, rel_tol=1e-17)
+    grid = [[200e9, 10e9, 201e9], [202e9, 203e9, 10e9]]
+    with pytest.raises(QuadratureError) as info:
+        integ.evaluate(grid)
+    assert info.value.index == 1
+    # pat_integrals itself keeps the order given: the last case's failure
+    # lies beyond the first block and its index counts from the start of
+    # the batch.
     with pytest.raises(QuadratureError, match=message) as info:
         pat_integrals(offsets, params.gap_hz, params.gamma_dynes,
                       params.t_s_hz, params.t_n_hz, rel_tol=1e-17)

@@ -5,7 +5,11 @@ import pytest
 from kpoqcr import (ConfigError, DEFAULT_TRANSITIONS, HusimiConfig, Schedule,
                     bitflip_sweep, dynamics_run, husimi_run, pq_run,
                     rates_sweep, steady_sweep)
-from kpoqcr.workflows import parse_transition_label, transition_label
+from kpoqcr import junction
+from kpoqcr.junction import PatIntegrator, charge_distribution
+from kpoqcr.rates import transition_rate
+from kpoqcr.workflows import (_rates_point, parse_transition_label,
+                              transition_label)
 
 # Pinned outputs of the default-parameter pipeline.  These are regression
 # anchors for this exact configuration, not externally derived numbers.
@@ -29,6 +33,33 @@ def test_default_transitions_cover_qubit_channels():
     assert (1, 1, 2, 2) in DEFAULT_TRANSITIONS   # one-photon cooling
     assert (2, 2, 1, 1) in DEFAULT_TRANSITIONS   # one-photon heating
     assert (0, 0, 1, 1) in DEFAULT_TRANSITIONS   # intra-qubit flip
+
+
+@pytest.mark.parametrize("temp_k", [None, 0.01])
+def test_rates_point_is_one_quadrature_and_bitwise(params, spectrum, eta,
+                                                   temp_k, monkeypatch):
+    # A diagonal rates point integrates all of its transitions' offsets in
+    # one batch (plus one for the charge distribution), and every rate is
+    # bitwise what transition_rate gives on its own.
+    p = params.replace(bias_v=39e9)
+    if temp_k is not None:
+        p = p.replace(temp_n=temp_k, temp_s=temp_k)
+    batches = []
+
+    def counted(offsets, *args):
+        batches.append(len(offsets))
+        return pat_integrals(offsets, *args)
+
+    pat_integrals = junction.pat_integrals
+    monkeypatch.setattr(junction, "pat_integrals", counted)
+    got = _rates_point(p, spectrum, eta, DEFAULT_TRANSITIONS, "on")
+    assert len(batches) == 2
+    monkeypatch.undo()
+    integrator = PatIntegrator.from_params(p)
+    pq = charge_distribution(p, integrator)
+    want = [transition_rate(p, spectrum, eta, pq, integrator, i, j)
+            for (i, _ii, j, _jj) in DEFAULT_TRANSITIONS]
+    assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def test_rates_sweep_pinned_row(params):
