@@ -12,9 +12,9 @@ from .junction import (ChargeDistribution, PatIntegrator, charge_distribution,
                        dynes_dos, fermi, pat_integral)
 from .oracles import OracleReport, run_oracle_suite
 from .params import SystemParams, load_config
-from .rates import (EtaTable, MatchSets, RateTable, displacement_matrix,
-                    eta_table, hermiticity_residual, match_sets,
-                    qcr_bitflip_rate, rate_table, trace_residual,
+from .rates import (EtaTable, MatchSets, RateTable, bitflip_rates,
+                    displacement_matrix, eta_table, hermiticity_residual,
+                    match_sets, qcr_bitflip_rate, rate_table, trace_residual,
                     transition_rate)
 from .spectrum import (CatStates, FockOperators, Spectrum,
                        build_fock_operators, cat_excitation_gap, cat_states,
@@ -37,7 +37,8 @@ __all__ = [
     "fermi", "pat_integral",
     "OracleReport", "run_oracle_suite",
     "SystemParams", "load_config",
-    "EtaTable", "MatchSets", "RateTable", "displacement_matrix", "eta_table",
+    "EtaTable", "MatchSets", "RateTable", "bitflip_rates",
+    "displacement_matrix", "eta_table",
     "hermiticity_residual", "match_sets", "qcr_bitflip_rate", "rate_table",
     "trace_residual", "transition_rate",
     "CatStates", "FockOperators", "Spectrum", "build_fock_operators",

@@ -124,15 +124,6 @@ def _resolve_sweep(command: str, sections: dict, axis_flag: str | None,
     return axis, np.linspace(lo, hi, pts)
 
 
-def _resolve_interference(flag: str | None, sections: dict) -> str:
-    if flag is not None:
-        return flag
-    value = sections.get("interference", "on")
-    if value not in ("on", "off"):
-        raise ConfigError("interference must be 'on' or 'off'")
-    return value
-
-
 def _resolve_transitions(flag: str | None, sections: dict):
     raw = None
     if flag is not None:
@@ -245,7 +236,7 @@ def rates(config_path, out_path, as_json, threads, from_, to, points,
         axis, values = _resolve_sweep("rates", sections, axis_flag,
                                       from_, to, points)
         transitions = _resolve_transitions(transitions_flag, sections)
-        interference = _resolve_interference(interference_flag, sections)
+        interference = interference_flag or sections.get("interference", "on")
         result = rates_sweep(params, axis, values, transitions=transitions,
                              interference=interference,
                              threads=_resolve_threads(threads, sections))

@@ -17,7 +17,7 @@ from scipy.linalg import expm
 from .junction import (PatIntegrator, charge_distribution, dynes_dos, fermi,
                        pat_integral)
 from .params import SystemParams
-from .rates import (PQ_FLOOR, EtaTable, displacement_matrix, eta_table,
+from .rates import (bitflip_rates, displacement_matrix, eta_table,
                     hermiticity_residual, qcr_bitflip_rate, rate_table,
                     trace_residual)
 from .spectrum import (Spectrum, build_fock_operators, cat_states,
@@ -171,40 +171,6 @@ def threshold_voltages(gap_hz: float, omega_rf: float) -> tuple[float, float, fl
     """Zero-temperature onsets (Hz): two-photon cooling, one-photon cooling,
     one-photon excitation."""
     return (gap_hz - 2.0 * omega_rf, gap_hz - omega_rf, gap_hz + omega_rf)
-
-
-def qcr_bitflip_closed(params: SystemParams, spectrum: Spectrum, eta: EtaTable,
-                       pq, integrator: PatIntegrator) -> float:
-    """Branch-flip rate of the tunneling generator from the signed sums of
-    sideband amplitudes over the degenerate qubit pair.
-
-    Independent of the dense-tensor route: the gamma2/gamma3 parts cancel
-    for this initial state and the gamma1 part collapses to
-    |eta00 +/- eta01 - eta10 -/+ eta11|^2 per sideband.
-    """
-    if abs(spectrum.energies[0] - spectrum.energies[1]) != 0.0:
-        raise ValueError("qubit pair is not degenerate after snapping")
-    c = 0.5 * params.r_ratio
-    charges = [(q, p) for q, p in pq.items() if p >= PQ_FLOOR]
-    total = 0.0
-    for dm, eta_f in eta.f.items():
-        eta_b = eta.b[dm]
-        a_f = eta_f[0, 0] + eta_f[0, 1] - eta_f[1, 0] - eta_f[1, 1]
-        a_b = eta_b[0, 0] + eta_b[0, 1] - eta_b[1, 0] - eta_b[1, 1]
-        wf = abs(a_f) ** 2
-        wb = abs(a_b) ** 2
-        if wf == 0.0 and wb == 0.0:
-            continue
-        for q, p in charges:
-            base_f = params.e_island * (1.0 + 2 * q) + params.omega_rf * dm - params.bias_v
-            base_b = -params.e_island * (1.0 - 2 * q) - params.omega_rf * dm - params.bias_v
-            acc = 0.0
-            if wf != 0.0:
-                acc += integrator.forward(base_f) * wf
-            if wb != 0.0:
-                acc += integrator.backward(base_b) * wb
-            total += p * acc
-    return c * total
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +342,13 @@ def run_oracle_suite(params: SystemParams | None = None) -> list[OracleReport]:
         "rate_table_hermiticity",
         hermiticity_residual(table), 0.0, 1e-12, "closed-form"))
 
-    # Generator-route bit-flip against the signed-amplitude closed form.
-    # The tensor route cancels entries of order max|core2| down to the
-    # branch-flip rate, so agreement is limited by that roundoff floor.
-    got = qcr_bitflip_rate(table)
-    want = qcr_bitflip_closed(small, spec6, eta6, pq, integ)
+    # Signed-amplitude bit-flip rate against the generator route through
+    # the tensors, which cancels entries of order max|core2| down to the
+    # branch-flip rate: agreement is limited by that roundoff floor.
+    got = bitflip_rates(small, spec6, eta6, pq, integ)[0]
+    want = qcr_bitflip_rate(table)
     floor = 1e-11 * float(np.abs(table.core2).max())
-    rep = _report_abs("qcr_bitflip_signed_sum", got, want,
-                      max(1e-8 * abs(want), floor), "cross-check")
-    reports.append(rep)
+    reports.append(_report_abs("qcr_bitflip_signed_sum", got, want,
+                               max(1e-8 * abs(want), floor), "cross-check"))
 
     return reports

@@ -24,10 +24,12 @@ the forward tunneling integral: the backward integral at off_b is F(-off_b)
 but each entry adds its terms one at a time (np.add.at, which is sequential
 in index order), starting from zero, in the order sideband dm, then
 intermediate state sigma (class-2 cores only), then charge q.  A pairwise
-or blocked sum would round differently, and the bit-flip suppression relies
-on interfering entries staying bit-identical.  The offsets keep two fixed
-associations: rate_table uses off_f = de + ((A_q + dm * omega_rf) - V),
-with the class-1 de = 0.5 * (d1 + d2), and transition_rate uses
+or blocked sum would round differently.  The rule protects the tables,
+core2's exact Hermiticity and the oracle cross-check qcr_bitflip_rate,
+which cancels interfering entries; bitflip_rates cancels nothing.  The
+offsets keep two fixed associations: rate_table and bitflip_rates use
+off_f = de + ((A_q + dm * omega_rf) - V), with the class-1
+de = 0.5 * (d1 + d2), and transition_rate uses
 off_f = ((de + A_q) + dm * omega_rf) - V.  They agree to roundoff only, so
 each path keeps its own.
 """
@@ -172,7 +174,6 @@ class RateTable:
     """Assembled transition tensors at one bias point."""
 
     bias_v: float
-    interference: str
     energies: np.ndarray
     parity: np.ndarray
     gamma1: np.ndarray                  # (n, n, n, n) complex
@@ -212,39 +213,41 @@ def _charges(pq: ChargeDistribution) -> tuple[np.ndarray, np.ndarray]:
             np.array([p for _, p in kept]))
 
 
+def _sidebands(params: SystemParams, eta: EtaTable, pq: ChargeDistribution):
+    """Sidebands dm, kept charge probabilities, and the forward and backward
+    offsets (A_q + dm * omega_rf) - V at de = 0, each (sidebands, charges)."""
+    qs, probs = _charges(pq)
+    dms = np.arange(-eta.dm_max, eta.dm_max + 1)
+    base_f = (params.e_island * (1.0 + 2.0 * qs)
+              + params.omega_rf * dms[:, None] - params.bias_v)
+    base_b = (-params.e_island * (1.0 - 2.0 * qs)
+              - params.omega_rf * dms[:, None] - params.bias_v)
+    return dms, probs, base_f, base_b
+
+
 def rate_table(
     params: SystemParams,
     spectrum: Spectrum,
     eta: EtaTable | None = None,
     pq: ChargeDistribution | None = None,
-    interference: str = "on",
     integrator: PatIntegrator | None = None,
-    matches: MatchSets | None = None,
 ) -> RateTable:
     """Compute all matched tensor entries at params.bias_v."""
-    if interference not in ("on", "off"):
-        raise ValueError(f"interference must be 'on' or 'off', got {interference!r}")
     if integrator is None:
         integrator = PatIntegrator.from_params(params)
     if eta is None:
         eta = eta_table(spectrum, params.rho_c, params.dm_max)
     if pq is None:
         pq = charge_distribution(params, integrator)
-    if matches is None:
-        matches = match_sets(spectrum, params.omega_rf, params.match_tol)
+    matches = match_sets(spectrum, params.omega_rf, params.match_tol)
 
     energies = spectrum.energies
     parity = spectrum.parity
     n = energies.size
-    qs, probs = _charges(pq)
-    dms = np.arange(-eta.dm_max, eta.dm_max + 1)
+    dms, probs, base_f, base_b = _sidebands(params, eta, pq)
     pdm = _sideband_parity(dms)
     ef = np.stack([eta.f[dm] for dm in dms])
     eb = np.stack([eta.b[dm] for dm in dms])
-    base_f = (params.e_island * (1.0 + 2.0 * qs)
-              + params.omega_rf * dms[:, None] - params.bias_v)
-    base_b = (-params.e_island * (1.0 - 2.0 * qs)
-              - params.omega_rf * dms[:, None] - params.bias_v)
 
     # Class-1 terms over (slot, dm), both factors parity-allowed.
     mu, mup, nu, nup = np.array([key[:4] for key in matches.class1],
@@ -280,18 +283,14 @@ def rate_table(
     vf, vb = integrator.evaluate(np.stack([off_f, -off_b]))
     terms = probs * (vf * wf[:, None] + vb * wb[:, None])
     acc = np.zeros(n ** 4 + n ** 2, complex)
-    np.add.at(acc, np.repeat(entry, qs.size), terms.ravel())
+    np.add.at(acc, np.repeat(entry, probs.size), terms.ravel())
     gamma1 = 2.0 * params.r_ratio * acc[:n ** 4].reshape(n, n, n, n)
     core2 = acc[n ** 4:].reshape(n, n)
     # Scale the matched entries only: -r * 0j would leave a -0.0 elsewhere.
     core2[m, xi] = -params.r_ratio * core2[m, xi]
 
-    if interference == "off":
-        gamma1[0, 1, 1, 0] = gamma1[1, 0, 0, 1] = 0j
-
     return RateTable(
         bias_v=params.bias_v,
-        interference=interference,
         energies=energies,
         parity=parity,
         gamma1=gamma1,
@@ -359,13 +358,51 @@ def hermiticity_residual(table: RateTable) -> float:
     return float(np.abs(mismatch).max() / np.abs(g).max())
 
 
+def bitflip_rates(params: SystemParams, spectrum: Spectrum, eta: EtaTable,
+                  pq: ChargeDistribution,
+                  integrator: PatIntegrator) -> tuple[float, float]:
+    """Branch-flip rates (rate_on, rate_off), 1/s, with and without the
+    interference entries gamma1[0,1,1,0] and [1,0,0,1], from one batch.
+
+    qcr_bitflip_rate without its cancellation: core2 drops out, and gamma1
+    gives 0.5 r p_q (F(off_f) |a_f|^2 + F(-off_b) |a_b|^2) per sideband and
+    charge, a = eta00 + eta01 - eta10 - eta11 = a0 + a01 + a10 with the
+    channels a0 = eta00 - eta11, a01 = eta01, a10 = -eta10.  Parity keeps
+    a0 off the others' sidebands, so the interference entries add only
+    2 Re(a01 conj(a10)) and rate_off is the channel sum.  An unsnapped pair
+    has no interference entry, and (0,1), (1,0) sit at de = +-(E0 - E1).
+    """
+    dms, probs, base_f, base_b = _sidebands(params, eta, pq)
+    split = float(spectrum.energies[0] - spectrum.energies[1])
+    # One row of offsets per distinct channel de; row[k] is channel k's.
+    # Forward integrals at off_f = de + base_f and -off_b = de - base_b.
+    de, row = np.unique([0.0, split, -split], return_inverse=True)
+    v = integrator.evaluate(np.stack([de[:, None, None] + base_f,
+                                      de[:, None, None] - base_b]))
+    # Channel amplitudes a[direction, channel, sideband].
+    e = np.array([[eta_dir[dm][:2, :2] for dm in dms]
+                  for eta_dir in (eta.f, eta.b)])
+    a = np.stack([e[..., 0, 0] - e[..., 1, 1], e[..., 0, 1], -e[..., 1, 0]],
+                 axis=1)
+
+    def rate(v, a):
+        terms = probs * v * (np.abs(a) ** 2)[..., None]
+        return 0.5 * params.r_ratio * float(np.sum(terms))
+
+    rate_off = rate(v[:, row], a)
+    if de.size > 1:
+        return rate_off, rate_off
+    return rate(v[:, 0], a.sum(axis=1)), rate_off
+
+
 def qcr_bitflip_rate(table: RateTable) -> float:
-    """Leakage rate from one cat branch to the other, 1/s.
+    """Leakage rate from one cat branch to the other, 1/s, from a table.
 
     Prepares the equal superposition of the two degenerate top states (the
     +alpha branch), applies the tunneling generator once, and projects onto
     the opposite branch.  The core2 contributions cancel exactly by the
-    sign structure; the residual is the genuine branch-flip rate.
+    sign structure; the residual is the genuine branch-flip rate, to the
+    roundoff of max|core2|.  The oracle suite checks bitflip_rates with it.
     """
     # L(rho)[a, b] over the qubit pair, added term by term in a fixed order:
     # gamma1 over (nu, nup), then core2 and its conjugate per xi.

@@ -18,8 +18,10 @@ from .dynamics import (assemble_generator, evolve, husimi_q, initial_state,
 from .errors import ConfigError
 from .junction import PatIntegrator, charge_distribution
 from .params import SystemParams
-from .rates import (eta_table, match_sets, qcr_bitflip_rate, rate_table,
-                    transition_offsets, transition_rate)
+from .rates import (bitflip_rates, eta_table, rate_table, transition_offsets,
+                    transition_rate)
+# perfbench/tracing.py wraps these by name here; no sweep calls them.
+from .rates import match_sets, qcr_bitflip_rate  # noqa: F401
 from .spectrum import diagonalize_kpo
 
 # Population rates |j> -> |i> reported by default: the two cooling channels,
@@ -81,8 +83,8 @@ def _check_transitions(transitions, n_keep: int):
 def _rates_point(params, spectrum, eta, transitions, interference):
     integrator = PatIntegrator.from_params(params)
     pq = charge_distribution(params, integrator)
-    diagonal = all(i == ii and j == jj for (i, ii, j, jj) in transitions)
-    if diagonal and interference == "on":
+    # The interference switch never touches a population entry g1_i_i_j_j.
+    if all(i == ii and j == jj for (i, ii, j, jj) in transitions):
         pairs = [(i, j) for (i, _ii, j, _jj) in transitions]
         # One quadrature for the whole point; the rates then hit the cache.
         integrator.evaluate(np.concatenate([
@@ -90,10 +92,12 @@ def _rates_point(params, spectrum, eta, transitions, interference):
             .ravel() for i, j in pairs]))
         return [transition_rate(params, spectrum, eta, pq, integrator, i, j)
                 for i, j in pairs]
-    table = rate_table(params, spectrum, eta=eta, pq=pq,
-                       interference=interference, integrator=integrator)
+    gamma1 = rate_table(params, spectrum, eta=eta, pq=pq,
+                        integrator=integrator).gamma1
+    if interference == "off":
+        gamma1[0, 1, 1, 0] = gamma1[1, 0, 0, 1] = 0j
     keys = np.array(transitions, np.intp).reshape(-1, 4).T
-    return table.gamma1[tuple(keys)].real.tolist()
+    return gamma1[tuple(keys)].real.tolist()
 
 
 def _rates_voltage_worker(job):
@@ -118,6 +122,9 @@ def rates_sweep(
     interference: str = "on",
     threads: int = 1,
 ) -> SweepResult:
+    if interference not in ("on", "off"):
+        raise ConfigError(
+            f"interference must be 'on' or 'off', got {interference!r}")
     values = np.asarray(values, float)
     transitions = tuple(tuple(t) for t in transitions)
     _check_transitions(transitions, params.n_keep)
@@ -182,10 +189,7 @@ def _bitflip_worker(job):
     eta = eta_table(spectrum, p.rho_c, p.dm_max)
     integrator = PatIntegrator.from_params(p)
     pq = charge_distribution(p, integrator)
-    matches = match_sets(spectrum, p.omega_rf, p.match_tol)
-    common = dict(eta=eta, pq=pq, integrator=integrator, matches=matches)
-    rate_on = qcr_bitflip_rate(rate_table(p, spectrum, interference="on", **common))
-    rate_off = qcr_bitflip_rate(rate_table(p, spectrum, interference="off", **common))
+    rate_on, rate_off = bitflip_rates(p, spectrum, eta, pq, integrator)
     ratio = rate_on / rate_off if rate_off != 0.0 else np.inf
     return [rate_on, rate_off, ratio]
 

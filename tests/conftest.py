@@ -3,6 +3,8 @@
 The default-parameter spectrum, sideband table and tunneling integrator are
 expensive enough to build once per session; tests must not mutate them.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,15 @@ def pq(params, integrator):
 def table45(params, spectrum, eta, pq, integrator):
     """Full tensor table at the default 45 GHz bias."""
     return rate_table(params, spectrum, eta=eta, pq=pq, integrator=integrator)
+
+
+@pytest.fixture(scope="session")
+def table45_off(table45):
+    """table45 with the interference entries zeroed in a copy, as the rates
+    sweep reports them with interference off."""
+    gamma1 = table45.gamma1.copy()
+    gamma1[0, 1, 1, 0] = gamma1[1, 0, 0, 1] = 0j
+    return dataclasses.replace(table45, gamma1=gamma1)
 
 
 @pytest.fixture(scope="session")

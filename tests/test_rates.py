@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from kpoqcr import (MatchingError, build_fock_operators, diagonalize_kpo,
+from kpoqcr import (ConfigError, MatchingError, bitflip_rates,
+                    build_fock_operators, diagonalize_kpo,
                     displacement_matrix, eta_table, hermiticity_residual,
-                    match_sets, qcr_bitflip_rate, rate_table, trace_residual,
-                    transition_rate)
+                    match_sets, qcr_bitflip_rate, rate_table, rates_sweep,
+                    trace_residual, transition_rate)
 from kpoqcr.junction import PatIntegrator, charge_distribution
-from kpoqcr.oracles import qcr_bitflip_closed
 from kpoqcr.rates import PQ_FLOOR, displacement_element
 
 
@@ -93,9 +93,10 @@ def test_match_sets_rejects_wide_spread(spectrum):
         match_sets(spectrum, 1e8, 1e6)
 
 
-def test_interference_argument_validated(params, spectrum):
-    with pytest.raises(ValueError, match="interference"):
-        rate_table(params, spectrum, interference="maybe")
+def test_interference_argument_validated(params):
+    with pytest.raises(ConfigError, match="interference"):
+        rates_sweep(params, "voltage", np.array([39e9]),
+                    interference="maybe")
 
 
 def test_trace_and_hermiticity_identities(small_table):
@@ -212,14 +213,12 @@ def _dense(entries, shape):
 
 def test_assembly_bitwise_equals_sequential_loop(params, spectrum, eta, pq,
                                                  integrator, table45,
-                                                 table_0k):
+                                                 table45_off, table_0k):
     # The array assembly must reproduce the term-by-term loop bit for bit:
-    # the bit-flip suppression relies on interfering entries staying
-    # identical, so no tolerance applies.
-    off = rate_table(params, spectrum, eta=eta, pq=pq, integrator=integrator,
-                     interference="off")
+    # the table route of the bit-flip rate relies on interfering entries
+    # staying identical, so no tolerance applies.
     cases = [((params, spectrum, eta, pq, integrator), "on", table45),
-             ((params, spectrum, eta, pq, integrator), "off", off),
+             ((params, spectrum, eta, pq, integrator), "off", table45_off),
              (table_0k[:5], "on", table_0k[5])]
     for inputs, interference, table in cases:
         gamma1, core2 = _sequential_table(*inputs, interference=interference)
@@ -261,13 +260,10 @@ def test_transition_rate_matches_table(small_params, small_spectrum,
         assert direct == pytest.approx(small_table.g1_diag(i, j), rel=1e-12)
 
 
-def test_interference_off_zeroes_cross_terms(small_params, small_spectrum,
-                                             small_inputs):
-    eta, pq, integ = small_inputs
-    on = rate_table(small_params, small_spectrum, eta=eta, pq=pq,
-                    integrator=integ)
-    off = rate_table(small_params, small_spectrum, eta=eta, pq=pq,
-                     integrator=integ, interference="off")
+def test_interference_off_zeroes_cross_terms(params, spectrum, eta, pq,
+                                             integrator, table45,
+                                             table45_off):
+    on, off = table45, table45_off
     assert on.gamma1[(0, 1, 1, 0)] != 0j
     assert off.gamma1[(0, 1, 1, 0)] == 0j
     assert off.gamma1[(1, 0, 0, 1)] == 0j
@@ -275,16 +271,61 @@ def test_interference_off_zeroes_cross_terms(small_params, small_spectrum,
     for i in range(on.n):
         for j in range(on.n):
             assert on.g1_diag(i, j) == off.g1_diag(i, j)
+    # Without the interference entries nothing cancels: the table route
+    # gives bitflip_rates' rate_off to roundoff.
+    rate_off = bitflip_rates(params, spectrum, eta, pq, integrator)[1]
+    assert qcr_bitflip_rate(off) == pytest.approx(rate_off, rel=1e-12)
 
 
 def test_bitflip_rate_against_signed_sum(small_params, small_spectrum,
                                          small_inputs, small_table):
     eta, pq, integ = small_inputs
     got = qcr_bitflip_rate(small_table)
-    want = qcr_bitflip_closed(small_params, small_spectrum, eta, pq, integ)
+    want = bitflip_rates(small_params, small_spectrum, eta, pq, integ)[0]
     floor = 1e-11 * np.abs(small_table.core2).max()
     assert abs(got - want) <= max(1e-8 * abs(want), floor)
     assert got > 0.0
+
+
+class _PerturbedIntegrator:
+    """Forward integrals times (1 + scale * u), u uniform in [-1, 1] drawn
+    per distinct offset; records the size of every batch."""
+
+    def __init__(self, integrator, scale, seed):
+        self.integrator = integrator
+        self.scale = scale
+        self.rng = np.random.default_rng(seed)
+        self.batches = []
+
+    def evaluate(self, offsets):
+        offsets = np.asarray(offsets, float)
+        self.batches.append(offsets.size)
+        distinct, inverse = np.unique(offsets, return_inverse=True)
+        u = self.rng.uniform(-1.0, 1.0, distinct.size)
+        values = self.integrator.evaluate(distinct) * (1.0 + self.scale * u)
+        return values[inverse].reshape(offsets.shape)
+
+
+def test_bitflip_rates_one_batch_and_well_conditioned(params, spectrum, eta,
+                                                      pq, integrator,
+                                                      table45):
+    # Both rates read one batch: the qubit block's offsets, one per sideband,
+    # charge and direction.  As sums of positive terms they move no more
+    # than the integrals do, while the table route cancels entries about
+    # 6e9 times larger than rate_on and moves far more.
+    kept = sum(p >= PQ_FLOOR for _q, p in pq.items())
+    exact = _PerturbedIntegrator(integrator, 0.0, 7)
+    on, off = bitflip_rates(params, spectrum, eta, pq, exact)
+    assert exact.batches == [2 * (2 * eta.dm_max + 1) * kept]
+    assert (on, off) == bitflip_rates(params, spectrum, eta, pq, integrator)
+    shaken = _PerturbedIntegrator(integrator, 1e-12, 7)
+    on_p, off_p = bitflip_rates(params, spectrum, eta, pq, shaken)
+    assert abs(on_p - on) <= 1e-11 * on
+    assert abs(off_p - off) <= 1e-11 * off
+    table = rate_table(params, spectrum, eta=eta, pq=pq,
+                       integrator=_PerturbedIntegrator(integrator, 1e-12, 7))
+    moved = qcr_bitflip_rate(table) - qcr_bitflip_rate(table45)
+    assert abs(moved) > 1e-9 * on
 
 
 def test_charge_floor_constant():

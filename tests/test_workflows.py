@@ -1,11 +1,17 @@
 """Sweep drivers and run configurations; includes pinned regression values."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from kpoqcr import (ConfigError, DEFAULT_TRANSITIONS, HusimiConfig, Schedule,
-                    bitflip_sweep, dynamics_run, husimi_run, pq_run,
-                    rates_sweep, steady_sweep)
-from kpoqcr import junction
+                    bitflip_sweep, diagonalize_kpo, dynamics_run, husimi_run,
+                    pq_run, qcr_bitflip_rate, rate_table, rates_sweep,
+                    steady_sweep)
+from kpoqcr import junction, workflows
 from kpoqcr.junction import PatIntegrator, charge_distribution
 from kpoqcr.rates import transition_rate
 from kpoqcr.workflows import (_rates_point, parse_transition_label,
@@ -71,6 +77,20 @@ def test_rates_sweep_pinned_row(params):
         assert got == pytest.approx(want, rel=1e-6)
 
 
+def _refuse_table(*args, **kwargs):
+    raise AssertionError("a rate table was built")
+
+
+def test_rates_sweep_interference_off_diagonal_bitwise(params, monkeypatch):
+    # The switch never touches a population entry, so the default
+    # transitions take the one-batch path either way, bit for bit.
+    on = rates_sweep(params, "voltage", np.array([39e9]))
+    monkeypatch.setattr(workflows, "rate_table", _refuse_table)
+    off = rates_sweep(params, "voltage", np.array([39e9]),
+                      interference="off")
+    assert on.data.tobytes() == off.data.tobytes()
+
+
 def test_rates_sweep_threads_agree(params):
     values = np.linspace(40e9, 44e9, 3)
     serial = rates_sweep(params, "voltage", values, threads=1)
@@ -114,6 +134,28 @@ def test_bitflip_sweep_pinned_alpha2(params):
     assert off == pytest.approx(BITFLIP_ALPHA2[1], rel=1e-6)
     assert ratio == pytest.approx(BITFLIP_ALPHA2[2], rel=1e-6)
     assert ratio == pytest.approx(on / off, rel=1e-12)
+
+
+def test_bitflip_sweep_builds_no_table(params, monkeypatch):
+    monkeypatch.setattr(workflows, "rate_table", _refuse_table)
+    on, off, ratio = bitflip_sweep(params, np.array([1.5])).data[0]
+    assert 0.0 < on < off and ratio == on / off
+
+
+@pytest.mark.parametrize("change", [{"match_tol": 1e-12},
+                                    {"delta_kpo": 3e6}])
+def test_bitflip_split_pair_has_no_interference(params, change):
+    # A cat pair split by more than match_tol (roundoff against a tiny
+    # match_tol, or a 3 MHz detuning) is not snapped: the table matches no
+    # interference entry, so both rates are its bit-flip rate.
+    p = params.replace(**change)
+    on, off, ratio = bitflip_sweep(p, np.array([1.0])).data[0]
+    assert on == off and ratio == 1.0
+    p = p.with_alpha(1.0)
+    spectrum = diagonalize_kpo(p)
+    assert spectrum.energies[0] != spectrum.energies[1]
+    table = qcr_bitflip_rate(rate_table(p, spectrum))
+    assert off == pytest.approx(table, rel=1e-12)
 
 
 def test_dynamics_run_converges_to_steady(params):
@@ -198,3 +240,17 @@ def test_sweep_result_rows(params):
     rows = list(res.rows())
     assert len(rows) == 15
     assert rows[7][0] == 0.0 and rows[7][1] == max(r[1] for r in rows)
+
+
+def test_perfbench_tracer_installs():
+    # The tracer wraps kpoqcr functions by looking them up by name, so a
+    # deleted or renamed one breaks `perfbench/run.py --trace 1`.  It
+    # patches module globals for good, hence a fresh interpreter.
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join([str(root / "perfbench"), str(root / "src")])
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import tracing; tracing.install(tracing.Tracer())"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+        text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
