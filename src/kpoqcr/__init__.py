@@ -24,6 +24,12 @@ from .workflows import (DEFAULT_TRANSITIONS, DynamicsResult, HusimiConfig,
                         dynamics_run, husimi_run, pq_run, rates_sweep,
                         steady_sweep)
 
+from ._blas import cap_threads
+
+# Both bundled OpenBLAS libraries are loaded by now (oracles imports
+# scipy.linalg); one thread each, inherited by forked sweep workers.
+cap_threads()
+
 __version__ = "0.1.0"
 
 __all__ = [

@@ -1,0 +1,50 @@
+"""One BLAS thread per process.
+
+numpy and scipy each bundle an OpenBLAS whose thread pool spans the machine.
+On the small matrices here that costs far more than it gives: on 2 vCPUs
+the 144x144 steady-state solve takes up to 160 ms with two threads and
+1-3 ms with one, and forked sweep workers would each run it on every core.
+"""
+from __future__ import annotations
+
+import ctypes
+import os
+
+_SETTERS = ("scipy_openblas_set_num_threads64_",
+            "scipy_openblas_set_num_threads",
+            "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+# (library path, setter symbol) of each OpenBLAS set to one thread.
+CAPPED: tuple[tuple[str, str], ...] = ()
+
+
+def _loaded_openblas() -> list[str]:
+    """Paths of the OpenBLAS libraries mapped into this process (Linux)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(None, 5)[-1].strip() for line in maps}
+    except OSError:
+        return []
+    return sorted(p for p in paths
+                  if "openblas" in os.path.basename(p).lower())
+
+
+def cap_threads() -> tuple[tuple[str, str], ...]:
+    """Set each loaded OpenBLAS to one thread and record it in `CAPPED`.
+
+    Loads no library, never raises; forked processes inherit the setting.
+    """
+    global CAPPED
+    capped = []
+    for path in _loaded_openblas():
+        try:
+            # RTLD_NOLOAD: a handle to the copy already mapped, or an error.
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+            name = next((s for s in _SETTERS if hasattr(lib, s)), None)
+            if name is not None:
+                getattr(lib, name)(ctypes.c_int(1))
+                capped.append((path, name))
+        except Exception:  # a BLAS we cannot drive is left as it is
+            continue
+    CAPPED = tuple(capped)
+    return CAPPED

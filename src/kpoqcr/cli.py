@@ -181,7 +181,7 @@ def _emit(out_path: str | None, as_json: bool, params: SystemParams,
 
 def _common(fn):
     fn = click.option("--threads", type=int, default=None,
-                      help="Worker processes for sweeps.")(fn)
+                      help="Worker processes (one BLAS thread each).")(fn)
     fn = click.option("--json", "as_json", is_flag=True,
                       help="Emit JSON instead of CSV.")(fn)
     fn = click.option("--out", "out_path", type=click.Path(dir_okay=False),

@@ -98,6 +98,16 @@ def test_rates_sweep_threads_agree(params):
     assert np.array_equal(serial.data, parallel.data)
 
 
+@pytest.mark.parametrize("sweep, values", [
+    (steady_sweep, [45e9, 47e9, 33e9]),
+    (bitflip_sweep, [1.3, 2.0]),
+], ids=["steady", "bitflip"])
+def test_sweep_threads_agree_bitwise(params, sweep, values):
+    serial = sweep(params, np.array(values), threads=1)
+    parallel = sweep(params, np.array(values), threads=2)
+    assert serial.data.tobytes() == parallel.data.tobytes()
+
+
 def test_rates_sweep_alpha_axis(params):
     res = rates_sweep(params, "alpha", np.array([1.5]),
                       transitions=((1, 1, 2, 2), (2, 2, 1, 1)))
