@@ -170,7 +170,8 @@ def _emit(out_path: str | None, as_json: bool, params: SystemParams,
         echo.update(meta)
         lines = [f"# {key} = {_fmt(echo[key])}" for key in sorted(echo)]
         lines.append(",".join(columns))
-        lines.extend(",".join(format(x, ".17g") for x in row) for row in rows)
+        row_format = ",".join(["%.17g"] * len(columns))
+        lines.extend(row_format % tuple(row) for row in rows)
         text = "\n".join(lines) + "\n"
     if out_path is None:
         click.echo(text, nl=False)
@@ -181,7 +182,10 @@ def _emit(out_path: str | None, as_json: bool, params: SystemParams,
 
 def _common(fn):
     fn = click.option("--threads", type=int, default=None,
-                      help="Worker processes (one BLAS thread each).")(fn)
+                      help="Worker processes of the rates, steady and "
+                           "bitflip sweeps (one BLAS thread each); "
+                           "dynamics, husimi and pq accept it and run in "
+                           "one process.")(fn)
     fn = click.option("--json", "as_json", is_flag=True,
                       help="Emit JSON instead of CSV.")(fn)
     fn = click.option("--out", "out_path", type=click.Path(dir_okay=False),

@@ -32,6 +32,7 @@ from .quad import adaptive_gk  # noqa: F401
 
 _THERMAL_WINDOW = 35.0   # Fermi factors are machine-zero this many k_B T out
 _PQ_TAIL_LIMIT = 1e-10   # required probability at the charge cutoff
+_DYNES_PANELS = 10.0     # Dynes widths gamma*gap in the first graded panel
 
 
 def dynes_dos(eps, gap_hz: float, gamma_dynes: float):
@@ -150,6 +151,20 @@ def pat_integrals(
     Each value depends only on its own offset, bit for bit, whatever else
     is in the batch.  Raises QuadratureError naming the offset of an
     integral that does not converge.
+
+    Panels are planned from the integrand's known scales.  The density of
+    states peaks at +-gap with a width of gamma_dynes * gap (about 4.8 MHz
+    at the defaults, inside windows of up to about 150 GHz); in the
+    square-root variable u, eps = gap +- u^2, the peak spans u of order
+    sqrt(gamma_dynes * gap).  Where the support (0, -offset) is not empty,
+    offset < 0, the square-root panels at +gap are split at u = u0 * 2^k
+    with u0 = sqrt(10 * gamma_dynes * gap): the first panel holds ten
+    Dynes widths and the rest double outward.  The rule reads the
+    integral's own offset only, and the cuts stay in the square-root
+    variable, where the integrand is smooth.  A cold default table then
+    takes 400 points an integral instead of 480; grading the panels at
+    -gap of these integrals as well took 475, grading every square-root
+    panel 681.
     """
     offsets = np.asarray(offsets, float)
     bps, edges = pat_breakpoints(offsets, gap_hz, temp_s_hz, temp_n_hz)
@@ -162,10 +177,14 @@ def pat_integrals(
     # scale instead, which is the absolute level at which they enter rates.
     abs_floor = rel_tol * max(temp_s_hz, temp_n_hz)
 
+    # Graded square-root panels at +gap where the support is not empty.
+    widths = np.where((offsets < 0.0)[:, None] & (edges == gap_hz),
+                      math.sqrt(_DYNES_PANELS * gamma_dynes * gap_hz), 0.0)
     integrand = pat_integrand(gap_hz, gamma_dynes, temp_s_hz, temp_n_hz)
     try:
-        values, _err = integrate(integrand, bps, edges, rel_tol=rel_tol,
-                                 abs_tol=abs_floor, args=(offsets,))
+        values, _err = integrate(integrand, bps, edges, widths,
+                                 rel_tol=rel_tol, abs_tol=abs_floor,
+                                 args=(offsets,))
     except QuadratureError as exc:
         i = exc.index
         raise QuadratureError(

@@ -1,9 +1,12 @@
 """Run engines shared by the command-line interface.
 
 Each sweep builds its voltage- or alpha-independent objects once, then maps
-a module-level worker over the sweep points.  Workers are pure functions of
-their argument tuple, so results are identical whether the map runs serially
-or on a process pool; pool results come back in submission order.
+a module-level worker over the sweep points.  Along the bias axis these
+include the island charge distribution, which is taken at zero bias
+(charge_distribution with pumped=False) and so is the same at every point.
+Workers are pure functions of their argument tuple, so results are
+identical whether the map runs serially or on a process pool; pool results
+come back in submission order.
 
 The pool forks.  `import kpoqcr` has already capped numpy's and scipy's
 OpenBLAS at one thread each (`kpoqcr._blas`), before any fork, so every
@@ -88,9 +91,8 @@ def _check_transitions(transitions, n_keep: int):
 # Transition-rate sweeps
 
 
-def _rates_point(params, spectrum, eta, transitions, interference):
+def _rates_point(params, spectrum, eta, pq, transitions, interference):
     integrator = PatIntegrator.from_params(params)
-    pq = charge_distribution(params, integrator)
     # The interference switch never touches a population entry g1_i_i_j_j.
     if all(i == ii and j == jj for (i, ii, j, jj) in transitions):
         pairs = [(i, j) for (i, _ii, j, _jj) in transitions]
@@ -109,9 +111,9 @@ def _rates_point(params, spectrum, eta, transitions, interference):
 
 
 def _rates_voltage_worker(job):
-    params, spectrum, eta, bias, transitions, interference = job
+    params, spectrum, eta, pq, bias, transitions, interference = job
     return _rates_point(params.replace(bias_v=float(bias)), spectrum, eta,
-                        transitions, interference)
+                        pq, transitions, interference)
 
 
 def _rates_alpha_worker(job):
@@ -119,7 +121,8 @@ def _rates_alpha_worker(job):
     p = params.with_alpha(float(alpha))
     spectrum = diagonalize_kpo(p)
     eta = eta_table(spectrum, p.rho_c, p.dm_max)
-    return _rates_point(p, spectrum, eta, transitions, interference)
+    pq = charge_distribution(p)
+    return _rates_point(p, spectrum, eta, pq, transitions, interference)
 
 
 def rates_sweep(
@@ -139,7 +142,8 @@ def rates_sweep(
     if axis == "voltage":
         spectrum = diagonalize_kpo(params)
         eta = eta_table(spectrum, params.rho_c, params.dm_max)
-        jobs = [(params, spectrum, eta, v, transitions, interference)
+        pq = charge_distribution(params)
+        jobs = [(params, spectrum, eta, pq, v, transitions, interference)
                 for v in values]
         rows = _pool_map(_rates_voltage_worker, jobs, threads)
     elif axis == "alpha":
@@ -163,9 +167,9 @@ def rates_sweep(
 
 
 def _steady_worker(job):
-    params, spectrum, eta, bias = job
+    params, spectrum, eta, pq, bias = job
     p = params.replace(bias_v=float(bias))
-    table = rate_table(p, spectrum, eta=eta)
+    table = rate_table(p, spectrum, eta=eta, pq=pq)
     gen = assemble_generator(spectrum, p, table)
     rho, residual = steady_state(gen)
     pops = np.real(np.diag(rho))
@@ -176,7 +180,8 @@ def steady_sweep(params: SystemParams, voltages, threads: int = 1) -> SweepResul
     voltages = np.asarray(voltages, float)
     spectrum = diagonalize_kpo(params)
     eta = eta_table(spectrum, params.rho_c, params.dm_max)
-    jobs = [(params, spectrum, eta, v) for v in voltages]
+    pq = charge_distribution(params)
+    jobs = [(params, spectrum, eta, pq, v) for v in voltages]
     rows = _pool_map(_steady_worker, jobs, threads)
     return SweepResult(
         axis="voltage",

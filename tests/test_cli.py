@@ -1,10 +1,13 @@
 """Command-line interface: formats, determinism, exit codes."""
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
 
-from kpoqcr.cli import main
+from kpoqcr import HusimiConfig, Schedule, SystemParams
+from kpoqcr.cli import _emit, main
+from kpoqcr.workflows import dynamics_run, husimi_run
 
 
 @pytest.fixture()
@@ -210,3 +213,37 @@ def test_validate_reports_failure_exit_4(runner, monkeypatch):
     result = runner.invoke(main, ["validate"])
     assert result.exit_code == 4
     assert "0/1 checks passed" in result.output
+
+
+def _per_value_csv(rows):
+    """The CSV rows as _emit formatted them value by value before."""
+    return [",".join(format(x, ".17g") for x in map(float, row))
+            for row in rows]
+
+
+@pytest.mark.parametrize("run", ["dynamics", "husimi", "special"])
+def test_csv_rows_match_the_per_value_formatter(run, tmp_path):
+    # One %-format per row writes the bytes format(x, ".17g") wrote per
+    # value: the README dynamics grid, a full 81 x 81 Husimi map, and the
+    # values that format specially.
+    params = SystemParams()
+    if run == "dynamics":
+        result = dynamics_run(params, Schedule(initial="phi0", t_end=1e-4,
+                                               points=21, t_qcr_on=5e-5))
+        columns = ["time", *(f"pop_{k}" for k in range(params.n_keep)),
+                   "pop_qubit", "pop_branch_plus", "qcr_active"]
+        rows = list(result.rows())
+    elif run == "husimi":
+        result = husimi_run(params, HusimiConfig(source="evolve", qcr="off"))
+        columns = ["re", "im", "q"]
+        rows = list(result.rows())
+        assert len(rows) == 81 * 81
+    else:
+        columns = ["a", "b", "c", "d", "e", "f", "g"]
+        rows = [(math.inf, -math.inf, math.nan, -0.0, 5e-324, 1.7e308, 0.1),
+                (1.0, 2.0, 1e16, 1e17, 123456789012345678.0, -1e-5, 3.0)]
+    out = tmp_path / "out.csv"
+    _emit(str(out), False, params, {"command": run}, columns, rows)
+    lines = out.read_text().splitlines()
+    body = lines[lines.index(",".join(columns)) + 1:]
+    assert body == _per_value_csv(rows)

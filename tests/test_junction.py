@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kpoqcr import (ChargeDistributionError, QuadratureError, SystemParams,
-                    charge_distribution, dynes_dos, fermi, pat_integral)
+                    charge_distribution, diagonalize_kpo, dynes_dos, fermi,
+                    pat_integral, rate_table)
+from kpoqcr import junction, quad
 from kpoqcr.junction import (PatIntegrator, charge_transition_rates,
                              elastic_weight, forward_p, pat_breakpoints,
                              pat_integrals, pat_integrand)
 from kpoqcr.oracles import flat_dos_forward
-from kpoqcr.quad import BLOCK_INTEGRALS, adaptive_gk, plan_panels
+from kpoqcr.quad import (BLOCK_INTEGRALS, WG, WGK, XGK, adaptive_gk,
+                         integrate, plan_panels)
 
 GAP = SystemParams().gap_hz
 
@@ -237,6 +240,153 @@ def test_batch_independence(temp_hz):
     want = [float(v).hex() for v in alone]
     assert [float(v).hex() for v in first] == want
     assert [float(v).hex() for v in last] == want
+
+
+def test_panel_sums_do_not_depend_on_call_batching(monkeypatch):
+    # The same batch with its panels evaluated in calls of one row, and of
+    # assorted row counts up to seven, gives the default run's bits.
+    gamma = SystemParams().gamma_dynes
+    t = 2.0836619123e9
+    rng = np.random.default_rng(20261018)
+    offsets = [0.0, -27.15e9, -GAP - 1e9, GAP + 1e9, *rng.uniform(
+        -120e9, 120e9, 36)]
+    rows = []
+    make = junction.pat_integrand
+
+    def recording(*args):
+        integrand = make(*args)
+
+        def recorded(eps, offset):
+            rows.append(eps.shape[0])
+            return integrand(eps, offset)
+        return recorded
+
+    monkeypatch.setattr(junction, "pat_integrand", recording)
+    want = [v.hex() for v in pat_integrals(offsets, GAP, gamma, t, t).tolist()]
+    for call_rows in (1, 7):
+        rows.clear()
+        monkeypatch.setattr(quad, "_CALL_ROWS", call_rows)
+        got = pat_integrals(offsets, GAP, gamma, t, t)
+        assert [v.hex() for v in got.tolist()] == want
+        assert max(rows) == call_rows and 1 in rows
+    assert len(set(rows)) >= 3
+
+
+def test_panel_row_sums_are_row_local():
+    # A row's weighted sum has the same bits alone or among 1..64 rows,
+    # at any offset in the array, at a shifted memory address, and as one
+    # of many copies.  Entries span 16 decades, so a change of summation
+    # order would show in the last bits.
+    rng = np.random.default_rng(11)
+    vals = rng.standard_normal((64, XGK.size)) * 10.0 ** rng.uniform(
+        -8.0, 8.0, (64, XGK.size))
+    buf = np.empty(vals.size + 1)
+    shifted = buf[1:].reshape(vals.shape)
+    shifted[...] = vals
+    for weights in (WGK, WG):
+        alone = np.array([np.einsum("ij,j->i", vals[i:i + 1], weights)[0]
+                          for i in range(64)])
+        for n in range(1, 65):
+            for block, want in ((vals[:n], alone[:n]),
+                                (vals[64 - n:], alone[64 - n:]),
+                                (shifted[:n], alone[:n]),
+                                (np.repeat(vals[n - 1:n], n, axis=0),
+                                 np.repeat(alone[n - 1], n))):
+                got = np.einsum("ij,j->i", block, weights)
+                assert got.tobytes() == want.tobytes()
+
+
+class _Recorder:
+    """Passes evaluate through to an integrator and keeps the offsets."""
+
+    def __init__(self, integrator):
+        self.integrator = integrator
+        self.offsets = []
+
+    def evaluate(self, offsets):
+        self.offsets.extend(np.ravel(offsets).tolist())
+        return self.integrator.evaluate(offsets)
+
+
+@pytest.mark.parametrize("temp_k, bias_hz", [
+    (0.1, 45e9), (0.1, 20e9), (0.03, 45e9), (0.2, 39e9)])
+def test_table_integrals_meet_their_tolerance(params, temp_k, bias_hz):
+    # The true error, not the estimate: a subsample of a cold table's
+    # integrals, as that table computed them, against rel_tol 1e-13 runs on
+    # ungraded panels.  An error estimate fooled on some panels passes
+    # every convergence check and shows only here.  The sample holds
+    # offsets from -30 to -20 GHz, whose window ends in the thermal tail
+    # beyond the peak at +gap, and offsets below -gap, whose support spans
+    # that peak.
+    p = params.replace(temp_n=temp_k, temp_s=temp_k, bias_v=bias_hz)
+    recorder = _Recorder(PatIntegrator.from_params(p))
+    rate_table(p, diagonalize_kpo(p), integrator=recorder)
+    table = np.unique(recorder.offsets)
+    rng = np.random.default_rng(20261018)
+    band = table[(table >= -30e9) & (table <= -20e9)]
+    deep = table[table < -p.gap_hz]
+    assert band.size >= 50 and deep.size >= 50
+    sample = np.unique(np.concatenate([
+        rng.choice(table, 200, replace=False),
+        rng.choice(band, 50, replace=False),
+        rng.choice(deep, 50, replace=False)]))
+    got = recorder.integrator.evaluate(sample)
+    k_t = max(p.t_s_hz, p.t_n_hz)
+    bps, edges = pat_breakpoints(sample, p.gap_hz, p.t_s_hz, p.t_n_hz)
+    want, _err = integrate(
+        pat_integrand(p.gap_hz, p.gamma_dynes, p.t_s_hz, p.t_n_hz), bps,
+        edges, rel_tol=1e-13, abs_tol=1e-13 * k_t, args=(sample,))
+    tol = np.maximum(1e-10 * np.abs(want), 1e-10 * k_t)
+    worst = int(np.argmax(np.abs(got - want) / tol))
+    assert abs(got[worst] - want[worst]) <= tol[worst], sample[worst]
+
+
+def test_graded_square_root_panels_double_from_the_edge():
+    # Interval [0, 1] ends at the edge 1 and [1, 5] starts there: square-
+    # root panels over u in [0, 1] and [0, 2].  A first width of 0.1 cuts
+    # them at u = 0.1, 0.2, 0.4, 0.8 (and 1.6 on the right); the plain
+    # panel [-3, 0] and a zero width stay whole.
+    bps = [[-3.0, 0.0, 1.0, 5.0]]
+    edges = [[1.0, np.nan]]
+    whole, owner = plan_panels(bps, edges)
+    assert whole.shape[1] == 3
+    same, _owner = plan_panels(bps, edges, [[0.0, 0.0]])
+    assert same.tobytes() == whole.tobytes()
+    (a, b, edge, sgn), owner = plan_panels(bps, edges, [[0.1, 0.0]])
+    assert owner.tolist() == [0] * 12
+    assert (a[0], b[0], sgn[0]) == (-3.0, 0.0, 0.0)
+    cuts = [0.0, 0.1, 0.2, 0.4, 0.8]
+    assert a[1:6].tolist() == cuts and b[1:6].tolist() == cuts[1:] + [1.0]
+    assert a[6:].tolist() == cuts + [1.6]
+    assert b[6:].tolist() == cuts[1:] + [1.6, 2.0]
+    assert set(sgn[1:6]) == {-1.0} and set(sgn[6:]) == {1.0}
+    assert set(edge[1:]) == {1.0}
+
+    def peaked(x):
+        return 1.0 / np.sqrt(np.abs(x - 1.0) + 1e-4)
+
+    graded, _err = integrate(peaked, bps, edges, [[0.1, 0.0]], rel_tol=1e-13)
+    exact = 4.0 * (math.sqrt(4.0 + 1e-4) - math.sqrt(1e-4))
+    assert graded[0] == pytest.approx(exact, rel=1e-12)
+
+
+def test_pat_integrals_grade_only_the_peak_in_the_support(monkeypatch):
+    # Only offsets < 0 have a support (0, -offset); only their panels at
+    # +gap are graded, from sqrt(10 * gamma * gap).
+    gamma = SystemParams().gamma_dynes
+    seen = []
+
+    def spy(fn, bps, edges, widths, **kwargs):
+        seen.append((edges, widths))
+        return integrate(fn, bps, edges, widths, **kwargs)
+
+    monkeypatch.setattr(junction, "integrate", spy)
+    t = 2e9
+    pat_integrals([-80e9, -10e9, 10e9, 80e9], GAP, gamma, t, t)
+    (edges, widths), = seen
+    u0 = math.sqrt(10.0 * gamma * GAP)
+    assert widths.tolist() == [[0.0, u0], [0.0, u0], [0.0, 0.0], [0.0, 0.0]]
+    assert (edges[:2] == [-GAP, GAP]).all()
 
 
 def test_unconverged_integral_in_batch_raises(params):

@@ -318,14 +318,21 @@ def test_bitflip_rates_one_batch_and_well_conditioned(params, spectrum, eta,
     on, off = bitflip_rates(params, spectrum, eta, pq, exact)
     assert exact.batches == [2 * (2 * eta.dm_max + 1) * kept]
     assert (on, off) == bitflip_rates(params, spectrum, eta, pq, integrator)
-    shaken = _PerturbedIntegrator(integrator, 1e-12, 7)
-    on_p, off_p = bitflip_rates(params, spectrum, eta, pq, shaken)
-    assert abs(on_p - on) <= 1e-11 * on
-    assert abs(off_p - off) <= 1e-11 * off
-    table = rate_table(params, spectrum, eta=eta, pq=pq,
-                       integrator=_PerturbedIntegrator(integrator, 1e-12, 7))
-    moved = qcr_bitflip_rate(table) - qcr_bitflip_rate(table45)
-    assert abs(moved) > 1e-9 * on
+    # The table route is quantized at the roundoff of its entries of about
+    # 1.8e9, steps of about 6e-8, so a single draw may leave it unmoved; the
+    # largest move over a fixed set of draws shows the ill-conditioning.
+    table_moves = []
+    for seed in range(7, 12):
+        shaken = _PerturbedIntegrator(integrator, 1e-12, seed)
+        on_p, off_p = bitflip_rates(params, spectrum, eta, pq, shaken)
+        assert abs(on_p - on) <= 1e-11 * on
+        assert abs(off_p - off) <= 1e-11 * off
+        table = rate_table(params, spectrum, eta=eta, pq=pq,
+                           integrator=_PerturbedIntegrator(integrator, 1e-12,
+                                                           seed))
+        table_moves.append(
+            abs(qcr_bitflip_rate(table) - qcr_bitflip_rate(table45)))
+    assert max(table_moves) > 1e-9 * on
 
 
 def test_charge_floor_constant():

@@ -11,7 +11,7 @@ from kpoqcr import (ConfigError, DEFAULT_TRANSITIONS, HusimiConfig, Schedule,
                     bitflip_sweep, diagonalize_kpo, dynamics_run, husimi_run,
                     pq_run, qcr_bitflip_rate, rate_table, rates_sweep,
                     steady_sweep)
-from kpoqcr import junction, workflows
+from kpoqcr import junction, rates, workflows
 from kpoqcr.junction import PatIntegrator, charge_distribution
 from kpoqcr.rates import transition_rate
 from kpoqcr.workflows import (_rates_point, parse_transition_label,
@@ -45,11 +45,12 @@ def test_default_transitions_cover_qubit_channels():
 def test_rates_point_is_one_quadrature_and_bitwise(params, spectrum, eta,
                                                    temp_k, monkeypatch):
     # A diagonal rates point integrates all of its transitions' offsets in
-    # one batch (plus one for the charge distribution), and every rate is
-    # bitwise what transition_rate gives on its own.
+    # one batch (the sweep hands it the charge distribution), and every
+    # rate is bitwise what transition_rate gives on its own.
     p = params.replace(bias_v=39e9)
     if temp_k is not None:
         p = p.replace(temp_n=temp_k, temp_s=temp_k)
+    pq = charge_distribution(p)
     batches = []
 
     def counted(offsets, *args):
@@ -58,11 +59,10 @@ def test_rates_point_is_one_quadrature_and_bitwise(params, spectrum, eta,
 
     pat_integrals = junction.pat_integrals
     monkeypatch.setattr(junction, "pat_integrals", counted)
-    got = _rates_point(p, spectrum, eta, DEFAULT_TRANSITIONS, "on")
-    assert len(batches) == 2
+    got = _rates_point(p, spectrum, eta, pq, DEFAULT_TRANSITIONS, "on")
+    assert len(batches) == 1
     monkeypatch.undo()
     integrator = PatIntegrator.from_params(p)
-    pq = charge_distribution(p, integrator)
     want = [transition_rate(p, spectrum, eta, pq, integrator, i, j)
             for (i, _ii, j, _jj) in DEFAULT_TRANSITIONS]
     assert [x.hex() for x in got] == [x.hex() for x in want]
@@ -98,14 +98,42 @@ def test_rates_sweep_threads_agree(params):
     assert np.array_equal(serial.data, parallel.data)
 
 
+def _rates_voltage_sweep(params, values, threads):
+    return rates_sweep(params, "voltage", values, threads=threads)
+
+
 @pytest.mark.parametrize("sweep, values", [
     (steady_sweep, [45e9, 47e9, 33e9]),
     (bitflip_sweep, [1.3, 2.0]),
-], ids=["steady", "bitflip"])
+    (_rates_voltage_sweep, [39e9, 45e9, 20e9]),
+], ids=["steady", "bitflip", "rates"])
 def test_sweep_threads_agree_bitwise(params, sweep, values):
     serial = sweep(params, np.array(values), threads=1)
     parallel = sweep(params, np.array(values), threads=2)
     assert serial.data.tobytes() == parallel.data.tobytes()
+
+
+def test_voltage_sweeps_compute_the_charge_distribution_once(params,
+                                                             monkeypatch):
+    # The distribution is taken at zero bias, so it is the same at every
+    # point of a bias sweep, bit for bit; the sweep computes it once and
+    # hands it to its points.
+    for bias in (0.0, 33e9, 47e9):
+        assert charge_distribution(params.replace(bias_v=bias)) \
+            == charge_distribution(params)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].bias_v)
+        return charge_distribution(*args, **kwargs)
+
+    monkeypatch.setattr(workflows, "charge_distribution", counted)
+    monkeypatch.setattr(rates, "charge_distribution", counted)
+    volts = np.array([45e9, 33e9, 47e9])
+    steady_sweep(params, volts)
+    assert calls == [params.bias_v]
+    rates_sweep(params, "voltage", volts)
+    assert calls == [params.bias_v] * 2
 
 
 def test_rates_sweep_alpha_axis(params):
