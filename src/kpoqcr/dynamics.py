@@ -8,10 +8,10 @@ Three generator pieces act on it:
               both angular rates 2 pi times the configured Hz values
   tunneling : the matched gamma1 and core2 arrays of a RateTable
 
-Propagation uses the classical fourth-order Runge-Kutta update, which for a
-linear autonomous generator is exactly the one-step matrix
-I + hL + (hL)^2/2 + (hL)^3/6 + (hL)^4/24; steps between output points are
-applied via integer matrix powers.
+The generator is constant between consecutive grid times and the switch-on
+time, so each such interval is advanced by the exact propagator expm(L dt).
+One matrix is built per generator and interval length; lengths that agree to
+a relative _SNAP_REL share it.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import expm
 
 from .constants import TWO_PI
 from .errors import EvolveError, SteadyStateError
@@ -27,8 +28,6 @@ from .params import SystemParams
 from .rates import RateTable
 from .spectrum import Spectrum, build_fock_operators, coherent_state
 
-_STEP_SAFETY = 0.1      # h <= safety / ||L||_inf
-_MAX_HALVINGS = 10
 _TRACE_TOL = 1e-9       # allowed trace drift per unit normalized time
 _SNAP_REL = 1e-9        # interval lengths and times this close are equal
 _HUSIMI_ROWS = 1024     # phase-space points per Husimi matrix product
@@ -93,10 +92,6 @@ class Generator:
     def n(self) -> int:
         return int(round(math.sqrt(self.total.shape[0])))
 
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        n = self.n
-        return (self.total @ rho.reshape(n * n)).reshape(n, n)
-
     def trace_defect(self) -> float:
         """Norm of trace composed with the generator; zero for a valid L."""
         n = self.n
@@ -160,62 +155,11 @@ class Trajectory:
         return p + sign * np.real(self.states[:, 0, 1])
 
 
-def _step_matrix(total: np.ndarray, h: float) -> np.ndarray:
-    n2 = total.shape[0]
-    out = np.eye(n2, dtype=complex)
-    term = np.eye(n2, dtype=complex)
-    hl = h * total
-    for k in range(1, 5):
-        term = term @ hl / k
-        out = out + term
-    return out
-
-
-class _Propagator:
-    """Caches interval-advance matrices per generator and interval length.
-
-    Lengths that agree to a relative _SNAP_REL share the matrix of the first
-    of them: the spacings of a uniform grid differ by a few ulps only.
-    """
-
-    def __init__(self, h_step: float | None):
-        self.h_step = h_step
-        self._cache: dict[int, list[tuple[float, np.ndarray]]] = {}
-
-    def _resolve_h(self, gen: Generator, dt: float) -> float:
-        h_max = _STEP_SAFETY / gen.norm_inf
-        h = self.h_step if self.h_step is not None else h_max
-        for _ in range(_MAX_HALVINGS + 1):
-            if h <= h_max:
-                break
-            h *= 0.5
-        else:
-            raise EvolveError(
-                f"step size {self.h_step:.3e} s cannot be halved below the "
-                f"stability bound {h_max:.3e} s within {_MAX_HALVINGS} halvings")
-        return min(h, dt)
-
-    def advance(self, gen: Generator, dt: float, vec: np.ndarray) -> np.ndarray:
-        if dt <= 0.0:
-            return vec
-        mats = self._cache.setdefault(id(gen), [])
-        for dt_built, mat in mats:
-            if math.isclose(dt, dt_built, rel_tol=_SNAP_REL):
-                return mat @ vec
-        h = self._resolve_h(gen, dt)
-        n_steps = max(1, math.ceil(dt / h - 1e-12))
-        mat = np.linalg.matrix_power(
-            _step_matrix(gen.total, dt / n_steps), n_steps)
-        mats.append((dt, mat))
-        return mat @ vec
-
-
 def evolve(
     rho0: np.ndarray,
     generators: Generator | tuple[Generator, Generator],
     schedule: dict | None,
     t_grid: np.ndarray,
-    h_step: float | None = None,
 ) -> Trajectory:
     """Propagate rho0 across t_grid.
 
@@ -250,7 +194,19 @@ def evolve(
             return gen_pair[0]
         return gen_pair[1] if t0 >= t_on else gen_pair[0]
 
-    prop = _Propagator(h_step)
+    # (interval length, expm(L dt)) pairs per generator: the spacings of a
+    # uniform grid differ by a few ulps and share the first one's matrix.
+    cache: dict[int, list[tuple[float, np.ndarray]]] = {}
+
+    def propagator(gen: Generator, dt: float) -> np.ndarray:
+        mats = cache.setdefault(id(gen), [])
+        for dt_built, mat in mats:
+            if math.isclose(dt, dt_built, rel_tol=_SNAP_REL):
+                return mat
+        mat = expm(gen.total * dt)
+        mats.append((dt, mat))
+        return mat
+
     vec = rho0.reshape(n * n).copy()
     states = np.empty((t_grid.size, n, n), dtype=complex)
     t_now = float(t_grid[0])
@@ -263,7 +219,7 @@ def evolve(
             if t_on is not None and t_now < t_on < t_next:
                 seg_end = float(t_on)
             gen = gen_at(t_now)
-            vec = prop.advance(gen, seg_end - t_now, vec)
+            vec = propagator(gen, seg_end - t_now) @ vec
             normalized_time += (seg_end - t_now) * gen.norm_inf
             t_now = seg_end
         t_now = t_next
@@ -273,6 +229,8 @@ def evolve(
     herms = np.max(np.abs(states - states.conj().transpose(0, 2, 1)), axis=(1, 2))
     eigs = np.linalg.eigvalsh(0.5 * (states + states.conj().transpose(0, 2, 1)))
     drift = float(np.max(traces))
+    # expm scales L dt down by powers of two and squares back up, so its
+    # rounding drift grows with ||L|| t: the allowance scales with it.
     allowed = _TRACE_TOL * max(1.0, normalized_time)
     if drift > allowed:
         raise EvolveError(f"trace drifted by {drift:.2e} (allowed {allowed:.2e})")

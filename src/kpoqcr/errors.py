@@ -35,7 +35,7 @@ class ChargeDistributionError(RuntimeError):
 
 
 class EvolveError(RuntimeError):
-    """Time evolution failed (step-size floor, trace drift)."""
+    """Time evolution failed (invalid inputs, trace drift)."""
 
 
 class SteadyStateError(RuntimeError):

@@ -16,6 +16,7 @@ worker inherits one BLAS thread and `threads=N` uses N cores.  A
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from multiprocessing import get_context
@@ -237,14 +238,15 @@ def _clean_fields(raw: dict, str_keys: tuple, int_keys: tuple,
             if not isinstance(value, str):
                 raise ConfigError(f"{where} key {key!r} must be a string")
             clean[key] = value
-        elif key in int_keys:
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or value != int(value):
+            continue
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or (isinstance(value, float) and not math.isfinite(value)):
+            raise ConfigError(f"{where} key {key!r} must be a finite number")
+        if key in int_keys:
+            if value != int(value):
                 raise ConfigError(f"{where} key {key!r} must be an integer")
             clean[key] = int(value)
         else:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"{where} key {key!r} must be a number")
             clean[key] = float(value)
     return clean
 

@@ -111,6 +111,18 @@ def test_config_errors_exit_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("args, key", [
+    (["dynamics", "--t-end", "nan", "--points", "3"], "t_end"),
+    (["dynamics", "--t-end", "inf", "--points", "3"], "t_end"),
+    (["dynamics", "--t-qcr-on", "nan", "--points", "3"], "t_qcr_on"),
+    (["husimi", "--source", "evolve", "--time", "nan"], "time"),
+], ids=["t_end_nan", "t_end_inf", "t_qcr_on_nan", "husimi_time_nan"])
+def test_non_finite_times_exit_2(runner, args, key):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert f"{key!r} must be a finite number" in result.output
+
+
 def test_numerical_failures_exit_3(runner, tmp_path):
     # A degeneracy tolerance wider than the level spacing breaks the
     # eigensystem postconditions.

@@ -221,6 +221,11 @@ def test_schedule_from_dict_validation():
         Schedule.from_dict({"points": 1})
     with pytest.raises(ConfigError):
         Schedule.from_dict({"unknown_knob": 1})
+    # Not OverflowError from int(inf), nor ValueError from int(nan).
+    for raw in ({"points": float("inf")}, {"points": float("nan")},
+                {"t_end": float("nan")}, {"t_qcr_on": float("-inf")}):
+        with pytest.raises(ConfigError, match="finite"):
+            Schedule.from_dict(raw)
 
 
 def test_husimi_config_validation():
