@@ -25,10 +25,12 @@ from .workflows import (DEFAULT_TRANSITIONS, DynamicsResult, HusimiConfig,
                         steady_sweep)
 
 from ._blas import cap_threads
+from ._heap import keep_freed_memory
 
-# Both bundled OpenBLAS libraries are loaded by now (oracles imports
-# scipy.linalg); one thread each, inherited by forked sweep workers.
+# numpy's bundled OpenBLAS is loaded by now; one thread, inherited by
+# forked sweep workers, as is the malloc setting.
 cap_threads()
+keep_freed_memory()
 
 __version__ = "0.1.0"
 

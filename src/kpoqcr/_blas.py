@@ -1,9 +1,11 @@
 """One BLAS thread per process.
 
-numpy and scipy each bundle an OpenBLAS whose thread pool spans the machine.
-On the small matrices here that costs far more than it gives: on 2 vCPUs
-the 144x144 steady-state solve takes up to 160 ms with two threads and
-1-3 ms with one, and forked sweep workers would each run it on every core.
+numpy bundles an OpenBLAS (its symbols carry the `scipy_openblas` prefix)
+whose thread pool spans the machine.  kpoqcr loads no other; one that the
+caller mapped first, such as scipy's, is capped as well.  On the small
+matrices here that pool costs far more than it gives: on 2 vCPUs the
+144x144 steady-state solve takes up to 160 ms with two threads and 1-3 ms
+with one, and forked sweep workers would each run it on every core.
 """
 from __future__ import annotations
 

@@ -22,7 +22,7 @@ from .errors import (CatStateError, ChargeDistributionError, ConfigError,
                      EvolveError, MatchingError, QuadratureError,
                      SpectrumError, SteadyStateError)
 from .oracles import run_oracle_suite
-from .params import SystemParams, load_config
+from .params import SystemParams, config_number, load_config
 from .workflows import (DEFAULT_TRANSITIONS, HusimiConfig, Schedule,
                         bitflip_sweep, dynamics_run, husimi_run,
                         parse_transition_label, pq_run, rates_sweep,
@@ -88,10 +88,8 @@ def _section_endpoint(section: dict, base: str, axis: str) -> float | None:
     if not plain and not ghz:
         return None
     key = base if plain else base + "_ghz"
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"sweep key {key!r} must be a number")
-    return float(value) * (1e9 if ghz else 1.0)
+    value = config_number(section[key], f"sweep key {key!r}")
+    return value * (1e9 if ghz else 1.0)
 
 
 def _resolve_sweep(command: str, sections: dict, axis_flag: str | None,

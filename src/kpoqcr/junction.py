@@ -26,6 +26,7 @@ import numpy as np
 from .errors import ChargeDistributionError, QuadratureError
 from .params import SystemParams
 from .quad import integrate
+from .spectrum import laguerre_table
 # perfbench/tracing.py looks adaptive_gk up in this module and wraps it.
 # The tunneling integrals go through integrate, so this module never calls it.
 from .quad import adaptive_gk  # noqa: F401
@@ -287,9 +288,7 @@ def elastic_weight(m: int, rho_c: float) -> float:
     Cancels exactly in the charge-distribution ratios; exposed so tests can
     verify that independence with the full rate prefactors in place.
     """
-    from scipy.special import eval_laguerre
-
-    return float(math.exp(-rho_c) * eval_laguerre(m, rho_c) ** 2)
+    return float(math.exp(-rho_c) * laguerre_table(m, rho_c, [0])[m, 0] ** 2)
 
 
 def charge_transition_rates(

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
+from .dynamics import expm
 from .junction import (PatIntegrator, charge_distribution, dynes_dos, fermi,
                        pat_integral)
 from .params import SystemParams

@@ -57,6 +57,9 @@ class SystemParams:
     quad_rel_tol: float = 1e-10  # relative tolerance of energy integrals
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            _require(math.isfinite(getattr(self, f.name)),
+                     f"{f.name} must be finite")
         _require(self.chi > 0, "chi must be positive")
         _require(self.beta >= 0, "beta must be non-negative")
         _require(self.omega_c > 0, "omega_c must be positive")
@@ -135,14 +138,9 @@ class SystemParams:
                 raise ConfigError(f"unknown parameter key: {key!r}")
             if name in kwargs:
                 raise ConfigError(f"parameter {name!r} given twice")
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"parameter {key!r} must be a number")
-            if name in int_fields:
-                if value != int(value):
-                    raise ConfigError(f"parameter {key!r} must be an integer")
-                kwargs[name] = int(value)
-            else:
-                kwargs[name] = float(value) * scale
+            number = config_number(value, f"parameter {key!r}",
+                                   integer=name in int_fields)
+            kwargs[name] = number if name in int_fields else number * scale
         try:
             return cls(**kwargs)
         except ValueError as exc:
@@ -156,6 +154,27 @@ class SystemParams:
         """(name, value) pairs in a fixed order, for output headers."""
         return [(f.name, getattr(self, f.name))
                 for f in dataclasses.fields(self)]
+
+
+def config_number(value: Any, what: str, integer: bool = False) -> float | int:
+    """A JSON number as a finite float, or as an int when `integer`.
+
+    Raises ConfigError naming `what` for non-numbers, NaN, +-inf, integers
+    beyond float range and non-integral values of integer keys.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{what} must be a finite number")
+    if integer:
+        if number != int(number):
+            raise ConfigError(f"{what} must be an integer")
+        return int(value)
+    return number
 
 
 def _require(condition: bool, message: str) -> None:

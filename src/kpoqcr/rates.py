@@ -39,12 +39,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 from .errors import MatchingError
 from .junction import ChargeDistribution, PatIntegrator, charge_distribution
 from .params import SystemParams
-from .spectrum import Spectrum
+from .spectrum import Spectrum, laguerre_table
 
 # Charge states below this probability are dropped from rate sums; they
 # contribute relative corrections of the same order.
@@ -61,22 +60,26 @@ def displacement_element(row: int, col: int, rho_c: float, sign: int = 1) -> com
         return 1.0 + 0j if row == col else 0j
     l = abs(row - col)
     mn, mx = min(row, col), max(row, col)
-    amp = math.exp(-0.5 * rho_c + 0.5 * (gammaln(mn + 1) - gammaln(mx + 1)))
-    lag = eval_genlaguerre(mn, l, rho_c)
+    # np.exp, not math.exp: the two can differ in the last bit, and this
+    # element must equal its entry of displacement_matrix exactly.
+    amp = np.exp(-0.5 * rho_c
+                 + 0.5 * (math.lgamma(mn + 1) - math.lgamma(mx + 1)))
+    lag = laguerre_table(mn, rho_c, [l])[mn, 0]
     return (1j * sign * math.sqrt(rho_c)) ** l * amp * lag
 
 
 def displacement_matrix(n: int, rho_c: float, sign: int = 1) -> np.ndarray:
-    """Dense (n, n) matrix of displacement_element."""
+    """Dense (n, n) matrix of displacement_element, from one Laguerre table
+    over every order and one log-factorial vector."""
     if rho_c == 0.0:
         return np.eye(n, dtype=complex)
-    rows = np.arange(n)[:, None]
-    cols = np.arange(n)[None, :]
-    l = np.abs(rows - cols)
-    mn = np.minimum(rows, cols)
-    mx = np.maximum(rows, cols)
-    amp = np.exp(-0.5 * rho_c + 0.5 * (gammaln(mn + 1) - gammaln(mx + 1)))
-    lag = eval_genlaguerre(mn, l, rho_c)
+    k = np.arange(n)
+    l = np.abs(np.subtract.outer(k, k))
+    mn = np.minimum.outer(k, k)
+    mx = np.maximum.outer(k, k)
+    lgf = np.array([math.lgamma(j + 1) for j in range(n)])
+    amp = np.exp(-0.5 * rho_c + 0.5 * (lgf[mn] - lgf[mx]))
+    lag = laguerre_table(n - 1, rho_c, k)[mn, l]
     phase = np.power(1j * sign * math.sqrt(rho_c), l)
     return phase * amp * lag
 

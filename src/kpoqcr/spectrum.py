@@ -72,6 +72,22 @@ def build_fock_operators(n_fock: int) -> FockOperators:
     )
 
 
+def laguerre_table(k_max: int, x: float, orders) -> np.ndarray:
+    """Generalized Laguerre values L[k, j] = L_k^(orders[j])(x), k <= k_max.
+
+    One pass of the three-term recurrence in k, over all orders at once:
+    (k+1) L_{k+1} = (2k+1+a-x) L_k - (k+a) L_{k-1}.
+    """
+    a = np.asarray(orders, dtype=float)
+    lag = np.empty((k_max + 1, a.size))
+    lag[0] = 1.0
+    if k_max >= 1:
+        lag[1] = 1.0 + a - x
+    for k in range(1, k_max):
+        lag[k + 1] = ((2 * k + 1 + a - x) * lag[k] - (k + a) * lag[k - 1]) / (k + 1)
+    return lag
+
+
 def kpo_hamiltonian(params: SystemParams) -> np.ndarray:
     """H/h in Hz in the truncated Fock basis (real symmetric)."""
     ops = build_fock_operators(params.n_fock)

@@ -8,15 +8,14 @@ Workers are pure functions of their argument tuple, so results are
 identical whether the map runs serially or on a process pool; pool results
 come back in submission order.
 
-The pool forks.  `import kpoqcr` has already capped numpy's and scipy's
-OpenBLAS at one thread each (`kpoqcr._blas`), before any fork, so every
-worker inherits one BLAS thread and `threads=N` uses N cores.  A
-`forkserver` pool took 0.59-0.71 s to start two workers, against 0.04 s for
-`fork`, which is more than a whole small sweep.
+The pool forks.  `import kpoqcr` has already capped numpy's OpenBLAS at
+one thread (`kpoqcr._blas`), before any fork, so every worker inherits one
+BLAS thread and `threads=N` uses N cores.  A `forkserver` pool took
+0.59-0.71 s to start two workers, against 0.04 s for `fork`, which is more
+than a whole small sweep.
 """
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from multiprocessing import get_context
@@ -27,7 +26,7 @@ from .dynamics import (assemble_generator, evolve, husimi_q, initial_state,
                        steady_state)
 from .errors import ConfigError
 from .junction import PatIntegrator, charge_distribution
-from .params import SystemParams
+from .params import SystemParams, config_number
 from .rates import (bitflip_rates, eta_table, rate_table, transition_offsets,
                     transition_rate)
 # perfbench/tracing.py wraps these by name here; no sweep calls them.
@@ -239,15 +238,8 @@ def _clean_fields(raw: dict, str_keys: tuple, int_keys: tuple,
                 raise ConfigError(f"{where} key {key!r} must be a string")
             clean[key] = value
             continue
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or (isinstance(value, float) and not math.isfinite(value)):
-            raise ConfigError(f"{where} key {key!r} must be a finite number")
-        if key in int_keys:
-            if value != int(value):
-                raise ConfigError(f"{where} key {key!r} must be an integer")
-            clean[key] = int(value)
-        else:
-            clean[key] = float(value)
+        clean[key] = config_number(value, f"{where} key {key!r}",
+                                   integer=key in int_keys)
     return clean
 
 

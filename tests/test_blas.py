@@ -1,13 +1,26 @@
-"""The import-time cap of the bundled OpenBLAS thread pools."""
+"""The process settings applied by `import kpoqcr`: the cap of the bundled
+OpenBLAS thread pools and the malloc thresholds.
+
+Both are checked in a fresh interpreter that imports kpoqcr and nothing
+else (this file run as a script): other test modules import scipy.linalg,
+which maps scipy's own OpenBLAS after the cap has run, and any test's
+allocations move glibc's own thresholds.
+"""
 import ctypes
 import glob
+import json
 import os
+import platform
+import resource
+import subprocess
+import sys
 import sysconfig
 
+import numpy as np
 import pytest
 
-import kpoqcr  # noqa: F401  (applies the cap)
-from kpoqcr import _blas, workflows
+import kpoqcr  # noqa: F401  (applies the settings)
+from kpoqcr import _blas, _heap, workflows
 
 
 def _blas_threads(_job=None):
@@ -31,22 +44,67 @@ def _mapped(path):
         return any(line.rstrip().endswith(path) for line in maps)
 
 
-@needs_maps
-def test_import_caps_each_loaded_library():
-    loaded = _blas._loaded_openblas()
-    if not loaded:
-        pytest.skip("no OpenBLAS loaded in this process")
-    assert [path for path, _ in _blas.CAPPED] == loaded
-    assert _blas_threads() == [1] * len(loaded)
+# Growing arrays of 256 KiB to 3.75 MiB, each touched and freed in turn:
+# at glibc's start thresholds every one is a fresh mapping whose pages all
+# fault in (7.7k faults); a heap that keeps freed memory faults in only
+# the largest (0.96k).  numpy asks for huge pages only from 4 MiB on.
+_GROWING = [k << 15 for k in range(1, 16)]
+
+
+def _growing_array_faults():
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for size in _GROWING:
+        np.ones(size)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+def _report():
+    """What the settings did in this process and in two forked workers."""
+    return {
+        "loaded": _blas._loaded_openblas(),
+        "capped": [path for path, _ in _blas.CAPPED],
+        "threads": _blas_threads(),
+        "forked": workflows._pool_map(_blas_threads, [0, 1], threads=2),
+        "heap_applied": _heap.APPLIED,
+        "faults": _growing_array_faults(),
+    }
+
+
+@pytest.fixture(scope="module")
+def fresh():
+    """_report() from a new interpreter that has imported only kpoqcr."""
+    src = os.path.dirname(os.path.dirname(kpoqcr.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, __file__],
+                            env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
 
 
 @needs_maps
-def test_forked_workers_run_one_blas_thread():
-    loaded = _blas._loaded_openblas()
+def test_import_caps_each_loaded_library(fresh):
+    loaded = fresh["loaded"]
     if not loaded:
-        pytest.skip("no OpenBLAS loaded in this process")
-    counts = workflows._pool_map(_blas_threads, [0, 1], threads=2)
-    assert counts == [[1] * len(loaded)] * 2
+        pytest.skip("no OpenBLAS loaded in a fresh process")
+    assert fresh["capped"] == loaded
+    assert fresh["threads"] == [1] * len(loaded)
+
+
+@needs_maps
+def test_forked_workers_run_one_blas_thread(fresh):
+    loaded = fresh["loaded"]
+    if not loaded:
+        pytest.skip("no OpenBLAS loaded in a fresh process")
+    assert fresh["forked"] == [[1] * len(loaded)] * 2
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the thresholds are glibc's")
+def test_import_keeps_freed_heap_memory(fresh):
+    assert fresh["heap_applied"]
+    largest_pages = 8 * _GROWING[-1] // resource.getpagesize()
+    assert fresh["faults"] < 2 * largest_pages
 
 
 def test_cap_with_nothing_found_records_nothing(monkeypatch):
@@ -66,3 +124,7 @@ def test_cap_loads_no_library(monkeypatch):
                         lambda: ["/nonexistent/libopenblas.so", *unloaded])
     assert _blas.cap_threads() == ()
     assert not any(_mapped(p) for p in unloaded)
+
+
+if __name__ == "__main__":
+    print(json.dumps(_report()))

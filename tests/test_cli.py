@@ -1,10 +1,14 @@
 """Command-line interface: formats, determinism, exit codes."""
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import kpoqcr
 from kpoqcr import HusimiConfig, Schedule, SystemParams
 from kpoqcr.cli import _emit, main
 from kpoqcr.workflows import dynamics_run, husimi_run
@@ -121,6 +125,33 @@ def test_non_finite_times_exit_2(runner, args, key):
     result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert f"{key!r} must be a finite number" in result.output
+
+
+@pytest.mark.parametrize("text, key", [
+    ('{"n_keep": Infinity}', "n_keep"),
+    ('{"n_fock": NaN}', "n_fock"),
+    ('{"bias_v": Infinity}', "bias_v"),
+    ('{"bias_v": 1' + "0" * 309 + "}", "bias_v"),
+], ids=["n_keep_inf", "n_fock_nan", "bias_v_inf", "bias_v_int_1e309"])
+def test_non_finite_parameters_exit_2(runner, tmp_path, text, key):
+    path = tmp_path / "p.json"
+    path.write_text(text)
+    result = runner.invoke(main, ["pq", "--config", str(path)])
+    assert result.exit_code == 2, result.output
+    assert f"{key!r} must be a finite number" in result.output
+
+
+def test_cli_import_leaves_out_scipy():
+    # scipy.special and scipy.linalg cost about 0.4 s per process start,
+    # most of it numpy.f2py and friends pulled in by scipy's array API shim.
+    src = os.path.dirname(os.path.dirname(kpoqcr.__file__))
+    code = ("import sys, kpoqcr.cli; print([m for m in ('scipy.special', "
+            "'scipy.linalg', 'numpy.f2py') if m in sys.modules])")
+    result = subprocess.run([sys.executable, "-c", code],
+                            env={**os.environ, "PYTHONPATH": src},
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_numerical_failures_exit_3(runner, tmp_path):

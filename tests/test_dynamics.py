@@ -30,6 +30,33 @@ def _random_density(rng, n):
     return rho / np.trace(rho).real
 
 
+def _rel_frobenius(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("qcr", ["off", "on"])
+def test_expm_matches_scipy_on_readme_generators(qcr, gen_off, gen_on):
+    # The step of the README dynamics run: --t-end 1e-4 --points 201.
+    mat = (gen_on if qcr == "on" else gen_off).total * (1e-4 / 200)
+    assert _rel_frobenius(dynamics.expm(mat), expm(mat)) <= 1e-12
+
+
+@pytest.mark.parametrize("norm", [1e-3, 1e-1, 1.0, 10.0, 1e2, 1e3])
+def test_expm_matches_scipy_on_random_matrices(norm):
+    # Above a 1-norm of 5.37 the Pade step runs on a scaled matrix and is
+    # squared back up.
+    rng = np.random.default_rng(20261018)
+    mat = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
+    mat *= norm / np.max(np.sum(np.abs(mat), axis=0))
+    assert _rel_frobenius(dynamics.expm(mat), expm(mat)) <= 1e-12
+
+
+def test_expm_of_zero_matrix():
+    zero = np.zeros((6, 6), dtype=complex)
+    assert _rel_frobenius(dynamics.expm(zero), expm(zero)) <= 1e-12
+    assert _rel_frobenius(dynamics.expm(zero), np.eye(6)) <= 1e-15
+
+
 def test_dissipator_superop_matches_definition(rng):
     n = 5
     op = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import eval_laguerre
 
 from kpoqcr import (ChargeDistributionError, QuadratureError, SystemParams,
                     charge_distribution, diagonalize_kpo, dynes_dos, fermi,
@@ -439,6 +440,13 @@ def test_forward_p_detailed_balance(params, integrator):
     e = 4e9
     ratio = forward_p(integrator, e) / forward_p(integrator, -e)
     assert ratio == pytest.approx(math.exp(e / t), rel=1e-7)
+
+
+@pytest.mark.parametrize("rho_c", [5e-5, 0.3, 1.0, 4.0])
+def test_elastic_weight_matches_scipy_laguerre(rho_c):
+    for m in (0, 1, 2, 7, 30, 59, 99):
+        want = math.exp(-rho_c) * eval_laguerre(m, rho_c) ** 2
+        assert abs(elastic_weight(m, rho_c) - want) <= 1e-12
 
 
 def test_elastic_weight_normalization():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import eval_genlaguerre, gammaln
 
 from kpoqcr import (ConfigError, MatchingError, bitflip_rates,
                     build_fock_operators, diagonalize_kpo,
@@ -34,6 +35,38 @@ def test_displacement_matrix_matches_expm():
     dense = expm(1j * math.sqrt(rho_c) * (ops.a + ops.adag))
     block = displacement_matrix(n_small, rho_c, +1)
     assert np.max(np.abs(block - dense[:n_small, :n_small])) < 1e-10
+
+
+def _displacement_closed_form(n, rho_c, sign):
+    """The Laguerre closed form of <row|D|col>, evaluated with scipy.special."""
+    k = np.arange(n)
+    l = np.abs(np.subtract.outer(k, k))
+    mn, mx = np.minimum.outer(k, k), np.maximum.outer(k, k)
+    amp = np.exp(-0.5 * rho_c + 0.5 * (gammaln(mn + 1) - gammaln(mx + 1)))
+    phase = np.power(1j * sign * math.sqrt(rho_c), l)
+    return phase * amp * eval_genlaguerre(mn, l, rho_c)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("rho_c", [0.0, 5e-5, 0.3, 1.0, 4.0])
+@pytest.mark.parametrize("n", [8, 60, 100])
+def test_displacement_matches_scipy_closed_form(n, rho_c, sign):
+    want = _displacement_closed_form(n, rho_c, sign)
+    mat = displacement_matrix(n, rho_c, sign)
+    assert np.max(np.abs(mat - want)) <= 1e-12
+    for row, col in ((0, 0), (n - 1, n - 1), (n - 1, 0), (1, n - 1),
+                     (n // 2, n // 3)):
+        elem = displacement_element(row, col, rho_c, sign)
+        assert abs(elem - want[row, col]) <= 1e-12
+        assert elem == mat[row, col]
+
+
+@pytest.mark.parametrize("rho_c", [5e-5, 0.3, 1.0, 4.0])
+@pytest.mark.parametrize("n", [60, 100])
+def test_displacement_matrix_unitary_on_leading_rows(n, rho_c):
+    # Rows far below the cut-off keep their whole displaced support.
+    rows = displacement_matrix(n, rho_c, +1)[: n // 4]
+    assert np.max(np.abs(rows @ rows.conj().T - np.eye(n // 4))) <= 1e-12
 
 
 def test_displacement_signs_are_conjugates():
