@@ -92,7 +92,7 @@ def fermi(eps, t_hz: float):
     """
     eps = np.asarray(eps, float)
     if t_hz == 0.0:
-        return np.where(eps < 0, 1.0, np.where(eps > 0, 0.0, 0.5))
+        return np.where(eps < 0, 1.0, np.where(eps > 0, 0.0, 0.5))[()]
     f = np.divide(eps, 2.0 * t_hz, out=np.empty(eps.shape))
     np.tanh(f, out=f)
     np.subtract(1.0, f, out=f)
@@ -272,16 +272,6 @@ class PatIntegrator:
         return len(self._cache)
 
 
-def forward_p(integrator: PatIntegrator, energy_hz: float) -> float:
-    """Single-electron forward tunneling strength at energy cost -energy.
-
-    This is the quantity whose ratios build the island charge distribution;
-    it satisfies forward_p(E) / forward_p(-E) = exp(E h / k_B T) when both
-    baths share temperature T.
-    """
-    return integrator.forward(-energy_hz)
-
-
 def elastic_weight(m: int, rho_c: float) -> float:
     """Photon-sidebandless matrix-element weight of Fock level m.
 
@@ -289,17 +279,6 @@ def elastic_weight(m: int, rho_c: float) -> float:
     verify that independence with the full rate prefactors in place.
     """
     return float(math.exp(-rho_c) * laguerre_table(m, rho_c, [0])[m, 0] ** 2)
-
-
-def charge_transition_rates(
-    params: SystemParams,
-    integrator: PatIntegrator,
-    q: int,
-    m: int = 0,
-    bias_v: float | None = None,
-) -> tuple[float, float]:
-    """Elastic island-charge rates (gain, loss) at charge q, Fock level m."""
-    return _charge_rates(params, integrator, [q], m, bias_v)[0]
 
 
 def _charge_rates(params, integrator, qs, m=0, bias_v=None):
@@ -312,7 +291,7 @@ def _charge_rates(params, integrator, qs, m=0, bias_v=None):
     e_loss = params.e_island * (1.0 - 2.0 * q)
     energies = np.stack([bias_v - e_gain, -bias_v - e_gain,
                          bias_v - e_loss, -bias_v - e_loss], axis=1)
-    # forward_p(integrator, e) for every energy, batched.
+    # The forward integral at -e for every energy e, batched.
     f = integrator.evaluate(-energies)
     gain = weight * (f[:, 0] + f[:, 1])
     loss = weight * (f[:, 2] + f[:, 3])

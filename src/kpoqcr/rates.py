@@ -27,11 +27,10 @@ intermediate state sigma (class-2 cores only), then charge q.  A pairwise
 or blocked sum would round differently.  The rule protects the tables,
 core2's exact Hermiticity and the oracle cross-check qcr_bitflip_rate,
 which cancels interfering entries; bitflip_rates cancels nothing.  The
-offsets keep two fixed associations: rate_table and bitflip_rates use
-off_f = de + ((A_q + dm * omega_rf) - V), with the class-1
-de = 0.5 * (d1 + d2), and transition_rate uses
-off_f = ((de + A_q) + dm * omega_rf) - V.  They agree to roundoff only, so
-each path keeps its own.
+offsets keep one association, off_f = de + ((A_q + dm * omega_rf) - V),
+with the class-1 de = 0.5 * (d1 + d2).  rate_table and transition_rate
+share one assembly; transition_rate hands it only the class-1 slots of the
+entries it reports, so each of its rates is bitwise that table entry.
 """
 from __future__ import annotations
 
@@ -209,17 +208,13 @@ def _product(x, y):
     return out
 
 
-def _charges(pq: ChargeDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """Charges above PQ_FLOOR and their probabilities."""
-    kept = [(q, p) for q, p in pq.items() if p >= PQ_FLOOR]
-    return (np.array([q for q, _ in kept], float),
-            np.array([p for _, p in kept]))
-
-
 def _sidebands(params: SystemParams, eta: EtaTable, pq: ChargeDistribution):
-    """Sidebands dm, kept charge probabilities, and the forward and backward
-    offsets (A_q + dm * omega_rf) - V at de = 0, each (sidebands, charges)."""
-    qs, probs = _charges(pq)
+    """Sidebands dm, probabilities of the charges above PQ_FLOOR, and the
+    forward and backward offsets (A_q + dm * omega_rf) - V at de = 0, each
+    (sidebands, charges)."""
+    kept = [(q, p) for q, p in pq.items() if p >= PQ_FLOOR]
+    qs = np.array([q for q, _ in kept], float)
+    probs = np.array([p for _, p in kept])
     dms = np.arange(-eta.dm_max, eta.dm_max + 1)
     base_f = (params.e_island * (1.0 + 2.0 * qs)
               + params.omega_rf * dms[:, None] - params.bias_v)
@@ -228,22 +223,10 @@ def _sidebands(params: SystemParams, eta: EtaTable, pq: ChargeDistribution):
     return dms, probs, base_f, base_b
 
 
-def rate_table(
-    params: SystemParams,
-    spectrum: Spectrum,
-    eta: EtaTable | None = None,
-    pq: ChargeDistribution | None = None,
-    integrator: PatIntegrator | None = None,
-) -> RateTable:
-    """Compute all matched tensor entries at params.bias_v."""
-    if integrator is None:
-        integrator = PatIntegrator.from_params(params)
-    if eta is None:
-        eta = eta_table(spectrum, params.rho_c, params.dm_max)
-    if pq is None:
-        pq = charge_distribution(params, integrator)
-    matches = match_sets(spectrum, params.omega_rf, params.match_tol)
-
+def _assemble(params, spectrum, eta, pq, integrator, class1, class2_pairs):
+    """gamma1 (n, n, n, n) and core2 (n, n) summed over the given class-1
+    slots (mu, mup, nu, nup, de) and class-2 pairs (m, xi) only; every
+    other entry is exactly zero."""
     energies = spectrum.energies
     parity = spectrum.parity
     n = energies.size
@@ -253,14 +236,14 @@ def rate_table(
     eb = np.stack([eta.b[dm] for dm in dms])
 
     # Class-1 terms over (slot, dm), both factors parity-allowed.
-    mu, mup, nu, nup = np.array([key[:4] for key in matches.class1],
+    mu, mup, nu, nup = np.array([key[:4] for key in class1],
                                 np.intp).reshape(-1, 4).T
-    de1 = np.array([key[4] for key in matches.class1], float)
+    de1 = np.array([key[4] for key in class1], float)
     slot1, d1 = np.nonzero(((parity[mu] * parity[nu])[:, None] == pdm)
                            & ((parity[mup] * parity[nup])[:, None] == pdm))
     i1, j1, k1, l1 = mu[slot1], nu[slot1], mup[slot1], nup[slot1]
     # Class-2 terms over (pair, dm, sigma), sigma of the sideband's parity.
-    m, xi = np.array(matches.class2_pairs, np.intp).reshape(-1, 2).T
+    m, xi = np.array(class2_pairs, np.intp).reshape(-1, 2).T
     pair, d2, sigma = np.nonzero(
         parity == pdm[:, None] * parity[m][:, None, None])
     m2, xi2 = m[pair], xi[pair]
@@ -291,33 +274,34 @@ def rate_table(
     core2 = acc[n ** 4:].reshape(n, n)
     # Scale the matched entries only: -r * 0j would leave a -0.0 elsewhere.
     core2[m, xi] = -params.r_ratio * core2[m, xi]
+    return gamma1, core2
 
+
+def rate_table(
+    params: SystemParams,
+    spectrum: Spectrum,
+    eta: EtaTable | None = None,
+    pq: ChargeDistribution | None = None,
+    integrator: PatIntegrator | None = None,
+) -> RateTable:
+    """Compute all matched tensor entries at params.bias_v."""
+    if integrator is None:
+        integrator = PatIntegrator.from_params(params)
+    if eta is None:
+        eta = eta_table(spectrum, params.rho_c, params.dm_max)
+    if pq is None:
+        pq = charge_distribution(params, integrator)
+    matches = match_sets(spectrum, params.omega_rf, params.match_tol)
+    gamma1, core2 = _assemble(params, spectrum, eta, pq, integrator,
+                              matches.class1, matches.class2_pairs)
     return RateTable(
         bias_v=params.bias_v,
-        energies=energies,
-        parity=parity,
+        energies=spectrum.energies,
+        parity=spectrum.parity,
         gamma1=gamma1,
         core2=core2,
         pq=pq,
     )
-
-
-def transition_offsets(params: SystemParams, spectrum: Spectrum,
-                       dm_max: int, pq: ChargeDistribution, i: int, j: int):
-    """Parity-allowed sidebands of the |j> -> |i> rate, and the forward
-    integral offsets its terms read, shape (2, sidebands, charges): off_f
-    and -off_b, each associated as ((de + A_q) + dm * omega_rf) - V."""
-    energies, parity = spectrum.energies, spectrum.parity
-    de = float(energies[i] - energies[j])
-    qs, _probs = _charges(pq)
-    dms = np.arange(-dm_max, dm_max + 1)
-    dms = dms[parity[i] * parity[j] == _sideband_parity(dms)].tolist()
-    dm = np.array(dms, float)[:, None]
-    off_f = de + params.e_island * (1.0 + 2.0 * qs) \
-        + params.omega_rf * dm - params.bias_v
-    off_b = -de - params.e_island * (1.0 - 2.0 * qs) \
-        - params.omega_rf * dm - params.bias_v
-    return dms, np.stack([off_f, -off_b])
 
 
 def transition_rate(
@@ -326,20 +310,21 @@ def transition_rate(
     eta: EtaTable,
     pq: ChargeDistribution,
     integrator: PatIntegrator,
-    i: int,
-    j: int,
-) -> float:
-    """Single population rate gamma1[i,i,j,j] without building a full table."""
-    dms, offsets = transition_offsets(params, spectrum, eta.dm_max, pq, i, j)
-    _qs, probs = _charges(pq)
-    # Scalar abs: numpy's vectorized complex abs rounds differently.
-    wf = np.array([abs(eta.f[dm][i, j]) ** 2 for dm in dms])[:, None]
-    wb = np.array([abs(eta.b[dm][i, j]) ** 2 for dm in dms])[:, None]
-    vf, vb = integrator.evaluate(offsets)
-    terms = (probs * (vf * wf + vb * wb)).ravel()
-    acc = np.zeros(1)
-    np.add.at(acc, np.zeros(terms.size, np.intp), terms)
-    return 2.0 * params.r_ratio * acc[0]
+    keys,
+) -> list[float]:
+    """gamma1[key].real for each (mu, mup, nu, nup) key, 1/s, from one batch
+    of integrals and without building a full table.
+
+    Only the keys' class-1 slots are assembled, so each value is bitwise
+    rate_table's entry; an unmatched key gives exactly 0.0.
+    """
+    keys = [tuple(key) for key in keys]
+    wanted = set(keys)
+    matches = match_sets(spectrum, params.omega_rf, params.match_tol)
+    class1 = [slot for slot in matches.class1 if slot[:4] in wanted]
+    gamma1, _core2 = _assemble(params, spectrum, eta, pq, integrator,
+                               class1, ())
+    return [float(gamma1[key].real) for key in keys]
 
 
 def trace_residual(table: RateTable) -> float:

@@ -27,8 +27,7 @@ from .dynamics import (assemble_generator, evolve, husimi_q, initial_state,
 from .errors import ConfigError
 from .junction import PatIntegrator, charge_distribution
 from .params import SystemParams, config_number
-from .rates import (bitflip_rates, eta_table, rate_table, transition_offsets,
-                    transition_rate)
+from .rates import bitflip_rates, eta_table, rate_table, transition_rate
 # perfbench/tracing.py wraps these by name here; no sweep calls them.
 from .rates import match_sets, qcr_bitflip_rate  # noqa: F401
 from .spectrum import diagonalize_kpo
@@ -92,22 +91,14 @@ def _check_transitions(transitions, n_keep: int):
 
 
 def _rates_point(params, spectrum, eta, pq, transitions, interference):
+    # One transition_rate call, one quadrature batch, whatever the labels;
+    # interference "off" reports the degenerate-pair entries as zero.
+    keys = [key for key in transitions if interference == "on"
+            or key not in ((0, 1, 1, 0), (1, 0, 0, 1))]
     integrator = PatIntegrator.from_params(params)
-    # The interference switch never touches a population entry g1_i_i_j_j.
-    if all(i == ii and j == jj for (i, ii, j, jj) in transitions):
-        pairs = [(i, j) for (i, _ii, j, _jj) in transitions]
-        # One quadrature for the whole point; the rates then hit the cache.
-        integrator.evaluate(np.concatenate([
-            transition_offsets(params, spectrum, eta.dm_max, pq, i, j)[1]
-            .ravel() for i, j in pairs]))
-        return [transition_rate(params, spectrum, eta, pq, integrator, i, j)
-                for i, j in pairs]
-    gamma1 = rate_table(params, spectrum, eta=eta, pq=pq,
-                        integrator=integrator).gamma1
-    if interference == "off":
-        gamma1[0, 1, 1, 0] = gamma1[1, 0, 0, 1] = 0j
-    keys = np.array(transitions, np.intp).reshape(-1, 4).T
-    return gamma1[tuple(keys)].real.tolist()
+    values = dict(zip(keys, transition_rate(params, spectrum, eta, pq,
+                                            integrator, keys)))
+    return [values.get(key, 0.0) for key in transitions]
 
 
 def _rates_voltage_worker(job):

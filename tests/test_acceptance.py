@@ -44,10 +44,10 @@ def test_acceptance_1_thresholds_and_cooling_onset(params, spectrum, eta,
     cold = params.replace(temp_n=0.01, temp_s=0.01)
     integ_cold = PatIntegrator.from_params(cold)
     pq_cold = charge_distribution(cold, integ_cold)
-    below = transition_rate(cold.replace(bias_v=v1 - 2e9), spectrum, eta,
-                            pq_cold, integ_cold, 1, 2)
-    above = transition_rate(cold.replace(bias_v=v1 + 2e9), spectrum, eta,
-                            pq_cold, integ_cold, 1, 2)
+    [below] = transition_rate(cold.replace(bias_v=v1 - 2e9), spectrum, eta,
+                              pq_cold, integ_cold, [(1, 1, 2, 2)])
+    [above] = transition_rate(cold.replace(bias_v=v1 + 2e9), spectrum, eta,
+                              pq_cold, integ_cold, [(1, 1, 2, 2)])
     jump = above / below
     jump_ok = jump >= 10.0
 

@@ -11,9 +11,8 @@ from kpoqcr import (ChargeDistributionError, QuadratureError, SystemParams,
                     charge_distribution, diagonalize_kpo, dynes_dos, fermi,
                     pat_integral, rate_table)
 from kpoqcr import junction, quad
-from kpoqcr.junction import (PatIntegrator, charge_transition_rates,
-                             elastic_weight, forward_p, pat_breakpoints,
-                             pat_integrals, pat_integrand)
+from kpoqcr.junction import (PatIntegrator, _charge_rates, elastic_weight,
+                             pat_breakpoints, pat_integrals, pat_integrand)
 from kpoqcr.oracles import flat_dos_forward
 from kpoqcr.quad import (BLOCK_INTEGRALS, WG, WGK, XGK, adaptive_gk,
                          integrate, plan_panels)
@@ -73,6 +72,15 @@ def test_kernels_take_scalars_and_0d_arrays(value):
             assert np.ndim(got) == 0 and float(got) == want
 
 
+@pytest.mark.parametrize("t_hz", [2e9, 0.0])
+def test_fermi_returns_a_scalar_for_scalar_input(t_hz):
+    for arg in (-0.5e9, 0.5e9, np.float64(0.0), np.array(-1e9)):
+        assert type(fermi(arg, t_hz)) is np.float64
+    got = fermi(np.array([-1e9, 0.0, 1e9]), t_hz)
+    assert type(got) is np.ndarray and got.shape == (3,)
+    assert fermi(np.array([0.0]), t_hz).shape == (1,)
+
+
 def test_fermi_is_the_tanh_form_bitwise():
     t = 2.0836619123e9
     eps = np.concatenate([np.linspace(-40 * t, 40 * t, 4001),
@@ -106,6 +114,21 @@ def test_fermi_limits():
     eps = np.linspace(-10 * t, 10 * t, 41)
     assert np.max(np.abs(fermi(eps, t) + fermi(-eps, t) - 1.0)) < 1e-12
     assert fermi(-1.0, 0.0) == 1.0 and fermi(1.0, 0.0) == 0.0 and fermi(0.0, 0.0) == 0.5
+
+
+def test_zero_temperature_closed_form(params):
+    # At T = 0 the forward integral is the DOS integrated over (0, -x), and
+    # Re(z / sqrt(z^2 - 1)) has the antiderivative Re sqrt(z^2 - 1).
+    gap, gd = params.gap_hz, params.gamma_dynes
+    x = np.array([-1, -5, -20, -40, -48.36, -50, -60, -80, -95]) * 1e9
+    z = -x / gap + 1j * gd
+    want = gap * (np.sqrt(z * z - 1.0).real
+                  - np.sqrt(complex(-gd * gd - 1.0)).real)
+    got = pat_integrals(x, gap, gd, 0.0, 0.0, rel_tol=1e-12)
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-12
+    # No support for x >= 0.
+    zero = pat_integrals([0.0, 1e9, 50e9], gap, gd, 0.0, 0.0, rel_tol=1e-12)
+    assert zero.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_zero_temperature_integrals_have_sharp_support():
@@ -435,10 +458,10 @@ def test_unconverged_integral_in_batch_raises(params):
     assert info.value.index == len(offsets) - 1 >= BLOCK_INTEGRALS
 
 
-def test_forward_p_detailed_balance(params, integrator):
+def test_evaluate_detailed_balance(params, integrator):
     t = params.t_n_hz
     e = 4e9
-    ratio = forward_p(integrator, e) / forward_p(integrator, -e)
+    ratio = integrator.evaluate([-e])[0] / integrator.evaluate([e])[0]
     assert ratio == pytest.approx(math.exp(e / t), rel=1e-7)
 
 
@@ -457,8 +480,8 @@ def test_elastic_weight_normalization():
 
 def test_charge_rates_fock_level_independence(params, integrator):
     # The Fock-level weight cancels in gain/loss ratios.
-    g0, l0 = charge_transition_rates(params, integrator, q=1, m=0)
-    g3, l3 = charge_transition_rates(params, integrator, q=1, m=3)
+    [(g0, l0)] = _charge_rates(params, integrator, [1], 0)
+    [(g3, l3)] = _charge_rates(params, integrator, [1], 3)
     assert g0 / l0 == pytest.approx(g3 / l3, rel=1e-12)
 
 
@@ -472,6 +495,22 @@ def test_equilibrium_distribution_is_boltzmann(params, pq):
     probs = np.array(pq.probs)
     assert np.max(np.abs(probs - w) / w.max()) < 1e-8
     assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_equilibrium_distribution_tail_is_pinned(params, pq):
+    # Relative to Boltzmann, charge by charge.  The deviation grows with |q|
+    # because the thermally activated gain integrals shrink toward the
+    # quadrature's absolute floor rel_tol * k_B T (0.21 Hz at defaults).
+    # Bounds are twice the values measured at defaults, |q| = 0 to 5 (every
+    # charge kept above PQ_FLOOR), so a coarser tunneling function shows.
+    bound = [7.0e-9, 5.3e-9, 6.7e-8, 3.9e-7, 2.2e-6, 1.9e-5]
+    qs = np.array(pq.q_values)
+    w = np.exp(-params.e_island * qs.astype(float) ** 2 / params.t_n_hz)
+    w /= w.sum()
+    deviation = np.abs(np.array(pq.probs) / w - 1.0)
+    for q, dev in zip(qs, deviation):
+        if abs(q) < len(bound):
+            assert dev <= bound[abs(q)], (q, dev)
 
 
 def test_distribution_symmetric_and_normalized(params):

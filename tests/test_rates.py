@@ -210,28 +210,6 @@ def _sequential_table(params, spectrum, eta, pq, integ, interference="on"):
     return gamma1, core2
 
 
-def _sequential_transition_rate(params, spectrum, eta, pq, integ, i, j):
-    """Reference transition_rate: a plain loop in dm, q order with its own
-    offset association ((de + A) + B) - V."""
-    energies, parity = spectrum.energies, spectrum.parity
-    de = float(energies[i] - energies[j])
-    acc = 0.0
-    for dm in range(-eta.dm_max, eta.dm_max + 1):
-        if parity[i] * parity[j] != (1.0 if dm % 2 == 0 else -1.0):
-            continue
-        wf = abs(eta.f[dm][i, j]) ** 2
-        wb = abs(eta.b[dm][i, j]) ** 2
-        for q, p in pq.items():
-            if p < PQ_FLOOR:
-                continue
-            off_f = de + params.e_island * (1.0 + 2.0 * q) \
-                + params.omega_rf * dm - params.bias_v
-            off_b = -de - params.e_island * (1.0 - 2.0 * q) \
-                - params.omega_rf * dm - params.bias_v
-            acc += p * (integ.forward(off_f) * wf + integ.backward(off_b) * wb)
-    return 2.0 * params.r_ratio * acc
-
-
 def _hex(array):
     return [float(v).hex() for v in np.asarray(array).view(float).ravel()]
 
@@ -260,20 +238,6 @@ def test_assembly_bitwise_equals_sequential_loop(params, spectrum, eta, pq,
         assert _hex(table.core2) == _hex(_dense(core2, (n, n)))
 
 
-def test_transition_rate_bitwise_equals_sequential_loop(params, spectrum,
-                                                        eta, pq, integrator,
-                                                        table_0k):
-    # Pairs across the spectrum: between the degenerate doublets the two
-    # offset associations round alike, so they alone would miss a swap.
-    pairs = [(i, j) for i in range(0, spectrum.n_keep, 2)
-             for j in range(spectrum.n_keep) if (i + j) % 3 == 0]
-    for inputs in ((params, spectrum, eta, pq, integrator), table_0k[:5]):
-        for i, j in pairs:
-            got = transition_rate(*inputs, i, j)
-            want = _sequential_transition_rate(*inputs, i, j)
-            assert float(got).hex() == float(want).hex()
-
-
 def test_population_rates_nonnegative(small_table):
     n = small_table.n
     for i in range(n):
@@ -282,15 +246,44 @@ def test_population_rates_nonnegative(small_table):
                 assert small_table.g1_diag(i, j) >= 0.0
 
 
-def test_transition_rate_matches_table(small_params, small_spectrum,
-                                        small_inputs, small_table):
-    # Independent path: the scalar routine loops sidebands directly instead
-    # of going through the matched-cluster assembly.
-    eta, pq, integ = small_inputs
-    for i, j in ((0, 2), (1, 2), (2, 1), (0, 1), (3, 0)):
-        direct = transition_rate(small_params, small_spectrum, eta, pq,
-                                 integ, i, j)
-        assert direct == pytest.approx(small_table.g1_diag(i, j), rel=1e-12)
+def _transition_case(request, case):
+    """Inputs and full table: (params, spectrum, eta, pq, integrator, table)."""
+    if case == "45GHz":
+        return [request.getfixturevalue(name) for name in
+                ("params", "spectrum", "eta", "pq", "integrator", "table45")]
+    if case == "0K":
+        return request.getfixturevalue("table_0k")
+    params = request.getfixturevalue("params")
+    p = {"39GHz": params.replace(bias_v=39e9),
+         "10mK": params.replace(temp_n=0.01, temp_s=0.01),
+         "n_keep6": request.getfixturevalue("small_params")}[case]
+    spec = diagonalize_kpo(p)
+    eta = eta_table(spec, p.rho_c, p.dm_max)
+    integ = PatIntegrator.from_params(p)
+    pq = charge_distribution(p, integ)
+    return p, spec, eta, pq, integ, rate_table(p, spec, eta=eta, pq=pq,
+                                               integrator=integ)
+
+
+@pytest.mark.parametrize("case", ["45GHz", "39GHz", "0K", "10mK", "n_keep6"])
+def test_transition_rate_bitwise_equals_table(request, case):
+    # transition_rate assembles only its keys' terms, with the table's own
+    # code, so every value is the table entry bit for bit: each population
+    # rate, both interference entries, and an unmatched key (exactly 0.0).
+    # A fresh integrator makes its batch differ from the table's.
+    p, spec, eta, pq, _integ, table = _transition_case(request, case)
+    n = spec.n_keep
+    unmatched = (0, 0, 0, n - 2)
+    matched = {slot[:4] for slot in
+               match_sets(spec, p.omega_rf, p.match_tol).class1}
+    assert unmatched not in matched
+    keys = ([(i, i, j, j) for i in range(n) for j in range(n)]
+            + [(0, 1, 1, 0), (1, 0, 0, 1), unmatched])
+    got = transition_rate(p, spec, eta, pq, PatIntegrator.from_params(p),
+                          keys)
+    assert [x.hex() for x in got] == \
+        [float(table.gamma1[key].real).hex() for key in keys]
+    assert table.gamma1[0, 1, 1, 0] != 0j and got[-1] == 0.0
 
 
 def test_interference_off_zeroes_cross_terms(params, spectrum, eta, pq,

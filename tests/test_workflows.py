@@ -41,31 +41,40 @@ def test_default_transitions_cover_qubit_channels():
     assert (0, 0, 1, 1) in DEFAULT_TRANSITIONS   # intra-qubit flip
 
 
+# The default transitions plus the two interference entries.
+WITH_INTERFERENCE = DEFAULT_TRANSITIONS + ((0, 1, 1, 0), (1, 0, 0, 1))
+
+
+def _refuse_table(*args, **kwargs):
+    raise AssertionError("a rate table was built")
+
+
 @pytest.mark.parametrize("temp_k", [None, 0.01])
 def test_rates_point_is_one_quadrature_and_bitwise(params, spectrum, eta,
                                                    temp_k, monkeypatch):
-    # A diagonal rates point integrates all of its transitions' offsets in
-    # one batch (the sweep hands it the charge distribution), and every
-    # rate is bitwise what transition_rate gives on its own.
+    # A rates point integrates all of its transitions' offsets in one batch
+    # (the sweep hands it the charge distribution), builds no table, and
+    # every rate is bitwise what transition_rate gives on its own.
     p = params.replace(bias_v=39e9)
     if temp_k is not None:
         p = p.replace(temp_n=temp_k, temp_s=temp_k)
     pq = charge_distribution(p)
-    batches = []
-
-    def counted(offsets, *args):
-        batches.append(len(offsets))
-        return pat_integrals(offsets, *args)
-
     pat_integrals = junction.pat_integrals
-    monkeypatch.setattr(junction, "pat_integrals", counted)
-    got = _rates_point(p, spectrum, eta, pq, DEFAULT_TRANSITIONS, "on")
-    assert len(batches) == 1
-    monkeypatch.undo()
-    integrator = PatIntegrator.from_params(p)
-    want = [transition_rate(p, spectrum, eta, pq, integrator, i, j)
-            for (i, _ii, j, _jj) in DEFAULT_TRANSITIONS]
-    assert [x.hex() for x in got] == [x.hex() for x in want]
+    for transitions in (DEFAULT_TRANSITIONS, WITH_INTERFERENCE):
+        batches = []
+
+        def counted(offsets, *args):
+            batches.append(len(offsets))
+            return pat_integrals(offsets, *args)
+
+        monkeypatch.setattr(junction, "pat_integrals", counted)
+        monkeypatch.setattr(workflows, "rate_table", _refuse_table)
+        got = _rates_point(p, spectrum, eta, pq, transitions, "on")
+        assert len(batches) == 1
+        monkeypatch.undo()
+        integrator = PatIntegrator.from_params(p)
+        want = transition_rate(p, spectrum, eta, pq, integrator, transitions)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def test_rates_sweep_pinned_row(params):
@@ -77,18 +86,19 @@ def test_rates_sweep_pinned_row(params):
         assert got == pytest.approx(want, rel=1e-6)
 
 
-def _refuse_table(*args, **kwargs):
-    raise AssertionError("a rate table was built")
-
-
 def test_rates_sweep_interference_off_diagonal_bitwise(params, monkeypatch):
-    # The switch never touches a population entry, so the default
-    # transitions take the one-batch path either way, bit for bit.
-    on = rates_sweep(params, "voltage", np.array([39e9]))
+    # The switch never touches a population entry, so those agree bit for
+    # bit either way; off reports the interference entries as zero.  No
+    # point builds a table.
     monkeypatch.setattr(workflows, "rate_table", _refuse_table)
-    off = rates_sweep(params, "voltage", np.array([39e9]),
-                      interference="off")
-    assert on.data.tobytes() == off.data.tobytes()
+    k = len(DEFAULT_TRANSITIONS)
+    for transitions in (DEFAULT_TRANSITIONS, WITH_INTERFERENCE):
+        on = rates_sweep(params, "voltage", np.array([39e9]),
+                         transitions=transitions).data
+        off = rates_sweep(params, "voltage", np.array([39e9]),
+                          transitions=transitions, interference="off").data
+        assert on[:, :k].tobytes() == off[:, :k].tobytes()
+        assert np.all(on[:, k:] != 0.0) and np.all(off[:, k:] == 0.0)
 
 
 def test_rates_sweep_threads_agree(params):
