@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import sys
@@ -39,11 +40,6 @@ _SWEEP_DEFAULTS = {
     "steady": {"voltage": (30e9, 55e9, 26)},
     "bitflip": {"alpha": (1.0, 2.5, 31)},
 }
-
-
-def _fail(code: int, message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
 
 
 def _load_setup(config_path: str | None) -> tuple[SystemParams, dict]:
@@ -100,6 +96,8 @@ def _resolve_sweep(command: str, sections: dict, axis_flag: str | None,
     if unknown:
         raise ConfigError(f"unknown sweep keys: {sorted(unknown)}")
     defaults = _SWEEP_DEFAULTS[command]
+    if not isinstance(section.get("axis", ""), str):
+        raise ConfigError("sweep key 'axis' must be a string")
     axis = axis_flag or section.get("axis") or next(iter(defaults))
     if axis not in defaults:
         raise ConfigError(
@@ -173,25 +171,75 @@ def _emit(out_path: str | None, as_json: bool, params: SystemParams,
         text = "\n".join(lines) + "\n"
     if out_path is None:
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         with open(out_path, "w") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_path}: {exc}") from exc
 
 
-def _common(fn):
-    fn = click.option("--threads", type=int, default=None,
-                      help="Worker processes of the rates, steady and "
-                           "bitflip sweeps (one BLAS thread each); "
-                           "dynamics, husimi and pq accept it and run in "
-                           "one process.")(fn)
-    fn = click.option("--json", "as_json", is_flag=True,
-                      help="Emit JSON instead of CSV.")(fn)
-    fn = click.option("--out", "out_path", type=click.Path(dir_okay=False),
-                      default=None, help="Output file (default stdout).")(fn)
-    fn = click.option("--config", "config_path",
-                      type=click.Path(exists=False, dir_okay=False),
-                      default=None, help="Flat JSON config file.")(fn)
-    return fn
+@contextlib.contextmanager
+def _guarded():
+    """Turn a ConfigError into exit 2 and a numerical failure into exit 3,
+    each with a one-line message on stderr."""
+    try:
+        yield
+    except ConfigError as exc:
+        code, message = 2, str(exc)
+    except _RUN_ERRORS as exc:
+        code, message = 3, str(exc)
+    else:
+        return
+    click.echo(f"error: {message}", err=True)
+    sys.exit(code)
+
+
+@click.group()
+def main() -> None:
+    """Tunneling-driven transition rates and dissipative dynamics of a
+    two-photon-pumped Kerr oscillator coupled to a voltage-biased
+    normal-metal island."""
+
+
+_config_option = click.option(
+    "--config", "config_path", type=click.Path(exists=False, dir_okay=False),
+    default=None, help="Flat JSON config file.")
+_COMMON_OPTIONS = (
+    _config_option,
+    click.option("--out", "out_path", type=click.Path(dir_okay=False),
+                 default=None, help="Output file (default stdout)."),
+    click.option("--json", "as_json", is_flag=True,
+                 help="Emit JSON instead of CSV."),
+    click.option("--threads", type=int, default=None,
+                 help="Worker processes of the rates, steady and bitflip "
+                      "sweeps (one BLAS thread each); dynamics, husimi and "
+                      "pq accept it and run in one process."),
+)
+
+
+def _run_command(fn):
+    """Register `fn` as a subcommand with --config, --out, --json and
+    --threads ahead of its own options.
+
+    `fn(params, sections, threads, **flags)` returns (meta, columns, rows);
+    the runner adds the command name to the meta and writes the document
+    to stdout or --out.
+    """
+    def run(config_path, out_path, as_json, threads, **flags):
+        with _guarded():
+            params, sections = _load_setup(config_path)
+            out = _resolve_out(out_path, sections)
+            meta, columns, rows = fn(params, sections,
+                                     _resolve_threads(threads, sections),
+                                     **flags)
+            _emit(out, as_json, params, {"command": fn.__name__, **meta},
+                  columns, rows)
+
+    run.__click_params__ = fn.__click_params__
+    for option in reversed(_COMMON_OPTIONS):  # click lists the last first
+        run = option(run)
+    return main.command(fn.__name__, help=fn.__doc__)(run)
 
 
 def _sweep_flags(fn):
@@ -204,24 +252,20 @@ def _sweep_flags(fn):
     return fn
 
 
-def _guarded(body) -> None:
-    try:
-        body()
-    except ConfigError as exc:
-        _fail(2, str(exc))
-    except _RUN_ERRORS as exc:
-        _fail(3, str(exc))
+def _sweep_output(result):
+    meta = {"axis": result.axis, "sweep_points": result.values.size,
+            **result.meta}
+    return meta, [result.axis, *result.columns], result.rows()
 
 
-@click.group()
-def main() -> None:
-    """Tunneling-driven transition rates and dissipative dynamics of a
-    two-photon-pumped Kerr oscillator coupled to a voltage-biased
-    normal-metal island."""
+def _section(sections: dict, key: str, **flags) -> dict:
+    """Config section `key` with the flags that were given laid over it."""
+    raw = dict(sections.get(key, {}))
+    raw.update({k: v for k, v in flags.items() if v is not None})
+    return raw
 
 
-@main.command()
-@_common
+@_run_command
 @_sweep_flags
 @click.option("--sweep", "axis_flag", type=click.Choice(["voltage", "alpha"]),
               default=None, help="Sweep axis.")
@@ -230,95 +274,57 @@ def main() -> None:
               help="Keep or drop the degenerate-pair interference entries.")
 @click.option("--transitions", "transitions_flag", type=str, default=None,
               help="Comma-separated labels g1_<mu>_<mup>_<nu>_<nup>.")
-def rates(config_path, out_path, as_json, threads, from_, to, points,
-          axis_flag, interference_flag, transitions_flag) -> None:
+def rates(params, sections, threads, from_, to, points, axis_flag,
+          interference_flag, transitions_flag):
     """Tunneling transition rates along a voltage or alpha sweep."""
-    def body():
-        params, sections = _load_setup(config_path)
-        axis, values = _resolve_sweep("rates", sections, axis_flag,
-                                      from_, to, points)
-        transitions = _resolve_transitions(transitions_flag, sections)
-        interference = interference_flag or sections.get("interference", "on")
-        result = rates_sweep(params, axis, values, transitions=transitions,
-                             interference=interference,
-                             threads=_resolve_threads(threads, sections))
-        meta = {"command": "rates", "axis": axis,
-                "interference": interference,
-                "sweep_points": values.size}
-        _emit(_resolve_out(out_path, sections), as_json, params, meta,
-              [axis, *result.columns], result.rows())
-    _guarded(body)
+    axis, values = _resolve_sweep("rates", sections, axis_flag,
+                                  from_, to, points)
+    transitions = _resolve_transitions(transitions_flag, sections)
+    interference = interference_flag or sections.get("interference", "on")
+    return _sweep_output(rates_sweep(params, axis, values,
+                                     transitions=transitions,
+                                     interference=interference,
+                                     threads=threads))
 
 
-@main.command()
-@_common
+@_run_command
 @_sweep_flags
-def steady(config_path, out_path, as_json, threads, from_, to, points) -> None:
+def steady(params, sections, threads, from_, to, points):
     """Stationary state of the full master equation along a voltage sweep."""
-    def body():
-        params, sections = _load_setup(config_path)
-        axis, values = _resolve_sweep("steady", sections, None,
-                                      from_, to, points)
-        result = steady_sweep(params, values,
-                              threads=_resolve_threads(threads, sections))
-        meta = {"command": "steady", "axis": axis,
-                "sweep_points": values.size}
-        _emit(_resolve_out(out_path, sections), as_json, params, meta,
-              [axis, *result.columns], result.rows())
-    _guarded(body)
+    _, values = _resolve_sweep("steady", sections, None, from_, to, points)
+    return _sweep_output(steady_sweep(params, values, threads=threads))
 
 
-@main.command()
-@_common
+@_run_command
 @_sweep_flags
-def bitflip(config_path, out_path, as_json, threads, from_, to, points) -> None:
+def bitflip(params, sections, threads, from_, to, points):
     """Branch-flip rate with and without the interference entries, vs alpha."""
-    def body():
-        params, sections = _load_setup(config_path)
-        axis, values = _resolve_sweep("bitflip", sections, None,
-                                      from_, to, points)
-        result = bitflip_sweep(params, values,
-                               threads=_resolve_threads(threads, sections))
-        meta = {"command": "bitflip", "axis": axis,
-                "sweep_points": values.size}
-        _emit(_resolve_out(out_path, sections), as_json, params, meta,
-              [axis, *result.columns], result.rows())
-    _guarded(body)
+    _, values = _resolve_sweep("bitflip", sections, None, from_, to, points)
+    return _sweep_output(bitflip_sweep(params, values, threads=threads))
 
 
-@main.command()
-@_common
+@_run_command
 @click.option("--initial", type=str, default=None,
               help="phi0, phi1, phi_alpha or phi_minus_alpha.")
 @click.option("--t-end", type=float, default=None, help="Final time, s.")
 @click.option("--points", type=int, default=None, help="Output grid points.")
 @click.option("--t-qcr-on", type=float, default=None,
               help="Time at which the tunneling junction is switched on, s.")
-def dynamics(config_path, out_path, as_json, threads, initial, t_end,
-             points, t_qcr_on) -> None:
+def dynamics(params, sections, _threads, **schedule_flags):
     """Populations versus time with the junction switched on mid-run."""
-    def body():
-        params, sections = _load_setup(config_path)
-        raw = dict(sections.get("schedule", {}))
-        overrides = {"initial": initial, "t_end": t_end, "points": points,
-                     "t_qcr_on": t_qcr_on}
-        raw.update({k: v for k, v in overrides.items() if v is not None})
-        schedule = Schedule.from_dict(raw)
-        result = dynamics_run(params, schedule)
-        meta = {"command": "dynamics", "initial": schedule.initial,
-                "t_end": schedule.t_end, "t_qcr_on": schedule.t_qcr_on,
-                "trace_drift": result.trace_drift,
-                "min_eigenvalue": result.min_eigenvalue}
-        columns = ["time",
-                   *(f"pop_{k}" for k in range(params.n_keep)),
-                   "pop_qubit", "pop_branch_plus", "qcr_active"]
-        _emit(_resolve_out(out_path, sections), as_json, params, meta,
-              columns, result.rows())
-    _guarded(body)
+    schedule = Schedule.from_dict(_section(sections, "schedule",
+                                           **schedule_flags))
+    result = dynamics_run(params, schedule)
+    meta = {"initial": schedule.initial, "t_end": schedule.t_end,
+            "t_qcr_on": schedule.t_qcr_on,
+            "trace_drift": result.trace_drift,
+            "min_eigenvalue": result.min_eigenvalue}
+    columns = ["time", *(f"pop_{k}" for k in range(params.n_keep)),
+               "pop_qubit", "pop_branch_plus", "qcr_active"]
+    return meta, columns, result.rows()
 
 
-@main.command()
-@_common
+@_run_command
 @click.option("--source", type=click.Choice(["steady", "evolve"]),
               default=None, help="Map the stationary state or an evolved one.")
 @click.option("--time", "time_", type=float, default=None,
@@ -331,67 +337,51 @@ def dynamics(config_path, out_path, as_json, threads, initial, t_end,
               help="Grid points per phase-space axis.")
 @click.option("--extent", type=float, default=None,
               help="Symmetric window half-width in both quadratures.")
-def husimi(config_path, out_path, as_json, threads, source, time_, initial,
-           qcr, points, extent) -> None:
+def husimi(params, sections, _threads, source, time_, initial, qcr, points,
+           extent):
     """Husimi Q map of the stationary or evolved state."""
-    def body():
-        params, sections = _load_setup(config_path)
-        raw = dict(sections.get("husimi", {}))
-        overrides = {"source": source, "time": time_, "initial": initial,
-                     "qcr": qcr, "points": points}
-        raw.update({k: v for k, v in overrides.items() if v is not None})
-        if extent is not None:
-            if extent <= 0.0:
-                raise ConfigError("extent must be positive")
-            raw.update({"re_min": -extent, "re_max": extent,
-                        "im_min": -extent, "im_max": extent})
-        cfg = HusimiConfig.from_dict(raw)
-        result = husimi_run(params, cfg)
-        meta = {"command": "husimi", "norm": result.norm}
-        meta.update({f"husimi_{k}": v for k, v in result.meta.items()})
-        _emit(_resolve_out(out_path, sections), as_json, params, meta,
-              ["re", "im", "q"], result.rows())
-    _guarded(body)
+    raw = _section(sections, "husimi", source=source, time=time_,
+                   initial=initial, qcr=qcr, points=points)
+    if extent is not None:
+        if extent <= 0.0:
+            raise ConfigError("extent must be positive")
+        raw.update({"re_min": -extent, "re_max": extent,
+                    "im_min": -extent, "im_max": extent})
+    result = husimi_run(params, HusimiConfig.from_dict(raw))
+    meta = {"norm": result.norm,
+            **{f"husimi_{k}": v for k, v in result.meta.items()}}
+    return meta, ["re", "im", "q"], result.rows()
 
 
-@main.command()
+@_run_command
 @click.option("--pumped", is_flag=True,
               help="Evaluate the elastic rates at the operating bias instead "
                    "of in equilibrium (sensitivity check).")
-@_common
-def pq(config_path, out_path, as_json, threads, pumped) -> None:
+def pq(params, _sections, _threads, pumped):
     """Stationary island charge-state distribution."""
-    def body():
-        params, sections = _load_setup(config_path)
-        result = pq_run(params, pumped=pumped)
-        meta = {"command": "pq", **result.meta}
-        _emit(_resolve_out(out_path, sections), as_json, params, meta,
-              ["q", *result.columns], result.rows())
-    _guarded(body)
+    result = pq_run(params, pumped=pumped)
+    return result.meta, ["q", *result.columns], result.rows()
 
 
 @main.command()
-@click.option("--config", "config_path",
-              type=click.Path(exists=False, dir_okay=False), default=None,
-              help="Flat JSON config file.")
+@_config_option
 @click.option("--json", "as_json", is_flag=True,
               help="Emit the report as JSON.")
 def validate(config_path, as_json) -> None:
     """Run the closed-form and cross-check suite; exit 4 on any failure."""
-    def body():
+    with _guarded():
         params, _sections = _load_setup(config_path)
         reports = run_oracle_suite(params)
-        if as_json:
-            payload = [report.__dict__ for report in reports]
-            click.echo(json.dumps(payload, sort_keys=True, indent=2))
-        else:
-            for report in reports:
-                click.echo(report.line())
-            failed = sum(not r.passed for r in reports)
-            click.echo(f"{len(reports) - failed}/{len(reports)} checks passed")
-        if any(not r.passed for r in reports):
-            sys.exit(4)
-    _guarded(body)
+    if as_json:
+        payload = [report.__dict__ for report in reports]
+        click.echo(json.dumps(payload, sort_keys=True, indent=2))
+    else:
+        for report in reports:
+            click.echo(report.line())
+        failed = sum(not r.passed for r in reports)
+        click.echo(f"{len(reports) - failed}/{len(reports)} checks passed")
+    if any(not r.passed for r in reports):
+        sys.exit(4)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .constants import TWO_PI
-from .errors import EvolveError, SteadyStateError
+from .errors import ConfigError, EvolveError, SteadyStateError
 from .params import SystemParams
 from .rates import RateTable
 from .spectrum import Spectrum, build_fock_operators, coherent_state
@@ -154,11 +154,11 @@ def initial_state(spectrum: Spectrum, name: str) -> np.ndarray:
     elif name.startswith("phi") and name[3:].isdigit():
         k = int(name[3:])
         if k >= n:
-            raise ValueError(
+            raise ConfigError(
                 f"initial state {name!r} outside the {n} retained levels")
         rho[k, k] = 1.0
     else:
-        raise ValueError(
+        raise ConfigError(
             f"unknown initial state {name!r}; expected phi<k>, "
             f"phi_alpha or phi_minus_alpha")
     return rho

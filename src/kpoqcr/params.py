@@ -76,7 +76,8 @@ class SystemParams:
         _require(self.n_fock >= 8, "n_fock must be at least 8")
         _require(2 <= self.n_keep <= self.n_fock // 2,
                  "n_keep must lie in [2, n_fock/2]")
-        _require(self.dm_max >= 1, "dm_max must be at least 1")
+        _require(1 <= self.dm_max < self.n_fock,
+                 "dm_max must lie in [1, n_fock)")
         _require(self.q_max >= 1, "q_max must be at least 1")
         _require(self.match_tol > 0, "match_tol must be positive")
         _require(0 < self.quad_rel_tol < 1e-2,

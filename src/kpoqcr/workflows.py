@@ -1,9 +1,10 @@
 """Run engines shared by the command-line interface.
 
 Each sweep builds its voltage- or alpha-independent objects once, then maps
-a module-level worker over the sweep points.  Along the bias axis these
-include the island charge distribution, which is taken at zero bias
-(charge_distribution with pumped=False) and so is the same at every point.
+a module-level worker over the sweep points.  Along both the bias and the
+alpha axis these include the island charge distribution: it is taken at
+zero bias (charge_distribution with pumped=False) and does not read the
+pump, so it is the same at every point.
 Workers are pure functions of their argument tuple, so results are
 identical whether the map runs serially or on a process pool; pool results
 come back in submission order.
@@ -108,11 +109,10 @@ def _rates_voltage_worker(job):
 
 
 def _rates_alpha_worker(job):
-    params, alpha, transitions, interference = job
+    params, pq, alpha, transitions, interference = job
     p = params.with_alpha(float(alpha))
     spectrum = diagonalize_kpo(p)
     eta = eta_table(spectrum, p.rho_c, p.dm_max)
-    pq = charge_distribution(p)
     return _rates_point(p, spectrum, eta, pq, transitions, interference)
 
 
@@ -140,7 +140,8 @@ def rates_sweep(
     elif axis == "alpha":
         if np.any(values <= 0.0):
             raise ConfigError("alpha sweep values must be positive")
-        jobs = [(params, a, transitions, interference) for a in values]
+        pq = charge_distribution(params)
+        jobs = [(params, pq, a, transitions, interference) for a in values]
         rows = _pool_map(_rates_alpha_worker, jobs, threads)
     else:
         raise ConfigError(f"unknown sweep axis {axis!r}; use voltage or alpha")
@@ -187,13 +188,12 @@ def steady_sweep(params: SystemParams, voltages, threads: int = 1) -> SweepResul
 
 
 def _bitflip_worker(job):
-    params, alpha = job
+    params, pq, alpha = job
     p = params.with_alpha(float(alpha))
     spectrum = diagonalize_kpo(p)
     eta = eta_table(spectrum, p.rho_c, p.dm_max)
-    integrator = PatIntegrator.from_params(p)
-    pq = charge_distribution(p, integrator)
-    rate_on, rate_off = bitflip_rates(p, spectrum, eta, pq, integrator)
+    rate_on, rate_off = bitflip_rates(p, spectrum, eta, pq,
+                                      PatIntegrator.from_params(p))
     ratio = rate_on / rate_off if rate_off != 0.0 else np.inf
     return [rate_on, rate_off, ratio]
 
@@ -202,7 +202,8 @@ def bitflip_sweep(params: SystemParams, alphas, threads: int = 1) -> SweepResult
     alphas = np.asarray(alphas, float)
     if np.any(alphas <= 0.0):
         raise ConfigError("alpha sweep values must be positive")
-    jobs = [(params, a) for a in alphas]
+    pq = charge_distribution(params)
+    jobs = [(params, pq, a) for a in alphas]
     rows = _pool_map(_bitflip_worker, jobs, threads)
     return SweepResult(
         axis="alpha",
@@ -272,11 +273,11 @@ class DynamicsResult:
 
 def dynamics_run(params: SystemParams, schedule: Schedule) -> DynamicsResult:
     spectrum = diagonalize_kpo(params)
+    rho0 = initial_state(spectrum, schedule.initial)
     eta = eta_table(spectrum, params.rho_c, params.dm_max)
     table = rate_table(params, spectrum, eta=eta)
     gen_on = assemble_generator(spectrum, params, table)
     gen_off = assemble_generator(spectrum, params, None)
-    rho0 = initial_state(spectrum, schedule.initial)
     t_grid = np.linspace(0.0, schedule.t_end, schedule.points)
     traj = evolve(rho0, (gen_off, gen_on),
                   {"t_qcr_on": schedule.t_qcr_on}, t_grid)
@@ -350,9 +351,9 @@ def husimi_run(params: SystemParams, cfg: HusimiConfig) -> HusimiResult:
         rho, residual = steady_state(gen)
         meta["residual"] = residual
     else:
+        rho0 = initial_state(spectrum, cfg.initial)
         table = rate_table(params, spectrum) if cfg.qcr == "on" else None
         gen = assemble_generator(spectrum, params, table)
-        rho0 = initial_state(spectrum, cfg.initial)
         if cfg.time == 0.0:
             rho = rho0
         else:

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import kpoqcr
-from kpoqcr import HusimiConfig, Schedule, SystemParams
+from kpoqcr import HusimiConfig, Schedule, SystemParams, workflows
 from kpoqcr.cli import _emit, main
 from kpoqcr.workflows import dynamics_run, husimi_run
 
@@ -113,6 +113,56 @@ def test_config_errors_exit_2(runner, tmp_path):
     bad_threads = _write(tmp_path, "c.json", {"threads": 0})
     result = runner.invoke(main, ["rates", "--config", bad_threads])
     assert result.exit_code == 2
+
+
+def _one_line_error(result, code: int) -> str:
+    """The message of a run that exited with `code` and no traceback."""
+    assert result.exit_code == code, result.output
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), result.output
+    return lines[0]
+
+
+@pytest.mark.parametrize("command", ["rates", "steady", "bitflip",
+                                     "dynamics", "husimi", "pq"])
+def test_run_commands_reject_unknown_config_keys(runner, tmp_path, command):
+    cfg = _write(tmp_path, "u.json", {"nonsense": 1})
+    result = runner.invoke(main, [command, "--config", cfg])
+    assert "unknown parameter key: 'nonsense'" in _one_line_error(result, 2)
+
+
+@pytest.mark.parametrize("args, config, message", [
+    (["rates"], {"sweep": {"axis": ["voltage"]}},
+     "sweep key 'axis' must be a string"),
+    (["dynamics"], {"dm_max": 60}, "dm_max must lie in [1, n_fock)"),
+    (["dynamics", "--initial", "bogus"], None,
+     "unknown initial state 'bogus'"),
+    (["husimi", "--source", "evolve", "--initial", "phi99"], None,
+     "initial state 'phi99' outside the 12 retained levels"),
+], ids=["axis_list", "dm_max_n_fock", "dynamics_initial", "husimi_initial"])
+def test_bad_inputs_exit_2_before_any_rate_table(runner, tmp_path,
+                                                 monkeypatch, args, config,
+                                                 message):
+    def no_table(*args, **kwargs):
+        raise AssertionError("rate table built before the input was checked")
+
+    monkeypatch.setattr(workflows, "rate_table", no_table)
+    if config is not None:
+        args = args + ["--config", _write(tmp_path, "c.json", config)]
+    assert message in _one_line_error(runner.invoke(main, args), 2)
+
+
+def test_out_is_opened_only_to_write_a_finished_run(runner, tmp_path):
+    out = tmp_path / "missing" / "x.csv"
+    result = runner.invoke(main, ["pq", "--out", str(out)])
+    assert f"cannot write {out}" in _one_line_error(result, 2)
+    # A run that fails leaves no empty file behind.
+    cfg = _write(tmp_path, "q.json", {"quad_rel_tol": 1e-17})
+    out = tmp_path / "p.csv"
+    result = runner.invoke(main, ["pq", "--config", cfg, "--out", str(out)])
+    _one_line_error(result, 3)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("args, key", [

@@ -50,6 +50,7 @@ def test_replace_returns_new_instance():
     {"n_fock": 4},
     {"n_keep": 40},          # above n_fock / 2
     {"dm_max": 0},
+    {"dm_max": 60},          # not below n_fock
     {"q_max": 0},
     {"match_tol": 0.0},
     {"quad_rel_tol": 0.1},

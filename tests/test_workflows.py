@@ -123,27 +123,34 @@ def test_sweep_threads_agree_bitwise(params, sweep, values):
     assert serial.data.tobytes() == parallel.data.tobytes()
 
 
-def test_voltage_sweeps_compute_the_charge_distribution_once(params,
-                                                             monkeypatch):
-    # The distribution is taken at zero bias, so it is the same at every
-    # point of a bias sweep, bit for bit; the sweep computes it once and
-    # hands it to its points.
+def test_sweeps_compute_the_charge_distribution_once(params, monkeypatch):
+    # The distribution is taken at zero bias and does not read the pump, so
+    # it is the same at every point of a bias or an alpha sweep, bit for
+    # bit; each sweep computes it once and hands it to its points.
     for bias in (0.0, 33e9, 47e9):
         assert charge_distribution(params.replace(bias_v=bias)) \
+            == charge_distribution(params)
+    for alpha in (1.0, 1.7, 2.5):
+        assert charge_distribution(params.with_alpha(alpha)) \
             == charge_distribution(params)
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(args[0].bias_v)
+        calls.append(args[0])
         return charge_distribution(*args, **kwargs)
 
     monkeypatch.setattr(workflows, "charge_distribution", counted)
     monkeypatch.setattr(rates, "charge_distribution", counted)
     volts = np.array([45e9, 33e9, 47e9])
     steady_sweep(params, volts)
-    assert calls == [params.bias_v]
+    assert calls == [params]
     rates_sweep(params, "voltage", volts)
-    assert calls == [params.bias_v] * 2
+    assert calls == [params] * 2
+    alphas = np.array([1.7, 2.5])
+    rates_sweep(params, "alpha", alphas)
+    assert calls == [params] * 3
+    bitflip_sweep(params, alphas)
+    assert calls == [params] * 4
 
 
 def test_rates_sweep_alpha_axis(params):
