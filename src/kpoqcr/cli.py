@@ -23,7 +23,7 @@ from .errors import (CatStateError, ChargeDistributionError, ConfigError,
                      EvolveError, MatchingError, QuadratureError,
                      SpectrumError, SteadyStateError)
 from .oracles import run_oracle_suite
-from .params import SystemParams, config_number, load_config
+from .params import SystemParams, config_fields, config_number, load_config
 from .workflows import (DEFAULT_TRANSITIONS, HusimiConfig, Schedule,
                         bitflip_sweep, dynamics_run, husimi_run,
                         parse_transition_label, pq_run, rates_sweep,
@@ -33,7 +33,6 @@ _SECTION_KEYS = ("sweep", "schedule", "husimi", "rates", "interference",
                  "threads", "out")
 _RUN_ERRORS = (QuadratureError, SpectrumError, CatStateError, MatchingError,
                ChargeDistributionError, EvolveError, SteadyStateError)
-_SWEEP_KEYS = ("axis", "from", "to", "points", "from_ghz", "to_ghz")
 
 _SWEEP_DEFAULTS = {
     "rates": {"voltage": (0.0, 60e9, 121), "alpha": (1.0, 2.5, 61)},
@@ -55,9 +54,8 @@ def _resolve_threads(flag: int | None, sections: dict) -> int:
     if flag is not None:
         value = flag
     elif "threads" in sections:
-        value = sections["threads"]
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError("config key 'threads' must be an integer")
+        value = config_number(sections["threads"], "config key 'threads'",
+                              integer=True)
     else:
         value = min(4, os.cpu_count() or 1)
     if value < 1:
@@ -83,21 +81,15 @@ def _section_endpoint(section: dict, base: str, axis: str) -> float | None:
                           f"the voltage axis")
     if not plain and not ghz:
         return None
-    key = base if plain else base + "_ghz"
-    value = config_number(section[key], f"sweep key {key!r}")
-    return value * (1e9 if ghz else 1.0)
+    return section[base] if plain else section[base + "_ghz"] * 1e9
 
 
 def _resolve_sweep(command: str, sections: dict, axis_flag: str | None,
                    from_flag: float | None, to_flag: float | None,
                    points_flag: int | None) -> tuple[str, np.ndarray]:
-    section = sections.get("sweep", {})
-    unknown = set(section) - set(_SWEEP_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown sweep keys: {sorted(unknown)}")
+    section = config_fields(sections.get("sweep", {}), ("axis",), ("points",),
+                            ("from", "to", "from_ghz", "to_ghz"), "sweep")
     defaults = _SWEEP_DEFAULTS[command]
-    if not isinstance(section.get("axis", ""), str):
-        raise ConfigError("sweep key 'axis' must be a string")
     axis = axis_flag or section.get("axis") or next(iter(defaults))
     if axis not in defaults:
         raise ConfigError(
@@ -108,10 +100,9 @@ def _resolve_sweep(command: str, sections: dict, axis_flag: str | None,
         else _section_endpoint(section, "from", axis)
     hi = to_flag if to_flag is not None \
         else _section_endpoint(section, "to", axis)
-    pts = points_flag if points_flag is not None else section.get("points")
-    if pts is None:
-        pts = pts_d
-    if isinstance(pts, bool) or not isinstance(pts, int) or pts < 1:
+    pts = points_flag if points_flag is not None \
+        else section.get("points", pts_d)
+    if pts < 1:
         raise ConfigError("sweep points must be a positive integer")
     lo = lo_d if lo is None else lo
     hi = hi_d if hi is None else hi

@@ -178,6 +178,29 @@ def config_number(value: Any, what: str, integer: bool = False) -> float | int:
     return number
 
 
+def config_fields(raw: dict, str_keys: tuple, int_keys: tuple,
+                  float_keys: tuple, where: str) -> dict:
+    """Config section `raw` with its keys checked and its numbers cleaned.
+
+    String keys must hold strings; the others go through config_number,
+    as integers for `int_keys`.  Raises ConfigError naming `where` for an
+    unknown key or a value of the wrong type.
+    """
+    unknown = set(raw) - set(str_keys) - set(int_keys) - set(float_keys)
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    clean: dict = {}
+    for key, value in raw.items():
+        if key in str_keys:
+            if not isinstance(value, str):
+                raise ConfigError(f"{where} key {key!r} must be a string")
+            clean[key] = value
+        else:
+            clean[key] = config_number(value, f"{where} key {key!r}",
+                                       integer=key in int_keys)
+    return clean
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)

@@ -1,13 +1,19 @@
 """Run engines shared by the command-line interface.
 
-Each sweep builds its voltage- or alpha-independent objects once, then maps
-a module-level worker over the sweep points.  Along both the bias and the
-alpha axis these include the island charge distribution: it is taken at
+The three sweeps (rates, steady, bitflip) run on one engine, `_sweep`.  It
+first builds every point's parameters (`replace(bias_v=v)` on the voltage
+axis, `with_alpha(a)` on the alpha axis), so an out-of-range value fails
+with a ConfigError before any spectrum, sideband table or charge
+distribution is built.  It then computes what the points share once: on
+the voltage axis the spectrum and sideband table, which do not depend on
+the bias; on both axes the island charge distribution, which is taken at
 zero bias (charge_distribution with pumped=False) and does not read the
-pump, so it is the same at every point.
-Workers are pure functions of their argument tuple, so results are
-identical whether the map runs serially or on a process pool; pool results
-come back in submission order.
+pump.  Along the alpha axis each point diagonalizes its own oscillator.
+Every job has one shape, (point, params, pq, shared), and one worker calls
+point(params, spectrum, eta, pq) on it.
+Points are pure functions of their job, so results are identical whether
+the map runs serially or on a process pool; pool results come back in
+submission order.
 
 The pool forks.  `import kpoqcr` has already capped numpy's OpenBLAS at
 one thread (`kpoqcr._blas`), before any fork, so every worker inherits one
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import get_context
 
 import numpy as np
@@ -27,7 +34,7 @@ from .dynamics import (assemble_generator, evolve, husimi_q, initial_state,
                        steady_state)
 from .errors import ConfigError
 from .junction import PatIntegrator, charge_distribution
-from .params import SystemParams, config_number
+from .params import SystemParams, config_fields
 from .rates import bitflip_rates, eta_table, rate_table, transition_rate
 # perfbench/tracing.py wraps these by name here; no sweep calls them.
 from .rates import match_sets, qcr_bitflip_rate  # noqa: F401
@@ -87,8 +94,40 @@ def _check_transitions(transitions, n_keep: int):
                 f"transition {key} outside the retained space of {n_keep} states")
 
 
+def _steady_solve(params, spectrum, eta=None, pq=None):
+    """(rho, residual) of the stationary state with the junction on."""
+    table = rate_table(params, spectrum, eta=eta, pq=pq)
+    return steady_state(assemble_generator(spectrum, params, table))
+
+
 # ---------------------------------------------------------------------------
-# Transition-rate sweeps
+# Sweeps: one engine, one worker, one job shape
+
+
+def _sweep_worker(job):
+    point, params, pq, shared = job
+    if shared is None:
+        spectrum = diagonalize_kpo(params)
+        shared = spectrum, eta_table(spectrum, params.rho_c, params.dm_max)
+    return point(params, *shared, pq)
+
+
+def _sweep(params: SystemParams, axis: str, values, point, columns,
+           threads: int, meta: dict) -> SweepResult:
+    # Every point's parameters first, so a bad value fails before any work.
+    values = np.asarray(values, float)
+    if axis == "voltage":
+        points = [params.replace(bias_v=float(v)) for v in values]
+        spectrum = diagonalize_kpo(params)
+        shared = spectrum, eta_table(spectrum, params.rho_c, params.dm_max)
+    else:
+        points = [params.with_alpha(float(a)) for a in values]
+        shared = None
+    pq = charge_distribution(params)
+    rows = _pool_map(_sweep_worker, [(point, p, pq, shared) for p in points],
+                     threads)
+    return SweepResult(axis=axis, values=values, columns=columns,
+                       data=np.array(rows, float), meta=meta)
 
 
 def _rates_point(params, spectrum, eta, pq, transitions, interference):
@@ -102,20 +141,6 @@ def _rates_point(params, spectrum, eta, pq, transitions, interference):
     return [values.get(key, 0.0) for key in transitions]
 
 
-def _rates_voltage_worker(job):
-    params, spectrum, eta, pq, bias, transitions, interference = job
-    return _rates_point(params.replace(bias_v=float(bias)), spectrum, eta,
-                        pq, transitions, interference)
-
-
-def _rates_alpha_worker(job):
-    params, pq, alpha, transitions, interference = job
-    p = params.with_alpha(float(alpha))
-    spectrum = diagonalize_kpo(p)
-    eta = eta_table(spectrum, p.rho_c, p.dm_max)
-    return _rates_point(p, spectrum, eta, pq, transitions, interference)
-
-
 def rates_sweep(
     params: SystemParams,
     axis: str,
@@ -127,112 +152,44 @@ def rates_sweep(
     if interference not in ("on", "off"):
         raise ConfigError(
             f"interference must be 'on' or 'off', got {interference!r}")
-    values = np.asarray(values, float)
     transitions = tuple(tuple(t) for t in transitions)
     _check_transitions(transitions, params.n_keep)
-    if axis == "voltage":
-        spectrum = diagonalize_kpo(params)
-        eta = eta_table(spectrum, params.rho_c, params.dm_max)
-        pq = charge_distribution(params)
-        jobs = [(params, spectrum, eta, pq, v, transitions, interference)
-                for v in values]
-        rows = _pool_map(_rates_voltage_worker, jobs, threads)
-    elif axis == "alpha":
-        if np.any(values <= 0.0):
-            raise ConfigError("alpha sweep values must be positive")
-        pq = charge_distribution(params)
-        jobs = [(params, pq, a, transitions, interference) for a in values]
-        rows = _pool_map(_rates_alpha_worker, jobs, threads)
-    else:
+    if axis not in ("voltage", "alpha"):
         raise ConfigError(f"unknown sweep axis {axis!r}; use voltage or alpha")
-    return SweepResult(
-        axis=axis,
-        values=values,
-        columns=[transition_label(t) for t in transitions],
-        data=np.array(rows, float),
-        meta={"interference": interference},
-    )
+    point = partial(_rates_point, transitions=transitions,
+                    interference=interference)
+    return _sweep(params, axis, values, point,
+                  [transition_label(t) for t in transitions], threads,
+                  {"interference": interference})
 
 
-# ---------------------------------------------------------------------------
-# Steady states along the bias axis
-
-
-def _steady_worker(job):
-    params, spectrum, eta, pq, bias = job
-    p = params.replace(bias_v=float(bias))
-    table = rate_table(p, spectrum, eta=eta, pq=pq)
-    gen = assemble_generator(spectrum, p, table)
-    rho, residual = steady_state(gen)
+def _steady_point(params, spectrum, eta, pq):
+    rho, residual = _steady_solve(params, spectrum, eta, pq)
     pops = np.real(np.diag(rho))
     return [pops[0], pops[1], pops[0] + pops[1], residual]
 
 
 def steady_sweep(params: SystemParams, voltages, threads: int = 1) -> SweepResult:
-    voltages = np.asarray(voltages, float)
-    spectrum = diagonalize_kpo(params)
-    eta = eta_table(spectrum, params.rho_c, params.dm_max)
-    pq = charge_distribution(params)
-    jobs = [(params, spectrum, eta, pq, v) for v in voltages]
-    rows = _pool_map(_steady_worker, jobs, threads)
-    return SweepResult(
-        axis="voltage",
-        values=voltages,
-        columns=["pop_phi0", "pop_phi1", "pop_qubit", "residual"],
-        data=np.array(rows, float),
-    )
+    return _sweep(params, "voltage", voltages, _steady_point,
+                  ["pop_phi0", "pop_phi1", "pop_qubit", "residual"], threads,
+                  {})
 
 
-# ---------------------------------------------------------------------------
-# Branch-flip rates along the alpha axis
-
-
-def _bitflip_worker(job):
-    params, pq, alpha = job
-    p = params.with_alpha(float(alpha))
-    spectrum = diagonalize_kpo(p)
-    eta = eta_table(spectrum, p.rho_c, p.dm_max)
-    rate_on, rate_off = bitflip_rates(p, spectrum, eta, pq,
-                                      PatIntegrator.from_params(p))
+def _bitflip_point(params, spectrum, eta, pq):
+    rate_on, rate_off = bitflip_rates(params, spectrum, eta, pq,
+                                      PatIntegrator.from_params(params))
     ratio = rate_on / rate_off if rate_off != 0.0 else np.inf
     return [rate_on, rate_off, ratio]
 
 
 def bitflip_sweep(params: SystemParams, alphas, threads: int = 1) -> SweepResult:
-    alphas = np.asarray(alphas, float)
-    if np.any(alphas <= 0.0):
-        raise ConfigError("alpha sweep values must be positive")
-    pq = charge_distribution(params)
-    jobs = [(params, pq, a) for a in alphas]
-    rows = _pool_map(_bitflip_worker, jobs, threads)
-    return SweepResult(
-        axis="alpha",
-        values=alphas,
-        columns=["rate_interference", "rate_no_interference", "ratio"],
-        data=np.array(rows, float),
-    )
+    return _sweep(params, "alpha", alphas, _bitflip_point,
+                  ["rate_interference", "rate_no_interference", "ratio"],
+                  threads, {})
 
 
 # ---------------------------------------------------------------------------
 # Time evolution
-
-
-def _clean_fields(raw: dict, str_keys: tuple, int_keys: tuple,
-                  float_keys: tuple, where: str) -> dict:
-    allowed = set(str_keys) | set(int_keys) | set(float_keys)
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-    clean: dict = {}
-    for key, value in raw.items():
-        if key in str_keys:
-            if not isinstance(value, str):
-                raise ConfigError(f"{where} key {key!r} must be a string")
-            clean[key] = value
-            continue
-        clean[key] = config_number(value, f"{where} key {key!r}",
-                                   integer=key in int_keys)
-    return clean
 
 
 @dataclass
@@ -244,7 +201,7 @@ class Schedule:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "Schedule":
-        sched = cls(**_clean_fields(raw, ("initial",), ("points",),
+        sched = cls(**config_fields(raw, ("initial",), ("points",),
                                     ("t_end", "t_qcr_on"), "schedule"))
         if sched.t_end <= 0.0:
             raise ConfigError("schedule t_end must be positive")
@@ -312,7 +269,7 @@ class HusimiConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "HusimiConfig":
-        cfg = cls(**_clean_fields(
+        cfg = cls(**config_fields(
             raw, ("source", "initial", "qcr"), ("points",),
             ("time", "re_min", "re_max", "im_min", "im_max"), "husimi"))
         if cfg.source not in ("steady", "evolve"):
@@ -346,10 +303,7 @@ def husimi_run(params: SystemParams, cfg: HusimiConfig) -> HusimiResult:
     spectrum = diagonalize_kpo(params)
     meta: dict = {"source": cfg.source}
     if cfg.source == "steady":
-        table = rate_table(params, spectrum)
-        gen = assemble_generator(spectrum, params, table)
-        rho, residual = steady_state(gen)
-        meta["residual"] = residual
+        rho, meta["residual"] = _steady_solve(params, spectrum)
     else:
         rho0 = initial_state(spectrum, cfg.initial)
         table = rate_table(params, spectrum) if cfg.qcr == "on" else None

@@ -140,7 +140,11 @@ def test_run_commands_reject_unknown_config_keys(runner, tmp_path, command):
      "unknown initial state 'bogus'"),
     (["husimi", "--source", "evolve", "--initial", "phi99"], None,
      "initial state 'phi99' outside the 12 retained levels"),
-], ids=["axis_list", "dm_max_n_fock", "dynamics_initial", "husimi_initial"])
+    (["rates"], {"threads": 2.5}, "config key 'threads' must be an integer"),
+    (["steady"], {"sweep": {"points": 1.5}},
+     "sweep key 'points' must be an integer"),
+], ids=["axis_list", "dm_max_n_fock", "dynamics_initial", "husimi_initial",
+        "threads_fraction", "points_fraction"])
 def test_bad_inputs_exit_2_before_any_rate_table(runner, tmp_path,
                                                  monkeypatch, args, config,
                                                  message):
@@ -151,6 +155,20 @@ def test_bad_inputs_exit_2_before_any_rate_table(runner, tmp_path,
     if config is not None:
         args = args + ["--config", _write(tmp_path, "c.json", config)]
     assert message in _one_line_error(runner.invoke(main, args), 2)
+
+
+def test_integral_floats_read_as_integers(runner, tmp_path):
+    # threads and sweep.points take 2.0 for 2, like every integer key.
+    outputs = []
+    for number in (2, 2.0):
+        cfg = _write(tmp_path, "n.json", {
+            "threads": number,
+            "sweep": {"from_ghz": 39.0, "to_ghz": 40.0, "points": number}})
+        result = runner.invoke(main, ["rates", "--config", cfg])
+        assert result.exit_code == 0, result.output
+        outputs.append(result.output)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[-2].startswith("39000000000,")
 
 
 def test_out_is_opened_only_to_write_a_finished_run(runner, tmp_path):

@@ -112,15 +112,36 @@ def _rates_voltage_sweep(params, values, threads):
     return rates_sweep(params, "voltage", values, threads=threads)
 
 
+def _rates_alpha_sweep(params, values, threads):
+    return rates_sweep(params, "alpha", values, interference="off",
+                       threads=threads)
+
+
 @pytest.mark.parametrize("sweep, values", [
     (steady_sweep, [45e9, 47e9, 33e9]),
     (bitflip_sweep, [1.3, 2.0]),
     (_rates_voltage_sweep, [39e9, 45e9, 20e9]),
-], ids=["steady", "bitflip", "rates"])
+    (_rates_alpha_sweep, [1.3, 2.0]),
+], ids=["steady", "bitflip", "rates", "rates_alpha"])
 def test_sweep_threads_agree_bitwise(params, sweep, values):
     serial = sweep(params, np.array(values), threads=1)
     parallel = sweep(params, np.array(values), threads=2)
     assert serial.data.tobytes() == parallel.data.tobytes()
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the sweep points were checked")
+
+
+def test_sweep_points_are_checked_before_any_work(params, monkeypatch):
+    monkeypatch.setattr(workflows, "diagonalize_kpo", _no_work)
+    monkeypatch.setattr(workflows, "charge_distribution", _no_work)
+    with pytest.raises(ConfigError, match="bias_v must be non-negative"):
+        steady_sweep(params, np.array([45e9, -1e9]))
+    with pytest.raises(ConfigError, match="alpha must be positive"):
+        bitflip_sweep(params, np.array([2.0, -1.0]))
+    with pytest.raises(ConfigError, match="alpha must be positive"):
+        rates_sweep(params, "alpha", np.array([1.0, 0.0]))
 
 
 def test_sweeps_compute_the_charge_distribution_once(params, monkeypatch):
