@@ -27,8 +27,8 @@ from .workflows import (DEFAULT_TRANSITIONS, DynamicsResult, HusimiConfig,
 from ._blas import cap_threads
 from ._heap import keep_freed_memory
 
-# numpy's bundled OpenBLAS is loaded by now; one thread, inherited by
-# forked sweep workers, as is the malloc setting.
+# numpy's bundled OpenBLAS is loaded by now: one thread, and the malloc
+# setting, for the whole process.
 cap_threads()
 keep_freed_memory()
 

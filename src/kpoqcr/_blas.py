@@ -5,7 +5,7 @@ whose thread pool spans the machine.  kpoqcr loads no other; one that the
 caller mapped first, such as scipy's, is capped as well.  On the small
 matrices here that pool costs far more than it gives: on 2 vCPUs the
 144x144 steady-state solve takes up to 160 ms with two threads and 1-3 ms
-with one, and forked sweep workers would each run it on every core.
+with one.
 """
 from __future__ import annotations
 

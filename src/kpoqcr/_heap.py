@@ -9,7 +9,7 @@ at the start values every round faults its pages in again: a cold table
 took 22.9k minor page faults, and a 4-point steady sweep on two workers
 88.5k (2 vCPUs).  With the thresholds below they take 1.3k and 7.1k.  The
 values are those glibc's own rule would reach after freeing a 16 MiB
-block; peak RSS grows by 1-2 MiB.  Forked sweep workers inherit them.
+block; peak RSS grows by 1-2 MiB.
 """
 from __future__ import annotations
 

@@ -203,9 +203,8 @@ _COMMON_OPTIONS = (
     click.option("--json", "as_json", is_flag=True,
                  help="Emit JSON instead of CSV."),
     click.option("--threads", type=int, default=None,
-                 help="Worker processes of the rates, steady and bitflip "
-                      "sweeps (one BLAS thread each); dynamics, husimi and "
-                      "pq accept it and run in one process."),
+                 help="Accepted and checked (at least 1) but without "
+                      "effect: every command runs in one process."),
 )
 
 

@@ -15,6 +15,13 @@ the zero-temperature step).  Negating an offset is exact in floating point,
 so terms of either direction that must interfere still share bit-identical
 offsets.  Rate formulas supply the offset; the normalization 1/h is absorbed
 by the Hz energy convention.
+
+Every QCR rate is a sum of this one tunneling function F(x) = forward(x) at
+offsets x = de + A_q + dm omega_rf - V (Silveri et al., PRB 96, 094524
+(2017)).  pat_integrals integrates F at given offsets.  PatIntegrator holds
+F for a whole sweep: at T_N > 0 as Chebyshev panels on a thermal grid that
+the parameters alone fix, at T_N = 0 as one integral per offset; a value
+depends only on its offset, bit for bit.
 """
 from __future__ import annotations
 
@@ -34,6 +41,19 @@ from .quad import adaptive_gk  # noqa: F401
 _THERMAL_WINDOW = 35.0   # Fermi factors are machine-zero this many k_B T out
 _PQ_TAIL_LIMIT = 1e-10   # required probability at the charge cutoff
 _DYNES_PANELS = 10.0     # Dynes widths gamma*gap in the first graded panel
+
+# The Chebyshev panels of PatIntegrator (T_N > 0).
+_PANEL_KT = 16.0         # base panel width in k_B T_N
+_NODE_TOL = 1e-2         # node integrals at this fraction of rel_tol
+_TAIL_TOL = 1e-2         # tail coefficients within this fraction of tol
+_MAX_SPLITS = 8          # halvings of a base panel before giving up
+_CHEB_N = 24
+# First-kind nodes cos(theta_j) on [-1, 1], their barycentric weights, and
+# the rows of Chebyshev coefficients n - 2 and n - 1 over node values.
+_THETA = (2 * np.arange(_CHEB_N) + 1) * np.pi / (2 * _CHEB_N)
+_CHEB_T = np.cos(_THETA)
+_CHEB_W = np.where(np.arange(_CHEB_N) % 2 == 0, 1.0, -1.0) * np.sin(_THETA)
+_TAIL = (2.0 / _CHEB_N) * np.cos(np.outer([_CHEB_N - 2, _CHEB_N - 1], _THETA))
 
 
 def dynes_dos(eps, gap_hz: float, gamma_dynes: float):
@@ -212,13 +232,52 @@ def pat_integral(
 
 
 class PatIntegrator:
-    """Caches forward tunneling integrals, keyed by offset.
+    """The forward tunneling function F(x) of one junction, shared by every
+    rate built from it.
 
-    Degenerate eigenstates are energy-snapped upstream, so transitions that
-    must interfere share bit-identical offsets and therefore identical
-    values; interference cancellations then happen algebraically.  The
-    batched entry point, evaluate(), keeps this exact: a value depends only
-    on its offset, never on what else was evaluated in the same batch.
+    F depends only on (gap, gamma_dynes, T_S, T_N, rel_tol), never on the
+    bias, the sideband or the charge that produce an offset, so one
+    integrator serves a whole sweep.  For T_N > 0 it holds F as Chebyshev
+    panels on a grid fixed by those parameters alone:
+
+    - base panel k is [k W, (k + 1) W) with W = 16 k_B T_N;
+    - a panel holds F at its 24 first-kind Chebyshev nodes, integrated by
+      pat_integrals at rel_tol / 100;
+    - the tail test reads that panel's own node values: the panel is kept
+      if its last two Chebyshev coefficients are within 1e-2 of the
+      smallest tolerance on it, rel_tol * max(min |F|, k_B T) with the
+      floor of pat_integrals, and is split in half otherwise (at most 8
+      times: measured splits go 3 deep, and deeper ones would only chase
+      node noise, so that raises QuadratureError);
+    - panels are built lazily, the whole split tree of a base index at
+      once, and one evaluate() call stores all of its new panels or none.
+
+    F' is n_s (1 - f_S) smoothed by the island Fermi edge, so F is
+    analytic within pi k_B T_N of the real axis, and 16 k_B T_N panels
+    split at most a few times, near the peak at x = -gap.  A cold default
+    table (10.5k distinct offsets) takes 336 node integrals and keeps 10
+    panels, 0.023 s of CPU against 0.22-0.28 s for one integral per
+    offset.  Against rel_tol 1e-13 integrals, the interpolated values of
+    whole tables are within 3.1e-3 of the table tolerance
+    max(rel_tol |F|, rel_tol k_B T) from 0.01 to 0.3 K, and within 1.9e-3
+    at T_S / T_N = 0.2 / 0.02 K and 0 / 0.1 K.
+
+    Since the nodes run at rel_tol / 100, a rel_tol below about 3e-12
+    asks them for less than the quadrature's roundoff and raises
+    QuadratureError (1e-12 fails at 0.01 K, 1e-13 at 0.1 K).
+
+    At T_N = 0 no thermal grid fits: F' is then the Dynes peak itself,
+    gamma_dynes * gap wide, and F has a kink at x = 0.  That path keeps
+    one integral per distinct offset, cached by offset.
+
+    Bitwise rule: a value depends only on its offset and the parameters.
+    The panel an offset reads is fixed by the grid and by tail tests that
+    see one panel's nodes each, and the barycentric sums are row-local
+    (einsum, never a BLAS product, see quad).  So equal offsets get
+    bit-identical values alone, in a rate table or in a sweep, whichever
+    panels were built first.  Degenerate eigenstates are energy-snapped
+    upstream, so transitions that must interfere share bit-identical
+    offsets, and their cancellations stay exact.
     Backward integrals are looked up at the negated offset.
     """
 
@@ -229,38 +288,106 @@ class PatIntegrator:
         self.temp_s_hz = temp_s_hz
         self.temp_n_hz = temp_n_hz
         self.rel_tol = rel_tol
-        self._cache: dict[float, float] = {}
+        self._width = _PANEL_KT * temp_n_hz
+        # At T_N = 0, each offset's value; otherwise, each base index's
+        # panels as (left edges, node offsets, node values).
+        self._store: dict = {}
 
     @classmethod
     def from_params(cls, params: SystemParams) -> "PatIntegrator":
         return cls(params.gap_hz, params.gamma_dynes, params.t_s_hz,
                    params.t_n_hz, params.quad_rel_tol)
 
+    def _integrals(self, offsets, rel_tol):
+        return pat_integrals(offsets, self.gap_hz, self.gamma_dynes,
+                             self.temp_s_hz, self.temp_n_hz, rel_tol)
+
     def evaluate(self, offsets) -> np.ndarray:
         """Forward integrals at offsets, as an array of the same shape.
 
-        Offsets not yet cached are integrated together in one batch and
-        stored; if one of them fails, none is stored and QuadratureError
-        propagates, its index the first position of the failing offset in
-        the flattened offsets.
+        Missing panels (at T_N = 0, missing offsets) are integrated in one
+        batch and stored; if an integral fails, nothing is stored and
+        QuadratureError propagates, naming the first offset that needed
+        it, its index that offset's position in the flattened offsets.
         """
         offsets = np.asarray(offsets, float)
-        distinct, inverse = np.unique(offsets.ravel(), return_inverse=True)
-        distinct = distinct.tolist()
-        missing = [x for x in distinct if x not in self._cache]
+        flat = offsets.ravel()
+        distinct, inverse = np.unique(flat, return_inverse=True)
+        direct = self._width == 0.0
+        keys = distinct if direct else np.floor(distinct / self._width)
+        missing = [k for k in dict.fromkeys(keys.tolist())
+                   if k not in self._store]
         if missing:
             try:
-                values = pat_integrals(missing, self.gap_hz, self.gamma_dynes,
-                                       self.temp_s_hz, self.temp_n_hz,
-                                       self.rel_tol)
+                if direct:
+                    found = self._integrals(missing, self.rel_tol)
+                    self._store.update(zip(missing, found.tolist()))
+                else:
+                    self._store.update(self._build(missing))
             except QuadratureError as exc:
-                k = distinct.index(missing[exc.index])
-                raise QuadratureError(
-                    str(exc), exc.achieved_rel_err,
-                    int(np.argmax(inverse == k))) from exc
-            self._cache.update(zip(missing, values.tolist()))
-        values = np.array([self._cache[x] for x in distinct])
+                i = int(np.argmax(keys[inverse] == missing[exc.index]))
+                message = str(exc) if direct else (
+                    f"tunneling integral at offset {float(flat[i])!r} Hz: "
+                    f"{exc}")
+                raise QuadratureError(message, exc.achieved_rel_err,
+                                      i) from exc
+        if direct:
+            values = np.array([self._store[x] for x in distinct.tolist()])
+        else:
+            values = self._interpolate(distinct, keys)
         return values[inverse].reshape(offsets.shape)
+
+    def _interpolate(self, distinct, base):
+        """Values at the sorted distinct offsets, in base panels base."""
+        nodes = np.empty((distinct.size, _CHEB_N))
+        values = np.empty_like(nodes)
+        start = np.flatnonzero(np.diff(base, prepend=np.nan) != 0.0)
+        for a, b in zip(start, [*start[1:], distinct.size]):
+            lefts, x, f = self._store[float(base[a])]
+            leaf = np.searchsorted(lefts, distinct[a:b], "right") - 1
+            np.maximum(leaf, 0, out=leaf)
+            nodes[a:b], values[a:b] = x[leaf], f[leaf]
+        return _barycentric(distinct, nodes, values)
+
+    def _build(self, keys) -> dict:
+        """{k: (left edges, node offsets, node values)} of the base indices
+        keys, splitting every panel that fails the tail test, with one node
+        batch per round.  A failure's index is its position in keys."""
+        k_t = max(self.temp_s_hz, self.temp_n_hz)
+        pending = [(i, k * self._width, (k + 1) * self._width)
+                   for i, k in enumerate(keys)]
+        leaves = [[] for _ in keys]
+        for _round in range(_MAX_SPLITS + 1):
+            lo, hi = np.array([p[1:] for p in pending]).T[:, :, None]
+            x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHEB_T
+            try:
+                f = self._integrals(x.ravel(), self.rel_tol * _NODE_TOL)
+            except QuadratureError as exc:
+                i = pending[exc.index // _CHEB_N][0]
+                raise QuadratureError(
+                    f"interpolation panel [{keys[i] * self._width!r}, "
+                    f"{(keys[i] + 1) * self._width!r}) Hz: {exc}",
+                    exc.achieved_rel_err, i) from exc
+            f = f.reshape(x.shape)
+            tail = np.max([np.abs(np.einsum("ij,j->i", f, row))
+                           for row in _TAIL], axis=0)
+            tol = _TAIL_TOL * self.rel_tol * np.maximum(
+                np.abs(f).min(axis=1), k_t)
+            split = []
+            for (i, a, b), xi, fi, ok in zip(pending, x, f, tail <= tol):
+                if ok:
+                    leaves[i].append((a, xi, fi))
+                else:
+                    split += [(i, a, 0.5 * (a + b)), (i, 0.5 * (a + b), b)]
+            if not split:
+                return {k: tuple(map(np.array, zip(*sorted(
+                    panels, key=lambda leaf: leaf[0]))))
+                    for k, panels in zip(keys, leaves)}
+            pending = split
+        i, a, b = pending[0]
+        raise QuadratureError(
+            f"tunneling function unresolved on [{a!r}, {b!r}) Hz after "
+            f"{_MAX_SPLITS} halvings of its panel", math.inf, i)
 
     def forward(self, offset: float) -> float:
         return float(self.evaluate([offset])[0])
@@ -269,7 +396,24 @@ class PatIntegrator:
         return float(self.evaluate([-offset])[0])
 
     def __len__(self) -> int:
-        return len(self._cache)
+        """Tunneling integrals held: node values, or at T_N = 0 offsets."""
+        if self._width == 0.0:
+            return len(self._store)
+        return _CHEB_N * sum(len(lefts) for lefts, _x, _f
+                             in self._store.values())
+
+
+def _barycentric(x, nodes, values):
+    """Each row's Chebyshev interpolant at x, in the second barycentric form
+    (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)); x on a node gives that
+    node's value.  The sums are row-local einsums."""
+    d = x[:, None] - nodes
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = _CHEB_W / d
+        out = np.einsum("ij,ij->i", q, values) / np.einsum("ij->i", q)
+    hit = d == 0.0
+    out[hit.any(axis=1)] = values[hit]
+    return out
 
 
 def elastic_weight(m: int, rho_c: float) -> float:

@@ -17,7 +17,7 @@ from .dynamics import expm
 from .junction import (PatIntegrator, charge_distribution, dynes_dos, fermi,
                        pat_integral)
 from .params import SystemParams
-from .rates import (bitflip_rates, displacement_matrix, eta_table,
+from .rates import (PQ_FLOOR, bitflip_rates, displacement_matrix, eta_table,
                     hermiticity_residual, qcr_bitflip_rate, rate_table,
                     trace_residual)
 from .spectrum import (Spectrum, build_fock_operators, cat_states,
@@ -350,5 +350,42 @@ def run_oracle_suite(params: SystemParams | None = None) -> list[OracleReport]:
     floor = 1e-11 * float(np.abs(table.core2).max())
     reports.append(_report_abs("qcr_bitflip_signed_sum", got, want,
                                max(1e-8 * abs(want), floor), "cross-check"))
+
+    # Zero temperature, on the per-offset path the integrator keeps for
+    # T_N = 0: for x < 0, F(x) = gap Re sqrt(z^2 - 1) at z = -x/gap + i gd,
+    # minus its value at x = 0 (the antiderivative of Re(z / sqrt(z^2 - 1))),
+    # and F(x) = 0 exactly for x >= 0.  The absolute floor rel_tol k_B T is
+    # zero here, so the relative tolerance alone applies; the quadrature
+    # meets it with room: 1.4e-13 at quad_rel_tol 1e-10 and at 1e-8.
+    cold = PatIntegrator(gap, gd, 0.0, 0.0, params.quad_rel_tol)
+    x = np.array([-1.0, -5.0, -20.0, -40.0, -48.36, -50.0, -60.0, -80.0,
+                  -95.0]) * 1e9
+    z = -x / gap + 1j * gd
+    want = gap * (np.sqrt(z * z - 1.0).real
+                  - np.sqrt(complex(-gd * gd - 1.0)).real)
+    worst = float(np.max(np.abs(cold.evaluate(x) / want - 1.0)))
+    if np.any(cold.evaluate([0.0, 1e9, 50e9]) != 0.0):
+        worst = math.inf
+    reports.append(_report_abs("zero_temperature_closed_form", worst, 0.0,
+                               1e-12, "closed-form"))
+
+    # Zero-bias detailed balance makes the charge distribution Boltzmann in
+    # the charging energy, p_q ~ exp(-E_c q^2 / k_B T), for any density of
+    # states; here through the interpolated F.  The worst relative
+    # deviation over the charges kept above PQ_FLOOR is what the floor
+    # rel_tol k_B T costs: the gain integrals F(E_c (1 + 2q)) fall toward
+    # it as |q| grows (1.3e5 Hz at q = 0, 349 Hz at q = 4, against 0.21 Hz
+    # at defaults), and the panel nodes meet rel_tol / 100 of it.  Measured:
+    # 1.3e-7 at q = +-5 at defaults, 3.5e-8 at 0.12 K, 6.9e-8 at 0.03 K.
+    equilibrium = charge_distribution(params)
+    qs = np.array(equilibrium.q_values, float)
+    boltzmann = np.exp(-params.e_island * qs * qs / params.t_n_hz)
+    boltzmann /= boltzmann.sum()
+    kept = boltzmann >= PQ_FLOOR
+    deviation = np.abs(np.array(equilibrium.probs)[kept] / boltzmann[kept]
+                       - 1.0)
+    reports.append(_report_abs("equilibrium_charges_boltzmann",
+                               float(deviation.max()), 0.0, 3e-7,
+                               "closed-form"))
 
     return reports

@@ -4,29 +4,38 @@ The three sweeps (rates, steady, bitflip) run on one engine, `_sweep`.  It
 first builds every point's parameters (`replace(bias_v=v)` on the voltage
 axis, `with_alpha(a)` on the alpha axis), so an out-of-range value fails
 with a ConfigError before any spectrum, sideband table or charge
-distribution is built.  It then computes what the points share once: on
-the voltage axis the spectrum and sideband table, which do not depend on
-the bias; on both axes the island charge distribution, which is taken at
-zero bias (charge_distribution with pumped=False) and does not read the
-pump.  Along the alpha axis each point diagonalizes its own oscillator.
-Every job has one shape, (point, params, pq, shared), and one worker calls
-point(params, spectrum, eta, pq) on it.
-Points are pure functions of their job, so results are identical whether
-the map runs serially or on a process pool; pool results come back in
-submission order.
+distribution is built.  It then builds what the points share once: one
+PatIntegrator, the tunneling function F of the junction, which bias and
+alpha only shift or re-pick offsets of; the island charge distribution,
+taken at zero bias (charge_distribution with pumped=False), which does not
+read the pump; and on the voltage axis the spectrum and sideband table,
+which do not depend on the bias.  Along the alpha axis each point
+diagonalizes its own oscillator.  Each point is one call
+point(params, spectrum, eta, pq, integrator), in a plain loop.
 
-The pool forks.  `import kpoqcr` has already capped numpy's OpenBLAS at
-one thread (`kpoqcr._blas`), before any fork, so every worker inherits one
-BLAS thread and `threads=N` uses N cores.  A `forkserver` pool took
-0.59-0.71 s to start two workers, against 0.04 s for `fork`, which is more
-than a whole small sweep.
+The points run serially.  With one shared F a point is mostly linear
+algebra, 1-8 ms, and a fork pool no longer pays for its start-up and its
+code.  The README sweeps, wall time on 2 vCPUs (best of 3; the parent is
+the per-point-table code at threads=2):
+
+  | sweep                  | serial  | 2 workers | per-point tables |
+  |------------------------|---------|-----------|------------------|
+  | steady, 26 points      | 0.21 s  | 0.14 s    | 2.10 s           |
+  | rates voltage, 121     | 0.089 s | 0.085 s   | 0.45 s           |
+  | rates alpha, 61        | 0.17 s  | 0.12 s    | 0.29 s           |
+  | bitflip, 31            | 0.083 s | 0.075 s   | 0.11 s           |
+
+Two workers save at most 0.07 s there, and on a 4-point bitflip sweep they
+cost 0.038 s against 0.026 s serially, with more than twice the CPU.  Every
+value depends only on its offset and the parameters (see PatIntegrator),
+so results are identical for any `threads`; the argument is accepted and
+checked (at least 1) but has no effect.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
 from functools import partial
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -77,16 +86,6 @@ class SweepResult:
             yield (float(value), *map(float, row))
 
 
-def _pool_map(worker, jobs, threads: int):
-    # `fork`, not the slower-starting `forkserver`: the BLAS cap set at
-    # import is inherited, and each worker runs one BLAS thread.
-    if threads <= 1 or len(jobs) <= 1:
-        return [worker(job) for job in jobs]
-    ctx = get_context("fork")
-    with ctx.Pool(processes=min(int(threads), len(jobs))) as pool:
-        return pool.map(worker, jobs, chunksize=1)
-
-
 def _check_transitions(transitions, n_keep: int):
     for key in transitions:
         if len(key) != 4 or any(k < 0 or k >= n_keep for k in key):
@@ -94,48 +93,48 @@ def _check_transitions(transitions, n_keep: int):
                 f"transition {key} outside the retained space of {n_keep} states")
 
 
-def _steady_solve(params, spectrum, eta=None, pq=None):
+def _steady_solve(params, spectrum, eta=None, pq=None, integrator=None):
     """(rho, residual) of the stationary state with the junction on."""
-    table = rate_table(params, spectrum, eta=eta, pq=pq)
+    table = rate_table(params, spectrum, eta=eta, pq=pq,
+                       integrator=integrator)
     return steady_state(assemble_generator(spectrum, params, table))
 
 
 # ---------------------------------------------------------------------------
-# Sweeps: one engine, one worker, one job shape
+# Sweeps: one engine, one integrator, one loop
 
 
-def _sweep_worker(job):
-    point, params, pq, shared = job
-    if shared is None:
-        spectrum = diagonalize_kpo(params)
-        shared = spectrum, eta_table(spectrum, params.rho_c, params.dm_max)
-    return point(params, *shared, pq)
+def _spectrum_eta(params):
+    spectrum = diagonalize_kpo(params)
+    return spectrum, eta_table(spectrum, params.rho_c, params.dm_max)
 
 
 def _sweep(params: SystemParams, axis: str, values, point, columns,
            threads: int, meta: dict) -> SweepResult:
     # Every point's parameters first, so a bad value fails before any work.
+    if threads < 1:
+        raise ConfigError("threads must be at least 1")
     values = np.asarray(values, float)
     if axis == "voltage":
         points = [params.replace(bias_v=float(v)) for v in values]
-        spectrum = diagonalize_kpo(params)
-        shared = spectrum, eta_table(spectrum, params.rho_c, params.dm_max)
+        shared = _spectrum_eta(params)
     else:
         points = [params.with_alpha(float(a)) for a in values]
         shared = None
-    pq = charge_distribution(params)
-    rows = _pool_map(_sweep_worker, [(point, p, pq, shared) for p in points],
-                     threads)
+    integrator = PatIntegrator.from_params(params)
+    pq = charge_distribution(params, integrator)
+    rows = [point(p, *(shared or _spectrum_eta(p)), pq, integrator)
+            for p in points]
     return SweepResult(axis=axis, values=values, columns=columns,
                        data=np.array(rows, float), meta=meta)
 
 
-def _rates_point(params, spectrum, eta, pq, transitions, interference):
-    # One transition_rate call, one quadrature batch, whatever the labels;
+def _rates_point(params, spectrum, eta, pq, integrator, transitions,
+                 interference):
+    # One transition_rate call, one evaluate batch, whatever the labels;
     # interference "off" reports the degenerate-pair entries as zero.
     keys = [key for key in transitions if interference == "on"
             or key not in ((0, 1, 1, 0), (1, 0, 0, 1))]
-    integrator = PatIntegrator.from_params(params)
     values = dict(zip(keys, transition_rate(params, spectrum, eta, pq,
                                             integrator, keys)))
     return [values.get(key, 0.0) for key in transitions]
@@ -149,6 +148,11 @@ def rates_sweep(
     interference: str = "on",
     threads: int = 1,
 ) -> SweepResult:
+    """Population and interference rates, 1/s, per bias or alpha value.
+
+    threads is accepted and checked (at least 1) but has no effect: the
+    points run in one process (see the module docstring).
+    """
     if interference not in ("on", "off"):
         raise ConfigError(
             f"interference must be 'on' or 'off', got {interference!r}")
@@ -163,26 +167,29 @@ def rates_sweep(
                   {"interference": interference})
 
 
-def _steady_point(params, spectrum, eta, pq):
-    rho, residual = _steady_solve(params, spectrum, eta, pq)
+def _steady_point(params, spectrum, eta, pq, integrator):
+    rho, residual = _steady_solve(params, spectrum, eta, pq, integrator)
     pops = np.real(np.diag(rho))
     return [pops[0], pops[1], pops[0] + pops[1], residual]
 
 
 def steady_sweep(params: SystemParams, voltages, threads: int = 1) -> SweepResult:
+    """Stationary populations of the qubit pair per bias; threads has no
+    effect, as in rates_sweep."""
     return _sweep(params, "voltage", voltages, _steady_point,
                   ["pop_phi0", "pop_phi1", "pop_qubit", "residual"], threads,
                   {})
 
 
-def _bitflip_point(params, spectrum, eta, pq):
-    rate_on, rate_off = bitflip_rates(params, spectrum, eta, pq,
-                                      PatIntegrator.from_params(params))
+def _bitflip_point(params, spectrum, eta, pq, integrator):
+    rate_on, rate_off = bitflip_rates(params, spectrum, eta, pq, integrator)
     ratio = rate_on / rate_off if rate_off != 0.0 else np.inf
     return [rate_on, rate_off, ratio]
 
 
 def bitflip_sweep(params: SystemParams, alphas, threads: int = 1) -> SweepResult:
+    """Branch-flip rates with and without interference per alpha; threads
+    has no effect, as in rates_sweep."""
     return _sweep(params, "alpha", alphas, _bitflip_point,
                   ["rate_interference", "rate_no_interference", "ratio"],
                   threads, {})

@@ -20,10 +20,10 @@ import numpy as np
 import pytest
 
 import kpoqcr  # noqa: F401  (applies the settings)
-from kpoqcr import _blas, _heap, workflows
+from kpoqcr import _blas, _heap
 
 
-def _blas_threads(_job=None):
+def _blas_threads():
     """The thread count each loaded OpenBLAS reports, in this process."""
     getters = [s.replace("set_num_threads", "get_num_threads")
                for s in _blas._SETTERS]
@@ -59,12 +59,11 @@ def _growing_array_faults():
 
 
 def _report():
-    """What the settings did in this process and in two forked workers."""
+    """What the settings did in this process."""
     return {
         "loaded": _blas._loaded_openblas(),
         "capped": [path for path, _ in _blas.CAPPED],
         "threads": _blas_threads(),
-        "forked": workflows._pool_map(_blas_threads, [0, 1], threads=2),
         "heap_applied": _heap.APPLIED,
         "faults": _growing_array_faults(),
     }
@@ -89,14 +88,6 @@ def test_import_caps_each_loaded_library(fresh):
         pytest.skip("no OpenBLAS loaded in a fresh process")
     assert fresh["capped"] == loaded
     assert fresh["threads"] == [1] * len(loaded)
-
-
-@needs_maps
-def test_forked_workers_run_one_blas_thread(fresh):
-    loaded = fresh["loaded"]
-    if not loaded:
-        pytest.skip("no OpenBLAS loaded in a fresh process")
-    assert fresh["forked"] == [[1] * len(loaded)] * 2
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",

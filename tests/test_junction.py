@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from scipy.special import eval_laguerre
 
 from kpoqcr import (ChargeDistributionError, QuadratureError, SystemParams,
-                    charge_distribution, diagonalize_kpo, dynes_dos, fermi,
-                    pat_integral, rate_table)
-from kpoqcr import junction, quad
+                    bitflip_sweep, charge_distribution, diagonalize_kpo,
+                    dynes_dos, fermi, pat_integral, rate_table, rates_sweep,
+                    steady_sweep)
+from kpoqcr import junction, quad, workflows
 from kpoqcr.junction import (PatIntegrator, _charge_rates, elastic_weight,
                              pat_breakpoints, pat_integrals, pat_integrand)
 from kpoqcr.oracles import flat_dos_forward
@@ -187,15 +188,21 @@ def test_quadrature_spec_covers_edges():
         assert edge in bps
 
 
-def test_integrator_caches_by_offset(params):
+def test_integrator_caches_by_panel(params):
+    # Values come from Chebyshev panels built per base index [k W, (k+1) W),
+    # W = 16 k_B T_N; a panel is 24 node integrals.  Another offset in a
+    # built panel integrates nothing; the negated offset lies in another.
     integ = PatIntegrator.from_params(params)
     assert len(integ) == 0
     a = integ.forward(3e9)
     n1 = len(integ)
+    assert n1 > 0 and n1 % 24 == 0
     b = integ.forward(3e9)
     assert a == b and len(integ) == n1
+    integ.forward(5e9)
+    assert len(integ) == n1
     integ.backward(3e9)
-    assert len(integ) == n1 + 1
+    assert len(integ) > n1 and len(integ) % 24 == 0
 
 
 def test_backward_is_cached_forward_at_negated_offset(params):
@@ -363,6 +370,111 @@ def test_table_integrals_meet_their_tolerance(params, temp_k, bias_hz):
     tol = np.maximum(1e-10 * np.abs(want), 1e-10 * k_t)
     worst = int(np.argmax(np.abs(got - want) / tol))
     assert abs(got[worst] - want[worst]) <= tol[worst], sample[worst]
+
+
+@pytest.mark.parametrize("temp_s, temp_n, bias_hz", [
+    (0.1, 0.1, 45e9), (0.1, 0.1, 20e9), (0.03, 0.03, 45e9), (0.2, 0.2, 39e9),
+    (0.01, 0.01, 45e9), (0.2, 0.02, 45e9), (0.0, 0.1, 45e9)])
+def test_interpolated_values_match_direct_integrals(params, temp_s, temp_n,
+                                                    bias_hz):
+    # The Chebyshev panels against rel_tol 1e-13 integrals, in units of the
+    # table tolerance max(1e-10 |F|, 1e-10 k_B T), at a sample of a cold
+    # table's offsets and at every offset of its charge distribution.  Over
+    # whole tables the worst was 1.9e-3 (0.2/0.02 K), against up to 0.3 for
+    # the tables' own direct integrals.
+    p = params.replace(temp_s=temp_s, temp_n=temp_n, bias_v=bias_hz)
+    recorder = _Recorder(PatIntegrator.from_params(p))
+    rate_table(p, diagonalize_kpo(p), integrator=recorder)
+    table = np.unique(recorder.offsets)
+    rng = np.random.default_rng(20261018)
+    sample = np.unique(np.concatenate([
+        rng.choice(table, 400, replace=False),
+        recorder.offsets[:4 * (p.q_max + 1)]]))
+    got = recorder.integrator.evaluate(sample)
+    k_t = max(p.t_s_hz, p.t_n_hz)
+    bps, edges = pat_breakpoints(sample, p.gap_hz, p.t_s_hz, p.t_n_hz)
+    want, _err = integrate(
+        pat_integrand(p.gap_hz, p.gamma_dynes, p.t_s_hz, p.t_n_hz), bps,
+        edges, rel_tol=1e-13, abs_tol=1e-13 * k_t, args=(sample,))
+    tol = np.maximum(1e-10 * np.abs(want), 1e-10 * k_t)
+    err = np.abs(got - want) / tol
+    assert err.max() <= 0.1, sample[np.argmax(err)]
+
+
+def test_offset_values_are_bitwise_alone_in_a_table_and_in_a_sweep(
+        params, spectrum, monkeypatch):
+    # A value depends only on its offset, whichever panels were built
+    # first: alone in a fresh integrator, after a rate table built the
+    # panels, in one batch with the table's offsets, and inside every
+    # evaluate call of a sweep.  Probes: a base panel edge k W, one ulp
+    # either side of it, a Chebyshev node of one of the split panels
+    # around -gap, and a sample of the table's own offsets.
+    width = junction._PANEL_KT * params.t_n_hz
+    edge = -2.0 * width
+    recorder = _Recorder(PatIntegrator.from_params(params))
+    rate_table(params, spectrum, integrator=recorder)
+    table = np.unique(recorder.offsets)
+    lefts, nodes, _values = recorder.integrator._store[-2.0]
+    assert len(lefts) > 1
+    rng = np.random.default_rng(7)
+    probes = np.array([edge, np.nextafter(edge, -np.inf),
+                       np.nextafter(edge, np.inf), nodes[1][5],
+                       *rng.choice(table, 40, replace=False)])
+    alone = np.array([PatIntegrator.from_params(params).evaluate([x])[0]
+                      for x in probes])
+    assert alone[3] == _values[1][5]
+    want = alone.tobytes()
+    assert recorder.integrator.evaluate(probes).tobytes() == want
+    for batch in (np.concatenate([table, probes]),
+                  np.concatenate([probes[::-1], table[::-1]])[::-1]):
+        got = PatIntegrator.from_params(params).evaluate(batch)
+        assert got[-probes.size:].tobytes() == want
+
+    seen = []
+
+    class Probing(PatIntegrator):
+        def evaluate(self, offsets):
+            offsets = np.asarray(offsets, float)
+            both = super().evaluate(np.concatenate([offsets.ravel(),
+                                                    probes]))
+            seen.append(both[offsets.size:].tobytes())
+            return both[:offsets.size].reshape(offsets.shape)
+
+    volts, alphas = np.array([45e9, 20e9]), np.array([1.7, 2.0])
+    plain = [rates_sweep(params, "voltage", volts).data,
+             steady_sweep(params, volts).data,
+             bitflip_sweep(params, alphas).data]
+    monkeypatch.setattr(workflows, "PatIntegrator", Probing)
+    probed = [rates_sweep(params, "voltage", volts).data,
+              steady_sweep(params, volts).data,
+              bitflip_sweep(params, alphas).data]
+    assert len(seen) >= 9 and set(seen) == {want}
+    assert [d.tobytes() for d in probed] == [d.tobytes() for d in plain]
+
+
+def test_barycentric_row_sums_are_row_local():
+    # The interpolant's sums, np.einsum("ij,ij->i") and ("ij->i"), give a
+    # row the same bits alone or among 1..64 rows, at any offset in the
+    # array and at a shifted memory address.
+    rng = np.random.default_rng(12)
+    q = rng.standard_normal((64, 24)) * 10.0 ** rng.uniform(-8, 8, (64, 24))
+    f = rng.standard_normal((64, 24))
+    buf = np.empty(q.size + 1)
+    shifted = buf[1:].reshape(q.shape)
+    shifted[...] = q
+    alone = np.array([np.einsum("ij,ij->i", q[i:i + 1], f[i:i + 1])[0]
+                      for i in range(64)])
+    sums = np.array([np.einsum("ij->i", q[i:i + 1])[0] for i in range(64)])
+    for n in range(1, 65):
+        for rows in (slice(0, n), slice(64 - n, 64)):
+            assert np.einsum("ij,ij->i", q[rows], f[rows]).tobytes() == \
+                alone[rows].tobytes()
+            assert np.einsum("ij->i", q[rows]).tobytes() == \
+                sums[rows].tobytes()
+            assert np.einsum("ij,ij->i", shifted[rows], f[rows]).tobytes() \
+                == alone[rows].tobytes()
+            assert np.einsum("ij->i", shifted[rows]).tobytes() == \
+                sums[rows].tobytes()
 
 
 def test_graded_square_root_panels_double_from_the_edge():

@@ -11,7 +11,7 @@ from kpoqcr import (ConfigError, DEFAULT_TRANSITIONS, HusimiConfig, Schedule,
                     bitflip_sweep, diagonalize_kpo, dynamics_run, husimi_run,
                     pq_run, qcr_bitflip_rate, rate_table, rates_sweep,
                     steady_sweep)
-from kpoqcr import junction, rates, workflows
+from kpoqcr import rates, workflows
 from kpoqcr.junction import PatIntegrator, charge_distribution
 from kpoqcr.rates import transition_rate
 from kpoqcr.workflows import (_rates_point, parse_transition_label,
@@ -49,28 +49,34 @@ def _refuse_table(*args, **kwargs):
     raise AssertionError("a rate table was built")
 
 
+class _Counting:
+    """Passes evaluate through to an integrator and counts the calls."""
+
+    def __init__(self, integrator):
+        self.integrator = integrator
+        self.calls = 0
+
+    def evaluate(self, offsets):
+        self.calls += 1
+        return self.integrator.evaluate(offsets)
+
+
 @pytest.mark.parametrize("temp_k", [None, 0.01])
 def test_rates_point_is_one_quadrature_and_bitwise(params, spectrum, eta,
                                                    temp_k, monkeypatch):
-    # A rates point integrates all of its transitions' offsets in one batch
-    # (the sweep hands it the charge distribution), builds no table, and
-    # every rate is bitwise what transition_rate gives on its own.
+    # A rates point reads all of its transitions' offsets in one evaluate
+    # call on the sweep's integrator (the sweep hands it the charge
+    # distribution), builds no table, and every rate is bitwise what
+    # transition_rate gives on its own.
     p = params.replace(bias_v=39e9)
     if temp_k is not None:
         p = p.replace(temp_n=temp_k, temp_s=temp_k)
     pq = charge_distribution(p)
-    pat_integrals = junction.pat_integrals
     for transitions in (DEFAULT_TRANSITIONS, WITH_INTERFERENCE):
-        batches = []
-
-        def counted(offsets, *args):
-            batches.append(len(offsets))
-            return pat_integrals(offsets, *args)
-
-        monkeypatch.setattr(junction, "pat_integrals", counted)
+        counting = _Counting(PatIntegrator.from_params(p))
         monkeypatch.setattr(workflows, "rate_table", _refuse_table)
-        got = _rates_point(p, spectrum, eta, pq, transitions, "on")
-        assert len(batches) == 1
+        got = _rates_point(p, spectrum, eta, pq, counting, transitions, "on")
+        assert counting.calls == 1
         monkeypatch.undo()
         integrator = PatIntegrator.from_params(p)
         want = transition_rate(p, spectrum, eta, pq, integrator, transitions)
@@ -172,6 +178,31 @@ def test_sweeps_compute_the_charge_distribution_once(params, monkeypatch):
     assert calls == [params] * 3
     bitflip_sweep(params, alphas)
     assert calls == [params] * 4
+
+
+def test_sweeps_share_one_integrator(params, monkeypatch):
+    # Each sweep builds one tunneling function and hands it to the charge
+    # distribution and to every point, in one process.  threads is checked
+    # but has no effect.
+    built = []
+
+    class Recorded(PatIntegrator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(workflows, "PatIntegrator", Recorded)
+    volts = np.array([45e9, 33e9])
+    alphas = np.array([1.7, 2.5])
+    for run in (lambda t: steady_sweep(params, volts, threads=t),
+                lambda t: rates_sweep(params, "voltage", volts, threads=t),
+                lambda t: rates_sweep(params, "alpha", alphas, threads=t),
+                lambda t: bitflip_sweep(params, alphas, threads=t)):
+        built.clear()
+        run(3)
+        assert len(built) == 1 and len(built[0]) > 0
+        with pytest.raises(ConfigError, match="threads must be at least 1"):
+            run(0)
 
 
 def test_rates_sweep_alpha_axis(params):
