@@ -6,6 +6,13 @@ caller mapped first, such as scipy's, is capped as well.  On the small
 matrices here that pool costs far more than it gives: on 2 vCPUs the
 144x144 steady-state solve takes up to 160 ms with two threads and 1-3 ms
 with one.
+
+Capping does not stop the worker thread that OpenBLAS started when numpy
+loaded it; left alone it spins through a process's first BLAS calls (a
+4-point steady sweep in a fresh interpreter took 0.102 s of CPU for 0.051 s
+of wall time).  So each capped library that exports blas_thread_shutdown_
+has its thread server shut down as well; with one thread it starts none
+again.
 """
 from __future__ import annotations
 
@@ -32,7 +39,9 @@ def _loaded_openblas() -> list[str]:
 
 
 def cap_threads() -> tuple[tuple[str, str], ...]:
-    """Set each loaded OpenBLAS to one thread and record it in `CAPPED`.
+    """Set each loaded OpenBLAS to one thread, shut down its idle thread
+    server where the library exports blas_thread_shutdown_, and record
+    the capped libraries in `CAPPED`.
 
     Loads no library, never raises; forked processes inherit the setting.
     """
@@ -45,6 +54,8 @@ def cap_threads() -> tuple[tuple[str, str], ...]:
             name = next((s for s in _SETTERS if hasattr(lib, s)), None)
             if name is not None:
                 getattr(lib, name)(ctypes.c_int(1))
+                if hasattr(lib, "blas_thread_shutdown_"):
+                    lib.blas_thread_shutdown_()
                 capped.append((path, name))
         except Exception:  # a BLAS we cannot drive is left as it is
             continue

@@ -123,21 +123,29 @@ def fermi(eps, t_hz: float):
 def pat_breakpoints(offsets, gap_hz: float, temp_s_hz: float,
                     temp_n_hz: float) -> tuple[np.ndarray, np.ndarray]:
     """Breakpoints and square-root edges of the tunneling integrals at these
-    offsets, one row each.
+    offsets, one row each; offsets shaped (n, K) give one row for each row
+    of K offsets.
 
-    The window covers both Fermi edges (0 and -offset) plus thermal padding.
-    The gap edges strictly inside it, the square-root singularities of the
-    density of states, are split points and square-root edges; NaN marks a
-    gap edge outside the window.
+    The window covers the Fermi edges, 0 and -offset (of a row: each
+    -offset), plus thermal padding; 0 and the outermost -offsets are
+    breakpoints.  The gap edges strictly inside it, the square-root
+    singularities of the density of states, are split points and
+    square-root edges; NaN marks a gap edge outside the window.
     """
     offsets = np.asarray(offsets, float)
+    if offsets.ndim == 1:
+        fermi_edges = -offsets[:, None]
+    else:
+        fermi_edges = -np.column_stack([offsets.min(axis=1),
+                                        offsets.max(axis=1)])
     pad = _THERMAL_WINDOW * max(temp_s_hz, temp_n_hz)
-    lo = np.minimum(0.0, -offsets) - pad
-    hi = np.maximum(0.0, -offsets) + pad
+    lo = np.minimum(0.0, fermi_edges.min(axis=1)) - pad
+    hi = np.maximum(0.0, fermi_edges.max(axis=1)) + pad
     edges = np.array([-gap_hz, gap_hz])
     inside = (lo[:, None] < edges) & (edges < hi[:, None])
     edges = np.where(inside, edges, np.nan)
-    return np.column_stack([lo, hi, np.zeros_like(lo), -offsets, edges]), edges
+    return np.column_stack([lo, hi, np.zeros_like(lo), fermi_edges,
+                            edges]), edges
 
 
 def pat_integrand(gap_hz: float, gamma_dynes: float, temp_s_hz: float,
@@ -145,15 +153,20 @@ def pat_integrand(gap_hz: float, gamma_dynes: float, temp_s_hz: float,
     """The forward tunneling integrand, fn(eps, offset) =
     n_s(eps) * (1 - f_S(eps)) * f_N(eps + offset), multiplied in that order.
 
-    It works in place on arrays of its own and never writes into eps, which
-    the quadrature may reuse.
+    eps is (m, p) and offset (m, 1), or (m, 1, K) for K offsets a row: then
+    n_s (1 - f_S) is computed once a point and f_N once a component, and
+    the values are (m, p, K).  It works in place on arrays of its own and
+    never writes into eps, which the quadrature may reuse.
     """
     def integrand(eps, offset):
         out = dynes_dos(eps, gap_hz, gamma_dynes)
         f_s = fermi(eps, temp_s_hz)
         out *= np.subtract(1.0, f_s, out=f_s)
-        out *= fermi(eps + offset, temp_n_hz)
-        return out
+        if np.ndim(offset) > eps.ndim:
+            eps, out = eps[..., None], out[..., None]
+        f_n = fermi(eps + offset, temp_n_hz)
+        f_n *= out
+        return f_n
 
     return integrand
 
@@ -167,50 +180,56 @@ def pat_integrals(
     rel_tol: float = 1e-10,
 ) -> np.ndarray:
     """Forward tunneling integrals at many offsets, in one adaptive
-    quadrature run.
+    quadrature run, as an array of the offsets' shape.
 
-    Each value depends only on its own offset, bit for bit, whatever else
-    is in the batch.  Raises QuadratureError naming the offset of an
-    integral that does not converge.
+    offsets shaped (n,) are n integrals; shaped (n, K), each row of K
+    offsets is one quadrature whose K integrands share its panels (see
+    quad.integrate), and each of them meets rel_tol on its own.  Each
+    value depends only on its own offset, or on its own row, bit for bit,
+    whatever else is in the batch.  Raises QuadratureError naming the
+    offset, or the offsets of the row, of an integral that does not
+    converge.
 
     Panels are planned from the integrand's known scales.  The density of
     states peaks at +-gap with a width of gamma_dynes * gap (about 4.8 MHz
     at the defaults, inside windows of up to about 150 GHz); in the
     square-root variable u, eps = gap +- u^2, the peak spans u of order
     sqrt(gamma_dynes * gap).  Where the support (0, -offset) is not empty,
-    offset < 0, the square-root panels at +gap are split at u = u0 * 2^k
-    with u0 = sqrt(10 * gamma_dynes * gap): the first panel holds ten
-    Dynes widths and the rest double outward.  The rule reads the
-    integral's own offset only, and the cuts stay in the square-root
-    variable, where the integrand is smooth.  A cold default table then
-    takes 400 points an integral instead of 480; grading the panels at
-    -gap of these integrals as well took 475, grading every square-root
-    panel 681.
+    offset < 0 (for a row, at its smallest offset), the square-root panels
+    at +gap are split at u = u0 * 2^k with u0 = sqrt(10 * gamma_dynes *
+    gap): the first panel holds ten Dynes widths and the rest double
+    outward.  The rule reads the integral's own offsets only, and the cuts
+    stay in the square-root variable, where the integrand is smooth.
     """
     offsets = np.asarray(offsets, float)
+    rows = offsets.ndim == 2
+    lowest = offsets.min(axis=1) if rows else offsets
     bps, edges = pat_breakpoints(offsets, gap_hz, temp_s_hz, temp_n_hz)
     if temp_s_hz == 0.0 and temp_n_hz == 0.0:
         # Sharp Fermi seas: the support (0, -offset) is empty for these; no
         # breakpoints integrate to exactly zero.
-        bps[offsets >= 0.0] = np.nan
+        bps[lowest >= 0.0] = np.nan
     # Exponentially suppressed integrals hit the roundoff floor long before
     # a pure relative tolerance; resolve them to rel_tol of the thermal
     # scale instead, which is the absolute level at which they enter rates.
     abs_floor = rel_tol * max(temp_s_hz, temp_n_hz)
 
     # Graded square-root panels at +gap where the support is not empty.
-    widths = np.where((offsets < 0.0)[:, None] & (edges == gap_hz),
+    widths = np.where((lowest < 0.0)[:, None] & (edges == gap_hz),
                       math.sqrt(_DYNES_PANELS * gamma_dynes * gap_hz), 0.0)
     integrand = pat_integrand(gap_hz, gamma_dynes, temp_s_hz, temp_n_hz)
     try:
         values, _err = integrate(integrand, bps, edges, widths,
                                  rel_tol=rel_tol, abs_tol=abs_floor,
-                                 args=(offsets,))
+                                 args=(offsets,),
+                                 components=offsets.shape[1] if rows else None)
     except QuadratureError as exc:
         i = exc.index
-        raise QuadratureError(
-            f"tunneling integral at offset {float(offsets[i])!r} Hz: {exc}",
-            exc.achieved_rel_err, i) from exc
+        what = (f"integrals at offsets {float(offsets[i].min())!r} to "
+                f"{float(offsets[i].max())!r}" if rows else
+                f"integral at offset {float(offsets[i])!r}")
+        raise QuadratureError(f"tunneling {what} Hz: {exc}",
+                              exc.achieved_rel_err, i) from exc
     return values
 
 
@@ -315,8 +334,11 @@ class PatIntegrator:
         distinct, inverse = np.unique(flat, return_inverse=True)
         direct = self._width == 0.0
         keys = distinct if direct else np.floor(distinct / self._width)
-        missing = [k for k in dict.fromkeys(keys.tolist())
-                   if k not in self._store]
+        # Where each key starts in the sorted keys.  (np.unique would do,
+        # but without return_index it imports numpy.ma on first use, about
+        # 35 ms.)
+        start = np.flatnonzero(np.diff(keys, prepend=np.nan) != 0.0)
+        missing = [k for k in keys[start].tolist() if k not in self._store]
         if missing:
             try:
                 if direct:
@@ -334,14 +356,14 @@ class PatIntegrator:
         if direct:
             values = np.array([self._store[x] for x in distinct.tolist()])
         else:
-            values = self._interpolate(distinct, keys)
+            values = self._interpolate(distinct, keys, start)
         return values[inverse].reshape(offsets.shape)
 
-    def _interpolate(self, distinct, base):
-        """Values at the sorted distinct offsets, in base panels base."""
+    def _interpolate(self, distinct, base, start):
+        """Values at the sorted distinct offsets, in base panels base, each
+        of which starts at its position in start."""
         nodes = np.empty((distinct.size, _CHEB_N))
         values = np.empty_like(nodes)
-        start = np.flatnonzero(np.diff(base, prepend=np.nan) != 0.0)
         for a, b in zip(start, [*start[1:], distinct.size]):
             lefts, x, f = self._store[float(base[a])]
             leaf = np.searchsorted(lefts, distinct[a:b], "right") - 1
@@ -361,14 +383,12 @@ class PatIntegrator:
             lo, hi = np.array([p[1:] for p in pending]).T[:, :, None]
             x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHEB_T
             try:
-                f = self._integrals(x.ravel(), self.rel_tol * _NODE_TOL)
+                f = self._integrals(x, self.rel_tol * _NODE_TOL)
             except QuadratureError as exc:
-                i = pending[exc.index // _CHEB_N][0]
+                i, a, b = pending[exc.index]
                 raise QuadratureError(
-                    f"interpolation panel [{keys[i] * self._width!r}, "
-                    f"{(keys[i] + 1) * self._width!r}) Hz: {exc}",
+                    f"interpolation panel [{a!r}, {b!r}) Hz: {exc}",
                     exc.achieved_rel_err, i) from exc
-            f = f.reshape(x.shape)
             tail = np.max([np.abs(np.einsum("ij,j->i", f, row))
                            for row in _TAIL], axis=0)
             tol = _TAIL_TOL * self.rel_tol * np.maximum(

@@ -104,9 +104,8 @@ _MIN_WIDTH = 16.0 * np.finfo(float).eps
 
 # Panels are the columns of a float array with these rows: the interval
 # [a, b] in the u parameter; edge and sgn, where sgn is 0 on a plain panel
-# (eps = u) and +1 or -1 on a square-root panel (eps = edge + sgn * u^2);
-# and, in a running block, the Kronrod estimate and its error.
-_A, _B, _EDGE, _SGN, _KRON, _ERR = range(6)
+# (eps = u) and +1 or -1 on a square-root panel (eps = edge + sgn * u^2).
+_A, _B, _EDGE, _SGN = range(4)
 
 
 def plan_panels(breakpoints, sqrt_edges=(),
@@ -198,19 +197,21 @@ def _split(panels: np.ndarray) -> np.ndarray:
     return out
 
 
-def _evaluate(fn, panels, owner, args) -> None:
-    """Fill in the Kronrod estimate and Kronrod-Gauss difference of every
-    panel.
+def _evaluate(fn, panels, owner, args, k) -> np.ndarray:
+    """The Kronrod estimates and Kronrod-Gauss differences of every panel,
+    shape (2, panels, k).
 
     Plain panels are taken first, then square-root panels, each kind in
-    integrand calls of at most CALL_POINTS points.
+    integrand calls of at most CALL_POINTS points times components.
     """
+    out = np.empty((2, owner.size, k))
     sqrt_panel = panels[_SGN] != 0.0
+    call_rows = max(_CALL_ROWS // k, 1)
     for is_sqrt in (False, True):
         of_kind = np.flatnonzero(sqrt_panel == is_sqrt)
-        for start in range(0, of_kind.size, _CALL_ROWS):
-            sel = of_kind[start:start + _CALL_ROWS]
-            a, b, edge, sgn = panels[:_KRON, sel]
+        for start in range(0, of_kind.size, call_rows):
+            sel = of_kind[start:start + call_rows]
+            a, b, edge, sgn = panels[:, sel]
             rows = [arg[owner[sel], None] for arg in args]
             h = 0.5 * (b - a)
             u = np.multiply.outer(h, XGK)
@@ -220,13 +221,15 @@ def _evaluate(fn, panels, owner, args) -> None:
                 eps *= sgn[:, None]
                 eps += edge[:, None]
                 u *= 2.0                    # the Jacobian |d eps / d u|
-                vals = fn(eps, *rows)
-                vals *= u
+                vals = fn(eps, *rows).reshape(sel.size, XGK.size, k)
+                vals *= u[:, :, None]
             else:
-                vals = fn(u, *rows)
-            k = h * np.einsum("ij,j->i", vals, WGK)
-            panels[_KRON, sel] = k
-            panels[_ERR, sel] = np.abs(k - h * np.einsum("ij,j->i", vals, WG))
+                vals = fn(u, *rows).reshape(sel.size, XGK.size, k)
+            h = h[:, None]
+            kron = h * np.einsum("ijk,j->ik", vals, WGK)
+            out[0, sel] = kron
+            out[1, sel] = np.abs(kron - h * np.einsum("ijk,j->ik", vals, WG))
+    return out
 
 
 def integrate(
@@ -239,64 +242,73 @@ def integrate(
     panel_budget: int = 2 ** 14,
     max_rounds: int = 64,
     args=(),
+    components: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate fn over each row of breakpoints, with square-root panels
     at sqrt_edges graded by first_widths (see plan_panels).
 
     fn(eps, *rows) is evaluated on an (m, 21) array of points; each entry
     of rows is one array of args indexed by the integral of each point's
-    panel, shaped (m, 1) to broadcast against eps.  With args=() fn gets
-    eps alone.
+    panel, shaped (m, 1) to broadcast against eps, or (m, 1, K) for args of
+    shape (n, K).  With args=() fn gets eps alone.  It returns (m, 21)
+    values, or with components=K the (m, 21, K) values of K integrands
+    that share each integral's panels.
 
-    Integral i has converged when its error estimate is at most
-    max(rel_tol * |value_i|, abs_tol); each round splits the panels of the
-    unconverged integrals that hold more than their equidistributed share
-    of that tolerance.  Returns (values, errors), one entry per row.
-    Raises QuadratureError, with .index naming the integral, if one stalls,
-    would exceed panel_budget panels, or is still short after max_rounds
-    rounds.
+    Integral i has converged when the error estimate of every component k
+    is at most max(rel_tol * |value_ik|, abs_tol); each round splits the
+    panels of the unconverged integrals on which any component holds more
+    than its equidistributed share of that tolerance.  Returns (values,
+    errors), shaped (n,), or (n, K) with components=K.  Raises
+    QuadratureError, with .index naming the integral, if one stalls, would
+    exceed panel_budget panels, or is still short after max_rounds rounds.
     """
     bps = np.array(breakpoints, float, ndmin=2)
     n = bps.shape[0]
+    k = 1 if components is None else components
     edges = np.asarray(sqrt_edges, float)
     edges = np.broadcast_to(edges, (n, edges.shape[-1]))
     if first_widths is not None:
         first_widths = np.broadcast_to(first_widths, edges.shape)
-    values = np.zeros(n)
-    errors = np.zeros(n)
+    values = np.zeros((n, k))
+    errors = np.zeros((n, k))
     for start in range(0, n, BLOCK_INTEGRALS):
         rows = slice(start, start + BLOCK_INTEGRALS)
         block = bps[rows]
         widths = None if first_widths is None else first_widths[rows]
         values[rows], errors[rows] = _integrate_block(
-            fn, *plan_panels(block, edges[rows], widths), len(block), rel_tol,
-            abs_tol, panel_budget, max_rounds, [arg[rows] for arg in args],
-            start)
+            fn, *plan_panels(block, edges[rows], widths), len(block), k,
+            rel_tol, abs_tol, panel_budget, max_rounds,
+            [arg[rows] for arg in args], start)
+    if components is None:
+        return values[:, 0], errors[:, 0]
     return values, errors
 
 
-def _integrate_block(fn, panels, owner, n, rel_tol, abs_tol, panel_budget,
+def _integrate_block(fn, panels, owner, n, k, rel_tol, abs_tol, panel_budget,
                      max_rounds, args, first):
-    values = np.zeros(n)
-    errors = np.zeros(n)
+    values = np.zeros((n, k))
+    errors = np.zeros((n, k))
     live = np.ones(n, bool)
-    panels = np.concatenate([panels, np.empty((2, owner.size))])
-    _evaluate(fn, panels, owner, args)
+    found = _evaluate(fn, panels, owner, args, k)
     for rnd in count():
-        total = np.bincount(owner, panels[_KRON], n)
-        err_total = np.bincount(owner, panels[_ERR], n)
+        # Component j of integral i sums into slot i * k + j.
+        slot = (owner[:, None] * k + np.arange(k)).ravel()
+        total, err_total = (np.bincount(slot, f.ravel(), n * k).reshape(n, k)
+                            for f in found)
         tol = np.maximum(rel_tol * np.abs(total), abs_tol)
-        done = live & (err_total <= tol)
-        np.copyto(values, total, where=done)
-        np.copyto(errors, err_total, where=done)
+        short = err_total > tol
+        done = live & ~short.any(axis=1)
+        np.copyto(values, total, where=done[:, None])
+        np.copyto(errors, err_total, where=done[:, None])
         live &= ~done
         if not live.any():
             return values, errors
-        # Split every panel holding more than its equidistributed share.
+        # Split every panel on which a component holds more than its
+        # equidistributed share.
         n_panels = np.bincount(owner, minlength=n)
-        share = 0.5 * tol / np.maximum(n_panels, 1)
+        share = 0.5 * tol / np.maximum(n_panels, 1)[:, None]
         active = live[owner]
-        bad = np.flatnonzero(active & (panels[_ERR] > share[owner]))
+        bad = np.flatnonzero(active & (found[1] > share[owner]).any(axis=1))
         a, b = panels[_A, bad], panels[_B, bad]
         bad = bad[b - a > _MIN_WIDTH * (np.abs(a) + np.abs(b) + 1e-300)]
         bad_owner = owner[bad]
@@ -305,8 +317,9 @@ def _integrate_block(fn, panels, owner, n, rel_tol, abs_tol, panel_budget,
                         | (rnd == max_rounds))
         if stuck.any():
             i = int(np.argmax(stuck))
-            achieved = (err_total[i] / abs(total[i]) if total[i] != 0.0
-                        else float("inf"))
+            achieved = max(err_total[i, j] / abs(total[i, j])
+                           if total[i, j] != 0.0 else float("inf")
+                           for j in np.flatnonzero(short[i]))
             raise QuadratureError(
                 f"quadrature stalled at relative error {achieved:.3e} "
                 f"(requested {rel_tol:.3e}, {n_panels[i]} panels)",
@@ -315,7 +328,9 @@ def _integrate_block(fn, panels, owner, n, rel_tol, abs_tol, panel_budget,
         keep = np.flatnonzero(active)
         new = _split(panels.take(bad, axis=1))
         new_owner = np.concatenate([bad_owner, bad_owner])
-        _evaluate(fn, new, new_owner, args)
+        found = np.concatenate([found.take(keep, axis=1),
+                                _evaluate(fn, new, new_owner, args, k)],
+                               axis=1)
         panels = np.concatenate([panels.take(keep, axis=1), new], axis=1)
         owner = np.concatenate([owner[keep], new_owner])
 

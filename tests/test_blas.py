@@ -58,14 +58,49 @@ def _growing_array_faults():
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
 
+def _os_threads():
+    """This process's thread count from /proc/self/status, or None."""
+    try:
+        with open("/proc/self/status") as status:
+            return next(int(line.split()[1]) for line in status
+                        if line.startswith("Threads:"))
+    except OSError:
+        return None
+
+
+def _blas_residuals():
+    """Relative residuals of @, solve and eigh, against references built
+    with np.einsum, which calls no BLAS."""
+    rng = np.random.default_rng(15)
+    a = rng.standard_normal((144, 144))
+    b = rng.standard_normal((144, 3))
+    sym = a + a.T
+    x = np.linalg.solve(a, b)
+    w, v = np.linalg.eigh(sym)
+
+    def rel(got, want):
+        return float(np.abs(got - want).max() / np.abs(want).max())
+
+    return {
+        "matmul": rel(a @ b, np.einsum("ij,jk->ik", a, b)),
+        "solve": rel(np.einsum("ij,jk->ik", a, x), b),
+        "eigh": rel(np.einsum("ij,jk->ik", sym, v), v * w),
+        "eigh_orthonormal": rel(np.einsum("ji,jk->ik", v, v), np.eye(144)),
+    }
+
+
 def _report():
     """What the settings did in this process."""
+    threads_at_import = _os_threads()
     return {
+        "os_threads": threads_at_import,
         "loaded": _blas._loaded_openblas(),
         "capped": [path for path, _ in _blas.CAPPED],
         "threads": _blas_threads(),
         "heap_applied": _heap.APPLIED,
         "faults": _growing_array_faults(),
+        "residuals": _blas_residuals(),
+        "os_threads_after_blas": _os_threads(),
     }
 
 
@@ -88,6 +123,18 @@ def test_import_caps_each_loaded_library(fresh):
         pytest.skip("no OpenBLAS loaded in a fresh process")
     assert fresh["capped"] == loaded
     assert fresh["threads"] == [1] * len(loaded)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="thread count read from /proc/self/status")
+def test_import_leaves_one_thread_and_blas_correct(fresh):
+    # numpy starts an OpenBLAS worker thread at import; the cap alone
+    # leaves it running, so the import also shuts it down.  BLAS calls
+    # after that still work and start no thread.
+    assert fresh["os_threads"] == 1
+    assert fresh["os_threads_after_blas"] == 1
+    for name, residual in fresh["residuals"].items():
+        assert residual < 1e-10, name
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",

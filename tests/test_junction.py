@@ -327,6 +327,151 @@ def test_panel_row_sums_are_row_local():
                 assert got.tobytes() == want.tobytes()
 
 
+def test_component_row_sums_are_row_local():
+    # The panel sums of a vector integrand, np.einsum("ijk,j->ik"), give a
+    # row the same bits alone or among 1..64 rows, at any offset in the
+    # array, at a shifted memory address and as one of many copies.  With
+    # one component they are the scalar sums "ij,j->i" bit for bit.
+    rng = np.random.default_rng(13)
+    for k in (1, 3, 24):
+        vals = rng.standard_normal((64, XGK.size, k)) * 10.0 ** rng.uniform(
+            -8.0, 8.0, (64, XGK.size, k))
+        buf = np.empty(vals.size + 1)
+        shifted = buf[1:].reshape(vals.shape)
+        shifted[...] = vals
+        for weights in (WGK, WG):
+            alone = np.concatenate([np.einsum("ijk,j->ik", vals[i:i + 1],
+                                              weights) for i in range(64)])
+            if k == 1:
+                scalar = np.einsum("ij,j->i", vals[:, :, 0].copy(), weights)
+                assert alone[:, 0].tobytes() == scalar.tobytes()
+            for n in range(1, 65):
+                for block, want in ((vals[:n], alone[:n]),
+                                    (vals[64 - n:], alone[64 - n:]),
+                                    (shifted[:n], alone[:n]),
+                                    (np.repeat(vals[n - 1:n], n, axis=0),
+                                     np.repeat(alone[n - 1:n], n, axis=0))):
+                    got = np.einsum("ijk,j->ik", block, weights)
+                    assert got.tobytes() == want.tobytes()
+
+
+def test_vector_integrand_components_meet_their_own_tolerance():
+    # K integrands on shared panels: each component meets rel_tol on its
+    # own scale, equal components get equal bits, and components=None is
+    # the scalar interface.  Component j of integral i is
+    # s_ij * exp(-r_j eps) on [0, 3], whose integral is known.
+    r = np.array([0.5, 4.0, 4.0, 12.0])
+    scales = np.array([[1.0, 1e-9, 1e-9, 1e6], [2.0, 1.0, 1.0, 1e-12]])
+
+    def fn(eps, s):
+        return s * np.exp(-r * eps[..., None])
+
+    values, errors = integrate(fn, [[0.0, 3.0], [0.0, 3.0]], np.empty((2, 0)),
+                               rel_tol=1e-12, args=(scales,), components=4)
+    exact = scales * (1.0 - np.exp(-3.0 * r)) / r
+    assert values.shape == errors.shape == (2, 4)
+    assert np.all(np.abs(values - exact) <= 1e-12 * np.abs(exact))
+    assert np.all(errors <= 1e-12 * np.abs(values))
+    assert values[:, 1].tobytes() == values[:, 2].tobytes()
+    scalar, _err = integrate(lambda eps: np.exp(-eps), [[0.0, 3.0]])
+    assert scalar.shape == (1,)
+
+
+def _node_rows(lefts, widths):
+    """The 24 Chebyshev node offsets of the panels [left, left + width)."""
+    lo = np.asarray(lefts, float)[:, None]
+    hi = lo + np.asarray(widths, float)[:, None]
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * junction._CHEB_T
+
+
+def test_panel_row_values_do_not_depend_on_the_batch(monkeypatch):
+    # A panel row's 24 values are one quadrature and depend only on that
+    # row, bit for bit: alone, in a batch spanning more than four blocks,
+    # in the reversed batch, and with integrand calls of one and of up to
+    # seven rows.  Probes: base panels at 0 and around -gap, the split
+    # panels next to -gap, a panel across +gap and random ones.
+    p = SystemParams()
+    gap, gamma, t = p.gap_hz, p.gamma_dynes, p.t_n_hz
+    width = junction._PANEL_KT * t
+    rng = np.random.default_rng(20261019)
+    k_gap = math.floor(-gap / width)
+    lefts = [0.0, k_gap * width, (k_gap + 0.5) * width,
+             (k_gap + 0.25) * width, math.floor(gap / width) * width,
+             *(rng.integers(-9, 9, 5) * width)]
+    probe = _node_rows(lefts, [width, width, width / 2, width / 4,
+                               width] + [width] * 5)
+    n_filler = 4 * BLOCK_INTEGRALS + 10 - len(probe)
+    filler = _node_rows(rng.integers(-9, 9, n_filler) * width,
+                        width / 2.0 ** rng.integers(0, 3, n_filler))
+
+    def run(rows):
+        return pat_integrals(rows, gap, gamma, t, t, 1e-12)
+
+    want = [run(row[None])[0].tobytes() for row in probe]
+    batch = np.concatenate([probe, filler])
+    assert len(batch) > 4 * BLOCK_INTEGRALS
+    first = run(batch)[:len(probe)]
+    last = run(batch[::-1])[::-1][:len(probe)]
+    assert [row.tobytes() for row in first] == want
+    assert [row.tobytes() for row in last] == want
+
+    calls = []
+    make = junction.pat_integrand
+
+    def recording(*args):
+        integrand = make(*args)
+
+        def recorded(eps, offset):
+            calls.append(eps.shape[0])
+            return integrand(eps, offset)
+        return recorded
+
+    monkeypatch.setattr(junction, "pat_integrand", recording)
+    small = np.concatenate([probe, filler[:20]])
+    for rows_per_call in (1, 7):
+        calls.clear()
+        monkeypatch.setattr(quad, "_CALL_ROWS",
+                            rows_per_call * junction._CHEB_N)
+        got = run(small)[:len(probe)]
+        assert [row.tobytes() for row in got] == want
+        assert max(calls) == rows_per_call
+
+
+@pytest.mark.parametrize("temp_s, temp_n, bias_hz", [
+    (0.1, 0.1, 45e9), (0.1, 0.1, 20e9), (0.03, 0.03, 45e9), (0.2, 0.2, 39e9),
+    (0.01, 0.01, 45e9), (0.2, 0.02, 45e9), (0.0, 0.1, 45e9)])
+def test_panel_nodes_meet_their_tolerance(params, spectrum, temp_s, temp_n,
+                                          bias_hz):
+    # Every node value of a cold table against a scalar rel_tol 1e-13
+    # integral at that node, in units of the node tolerance
+    # max(rel_tol |F|, rel_tol k_B T) at rel_tol = quad_rel_tol / 100.
+    p = params.replace(temp_s=temp_s, temp_n=temp_n, bias_v=bias_hz)
+    integ = PatIntegrator.from_params(p)
+    rate_table(p, diagonalize_kpo(p), integrator=integ)
+    nodes = np.concatenate([x.ravel() for _l, x, _f in integ._store.values()])
+    got = np.concatenate([f.ravel() for _l, _x, f in integ._store.values()])
+    assert nodes.size == len(integ)
+    want = pat_integrals(nodes, p.gap_hz, p.gamma_dynes, p.t_s_hz, p.t_n_hz,
+                         rel_tol=1e-13)
+    node_tol = junction._NODE_TOL * p.quad_rel_tol
+    tol = node_tol * np.maximum(np.abs(want), max(p.t_s_hz, p.t_n_hz))
+    err = np.abs(got - want) / tol
+    assert err.max() <= 1.0, nodes[np.argmax(err)]
+
+
+def test_unresolved_panel_is_named(params):
+    # A node quadrature that fails names its interpolation panel and the
+    # offsets of its row.
+    integ = PatIntegrator(params.gap_hz, params.gamma_dynes, params.t_s_hz,
+                          params.t_n_hz, rel_tol=1e-17)
+    width = junction._PANEL_KT * params.t_n_hz
+    with pytest.raises(QuadratureError) as info:
+        integ.evaluate([10e9])
+    message = str(info.value)
+    assert f"interpolation panel [0.0, {width!r}) Hz" in message
+    assert "tunneling integrals at offsets " in message
+
+
 class _Recorder:
     """Passes evaluate through to an integrator and keeps the offsets."""
 
