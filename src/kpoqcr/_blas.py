@@ -54,8 +54,10 @@ def cap_threads() -> tuple[tuple[str, str], ...]:
             name = next((s for s in _SETTERS if hasattr(lib, s)), None)
             if name is not None:
                 getattr(lib, name)(ctypes.c_int(1))
-                if hasattr(lib, "blas_thread_shutdown_"):
-                    lib.blas_thread_shutdown_()
+                shutdown = getattr(lib, "blas_thread_shutdown_", None)
+                if shutdown is not None:
+                    shutdown.argtypes, shutdown.restype = [], ctypes.c_int
+                    shutdown()
                 capped.append((path, name))
         except Exception:  # a BLAS we cannot drive is left as it is
             continue

@@ -440,8 +440,7 @@ def test_panel_row_values_do_not_depend_on_the_batch(monkeypatch):
 @pytest.mark.parametrize("temp_s, temp_n, bias_hz", [
     (0.1, 0.1, 45e9), (0.1, 0.1, 20e9), (0.03, 0.03, 45e9), (0.2, 0.2, 39e9),
     (0.01, 0.01, 45e9), (0.2, 0.02, 45e9), (0.0, 0.1, 45e9)])
-def test_panel_nodes_meet_their_tolerance(params, spectrum, temp_s, temp_n,
-                                          bias_hz):
+def test_panel_nodes_meet_their_tolerance(params, temp_s, temp_n, bias_hz):
     # Every node value of a cold table against a scalar rel_tol 1e-13
     # integral at that node, in units of the node tolerance
     # max(rel_tol |F|, rel_tol k_B T) at rel_tol = quad_rel_tol / 100.
