@@ -17,11 +17,18 @@ offsets.  Rate formulas supply the offset; the normalization 1/h is absorbed
 by the Hz energy convention.
 
 Every QCR rate is a sum of this one tunneling function F(x) = forward(x) at
-offsets x = de + A_q + dm omega_rf - V (Silveri et al., PRB 96, 094524
-(2017)).  pat_integrals integrates F at given offsets.  PatIntegrator holds
-F for a whole sweep: at T_N > 0 as Chebyshev panels on a thermal grid that
-the parameters alone fix, at T_N = 0 as one integral per offset; a value
-depends only on its offset, bit for bit.
+offsets x = de + A_q + dm omega_rf - V, with A_q = E_c (1 + 2q) at island
+charge q (Silveri et al., PRB 96, 094524 (2017)).  The charge sum of a rate
+term folds into one charge-averaged function
+
+  G(a) = sum_q p_q F(a + 2 E_c q),  a = de + E_c + dm omega_rf - V,
+
+which every point of a sweep shares, because the charge distribution does
+not depend on the bias or the pump.  pat_integrals integrates F at given
+offsets.  PatIntegrator holds F for a whole sweep: at T_N > 0 as Chebyshev
+panels on a thermal grid that the parameters alone fix, at T_N = 0 as one
+integral per offset.  ChargeAveraged holds G the same way, from F's values.
+A value of either depends only on its offset, bit for bit.
 """
 from __future__ import annotations
 
@@ -200,9 +207,10 @@ def pat_integrals(
     gap): the first panel holds ten Dynes widths and the rest double
     outward.  The rule reads the integral's own offsets only, and the cuts
     stay in the square-root variable, where the integrand is smooth.  The
-    node rows of a cold default table (14 rows of 24 offsets) take 1,035
-    points a row, 43 a node; grading their panels at -gap as well took
-    983 a row in the same 27 rounds, with no measurable gain.
+    node rows of a cold default table take about 1,000 points a row, 42 a
+    node (16 rows of 24 offsets, 16.1k points); when they were 14 rows,
+    1,035 a row, grading their panels at -gap as well took 983 a row in
+    the same 27 rounds, with no measurable gain.
     """
     offsets = np.asarray(offsets, float)
     rows = offsets.ndim == 2
@@ -278,15 +286,18 @@ class PatIntegrator:
     F' is n_s (1 - f_S) smoothed by the island Fermi edge, so F is
     analytic within pi k_B T_N of the real axis, and 16 k_B T_N panels
     split at most a few times, near the peak at x = -gap.  A cold default
-    table (10.5k distinct offsets) takes 336 node integrals in 14 panel
-    quadratures and keeps 10 panels: 0.034 s of CPU (median, 2 vCPUs),
-    against 0.046 s with one quadrature per node in the same runs and
-    0.22-0.28 s for one integral per offset.  Against rel_tol 1e-13
-    integrals, node values are within 0.017 of their own tolerance
-    (0.01 to 0.2 K), and the interpolated values of whole tables within
-    3.1e-3 of the table tolerance max(rel_tol |F|, rel_tol k_B T) from
-    0.01 to 0.3 K, and within 1.9e-3 at T_S / T_N = 0.2 / 0.02 K and
-    0 / 0.1 K.
+    table reads G (see ChargeAveraged) at 1,194 distinct anchors.  Its
+    charge distribution and G's nodes read F, which takes 384 node
+    integrals in 16 panel quadratures and keeps 12 panels; G takes 336
+    node sums in 4 rounds and keeps 10.  That table takes 18-19 ms of CPU
+    (medians, 2 vCPUs), against 20-22 ms when it read F at its 10.5k
+    distinct per-charge offsets in the same runs, and 0.22-0.28 s for one
+    integral per offset.  A warm table takes 1.2-1.3 ms, against
+    6.5-6.8 ms.  Against rel_tol 1e-13 integrals, node values are within
+    0.017 of their own tolerance (0.01 to 0.2 K), and the interpolated
+    values of whole tables within 3.1e-3 of the table tolerance
+    max(rel_tol |F|, rel_tol k_B T) from 0.01 to 0.3 K, and within 1.9e-3
+    at T_S / T_N = 0.2 / 0.02 K and 0 / 0.1 K.
 
     Since the nodes run at rel_tol / 100, a rel_tol below about 3e-12
     asks them for less than the quadrature's roundoff and raises
@@ -306,6 +317,9 @@ class PatIntegrator:
     upstream, so transitions that must interfere share bit-identical
     offsets, and their cancellations stay exact.
     Backward integrals are looked up at the negated offset.
+
+    averaged() builds the charge-averaged G on this F, once per charge
+    distribution.
     """
 
     def __init__(self, gap_hz: float, gamma_dynes: float, temp_s_hz: float,
@@ -319,6 +333,8 @@ class PatIntegrator:
         # At T_N = 0, each offset's value; otherwise, each base index's
         # panels as (left edges, node offsets, node values).
         self._store: dict = {}
+        # The charge averages of this function, by (charges, probs, E_c).
+        self._averaged: dict = {}
 
     @classmethod
     def from_params(cls, params: SystemParams) -> "PatIntegrator":
@@ -418,6 +434,14 @@ class PatIntegrator:
             f"tunneling function unresolved on [{a!r}, {b!r}) Hz after "
             f"{_MAX_SPLITS} halvings of its panel", math.inf, i)
 
+    def averaged(self, charges, probs, e_island: float) -> "ChargeAveraged":
+        """G(x) = sum_k probs[k] F(x + 2 e_island charges[k]), built once
+        per (charges, probs, e_island) and kept with this function."""
+        key = (tuple(charges), tuple(probs), e_island)
+        if key not in self._averaged:
+            self._averaged[key] = ChargeAveraged(self, *key)
+        return self._averaged[key]
+
     def forward(self, offset: float) -> float:
         return float(self.evaluate([offset])[0])
 
@@ -430,6 +454,52 @@ class PatIntegrator:
             return len(self._store)
         return _CHEB_N * sum(len(lefts) for lefts, _x, _f
                              in self._store.values())
+
+
+class ChargeAveraged(PatIntegrator):
+    """The charge-averaged tunneling function of a distribution of island
+    charges q_k with probabilities p_k,
+
+      G(x) = sum_k p_k F(x + 2 E_c q_k),
+
+    the sum in the order given.  G is held like F: on F's grid, with its
+    node count, tail test, split rule and error paths, and at T_N = 0 as
+    one sum per distinct offset.  A node value is that sum of F's values,
+    read in one evaluate call per build round.  So G carries F's
+    interpolation error and adds its own at the same tail threshold; its
+    nodes add no quadrature of their own.  Against sums of rel_tol 1e-13
+    integrals, G at every anchor of a cold table is within 7.7e-3 of the
+    table tolerance max(rel_tol |G|, rel_tol k_B T) (0.2 / 0.02 K; 2.9e-3
+    at defaults).
+
+    A value depends only on its offset, F's parameters and the charges,
+    bit for bit: F's values do, by F's rule, and the sum runs in a fixed
+    order.  A failure of F's integrals raises QuadratureError through G's
+    evaluate, naming G's offset and panel.
+    """
+
+    def __init__(self, source: PatIntegrator, charges, probs,
+                 e_island: float):
+        super().__init__(source.gap_hz, source.gamma_dynes,
+                         source.temp_s_hz, source.temp_n_hz, source.rel_tol)
+        self._source = source
+        self._shifts = 2.0 * e_island * np.array(charges, float)
+        self._probs = np.array(probs, float)
+
+    def _integrals(self, offsets, rel_tol):
+        x = np.asarray(offsets, float)
+        shifted = x + self._shifts.reshape(-1, *(1,) * x.ndim)
+        try:
+            f = self._source.evaluate(shifted)
+        except QuadratureError as exc:
+            # Position in offsets (T_N = 0) or row of offsets (_build).
+            i = int(np.unravel_index(exc.index, shifted.shape)[1])
+            raise QuadratureError(f"charge average: {exc}",
+                                  exc.achieved_rel_err, i) from exc
+        out = self._probs[0] * f[0]
+        for p, f_k in zip(self._probs[1:], f[1:]):
+            out += p * f_k
+        return out
 
 
 def _barycentric(x, nodes, values):
@@ -477,6 +547,15 @@ class ChargeDistribution:
 
     q_values: tuple[int, ...]
     probs: tuple[float, ...]
+
+    def __post_init__(self):
+        # Rates read the backward charge sum at a' - 2 E_c q as the forward
+        # one at a' + 2 E_c q, which needs p_q = p_-q bit for bit.
+        if (self.q_values != tuple(-q for q in reversed(self.q_values))
+                or [float(p).hex() for p in self.probs]
+                != [float(p).hex() for p in reversed(self.probs)]):
+            raise ValueError("charge distribution must be symmetric about "
+                             "q = 0")
 
     def p(self, q: int) -> float:
         return self.probs[self.q_values.index(q)]

@@ -21,16 +21,18 @@ factors common to all K and the per-round bookkeeping are paid once for K
 values.  Each component must meet the tolerance on its own, and a panel
 splits when any component asks for it.  The Chebyshev nodes of
 junction.PatIntegrator use this, one integral per panel of 24 nodes: a
-cold default rate table integrates its 336 nodes in 5 runs, 27 rounds and
+cold default rate table integrated 336 nodes in 5 runs, 27 rounds and
 14.5k points (1,035 a panel, 43 a node), against 39 rounds and 298k points
-(888 a node) as separate integrals, and takes 0.015-0.020 s instead of
+(888 a node) as separate integrals, and took 0.015-0.020 s instead of
 0.025-0.032 s (medians of five interleaved runs on a shared 2-vCPU VM).
+Since tables read the charge-averaged G, it integrates 384 nodes in the
+same 5 runs and 27 rounds, 16.1k points.
 
 Integrals are processed in blocks of BLOCK_INTEGRALS.  Every refinement
 round of a block evaluates all of its new panels in vectorized integrand
-calls of at most CALL_POINTS values (points times components), grouped by
-panel kind: plain panels skip the square-root map and its Jacobian, and
-the halves of a split panel keep its kind.  Convergence, splitting and the
+calls of at most CALL_POINTS values (points times components), in panel
+order, plain and square-root panels in the same call (the halves of a
+split panel keep its kind).  Convergence, splitting and the
 panel budget are decided per integral, and a converged integral leaves the
 active set.
 
@@ -53,7 +55,7 @@ exact, not merely close:
   component) slots, which adds an integral's panel values in their order
   in the panel arrays.  That order (kept panels first, then the left and
   then the right halves of the split ones) is the same whatever else is in
-  the block; panels are regrouped by kind only for evaluation.
+  the block.
 """
 from __future__ import annotations
 
@@ -211,36 +213,30 @@ def _split(panels: np.ndarray) -> np.ndarray:
 
 def _evaluate(fn, panels, owner, args, k) -> np.ndarray:
     """The Kronrod estimates and Kronrod-Gauss differences of every panel,
-    shape (2, panels, k).
+    shape (2, panels, k), in integrand calls of at most CALL_POINTS points
+    times components.
 
-    Plain panels are taken first, then square-root panels, each kind in
-    integrand calls of at most CALL_POINTS points times components.
+    Both panel kinds share a call: on a square-root panel the points are
+    eps = edge + sgn * u^2 with the Jacobian |d eps / d u| = 2u, on a plain
+    one eps = u with the Jacobian 1.0, which leaves the values' bits alone.
     """
     out = np.empty((2, owner.size, k))
-    sqrt_panel = panels[_SGN] != 0.0
     call_rows = max(_CALL_ROWS // k, 1)
-    for is_sqrt in (False, True):
-        of_kind = np.flatnonzero(sqrt_panel == is_sqrt)
-        for start in range(0, of_kind.size, call_rows):
-            sel = of_kind[start:start + call_rows]
-            a, b, edge, sgn = panels[:, sel]
-            rows = [arg[owner[sel], None] for arg in args]
-            h = 0.5 * (b - a)
-            u = np.multiply.outer(h, XGK)
-            u += (0.5 * (a + b))[:, None]
-            if is_sqrt:
-                eps = u * u
-                eps *= sgn[:, None]
-                eps += edge[:, None]
-                u *= 2.0                    # the Jacobian |d eps / d u|
-                vals = fn(eps, *rows).reshape(sel.size, XGK.size, k)
-                vals *= u[:, :, None]
-            else:
-                vals = fn(u, *rows).reshape(sel.size, XGK.size, k)
-            h = h[:, None]
-            kron = h * np.einsum("ijk,j->ik", vals, WGK)
-            out[0, sel] = kron
-            out[1, sel] = np.abs(kron - h * np.einsum("ijk,j->ik", vals, WG))
+    for start in range(0, owner.size, call_rows):
+        sel = slice(start, start + call_rows)
+        a, b, edge, sgn = panels[:, sel, None]
+        rows = [arg[owner[sel], None] for arg in args]
+        h = 0.5 * (b - a)
+        u = h * XGK
+        u += 0.5 * (a + b)
+        sqrt_panel = sgn != 0.0
+        eps = np.where(sqrt_panel, u * u * sgn + edge, u)
+        jacobian = np.where(sqrt_panel, 2.0 * u, 1.0)
+        vals = fn(eps, *rows).reshape(*u.shape, k)
+        vals *= jacobian[:, :, None]
+        kron = h * np.einsum("ijk,j->ik", vals, WGK)
+        out[0, sel] = kron
+        out[1, sel] = np.abs(kron - h * np.einsum("ijk,j->ik", vals, WG))
     return out
 
 

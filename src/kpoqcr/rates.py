@@ -18,19 +18,34 @@ energy-matched index sets are exactly zero.  The third term is the second
 one's Hermitian partner: core2 is Hermitian including the tunneling
 integrals, so only one core array is computed.
 
-Every entry is a sum of terms p_q * (F(off_f) * wf + F(-off_b) * wb), with F
-the forward tunneling integral: the backward integral at off_b is F(-off_b)
-(see junction), and the negation is exact.  The terms are built as arrays,
-but each entry adds its terms one at a time (np.add.at, which is sequential
-in index order), starting from zero, in the order sideband dm, then
-intermediate state sigma (class-2 cores only), then charge q.  A pairwise
-or blocked sum would round differently.  The rule protects the tables,
-core2's exact Hermiticity and the oracle cross-check qcr_bitflip_rate,
-which cancels interfering entries; bitflip_rates cancels nothing.  The
-offsets keep one association, off_f = de + ((A_q + dm * omega_rf) - V),
-with the class-1 de = 0.5 * (d1 + d2).  rate_table and transition_rate
-share one assembly; transition_rate hands it only the class-1 slots of the
-entries it reports, so each of its rates is bitwise that table entry.
+Every entry is a sum over sidebands (and intermediate states) of
+sum_q p_q (F(a + 2 E_c q) wf + F(a' - 2 E_c q) wb), with F the forward
+tunneling integral (the backward one is F at the negated offset, see
+junction) at the anchors
+
+  a  = de + ((E_c + dm * omega_rf) - V),
+  a' = de + ((E_c + dm * omega_rf) + V),
+
+with the class-1 de = 0.5 * (d1 + d2).  The charge distribution is
+symmetric, p_q = p_-q bit for bit (ChargeDistribution checks it), so both
+charge sums are one function G(x) = sum_q p_q F(x + 2 E_c q) over the
+charges kept above PQ_FLOOR, and a term is G(a) wf + G(a') wb.  G sums its
+charges in a fixed order inside junction.ChargeAveraged, built once per
+integrator and distribution (Silveri et al., PRB 96, 094524 (2017), write
+the QCR rates through one tunneling function; here it carries the island
+charge too).
+
+The terms are built as arrays, but each entry adds its terms one at a time
+(np.add.at, which is sequential in index order), starting from zero, in
+the order sideband dm, then intermediate state sigma (class-2 cores only).
+A pairwise or blocked sum would round differently.  Entries that must
+interfere read bit-identical G at bit-identical anchors, and core2 stays
+exactly Hermitian: a partner entry reads the same G with the conjugate
+weight.  The rule protects the tables, core2's Hermiticity and the oracle
+cross-check qcr_bitflip_rate, which cancels interfering entries;
+bitflip_rates cancels nothing.  rate_table and transition_rate share one
+assembly; transition_rate hands it only the class-1 slots of the entries
+it reports, so each of its rates is bitwise that table entry.
 """
 from __future__ import annotations
 
@@ -208,19 +223,10 @@ def _product(x, y):
     return out
 
 
-def _sidebands(params: SystemParams, eta: EtaTable, pq: ChargeDistribution):
-    """Sidebands dm, probabilities of the charges above PQ_FLOOR, and the
-    forward and backward offsets (A_q + dm * omega_rf) - V at de = 0, each
-    (sidebands, charges)."""
+def _kept(pq: ChargeDistribution):
+    """The charges above PQ_FLOOR and their probabilities, as tuples."""
     kept = [(q, p) for q, p in pq.items() if p >= PQ_FLOOR]
-    qs = np.array([q for q, _ in kept], float)
-    probs = np.array([p for _, p in kept])
-    dms = np.arange(-eta.dm_max, eta.dm_max + 1)
-    base_f = (params.e_island * (1.0 + 2.0 * qs)
-              + params.omega_rf * dms[:, None] - params.bias_v)
-    base_b = (-params.e_island * (1.0 - 2.0 * qs)
-              - params.omega_rf * dms[:, None] - params.bias_v)
-    return dms, probs, base_f, base_b
+    return tuple(q for q, _ in kept), tuple(p for _, p in kept)
 
 
 def _assemble(params, spectrum, eta, pq, integrator, class1, class2_pairs):
@@ -230,7 +236,7 @@ def _assemble(params, spectrum, eta, pq, integrator, class1, class2_pairs):
     energies = spectrum.energies
     parity = spectrum.parity
     n = energies.size
-    dms, probs, base_f, base_b = _sidebands(params, eta, pq)
+    dms = np.arange(-eta.dm_max, eta.dm_max + 1)
     pdm = _sideband_parity(dms)
     ef = np.stack([eta.f[dm] for dm in dms])
     eb = np.stack([eta.b[dm] for dm in dms])
@@ -250,7 +256,7 @@ def _assemble(params, spectrum, eta, pq, integrator, class1, class2_pairs):
 
     # Flat position of each term row's entry in one storage, gamma1 then
     # core2.  Rows are in slot order, so each entry adds its terms in dm,
-    # sigma, q order.
+    # then sigma order.
     entry = np.concatenate([((i1 * n + k1) * n + j1) * n + l1,
                             n ** 4 + m2 * n + xi2])
     d = np.concatenate([d1, d2])
@@ -263,13 +269,14 @@ def _assemble(params, spectrum, eta, pq, integrator, class1, class2_pairs):
                                         e[d2, sigma, xi2])])
 
     wf, wb = weights(ef), weights(eb)
-    # One row of charge terms per (slot, dm[, sigma]), rows in slot order.
-    off_f = de[:, None] + base_f[d]
-    off_b = -de[:, None] + base_b[d]
-    vf, vb = integrator.evaluate(np.stack([off_f, -off_b]))
-    terms = probs * (vf * wf[:, None] + vb * wb[:, None])
+    # One term per (slot, dm[, sigma]): G at the forward and backward
+    # anchors de + ((E_c + dm * omega_rf) -+ V).
+    base = (params.e_island + params.omega_rf * dms)[d]
+    averaged = integrator.averaged(*_kept(pq), params.e_island)
+    vf, vb = averaged.evaluate(np.stack([de + (base - params.bias_v),
+                                         de + (base + params.bias_v)]))
     acc = np.zeros(n ** 4 + n ** 2, complex)
-    np.add.at(acc, np.repeat(entry, probs.size), terms.ravel())
+    np.add.at(acc, entry, vf * wf + vb * wb)
     gamma1 = 2.0 * params.r_ratio * acc[:n ** 4].reshape(n, n, n, n)
     core2 = acc[n ** 4:].reshape(n, n)
     # Scale the matched entries only: -r * 0j would leave a -0.0 elsewhere.
@@ -359,8 +366,21 @@ def bitflip_rates(params: SystemParams, spectrum: Spectrum, eta: EtaTable,
     a0 off the others' sidebands, so the interference entries add only
     2 Re(a01 conj(a10)) and rate_off is the channel sum.  An unsnapped pair
     has no interference entry, and (0,1), (1,0) sit at de = +-(E0 - E1).
+
+    It reads F at 2 x sidebands x charges offsets per channel de, not the
+    charge-averaged G of the tables: a point needs only (2, 3, 9, 11)
+    offsets, and a four-point bitflip_sweep took 23-25 ms through F
+    against 26-28 ms through G (quartiles of 15 interleaved runs, 2
+    vCPUs), whose build and extra F panels cost more than they save here.
     """
-    dms, probs, base_f, base_b = _sidebands(params, eta, pq)
+    qs, probs = (np.array(x, float) for x in _kept(pq))
+    dms = np.arange(-eta.dm_max, eta.dm_max + 1)
+    # The forward and backward offsets (A_q + dm * omega_rf) - V at de = 0,
+    # each (sidebands, charges).
+    base_f = (params.e_island * (1.0 + 2.0 * qs)
+              + params.omega_rf * dms[:, None] - params.bias_v)
+    base_b = (-params.e_island * (1.0 - 2.0 * qs)
+              - params.omega_rf * dms[:, None] - params.bias_v)
     split = float(spectrum.energies[0] - spectrum.energies[1])
     # One row of offsets per distinct channel de; row[k] is channel k's.
     # Forward integrals at off_f = de + base_f and -off_b = de - base_b.

@@ -11,12 +11,17 @@ taken at zero bias (charge_distribution with pumped=False), which does not
 read the pump; and on the voltage axis the spectrum and sideband table,
 which do not depend on the bias.  Along the alpha axis each point
 diagonalizes its own oscillator.  Each point is one call
-point(params, spectrum, eta, pq, integrator), in a plain loop.
+point(params, spectrum, eta, pq, integrator), in a plain loop.  The rate
+points of the steady and rates sweeps read the charge-averaged function G
+of F and that distribution (PatIntegrator.averaged), which the first point
+builds and F keeps, so a sweep builds one F and one G; bit-flip points
+read F.
 
-The points run serially.  With one shared F a point is mostly linear
-algebra, 1-8 ms, and a fork pool no longer pays for its start-up and its
-code.  The README sweeps, wall time on 2 vCPUs (best of 3; the parent is
-the per-point-table code at threads=2):
+The points run serially.  With one shared F and G a point is mostly
+linear algebra, 1-8 ms, and a fork pool no longer pays for its start-up
+and its code.  The README sweeps, wall time on 2 vCPUs (best of 3,
+measured when points read F at per-charge offsets; the parent is the
+per-point-table code at threads=2):
 
   | sweep                  | serial  | 2 workers | per-point tables |
   |------------------------|---------|-----------|------------------|

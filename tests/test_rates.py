@@ -151,8 +151,10 @@ def test_core2_is_hermitian(table45, small_params, table_0k):
 
 def _sequential_table(params, spectrum, eta, pq, integ, interference="on"):
     """Reference assembly: every term of every entry in a plain loop, in
-    slot, dm, sigma, q order, added one at a time to 0j with numpy scalar
-    arithmetic and the table's offset association."""
+    slot, dm, sigma order, added one at a time to 0j with numpy scalar
+    arithmetic and the table's anchor association.  A term reads the
+    charge-averaged G over the charges kept above PQ_FLOOR at its forward
+    and backward anchors."""
     matches = match_sets(spectrum, params.omega_rf, params.match_tol)
     energies, parity = spectrum.energies, spectrum.parity
     charges = [(q, p) for q, p in pq.items() if p >= PQ_FLOOR]
@@ -161,13 +163,11 @@ def _sequential_table(params, spectrum, eta, pq, integ, interference="on"):
     def sideband_parity(dm):
         return 1.0 if dm % 2 == 0 else -1.0
 
-    def base(dm, q):
-        return (params.e_island * (1.0 + 2.0 * q) + params.omega_rf * dm
-                - params.bias_v,
-                -params.e_island * (1.0 - 2.0 * q) - params.omega_rf * dm
-                - params.bias_v)
+    def anchors(de, dm):
+        base = params.e_island + params.omega_rf * dm
+        return de + (base - params.bias_v), de + (base + params.bias_v)
 
-    terms = []          # (entry, p, wf, wb, off_f, off_b)
+    terms = []          # (entry, wf, wb, anchor_f, anchor_b)
     for mu, mup, nu, nup, de in matches.class1:
         for dm in dms:
             pdm = sideband_parity(dm)
@@ -176,10 +176,7 @@ def _sequential_table(params, spectrum, eta, pq, integ, interference="on"):
                 continue
             wf = eta.f[dm][mu, nu] * eta.f[dm][mup, nup].conjugate()
             wb = eta.b[dm][mu, nu] * eta.b[dm][mup, nup].conjugate()
-            for q, p in charges:
-                bf, bb = base(dm, q)
-                terms.append(((mu, mup, nu, nup), p, wf, wb,
-                              de + bf, -de + bb))
+            terms.append(((mu, mup, nu, nup), wf, wb, *anchors(de, dm)))
     for m, xi in matches.class2_pairs:
         for dm in dms:
             target = sideband_parity(dm) * parity[m]
@@ -189,17 +186,16 @@ def _sequential_table(params, spectrum, eta, pq, integ, interference="on"):
                 wf = eta.f[dm][sigma, m].conjugate() * eta.f[dm][sigma, xi]
                 wb = eta.b[dm][sigma, m].conjugate() * eta.b[dm][sigma, xi]
                 de = float(energies[sigma] - energies[m])
-                for q, p in charges:
-                    bf, bb = base(dm, q)
-                    terms.append(((m, xi), p, wf, wb, de + bf, -de + bb))
-    # The backward integral at x is the forward one at -x.
-    offsets = list(dict.fromkeys(x for *_, off_f, off_b in terms
-                                 for x in (off_f, -off_b)))
-    value = dict(zip(offsets, integ.evaluate(offsets).tolist()))
+                terms.append(((m, xi), wf, wb, *anchors(de, dm)))
+    averaged = integ.averaged([q for q, _ in charges],
+                              [p for _, p in charges], params.e_island)
+    offsets = list(dict.fromkeys(x for *_, a_f, a_b in terms
+                                 for x in (a_f, a_b)))
+    value = dict(zip(offsets, averaged.evaluate(offsets).tolist()))
     acc = {key[:4]: 0j for key in matches.class1}
     acc.update((pair, 0j) for pair in matches.class2_pairs)
-    for key, p, wf, wb, off_f, off_b in terms:
-        acc[key] += p * (value[off_f] * wf + value[-off_b] * wb)
+    for key, wf, wb, a_f, a_b in terms:
+        acc[key] += value[a_f] * wf + value[a_b] * wb
     gamma1 = {k: 2.0 * params.r_ratio * v for k, v in acc.items()
               if len(k) == 4}
     core2 = {k: -params.r_ratio * v for k, v in acc.items() if len(k) == 2}
@@ -315,13 +311,18 @@ def test_bitflip_rate_against_signed_sum(small_params, small_spectrum,
 
 class _PerturbedIntegrator:
     """Forward integrals times (1 + scale * u), u uniform in [-1, 1] drawn
-    per distinct offset; records the size of every batch."""
+    per distinct offset; records the size of every batch.  Its charge
+    averages, which rate tables read, are perturbed the same way."""
 
     def __init__(self, integrator, scale, seed):
         self.integrator = integrator
         self.scale = scale
         self.rng = np.random.default_rng(seed)
         self.batches = []
+
+    def averaged(self, *charges):
+        return _PerturbedIntegrator(self.integrator.averaged(*charges),
+                                    self.scale, self.rng)
 
     def evaluate(self, offsets):
         offsets = np.asarray(offsets, float)

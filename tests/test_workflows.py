@@ -11,7 +11,7 @@ from kpoqcr import (ConfigError, DEFAULT_TRANSITIONS, HusimiConfig, Schedule,
                     bitflip_sweep, diagonalize_kpo, dynamics_run, husimi_run,
                     pq_run, qcr_bitflip_rate, rate_table, rates_sweep,
                     steady_sweep)
-from kpoqcr import rates, workflows
+from kpoqcr import junction, rates, workflows
 from kpoqcr.junction import PatIntegrator, charge_distribution
 from kpoqcr.rates import transition_rate
 from kpoqcr.workflows import (_rates_point, parse_transition_label,
@@ -50,11 +50,17 @@ def _refuse_table(*args, **kwargs):
 
 
 class _Counting:
-    """Passes evaluate through to an integrator and counts the calls."""
+    """Passes evaluate through to an integrator and counts the calls; its
+    charge averages are counted the same way, in averages."""
 
     def __init__(self, integrator):
         self.integrator = integrator
         self.calls = 0
+        self.averages = []
+
+    def averaged(self, *charges):
+        self.averages.append(_Counting(self.integrator.averaged(*charges)))
+        return self.averages[-1]
 
     def evaluate(self, offsets):
         self.calls += 1
@@ -64,10 +70,10 @@ class _Counting:
 @pytest.mark.parametrize("temp_k", [None, 0.01])
 def test_rates_point_is_one_quadrature_and_bitwise(params, spectrum, eta,
                                                    temp_k, monkeypatch):
-    # A rates point reads all of its transitions' offsets in one evaluate
-    # call on the sweep's integrator (the sweep hands it the charge
-    # distribution), builds no table, and every rate is bitwise what
-    # transition_rate gives on its own.
+    # A rates point reads all of its transitions' anchors in one evaluate
+    # call on the charge average of the sweep's integrator (the sweep hands
+    # it the charge distribution), builds no table, and every rate is
+    # bitwise what transition_rate gives on its own.
     p = params.replace(bias_v=39e9)
     if temp_k is not None:
         p = p.replace(temp_n=temp_k, temp_s=temp_k)
@@ -76,7 +82,8 @@ def test_rates_point_is_one_quadrature_and_bitwise(params, spectrum, eta,
         counting = _Counting(PatIntegrator.from_params(p))
         monkeypatch.setattr(workflows, "rate_table", _refuse_table)
         got = _rates_point(p, spectrum, eta, pq, counting, transitions, "on")
-        assert counting.calls == 1
+        assert counting.calls == 0
+        assert [g.calls for g in counting.averages] == [1]
         monkeypatch.undo()
         integrator = PatIntegrator.from_params(p)
         want = transition_rate(p, spectrum, eta, pq, integrator, transitions)
@@ -181,26 +188,38 @@ def test_sweeps_compute_the_charge_distribution_once(params, monkeypatch):
 
 
 def test_sweeps_share_one_integrator(params, monkeypatch):
-    # Each sweep builds one tunneling function and hands it to the charge
-    # distribution and to every point, in one process.  threads is checked
-    # but has no effect.
+    # Each sweep builds one tunneling function F and hands it to the charge
+    # distribution and to every point, in one process; the rate points of
+    # the steady and rates sweeps read one charge average G of it, and the
+    # bit-flip points read F.  threads is checked but has no effect.
     built = []
+    averages = []
 
     class Recorded(PatIntegrator):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
             built.append(self)
 
+    class RecordedAverage(junction.ChargeAveraged):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            averages.append(self)
+
     monkeypatch.setattr(workflows, "PatIntegrator", Recorded)
+    monkeypatch.setattr(junction, "ChargeAveraged", RecordedAverage)
     volts = np.array([45e9, 33e9])
     alphas = np.array([1.7, 2.5])
-    for run in (lambda t: steady_sweep(params, volts, threads=t),
-                lambda t: rates_sweep(params, "voltage", volts, threads=t),
-                lambda t: rates_sweep(params, "alpha", alphas, threads=t),
-                lambda t: bitflip_sweep(params, alphas, threads=t)):
+    for run, n_averages in (
+            (lambda t: steady_sweep(params, volts, threads=t), 1),
+            (lambda t: rates_sweep(params, "voltage", volts, threads=t), 1),
+            (lambda t: rates_sweep(params, "alpha", alphas, threads=t), 1),
+            (lambda t: bitflip_sweep(params, alphas, threads=t), 0)):
         built.clear()
+        averages.clear()
         run(3)
         assert len(built) == 1 and len(built[0]) > 0
+        assert len(averages) == n_averages
+        assert all(len(g) > 0 and g._source is built[0] for g in averages)
         with pytest.raises(ConfigError, match="threads must be at least 1"):
             run(0)
 
