@@ -143,7 +143,7 @@ def _fmt(value) -> str:
 
 def _emit(out_path: str | None, as_json: bool, params: SystemParams,
           meta: dict, columns: list[str], rows) -> None:
-    rows = [list(map(float, row)) for row in rows]
+    rows = np.asarray(rows, dtype=float).tolist()
     if as_json:
         payload = {
             "params": {k: v for k, v in params.echo_items()},

@@ -8,10 +8,17 @@ Three generator pieces act on it:
               both angular rates 2 pi times the configured Hz values
   tunneling : the matched gamma1 and core2 arrays of a RateTable
 
+The Hamiltonian commutes with photon parity and every tunneling term keeps
+parity[mu] parity[mup] = parity[nu] parity[nup], so L never couples
+rho[mu,mup] of relative parity +1 with relative parity -1 (the symmetry
+block-diagonalization of Albert & Jiang, PRA 89, 022118 (2014)).  A
+generator carries these sectors as index arrays into vec(rho); evolve and
+steady_state work on each sector's block of L on its own.
+
 The generator is constant between consecutive grid times and the switch-on
 time, so each such interval is advanced by the exact propagator expm(L dt).
-One matrix is built per generator and interval length; lengths that agree to
-a relative _SNAP_REL share it.
+One matrix is built per generator, sector and interval length; lengths that
+agree to a relative _SNAP_REL share it.
 """
 from __future__ import annotations
 
@@ -101,11 +108,20 @@ def qcr_superop(table: RateTable) -> np.ndarray:
 
 @dataclass
 class Generator:
-    """Master-equation generator split into its physical parts."""
+    """Master-equation generator split into its physical parts.
+
+    sectors: index arrays into vec(rho) that L never couples, the first one
+    holding the diagonal; by default one sector holding every index.
+    """
 
     coherent_part: np.ndarray
     lindblad_part: np.ndarray
     qcr_part: np.ndarray | None
+    sectors: tuple[np.ndarray, ...] = ()
+
+    def __post_init__(self):
+        if not self.sectors:
+            self.sectors = (np.arange(self.coherent_part.shape[0]),)
 
     @cached_property
     def total(self) -> np.ndarray:
@@ -134,10 +150,12 @@ def assemble_generator(
     params: SystemParams,
     table: RateTable | None = None,
 ) -> Generator:
+    relative = np.outer(spectrum.parity, spectrum.parity).ravel()
     return Generator(
         coherent_part=coherent_superop(spectrum.energies),
         lindblad_part=lindblad_dissipators(spectrum, params.kappa, params.gamma_p),
         qcr_part=qcr_superop(table) if table is not None else None,
+        sectors=(np.flatnonzero(relative > 0), np.flatnonzero(relative < 0)),
     )
 
 
@@ -224,18 +242,19 @@ def evolve(
             return gen_pair[0]
         return gen_pair[1] if t0 >= t_on else gen_pair[0]
 
-    # (interval length, expm(L dt)) pairs per generator: the spacings of a
-    # uniform grid differ by a few ulps and share the first one's matrix.
-    cache: dict[int, list[tuple[float, np.ndarray]]] = {}
+    # (interval length, expm(L_s dt) of every sector s) pairs per
+    # generator: the spacings of a uniform grid differ by a few ulps and
+    # share the first one's matrices.
+    cache: dict[int, list[tuple[float, list[np.ndarray]]]] = {}
 
-    def propagator(gen: Generator, dt: float) -> np.ndarray:
-        mats = cache.setdefault(id(gen), [])
-        for dt_built, mat in mats:
+    def propagator(gen: Generator, dt: float) -> list[np.ndarray]:
+        built = cache.setdefault(id(gen), [])
+        for dt_built, mats in built:
             if math.isclose(dt, dt_built, rel_tol=_SNAP_REL):
-                return mat
-        mat = expm(gen.total * dt)
-        mats.append((dt, mat))
-        return mat
+                return mats
+        mats = [expm(gen.total[np.ix_(idx, idx)] * dt) for idx in gen.sectors]
+        built.append((dt, mats))
+        return mats
 
     vec = rho0.reshape(n * n).copy()
     states = np.empty((t_grid.size, n, n), dtype=complex)
@@ -249,7 +268,11 @@ def evolve(
             if t_on is not None and t_now < t_on < t_next:
                 seg_end = float(t_on)
             gen = gen_at(t_now)
-            vec = propagator(gen, seg_end - t_now) @ vec
+            mats = propagator(gen, seg_end - t_now)
+            new = np.empty_like(vec)
+            for idx, mat in zip(gen.sectors, mats):
+                new[idx] = mat @ vec[idx]
+            vec = new
             normalized_time += (seg_end - t_now) * gen.norm_inf
             t_now = seg_end
         t_now = t_next
@@ -276,24 +299,26 @@ def evolve(
 def steady_state(generator: Generator) -> tuple[np.ndarray, float]:
     """Unique trace-one kernel element of the generator.
 
-    Solves the trace-replaced linear system and verifies the residual
-    against 1e-10 of the generator norm; diagnoses a degenerate kernel via
-    singular values if the direct solve fails.
+    Solves each sector on its own: the sector holding the diagonal with its
+    first row replaced by the trace, every other one with a zero right-hand
+    side.  Verifies the residual of the whole generator against 1e-10 of
+    its norm; diagnoses a degenerate kernel via singular values if a solve
+    fails.
     """
     total = generator.total
     n = generator.n
-    n2 = n * n
-    a = total.copy()
-    a[0, :] = 0.0
-    a[0, :: n + 1] = 1.0
-    b = np.zeros(n2, dtype=complex)
-    b[0] = 1.0
-
-    x = None
+    x: np.ndarray | None = np.zeros(n * n, dtype=complex)
     try:
-        x = np.linalg.solve(a, b)
+        for idx in generator.sectors:
+            a = total[np.ix_(idx, idx)]
+            b = np.zeros(idx.size, dtype=complex)
+            if idx[0] == 0:
+                a[0, :] = 0.0
+                a[0, idx % (n + 1) == 0] = 1.0
+                b[0] = 1.0
+            x[idx] = np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
-        pass
+        x = None
     if x is not None:
         residual = float(np.max(np.abs(total @ x)))
         if residual <= 1e-10 * generator.norm_inf:
@@ -340,14 +365,14 @@ def husimi_q(
     amps = np.concatenate(
         [np.ones((alphas.size, 1), complex), np.cumprod(steps, axis=1)], axis=1)
     amps *= np.exp(-0.5 * np.abs(alphas) ** 2)[:, None]
-    rho_f = spectrum.vectors @ np.asarray(rho_eig, complex) @ spectrum.vectors.conj().T
-    # <alpha| rho |alpha> as a matrix product, in row chunks that keep the
-    # (rows, n_fock) intermediate small.
+    rho_eig = np.asarray(rho_eig, complex)
+    # <alpha| rho |alpha> = w rho w^dag with w = <alpha| V in the retained
+    # eigenbasis, in row chunks that keep the conjugated (rows, n_fock)
+    # amplitudes small.
     q = np.empty(alphas.size)
     for start in range(0, alphas.size, _HUSIMI_ROWS):
-        chunk = amps[start:start + _HUSIMI_ROWS]
-        q[start:start + chunk.shape[0]] = (
-            (chunk.conj() @ rho_f) * chunk).sum(axis=1).real
+        w = amps[start:start + _HUSIMI_ROWS].conj() @ spectrum.vectors
+        q[start:start + w.shape[0]] = ((w @ rho_eig) * w.conj()).sum(axis=1).real
     return (q / math.pi).reshape(im_axis.size, re_axis.size)
 
 

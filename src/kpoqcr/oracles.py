@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import expm
+from .dynamics import assemble_generator, expm
 from .junction import (PatIntegrator, charge_distribution, dynes_dos, fermi,
                        pat_integral)
 from .params import SystemParams
@@ -277,6 +277,18 @@ def run_oracle_suite(params: SystemParams | None = None) -> list[OracleReport]:
             worst = max(worst, float(np.max(np.abs(mat[forbidden]))))
     reports.append(_report_abs(
         "eta_parity_selection", worst, 0.0, 0.0, "closed-form"))
+
+    # The same selection keeps the generator with the junction on from
+    # coupling rho[mu,mup] of relative parity +1 with relative parity -1,
+    # the sectors that evolve and steady_state solve apart.
+    relative = np.outer(spec.parity, spec.parity).ravel()
+    plus, minus = relative > 0, relative < 0
+    total = assemble_generator(
+        spec, params, rate_table(params, spec, eta=eta)).total
+    worst = max(float(np.max(np.abs(total[np.ix_(plus, minus)]))),
+                float(np.max(np.abs(total[np.ix_(minus, plus)]))))
+    reports.append(_report_abs(
+        "generator_parity_sectors", worst, 0.0, 0.0, "closed-form"))
 
     # Intrinsic-channel bit-flip rates, printed form vs Fock quadratic form.
     alpha = params.alpha

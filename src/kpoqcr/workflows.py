@@ -86,9 +86,8 @@ class SweepResult:
     data: np.ndarray                    # (n_points, n_columns)
     meta: dict = field(default_factory=dict)
 
-    def rows(self):
-        for value, row in zip(self.values, self.data):
-            yield (float(value), *map(float, row))
+    def rows(self) -> np.ndarray:
+        return np.column_stack((self.values, self.data)).astype(float)
 
 
 def _check_transitions(transitions, n_keep: int):
@@ -233,11 +232,9 @@ class DynamicsResult:
     herm_drift: float
     min_eigenvalue: float
 
-    def rows(self):
-        for k, t in enumerate(self.times):
-            yield (float(t), *map(float, self.populations[k]),
-                   float(self.qubit[k]), float(self.branch_plus[k]),
-                   float(self.qcr_active[k]))
+    def rows(self) -> np.ndarray:
+        return np.column_stack((self.times, self.populations, self.qubit,
+                                self.branch_plus, self.qcr_active))
 
 
 def dynamics_run(params: SystemParams, schedule: Schedule) -> DynamicsResult:
@@ -305,10 +302,9 @@ class HusimiResult:
     norm: float
     meta: dict
 
-    def rows(self):
-        for iy, im in enumerate(self.im_axis):
-            for ix, re_ in enumerate(self.re_axis):
-                yield (float(re_), float(im), float(self.q[iy, ix]))
+    def rows(self) -> np.ndarray:
+        re_, im = np.meshgrid(self.re_axis, self.im_axis)
+        return np.column_stack((re_.ravel(), im.ravel(), self.q.ravel()))
 
 
 def husimi_run(params: SystemParams, cfg: HusimiConfig) -> HusimiResult:

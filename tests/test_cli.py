@@ -299,7 +299,7 @@ def test_bitflip_single_alpha(runner):
 def test_validate_passes(runner):
     result = runner.invoke(main, ["validate"])
     assert result.exit_code == 0
-    assert "21/21 checks passed" in result.output
+    assert "22/22 checks passed" in result.output
     assert "FAIL" not in result.output
 
 
@@ -307,7 +307,7 @@ def test_validate_json(runner):
     result = runner.invoke(main, ["validate", "--json"])
     assert result.exit_code == 0
     payload = json.loads(result.output)
-    assert len(payload) == 21
+    assert len(payload) == 22
     assert all(entry["passed"] for entry in payload)
 
 

@@ -3,13 +3,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from kpoqcr import (EvolveError, SteadyStateError, assemble_generator,
-                    density_metrics, evolve, husimi_q, initial_state,
+from kpoqcr import (EvolveError, SteadyStateError, SystemParams,
+                    assemble_generator, density_metrics, diagonalize_kpo,
+                    evolve, husimi_q, initial_state, rate_table,
                     steady_state)
 from kpoqcr import dynamics
-from kpoqcr.dynamics import (coherent_superop, dissipator_superop,
+from kpoqcr.dynamics import (Generator, coherent_superop, dissipator_superop,
                              lindblad_dissipators, qcr_superop)
 from kpoqcr.spectrum import coherent_state
 
@@ -127,6 +130,26 @@ def test_generator_conserves_trace(gen_on, gen_off, table45):
     assert np.max(np.abs(row)) < 1e-12 * scale
 
 
+@settings(max_examples=6, deadline=None)
+@given(alpha=st.floats(0.8, 2.5), bias_v=st.floats(0.0, 60e9),
+       temp_n=st.floats(0.03, 0.2), temp_s=st.floats(0.03, 0.2),
+       rho_c=st.floats(1e-5, 2e-4), n_keep=st.integers(4, 14))
+def test_generator_never_couples_parity_sectors(alpha, bias_v, temp_n,
+                                                temp_s, rho_c, n_keep):
+    params = SystemParams(bias_v=bias_v, temp_n=temp_n, temp_s=temp_s,
+                          rho_c=rho_c, n_keep=n_keep).with_alpha(alpha)
+    spectrum = diagonalize_kpo(params)
+    relative = np.outer(spectrum.parity, spectrum.parity).ravel()
+    plus, minus = relative > 0, relative < 0
+    for table in (None, rate_table(params, spectrum)):
+        gen = assemble_generator(spectrum, params, table)
+        # Every entry between relative parities +1 and -1 is exactly zero.
+        assert np.max(np.abs(gen.total[np.ix_(plus, minus)])) == 0.0
+        assert np.max(np.abs(gen.total[np.ix_(minus, plus)])) == 0.0
+        assert [idx.tolist() for idx in gen.sectors] == [
+            np.flatnonzero(plus).tolist(), np.flatnonzero(minus).tolist()]
+
+
 def test_initial_states(spectrum):
     for name, idx in (("phi0", 0), ("phi3", 3), ("phi11", 11)):
         rho = initial_state(spectrum, name)
@@ -151,7 +174,6 @@ def test_evolve_validates_inputs(spectrum, gen_off):
 
 def _toy_generator(rng, n=3, scale=0.1):
     """Slow trace-preserving generator on n levels."""
-    from kpoqcr.dynamics import Generator
     energies = scale * np.arange(n, dtype=float) / n
     op = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     op *= scale / np.linalg.norm(op)
@@ -213,6 +235,32 @@ def test_evolve_shares_step_matrices_across_grid_spacings(rng, monkeypatch):
     assert np.max(np.abs(traj.states[-1].reshape(n * n) - ref)) < 1e-12
 
 
+def test_evolve_builds_sector_sized_step_matrices(spectrum, gen_off, gen_on,
+                                                 monkeypatch):
+    # The README dynamics run: one expm per generator and parity sector,
+    # each 72 x 72 at defaults, and together the step matrix of the whole
+    # generator.
+    built, own_expm = [], dynamics.expm
+
+    def counted(mat):
+        built.append(own_expm(mat))
+        return built[-1]
+
+    monkeypatch.setattr(dynamics, "expm", counted)
+    rho0 = initial_state(spectrum, "phi0")
+    t_grid = np.linspace(0.0, 1e-4, 201)
+    evolve(rho0, (gen_off, gen_on), {"t_qcr_on": 5e-5}, t_grid)
+    n2 = spectrum.n_keep ** 2
+    assert [mat.shape for mat in built] == [(n2 // 2, n2 // 2)] * 4
+    # Each generator's matrices are built for its first interval.
+    for gen, blocks, dt in ((gen_off, built[:2], t_grid[1] - t_grid[0]),
+                            (gen_on, built[2:], t_grid[101] - t_grid[100])):
+        step = np.zeros((n2, n2), dtype=complex)
+        for idx, block in zip(gen.sectors, blocks):
+            step[np.ix_(idx, idx)] = block
+        assert _rel_frobenius(step, expm(gen.total * dt)) <= 1e-12
+
+
 def test_evolve_does_not_depend_on_output_grid(spectrum, gen_off, gen_on):
     # The README schedule: the state at 1e-4 s is the same whether it is
     # reached in 200 recorded intervals or in two.
@@ -271,6 +319,22 @@ def test_steady_state_degenerate_kernel_detected(spectrum, params):
                                                          gamma_p=0.0), None)
     with pytest.raises(SteadyStateError, match="not unique"):
         steady_state(lonely)
+
+
+def test_steady_state_zero_sector_is_not_unique():
+    # Two levels of opposite parity under photon loss, with the coherence
+    # sector zeroed by hand: the population sector has one stationary
+    # state, and every coherence is stationary too.
+    sigma = np.array([[0.0, 1.0], [0.0, 0.0]])
+    loss = dissipator_superop(sigma)
+    coherences = np.array([1, 2])
+    loss[np.ix_(coherences, coherences)] = 0.0
+    gen = Generator(coherent_part=np.zeros((4, 4), complex),
+                    lindblad_part=loss, qcr_part=None,
+                    sectors=(np.array([0, 3]), coherences))
+    assert gen.trace_defect() == 0.0
+    with pytest.raises(SteadyStateError, match="not unique"):
+        steady_state(gen)
 
 
 def test_husimi_of_branch_state_peaks_at_alpha(spectrum, params):

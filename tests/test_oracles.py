@@ -107,7 +107,7 @@ def test_threshold_voltages_formula(params):
 
 def test_suite_all_pass(params):
     reports = run_oracle_suite(params)
-    assert len(reports) == 21
+    assert len(reports) == 22
     for report in reports:
         assert report.passed, report.line()
     kinds = {r.kind for r in reports}
