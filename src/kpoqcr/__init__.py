@@ -13,7 +13,7 @@ from .junction import (ChargeDistribution, PatIntegrator, charge_distribution,
 from .oracles import OracleReport, run_oracle_suite
 from .params import SystemParams, load_config
 from .rates import (EtaTable, MatchSets, RateTable, bitflip_rates,
-                    displacement_matrix, eta_table, hermiticity_residual,
+                    displacement_bands, eta_table, hermiticity_residual,
                     match_sets, qcr_bitflip_rate, rate_table, trace_residual,
                     transition_rate)
 from .spectrum import (CatStates, FockOperators, Spectrum,
@@ -46,7 +46,7 @@ __all__ = [
     "OracleReport", "run_oracle_suite",
     "SystemParams", "load_config",
     "EtaTable", "MatchSets", "RateTable", "bitflip_rates",
-    "displacement_matrix", "eta_table",
+    "displacement_bands", "eta_table",
     "hermiticity_residual", "match_sets", "qcr_bitflip_rate", "rate_table",
     "trace_residual", "transition_rate",
     "CatStates", "FockOperators", "Spectrum", "build_fock_operators",

@@ -143,13 +143,13 @@ def _fmt(value) -> str:
 
 def _emit(out_path: str | None, as_json: bool, params: SystemParams,
           meta: dict, columns: list[str], rows) -> None:
-    rows = np.asarray(rows, dtype=float).tolist()
+    rows = np.asarray(rows, dtype=float)
     if as_json:
         payload = {
             "params": {k: v for k, v in params.echo_items()},
             "meta": meta,
             "columns": columns,
-            "rows": rows,
+            "rows": rows.tolist(),
         }
         text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     else:
@@ -157,8 +157,11 @@ def _emit(out_path: str | None, as_json: bool, params: SystemParams,
         echo.update(meta)
         lines = [f"# {key} = {_fmt(echo[key])}" for key in sorted(echo)]
         lines.append(",".join(columns))
-        row_format = ",".join(["%.17g"] * len(columns))
-        lines.extend(row_format % tuple(row) for row in rows)
+        if rows.size:
+            # One % over the whole body, not one per row.
+            row_format = ",".join(["%.17g"] * len(columns))
+            lines.append("\n".join([row_format] * len(rows))
+                         % tuple(rows.ravel().tolist()))
         text = "\n".join(lines) + "\n"
     if out_path is None:
         click.echo(text, nl=False)

@@ -15,9 +15,9 @@ import numpy as np
 
 from .dynamics import assemble_generator, expm
 from .junction import (PatIntegrator, charge_distribution, dynes_dos, fermi,
-                       pat_integral)
+                       pat_integrals)
 from .params import SystemParams
-from .rates import (PQ_FLOOR, bitflip_rates, displacement_matrix, eta_table,
+from .rates import (PQ_FLOOR, bitflip_rates, displacement_bands, eta_table,
                     hermiticity_residual, qcr_bitflip_rate, rate_table,
                     trace_residual)
 from .spectrum import (Spectrum, build_fock_operators, cat_states,
@@ -240,27 +240,31 @@ def run_oracle_suite(params: SystemParams | None = None) -> list[OracleReport]:
                             + fermi(-eps, params.t_n_hz)))),
         1.0, 1e-12, "closed-form"))
 
-    # Tunneling integrals against the flat-DOS thermal closed form.
+    # Tunneling integrals against the flat-DOS thermal closed form, one
+    # batch each; a backward integral is the forward one at -offset.
     t_hz = params.t_n_hz
-    for offset in (-5e9, 3e9):
-        got = pat_integral(offset, "forward", gap, 1e4, t_hz, t_hz,
-                           rel_tol=1e-10)
+    offsets = (-5e9, 3e9)
+    flat = pat_integrals(offsets, gap, 1e4, t_hz, t_hz, rel_tol=1e-10)
+    for offset, got in zip(offsets, flat):
         reports.append(_report(
             f"flat_dos_forward_{offset/1e9:+.0f}GHz",
             got, flat_dos_forward(offset, t_hz), 1e-4, "cross-check"))
     e = 5e9
-    fwd = pat_integral(e, "forward", gap, gd, t_hz, t_hz, rel_tol=1e-11)
-    bwd = pat_integral(e, "backward", gap, gd, t_hz, t_hz, rel_tol=1e-11)
+    fwd, bwd = pat_integrals([e, -e], gap, gd, t_hz, t_hz, rel_tol=1e-11)
     reports.append(_report(
         "detailed_balance_5GHz",
         fwd / bwd, math.exp(-e / t_hz), 1e-8, "closed-form"))
 
     # Sideband displacement amplitudes against a dense matrix exponential.
+    # With dm_max = n_small - 1 the bands hold the whole leading block:
+    # <row| D |col> is band row - col, column col.
     rho_c = 0.3
     n_small, n_big = 24, 48
     ops = build_fock_operators(n_big)
     dense = expm(1j * math.sqrt(rho_c) * (ops.a + ops.adag))
-    block = displacement_matrix(n_small, rho_c, 1.0)
+    k = np.arange(n_small)
+    block = displacement_bands(n_small, rho_c, n_small - 1)[
+        np.subtract.outer(k, k) + n_small - 1, k]
     reports.append(_report_abs(
         "displacement_vs_expm",
         float(np.max(np.abs(block - dense[:n_small, :n_small]))),
@@ -269,12 +273,10 @@ def run_oracle_suite(params: SystemParams | None = None) -> list[OracleReport]:
     # Parity selection of the sideband tensors.
     spec = diagonalize_kpo(params)
     eta = eta_table(spec, params.rho_c, params.dm_max)
-    worst = 0.0
-    for dm, mat in eta.f.items():
-        forbidden = np.not_equal(
-            np.outer(spec.parity, spec.parity), (-1.0) ** abs(dm))
-        if np.any(forbidden):
-            worst = max(worst, float(np.max(np.abs(mat[forbidden]))))
+    dms = np.arange(-eta.dm_max, eta.dm_max + 1)
+    forbidden = np.not_equal(np.outer(spec.parity, spec.parity),
+                             ((-1.0) ** np.abs(dms))[:, None, None])
+    worst = float(np.max(np.abs(eta.f[forbidden]), initial=0.0))
     reports.append(_report_abs(
         "eta_parity_selection", worst, 0.0, 0.0, "closed-form"))
 

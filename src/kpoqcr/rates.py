@@ -7,6 +7,12 @@ omega_rf, so secular matching forces equal sideband indices on the two
 matrix-element factors of every second-order term; this is asserted, not
 assumed.
 
+The matrix elements are the bands |dm| <= dm_max of the junction
+displacement D(i sqrt(rho_c)) (displacement_bands), taken into the retained
+eigenbasis as (2 dm_max + 1, n_keep, n_keep) stacks whose row dm + dm_max
+holds sideband dm (EtaTable).  The backward stack uses D(-i sqrt(rho_c)),
+the exact conjugate, so it is built from the conjugate bands.
+
 Two dense arrays drive the density matrix in the eigenbasis:
 
   d rho[mu,mup] / dt  +=  sum gamma1[mu,mup,nu,nup] rho[nu,nup]
@@ -64,77 +70,66 @@ from .spectrum import Spectrum, laguerre_table
 PQ_FLOOR = 1e-12
 
 
-def displacement_element(row: int, col: int, rho_c: float, sign: int = 1) -> complex:
-    """Fock matrix element <row| D(i sign sqrt(rho_c)) |col|>.
+def displacement_bands(n: int, rho_c: float, dm_max: int) -> np.ndarray:
+    """Sideband bands of the junction displacement D(i sqrt(rho_c)).
 
-    Closed form in generalized Laguerre polynomials; symmetric in
-    (row, col) because the displacement amplitude is purely imaginary.
+    Row dm + dm_max, column k holds <k+dm| D |k> for dm = -dm_max..dm_max,
+    and exactly zero where k + dm falls outside the n Fock levels.  Closed
+    form in generalized Laguerre polynomials (Cahill & Glauber, Phys. Rev.
+    177, 1857 (1969)), from one table over the orders |dm| <= dm_max.
+    Each entry depends on (k, dm, rho_c) alone, so a band is bitwise the
+    same row of any wider table.  D(-i sqrt(rho_c)) is the exact conjugate.
     """
+    dms = np.arange(-dm_max, dm_max + 1)
+    bands = np.zeros((dms.size, n), complex)
     if rho_c == 0.0:
-        return 1.0 + 0j if row == col else 0j
-    l = abs(row - col)
-    mn, mx = min(row, col), max(row, col)
-    # np.exp, not math.exp: the two can differ in the last bit, and this
-    # element must equal its entry of displacement_matrix exactly.
-    amp = np.exp(-0.5 * rho_c
-                 + 0.5 * (math.lgamma(mn + 1) - math.lgamma(mx + 1)))
-    lag = laguerre_table(mn, rho_c, [l])[mn, 0]
-    return (1j * sign * math.sqrt(rho_c)) ** l * amp * lag
-
-
-def displacement_matrix(n: int, rho_c: float, sign: int = 1) -> np.ndarray:
-    """Dense (n, n) matrix of displacement_element, from one Laguerre table
-    over every order and one log-factorial vector."""
-    if rho_c == 0.0:
-        return np.eye(n, dtype=complex)
+        bands[dm_max] = 1.0
+        return bands
     k = np.arange(n)
-    l = np.abs(np.subtract.outer(k, k))
-    mn = np.minimum.outer(k, k)
-    mx = np.maximum.outer(k, k)
+    row = k + dms[:, None]
+    inside = (row >= 0) & (row < n)
+    mn = np.minimum(k, row)[inside]
+    l = np.broadcast_to(np.abs(dms)[:, None], row.shape)[inside]
+    # np.exp, not math.exp: the two can differ in the last bit.
     lgf = np.array([math.lgamma(j + 1) for j in range(n)])
-    amp = np.exp(-0.5 * rho_c + 0.5 * (lgf[mn] - lgf[mx]))
-    lag = laguerre_table(n - 1, rho_c, k)[mn, l]
-    phase = np.power(1j * sign * math.sqrt(rho_c), l)
-    return phase * amp * lag
+    amp = np.exp(-0.5 * rho_c + 0.5 * (lgf[mn] - lgf[mn + l]))
+    lag = laguerre_table(n - 1, rho_c, range(dm_max + 1))[mn, l]
+    bands[inside] = np.power(1j * math.sqrt(rho_c), l) * amp * lag
+    return bands
 
 
 @dataclass(frozen=True)
 class EtaTable:
     """Sideband matrix elements between retained eigenstates.
 
-    f[dm][mu, nu] couples |nu> -> |mu> while the junction displacement
-    shifts the Fock ladder by dm quanta (forward direction); b is the
-    backward direction.  Identity: b[dm] == conj(f[-dm]).T.
+    f and b have shape (2 dm_max + 1, n_keep, n_keep), row dm + dm_max
+    holding sideband dm.  f[dm + dm_max][mu, nu] couples |nu> -> |mu> while
+    the junction displacement shifts the Fock ladder by dm quanta (forward
+    direction); b is the backward direction.  Identity, to roundoff:
+    b[dm] == conj(f[-dm]).T, that is b == f[::-1].conj().transpose(0, 2, 1).
     """
 
     dm_max: int
-    rho_c: float
-    f: dict[int, np.ndarray]
-    b: dict[int, np.ndarray]
-
-
-def _band_transform(disp: np.ndarray, vectors: np.ndarray, dm: int) -> np.ndarray:
-    n = disp.shape[0]
-    if dm >= 0:
-        rows = np.arange(dm, n)
-    else:
-        rows = np.arange(0, n + dm)
-    cols = rows - dm
-    d = disp[rows, cols]
-    return (vectors[rows, :].conj() * d[:, None]).T @ vectors[cols, :]
+    f: np.ndarray
+    b: np.ndarray
 
 
 def eta_table(spectrum: Spectrum, rho_c: float, dm_max: int) -> EtaTable:
-    if dm_max >= spectrum.n_fock:
+    n = spectrum.n_fock
+    if dm_max >= n:
         raise ValueError("dm_max must be smaller than n_fock")
-    disp_f = displacement_matrix(spectrum.n_fock, rho_c, +1)
-    disp_b = displacement_matrix(spectrum.n_fock, rho_c, -1)
-    f: dict[int, np.ndarray] = {}
-    b: dict[int, np.ndarray] = {}
-    for dm in range(-dm_max, dm_max + 1):
-        f[dm] = _band_transform(disp_f, spectrum.vectors, dm)
-        b[dm] = _band_transform(disp_b, spectrum.vectors, dm)
-    return EtaTable(dm_max=dm_max, rho_c=rho_c, f=f, b=b)
+    bands = displacement_bands(n, rho_c, dm_max)
+    vectors = spectrum.vectors
+    f = np.empty((bands.shape[0], vectors.shape[1], vectors.shape[1]), complex)
+    b = np.empty_like(f)
+    for i, dm in enumerate(range(-dm_max, dm_max + 1)):
+        # The Fock levels k whose k + dm is kept, and the shifted bras.
+        cols = np.arange(max(0, -dm), n - max(0, dm))
+        bra = vectors[cols + dm, :].conj()
+        d = bands[i, cols]
+        f[i] = (bra * d[:, None]).T @ vectors[cols, :]
+        b[i] = (bra * d.conj()[:, None]).T @ vectors[cols, :]
+    return EtaTable(dm_max=dm_max, f=f, b=b)
 
 
 @dataclass(frozen=True)
@@ -195,7 +190,6 @@ class RateTable:
     parity: np.ndarray
     gamma1: np.ndarray                  # (n, n, n, n) complex
     core2: np.ndarray = field(repr=False)   # (n, n) complex
-    pq: ChargeDistribution = field(repr=False, default=None)
 
     @property
     def n(self) -> int:
@@ -238,8 +232,6 @@ def _assemble(params, spectrum, eta, pq, integrator, class1, class2_pairs):
     n = energies.size
     dms = np.arange(-eta.dm_max, eta.dm_max + 1)
     pdm = _sideband_parity(dms)
-    ef = np.stack([eta.f[dm] for dm in dms])
-    eb = np.stack([eta.b[dm] for dm in dms])
 
     # Class-1 terms over (slot, dm), both factors parity-allowed.
     mu, mup, nu, nup = np.array([key[:4] for key in class1],
@@ -268,7 +260,7 @@ def _assemble(params, spectrum, eta, pq, integrator, class1, class2_pairs):
                                _product(e[d2, sigma, m2].conj(),
                                         e[d2, sigma, xi2])])
 
-    wf, wb = weights(ef), weights(eb)
+    wf, wb = weights(eta.f), weights(eta.b)
     # One term per (slot, dm[, sigma]): G at the forward and backward
     # anchors de + ((E_c + dm * omega_rf) -+ V).
     base = (params.e_island + params.omega_rf * dms)[d]
@@ -307,7 +299,6 @@ def rate_table(
         parity=spectrum.parity,
         gamma1=gamma1,
         core2=core2,
-        pq=pq,
     )
 
 
@@ -388,8 +379,7 @@ def bitflip_rates(params: SystemParams, spectrum: Spectrum, eta: EtaTable,
     v = integrator.evaluate(np.stack([de[:, None, None] + base_f,
                                       de[:, None, None] - base_b]))
     # Channel amplitudes a[direction, channel, sideband].
-    e = np.array([[eta_dir[dm][:2, :2] for dm in dms]
-                  for eta_dir in (eta.f, eta.b)])
+    e = np.stack([eta.f, eta.b])[..., :2, :2]
     a = np.stack([e[..., 0, 0] - e[..., 1, 1], e[..., 0, 1], -e[..., 1, 0]],
                  axis=1)
 

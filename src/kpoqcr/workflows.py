@@ -337,7 +337,7 @@ def husimi_run(params: SystemParams, cfg: HusimiConfig) -> HusimiResult:
 def pq_run(params: SystemParams, pumped: bool = False) -> SweepResult:
     pq = charge_distribution(params, pumped=pumped)
     qs = np.array(pq.q_values, float)
-    probs = np.array([pq.p(int(q)) for q in pq.q_values], float)
+    probs = np.array(pq.probs, float)
     return SweepResult(axis="q", values=qs, columns=["p"],
                        data=probs[:, None],
                        meta={"pumped": "yes" if pumped else "no"})

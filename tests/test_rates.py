@@ -8,11 +8,11 @@ from scipy.special import eval_genlaguerre, gammaln
 
 from kpoqcr import (ConfigError, MatchingError, bitflip_rates,
                     build_fock_operators, diagonalize_kpo,
-                    displacement_matrix, eta_table, hermiticity_residual,
+                    displacement_bands, eta_table, hermiticity_residual,
                     match_sets, qcr_bitflip_rate, rate_table, rates_sweep,
                     trace_residual, transition_rate)
 from kpoqcr.junction import PatIntegrator, charge_distribution
-from kpoqcr.rates import PQ_FLOOR, displacement_element
+from kpoqcr.rates import PQ_FLOOR
 
 
 @pytest.fixture(scope="module")
@@ -28,12 +28,20 @@ def small_inputs(small_params, small_spectrum):
     return eta, pq, integ
 
 
+def _displacement_block(n, rho_c):
+    """<row| D |col> over the whole (n, n) block, scattered from the
+    dm_max = n - 1 bands: entry (row, col) is band row - col, column col."""
+    k = np.arange(n)
+    bands = displacement_bands(n, rho_c, n - 1)
+    return bands[np.subtract.outer(k, k) + n - 1, k]
+
+
 def test_displacement_matrix_matches_expm():
     rho_c = 0.3
     n_small, n_big = 20, 44
     ops = build_fock_operators(n_big)
     dense = expm(1j * math.sqrt(rho_c) * (ops.a + ops.adag))
-    block = displacement_matrix(n_small, rho_c, +1)
+    block = _displacement_block(n_small, rho_c)
     assert np.max(np.abs(block - dense[:n_small, :n_small])) < 1e-10
 
 
@@ -51,47 +59,69 @@ def _displacement_closed_form(n, rho_c, sign):
 @pytest.mark.parametrize("rho_c", [0.0, 5e-5, 0.3, 1.0, 4.0])
 @pytest.mark.parametrize("n", [8, 60, 100])
 def test_displacement_matches_scipy_closed_form(n, rho_c, sign):
+    # The backward displacement D(-i sqrt(rho_c)) is the conjugate.
     want = _displacement_closed_form(n, rho_c, sign)
-    mat = displacement_matrix(n, rho_c, sign)
+    mat = _displacement_block(n, rho_c)
+    if sign == -1:
+        mat = mat.conj()
     assert np.max(np.abs(mat - want)) <= 1e-12
-    for row, col in ((0, 0), (n - 1, n - 1), (n - 1, 0), (1, n - 1),
-                     (n // 2, n // 3)):
-        elem = displacement_element(row, col, rho_c, sign)
-        assert abs(elem - want[row, col]) <= 1e-12
-        assert elem == mat[row, col]
+    # The rates' bands: every entry of each band, exact zeros outside.
+    dm_max = min(4, n - 1)
+    bands = displacement_bands(n, rho_c, dm_max)
+    if sign == -1:
+        bands = bands.conj()
+    k = np.arange(n)
+    for row, dm in zip(bands, range(-dm_max, dm_max + 1)):
+        inside = (k + dm >= 0) & (k + dm < n)
+        diff = row[inside] - want[k[inside] + dm, k[inside]]
+        assert np.max(np.abs(diff)) <= 1e-12
+        assert np.all(row[~inside] == 0.0)
 
 
 @pytest.mark.parametrize("rho_c", [5e-5, 0.3, 1.0, 4.0])
 @pytest.mark.parametrize("n", [60, 100])
 def test_displacement_matrix_unitary_on_leading_rows(n, rho_c):
     # Rows far below the cut-off keep their whole displaced support.
-    rows = displacement_matrix(n, rho_c, +1)[: n // 4]
+    rows = _displacement_block(n, rho_c)[: n // 4]
     assert np.max(np.abs(rows @ rows.conj().T - np.eye(n // 4))) <= 1e-12
 
 
 def test_displacement_signs_are_conjugates():
-    fwd = displacement_matrix(16, 0.2, +1)
-    bwd = displacement_matrix(16, 0.2, -1)
+    # D(-i sqrt(rho_c)) differs from D(i sqrt(rho_c)) only in the phase
+    # (-i)^l = conj(i^l), so the rates take the backward bands as the exact
+    # conjugate of the forward ones.  D is symmetric as well:
+    # <k+dm| D |k> == <k| D |k+dm> bit for bit.
+    fwd = _displacement_closed_form(16, 0.2, +1)
+    bwd = _displacement_closed_form(16, 0.2, -1)
     assert np.max(np.abs(bwd - fwd.conj())) == 0.0
+    dense = _displacement_block(16, 0.2)
+    assert np.max(np.abs(dense - dense.T)) == 0.0
 
 
-def test_displacement_element_consistency():
-    mat = displacement_matrix(12, 0.07, +1)
-    for row, col in ((0, 0), (3, 1), (2, 5), (11, 11)):
-        assert displacement_element(row, col, 0.07, +1) == mat[row, col]
+def test_displacement_bands_are_rows_of_the_full_table():
+    # Each entry depends on (k, dm, rho_c) alone, which keeps the rates'
+    # band-only table bitwise equal to the dense one.
+    for n, rho_c in ((12, 0.07), (60, 5e-5), (60, 0.3), (24, 0.0)):
+        full = displacement_bands(n, rho_c, n - 1)
+        for dm_max in (0, 1, 4):
+            bands = displacement_bands(n, rho_c, dm_max)
+            want = full[n - 1 - dm_max:n + dm_max]
+            assert bands.tobytes() == want.tobytes()
 
 
-def test_eta_direction_conjugation(eta):
-    # b[dm] must equal conj(f[-dm]).T entry for entry.
-    for dm in range(-eta.dm_max, eta.dm_max + 1):
-        diff = np.max(np.abs(eta.b[dm] - eta.f[-dm].conj().T))
-        assert diff < 1e-12
+def test_eta_direction_conjugation(spectrum, eta):
+    # b[dm] must equal conj(f[-dm]).T entry for entry; row dm + dm_max
+    # holds sideband dm, so f[::-1] holds -dm.
+    n = spectrum.n_keep
+    assert eta.f.shape == eta.b.shape == (2 * eta.dm_max + 1, n, n)
+    diff = np.max(np.abs(eta.b - eta.f[::-1].conj().transpose(0, 2, 1)))
+    assert diff < 1e-12
 
 
 def test_eta_parity_selection_exact(spectrum, eta):
     # Odd (even) sidebands only connect opposite (equal) parity states.
     pp = np.outer(spectrum.parity, spectrum.parity)
-    for dm, mat in eta.f.items():
+    for dm, mat in zip(range(-eta.dm_max, eta.dm_max + 1), eta.f):
         forbidden = pp != (-1.0) ** abs(dm)
         if np.any(forbidden):
             assert np.max(np.abs(mat[forbidden])) == 0.0
@@ -158,7 +188,8 @@ def _sequential_table(params, spectrum, eta, pq, integ, interference="on"):
     matches = match_sets(spectrum, params.omega_rf, params.match_tol)
     energies, parity = spectrum.energies, spectrum.parity
     charges = [(q, p) for q, p in pq.items() if p >= PQ_FLOOR]
-    dms = range(-eta.dm_max, eta.dm_max + 1)
+    # (dm, f, b) per sideband; row dm + dm_max of each stack holds dm.
+    sidebands = list(zip(range(-eta.dm_max, eta.dm_max + 1), eta.f, eta.b))
 
     def sideband_parity(dm):
         return 1.0 if dm % 2 == 0 else -1.0
@@ -169,22 +200,22 @@ def _sequential_table(params, spectrum, eta, pq, integ, interference="on"):
 
     terms = []          # (entry, wf, wb, anchor_f, anchor_b)
     for mu, mup, nu, nup, de in matches.class1:
-        for dm in dms:
+        for dm, f, b in sidebands:
             pdm = sideband_parity(dm)
             if (parity[mu] * parity[nu] != pdm
                     or parity[mup] * parity[nup] != pdm):
                 continue
-            wf = eta.f[dm][mu, nu] * eta.f[dm][mup, nup].conjugate()
-            wb = eta.b[dm][mu, nu] * eta.b[dm][mup, nup].conjugate()
+            wf = f[mu, nu] * f[mup, nup].conjugate()
+            wb = b[mu, nu] * b[mup, nup].conjugate()
             terms.append(((mu, mup, nu, nup), wf, wb, *anchors(de, dm)))
     for m, xi in matches.class2_pairs:
-        for dm in dms:
+        for dm, f, b in sidebands:
             target = sideband_parity(dm) * parity[m]
             for sigma in range(energies.size):
                 if parity[sigma] != target:
                     continue
-                wf = eta.f[dm][sigma, m].conjugate() * eta.f[dm][sigma, xi]
-                wb = eta.b[dm][sigma, m].conjugate() * eta.b[dm][sigma, xi]
+                wf = f[sigma, m].conjugate() * f[sigma, xi]
+                wb = b[sigma, m].conjugate() * b[sigma, xi]
                 de = float(energies[sigma] - energies[m])
                 terms.append(((m, xi), wf, wb, *anchors(de, dm)))
     averaged = integ.averaged([q for q, _ in charges],
