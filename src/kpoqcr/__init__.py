@@ -4,7 +4,7 @@ oscillator refrigerated by a voltage-biased normal-metal tunnel junction."""
 from .constants import H_UEV_PER_GHZ, KB_HZ_PER_K, R_K_OHM, TWO_PI
 from .dynamics import (Generator, Trajectory, assemble_generator,
                        density_metrics, evolve, husimi_q, initial_state,
-                       lindblad_dissipators, steady_state)
+                       liouvillian, steady_state)
 from .errors import (CatStateError, ChargeDistributionError, ConfigError,
                      EvolveError, MatchingError, QuadratureError,
                      SpectrumError, SteadyStateError)
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "H_UEV_PER_GHZ", "KB_HZ_PER_K", "R_K_OHM", "TWO_PI",
     "Generator", "Trajectory", "assemble_generator", "density_metrics",
-    "evolve", "husimi_q", "initial_state", "lindblad_dissipators",
+    "evolve", "husimi_q", "initial_state", "liouvillian",
     "steady_state",
     "CatStateError", "ChargeDistributionError", "ConfigError", "EvolveError",
     "MatchingError", "QuadratureError", "SpectrumError", "SteadyStateError",

@@ -1,12 +1,17 @@
 """Density-matrix propagation in the retained eigenbasis.
 
 The state is vectorized row-major: vec(rho)[mu * n + mup] = rho[mu, mup].
-Three generator pieces act on it:
+The generator has one GKSL form (Lindblad, Commun. Math. Phys. 48, 119
+(1976); Gorini, Kossakowski & Sudarshan, J. Math. Phys. 17, 821 (1976)):
 
-  coherent  : -i 2 pi (E_mu - E_mup) rho[mu,mup]   (zero inside snapped groups)
-  lindblad  : single-photon loss (kappa) and pure dephasing (gamma_p),
-              both angular rates 2 pi times the configured Hz values
-  tunneling : the matched gamma1 and core2 arrays of a RateTable
+  L rho = sum jump[mu,mup,nu,nup] rho[nu,nup] + K rho + rho K^dag
+
+liouvillian turns (jump, K) into the matrix on vec(rho).  Coherent motion
+is K = -i 2 pi diag(E), whose phases -i 2 pi (E_mu - E_mup) are exactly
+zero inside snapped groups.  Single-photon loss (O = a, r = pi kappa) and
+pure dephasing (O = a^dag a, r = 2 pi gamma_p), with kappa and gamma_p the
+configured Hz values, each add 2 r O (x) O* to jump and -r O^dag O to K;
+tunneling adds the matched gamma1 to jump and core2 to K (rates module).
 
 The Hamiltonian commutes with photon parity and every tunneling term keeps
 parity[mu] parity[mup] = parity[nu] parity[nup], so L never couples
@@ -70,65 +75,36 @@ def expm(mat: np.ndarray) -> np.ndarray:
     return result
 
 
-def dissipator_superop(op: np.ndarray) -> np.ndarray:
-    """Superoperator of D[O] rho = 2 O rho O^dag - O^dag O rho - rho O^dag O."""
-    n = op.shape[0]
-    eye = np.eye(n)
-    oho = op.conj().T @ op
-    return (2.0 * np.kron(op, op.conj())
-            - np.kron(oho, eye)
-            - np.kron(eye, oho.T))
+def liouvillian(jump: np.ndarray | float, k: np.ndarray) -> np.ndarray:
+    """(n^2, n^2) matrix of rho -> sum jump[mu,mup,nu,nup] rho[nu,nup]
+    + K rho + rho K^dag on vec(rho).
 
-
-def lindblad_dissipators(spectrum: Spectrum, kappa: float, gamma_p: float) -> np.ndarray:
-    """Intrinsic loss and dephasing superoperator; rates are Hz /2pi values."""
-    ops = build_fock_operators(spectrum.n_fock)
-    a_proj = spectrum.project(ops.a)
-    n_proj = spectrum.project(ops.num)
-    return (0.5 * TWO_PI * kappa * dissipator_superop(a_proj)
-            + TWO_PI * gamma_p * dissipator_superop(n_proj))
-
-
-def coherent_superop(energies: np.ndarray) -> np.ndarray:
-    omega = TWO_PI * np.subtract.outer(energies, energies)
-    return np.diag((-1j * omega).ravel())
-
-
-def qcr_superop(table: RateTable) -> np.ndarray:
-    """Tunneling superoperator: gamma1, plus core2 acting from the left and
-    its conjugate from the right, added in that order."""
-    n = table.n
-    eye = np.eye(n)
-    core2 = table.core2
-    sup = (table.gamma1
-           + core2[:, None, :, None] * eye[None, :, None, :]
-           + eye[:, None, :, None] * core2.conj()[None, :, None, :])
+    jump is an (n, n, n, n) array or a scalar, k the (n, n) matrix K.  Each
+    entry is jump, plus K from the left, plus K^dag from the right.
+    """
+    n = k.shape[0]
+    idx = np.arange(n)
+    sup = np.empty((n, n, n, n), dtype=complex)
+    sup[...] = jump
+    sup[:, idx, :, idx] += k
+    sup[idx, :, idx, :] += k.conj()
     return sup.reshape(n * n, n * n)
 
 
 @dataclass
 class Generator:
-    """Master-equation generator split into its physical parts.
+    """Master-equation generator L as one (n^2, n^2) matrix on vec(rho).
 
     sectors: index arrays into vec(rho) that L never couples, the first one
     holding the diagonal; by default one sector holding every index.
     """
 
-    coherent_part: np.ndarray
-    lindblad_part: np.ndarray
-    qcr_part: np.ndarray | None
+    total: np.ndarray
     sectors: tuple[np.ndarray, ...] = ()
 
     def __post_init__(self):
         if not self.sectors:
-            self.sectors = (np.arange(self.coherent_part.shape[0]),)
-
-    @cached_property
-    def total(self) -> np.ndarray:
-        out = self.coherent_part + self.lindblad_part
-        if self.qcr_part is not None:
-            out = out + self.qcr_part
-        return out
+            self.sectors = (np.arange(self.total.shape[0]),)
 
     @cached_property
     def norm_inf(self) -> float:
@@ -150,11 +126,22 @@ def assemble_generator(
     params: SystemParams,
     table: RateTable | None = None,
 ) -> Generator:
+    """Generator of the retained levels, with the junction's tunneling
+    terms if a rate table is given (module docstring)."""
+    ops = build_fock_operators(spectrum.n_fock)
+    jump = 0.0
+    k = np.diag(-1j * TWO_PI * spectrum.energies)
+    for rate, fock_op in ((0.5 * TWO_PI * params.kappa, ops.a),
+                          (TWO_PI * params.gamma_p, ops.num)):
+        op = spectrum.project(fock_op)
+        jump = jump + 2.0 * rate * op[:, None, :, None] * op.conj()[None, :, None, :]
+        k = k - rate * (op.conj().T @ op)
+    if table is not None:
+        jump = jump + table.gamma1
+        k = k + table.core2
     relative = np.outer(spectrum.parity, spectrum.parity).ravel()
     return Generator(
-        coherent_part=coherent_superop(spectrum.energies),
-        lindblad_part=lindblad_dissipators(spectrum, params.kappa, params.gamma_p),
-        qcr_part=qcr_superop(table) if table is not None else None,
+        total=liouvillian(jump, k),
         sectors=(np.flatnonzero(relative > 0), np.flatnonzero(relative < 0)),
     )
 
@@ -217,13 +204,6 @@ def evolve(
     t_grid = np.asarray(t_grid, float)
     if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) < 0):
         raise EvolveError("t_grid must be a non-decreasing 1-d array")
-    rho0 = np.asarray(rho0, complex)
-    n = rho0.shape[0]
-    if rho0.shape != (n, n):
-        raise EvolveError("rho0 must be square")
-    if abs(np.trace(rho0) - 1.0) > 1e-8:
-        raise EvolveError(f"rho0 trace deviates from 1 by {abs(np.trace(rho0)-1):.2e}")
-
     if isinstance(generators, Generator):
         gen_pair = (generators, generators)
         t_on = None
@@ -236,6 +216,14 @@ def evolve(
             near = float(t_grid[np.argmin(np.abs(t_grid - t_on))])
             if math.isclose(t_on, near, rel_tol=_SNAP_REL):
                 t_on = near
+    rho0 = np.asarray(rho0, complex)
+    for gen in gen_pair:
+        if rho0.shape != (gen.n, gen.n):
+            raise EvolveError(f"rho0 has shape {rho0.shape}; the generator "
+                              f"acts on {gen.n} x {gen.n} density matrices")
+    n = rho0.shape[0]
+    if abs(np.trace(rho0) - 1.0) > 1e-8:
+        raise EvolveError(f"rho0 trace deviates from 1 by {abs(np.trace(rho0)-1):.2e}")
 
     def gen_at(t0: float) -> Generator:
         if t_on is None:

@@ -557,9 +557,6 @@ class ChargeDistribution:
             raise ValueError("charge distribution must be symmetric about "
                              "q = 0")
 
-    def p(self, q: int) -> float:
-        return self.probs[self.q_values.index(q)]
-
     def items(self):
         return zip(self.q_values, self.probs)
 

@@ -211,8 +211,6 @@ class CatStates:
     odd: np.ndarray
     plus: np.ndarray
     minus: np.ndarray
-    n_plus: float
-    n_minus: float
 
 
 def cat_states(alpha: float, n_fock: int) -> CatStates:
@@ -231,6 +229,4 @@ def cat_states(alpha: float, n_fock: int) -> CatStates:
         odd=odd,
         plus=(even + odd) / sqrt2,
         minus=(even - odd) / sqrt2,
-        n_plus=n_plus,
-        n_minus=n_minus,
     )

@@ -11,9 +11,8 @@ from kpoqcr import (EvolveError, SteadyStateError, SystemParams,
                     assemble_generator, density_metrics, diagonalize_kpo,
                     evolve, husimi_q, initial_state, rate_table,
                     steady_state)
-from kpoqcr import dynamics
-from kpoqcr.dynamics import (Generator, coherent_superop, dissipator_superop,
-                             lindblad_dissipators, qcr_superop)
+from kpoqcr import TWO_PI, build_fock_operators, dynamics
+from kpoqcr.dynamics import Generator, liouvillian
 from kpoqcr.spectrum import coherent_state
 
 
@@ -60,10 +59,15 @@ def test_expm_of_zero_matrix():
     assert _rel_frobenius(dynamics.expm(zero), np.eye(6)) <= 1e-15
 
 
+def _jump(op):
+    """O (x) O* as an (n, n, n, n) jump tensor."""
+    return op[:, None, :, None] * op.conj()[None, :, None, :]
+
+
 def test_dissipator_superop_matches_definition(rng):
     n = 5
     op = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    sup = dissipator_superop(op)
+    sup = liouvillian(2.0 * _jump(op), -(op.conj().T @ op))
     rho = _random_density(rng, n)
     got = (sup @ rho.reshape(n * n)).reshape(n, n)
     anti = op.conj().T @ op @ rho + rho @ op.conj().T @ op
@@ -74,7 +78,7 @@ def test_dissipator_superop_matches_definition(rng):
 
 def test_coherent_superop_is_commutator(rng):
     energies = np.array([3.0, 1.0, -2.0])
-    sup = coherent_superop(energies)
+    sup = liouvillian(0.0, np.diag(-2j * math.pi * energies))
     rho = _random_density(rng, 3)
     got = (sup @ rho.reshape(9)).reshape(3, 3)
     h = np.diag(energies)
@@ -82,37 +86,70 @@ def test_coherent_superop_is_commutator(rng):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-def test_lindblad_rates_scale(spectrum):
-    # Doubling kappa doubles the photon-loss part; dephasing likewise.
-    d1 = lindblad_dissipators(spectrum, 1.0, 0.0)
-    d2 = lindblad_dissipators(spectrum, 2.0, 0.0)
+def test_lindblad_rates_scale(spectrum, params):
+    # Doubling kappa doubles the photon-loss part; dephasing likewise.  The
+    # coherent part is imaginary and the intrinsic channels are real, so
+    # the real part of the generator is the dissipator alone.
+    def dissipator(kappa, gamma_p):
+        return assemble_generator(
+            spectrum, params.replace(kappa=kappa, gamma_p=gamma_p)).total.real
+
+    d1 = dissipator(1.0, 0.0)
+    d2 = dissipator(2.0, 0.0)
     assert np.allclose(d2, 2.0 * d1, atol=1e-12 * np.max(np.abs(d1)))
-    p1 = lindblad_dissipators(spectrum, 0.0, 1.0)
-    p2 = lindblad_dissipators(spectrum, 0.0, 3.0)
+    p1 = dissipator(0.0, 1.0)
+    p2 = dissipator(0.0, 3.0)
     assert np.allclose(p2, 3.0 * p1, atol=1e-12 * np.max(np.abs(p1)))
 
 
-def _qcr_superop_loop(table):
-    """Reference: every gamma1 entry, then core2 from the left, then its
-    conjugate from the right, added one at a time."""
-    n = table.n
-    sup = np.zeros((n * n, n * n), dtype=complex)
-    for (mu, mup, nu, nup), val in np.ndenumerate(table.gamma1):
-        sup[mu * n + mup, nu * n + nup] += val
-    for (mu, xi), val in np.ndenumerate(table.core2):
-        for mup in range(n):
-            sup[mu * n + mup, xi * n + mup] += val
-    for (mup, xi), val in np.ndenumerate(table.core2):
-        cval = complex(val).conjugate()
-        for mu in range(n):
-            sup[mu * n + mup, mu * n + xi] += cval
+def _generator_loop(spectrum, params, table):
+    """Reference: each entry of L built one scalar at a time.  K sums
+    -2 pi i E, the loss and dephasing terms -r O^dag O, then core2; an
+    entry sums the jump terms 2 r O (x) O* of loss and dephasing, then
+    gamma1, then K from the left, then K^dag from the right."""
+    n = spectrum.n_keep
+    ops = build_fock_operators(spectrum.n_fock)
+    channels = []
+    for rate, fock_op in ((0.5 * TWO_PI * params.kappa, ops.a),
+                          (TWO_PI * params.gamma_p, ops.num)):
+        op = spectrum.project(fock_op)
+        channels.append((rate, op.tolist(), (op.conj().T @ op).tolist()))
+    energies = spectrum.energies.tolist()
+    k = [[0j] * n for _ in range(n)]
+    for mu in range(n):
+        for nu in range(n):
+            val = (-1j * TWO_PI) * complex(energies[mu]) if mu == nu else 0j
+            for rate, _, oho in channels:
+                val -= complex(rate * oho[mu][nu])
+            if table is not None:
+                val += complex(table.core2[mu, nu])
+            k[mu][nu] = val
+    gamma1 = None if table is None else table.gamma1.tolist()
+    sup = np.empty((n * n, n * n), dtype=complex)
+    for mu, mup, nu, nup in np.ndindex(n, n, n, n):
+        val = 0.0
+        for rate, op, _ in channels:
+            val += 2.0 * rate * op[mu][nu] * op[mup][nup].conjugate()
+        val = complex(val)
+        if gamma1 is not None:
+            val += gamma1[mu][mup][nu][nup]
+        if mup == nup:
+            val += k[mu][nu]
+        if mu == nu:
+            val += k[mup][nup].conjugate()
+        sup[mu * n + mup, nu * n + nup] = val
     return sup
 
 
-def test_qcr_superop_bitwise_equals_entry_loop(table45, table45_off,
-                                               table_0k):
-    for table in (table45, table45_off, table_0k[-1]):
-        assert qcr_superop(table).tobytes() == _qcr_superop_loop(table).tobytes()
+def test_generator_bitwise_equals_entry_loop(params, spectrum, table45,
+                                             table45_off, table_0k):
+    p0, spec0, table0 = table_0k[0], table_0k[1], table_0k[-1]
+    for prm, spec, table in ((params, spectrum, None),
+                             (params, spectrum, table45),
+                             (params, spectrum, table45_off),
+                             (p0, spec0, None), (p0, spec0, table0)):
+        got = assemble_generator(spec, prm, table).total
+        assert got.tobytes() == _generator_loop(spec, prm, table).tobytes()
 
 
 def test_generator_conserves_trace(gen_on, gen_off, table45):
@@ -120,11 +157,10 @@ def test_generator_conserves_trace(gen_on, gen_off, table45):
     # these absolute bounds are ~1e-11 in relative terms.
     assert gen_on.trace_defect() < 1e-5
     assert gen_off.trace_defect() < 1e-6
-    assert gen_on.qcr_part is not None and gen_off.qcr_part is None
     assert gen_on.norm_inf > gen_off.norm_inf > 0.0
     # The tunneling part alone is trace-free as well.
     n = table45.n
-    sup = qcr_superop(table45)
+    sup = liouvillian(table45.gamma1, table45.core2)
     row = sup.reshape(n, n, n * n)[np.arange(n), np.arange(n)].sum(axis=0)
     scale = np.max(np.abs(sup))
     assert np.max(np.abs(row)) < 1e-12 * scale
@@ -172,14 +208,27 @@ def test_evolve_validates_inputs(spectrum, gen_off):
         evolve(2.0 * rho0, gen_off, None, np.array([0.0, 1e-6]))
 
 
+def test_evolve_rejects_rho0_of_another_size(spectrum, params, gen_off):
+    # rho0 must be n x n for each generator, also the one switched on later.
+    small_params = params.replace(n_keep=4)
+    small = assemble_generator(diagonalize_kpo(small_params), small_params)
+    rho_big = initial_state(spectrum, "phi0")
+    rho_small = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    t_grid = np.array([0.0, 1e-6])
+    for rho0, gens in ((rho_big, small), (rho_small, gen_off),
+                       (rho_big, (gen_off, small)),
+                       (rho_small, (small, gen_off))):
+        with pytest.raises(EvolveError, match="shape"):
+            evolve(rho0, gens, {"t_qcr_on": 5e-7}, t_grid)
+
+
 def _toy_generator(rng, n=3, scale=0.1):
     """Slow trace-preserving generator on n levels."""
     energies = scale * np.arange(n, dtype=float) / n
     op = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     op *= scale / np.linalg.norm(op)
-    return Generator(coherent_part=coherent_superop(energies),
-                     lindblad_part=dissipator_superop(op),
-                     qcr_part=None)
+    k = np.diag(-2j * math.pi * energies) - op.conj().T @ op
+    return Generator(total=liouvillian(2.0 * _jump(op), k))
 
 
 def test_evolve_matches_matrix_exponential(spectrum, gen_off):
@@ -326,12 +375,10 @@ def test_steady_state_zero_sector_is_not_unique():
     # sector zeroed by hand: the population sector has one stationary
     # state, and every coherence is stationary too.
     sigma = np.array([[0.0, 1.0], [0.0, 0.0]])
-    loss = dissipator_superop(sigma)
+    loss = liouvillian(2.0 * _jump(sigma), -(sigma.T @ sigma))
     coherences = np.array([1, 2])
     loss[np.ix_(coherences, coherences)] = 0.0
-    gen = Generator(coherent_part=np.zeros((4, 4), complex),
-                    lindblad_part=loss, qcr_part=None,
-                    sectors=(np.array([0, 3]), coherences))
+    gen = Generator(total=loss, sectors=(np.array([0, 3]), coherences))
     assert gen.trace_defect() == 0.0
     with pytest.raises(SteadyStateError, match="not unique"):
         steady_state(gen)

@@ -896,8 +896,9 @@ def test_equilibrium_distribution_tail_is_pinned(params, pq):
 
 def test_distribution_symmetric_and_normalized(params):
     pq = charge_distribution(params.replace(temp_n=0.2, temp_s=0.2))
+    probs = dict(pq.items())
     for q, p in pq.items():
-        assert p == pq.p(-q)
+        assert p == probs[-q]
     assert sum(pq.probs) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -907,9 +908,10 @@ def test_pumped_distribution_differs_at_low_temperature():
     pumped = charge_distribution(cold, pumped=True)
     # Equilibrium freezes the island to q = 0; the subgap floor at the
     # operating bias keeps pumping it, so the pumped spread is far larger.
-    assert eq.p(0) > 0.999
-    assert pumped.p(0) < 0.9
-    assert pumped.p(1) > 100.0 * eq.p(1)
+    p_eq, p_pumped = dict(eq.items()), dict(pumped.items())
+    assert p_eq[0] > 0.999
+    assert p_pumped[0] < 0.9
+    assert p_pumped[1] > 100.0 * p_eq[1]
     assert sum(pumped.probs) == pytest.approx(1.0, abs=1e-12)
 
 
