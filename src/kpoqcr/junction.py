@@ -25,9 +25,9 @@ term folds into one charge-averaged function
 
 which every point of a sweep shares, because the charge distribution does
 not depend on the bias or the pump.  pat_integrals integrates F at given
-offsets.  PatIntegrator holds F for a whole sweep: at T_N > 0 as Chebyshev
-panels on a thermal grid that the parameters alone fix, at T_N = 0 as one
-integral per offset.  ChargeAveraged holds G the same way, from F's values.
+rows of offsets.  PatIntegrator holds F for a whole sweep: at T_N > 0 as
+Chebyshev panels on a thermal grid that the parameters alone fix, at
+T_N = 0 as one integral per offset.  ChargeAveraged holds G the same way, from F's values.
 A value of either depends only on its offset, bit for bit.
 """
 from __future__ import annotations
@@ -40,7 +40,6 @@ import numpy as np
 from .errors import ChargeDistributionError, QuadratureError
 from .params import SystemParams
 from .quad import integrate
-from .spectrum import laguerre_table
 # perfbench/tracing.py looks adaptive_gk up in this module and wraps it.
 # The tunneling integrals go through integrate, so this module never calls it.
 from .quad import adaptive_gk  # noqa: F401
@@ -130,21 +129,16 @@ def fermi(eps, t_hz: float):
 def pat_breakpoints(offsets, gap_hz: float, temp_s_hz: float,
                     temp_n_hz: float) -> tuple[np.ndarray, np.ndarray]:
     """Breakpoints and square-root edges of the tunneling integrals at these
-    offsets, one row each; offsets shaped (n, K) give one row for each row
-    of K offsets.
+    offsets, shaped (n, K): one row for each row of K offsets.
 
-    The window covers the Fermi edges, 0 and -offset (of a row: each
-    -offset), plus thermal padding; 0 and the outermost -offsets are
-    breakpoints.  The gap edges strictly inside it, the square-root
-    singularities of the density of states, are split points and
-    square-root edges; NaN marks a gap edge outside the window.
+    The window covers the Fermi edges, 0 and each -offset of a row, plus
+    thermal padding; 0 and the row's outermost -offsets are breakpoints.
+    The gap edges strictly inside it, the square-root singularities of the
+    density of states, are split points and square-root edges; NaN marks a
+    gap edge outside the window.
     """
     offsets = np.asarray(offsets, float)
-    if offsets.ndim == 1:
-        fermi_edges = -offsets[:, None]
-    else:
-        fermi_edges = -np.column_stack([offsets.min(axis=1),
-                                        offsets.max(axis=1)])
+    fermi_edges = -np.column_stack([offsets.min(axis=1), offsets.max(axis=1)])
     pad = _THERMAL_WINDOW * max(temp_s_hz, temp_n_hz)
     lo = np.minimum(0.0, fermi_edges.min(axis=1)) - pad
     hi = np.maximum(0.0, fermi_edges.max(axis=1)) + pad
@@ -160,19 +154,17 @@ def pat_integrand(gap_hz: float, gamma_dynes: float, temp_s_hz: float,
     """The forward tunneling integrand, fn(eps, offset) =
     n_s(eps) * (1 - f_S(eps)) * f_N(eps + offset), multiplied in that order.
 
-    eps is (m, p) and offset (m, 1), or (m, 1, K) for K offsets a row: then
-    n_s (1 - f_S) is computed once a point and f_N once a component, and
-    the values are (m, p, K).  It works in place on arrays of its own and
-    never writes into eps, which the quadrature may reuse.
+    eps is (m, p) and offset (m, 1, K), K offsets a row: n_s (1 - f_S) is
+    computed once a point and f_N once a component, and the values are
+    (m, p, K).  It works in place on arrays of its own and never writes
+    into eps, which the quadrature may reuse.
     """
     def integrand(eps, offset):
         out = dynes_dos(eps, gap_hz, gamma_dynes)
         f_s = fermi(eps, temp_s_hz)
         out *= np.subtract(1.0, f_s, out=f_s)
-        if np.ndim(offset) > eps.ndim:
-            eps, out = eps[..., None], out[..., None]
-        f_n = fermi(eps + offset, temp_n_hz)
-        f_n *= out
+        f_n = fermi(eps[..., None] + offset, temp_n_hz)
+        f_n *= out[..., None]
         return f_n
 
     return integrand
@@ -186,23 +178,22 @@ def pat_integrals(
     temp_n_hz: float,
     rel_tol: float = 1e-10,
 ) -> np.ndarray:
-    """Forward tunneling integrals at many offsets, in one adaptive
-    quadrature run, as an array of the offsets' shape.
+    """Forward tunneling integrals at rows of offsets, in one adaptive
+    quadrature run, as an array of the offsets' shape (n, K).
 
-    offsets shaped (n,) are n integrals; shaped (n, K), each row of K
-    offsets is one quadrature whose K integrands share its panels (see
-    quad.integrate), and each of them meets rel_tol on its own.  Each
-    value depends only on its own offset, or on its own row, bit for bit,
-    whatever else is in the batch.  Raises QuadratureError naming the
-    offset, or the offsets of the row, of an integral that does not
-    converge.
+    Each row of K offsets is one quadrature whose K integrands share its
+    panels (see quad.integrate), and each of them meets rel_tol on its
+    own; n single offsets are offsets[:, None].  Each value depends only
+    on its own row, bit for bit, whatever else is in the batch.  Raises
+    QuadratureError naming the offset, or the offsets, of a row that does
+    not converge.
 
     Panels are planned from the integrand's known scales.  The density of
     states peaks at +-gap with a width of gamma_dynes * gap (about 4.8 MHz
     at the defaults, inside windows of up to about 150 GHz); in the
     square-root variable u, eps = gap +- u^2, the peak spans u of order
     sqrt(gamma_dynes * gap).  Where the support (0, -offset) is not empty,
-    offset < 0 (for a row, at its smallest offset), the square-root panels
+    offset < 0 (at the row's smallest offset), the square-root panels
     at +gap are split at u = u0 * 2^k with u0 = sqrt(10 * gamma_dynes *
     gap): the first panel holds ten Dynes widths and the rest double
     outward.  The rule reads the integral's own offsets only, and the cuts
@@ -213,8 +204,7 @@ def pat_integrals(
     the same 27 rounds, with no measurable gain.
     """
     offsets = np.asarray(offsets, float)
-    rows = offsets.ndim == 2
-    lowest = offsets.min(axis=1) if rows else offsets
+    lowest = offsets.min(axis=1)
     bps, edges = pat_breakpoints(offsets, gap_hz, temp_s_hz, temp_n_hz)
     if temp_s_hz == 0.0 and temp_n_hz == 0.0:
         # Sharp Fermi seas: the support (0, -offset) is empty for these; no
@@ -232,13 +222,12 @@ def pat_integrals(
     try:
         values, _err = integrate(integrand, bps, edges, widths,
                                  rel_tol=rel_tol, abs_tol=abs_floor,
-                                 args=(offsets,),
-                                 components=offsets.shape[1] if rows else None)
+                                 args=(offsets,))
     except QuadratureError as exc:
         i = exc.index
-        what = (f"integrals at offsets {float(offsets[i].min())!r} to "
-                f"{float(offsets[i].max())!r}" if rows else
-                f"integral at offset {float(offsets[i])!r}")
+        lo, hi = float(offsets[i].min()), float(offsets[i].max())
+        what = (f"integral at offset {lo!r}" if lo == hi else
+                f"integrals at offsets {lo!r} to {hi!r}")
         raise QuadratureError(f"tunneling {what} Hz: {exc}",
                               exc.achieved_rel_err, i) from exc
     return values
@@ -257,8 +246,8 @@ def pat_integral(
     if direction not in ("forward", "backward"):
         raise ValueError(f"direction must be forward or backward, got {direction!r}")
     x = offset if direction == "forward" else -offset
-    return float(pat_integrals([x], gap_hz, gamma_dynes, temp_s_hz,
-                               temp_n_hz, rel_tol)[0])
+    return float(pat_integrals([[x]], gap_hz, gamma_dynes, temp_s_hz,
+                               temp_n_hz, rel_tol)[0, 0])
 
 
 class PatIntegrator:
@@ -300,8 +289,9 @@ class PatIntegrator:
     at T_S / T_N = 0.2 / 0.02 K and 0 / 0.1 K.
 
     Since the nodes run at rel_tol / 100, a rel_tol below about 3e-12
-    asks them for less than the quadrature's roundoff and raises
-    QuadratureError (1e-12 fails at 0.01 K, 1e-13 at 0.1 K).
+    asks them for less than the quadrature's roundoff (1e-12 fails at
+    0.01 K, 1e-13 at 0.1 K), so SystemParams rejects a quad_rel_tol below
+    params.QUAD_REL_TOL_FLOOR at T_N > 0, before any work.
 
     At T_N = 0 no thermal grid fits: F' is then the Dynes peak itself,
     gamma_dynes * gap wide, and F has a kink at x = 0.  That path keeps
@@ -366,7 +356,8 @@ class PatIntegrator:
         if missing:
             try:
                 if direct:
-                    found = self._integrals(missing, self.rel_tol)
+                    found = self._integrals(np.array(missing)[:, None],
+                                            self.rel_tol)[:, 0]
                     self._store.update(zip(missing, found.tolist()))
                 else:
                     self._store.update(self._build(missing))
@@ -487,12 +478,11 @@ class ChargeAveraged(PatIntegrator):
         self._probs = np.array(probs, float)
 
     def _integrals(self, offsets, rel_tol):
-        x = np.asarray(offsets, float)
-        shifted = x + self._shifts.reshape(-1, *(1,) * x.ndim)
+        shifted = offsets + self._shifts[:, None, None]
         try:
             f = self._source.evaluate(shifted)
         except QuadratureError as exc:
-            # Position in offsets (T_N = 0) or row of offsets (_build).
+            # The row of offsets: one offset a row at T_N = 0.
             i = int(np.unravel_index(exc.index, shifted.shape)[1])
             raise QuadratureError(f"charge average: {exc}",
                                   exc.achieved_rel_err, i) from exc
@@ -515,20 +505,10 @@ def _barycentric(x, nodes, values):
     return out
 
 
-def elastic_weight(m: int, rho_c: float) -> float:
-    """Photon-sidebandless matrix-element weight of Fock level m.
-
-    Cancels exactly in the charge-distribution ratios; exposed so tests can
-    verify that independence with the full rate prefactors in place.
-    """
-    return float(math.exp(-rho_c) * laguerre_table(m, rho_c, [0])[m, 0] ** 2)
-
-
-def _charge_rates(params, integrator, qs, m=0, bias_v=None):
-    """(gain, loss) at each charge in qs, from one batch of integrals."""
-    if bias_v is None:
-        bias_v = params.bias_v
-    weight = elastic_weight(m, params.rho_c) * params.r_ratio
+def _charge_rates(params, integrator, qs, bias_v):
+    """(gain, loss) at each charge in qs, from one batch of integrals, with
+    the elastic weight exp(-rho_c) of the Fock ground state."""
+    weight = math.exp(-params.rho_c) * params.r_ratio
     q = np.asarray(qs, float)
     e_gain = params.e_island * (1.0 + 2.0 * q)
     e_loss = params.e_island * (1.0 - 2.0 * q)

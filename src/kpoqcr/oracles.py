@@ -243,14 +243,16 @@ def run_oracle_suite(params: SystemParams | None = None) -> list[OracleReport]:
     # Tunneling integrals against the flat-DOS thermal closed form, one
     # batch each; a backward integral is the forward one at -offset.
     t_hz = params.t_n_hz
-    offsets = (-5e9, 3e9)
-    flat = pat_integrals(offsets, gap, 1e4, t_hz, t_hz, rel_tol=1e-10)
-    for offset, got in zip(offsets, flat):
+    offsets = np.array([-5e9, 3e9])
+    flat = pat_integrals(offsets[:, None], gap, 1e4, t_hz, t_hz,
+                         rel_tol=1e-10)[:, 0]
+    for offset, got in zip(offsets.tolist(), flat):
         reports.append(_report(
             f"flat_dos_forward_{offset/1e9:+.0f}GHz",
             got, flat_dos_forward(offset, t_hz), 1e-4, "cross-check"))
     e = 5e9
-    fwd, bwd = pat_integrals([e, -e], gap, gd, t_hz, t_hz, rel_tol=1e-11)
+    fwd, bwd = pat_integrals([[e], [-e]], gap, gd, t_hz, t_hz,
+                             rel_tol=1e-11)[:, 0]
     reports.append(_report(
         "detailed_balance_5GHz",
         fwd / bwd, math.exp(-e / t_hz), 1e-8, "closed-form"))

@@ -30,6 +30,12 @@ _GHZ_FIELDS = (
     "match_tol",
 )
 
+# The smallest quad_rel_tol at temp_n > 0.  There the tunneling function's
+# interpolation nodes are integrated at 1/100 of it, and below this floor
+# they ask the quadrature for less than its roundoff and stall (1e-12
+# already fails at 10 mK).  At temp_n = 0 there are no nodes.
+QUAD_REL_TOL_FLOOR = 3e-12
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -82,6 +88,9 @@ class SystemParams:
         _require(self.match_tol > 0, "match_tol must be positive")
         _require(0 < self.quad_rel_tol < 1e-2,
                  "quad_rel_tol must lie in (0, 1e-2)")
+        _require(self.temp_n == 0 or self.quad_rel_tol >= QUAD_REL_TOL_FLOOR,
+                 f"quad_rel_tol must be at least {QUAD_REL_TOL_FLOOR:g} "
+                 "when temp_n > 0")
         _require(self.omega_rf > 0, "omega_c - delta_kpo must be positive")
 
     # -- derived quantities -------------------------------------------------

@@ -2,24 +2,26 @@
 
 Each integral is given by its breakpoints (interior discontinuities or kinks
 plus the two endpoints), one row of a 2-D breakpoint array per integral, and
-by its arguments to the one integrand all integrals share.  Panels carry the
-index of the integral they belong to and an optional square-root
-reparametrization anchored at a named edge point: on such a panel the
-integration variable is u with eps = edge +/- u^2, which turns an
-inverse-square-root integrable singularity at the edge (a BCS-like
-density-of-states peak) into a smooth integrand.  A caller that knows the
-width of the feature at an edge can grade that edge's square-root panels
-geometrically from the start (plan_panels' first_widths).
+by its rows of the (n, K) arguments to the one integrand all integrals
+share.  Every result has that one shape: n integrals of K components each,
+K = 1 without arguments.  Panels carry the index of the integral they
+belong to and an optional square-root reparametrization anchored at a
+named edge point: on such a panel the integration variable is u with
+eps = edge +/- u^2, which turns an inverse-square-root integrable
+singularity at the edge (a BCS-like density-of-states peak) into a smooth
+integrand.  A caller that knows the width of the feature at an edge can
+grade that edge's square-root panels geometrically from the start
+(plan_panels' first_widths, zero where an edge is not graded).
 
 Each panel is integrated with the QUADPACK qk21 pair (Piessens et al.
 1983): the 21-point Kronrod rule gives the estimate, and its difference
 from the embedded 10-point Gauss rule the error.
 
-An integrand may return K components at each point (components=K): K
-integrands that share an integral's panels, so that the points, the
-factors common to all K and the per-round bookkeeping are paid once for K
-values.  Each component must meet the tolerance on its own, and a panel
-splits when any component asks for it.  The Chebyshev nodes of
+An integrand returns K components at each point, one per column of its
+arguments: K integrands that share an integral's panels, so that the
+points, the factors common to all K and the per-round bookkeeping are paid
+once for K values.  Each component must meet the tolerance on its own,
+and a panel splits when any component asks for it.  The Chebyshev nodes of
 junction.PatIntegrator use this, one integral per panel of 24 nodes: a
 cold default rate table integrated 336 nodes in 5 runs, 27 rounds and
 14.5k points (1,035 a panel, 43 a node), against 39 rounds and 298k points
@@ -32,9 +34,9 @@ Integrals are processed in blocks of BLOCK_INTEGRALS.  Every refinement
 round of a block evaluates all of its new panels in vectorized integrand
 calls of at most CALL_POINTS values (points times components), in panel
 order, plain and square-root panels in the same call (the halves of a
-split panel keep its kind).  Convergence, splitting and the
-panel budget are decided per integral, and a converged integral leaves the
-active set.
+split panel keep its kind).  Convergence, splitting and the panel budget
+(PANEL_BUDGET panels an integral, at most MAX_ROUNDS rounds) are decided
+per integral, and a converged integral leaves the active set.
 
 Batch independence: an integral's value and error depend only on its own
 breakpoints and arguments, never on which other integrals share the run or
@@ -112,6 +114,10 @@ WG[1:20:2] = np.concatenate([_WG_HALF, _WG_HALF[::-1]])
 # and calls only group integrals and panels that are computed independently.
 BLOCK_INTEGRALS = 256
 CALL_POINTS = 2 ** 14
+# Limits of one integral: an integral that would need more panels or rounds
+# raises QuadratureError.
+PANEL_BUDGET = 2 ** 14
+MAX_ROUNDS = 64
 _CALL_ROWS = CALL_POINTS // XGK.size
 # A panel narrower than this, relative to its endpoints, is not split.
 _MIN_WIDTH = 16.0 * np.finfo(float).eps
@@ -122,8 +128,8 @@ _MIN_WIDTH = 16.0 * np.finfo(float).eps
 _A, _B, _EDGE, _SGN = range(4)
 
 
-def plan_panels(breakpoints, sqrt_edges=(),
-                first_widths=None) -> tuple[np.ndarray, np.ndarray]:
+def plan_panels(breakpoints, sqrt_edges,
+                first_widths) -> tuple[np.ndarray, np.ndarray]:
     """Initial panels of every integral, in one vectorized step.
 
     breakpoints: shape (n, k), one row per integral; NaN marks an unused
@@ -131,10 +137,10 @@ def plan_panels(breakpoints, sqrt_edges=(),
     edge values of each integral; a breakpoint equal to one of its
     integral's edges anchors square-root panels on both sides.  A row with
     fewer than two distinct breakpoints gets no panels and integrates to
-    zero.  first_widths: None, or shape (n, e) like sqrt_edges; a positive
-    entry w grades the square-root panels anchored at that edge, splitting
-    each at u = w, 2w, 4w, ... short of its end, so that panel widths in u
-    double away from the edge.  Zero leaves them whole.
+    zero.  first_widths: shape (n, e) like sqrt_edges; a positive entry w
+    grades the square-root panels anchored at that edge, splitting each at
+    u = w, 2w, 4w, ... short of its end, so that panel widths in u double
+    away from the edge.  Zero leaves them whole.
 
     Returns (panels, owner): panels has the rows a, b, edge and sgn, one
     column per panel, and owner[j] is the integral of column j.  Columns
@@ -145,16 +151,15 @@ def plan_panels(breakpoints, sqrt_edges=(),
     x[:, 1:][x[:, 1:] == x[:, :-1]] = np.nan
     x = np.sort(x, axis=1)              # distinct values first, NaN last
     # Which breakpoints are edges, and the first width at each (zero off
-    # the edges and without grading).
+    # the edges).
     edges = np.asarray(sqrt_edges)
-    widths = None if first_widths is None else np.asarray(first_widths)
+    widths = np.asarray(first_widths)
     is_edge = np.zeros(x.shape, bool)
     w = np.zeros(x.shape)
     for j in range(edges.shape[1]):
         at = x == edges[:, j, None]
         is_edge |= at
-        if widths is not None:
-            np.copyto(w, widths[:, j, None], where=at)
+        np.copyto(w, widths[:, j, None], where=at)
     x0, x1 = x[:, :-1], x[:, 1:]
     e0, e1 = is_edge[:, :-1], is_edge[:, 1:]
     xm = 0.5 * (x0 + x1)
@@ -174,8 +179,6 @@ def plan_panels(breakpoints, sqrt_edges=(),
     keep = np.stack([valid, valid & both], axis=2)
     owner = np.broadcast_to(np.arange(x.shape[0])[:, None, None], keep.shape)
     panels, owner = np.stack([first, second], axis=3)[:, keep], owner[keep]
-    if widths is None:
-        return panels, owner
     # Each panel's first width is the one at its anchor: x0 for the first
     # panel if that is an edge, else x1.
     w0, w1 = w[:, :-1], w[:, 1:]
@@ -243,57 +246,47 @@ def _evaluate(fn, panels, owner, args, k) -> np.ndarray:
 def integrate(
     fn: Callable[..., np.ndarray],
     breakpoints,
-    sqrt_edges=(),
-    first_widths=None,
+    sqrt_edges,
+    first_widths,
     rel_tol: float = 1e-10,
     abs_tol: float = 0.0,
-    panel_budget: int = 2 ** 14,
-    max_rounds: int = 64,
     args=(),
-    components: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate fn over each row of breakpoints, with square-root panels
     at sqrt_edges graded by first_widths (see plan_panels).
 
-    fn(eps, *rows) is evaluated on an (m, 21) array of points; each entry
-    of rows is one array of args indexed by the integral of each point's
-    panel, shaped (m, 1) to broadcast against eps, or (m, 1, K) for args of
-    shape (n, K).  With args=() fn gets eps alone.  It returns (m, 21)
-    values, or with components=K the (m, 21, K) values of K integrands
+    args are arrays of shape (n, K), one row per integral; K = 1 without
+    args.  fn(eps, *rows) is evaluated on an (m, 21) array of points, where
+    each entry of rows is the (m, 1, K) array of one arg's rows indexed by
+    the integral of each point's panel; with args=() fn gets eps alone.  It
+    returns the (m, 21, K) values, or (m, 21) when K = 1, of K integrands
     that share each integral's panels.
 
     Integral i has converged when the error estimate of every component k
     is at most max(rel_tol * |value_ik|, abs_tol); each round splits the
     panels of the unconverged integrals on which any component holds more
     than its equidistributed share of that tolerance.  Returns (values,
-    errors), shaped (n,), or (n, K) with components=K.  Raises
-    QuadratureError, with .index naming the integral, if one stalls, would
-    exceed panel_budget panels, or is still short after max_rounds rounds.
+    errors), each of shape (n, K).  Raises QuadratureError, with .index
+    naming the integral, if one stalls, would exceed PANEL_BUDGET panels,
+    or is still short after MAX_ROUNDS rounds.
     """
-    bps = np.array(breakpoints, float, ndmin=2)
-    n = bps.shape[0]
-    k = 1 if components is None else components
+    bps = np.asarray(breakpoints, float)
     edges = np.asarray(sqrt_edges, float)
-    edges = np.broadcast_to(edges, (n, edges.shape[-1]))
-    if first_widths is not None:
-        first_widths = np.broadcast_to(first_widths, edges.shape)
+    widths = np.asarray(first_widths, float)
+    n = bps.shape[0]
+    k = args[0].shape[1] if args else 1
     values = np.zeros((n, k))
     errors = np.zeros((n, k))
     for start in range(0, n, BLOCK_INTEGRALS):
         rows = slice(start, start + BLOCK_INTEGRALS)
         block = bps[rows]
-        widths = None if first_widths is None else first_widths[rows]
         values[rows], errors[rows] = _integrate_block(
-            fn, *plan_panels(block, edges[rows], widths), len(block), k,
-            rel_tol, abs_tol, panel_budget, max_rounds,
-            [arg[rows] for arg in args], start)
-    if components is None:
-        return values[:, 0], errors[:, 0]
+            fn, *plan_panels(block, edges[rows], widths[rows]), len(block),
+            k, rel_tol, abs_tol, [arg[rows] for arg in args], start)
     return values, errors
 
 
-def _integrate_block(fn, panels, owner, n, k, rel_tol, abs_tol, panel_budget,
-                     max_rounds, args, first):
+def _integrate_block(fn, panels, owner, n, k, rel_tol, abs_tol, args, first):
     values = np.zeros((n, k))
     errors = np.zeros((n, k))
     live = np.ones(n, bool)
@@ -321,8 +314,8 @@ def _integrate_block(fn, panels, owner, n, k, rel_tol, abs_tol, panel_budget,
         bad = bad[b - a > _MIN_WIDTH * (np.abs(a) + np.abs(b) + 1e-300)]
         bad_owner = owner[bad]
         n_bad = np.bincount(bad_owner, minlength=n)
-        stuck = live & ((n_bad == 0) | (n_panels + n_bad > panel_budget)
-                        | (rnd == max_rounds))
+        stuck = live & ((n_bad == 0) | (n_panels + n_bad > PANEL_BUDGET)
+                        | (rnd == MAX_ROUNDS))
         if stuck.any():
             i = int(np.argmax(stuck))
             achieved = max(err_total[i, j] / abs(total[i, j])
@@ -349,8 +342,6 @@ def adaptive_gk(
     sqrt_edges=(),
     rel_tol: float = 1e-10,
     abs_tol: float = 0.0,
-    panel_budget: int = 2 ** 14,
-    max_rounds: int = 64,
 ) -> tuple[float, float]:
     """Integrate fn between the outermost breakpoints: integrate with n = 1.
 
@@ -361,8 +352,8 @@ def adaptive_gk(
     Returns (value, error_estimate).  Raises QuadratureError if the budget
     is exhausted before the tolerance is met.
     """
-    values, errors = integrate(fn, np.ravel(breakpoints), sqrt_edges,
-                               rel_tol=rel_tol, abs_tol=abs_tol,
-                               panel_budget=panel_budget,
-                               max_rounds=max_rounds)
-    return float(values[0]), float(errors[0])
+    edges = np.reshape(np.asarray(sqrt_edges, float), (1, -1))
+    values, errors = integrate(fn, np.reshape(breakpoints, (1, -1)), edges,
+                               np.zeros_like(edges), rel_tol=rel_tol,
+                               abs_tol=abs_tol)
+    return float(values[0, 0]), float(errors[0, 0])

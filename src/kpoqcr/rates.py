@@ -205,18 +205,6 @@ def _sideband_parity(dms: np.ndarray) -> np.ndarray:
     return np.where(dms % 2 == 0, 1.0, -1.0)
 
 
-def _product(x, y):
-    """x * y for complex arrays, rounded like numpy's scalar product.
-
-    numpy's vectorized complex product fuses multiply-adds and can differ
-    from the scalar formula in the last bit; this keeps the scalar one.
-    """
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape), complex)
-    out.real = x.real * y.real - x.imag * y.imag
-    out.imag = x.real * y.imag + x.imag * y.real
-    return out
-
-
 def _kept(pq: ChargeDistribution):
     """The charges above PQ_FLOOR and their probabilities, as tuples."""
     kept = [(q, p) for q, p in pq.items() if p >= PQ_FLOOR]
@@ -256,9 +244,10 @@ def _assemble(params, spectrum, eta, pq, integrator, class1, class2_pairs):
 
     def weights(e):
         """Sideband factor of every term row, from one direction's stack."""
-        return np.concatenate([_product(e[d1, i1, j1], e[d1, k1, l1].conj()),
-                               _product(e[d2, sigma, m2].conj(),
-                                        e[d2, sigma, xi2])])
+        # Every entry of e is real or imaginary (real eigenvectors times
+        # i^|dm|), so numpy's fused complex product rounds like the scalar.
+        return np.concatenate([e[d1, i1, j1] * e[d1, k1, l1].conj(),
+                               e[d2, sigma, m2].conj() * e[d2, sigma, xi2]])
 
     wf, wb = weights(eta.f), weights(eta.b)
     # One term per (slot, dm[, sigma]): G at the forward and backward

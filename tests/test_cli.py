@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import kpoqcr
-from kpoqcr import HusimiConfig, Schedule, SystemParams, workflows
+from kpoqcr import HusimiConfig, Schedule, SystemParams, junction, workflows
 from kpoqcr.cli import _emit, main
 from kpoqcr.workflows import dynamics_run, husimi_run
 
@@ -171,14 +171,16 @@ def test_integral_floats_read_as_integers(runner, tmp_path):
     assert outputs[0].splitlines()[-2].startswith("39000000000,")
 
 
-def test_out_is_opened_only_to_write_a_finished_run(runner, tmp_path):
+def test_out_is_opened_only_to_write_a_finished_run(runner, tmp_path,
+                                                    monkeypatch):
     out = tmp_path / "missing" / "x.csv"
     result = runner.invoke(main, ["pq", "--out", str(out)])
     assert f"cannot write {out}" in _one_line_error(result, 2)
-    # A run that fails leaves no empty file behind.
-    cfg = _write(tmp_path, "q.json", {"quad_rel_tol": 1e-17})
+    # A run that fails leaves no empty file behind: node integrals at
+    # 1e-17 stall the tunneling quadrature.
+    monkeypatch.setattr(junction, "_NODE_TOL", 1e-7)
     out = tmp_path / "p.csv"
-    result = runner.invoke(main, ["pq", "--config", cfg, "--out", str(out)])
+    result = runner.invoke(main, ["pq", "--out", str(out)])
     _one_line_error(result, 3)
     assert not out.exists()
 
@@ -222,7 +224,7 @@ def test_cli_import_leaves_out_scipy():
     assert result.stdout.strip() == "[]"
 
 
-def test_numerical_failures_exit_3(runner, tmp_path):
+def test_numerical_failures_exit_3(runner, tmp_path, monkeypatch):
     # A degeneracy tolerance wider than the level spacing breaks the
     # eigensystem postconditions.
     cfg = _write(tmp_path, "m.json", {"match_tol": 4e9})
@@ -230,11 +232,37 @@ def test_numerical_failures_exit_3(runner, tmp_path):
                                   "--from", "45e9", "--to", "45e9"])
     assert result.exit_code == 3
     assert "error:" in result.output
-    # A tolerance below roundoff stalls the tunneling quadrature.
-    cfg = _write(tmp_path, "q.json", {"quad_rel_tol": 1e-17})
-    result = runner.invoke(main, ["pq", "--config", cfg])
+    # Node integrals at a tolerance below roundoff (1e-17) stall the
+    # tunneling quadrature.
+    monkeypatch.setattr(junction, "_NODE_TOL", 1e-7)
+    result = runner.invoke(main, ["pq"])
     assert result.exit_code == 3
     assert "tunneling integral at offset" in result.output
+
+
+def test_sub_floor_tolerance_exits_2_before_any_work(runner, tmp_path,
+                                                     monkeypatch):
+    # At temp_n > 0 the interpolation nodes cannot meet a quad_rel_tol
+    # below the floor, so the configuration is rejected up front; at
+    # temp_n = 0 there are no nodes and no floor.
+    calls = []
+    real = workflows.charge_distribution
+
+    def recording(params, **kwargs):
+        calls.append(params.quad_rel_tol)
+        return real(params, **kwargs)
+
+    monkeypatch.setattr(workflows, "charge_distribution", recording)
+    cfg = _write(tmp_path, "q.json", {"quad_rel_tol": 1e-12})
+    result = runner.invoke(main, ["pq", "--config", cfg])
+    assert result.exit_code == 2
+    assert "quad_rel_tol must be at least 3e-12" in result.output
+    assert calls == []
+    cold = _write(tmp_path, "c.json", {"quad_rel_tol": 1e-13, "temp_n": 0.0,
+                                       "temp_s": 0.0})
+    result = runner.invoke(main, ["pq", "--config", cold])
+    assert result.exit_code == 0, result.output
+    assert calls == [1e-13]
 
 
 def test_pq_command_and_pumped_flag(runner):

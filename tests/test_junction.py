@@ -5,15 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import eval_laguerre
 
 from kpoqcr import (ChargeDistribution, ChargeDistributionError,
                     QuadratureError, SystemParams, bitflip_sweep,
                     charge_distribution, diagonalize_kpo, dynes_dos, fermi,
                     pat_integral, rate_table, rates_sweep, steady_sweep)
 from kpoqcr import junction, quad, workflows
-from kpoqcr.junction import (PatIntegrator, _charge_rates, elastic_weight,
-                             pat_breakpoints, pat_integrals, pat_integrand)
+from kpoqcr.junction import (PatIntegrator, pat_breakpoints, pat_integrals,
+                             pat_integrand)
 from kpoqcr.oracles import flat_dos_forward
 from kpoqcr.quad import (BLOCK_INTEGRALS, WG, WGK, XGK, adaptive_gk,
                          integrate, plan_panels)
@@ -101,10 +100,10 @@ def test_integrand_is_the_product_and_leaves_eps_alone(temp_hz):
     kept = nodes.copy()
     eps = nodes[8:40]
     eps.flags.writeable = False
-    offset = rng.uniform(-100e9, 100e9, (32, 1))
+    offset = rng.uniform(-100e9, 100e9, (32, 1, 1))
     got = pat_integrand(GAP, gd, temp_hz, temp_hz)(eps, offset)
-    want = (dynes_dos(eps, GAP, gd) * (1.0 - fermi(eps, temp_hz))
-            * fermi(eps + offset, temp_hz))
+    want = ((dynes_dos(eps, GAP, gd) * (1.0 - fermi(eps, temp_hz)))[..., None]
+            * fermi(eps[..., None] + offset, temp_hz))
     assert got.tobytes() == want.tobytes()
     assert nodes.tobytes() == kept.tobytes()
 
@@ -125,10 +124,11 @@ def test_zero_temperature_closed_form(params):
     z = -x / gap + 1j * gd
     want = gap * (np.sqrt(z * z - 1.0).real
                   - np.sqrt(complex(-gd * gd - 1.0)).real)
-    got = pat_integrals(x, gap, gd, 0.0, 0.0, rel_tol=1e-12)
+    got = pat_integrals(x[:, None], gap, gd, 0.0, 0.0, rel_tol=1e-12)[:, 0]
     assert np.max(np.abs(got / want - 1.0)) <= 1e-12
     # No support for x >= 0.
-    zero = pat_integrals([0.0, 1e9, 50e9], gap, gd, 0.0, 0.0, rel_tol=1e-12)
+    zero = pat_integrals([[0.0], [1e9], [50e9]], gap, gd, 0.0, 0.0,
+                         rel_tol=1e-12)[:, 0]
     assert zero.tolist() == [0.0, 0.0, 0.0]
 
 
@@ -175,12 +175,13 @@ def test_integral_scale_invariance(scale, offset):
 
 
 def test_quadrature_spec_covers_edges():
-    bps, edges = pat_breakpoints([-10e9], GAP, 2e9, 2e9)
+    bps, edges = pat_breakpoints([[-10e9]], GAP, 2e9, 2e9)
     lo, hi = np.nanmin(bps), np.nanmax(bps)
     # Window spans both Fermi edges (0 and -offset) plus thermal padding,
     # and the gap singularities inside it are registered for sqrt panels.
     assert lo <= 0.0 <= hi and lo <= 10e9 <= hi
-    (_a, _b, edge, sgn), _owner = plan_panels(bps, edges)
+    (_a, _b, edge, sgn), _owner = plan_panels(bps, edges,
+                                              np.zeros_like(edges))
     sqrt_edges = edge[sgn != 0.0]
     assert set(sqrt_edges) == {-GAP, GAP}
     for edge in sqrt_edges:
@@ -234,7 +235,7 @@ def test_backward_equals_its_own_integrand(params, temp_k):
                       *shells, *(-x for x in shells)})
     for x in offsets:
         got = pat_integral(x, "backward", gap, gd, t_s, t_n, rel_tol)
-        bps, edges = pat_breakpoints([x], gap, t_s, t_n)
+        bps, edges = pat_breakpoints([[x]], gap, t_s, t_n)
         want, _err = adaptive_gk(lambda eps: integrand(eps, x), bps[0],
                                  edges[0], rel_tol=rel_tol,
                                  abs_tol=rel_tol * max(t_s, t_n))
@@ -263,7 +264,8 @@ def test_batch_independence(temp_hz):
     assert len(batch) > 4 * BLOCK_INTEGRALS
 
     def run(offsets):
-        return pat_integrals(offsets, GAP, gamma, temp_hz, temp_hz)
+        return pat_integrals(np.reshape(offsets, (-1, 1)), GAP, gamma,
+                             temp_hz, temp_hz)[:, 0]
 
     alone = [run([x])[0] for x in probe]
     first = run(batch)[:len(probe)]
@@ -281,8 +283,8 @@ def test_panel_sums_do_not_depend_on_call_batching(monkeypatch):
     gamma = SystemParams().gamma_dynes
     t = 2.0836619123e9
     rng = np.random.default_rng(20261018)
-    offsets = [0.0, -27.15e9, -GAP - 1e9, GAP + 1e9, *rng.uniform(
-        -120e9, 120e9, 36)]
+    offsets = np.array([0.0, -27.15e9, -GAP - 1e9, GAP + 1e9, *rng.uniform(
+        -120e9, 120e9, 36)])[:, None]
     rows = []
     make = junction.pat_integrand
 
@@ -295,11 +297,12 @@ def test_panel_sums_do_not_depend_on_call_batching(monkeypatch):
         return recorded
 
     monkeypatch.setattr(junction, "pat_integrand", recording)
-    want = [v.hex() for v in pat_integrals(offsets, GAP, gamma, t, t).tolist()]
+    want = [v.hex() for v in
+            pat_integrals(offsets, GAP, gamma, t, t)[:, 0].tolist()]
     for call_rows in (1, 7):
         rows.clear()
         monkeypatch.setattr(quad, "_CALL_ROWS", call_rows)
-        got = pat_integrals(offsets, GAP, gamma, t, t)
+        got = pat_integrals(offsets, GAP, gamma, t, t)[:, 0]
         assert [v.hex() for v in got.tolist()] == want
         assert max(rows) == call_rows
     assert len(set(rows)) >= 3 and min(rows) < 7
@@ -359,8 +362,8 @@ def test_component_row_sums_are_row_local():
 
 def test_vector_integrand_components_meet_their_own_tolerance():
     # K integrands on shared panels: each component meets rel_tol on its
-    # own scale, equal components get equal bits, and components=None is
-    # the scalar interface.  Component j of integral i is
+    # own scale, equal components get equal bits, and without args an
+    # integral has one component.  Component j of integral i is
     # s_ij * exp(-r_j eps) on [0, 3], whose integral is known.
     r = np.array([0.5, 4.0, 4.0, 12.0])
     scales = np.array([[1.0, 1e-9, 1e-9, 1e6], [2.0, 1.0, 1.0, 1e-12]])
@@ -369,14 +372,16 @@ def test_vector_integrand_components_meet_their_own_tolerance():
         return s * np.exp(-r * eps[..., None])
 
     values, errors = integrate(fn, [[0.0, 3.0], [0.0, 3.0]], np.empty((2, 0)),
-                               rel_tol=1e-12, args=(scales,), components=4)
+                               np.empty((2, 0)), rel_tol=1e-12,
+                               args=(scales,))
     exact = scales * (1.0 - np.exp(-3.0 * r)) / r
     assert values.shape == errors.shape == (2, 4)
     assert np.all(np.abs(values - exact) <= 1e-12 * np.abs(exact))
     assert np.all(errors <= 1e-12 * np.abs(values))
     assert values[:, 1].tobytes() == values[:, 2].tobytes()
-    scalar, _err = integrate(lambda eps: np.exp(-eps), [[0.0, 3.0]])
-    assert scalar.shape == (1,)
+    scalar, _err = integrate(lambda eps: np.exp(-eps), [[0.0, 3.0]],
+                             np.empty((1, 0)), np.empty((1, 0)))
+    assert scalar.shape == (1, 1)
 
 
 def _node_rows(lefts, widths):
@@ -452,8 +457,8 @@ def test_panel_nodes_meet_their_tolerance(params, temp_s, temp_n, bias_hz):
     nodes = np.concatenate([x.ravel() for _l, x, _f in integ._store.values()])
     got = np.concatenate([f.ravel() for _l, _x, f in integ._store.values()])
     assert nodes.size == len(integ)
-    want = pat_integrals(nodes, p.gap_hz, p.gamma_dynes, p.t_s_hz, p.t_n_hz,
-                         rel_tol=1e-13)
+    want = pat_integrals(nodes[:, None], p.gap_hz, p.gamma_dynes, p.t_s_hz,
+                         p.t_n_hz, rel_tol=1e-13)[:, 0]
     node_tol = junction._NODE_TOL * p.quad_rel_tol
     tol = node_tol * np.maximum(np.abs(want), max(p.t_s_hz, p.t_n_hz))
     err = np.abs(got - want) / tol
@@ -520,10 +525,13 @@ def test_table_integrals_meet_their_tolerance(params, temp_k, bias_hz):
         rng.choice(deep, 50, replace=False)]))
     got = recorder.evaluate(sample)
     k_t = max(p.t_s_hz, p.t_n_hz)
-    bps, edges = pat_breakpoints(sample, p.gap_hz, p.t_s_hz, p.t_n_hz)
+    bps, edges = pat_breakpoints(sample[:, None], p.gap_hz, p.t_s_hz,
+                                 p.t_n_hz)
     want, _err = integrate(
         pat_integrand(p.gap_hz, p.gamma_dynes, p.t_s_hz, p.t_n_hz), bps,
-        edges, rel_tol=1e-13, abs_tol=1e-13 * k_t, args=(sample,))
+        edges, np.zeros_like(edges), rel_tol=1e-13, abs_tol=1e-13 * k_t,
+        args=(sample[:, None],))
+    want = want[:, 0]
     tol = np.maximum(1e-10 * np.abs(want), 1e-10 * k_t)
     worst = int(np.argmax(np.abs(got - want) / tol))
     assert abs(got[worst] - want[worst]) <= tol[worst], sample[worst]
@@ -549,10 +557,13 @@ def test_interpolated_values_match_direct_integrals(params, temp_s, temp_n,
         recorder.offsets[:4 * (p.q_max + 1)]]))
     got = recorder.evaluate(sample)
     k_t = max(p.t_s_hz, p.t_n_hz)
-    bps, edges = pat_breakpoints(sample, p.gap_hz, p.t_s_hz, p.t_n_hz)
+    bps, edges = pat_breakpoints(sample[:, None], p.gap_hz, p.t_s_hz,
+                                 p.t_n_hz)
     want, _err = integrate(
         pat_integrand(p.gap_hz, p.gamma_dynes, p.t_s_hz, p.t_n_hz), bps,
-        edges, rel_tol=1e-13, abs_tol=1e-13 * k_t, args=(sample,))
+        edges, np.zeros_like(edges), rel_tol=1e-13, abs_tol=1e-13 * k_t,
+        args=(sample[:, None],))
+    want = want[:, 0]
     tol = np.maximum(1e-10 * np.abs(want), 1e-10 * k_t)
     err = np.abs(got - want) / tol
     assert err.max() <= 0.1, sample[np.argmax(err)]
@@ -576,10 +587,11 @@ def test_charge_averaged_values_match_direct_sums(params, monkeypatch,
     got = averaged.evaluate(anchors)
     x = (anchors[:, None] + averaged._shifts).ravel()
     k_t = max(p.t_s_hz, p.t_n_hz)
-    bps, edges = pat_breakpoints(x, p.gap_hz, p.t_s_hz, p.t_n_hz)
+    bps, edges = pat_breakpoints(x[:, None], p.gap_hz, p.t_s_hz, p.t_n_hz)
     f, _err = integrate(
         pat_integrand(p.gap_hz, p.gamma_dynes, p.t_s_hz, p.t_n_hz), bps,
-        edges, rel_tol=1e-13, abs_tol=1e-13 * k_t, args=(x,))
+        edges, np.zeros_like(edges), rel_tol=1e-13, abs_tol=1e-13 * k_t,
+        args=(x[:, None],))
     f = f.reshape(anchors.size, -1)
     want = averaged._probs[0] * f[:, 0]
     for p_k, f_k in zip(averaged._probs[1:], f.T[1:]):
@@ -695,12 +707,13 @@ def test_graded_square_root_panels_double_from_the_edge():
     # Interval [0, 1] ends at the edge 1 and [1, 5] starts there: square-
     # root panels over u in [0, 1] and [0, 2].  A first width of 0.1 cuts
     # them at u = 0.1, 0.2, 0.4, 0.8 (and 1.6 on the right); the plain
-    # panel [-3, 0] and a zero width stay whole.
+    # panel [-3, 0] and a zero width stay whole, and so does a width at an
+    # edge the row does not hold.
     bps = [[-3.0, 0.0, 1.0, 5.0]]
     edges = [[1.0, np.nan]]
-    whole, owner = plan_panels(bps, edges)
+    whole, owner = plan_panels(bps, edges, [[0.0, 0.0]])
     assert whole.shape[1] == 3
-    same, _owner = plan_panels(bps, edges, [[0.0, 0.0]])
+    same, _owner = plan_panels(bps, edges, [[0.0, 0.3]])
     assert same.tobytes() == whole.tobytes()
     (a, b, edge, sgn), owner = plan_panels(bps, edges, [[0.1, 0.0]])
     assert owner.tolist() == [0] * 12
@@ -717,7 +730,7 @@ def test_graded_square_root_panels_double_from_the_edge():
 
     graded, _err = integrate(peaked, bps, edges, [[0.1, 0.0]], rel_tol=1e-13)
     exact = 4.0 * (math.sqrt(4.0 + 1e-4) - math.sqrt(1e-4))
-    assert graded[0] == pytest.approx(exact, rel=1e-12)
+    assert graded[0, 0] == pytest.approx(exact, rel=1e-12)
 
 
 def test_pat_integrals_grade_only_the_peak_in_the_support(monkeypatch):
@@ -732,7 +745,7 @@ def test_pat_integrals_grade_only_the_peak_in_the_support(monkeypatch):
 
     monkeypatch.setattr(junction, "integrate", spy)
     t = 2e9
-    pat_integrals([-80e9, -10e9, 10e9, 80e9], GAP, gamma, t, t)
+    pat_integrals([[-80e9], [-10e9], [10e9], [80e9]], GAP, gamma, t, t)
     (edges, widths), = seen
     u0 = math.sqrt(10.0 * gamma * GAP)
     assert widths.tolist() == [[0.0, u0], [0.0, u0], [0.0, 0.0], [0.0, 0.0]]
@@ -779,8 +792,9 @@ def test_unconverged_integral_in_batch_raises(params):
     # lies beyond the first block and its index counts from the start of
     # the batch.
     with pytest.raises(QuadratureError, match=message) as info:
-        pat_integrals(offsets, params.gap_hz, params.gamma_dynes,
-                      params.t_s_hz, params.t_n_hz, rel_tol=1e-17)
+        pat_integrals(np.reshape(offsets, (-1, 1)), params.gap_hz,
+                      params.gamma_dynes, params.t_s_hz, params.t_n_hz,
+                      rel_tol=1e-17)
     assert info.value.index == len(offsets) - 1 >= BLOCK_INTEGRALS
 
 
@@ -844,26 +858,6 @@ def test_evaluate_detailed_balance(params, integrator):
     e = 4e9
     ratio = integrator.evaluate([-e])[0] / integrator.evaluate([e])[0]
     assert ratio == pytest.approx(math.exp(e / t), rel=1e-7)
-
-
-@pytest.mark.parametrize("rho_c", [5e-5, 0.3, 1.0, 4.0])
-def test_elastic_weight_matches_scipy_laguerre(rho_c):
-    for m in (0, 1, 2, 7, 30, 59, 99):
-        want = math.exp(-rho_c) * eval_laguerre(m, rho_c) ** 2
-        assert abs(elastic_weight(m, rho_c) - want) <= 1e-12
-
-
-def test_elastic_weight_normalization():
-    # m = 0: just the Franck-Condon factor exp(-rho_c).
-    assert elastic_weight(0, 5e-5) == pytest.approx(math.exp(-5e-5), rel=1e-12)
-    assert elastic_weight(3, 5e-5) > 0.0
-
-
-def test_charge_rates_fock_level_independence(params, integrator):
-    # The Fock-level weight cancels in gain/loss ratios.
-    [(g0, l0)] = _charge_rates(params, integrator, [1], 0)
-    [(g3, l3)] = _charge_rates(params, integrator, [1], 3)
-    assert g0 / l0 == pytest.approx(g3 / l3, rel=1e-12)
 
 
 def test_equilibrium_distribution_is_boltzmann(params, pq):
@@ -947,10 +941,12 @@ def test_adaptive_gk_empty_interval():
     assert adaptive_gk(np.cos, breakpoints=(1.0, 1.0)) == (0.0, 0.0)
 
 
-def test_adaptive_gk_budget_exhaustion_raises():
+def test_adaptive_gk_budget_exhaustion_raises(monkeypatch):
     # An undeclared inverse-sqrt singularity cannot reach 1e-14 on a
     # four-panel budget; the error carries the achieved accuracy.
+    monkeypatch.setattr(quad, "PANEL_BUDGET", 4)
     with pytest.raises(QuadratureError) as info:
         adaptive_gk(lambda x: 1.0 / np.sqrt(np.abs(x) + 1e-300),
-                    breakpoints=(0.0, 1.0), rel_tol=1e-14, panel_budget=4)
+                    breakpoints=(0.0, 1.0), rel_tol=1e-14)
     assert info.value.achieved_rel_err > 1e-14
+    assert "4 panels" in str(info.value)
