@@ -376,15 +376,15 @@ class PatIntegrator:
 
     def _interpolate(self, distinct, base, start):
         """Values at the sorted distinct offsets, in base panels base, each
-        of which starts at its position in start."""
-        nodes = np.empty((distinct.size, _CHEB_N))
-        values = np.empty_like(nodes)
+        of which starts at its position in start.  One base panel at a
+        time, so the (offsets, 24) node arrays stay a panel's share."""
+        out = np.empty(distinct.size)
         for a, b in zip(start, [*start[1:], distinct.size]):
             lefts, x, f = self._store[float(base[a])]
             leaf = np.searchsorted(lefts, distinct[a:b], "right") - 1
             np.maximum(leaf, 0, out=leaf)
-            nodes[a:b], values[a:b] = x[leaf], f[leaf]
-        return _barycentric(distinct, nodes, values)
+            out[a:b] = _barycentric(distinct[a:b], x[leaf], f[leaf])
+        return out
 
     def _build(self, keys) -> dict:
         """{k: (left edges, node offsets, node values)} of the base indices
@@ -495,12 +495,14 @@ class ChargeAveraged(PatIntegrator):
 def _barycentric(x, nodes, values):
     """Each row's Chebyshev interpolant at x, in the second barycentric form
     (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)); x on a node gives that
-    node's value.  The sums are row-local einsums."""
-    d = x[:, None] - nodes
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = _CHEB_W / d
-        out = np.einsum("ij,ij->i", q, values) / np.einsum("ij->i", q)
+    node's value.  The sums are row-local einsums.  nodes is overwritten:
+    the weights are built in its place, so a batch of anchors holds two
+    (n, 24) arrays, not four."""
+    d = np.subtract(x[:, None], nodes, out=nodes)
     hit = d == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.divide(_CHEB_W, d, out=d)
+        out = np.einsum("ij,ij->i", q, values) / np.einsum("ij->i", q)
     out[hit.any(axis=1)] = values[hit]
     return out
 

@@ -49,9 +49,16 @@ interfere read bit-identical G at bit-identical anchors, and core2 stays
 exactly Hermitian: a partner entry reads the same G with the conjugate
 weight.  The rule protects the tables, core2's Hermiticity and the oracle
 cross-check qcr_bitflip_rate, which cancels interfering entries;
-bitflip_rates cancels nothing.  rate_table and transition_rate share one
-assembly; transition_rate hands it only the class-1 slots of the entries
-it reports, so each of its rates is bitwise that table entry.
+bitflip_rates cancels nothing.
+
+Only the anchors depend on the bias.  A RatePlan holds the rest, built
+once per spectrum from match_sets, the sideband table and the parameters:
+the term rows' entries, weights and anchor parts.  Its tables() reads G
+once for any number of biases, at a (P, 2, R) array of anchors, and
+accumulates each bias's table in the row order above; by G's bitwise rule
+every value is the one a single-bias read gives.  rate_table is a one-bias
+plan.  transition_rate is a one-bias plan masked to the class-1 rows of
+the entries it reports, so each of its rates is bitwise that table entry.
 """
 from __future__ import annotations
 
@@ -211,58 +218,98 @@ def _kept(pq: ChargeDistribution):
     return tuple(q for q, _ in kept), tuple(p for _, p in kept)
 
 
-def _assemble(params, spectrum, eta, pq, integrator, class1, class2_pairs):
-    """gamma1 (n, n, n, n) and core2 (n, n) summed over the given class-1
-    slots (mu, mup, nu, nup, de) and class-2 pairs (m, xi) only; every
-    other entry is exactly zero."""
-    energies = spectrum.energies
-    parity = spectrum.parity
-    n = energies.size
-    dms = np.arange(-eta.dm_max, eta.dm_max + 1)
-    pdm = _sideband_parity(dms)
+class RatePlan:
+    """The bias-free part of the rate tables of one spectrum, built once.
 
-    # Class-1 terms over (slot, dm), both factors parity-allowed.
-    mu, mup, nu, nup = np.array([key[:4] for key in class1],
-                                np.intp).reshape(-1, 4).T
-    de1 = np.array([key[4] for key in class1], float)
-    slot1, d1 = np.nonzero(((parity[mu] * parity[nu])[:, None] == pdm)
-                           & ((parity[mup] * parity[nup])[:, None] == pdm))
-    i1, j1, k1, l1 = mu[slot1], nu[slot1], mup[slot1], nup[slot1]
-    # Class-2 terms over (pair, dm, sigma), sigma of the sideband's parity.
-    m, xi = np.array(class2_pairs, np.intp).reshape(-1, 2).T
-    pair, d2, sigma = np.nonzero(
-        parity == pdm[:, None] * parity[m][:, None, None])
-    m2, xi2 = m[pair], xi[pair]
+    One row per term, in slot order, then dm, then sigma (class-2 cores
+    only): its flat entry in one storage, gamma1 then core2 (entry); its
+    forward and backward sideband weights (wf, wb); and the two parts of
+    its anchors, de and E_c + dm * omega_rf (de, base), which tables()
+    joins with the bias as de + (base -+ V).  pairs holds the class-2
+    (m, xi) indices that core2 scales.  With keys, only those
+    (mu, mup, nu, nup) keys' class-1 rows are kept and no class-2 row, so
+    each kept entry is bitwise the full table's and every other entry is
+    exactly zero.
+    """
 
-    # Flat position of each term row's entry in one storage, gamma1 then
-    # core2.  Rows are in slot order, so each entry adds its terms in dm,
-    # then sigma order.
-    entry = np.concatenate([((i1 * n + k1) * n + j1) * n + l1,
-                            n ** 4 + m2 * n + xi2])
-    d = np.concatenate([d1, d2])
-    de = np.concatenate([de1[slot1], energies[sigma] - energies[m2]])
+    def __init__(self, params: SystemParams, spectrum: Spectrum,
+                 eta: EtaTable, keys=None):
+        matches = match_sets(spectrum, params.omega_rf, params.match_tol)
+        class1, class2_pairs = matches.class1, matches.class2_pairs
+        if keys is not None:
+            wanted = set(map(tuple, keys))
+            class1 = [slot for slot in class1 if slot[:4] in wanted]
+            class2_pairs = ()
+        energies = spectrum.energies
+        parity = spectrum.parity
+        n = energies.size
+        dms = np.arange(-eta.dm_max, eta.dm_max + 1)
+        pdm = _sideband_parity(dms)
 
-    def weights(e):
-        """Sideband factor of every term row, from one direction's stack."""
-        # Every entry of e is real or imaginary (real eigenvectors times
-        # i^|dm|), so numpy's fused complex product rounds like the scalar.
-        return np.concatenate([e[d1, i1, j1] * e[d1, k1, l1].conj(),
-                               e[d2, sigma, m2].conj() * e[d2, sigma, xi2]])
+        # Class-1 terms over (slot, dm), both factors parity-allowed.
+        mu, mup, nu, nup = np.array([key[:4] for key in class1],
+                                    np.intp).reshape(-1, 4).T
+        de1 = np.array([key[4] for key in class1], float)
+        slot1, d1 = np.nonzero(((parity[mu] * parity[nu])[:, None] == pdm)
+                               & ((parity[mup] * parity[nup])[:, None] == pdm))
+        i1, j1, k1, l1 = mu[slot1], nu[slot1], mup[slot1], nup[slot1]
+        # Class-2 terms over (pair, dm, sigma), sigma of the sideband's
+        # parity.
+        m, xi = np.array(class2_pairs, np.intp).reshape(-1, 2).T
+        pair, d2, sigma = np.nonzero(
+            parity == pdm[:, None] * parity[m][:, None, None])
+        m2, xi2 = m[pair], xi[pair]
 
-    wf, wb = weights(eta.f), weights(eta.b)
-    # One term per (slot, dm[, sigma]): G at the forward and backward
-    # anchors de + ((E_c + dm * omega_rf) -+ V).
-    base = (params.e_island + params.omega_rf * dms)[d]
-    averaged = integrator.averaged(*_kept(pq), params.e_island)
-    vf, vb = averaged.evaluate(np.stack([de + (base - params.bias_v),
-                                         de + (base + params.bias_v)]))
-    acc = np.zeros(n ** 4 + n ** 2, complex)
-    np.add.at(acc, entry, vf * wf + vb * wb)
-    gamma1 = 2.0 * params.r_ratio * acc[:n ** 4].reshape(n, n, n, n)
-    core2 = acc[n ** 4:].reshape(n, n)
-    # Scale the matched entries only: -r * 0j would leave a -0.0 elsewhere.
-    core2[m, xi] = -params.r_ratio * core2[m, xi]
-    return gamma1, core2
+        def weights(e):
+            """Sideband factor of every term row, from one direction's
+            stack."""
+            # Every entry of e is real or imaginary (real eigenvectors times
+            # i^|dm|), so numpy's fused complex product rounds like the
+            # scalar.
+            return np.concatenate(
+                [e[d1, i1, j1] * e[d1, k1, l1].conj(),
+                 e[d2, sigma, m2].conj() * e[d2, sigma, xi2]])
+
+        self.energies, self.parity = energies, parity
+        self.r_ratio, self.e_island = params.r_ratio, params.e_island
+        self.entry = np.concatenate([((i1 * n + k1) * n + j1) * n + l1,
+                                     n ** 4 + m2 * n + xi2])
+        self.wf, self.wb = weights(eta.f), weights(eta.b)
+        self.de = np.concatenate([de1[slot1], energies[sigma] - energies[m2]])
+        self.base = (params.e_island
+                     + params.omega_rf * dms)[np.concatenate([d1, d2])]
+        self.pairs = m, xi
+
+    def tables(self, voltages, pq: ChargeDistribution,
+               integrator: PatIntegrator):
+        """The RateTable at each bias of voltages, in order.
+
+        G is read once, at every bias's forward and backward anchors as one
+        (P, 2, R) array; by G's bitwise rule each value is the one a
+        single-bias read gives.  Each table is accumulated only when the
+        iteration reaches it.
+        """
+        v = np.asarray(voltages, float)[:, None]
+        averaged = integrator.averaged(*_kept(pq), self.e_island)
+        values = averaged.evaluate(np.stack([self.de + (self.base - v),
+                                             self.de + (self.base + v)],
+                                            axis=1))
+        n = self.energies.size
+        m, xi = self.pairs
+        for bias_v, (vf, vb) in zip(v[:, 0].tolist(), values):
+            acc = np.zeros(n ** 4 + n ** 2, complex)
+            np.add.at(acc, self.entry, vf * self.wf + vb * self.wb)
+            core2 = acc[n ** 4:].reshape(n, n)
+            # Scale the matched entries only: -r * 0j would leave a -0.0
+            # elsewhere.
+            core2[m, xi] = -self.r_ratio * core2[m, xi]
+            yield RateTable(
+                bias_v=bias_v,
+                energies=self.energies,
+                parity=self.parity,
+                gamma1=2.0 * self.r_ratio * acc[:n ** 4].reshape(n, n, n, n),
+                core2=core2,
+            )
 
 
 def rate_table(
@@ -279,16 +326,9 @@ def rate_table(
         eta = eta_table(spectrum, params.rho_c, params.dm_max)
     if pq is None:
         pq = charge_distribution(params, integrator)
-    matches = match_sets(spectrum, params.omega_rf, params.match_tol)
-    gamma1, core2 = _assemble(params, spectrum, eta, pq, integrator,
-                              matches.class1, matches.class2_pairs)
-    return RateTable(
-        bias_v=params.bias_v,
-        energies=spectrum.energies,
-        parity=spectrum.parity,
-        gamma1=gamma1,
-        core2=core2,
-    )
+    [table] = RatePlan(params, spectrum, eta).tables([params.bias_v], pq,
+                                                     integrator)
+    return table
 
 
 def transition_rate(
@@ -299,19 +339,13 @@ def transition_rate(
     integrator: PatIntegrator,
     keys,
 ) -> list[float]:
-    """gamma1[key].real for each (mu, mup, nu, nup) key, 1/s, from one batch
-    of integrals and without building a full table.
-
-    Only the keys' class-1 slots are assembled, so each value is bitwise
-    rate_table's entry; an unmatched key gives exactly 0.0.
-    """
+    """gamma1[key].real for each (mu, mup, nu, nup) key, 1/s, from a plan
+    masked to the keys' class-1 rows: each value is bitwise rate_table's
+    entry, and an unmatched key gives exactly 0.0."""
     keys = [tuple(key) for key in keys]
-    wanted = set(keys)
-    matches = match_sets(spectrum, params.omega_rf, params.match_tol)
-    class1 = [slot for slot in matches.class1 if slot[:4] in wanted]
-    gamma1, _core2 = _assemble(params, spectrum, eta, pq, integrator,
-                               class1, ())
-    return [float(gamma1[key].real) for key in keys]
+    [table] = RatePlan(params, spectrum, eta, keys).tables(
+        [params.bias_v], pq, integrator)
+    return [float(table.gamma1[key].real) for key in keys]
 
 
 def trace_residual(table: RateTable) -> float:

@@ -10,31 +10,38 @@ alpha only shift or re-pick offsets of; the island charge distribution,
 taken at zero bias (charge_distribution with pumped=False), which does not
 read the pump; and on the voltage axis the spectrum and sideband table,
 which do not depend on the bias.  Along the alpha axis each point
-diagonalizes its own oscillator.  Each point is one call
-point(params, spectrum, eta, pq, integrator), in a plain loop.  The rate
-points of the steady and rates sweeps read the charge-averaged function G
-of F and that distribution (PatIntegrator.averaged), which the first point
-builds and F keeps, so a sweep builds one F and one G; bit-flip points
-read F.
+diagonalizes its own oscillator.  Each group of points that shares a
+spectrum is one call rows(points, spectrum, eta, pq, integrator): all
+points at once on the voltage axis, one point at a time on the alpha axis.
+The steady and rates rows build one rates.RatePlan per call (the rates
+rows mask it to the reported entries) and read the charge-averaged
+function G of F and that distribution (PatIntegrator.averaged) once, at
+all of the call's anchors.  So a voltage sweep calls match_sets once,
+builds one plan, one F and one G, and reads G in one evaluate call; each
+point's table is accumulated when its row is computed.  Bit-flip rows read
+F.
 
-The points run serially.  With one shared F and G a point is mostly
-linear algebra, 1-8 ms, and a fork pool no longer pays for its start-up
-and its code.  The README sweeps, wall time on 2 vCPUs (best of 3,
-measured when points read F at per-charge offsets; the parent is the
-per-point-table code at threads=2):
+The points run serially: a pool does not pay for its start-up.  Measured
+when points read F at per-charge offsets, two fork workers saved at most
+0.07 s on the README sweeps and cost more than they saved on a 4-point
+one.  The README voltage sweeps in process, on 2 vCPUs of a shared host
+(ranges of the medians of 9 calls over five runs a side), against the
+same sweeps with a match_sets call, a term assembly and a G read at every
+point:
 
-  | sweep                  | serial  | 2 workers | per-point tables |
-  |------------------------|---------|-----------|------------------|
-  | steady, 26 points      | 0.21 s  | 0.14 s    | 2.10 s           |
-  | rates voltage, 121     | 0.089 s | 0.085 s   | 0.45 s           |
-  | rates alpha, 61        | 0.17 s  | 0.12 s    | 0.29 s           |
-  | bitflip, 31            | 0.083 s | 0.075 s   | 0.11 s           |
+  | sweep                  | one plan      | per point     |
+  |------------------------|---------------|---------------|
+  | rates voltage, 121     | 0.021-0.029 s | 0.077-0.137 s |
+  | steady, 26             | 0.043-0.054 s | 0.069-0.098 s |
 
-Two workers save at most 0.07 s there, and on a 4-point bitflip sweep they
-cost 0.038 s against 0.026 s serially, with more than twice the CPU.  Every
-value depends only on its offset and the parameters (see PatIntegrator),
-so results are identical for any `threads`; the argument is accepted and
-checked (at least 1) but has no effect.
+Per point, from the 121- less the 13-point rates sweep and the 26- less
+the 6-point steady one: 0.06-0.11 ms instead of 0.42-0.94 ms (rates), and
+1.0-1.35 ms instead of 1.9-3.4 ms (steady).  The alpha sweeps do the same
+work either way (rates, 61 points: 0.13-0.19 s; bitflip, 31 points:
+0.067-0.093 s).  Every value depends only on its offset and the
+parameters (see PatIntegrator), so results are identical for any
+`threads`; the argument is accepted and checked (at least 1) but has no
+effect.
 """
 from __future__ import annotations
 
@@ -49,9 +56,10 @@ from .dynamics import (assemble_generator, evolve, husimi_q, initial_state,
 from .errors import ConfigError
 from .junction import PatIntegrator, charge_distribution
 from .params import SystemParams, config_fields
-from .rates import bitflip_rates, eta_table, rate_table, transition_rate
+from .rates import RatePlan, bitflip_rates, eta_table, rate_table
 # perfbench/tracing.py wraps these by name here; no sweep calls them.
 from .rates import match_sets, qcr_bitflip_rate  # noqa: F401
+from .rates import transition_rate  # noqa: F401
 from .spectrum import diagonalize_kpo
 
 # Population rates |j> -> |i> reported by default: the two cooling channels,
@@ -97,13 +105,6 @@ def _check_transitions(transitions, n_keep: int):
                 f"transition {key} outside the retained space of {n_keep} states")
 
 
-def _steady_solve(params, spectrum, eta=None, pq=None, integrator=None):
-    """(rho, residual) of the stationary state with the junction on."""
-    table = rate_table(params, spectrum, eta=eta, pq=pq,
-                       integrator=integrator)
-    return steady_state(assemble_generator(spectrum, params, table))
-
-
 # ---------------------------------------------------------------------------
 # Sweeps: one engine, one integrator, one loop
 
@@ -113,35 +114,38 @@ def _spectrum_eta(params):
     return spectrum, eta_table(spectrum, params.rho_c, params.dm_max)
 
 
-def _sweep(params: SystemParams, axis: str, values, point, columns,
+def _sweep(params: SystemParams, axis: str, values, rows, columns,
            threads: int, meta: dict) -> SweepResult:
     # Every point's parameters first, so a bad value fails before any work.
     if threads < 1:
         raise ConfigError("threads must be at least 1")
     values = np.asarray(values, float)
+    if values.size == 0:
+        raise ConfigError("sweep points must be a positive integer")
     if axis == "voltage":
         points = [params.replace(bias_v=float(v)) for v in values]
-        shared = _spectrum_eta(params)
+        groups = [(points, *_spectrum_eta(params))]
     else:
         points = [params.with_alpha(float(a)) for a in values]
-        shared = None
+        groups = (([p], *_spectrum_eta(p)) for p in points)
     integrator = PatIntegrator.from_params(params)
     pq = charge_distribution(params, integrator)
-    rows = [point(p, *(shared or _spectrum_eta(p)), pq, integrator)
-            for p in points]
+    data = [row for group, spectrum, eta in groups
+            for row in rows(group, spectrum, eta, pq, integrator)]
     return SweepResult(axis=axis, values=values, columns=columns,
-                       data=np.array(rows, float), meta=meta)
+                       data=np.array(data, float), meta=meta)
 
 
-def _rates_point(params, spectrum, eta, pq, integrator, transitions,
-                 interference):
-    # One transition_rate call, one evaluate batch, whatever the labels;
+def _rates_rows(points, spectrum, eta, pq, integrator, transitions,
+                interference):
+    # One plan masked to the reported keys, one read of G for all points;
     # interference "off" reports the degenerate-pair entries as zero.
     keys = [key for key in transitions if interference == "on"
             or key not in ((0, 1, 1, 0), (1, 0, 0, 1))]
-    values = dict(zip(keys, transition_rate(params, spectrum, eta, pq,
-                                            integrator, keys)))
-    return [values.get(key, 0.0) for key in transitions]
+    tables = RatePlan(points[0], spectrum, eta, keys).tables(
+        [p.bias_v for p in points], pq, integrator)
+    return [[float(table.gamma1[key].real) if key in keys else 0.0
+             for key in transitions] for table in tables]
 
 
 def rates_sweep(
@@ -164,37 +168,45 @@ def rates_sweep(
     _check_transitions(transitions, params.n_keep)
     if axis not in ("voltage", "alpha"):
         raise ConfigError(f"unknown sweep axis {axis!r}; use voltage or alpha")
-    point = partial(_rates_point, transitions=transitions,
-                    interference=interference)
-    return _sweep(params, axis, values, point,
+    rows = partial(_rates_rows, transitions=transitions,
+                   interference=interference)
+    return _sweep(params, axis, values, rows,
                   [transition_label(t) for t in transitions], threads,
                   {"interference": interference})
 
 
-def _steady_point(params, spectrum, eta, pq, integrator):
-    rho, residual = _steady_solve(params, spectrum, eta, pq, integrator)
-    pops = np.real(np.diag(rho))
-    return [pops[0], pops[1], pops[0] + pops[1], residual]
+def _steady_rows(points, spectrum, eta, pq, integrator):
+    tables = RatePlan(points[0], spectrum, eta).tables(
+        [p.bias_v for p in points], pq, integrator)
+    out = []
+    for p, table in zip(points, tables):
+        rho, residual = steady_state(assemble_generator(spectrum, p, table))
+        pops = np.real(np.diag(rho))
+        out.append([pops[0], pops[1], pops[0] + pops[1], residual])
+    return out
 
 
 def steady_sweep(params: SystemParams, voltages, threads: int = 1) -> SweepResult:
     """Stationary populations of the qubit pair per bias; threads has no
     effect, as in rates_sweep."""
-    return _sweep(params, "voltage", voltages, _steady_point,
+    return _sweep(params, "voltage", voltages, _steady_rows,
                   ["pop_phi0", "pop_phi1", "pop_qubit", "residual"], threads,
                   {})
 
 
-def _bitflip_point(params, spectrum, eta, pq, integrator):
-    rate_on, rate_off = bitflip_rates(params, spectrum, eta, pq, integrator)
-    ratio = rate_on / rate_off if rate_off != 0.0 else np.inf
-    return [rate_on, rate_off, ratio]
+def _bitflip_rows(points, spectrum, eta, pq, integrator):
+    out = []
+    for p in points:
+        rate_on, rate_off = bitflip_rates(p, spectrum, eta, pq, integrator)
+        ratio = rate_on / rate_off if rate_off != 0.0 else np.inf
+        out.append([rate_on, rate_off, ratio])
+    return out
 
 
 def bitflip_sweep(params: SystemParams, alphas, threads: int = 1) -> SweepResult:
     """Branch-flip rates with and without interference per alpha; threads
     has no effect, as in rates_sweep."""
-    return _sweep(params, "alpha", alphas, _bitflip_point,
+    return _sweep(params, "alpha", alphas, _bitflip_rows,
                   ["rate_interference", "rate_no_interference", "ratio"],
                   threads, {})
 
@@ -311,7 +323,9 @@ def husimi_run(params: SystemParams, cfg: HusimiConfig) -> HusimiResult:
     spectrum = diagonalize_kpo(params)
     meta: dict = {"source": cfg.source}
     if cfg.source == "steady":
-        rho, meta["residual"] = _steady_solve(params, spectrum)
+        table = rate_table(params, spectrum)
+        rho, meta["residual"] = steady_state(
+            assemble_generator(spectrum, params, table))
     else:
         rho0 = initial_state(spectrum, cfg.initial)
         table = rate_table(params, spectrum) if cfg.qcr == "on" else None

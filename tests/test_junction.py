@@ -663,6 +663,7 @@ def test_offset_values_are_bitwise_alone_in_a_table_and_in_a_sweep(
 
     volts, alphas = np.array([45e9, 20e9]), np.array([1.7, 2.0])
     plain = [rates_sweep(params, "voltage", volts).data,
+             rates_sweep(params, "alpha", alphas).data,
              steady_sweep(params, volts).data,
              bitflip_sweep(params, alphas).data]
     monkeypatch.setattr(workflows, "PatIntegrator",
@@ -670,6 +671,7 @@ def test_offset_values_are_bitwise_alone_in_a_table_and_in_a_sweep(
     monkeypatch.setattr(junction, "ChargeAveraged",
                         probing(junction.ChargeAveraged, "G"))
     probed = [rates_sweep(params, "voltage", volts).data,
+              rates_sweep(params, "alpha", alphas).data,
               steady_sweep(params, volts).data,
               bitflip_sweep(params, alphas).data]
     for name, calls in (("F", 9), ("G", 4)):

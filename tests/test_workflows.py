@@ -8,14 +8,13 @@ import numpy as np
 import pytest
 
 from kpoqcr import (ConfigError, DEFAULT_TRANSITIONS, HusimiConfig, Schedule,
-                    bitflip_sweep, diagonalize_kpo, dynamics_run, husimi_run,
-                    pq_run, qcr_bitflip_rate, rate_table, rates_sweep,
-                    steady_sweep)
+                    assemble_generator, bitflip_sweep, diagonalize_kpo,
+                    dynamics_run, husimi_run, pq_run, qcr_bitflip_rate,
+                    rate_table, rates_sweep, steady_sweep, trace_residual)
 from kpoqcr import junction, rates, workflows
 from kpoqcr.junction import PatIntegrator, charge_distribution
 from kpoqcr.rates import transition_rate
-from kpoqcr.workflows import (_rates_point, parse_transition_label,
-                              transition_label)
+from kpoqcr.workflows import parse_transition_label, transition_label
 
 # Pinned outputs of the default-parameter pipeline.  These are regression
 # anchors for this exact configuration, not externally derived numbers.
@@ -67,27 +66,82 @@ class _Counting:
         return self.integrator.evaluate(offsets)
 
 
+def _counted_sweep_integrators(monkeypatch):
+    """Makes every sweep's integrator a _Counting one, returned with the F
+    call count at the end of its sweep's charge distribution."""
+    built, after_pq = [], []
+
+    class Counted:
+        @staticmethod
+        def from_params(p):
+            built.append(_Counting(PatIntegrator.from_params(p)))
+            return built[-1]
+
+    def distribution(p, counting):
+        pq = charge_distribution(p, counting)
+        after_pq.append(counting.calls)
+        return pq
+
+    monkeypatch.setattr(workflows, "PatIntegrator", Counted)
+    monkeypatch.setattr(workflows, "charge_distribution", distribution)
+    monkeypatch.setattr(workflows, "rate_table", _refuse_table)
+    return built, after_pq
+
+
 @pytest.mark.parametrize("temp_k", [None, 0.01])
-def test_rates_point_is_one_quadrature_and_bitwise(params, spectrum, eta,
-                                                   temp_k, monkeypatch):
-    # A rates point reads all of its transitions' anchors in one evaluate
-    # call on the charge average of the sweep's integrator (the sweep hands
-    # it the charge distribution), builds no table, and every rate is
-    # bitwise what transition_rate gives on its own.
-    p = params.replace(bias_v=39e9)
-    if temp_k is not None:
-        p = p.replace(temp_n=temp_k, temp_s=temp_k)
+def test_rates_sweep_reads_g_once_and_bitwise(params, spectrum, eta, temp_k,
+                                              monkeypatch):
+    # A voltage rates sweep reads all of its points' anchors in one evaluate
+    # call on the charge average of its integrator, reads F no more after
+    # the charge distribution, builds no table, and every rate is bitwise
+    # what transition_rate gives on its own with a fresh integrator.
+    p = params if temp_k is None else params.replace(temp_n=temp_k,
+                                                     temp_s=temp_k)
+    volts = [0.0, 39e9, 60e9]
     pq = charge_distribution(p)
     for transitions in (DEFAULT_TRANSITIONS, WITH_INTERFERENCE):
-        counting = _Counting(PatIntegrator.from_params(p))
-        monkeypatch.setattr(workflows, "rate_table", _refuse_table)
-        got = _rates_point(p, spectrum, eta, pq, counting, transitions, "on")
-        assert counting.calls == 0
+        built, after_pq = _counted_sweep_integrators(monkeypatch)
+        got = rates_sweep(p, "voltage", volts, transitions=transitions).data
+        [counting] = built
+        assert counting.calls == after_pq[0]
         assert [g.calls for g in counting.averages] == [1]
         monkeypatch.undo()
-        integrator = PatIntegrator.from_params(p)
-        want = transition_rate(p, spectrum, eta, pq, integrator, transitions)
-        assert [x.hex() for x in got] == [x.hex() for x in want]
+        for v, row in zip(volts, got):
+            want = transition_rate(p.replace(bias_v=v), spectrum, eta, pq,
+                                   PatIntegrator.from_params(p), transitions)
+            assert [x.hex() for x in row] == [x.hex() for x in want]
+
+
+def test_steady_sweep_tables_are_bitwise_single_bias_tables(
+        params, spectrum, monkeypatch):
+    # The tables of a voltage sweep come from one batched read of G over
+    # every point's anchors.  A value depends only on its own offset, never
+    # on its batch, so each table is bitwise rate_table at that bias with a
+    # fresh integrator: same gamma1, same core2, exactly Hermitian, same
+    # trace residual.
+    tables = []
+
+    def recording(spectrum, params, table):
+        tables.append(table)
+        return assemble_generator(spectrum, params, table)
+
+    volts = [45e9, 33e9, 47e9]
+    built, _after_pq = _counted_sweep_integrators(monkeypatch)
+    monkeypatch.setattr(workflows, "assemble_generator", recording)
+    steady_sweep(params, volts)
+    monkeypatch.undo()
+    assert [g.calls for g in built[0].averages] == [1]
+    assert [t.bias_v for t in tables] == volts
+    for v, batched in zip(volts, tables):
+        alone = rate_table(params.replace(bias_v=v), spectrum)
+        assert _hex(batched.gamma1) == _hex(alone.gamma1)
+        assert _hex(batched.core2) == _hex(alone.core2)
+        assert np.array_equal(batched.core2, batched.core2.conj().T)
+        assert trace_residual(batched).hex() == trace_residual(alone).hex()
+
+
+def _hex(array):
+    return [float(x).hex() for x in np.asarray(array).view(float).ravel()]
 
 
 def test_rates_sweep_pinned_row(params):
@@ -155,6 +209,18 @@ def test_sweep_points_are_checked_before_any_work(params, monkeypatch):
         bitflip_sweep(params, np.array([2.0, -1.0]))
     with pytest.raises(ConfigError, match="alpha must be positive"):
         rates_sweep(params, "alpha", np.array([1.0, 0.0]))
+
+
+def test_empty_sweep_axis_fails_before_any_work(params, monkeypatch):
+    monkeypatch.setattr(workflows, "diagonalize_kpo", _no_work)
+    monkeypatch.setattr(workflows, "charge_distribution", _no_work)
+    for sweep in (lambda v: rates_sweep(params, "voltage", v),
+                  lambda v: rates_sweep(params, "alpha", v),
+                  lambda v: steady_sweep(params, v),
+                  lambda v: bitflip_sweep(params, v)):
+        with pytest.raises(ConfigError,
+                           match="sweep points must be a positive integer"):
+            sweep(np.array([]))
 
 
 def test_sweeps_compute_the_charge_distribution_once(params, monkeypatch):
