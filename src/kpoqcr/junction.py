@@ -32,6 +32,7 @@ A value of either depends only on its offset, bit for bit.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -54,6 +55,12 @@ _NODE_TOL = 1e-2         # node integrals at this fraction of rel_tol
 _TAIL_TOL = 1e-2         # tail coefficients within this fraction of tol
 _MAX_SPLITS = 8          # halvings of a base panel before giving up
 _CHEB_N = 24
+_INTERP_ROWS = 2 ** 12   # offsets a barycentric call, 0.75 MiB a node array
+# The least Bernstein parameter rho of a seeded piece at a singularity of F
+# (PatIntegrator._seed_depth): where the bound 2 rho^-(n - 2) on the
+# coefficients of a function bounded by 1 in the ellipse (Trefethen, ATAP,
+# thm 8.1) meets the tail threshold at rel_tol 1e-10, about 3.62.
+_SEED_RHO = (2.0 / (_TAIL_TOL * 1e-10)) ** (1.0 / (_CHEB_N - 2))
 # First-kind nodes cos(theta_j) on [-1, 1], their barycentric weights, and
 # the rows of Chebyshev coefficients n - 2 and n - 1 over node values.
 _THETA = (2 * np.arange(_CHEB_N) + 1) * np.pi / (2 * _CHEB_N)
@@ -198,10 +205,11 @@ def pat_integrals(
     gap): the first panel holds ten Dynes widths and the rest double
     outward.  The rule reads the integral's own offsets only, and the cuts
     stay in the square-root variable, where the integrand is smooth.  The
-    node rows of a cold default table take about 1,000 points a row, 42 a
-    node (16 rows of 24 offsets, 16.1k points); when they were 14 rows,
-    1,035 a row, grading their panels at -gap as well took 983 a row in
-    the same 27 rounds, with no measurable gain.
+    node rows of a cold default charge distribution and table take about
+    930 points a row, 39 a node (15 rows of 24 offsets, 13.9k points, in 10
+    rounds); when they were 14 rows, 1,035 a row, grading their panels at
+    -gap as well took 983 a row in the same number of rounds, with no
+    measurable gain.
     """
     offsets = np.asarray(offsets, float)
     lowest = offsets.min(axis=1)
@@ -259,34 +267,41 @@ class PatIntegrator:
     integrator serves a whole sweep.  For T_N > 0 it holds F as Chebyshev
     panels on a grid fixed by those parameters alone:
 
-    - base panel k is [k W, (k + 1) W) with W = 16 k_B T_N;
-    - a panel holds F at its 24 first-kind Chebyshev nodes, integrated by
+    - base panel k is [k W, (k + 1) W) with W = 16 k_B T_N, and it starts
+      as 2^d pieces, d = _seed_depth(k) read from the gap, T_S, T_N and k
+      alone;
+    - a piece holds F at its 24 first-kind Chebyshev nodes, integrated by
       pat_integrals at rel_tol / 100 as one row: one quadrature whose 24
       integrands share its panels and its density of states;
-    - the tail test reads that panel's own node values: the panel is kept
+    - the tail test reads that piece's own node values: the piece is kept
       if its last two Chebyshev coefficients are within 1e-2 of the
       smallest tolerance on it, rel_tol * max(min |F|, k_B T) with the
-      floor of pat_integrals, and is split in half otherwise (at most 8
-      times: measured splits go 3 deep, and deeper ones would only chase
-      node noise, so that raises QuadratureError);
+      floor of pat_integrals, and is halved otherwise; a piece 8 halvings
+      below its base panel that still fails raises QuadratureError, since
+      deeper ones would only chase node noise;
     - panels are built lazily, the whole split tree of a base index at
-      once, and one evaluate() call stores all of its new panels or none.
+      once, and one evaluate() call stores all of its new pieces or none.
 
     F' is n_s (1 - f_S) smoothed by the island Fermi edge, so F is
     analytic within pi k_B T_N of the real axis, and 16 k_B T_N panels
-    split at most a few times, near the peak at x = -gap.  A cold default
-    table reads G (see ChargeAveraged) at 1,194 distinct anchors.  Its
-    charge distribution and G's nodes read F, which takes 384 node
-    integrals in 16 panel quadratures and keeps 12 panels; G takes 336
-    node sums in 4 rounds and keeps 10.  That table takes 18-19 ms of CPU
-    (medians, 2 vCPUs), against 20-22 ms when it read F at its 10.5k
-    distinct per-charge offsets in the same runs, and 0.22-0.28 s for one
-    integral per offset.  A warm table takes 1.2-1.3 ms, against
-    6.5-6.8 ms.  Against rel_tol 1e-13 integrals, node values are within
-    0.017 of their own tolerance (0.01 to 0.2 K), and the interpolated
-    values of whole tables within 3.1e-3 of the table tolerance
-    max(rel_tol |F|, rel_tol k_B T) from 0.01 to 0.3 K, and within 1.9e-3
-    at T_S / T_N = 0.2 / 0.02 K and 0 / 0.1 K.
+    need pieces only near its singularities above x = -gap and, at high
+    T_S, x = +gap; the seed puts them there before any integral.  A cold
+    default table reads G (see ChargeAveraged) at 1,194 distinct anchors.
+    Its charge distribution and G's nodes read F, which takes 360 node
+    integrals in 15 pieces, all kept, in 2 pat_integrals runs and 10
+    adaptive rounds; G takes 312 node sums in 1 round and keeps 13.
+    Without the seed, the tail test split the panel at -gap in 3 more runs
+    (27 rounds), and G in 3 more rounds.  The charge distribution and
+    table take 12.8 ms of CPU against 18.3 ms without the seed (medians
+    of 15 calls in 7 interleaved fresh processes, 2 vCPUs); in earlier
+    runs, reading F at the table's 10.5k distinct per-charge offsets took
+    20-22 ms, and one integral per offset 0.22-0.28 s.  Against rel_tol 1e-13
+    integrals, over whole 45 GHz tables, node values are within 0.015 of
+    their own tolerance (0.01 to 0.3 K, 0.2 / 0.02 K and 0 / 0.1 K), and
+    the interpolated values within 1.5e-3 of the table tolerance
+    max(rel_tol |F|, rel_tol k_B T) from 0.01 to 0.3 K and within 2.3e-4
+    at T_S / T_N = 0.2 / 0.02 K and 0 / 0.1 K (3.1e-3 and 1.9e-3 without
+    the seed).
 
     Since the nodes run at rel_tol / 100, a rel_tol below about 3e-12
     asks them for less than the quadrature's roundoff (1e-12 fails at
@@ -298,14 +313,15 @@ class PatIntegrator:
     one integral per distinct offset, cached by offset.
 
     Bitwise rule: a value depends only on its offset and the parameters.
-    The panel an offset reads is fixed by the grid and by tail tests that
-    see one panel's nodes each, a panel's node values are one quadrature
-    of that panel alone, and the barycentric sums are row-local (einsum,
-    never a BLAS product, see quad).  So equal offsets get
-    bit-identical values alone, in a rate table or in a sweep, whichever
-    panels were built first.  Degenerate eigenstates are energy-snapped
-    upstream, so transitions that must interfere share bit-identical
-    offsets, and their cancellations stay exact.
+    The piece an offset reads is fixed by the grid, by seeds read from the
+    parameters and by tail tests that see one piece's nodes each, a
+    piece's node values are one quadrature of that piece alone, and the
+    barycentric sums are row-local (einsum, never a BLAS product, see
+    quad).  So equal offsets get bit-identical values alone, in a rate
+    table or in a sweep, whichever panels were built first.  Degenerate
+    eigenstates are energy-snapped upstream, so transitions that must
+    interfere share bit-identical offsets, and their cancellations stay
+    exact.
     Backward integrals are looked up at the negated offset.
 
     averaged() builds the charge-averaged G on this F, once per charge
@@ -376,32 +392,78 @@ class PatIntegrator:
 
     def _interpolate(self, distinct, base, start):
         """Values at the sorted distinct offsets, in base panels base, each
-        of which starts at its position in start.  One base panel at a
-        time, so the (offsets, 24) node arrays stay a panel's share."""
+        of which starts at its position in start.  At most _INTERP_ROWS
+        offsets of one base panel at a time, so the (offsets, 24) node
+        arrays stay small however many offsets a sweep reads."""
         out = np.empty(distinct.size)
         for a, b in zip(start, [*start[1:], distinct.size]):
             lefts, x, f = self._store[float(base[a])]
-            leaf = np.searchsorted(lefts, distinct[a:b], "right") - 1
-            np.maximum(leaf, 0, out=leaf)
-            out[a:b] = _barycentric(distinct[a:b], x[leaf], f[leaf])
+            for c in range(a, b, _INTERP_ROWS):
+                part = distinct[c:min(c + _INTERP_ROWS, b)]
+                leaf = np.searchsorted(lefts, part, "right") - 1
+                np.maximum(leaf, 0, out=leaf)
+                out[c:c + part.size] = _barycentric(part, x[leaf], f[leaf])
         return out
+
+    def _seed_depth(self, k) -> int:
+        """Halvings of base panel k before its first tail test, from the
+        gap, T_S, T_N and k alone.
+
+        F' is n_s (1 - f_S) smoothed by the island Fermi edge, whose poles
+        lie pi k_B T_N off the real axis.  So F has a singularity
+        pi k_B T_N above x = -gap, where the peak of n_s at +gap meets the
+        edge, and one above x = +gap for the peak at -gap, weighted
+        relative to the first by w = exp(-gap / k_B T_S), the ratio of the
+        two peaks' 1 - f_S.  A piece's Chebyshev coefficients fall like
+        rho^-n, rho the parameter of its Bernstein ellipse through the
+        singularity (Trefethen, Approximation Theory and Approximation
+        Practice, SIAM 2013, ch. 8).  The seed is the least depth at which
+        the piece nearest each singularity has
+        rho >= _SEED_RHO * w^(1 / (n - 2)).  At the defaults only the panel
+        holding -gap is seeded, as 8 pieces of 2 k_B T_N; at high T_S the
+        panel holding +gap is seeded too.
+        """
+        weight = (math.exp(-self.gap_hz / self.temp_s_hz)
+                  if self.temp_s_hz > 0.0 else 0.0)
+        depth = 0
+        for x, w in ((-self.gap_hz, 1.0), (self.gap_hz, weight)):
+            need = _SEED_RHO * w ** (1.0 / (_CHEB_N - 2))
+            # x's place in the panel: 0 at its left end, 1 at its right.
+            u = x / self._width - k
+            for d in range(depth, _MAX_SPLITS):
+                half = 0.5 ** (d + 1)
+                j = min(max(math.floor(u / (2 * half)), 0), 2 ** d - 1)
+                s = complex(u / half - 2 * j - 1,
+                            math.pi * self.temp_n_hz / (half * self._width))
+                root = cmath.sqrt(s * s - 1.0)
+                if max(abs(s + root), abs(s - root)) >= need:
+                    break
+                depth = d + 1
+        return depth
 
     def _build(self, keys) -> dict:
         """{k: (left edges, node offsets, node values)} of the base indices
-        keys, splitting every panel that fails the tail test, with one
-        pat_integrals run per round and one row of nodes per pending panel.
-        A failure names its panel; its index is the position in keys."""
+        keys.  Each base panel starts as 2^_seed_depth(k) pieces, and every
+        piece that fails the tail test is halved, with one pat_integrals
+        run per round and one row of nodes per pending piece.  A failure
+        names its piece; its index is the position in keys."""
         k_t = max(self.temp_s_hz, self.temp_n_hz)
-        pending = [(i, k * self._width, (k + 1) * self._width)
-                   for i, k in enumerate(keys)]
+        pending = []
+        for i, k in enumerate(keys):
+            depth = self._seed_depth(k)
+            pieces = [(k * self._width, (k + 1) * self._width)]
+            for _ in range(depth):
+                pieces = [half for a, b in pieces
+                          for half in ((a, 0.5 * (a + b)), (0.5 * (a + b), b))]
+            pending += [(i, depth, a, b) for a, b in pieces]
         leaves = [[] for _ in keys]
-        for _round in range(_MAX_SPLITS + 1):
-            lo, hi = np.array([p[1:] for p in pending]).T[:, :, None]
+        while pending:
+            lo, hi = np.array([p[2:] for p in pending]).T[:, :, None]
             x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * _CHEB_T
             try:
                 f = self._integrals(x, self.rel_tol * _NODE_TOL)
             except QuadratureError as exc:
-                i, a, b = pending[exc.index]
+                i, _depth, a, b = pending[exc.index]
                 raise QuadratureError(
                     f"interpolation panel [{a!r}, {b!r}) Hz: {exc}",
                     exc.achieved_rel_err, i) from exc
@@ -410,20 +472,22 @@ class PatIntegrator:
             tol = _TAIL_TOL * self.rel_tol * np.maximum(
                 np.abs(f).min(axis=1), k_t)
             split = []
-            for (i, a, b), xi, fi, ok in zip(pending, x, f, tail <= tol):
+            for (i, depth, a, b), xi, fi, ok in zip(pending, x, f,
+                                                    tail <= tol):
                 if ok:
                     leaves[i].append((a, xi, fi))
+                elif depth == _MAX_SPLITS:
+                    raise QuadratureError(
+                        f"tunneling function unresolved on [{a!r}, {b!r}) Hz "
+                        f"after {_MAX_SPLITS} halvings of its panel",
+                        math.inf, i)
                 else:
-                    split += [(i, a, 0.5 * (a + b)), (i, 0.5 * (a + b), b)]
-            if not split:
-                return {k: tuple(map(np.array, zip(*sorted(
-                    panels, key=lambda leaf: leaf[0]))))
-                    for k, panels in zip(keys, leaves)}
+                    mid = 0.5 * (a + b)
+                    split += [(i, depth + 1, a, mid), (i, depth + 1, mid, b)]
             pending = split
-        i, a, b = pending[0]
-        raise QuadratureError(
-            f"tunneling function unresolved on [{a!r}, {b!r}) Hz after "
-            f"{_MAX_SPLITS} halvings of its panel", math.inf, i)
+        return {k: tuple(map(np.array, zip(*sorted(
+                    panels, key=lambda leaf: leaf[0]))))
+                for k, panels in zip(keys, leaves)}
 
     def averaged(self, charges, probs, e_island: float) -> "ChargeAveraged":
         """G(x) = sum_k probs[k] F(x + 2 e_island charges[k]), built once

@@ -23,12 +23,11 @@ points, the factors common to all K and the per-round bookkeeping are paid
 once for K values.  Each component must meet the tolerance on its own,
 and a panel splits when any component asks for it.  The Chebyshev nodes of
 junction.PatIntegrator use this, one integral per panel of 24 nodes: a
-cold default rate table integrated 336 nodes in 5 runs, 27 rounds and
-14.5k points (1,035 a panel, 43 a node), against 39 rounds and 298k points
-(888 a node) as separate integrals, and took 0.015-0.020 s instead of
-0.025-0.032 s (medians of five interleaved runs on a shared 2-vCPU VM).
-Since tables read the charge-averaged G, it integrates 384 nodes in the
-same 5 runs and 27 rounds, 16.1k points.
+cold default charge distribution and rate table integrate 360 nodes in 2
+runs, 10 rounds and 13.9k points (928 a panel, 39 a node).  When 336 nodes
+took 14.5k points this way, they took 298k points (888 a node) and 39
+rounds as separate integrals, and 0.025-0.032 s instead of 0.015-0.020 s
+(medians of five interleaved runs on a shared 2-vCPU VM).
 
 Integrals are processed in blocks of BLOCK_INTEGRALS.  Every refinement
 round of a block evaluates all of its new panels in vectorized integrand

@@ -53,12 +53,13 @@ bitflip_rates cancels nothing.
 
 Only the anchors depend on the bias.  A RatePlan holds the rest, built
 once per spectrum from match_sets, the sideband table and the parameters:
-the term rows' entries, weights and anchor parts.  Its tables() reads G
-once for any number of biases, at a (P, 2, R) array of anchors, and
-accumulates each bias's table in the row order above; by G's bitwise rule
-every value is the one a single-bias read gives.  rate_table is a one-bias
-plan.  transition_rate is a one-bias plan masked to the class-1 rows of
-the entries it reports, so each of its rates is bitwise that table entry.
+the term rows' entries, weights and distinct anchor parts.  Its tables()
+reads G once for any number of biases, at a (P, 2, U) array of anchors, U
+distinct parts, and accumulates each bias's table in the row order above;
+by G's bitwise rule every value is the one a single-bias read gives.
+rate_table is a one-bias plan.  transition_rate is a one-bias plan
+masked to the class-1 rows of the entries it reports, so each of its rates
+is bitwise that table entry.
 """
 from __future__ import annotations
 
@@ -223,13 +224,14 @@ class RatePlan:
 
     One row per term, in slot order, then dm, then sigma (class-2 cores
     only): its flat entry in one storage, gamma1 then core2 (entry); its
-    forward and backward sideband weights (wf, wb); and the two parts of
-    its anchors, de and E_c + dm * omega_rf (de, base), which tables()
-    joins with the bias as de + (base -+ V).  pairs holds the class-2
-    (m, xi) indices that core2 scales.  With keys, only those
-    (mu, mup, nu, nup) keys' class-1 rows are kept and no class-2 row, so
-    each kept entry is bitwise the full table's and every other entry is
-    exactly zero.
+    forward and backward sideband weights (wf, wb); and which pair of
+    anchor parts it reads (which).  The pairs, de and E_c + dm * omega_rf
+    (de, base), are kept once each (597 for the 1,980 rows of a default
+    table), and tables() joins them with the bias as de + (base -+ V).
+    pairs holds the class-2 (m, xi) indices that core2 scales.  With keys,
+    only those (mu, mup, nu, nup) keys' class-1 rows are kept and no
+    class-2 row, so each kept entry is bitwise the full table's and every
+    other entry is exactly zero.
     """
 
     def __init__(self, params: SystemParams, spectrum: Spectrum,
@@ -275,19 +277,25 @@ class RatePlan:
         self.entry = np.concatenate([((i1 * n + k1) * n + j1) * n + l1,
                                      n ** 4 + m2 * n + xi2])
         self.wf, self.wb = weights(eta.f), weights(eta.b)
-        self.de = np.concatenate([de1[slot1], energies[sigma] - energies[m2]])
-        self.base = (params.e_island
-                     + params.omega_rf * dms)[np.concatenate([d1, d2])]
+        de = np.concatenate([de1[slot1], energies[sigma] - energies[m2]])
+        base = (params.e_island
+                + params.omega_rf * dms)[np.concatenate([d1, d2])]
+        # Each distinct (de, base) pair once, as the exact complex
+        # de + i base; equal pairs give bit-identical anchors.
+        _pairs, first, self.which = np.unique(de + 1j * base,
+                                              return_index=True,
+                                              return_inverse=True)
+        self.de, self.base = de[first], base[first]
         self.pairs = m, xi
 
     def tables(self, voltages, pq: ChargeDistribution,
                integrator: PatIntegrator):
         """The RateTable at each bias of voltages, in order.
 
-        G is read once, at every bias's forward and backward anchors as one
-        (P, 2, R) array; by G's bitwise rule each value is the one a
-        single-bias read gives.  Each table is accumulated only when the
-        iteration reaches it.
+        G is read once, at every bias's forward and backward anchors of the
+        distinct anchor parts as one (P, 2, U) array; by G's bitwise rule
+        each value is the one a single-bias read of every row gives.  Each
+        table is accumulated only when the iteration reaches it.
         """
         v = np.asarray(voltages, float)[:, None]
         averaged = integrator.averaged(*_kept(pq), self.e_island)
@@ -298,7 +306,8 @@ class RatePlan:
         m, xi = self.pairs
         for bias_v, (vf, vb) in zip(v[:, 0].tolist(), values):
             acc = np.zeros(n ** 4 + n ** 2, complex)
-            np.add.at(acc, self.entry, vf * self.wf + vb * self.wb)
+            np.add.at(acc, self.entry,
+                      vf[self.which] * self.wf + vb[self.which] * self.wb)
             core2 = acc[n ** 4:].reshape(n, n)
             # Scale the matched entries only: -r * 0j would leave a -0.0
             # elsewhere.

@@ -1,5 +1,6 @@
 """Tunneling integrals, lead density of states and the island charge state."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -478,6 +479,116 @@ def test_unresolved_panel_is_named(params):
     assert "tunneling integrals at offsets " in message
 
 
+def _leaf_widths(integ, k):
+    """The widths of base panel k's stored pieces, left to right."""
+    width = junction._PANEL_KT * integ.temp_n_hz
+    lefts, _x, _f = integ._store[k]
+    return np.diff(np.append(lefts, (k + 1) * width))
+
+
+def test_cold_default_table_builds_in_one_pass(params, spectrum, eta,
+                                                monkeypatch):
+    # The panel holding -gap starts as the pieces the tail test would
+    # reach, so a cold default charge distribution and table each make one
+    # node quadrature of F, in few adaptive rounds, and G's nodes are one
+    # round of F reads.
+    counts = dict.fromkeys(["pat_integrals", "rounds", "g_rounds"], 0)
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(junction, "pat_integrals",
+                        counted(junction.pat_integrals, "pat_integrals"))
+    monkeypatch.setattr(quad, "_evaluate", counted(quad._evaluate, "rounds"))
+    monkeypatch.setattr(junction.ChargeAveraged, "_integrals",
+                        counted(junction.ChargeAveraged._integrals,
+                                "g_rounds"))
+    integ = PatIntegrator.from_params(params)
+    pq = charge_distribution(params, integ)
+    assert counts["pat_integrals"] == 1
+    rate_table(params, spectrum, eta, pq, integ)
+    assert counts["pat_integrals"] == 2
+    assert counts["rounds"] <= 10
+    assert counts["g_rounds"] == 1
+
+
+@pytest.mark.parametrize("temp_s, temp_n", [
+    (0.1, 0.1), (0.01, 0.01), (0.03, 0.03), (0.3, 0.3), (0.2, 0.02)])
+def test_seed_depth_covers_the_tail_test(params, spectrum, eta, temp_s,
+                                         temp_n):
+    # Every panel of F that a cold table builds keeps its seeded pieces:
+    # the seed already reaches the depth the tail test asks for, at -gap
+    # (8 pieces at the defaults), beside it and at +gap where T_S is high.
+    p = params.replace(temp_s=temp_s, temp_n=temp_n)
+    integ = PatIntegrator.from_params(p)
+    rate_table(p, spectrum, eta, integrator=integ)
+    width = junction._PANEL_KT * p.t_n_hz
+    for k in integ._store:
+        want = width / 2 ** integ._seed_depth(k)
+        assert _leaf_widths(integ, k) == pytest.approx(want, rel=1e-9), k
+    depths = {k: integ._seed_depth(k) for k in range(-40, 40)}
+    low, high = (math.floor(x / width) for x in (-p.gap_hz, p.gap_hz))
+    assert depths[low] >= 2
+    if (temp_s, temp_n) == (0.1, 0.1):
+        assert depths == {k: 3 if k == low else 0 for k in depths}
+    if temp_s > temp_n:
+        assert depths[low + 1] >= 1 and depths[high] >= 1
+    if temp_s == 0.3:
+        assert depths[high] >= 1
+
+
+def test_unseeded_build_reaches_the_seeded_pieces(params, monkeypatch):
+    # The seed only starts the split tree deeper.  With it at 0, the tail
+    # test still halves the panel holding -gap down to 2 k_B T_N pieces
+    # around -gap, and a piece both builds hold has the same node values
+    # bit for bit: a piece's nodes are one quadrature of that piece alone.
+    width = junction._PANEL_KT * params.t_n_hz
+    k = math.floor(-params.gap_hz / width)
+    seeded = PatIntegrator.from_params(params)
+    seeded.evaluate([-params.gap_hz])
+    monkeypatch.setattr(PatIntegrator, "_seed_depth", lambda self, k: 0)
+    unseeded = PatIntegrator.from_params(params)
+    unseeded.evaluate([-params.gap_hz])
+    assert _leaf_widths(seeded, k) == pytest.approx(width / 8, rel=1e-9)
+    lefts, x, f = seeded._store[k]
+    u_lefts, u_x, u_f = unseeded._store[k]
+    u_widths = _leaf_widths(unseeded, k)
+    hold = np.searchsorted(u_lefts, -params.gap_hz, "right") - 1
+    assert u_widths[hold] == pytest.approx(width / 8, rel=1e-9)
+    assert set(u_lefts.tolist()) <= set(lefts.tolist())
+    shared = np.flatnonzero(np.isclose(u_widths, width / 8, rtol=1e-9))
+    assert shared.size >= 2
+    for i in shared:
+        j = int(np.flatnonzero(lefts == u_lefts[i])[0])
+        assert u_x[i].tobytes() == x[j].tobytes()
+        assert u_f[i].tobytes() == f[j].tobytes()
+
+
+def test_halving_limit_counts_from_the_base_panel(params, monkeypatch):
+    # With every tail test failing, the seeded panel holding -gap (8
+    # pieces) is halved 5 more times: the limit is 8 halvings of the base
+    # panel, not of a seeded piece, and the error names a 2^-8 piece of it
+    # and stores nothing.
+    monkeypatch.setattr(junction, "_TAIL_TOL", 1e-300)
+    width = junction._PANEL_KT * params.t_n_hz
+    k = math.floor(-params.gap_hz / width)
+    integ = PatIntegrator.from_params(params)
+    assert integ._seed_depth(k) == 3
+    with pytest.raises(QuadratureError) as info:
+        integ.evaluate([-params.gap_hz])
+    message = str(info.value)
+    assert f"after {junction._MAX_SPLITS} halvings of its panel" in message
+    a, b = map(float, re.search(r"unresolved on \[(\S+), (\S+)\) Hz",
+                                message).groups())
+    assert k * width <= a < b <= (k + 1) * width
+    assert b - a == pytest.approx(width / 2 ** junction._MAX_SPLITS,
+                                  rel=1e-9)
+    assert info.value.index == 0 and len(integ) == 0
+
+
 class _Recording:
     """Keeps every offset that evaluate is asked for."""
 
@@ -678,6 +789,18 @@ def test_offset_values_are_bitwise_alone_in_a_table_and_in_a_sweep(
         _probes, want, seen = cases[name]
         assert len(seen) >= calls and set(seen) == {want}
     assert [d.tobytes() for d in probed] == [d.tobytes() for d in plain]
+
+
+def test_interpolation_chunks_leave_values_alone(params, integrator,
+                                                  monkeypatch):
+    # Offsets are interpolated at most _INTERP_ROWS at a time; any chunk
+    # size gives the same bits, also with a panel's offsets split between
+    # chunks.
+    x = np.linspace(-90e9, 40e9, 1001)
+    want = integrator.evaluate(x).tobytes()
+    for rows in (1, 7, 500):
+        monkeypatch.setattr(junction, "_INTERP_ROWS", rows)
+        assert integrator.evaluate(x).tobytes() == want
 
 
 def test_barycentric_row_sums_are_row_local():
