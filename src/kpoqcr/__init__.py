@@ -2,9 +2,8 @@
 oscillator refrigerated by a voltage-biased normal-metal tunnel junction."""
 
 from .constants import H_UEV_PER_GHZ, KB_HZ_PER_K, R_K_OHM, TWO_PI
-from .dynamics import (Generator, Trajectory, assemble_generator,
-                       density_metrics, evolve, husimi_q, initial_state,
-                       liouvillian, steady_state)
+from .dynamics import (Generator, Trajectory, assemble_generator, evolve,
+                       husimi_q, initial_state, liouvillian, steady_state)
 from .errors import (CatStateError, ChargeDistributionError, ConfigError,
                      EvolveError, MatchingError, QuadratureError,
                      SpectrumError, SteadyStateError)
@@ -17,8 +16,8 @@ from .rates import (EtaTable, MatchSets, RateTable, bitflip_rates,
                     match_sets, qcr_bitflip_rate, rate_table, trace_residual,
                     transition_rate)
 from .spectrum import (CatStates, FockOperators, Spectrum,
-                       build_fock_operators, cat_excitation_gap, cat_states,
-                       coherent_state, diagonalize_kpo, kpo_hamiltonian)
+                       build_fock_operators, cat_states, coherent_state,
+                       diagonalize_kpo, kpo_hamiltonian)
 from .workflows import (DEFAULT_TRANSITIONS, DynamicsResult, HusimiConfig,
                         HusimiResult, Schedule, SweepResult, bitflip_sweep,
                         dynamics_run, husimi_run, pq_run, rates_sweep,
@@ -36,9 +35,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "H_UEV_PER_GHZ", "KB_HZ_PER_K", "R_K_OHM", "TWO_PI",
-    "Generator", "Trajectory", "assemble_generator", "density_metrics",
-    "evolve", "husimi_q", "initial_state", "liouvillian",
-    "steady_state",
+    "Generator", "Trajectory", "assemble_generator", "evolve", "husimi_q",
+    "initial_state", "liouvillian", "steady_state",
     "CatStateError", "ChargeDistributionError", "ConfigError", "EvolveError",
     "MatchingError", "QuadratureError", "SpectrumError", "SteadyStateError",
     "ChargeDistribution", "PatIntegrator", "charge_distribution", "dynes_dos",
@@ -50,8 +48,7 @@ __all__ = [
     "hermiticity_residual", "match_sets", "qcr_bitflip_rate", "rate_table",
     "trace_residual", "transition_rate",
     "CatStates", "FockOperators", "Spectrum", "build_fock_operators",
-    "cat_excitation_gap", "cat_states", "coherent_state", "diagonalize_kpo",
-    "kpo_hamiltonian",
+    "cat_states", "coherent_state", "diagonalize_kpo", "kpo_hamiltonian",
     "DEFAULT_TRANSITIONS", "DynamicsResult", "HusimiConfig", "HusimiResult",
     "Schedule", "SweepResult", "bitflip_sweep", "dynamics_run", "husimi_run",
     "pq_run", "rates_sweep", "steady_sweep",

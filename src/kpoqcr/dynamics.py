@@ -114,12 +114,6 @@ class Generator:
     def n(self) -> int:
         return int(round(math.sqrt(self.total.shape[0])))
 
-    def trace_defect(self) -> float:
-        """Norm of trace composed with the generator; zero for a valid L."""
-        n = self.n
-        row = self.total.reshape(n, n, n * n)[np.arange(n), np.arange(n)].sum(axis=0)
-        return float(np.max(np.abs(row)))
-
 
 def assemble_generator(
     spectrum: Spectrum,
@@ -362,16 +356,3 @@ def husimi_q(
         w = amps[start:start + _HUSIMI_ROWS].conj() @ spectrum.vectors
         q[start:start + w.shape[0]] = ((w @ rho_eig) * w.conj()).sum(axis=1).real
     return (q / math.pi).reshape(im_axis.size, re_axis.size)
-
-
-def density_metrics(rho: np.ndarray) -> dict[str, float]:
-    """Hermiticity, trace and positivity diagnostics of a density matrix."""
-    rho = np.asarray(rho, complex)
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    sym = 0.5 * (rho + rho.conj().T)
-    eigs = np.linalg.eigvalsh(sym)
-    return {
-        "trace_error": float(abs(np.trace(rho) - 1.0)),
-        "hermiticity": herm,
-        "min_eigenvalue": float(eigs[0]),
-    }

@@ -36,18 +36,6 @@ def cat_normalizations(alpha: float) -> tuple[float, float]:
     return 1.0 / math.sqrt(2.0 * (1.0 + u)), 1.0 / math.sqrt(2.0 * (1.0 - u))
 
 
-def branch_annihilation_element(alpha: float) -> float:
-    """<phi_-alpha| a |phi_alpha> for exact cat branches."""
-    u = math.exp(-2.0 * alpha * alpha)
-    return alpha * u / math.sqrt(1.0 - u * u)
-
-
-def branch_number_element(alpha: float) -> float:
-    """<phi_-alpha| a^dag a |phi_alpha> for exact cat branches."""
-    u = math.exp(-2.0 * alpha * alpha)
-    return -2.0 * alpha * alpha * u / (1.0 - u * u)
-
-
 def dephasing_bitflip_ratio(alpha: float) -> float:
     """Bit-flip rate under pure dephasing divided by the angular rate.
 

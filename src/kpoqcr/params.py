@@ -156,10 +156,6 @@ class SystemParams:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
-    @classmethod
-    def from_json(cls, path: str | Path) -> "SystemParams":
-        return cls.from_dict(load_config(path))
-
     def echo_items(self) -> list[tuple[str, Any]]:
         """(name, value) pairs in a fixed order, for output headers."""
         return [(f.name, getattr(self, f.name))

@@ -51,6 +51,13 @@ weight.  The rule protects the tables, core2's Hermiticity and the oracle
 cross-check qcr_bitflip_rate, which cancels interfering entries;
 bitflip_rates cancels nothing.
 
+The spectrum alone fixes the secular terms (Breuer & Petruccione, The
+Theory of Open Quantum Systems, OUP 2002).  match_sets gives them as index
+arrays (MatchSets: class-1 rows (mu, mup, nu, nup) and their de, from
+clusters of the sorted differences E_mu - E_nu within match_tol of each
+cluster's first; class-2 rows (m, xi)), and every array downstream keeps
+their row order.
+
 Only the anchors depend on the bias.  A RatePlan holds the rest, built
 once per spectrum from match_sets, the sideband table and the parameters:
 the term rows' entries, weights and distinct anchor parts.  Its tables()
@@ -142,11 +149,21 @@ def eta_table(spectrum: Spectrum, rho_c: float, dm_max: int) -> EtaTable:
 
 @dataclass(frozen=True)
 class MatchSets:
-    """Energy-matched index sets of the secular master equation."""
+    """Energy-matched index sets of the secular master equation, as arrays.
 
-    class1: tuple[tuple[int, int, int, int, float], ...]  # (mu,mup,nu,nup,de)
-    class2_pairs: tuple[tuple[int, int], ...]             # (m, xi), E and parity equal
-    spread: float
+    class1 is (N, 4) intp, rows (mu, mup, nu, nup), with de (N,) beside it.
+    The differences d = E_mu - E_nu, sorted ascending with ties in (mu, nu)
+    order, fall into clusters: each starts at the first difference not yet
+    taken and holds every later d with d - d_first <= match_tol (not
+    transitive chaining).  Every ordered pair (mu, nu), (mup, nup) of one
+    cluster is a row, cluster by cluster in sorted order, at
+    de = 0.5 * (d1 + d2).  class2 is (M, 2) intp, rows (m, xi) of bit-equal
+    (snapped) energy and equal parity, in index order.
+    """
+
+    class1: np.ndarray
+    de: np.ndarray
+    class2: np.ndarray
 
 
 def match_sets(spectrum: Spectrum, omega_rf: float, match_tol: float) -> MatchSets:
@@ -159,34 +176,27 @@ def match_sets(spectrum: Spectrum, omega_rf: float, match_tol: float) -> MatchSe
             f"retained level spread {spread:.3e} Hz approaches the sideband "
             f"spacing {omega_rf:.3e} Hz; single-sideband matching invalid")
 
-    diffs = sorted(
-        (float(energies[mu] - energies[nu]), mu, nu)
-        for mu in range(n) for nu in range(n)
-    )
-    clusters: list[list[tuple[float, int, int]]] = []
-    current = [diffs[0]]
-    for item in diffs[1:]:
-        if item[0] - current[0][0] <= match_tol:
-            current.append(item)
-        else:
-            clusters.append(current)
-            current = [item]
-    clusters.append(current)
-
-    class1 = []
-    for cluster in clusters:
-        for d1, mu, nu in cluster:
-            for d2, mup, nup in cluster:
-                class1.append((mu, mup, nu, nup, 0.5 * (d1 + d2)))
-
-    class2 = [
-        (m, xi)
-        for grp in spectrum.groups
-        for m in grp for xi in grp
-        if parity[m] == parity[xi]
-    ]
-    return MatchSets(class1=tuple(class1), class2_pairs=tuple(class2),
-                     spread=spread)
+    # Flat index mu * n + nu, so a stable sort orders ties by (mu, nu).
+    diffs = np.subtract.outer(energies, energies).ravel()
+    order = np.argsort(diffs, kind="stable")
+    d = diffs[order]
+    # end[s]: one past the last difference within match_tol of d[s].  d is
+    # sorted, so d[i] - d[s] <= match_tol holds for every i below that.
+    end = np.count_nonzero(np.subtract.outer(d, d) <= match_tol,
+                           axis=0).tolist()
+    starts = [0]
+    while end[starts[-1]] < d.size:
+        starts.append(end[starts[-1]])
+    # Each difference's cluster [lo, hi), and one row per (i1, i2) in it.
+    lo = np.repeat(starts, np.diff(starts + [d.size]))
+    hi = np.take(end, lo)
+    i1 = np.repeat(np.arange(d.size), hi - lo)
+    i2 = np.arange(i1.size) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)
+    mu, nu = np.divmod(order, n)
+    class1 = np.stack([mu[i1], mu[i2], nu[i1], nu[i2]], axis=1)
+    class2 = np.argwhere((energies[:, None] == energies)
+                         & (parity[:, None] == parity))
+    return MatchSets(class1=class1, de=0.5 * (d[i1] + d[i2]), class2=class2)
 
 
 @dataclass
@@ -228,36 +238,38 @@ class RatePlan:
     anchor parts it reads (which).  The pairs, de and E_c + dm * omega_rf
     (de, base), are kept once each (597 for the 1,980 rows of a default
     table), and tables() joins them with the bias as de + (base -+ V).
-    pairs holds the class-2 (m, xi) indices that core2 scales.  With keys,
-    only those (mu, mup, nu, nup) keys' class-1 rows are kept and no
-    class-2 row, so each kept entry is bitwise the full table's and every
-    other entry is exactly zero.
+    pairs holds the class-2 (m, xi) indices that core2 scales.  The slots
+    are match_sets' rows, read as arrays.  With keys, an index mask over
+    the flat class-1 indices keeps only those (mu, mup, nu, nup) keys' rows,
+    in their order, and no class-2 row, so each kept entry is bitwise the
+    full table's and every other entry is exactly zero.
     """
 
     def __init__(self, params: SystemParams, spectrum: Spectrum,
                  eta: EtaTable, keys=None):
         matches = match_sets(spectrum, params.omega_rf, params.match_tol)
-        class1, class2_pairs = matches.class1, matches.class2_pairs
-        if keys is not None:
-            wanted = set(map(tuple, keys))
-            class1 = [slot for slot in class1 if slot[:4] in wanted]
-            class2_pairs = ()
+        class1, de1, class2 = matches.class1, matches.de, matches.class2
         energies = spectrum.energies
         parity = spectrum.parity
         n = energies.size
+        if keys is not None:
+            shape = (n,) * 4
+            kept = np.isin(np.ravel_multi_index(class1.T, shape),
+                           np.ravel_multi_index(
+                               np.array(keys, np.intp).reshape(-1, 4).T,
+                               shape))
+            class1, de1, class2 = class1[kept], de1[kept], class2[:0]
         dms = np.arange(-eta.dm_max, eta.dm_max + 1)
         pdm = _sideband_parity(dms)
 
         # Class-1 terms over (slot, dm), both factors parity-allowed.
-        mu, mup, nu, nup = np.array([key[:4] for key in class1],
-                                    np.intp).reshape(-1, 4).T
-        de1 = np.array([key[4] for key in class1], float)
+        mu, mup, nu, nup = class1.T
         slot1, d1 = np.nonzero(((parity[mu] * parity[nu])[:, None] == pdm)
                                & ((parity[mup] * parity[nup])[:, None] == pdm))
         i1, j1, k1, l1 = mu[slot1], nu[slot1], mup[slot1], nup[slot1]
         # Class-2 terms over (pair, dm, sigma), sigma of the sideband's
         # parity.
-        m, xi = np.array(class2_pairs, np.intp).reshape(-1, 2).T
+        m, xi = class2.T
         pair, d2, sigma = np.nonzero(
             parity == pdm[:, None] * parity[m][:, None, None])
         m2, xi2 = m[pair], xi[pair]

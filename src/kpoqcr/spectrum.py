@@ -43,8 +43,6 @@ class Spectrum:
     energies: np.ndarray          # (n_keep,) Hz, descending, group-snapped
     vectors: np.ndarray           # (n_fock, n_keep) real, columns orthonormal
     parity: np.ndarray            # (n_keep,) +1 even / -1 odd
-    groups: tuple[tuple[int, ...], ...]
-    degeneracy_pairs: tuple[tuple[int, int], ...]
     raw_energies: np.ndarray      # pre-snap eigenvalues, for diagnostics
 
     @property
@@ -164,25 +162,12 @@ def diagonalize_kpo(params: SystemParams) -> Spectrum:
     if ortho > 1e-10:
         raise SpectrumError(f"retained eigenvectors lost orthonormality ({ortho:.2e})")
 
-    pairs = tuple((g[i], g[j]) for g in groups if len(g) > 1
-                  for i in range(len(g)) for j in range(i + 1, len(g)))
     return Spectrum(
         energies=energies,
         vectors=vectors,
         parity=parity,
-        groups=tuple(groups),
-        degeneracy_pairs=pairs,
         raw_energies=raw,
     )
-
-
-def cat_excitation_gap(spectrum: Spectrum) -> float:
-    """Energy drop from the cat manifold to the next retained group, Hz."""
-    if len(spectrum.groups) < 2:
-        raise SpectrumError("need at least two energy groups for a gap")
-    first = spectrum.groups[0]
-    nxt = spectrum.groups[1][0]
-    return float(spectrum.energies[first[0]] - spectrum.energies[nxt])
 
 
 def coherent_state(alpha: complex, n_fock: int, tol: float = 1e-10) -> np.ndarray:

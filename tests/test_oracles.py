@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from kpoqcr import SystemParams, run_oracle_suite
-from kpoqcr.oracles import (branch_annihilation_element, branch_element_fock,
-                            branch_number_element, branch_vector,
+from kpoqcr.oracles import (branch_element_fock, branch_vector,
                             cat_normalizations, dephasing_bitflip_ratio,
                             displaced_excited_fock, eigen_unit,
                             flat_dos_forward, lindblad_transition_factor,
@@ -23,11 +22,24 @@ def test_cat_normalizations():
     assert n_m == pytest.approx(1.0 / math.sqrt(2 - 2 * u), rel=1e-15)
 
 
+def _branch_annihilation_element(alpha):
+    """<phi_-alpha| a |phi_alpha> for exact cat branches, closed form."""
+    u = math.exp(-2.0 * alpha * alpha)
+    return alpha * u / math.sqrt(1.0 - u * u)
+
+
+def _branch_number_element(alpha):
+    """<phi_-alpha| a^dag a |phi_alpha> for exact cat branches, closed
+    form."""
+    u = math.exp(-2.0 * alpha * alpha)
+    return -2.0 * alpha * alpha * u / (1.0 - u * u)
+
+
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_branch_elements_match_fock_vectors(alpha):
-    assert branch_annihilation_element(alpha) == pytest.approx(
+    assert _branch_annihilation_element(alpha) == pytest.approx(
         complex(branch_element_fock(alpha, "a")).real, rel=1e-10)
-    assert branch_number_element(alpha) == pytest.approx(
+    assert _branch_number_element(alpha) == pytest.approx(
         complex(branch_element_fock(alpha, "n")).real, rel=1e-10)
 
 

@@ -101,7 +101,7 @@ def test_load_config_errors(tmp_path):
 def test_from_json_round_trip(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"temp_n": 0.01, "kappa_ghz": 1.6e-6}))
-    p = SystemParams.from_json(cfg)
+    p = SystemParams.from_dict(load_config(cfg))
     assert p.temp_n == 0.01
     assert p.kappa == pytest.approx(1.6e3)
 

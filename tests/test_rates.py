@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
-from kpoqcr import (ConfigError, MatchingError, bitflip_rates,
+from kpoqcr import (ConfigError, MatchingError, Spectrum, bitflip_rates,
                     build_fock_operators, diagonalize_kpo,
                     displacement_bands, eta_table, hermiticity_residual,
                     match_sets, qcr_bitflip_rate, rate_table, rates_sweep,
@@ -132,9 +132,45 @@ def test_eta_rejects_oversized_sideband(spectrum):
         eta_table(spectrum, 5e-5, spectrum.n_fock)
 
 
+def _reference_match_sets(spectrum, match_tol):
+    """The secular index sets as a plain loop over tuples: class-1 rows
+    (mu, mup, nu, nup, de) and class-2 pairs (m, xi).
+
+    The differences are sorted as (d, mu, nu) tuples; a cluster holds every
+    difference within match_tol of its first; class-2 pairs are the
+    equal-parity pairs inside each run of neighbouring levels closer than
+    match_tol, the groups diagonalize_kpo snaps.
+    """
+    energies, parity = spectrum.energies, spectrum.parity
+    n = energies.size
+    diffs = sorted((float(energies[mu] - energies[nu]), mu, nu)
+                   for mu in range(n) for nu in range(n))
+    clusters = []
+    current = [diffs[0]]
+    for item in diffs[1:]:
+        if item[0] - current[0][0] <= match_tol:
+            current.append(item)
+        else:
+            clusters.append(current)
+            current = [item]
+    clusters.append(current)
+    class1 = [(mu, mup, nu, nup, 0.5 * (d1 + d2))
+              for cluster in clusters
+              for d1, mu, nu in cluster for d2, mup, nup in cluster]
+    groups, start = [], 0
+    for i in range(1, n + 1):
+        if i == n or energies[i - 1] - energies[i] > match_tol:
+            groups.append(range(start, i))
+            start = i
+    class2 = [(m, xi) for grp in groups for m in grp for xi in grp
+              if parity[m] == parity[xi]]
+    return class1, class2
+
+
 def test_match_sets_structure(spectrum, params):
     ms = match_sets(spectrum, params.omega_rf, params.match_tol)
-    keys = {(mu, mup, nu, nup) for mu, mup, nu, nup, _ in ms.class1}
+    assert ms.class1.shape == (ms.de.size, 4) and ms.class2.shape[1] == 2
+    keys = set(map(tuple, ms.class1.tolist()))
     n = spectrum.n_keep
     # Every population pair is matched with itself ...
     for i in range(n):
@@ -142,11 +178,51 @@ def test_match_sets_structure(spectrum, params):
             assert (i, i, j, j) in keys
     # ... and the degenerate qubit pair interferes.
     assert (0, 1, 1, 0) in keys and (1, 0, 0, 1) in keys
-    assert ms.spread < params.omega_rf / 2
+    spread = float(spectrum.energies[0] - spectrum.energies[-1])
+    assert spread < params.omega_rf / 2
     # Class-2 pairs only couple equal energy and parity.
-    for m, xi in ms.class2_pairs:
+    for m, xi in ms.class2:
         assert spectrum.energies[m] == spectrum.energies[xi]
         assert spectrum.parity[m] == spectrum.parity[xi]
+
+
+@pytest.mark.parametrize("changes", [
+    {}, {"alpha": 1.3}, {"alpha": 2.5}, {"n_keep": 6},
+    {"n_keep": 20, "n_fock": 80}], ids=str)
+def test_match_sets_equal_reference_loop(params, changes):
+    # The arrays hold the reference loop's rows in its order: indices
+    # exactly, de bit for bit.
+    changes = dict(changes)
+    p = params.with_alpha(changes.pop("alpha", params.alpha))
+    spec = diagonalize_kpo(p.replace(**changes))
+    ms = match_sets(spec, p.omega_rf, p.match_tol)
+    class1, class2 = _reference_match_sets(spec, p.match_tol)
+    assert ms.class1.dtype == ms.class2.dtype == np.intp
+    assert ms.class1.tolist() == [list(row[:4]) for row in class1]
+    assert [x.hex() for x in ms.de.tolist()] == \
+        [row[4].hex() for row in class1]
+    assert ms.class2.tolist() == [list(pair) for pair in class2]
+
+
+def test_match_sets_cluster_from_first_member(params):
+    # Differences -0.6, 0, 0, +0.6 match_tol form a chain of steps within
+    # match_tol.  A cluster reaches only match_tol past its first member,
+    # so +0.6 starts a second cluster; chaining would make one of all four.
+    tol = params.match_tol
+    spec = Spectrum(energies=np.array([0.6 * tol, 0.0]), vectors=np.eye(2),
+                    parity=np.array([1.0, -1.0]),
+                    raw_energies=np.array([0.6 * tol, 0.0]))
+    ms = match_sets(spec, params.omega_rf, tol)
+    # Cluster one, in sorted (d, mu, nu) order: (1, 0), (0, 0), (1, 1).
+    assert ms.class1.tolist() == [
+        [1, 1, 0, 0], [1, 0, 0, 0], [1, 1, 0, 1],
+        [0, 1, 0, 0], [0, 0, 0, 0], [0, 1, 0, 1],
+        [1, 1, 1, 0], [1, 0, 1, 0], [1, 1, 1, 1],
+        [0, 0, 1, 1]]
+    half = 0.3 * tol
+    assert ms.de.tolist() == [-0.6 * tol, -half, -half, -half, 0.0, 0.0,
+                              -half, 0.0, 0.0, 0.6 * tol]
+    assert ms.class2.tolist() == [[0, 0], [1, 1]]
 
 
 def test_match_sets_rejects_wide_spread(spectrum):
@@ -180,12 +256,12 @@ def test_core2_is_hermitian(table45, small_params, table_0k):
 
 
 def _sequential_table(params, spectrum, eta, pq, integ, interference="on"):
-    """Reference assembly: every term of every entry in a plain loop, in
-    slot, dm, sigma order, added one at a time to 0j with numpy scalar
-    arithmetic and the table's anchor association.  A term reads the
-    charge-averaged G over the charges kept above PQ_FLOOR at its forward
-    and backward anchors."""
-    matches = match_sets(spectrum, params.omega_rf, params.match_tol)
+    """Reference assembly: every term of every entry in a plain loop over
+    _reference_match_sets' slots, in slot, dm, sigma order, added one at a
+    time to 0j with numpy scalar arithmetic and the table's anchor
+    association.  A term reads the charge-averaged G over the charges kept
+    above PQ_FLOOR at its forward and backward anchors."""
+    class1, class2 = _reference_match_sets(spectrum, params.match_tol)
     energies, parity = spectrum.energies, spectrum.parity
     charges = [(q, p) for q, p in pq.items() if p >= PQ_FLOOR]
     # (dm, f, b) per sideband; row dm + dm_max of each stack holds dm.
@@ -199,7 +275,7 @@ def _sequential_table(params, spectrum, eta, pq, integ, interference="on"):
         return de + (base - params.bias_v), de + (base + params.bias_v)
 
     terms = []          # (entry, wf, wb, anchor_f, anchor_b)
-    for mu, mup, nu, nup, de in matches.class1:
+    for mu, mup, nu, nup, de in class1:
         for dm, f, b in sidebands:
             pdm = sideband_parity(dm)
             if (parity[mu] * parity[nu] != pdm
@@ -208,7 +284,7 @@ def _sequential_table(params, spectrum, eta, pq, integ, interference="on"):
             wf = f[mu, nu] * f[mup, nup].conjugate()
             wb = b[mu, nu] * b[mup, nup].conjugate()
             terms.append(((mu, mup, nu, nup), wf, wb, *anchors(de, dm)))
-    for m, xi in matches.class2_pairs:
+    for m, xi in class2:
         for dm, f, b in sidebands:
             target = sideband_parity(dm) * parity[m]
             for sigma in range(energies.size):
@@ -223,8 +299,8 @@ def _sequential_table(params, spectrum, eta, pq, integ, interference="on"):
     offsets = list(dict.fromkeys(x for *_, a_f, a_b in terms
                                  for x in (a_f, a_b)))
     value = dict(zip(offsets, averaged.evaluate(offsets).tolist()))
-    acc = {key[:4]: 0j for key in matches.class1}
-    acc.update((pair, 0j) for pair in matches.class2_pairs)
+    acc = {key[:4]: 0j for key in class1}
+    acc.update((pair, 0j) for pair in class2)
     for key, wf, wb, a_f, a_b in terms:
         acc[key] += value[a_f] * wf + value[a_b] * wb
     gamma1 = {k: 2.0 * params.r_ratio * v for k, v in acc.items()
@@ -301,8 +377,8 @@ def test_transition_rate_bitwise_equals_table(request, case):
     p, spec, eta, pq, _integ, table = _transition_case(request, case)
     n = spec.n_keep
     unmatched = (0, 0, 0, n - 2)
-    matched = {slot[:4] for slot in
-               match_sets(spec, p.omega_rf, p.match_tol).class1}
+    matched = set(map(tuple, match_sets(spec, p.omega_rf,
+                                        p.match_tol).class1.tolist()))
     assert unmatched not in matched
     keys = ([(i, i, j, j) for i in range(n) for j in range(n)]
             + [(0, 1, 1, 0), (1, 0, 0, 1), unmatched])

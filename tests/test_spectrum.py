@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kpoqcr import (CatStateError, SpectrumError, SystemParams,
-                    build_fock_operators, cat_excitation_gap, cat_states,
-                    coherent_state, diagonalize_kpo, kpo_hamiltonian)
+                    build_fock_operators, cat_states, coherent_state,
+                    diagonalize_kpo, kpo_hamiltonian)
 from kpoqcr.oracles import normalized_spectrum
 
 
@@ -38,7 +38,7 @@ def test_eigensystem_postconditions(spectrum, params):
     gram = spectrum.vectors.T @ spectrum.vectors
     assert np.max(np.abs(gram - np.eye(n))) < 1e-12
     assert spectrum.parity[0] == 1.0 and spectrum.parity[1] == -1.0
-    assert (0, 1) in spectrum.degeneracy_pairs
+    assert spectrum.energies[0] == spectrum.energies[1] != spectrum.energies[2]
 
 
 def test_residual_of_eigenpairs(spectrum, params):
@@ -48,8 +48,8 @@ def test_residual_of_eigenpairs(spectrum, params):
 
 
 def test_cat_pair_degenerate_after_snapping(spectrum):
-    assert spectrum.energies[0] == spectrum.energies[1]
-    assert spectrum.groups[0] == (0, 1)
+    # The cat pair alone shares one snapped energy.
+    assert spectrum.energies[0] == spectrum.energies[1] != spectrum.energies[2]
 
 
 def test_top_eigenvalue_is_cat_value(params, spectrum):
@@ -70,14 +70,6 @@ def test_sign_convention_largest_amplitude_positive(spectrum):
     for k in range(spectrum.n_keep):
         col = spectrum.vectors[:, k]
         assert col[np.argmax(np.abs(col))] > 0.0
-
-
-def test_excitation_gap_positive_and_consistent(spectrum):
-    gap = cat_excitation_gap(spectrum)
-    assert gap > 0.0
-    nxt = spectrum.groups[1][0]
-    assert gap == pytest.approx(
-        float(spectrum.energies[0] - spectrum.energies[nxt]), rel=0.0)
 
 
 @settings(max_examples=10, deadline=None)

@@ -156,13 +156,16 @@ def test_rates_sweep_pinned_row(params):
 def test_rates_sweep_interference_off_diagonal_bitwise(params, monkeypatch):
     # The switch never touches a population entry, so those agree bit for
     # bit either way; off reports the interference entries as zero.  No
-    # point builds a table.
+    # point builds a table.  With only g1_0_1_1_0 reported, off masks the
+    # plan down to no class-1 row at all.
     monkeypatch.setattr(workflows, "rate_table", _refuse_table)
-    k = len(DEFAULT_TRANSITIONS)
-    for transitions in (DEFAULT_TRANSITIONS, WITH_INTERFERENCE):
-        on = rates_sweep(params, "voltage", np.array([39e9]),
+    volts = np.array([39e9, 45e9])
+    n_pop = len(DEFAULT_TRANSITIONS)
+    for transitions, k in ((DEFAULT_TRANSITIONS, n_pop),
+                           (WITH_INTERFERENCE, n_pop), (((0, 1, 1, 0),), 0)):
+        on = rates_sweep(params, "voltage", volts,
                          transitions=transitions).data
-        off = rates_sweep(params, "voltage", np.array([39e9]),
+        off = rates_sweep(params, "voltage", volts,
                           transitions=transitions, interference="off").data
         assert on[:, :k].tobytes() == off[:, :k].tobytes()
         assert np.all(on[:, k:] != 0.0) and np.all(off[:, k:] == 0.0)
