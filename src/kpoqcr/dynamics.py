@@ -20,8 +20,11 @@ block-diagonalization of Albert & Jiang, PRA 89, 022118 (2014)).  A
 generator carries these sectors as index arrays into vec(rho); evolve and
 steady_state work on each sector's block of L on its own.
 
-The generator is constant between consecutive grid times and the switch-on
-time, so each such interval is advanced by the exact propagator expm(L dt).
+evolve runs one generator, or switches to a second one at a time t_on: the
+junction switched on as a dissipation source (Silveri et al., PRB 96,
+094524 (2017)).  The generator is constant between consecutive grid times
+and t_on, so each such interval is advanced by the exact propagator
+expm(L dt).
 One matrix is built per generator, sector and interval length; lengths that
 agree to a relative _SNAP_REL share it.
 """
@@ -178,51 +181,43 @@ class Trajectory:
         pops = self.populations()
         return pops[:, 0] + pops[:, 1]
 
-    def branch_population(self, sign: float = 1.0) -> np.ndarray:
-        """Overlap with (e0 + sign e1)/sqrt(2), the cat-branch projector."""
+    def branch_population(self) -> np.ndarray:
+        """Overlap with (e0 + e1)/sqrt(2), the +alpha cat branch."""
         p = 0.5 * (np.real(self.states[:, 0, 0]) + np.real(self.states[:, 1, 1]))
-        return p + sign * np.real(self.states[:, 0, 1])
+        return p + np.real(self.states[:, 0, 1])
 
 
 def evolve(
     rho0: np.ndarray,
-    generators: Generator | tuple[Generator, Generator],
-    schedule: dict | None,
     t_grid: np.ndarray,
+    generator: Generator,
+    switch: tuple[float, Generator] | None = None,
 ) -> Trajectory:
-    """Propagate rho0 across t_grid.
+    """Propagate rho0 across t_grid under generator; the state is recorded
+    at every grid time.
 
-    generators: a single generator, or (qcr_off, qcr_on) switched at
-    schedule['t_qcr_on'].  Output states are recorded at every grid time.
+    switch: (t_on, generator_on).  From t_on on, generator_on drives the
+    state.  A t_on within a relative _SNAP_REL of a grid time is that grid
+    time; otherwise its interval is split at t_on.
     """
     t_grid = np.asarray(t_grid, float)
     if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) < 0):
         raise EvolveError("t_grid must be a non-decreasing 1-d array")
-    if isinstance(generators, Generator):
-        gen_pair = (generators, generators)
-        t_on = None
-    else:
-        gen_pair = tuple(generators)
-        t_on = (schedule or {}).get("t_qcr_on")
-        if t_on is not None:
-            # A switch-on time a rounding error away from a grid time is
-            # that grid time, not the start of a sliver segment.
-            near = float(t_grid[np.argmin(np.abs(t_grid - t_on))])
-            if math.isclose(t_on, near, rel_tol=_SNAP_REL):
-                t_on = near
+    t_on, generator_on = switch or (None, generator)
+    if t_on is not None:
+        # A switch-on time a rounding error away from a grid time is that
+        # grid time, not the start of a sliver segment.
+        near = float(t_grid[np.argmin(np.abs(t_grid - t_on))])
+        if math.isclose(t_on, near, rel_tol=_SNAP_REL):
+            t_on = near
     rho0 = np.asarray(rho0, complex)
-    for gen in gen_pair:
+    for gen in (generator, generator_on):
         if rho0.shape != (gen.n, gen.n):
             raise EvolveError(f"rho0 has shape {rho0.shape}; the generator "
                               f"acts on {gen.n} x {gen.n} density matrices")
     n = rho0.shape[0]
     if abs(np.trace(rho0) - 1.0) > 1e-8:
         raise EvolveError(f"rho0 trace deviates from 1 by {abs(np.trace(rho0)-1):.2e}")
-
-    def gen_at(t0: float) -> Generator:
-        if t_on is None:
-            return gen_pair[0]
-        return gen_pair[1] if t0 >= t_on else gen_pair[0]
 
     # (interval length, expm(L_s dt) of every sector s) pairs per
     # generator: the spacings of a uniform grid differ by a few ulps and
@@ -249,7 +244,8 @@ def evolve(
             seg_end = t_next
             if t_on is not None and t_now < t_on < t_next:
                 seg_end = float(t_on)
-            gen = gen_at(t_now)
+            gen = (generator_on if t_on is not None and t_now >= t_on
+                   else generator)
             mats = propagator(gen, seg_end - t_now)
             new = np.empty_like(vec)
             for idx, mat in zip(gen.sectors, mats):

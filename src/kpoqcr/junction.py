@@ -503,13 +503,6 @@ class PatIntegrator:
     def backward(self, offset: float) -> float:
         return float(self.evaluate([-offset])[0])
 
-    def __len__(self) -> int:
-        """Tunneling integrals held: node values, or at T_N = 0 offsets."""
-        if self._width == 0.0:
-            return len(self._store)
-        return _CHEB_N * sum(len(lefts) for lefts, _x, _f
-                             in self._store.values())
-
 
 class ChargeAveraged(PatIntegrator):
     """The charge-averaged tunneling function of a distribution of island

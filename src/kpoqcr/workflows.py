@@ -257,13 +257,12 @@ def dynamics_run(params: SystemParams, schedule: Schedule) -> DynamicsResult:
     gen_on = assemble_generator(spectrum, params, table)
     gen_off = assemble_generator(spectrum, params, None)
     t_grid = np.linspace(0.0, schedule.t_end, schedule.points)
-    traj = evolve(rho0, (gen_off, gen_on),
-                  {"t_qcr_on": schedule.t_qcr_on}, t_grid)
+    traj = evolve(rho0, t_grid, gen_off, (schedule.t_qcr_on, gen_on))
     active = (t_grid >= schedule.t_qcr_on).astype(float)
     return DynamicsResult(
         times=traj.times,
         populations=traj.populations(),
-        branch_plus=traj.branch_population(+1.0),
+        branch_plus=traj.branch_population(),
         qubit=traj.qubit_population(),
         qcr_active=active,
         trace_drift=traj.trace_drift,
@@ -330,11 +329,7 @@ def husimi_run(params: SystemParams, cfg: HusimiConfig) -> HusimiResult:
         rho0 = initial_state(spectrum, cfg.initial)
         table = rate_table(params, spectrum) if cfg.qcr == "on" else None
         gen = assemble_generator(spectrum, params, table)
-        if cfg.time == 0.0:
-            rho = rho0
-        else:
-            traj = evolve(rho0, gen, None, np.array([0.0, cfg.time]))
-            rho = traj.states[-1]
+        rho = evolve(rho0, np.array([0.0, cfg.time]), gen).states[-1]
         meta.update({"time": cfg.time, "initial": cfg.initial, "qcr": cfg.qcr})
     re_axis = np.linspace(cfg.re_min, cfg.re_max, cfg.points)
     im_axis = np.linspace(cfg.im_min, cfg.im_max, cfg.points)

@@ -10,6 +10,7 @@ import pytest
 
 from kpoqcr import (PatIntegrator, SystemParams, charge_distribution,
                     diagonalize_kpo, eta_table, rate_table)
+from kpoqcr.junction import _CHEB_N
 
 
 @pytest.fixture(scope="session")
@@ -83,3 +84,8 @@ def small_table(small_params):
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20260814)
+
+
+def held_integrals(integ) -> int:
+    """Tunneling integrals an integrator holds, _CHEB_N nodes a panel."""
+    return _CHEB_N * sum(len(lefts) for lefts, _x, _f in integ._store.values())

@@ -232,8 +232,8 @@ def test_acceptance_8_structural_invariants(params, spectrum, eta, table45,
 
     # Parity is conserved by the intrinsic dephasing channel alone.
     deph_only = assemble_generator(spectrum, params.replace(kappa=0.0), None)
-    traj = evolve(initial_state(spectrum, "phi0"), deph_only, None,
-                  np.linspace(0.0, 1e-4, 5))
+    traj = evolve(initial_state(spectrum, "phi0"), np.linspace(0.0, 1e-4, 5),
+                  deph_only)
     odd = spectrum.parity < 0
     parity_leak = float(np.max(traj.populations()[:, odd]))
     parity_ok = parity_leak <= 1e-10

@@ -5,11 +5,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import kpoqcr
-from kpoqcr import HusimiConfig, Schedule, SystemParams, junction, workflows
+from kpoqcr import (HusimiConfig, Schedule, SystemParams, assemble_generator,
+                    evolve, husimi_q, initial_state, junction, rate_table,
+                    workflows)
 from kpoqcr.cli import _emit, main
 from kpoqcr.workflows import dynamics_run, husimi_run
 
@@ -113,6 +116,25 @@ def test_config_errors_exit_2(runner, tmp_path):
     bad_threads = _write(tmp_path, "c.json", {"threads": 0})
     result = runner.invoke(main, ["rates", "--config", bad_threads])
     assert result.exit_code == 2
+
+    for command, payload, message in (
+            ("rates", {"sweep": 3},
+             "config section 'sweep' must be an object"),
+            ("rates", {"out": 3}, "config key 'out' must be a string path"),
+            ("rates", {"sweep": {"from": 40e9, "from_ghz": 40.0}},
+             "sweep gives both"),
+            ("bitflip", {"sweep": {"from_ghz": 1.0}},
+             "only applies to the voltage axis"),
+            ("steady", {"sweep": {"axis": "alpha"}}, "cannot sweep axis"),
+            ("rates", {"sweep": {"points": 0}}, "positive integer"),
+            ("rates", {"rates": {"bogus": 1}}, "unknown rates keys"),
+            ("rates", {"rates": {"transitions": "g1_0_1_1_0"}},
+             "must be a list of labels")):
+        cfg = _write(tmp_path, "d.json", payload)
+        result = runner.invoke(main, [command, "--config", cfg])
+        assert message in _one_line_error(result, 2)
+    result = runner.invoke(main, ["rates", "--transitions", ","])
+    assert "transition list is empty" in _one_line_error(result, 2)
 
 
 def _one_line_error(result, code: int) -> str:
@@ -299,7 +321,7 @@ def test_dynamics_command(runner):
     assert float(first[1]) == 1.0  # starts in phi0
 
 
-def test_husimi_command(runner):
+def test_husimi_command(runner, params, spectrum):
     result = runner.invoke(main, ["husimi", "--source", "evolve", "--time",
                                   "0", "--initial", "phi_alpha", "--qcr",
                                   "off", "--points", "9", "--extent", "3.5"])
@@ -309,6 +331,24 @@ def test_husimi_command(runner):
     assert len(lines) == 1 + 81
     corner = lines[1].split(",")
     assert float(corner[0]) == -3.5 and float(corner[1]) == -3.5
+
+    # An evolved state at t > 0, as the cat_dynamics benchmark maps it.
+    result = runner.invoke(main, ["husimi", "--source", "evolve", "--time",
+                                  "1e-4", "--initial", "phi_alpha"])
+    assert result.exit_code == 0
+    lines = result.output.splitlines()
+    norm = float(next(ln for ln in lines if ln.startswith("# norm = "))[9:])
+    assert abs(norm - 1.0) <= 5e-3
+    rows = [ln for ln in lines if not ln.startswith("#")][1:]
+    assert len(rows) == 81 ** 2
+    res = husimi_run(params, HusimiConfig(source="evolve", time=1e-4,
+                                          initial="phi_alpha"))
+    gen = assemble_generator(spectrum, params, rate_table(params, spectrum))
+    rho = evolve(initial_state(spectrum, "phi_alpha"), np.array([0.0, 1e-4]),
+                 gen).states[-1]
+    axis = np.linspace(-4.0, 4.0, 81)
+    assert res.q.tobytes() == husimi_q(rho, spectrum, axis, axis).tobytes()
+    assert [float(row.split(",")[2]) for row in rows] == res.q.ravel().tolist()
 
 
 def test_husimi_extent_validation(runner):

@@ -217,9 +217,9 @@ def test_initial_states(spectrum):
 def test_evolve_validates_inputs(spectrum, gen_off):
     rho0 = initial_state(spectrum, "phi0")
     with pytest.raises(EvolveError, match="non-decreasing"):
-        evolve(rho0, gen_off, None, np.array([0.0, 2.0, 1.0]))
+        evolve(rho0, np.array([0.0, 2.0, 1.0]), gen_off)
     with pytest.raises(EvolveError, match="trace"):
-        evolve(2.0 * rho0, gen_off, None, np.array([0.0, 1e-6]))
+        evolve(2.0 * rho0, np.array([0.0, 1e-6]), gen_off)
 
 
 def test_evolve_rejects_rho0_of_another_size(spectrum, params, gen_off):
@@ -229,11 +229,12 @@ def test_evolve_rejects_rho0_of_another_size(spectrum, params, gen_off):
     rho_big = initial_state(spectrum, "phi0")
     rho_small = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
     t_grid = np.array([0.0, 1e-6])
-    for rho0, gens in ((rho_big, small), (rho_small, gen_off),
-                       (rho_big, (gen_off, small)),
-                       (rho_small, (small, gen_off))):
+    for rho0, gen, switch in ((rho_big, small, None),
+                              (rho_small, gen_off, None),
+                              (rho_big, gen_off, (5e-7, small)),
+                              (rho_small, small, (5e-7, gen_off))):
         with pytest.raises(EvolveError, match="shape"):
-            evolve(rho0, gens, {"t_qcr_on": 5e-7}, t_grid)
+            evolve(rho0, t_grid, gen, switch)
 
 
 def _toy_generator(rng, n=3, scale=0.1):
@@ -248,7 +249,7 @@ def _toy_generator(rng, n=3, scale=0.1):
 def test_evolve_matches_matrix_exponential(spectrum, gen_off):
     rho0 = initial_state(spectrum, "phi_alpha")
     t = 2e-5
-    traj = evolve(rho0, gen_off, None, np.array([0.0, t]))
+    traj = evolve(rho0, np.array([0.0, t]), gen_off)
     n = gen_off.n
     # Reference from the eigendecomposition of L, independent of expm; the
     # eigenvectors of the QCR-off generator are well conditioned.
@@ -269,7 +270,7 @@ def test_evolve_toy_generator_small_step_limit(rng):
     rho0 = np.eye(n, dtype=complex) / n
     t = 2.0
     ref = (expm(gen.total * t) @ rho0.reshape(n * n)).reshape(n, n)
-    traj = evolve(rho0, gen, None, np.array([0.0, t]))
+    traj = evolve(rho0, np.array([0.0, t]), gen)
     assert np.max(np.abs(traj.states[-1] - ref)) < 1e-12
 
 
@@ -289,7 +290,7 @@ def test_evolve_shares_step_matrices_across_grid_spacings(rng, monkeypatch):
     t_on = 5e-5
     assert len(set(np.diff(t_grid).tolist())) > 2
     rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
-    traj = evolve(rho0, (gen_off, gen_on), {"t_qcr_on": t_on}, t_grid)
+    traj = evolve(rho0, t_grid, gen_off, (t_on, gen_on))
     assert len(built) <= 2
     n = gen_on.n
     ref = (expm(gen_on.total * (t_grid[-1] - t_on))
@@ -312,7 +313,7 @@ def test_evolve_builds_sector_sized_step_matrices(spectrum, gen_off, gen_on,
     monkeypatch.setattr(dynamics, "expm", counted)
     rho0 = initial_state(spectrum, "phi0")
     t_grid = np.linspace(0.0, 1e-4, 201)
-    evolve(rho0, (gen_off, gen_on), {"t_qcr_on": 5e-5}, t_grid)
+    evolve(rho0, t_grid, gen_off, (5e-5, gen_on))
     n2 = spectrum.n_keep ** 2
     assert [mat.shape for mat in built] == [(n2 // 2, n2 // 2)] * 4
     # Each generator's matrices are built for its first interval.
@@ -328,9 +329,9 @@ def test_evolve_does_not_depend_on_output_grid(spectrum, gen_off, gen_on):
     # The README schedule: the state at 1e-4 s is the same whether it is
     # reached in 200 recorded intervals or in two.
     rho0 = initial_state(spectrum, "phi0")
-    gens, sched = (gen_off, gen_on), {"t_qcr_on": 5e-5}
-    fine = evolve(rho0, gens, sched, np.linspace(0.0, 1e-4, 201))
-    coarse = evolve(rho0, gens, sched, np.array([0.0, 5e-5, 1e-4]))
+    switch = (5e-5, gen_on)
+    fine = evolve(rho0, np.linspace(0.0, 1e-4, 201), gen_off, switch)
+    coarse = evolve(rho0, np.array([0.0, 5e-5, 1e-4]), gen_off, switch)
     assert np.max(np.abs(fine.states[-1] - coarse.states[-1])) <= 1e-11
 
 
@@ -339,22 +340,34 @@ def test_evolve_is_linear(spectrum, gen_on):
     rho_a = initial_state(spectrum, "phi0")
     rho_b = initial_state(spectrum, "phi3")
     mix = 0.25 * rho_a + 0.75 * rho_b
-    fa = evolve(rho_a, gen_on, None, t_grid).states[-1]
-    fb = evolve(rho_b, gen_on, None, t_grid).states[-1]
-    fm = evolve(mix, gen_on, None, t_grid).states[-1]
+    fa = evolve(rho_a, t_grid, gen_on).states[-1]
+    fb = evolve(rho_b, t_grid, gen_on).states[-1]
+    fm = evolve(mix, t_grid, gen_on).states[-1]
     assert np.max(np.abs(fm - 0.25 * fa - 0.75 * fb)) < 1e-12
 
 
 def test_switch_time_honored(spectrum, gen_off, gen_on):
+    # Switched at a grid time and between two grid times.
     rho0 = initial_state(spectrum, "phi0")
     t_grid = np.linspace(0.0, 4e-5, 5)
-    t_on = 2e-5
-    switched = evolve(rho0, (gen_off, gen_on), {"t_qcr_on": t_on}, t_grid)
-    plain = evolve(rho0, gen_off, None, t_grid)
-    # Identical before the switch, different after.
-    pre = t_grid <= t_on
-    assert np.max(np.abs(switched.states[pre] - plain.states[pre])) < 1e-13
-    assert np.max(np.abs(switched.states[-1] - plain.states[-1])) > 1e-6
+    plain = evolve(rho0, t_grid, gen_off)
+    for t_on in (2e-5, 1.3e-5):
+        switched = evolve(rho0, t_grid, gen_off, (t_on, gen_on))
+        # Identical before the switch, different after.
+        pre = t_grid <= t_on
+        assert np.max(np.abs(switched.states[pre] - plain.states[pre])) < 1e-13
+        assert np.max(np.abs(switched.states[-1] - plain.states[-1])) > 1e-6
+    # The toy problem on the same grid in units of 1e-5 s: an off-grid
+    # switch splits its interval at t_on.
+    rng = np.random.default_rng(13)
+    toy_off, toy_on = _toy_generator(rng), _toy_generator(rng)
+    toy_grid = t_grid * 1e5
+    rho_toy = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    for t_on in (2.0, 1.3):
+        traj = evolve(rho_toy, toy_grid, toy_off, (t_on, toy_on))
+        ref = (expm(toy_on.total * (toy_grid[-1] - t_on))
+               @ expm(toy_off.total * t_on) @ rho_toy.reshape(9))
+        assert np.max(np.abs(traj.states[-1].reshape(9) - ref)) < 1e-12
 
 
 def test_steady_state_is_fixed_point(gen_on):
@@ -371,8 +384,8 @@ def test_steady_state_is_fixed_point(gen_on):
 
 def test_steady_state_agrees_with_long_evolution(spectrum, gen_on):
     rho_inf, _ = steady_state(gen_on)
-    traj = evolve(initial_state(spectrum, "phi0"), gen_on, None,
-                  np.array([0.0, 1e-4]))
+    traj = evolve(initial_state(spectrum, "phi0"), np.array([0.0, 1e-4]),
+                  gen_on)
     assert np.max(np.abs(traj.states[-1] - rho_inf)) < 1e-5
 
 

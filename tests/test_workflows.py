@@ -16,6 +16,8 @@ from kpoqcr.junction import PatIntegrator, charge_distribution
 from kpoqcr.rates import transition_rate
 from kpoqcr.workflows import parse_transition_label, transition_label
 
+from conftest import held_integrals
+
 # Pinned outputs of the default-parameter pipeline.  These are regression
 # anchors for this exact configuration, not externally derived numbers.
 RATES_39GHZ = (94584.088971985839, 111805.53227243433, 348.11509517001872,
@@ -286,9 +288,10 @@ def test_sweeps_share_one_integrator(params, monkeypatch):
         built.clear()
         averages.clear()
         run(3)
-        assert len(built) == 1 and len(built[0]) > 0
+        assert len(built) == 1 and held_integrals(built[0]) > 0
         assert len(averages) == n_averages
-        assert all(len(g) > 0 and g._source is built[0] for g in averages)
+        assert all(held_integrals(g) > 0 and g._source is built[0]
+                   for g in averages)
         with pytest.raises(ConfigError, match="threads must be at least 1"):
             run(0)
 
