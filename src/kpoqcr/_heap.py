@@ -4,12 +4,13 @@ glibc's malloc serves blocks above M_MMAP_THRESHOLD from fresh mappings and
 hands the top of the heap back to the kernel once more than
 M_TRIM_THRESHOLD bytes of it are free.  Both start at 128 KiB and rise only
 after a large block is freed.  The rate tables and the propagator allocate
-and free numpy temporaries of 40 KiB to a few MiB thousands of times, so
-at the start values every round faults its pages in again: a cold table
-took 22.9k minor page faults, and a 4-point steady sweep on two workers
-88.5k (2 vCPUs).  With the thresholds below they take 1.3k and 7.1k.  The
-values are those glibc's own rule would reach after freeing a 16 MiB
-block; peak RSS grows by 1-2 MiB.
+and free numpy temporaries of 40 KiB to a few MiB many times, so at the
+start values each round faults its pages in again: in a fresh process a
+cold default table took 656 minor page faults, and a 4-point steady sweep
+(one process) 1,530.  With the thresholds below they take 198 and 398, and
+the sweep's median time falls from 0.026 to 0.022 s (8 fresh-process
+pairs, 2 vCPUs).  The values are those glibc's own rule would reach after
+freeing a 16 MiB block; the sweep's peak RSS stays at 34 MiB.
 """
 from __future__ import annotations
 

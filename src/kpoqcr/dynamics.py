@@ -11,7 +11,8 @@ is K = -i 2 pi diag(E), whose phases -i 2 pi (E_mu - E_mup) are exactly
 zero inside snapped groups.  Single-photon loss (O = a, r = pi kappa) and
 pure dephasing (O = a^dag a, r = 2 pi gamma_p), with kappa and gamma_p the
 configured Hz values, each add 2 r O (x) O* to jump and -r O^dag O to K;
-tunneling adds the matched gamma1 to jump and core2 to K (rates module).
+tunneling adds its matched jump tensor gamma1 to jump and core2, the
+-1/2 sum L_k^dag L_k that gamma1 fixes, to K (rates module).
 
 The Hamiltonian commutes with photon parity and every tunneling term keeps
 parity[mu] parity[mup] = parity[nu] parity[nup], so L never couples

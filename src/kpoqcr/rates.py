@@ -20,11 +20,16 @@ Two dense arrays drive the density matrix in the eigenbasis:
                         + sum conj(core2[mup,xi]) rho[mu,xi]
 
 gamma1 has shape (n, n, n, n) and core2 shape (n, n).  Entries outside the
-energy-matched index sets are exactly zero.  The third term is the second
-one's Hermitian partner: core2 is Hermitian including the tunneling
-integrals, so only one core array is computed.
+energy-matched index sets are exactly zero.  gamma1 is the jump tensor and
+core2 the tunneling part of the effective matrix K, which the GKSL form
+fixes by the jumps (Lindblad, Commun. Math. Phys. 48, 119 (1976)):
 
-Every entry is a sum over sidebands (and intermediate states) of
+  core2[m, xi] = -0.5 * conj(sum_sigma gamma1[sigma, sigma, m, xi])
+
+on the matched pairs.  So core2 is Hermitian, the third term is the second
+one's Hermitian partner, and populations are conserved bit for bit.
+
+Every gamma1 entry is a sum over sidebands of
 sum_q p_q (F(a + 2 E_c q) wf + F(a' - 2 E_c q) wb), with F the forward
 tunneling integral (the backward one is F at the negated offset, see
 junction) at the anchors
@@ -32,41 +37,39 @@ junction) at the anchors
   a  = de + ((E_c + dm * omega_rf) - V),
   a' = de + ((E_c + dm * omega_rf) + V),
 
-with the class-1 de = 0.5 * (d1 + d2).  The charge distribution is
-symmetric, p_q = p_-q bit for bit (ChargeDistribution checks it), so both
-charge sums are one function G(x) = sum_q p_q F(x + 2 E_c q) over the
-charges kept above PQ_FLOOR, and a term is G(a) wf + G(a') wb.  G sums its
-charges in a fixed order inside junction.ChargeAveraged, built once per
-integrator and distribution (Silveri et al., PRB 96, 094524 (2017), write
-the QCR rates through one tunneling function; here it carries the island
-charge too).
+with de = 0.5 * (d1 + d2).  The charge distribution is symmetric,
+p_q = p_-q bit for bit (ChargeDistribution checks it), so both charge sums
+are one function G(x) = sum_q p_q F(x + 2 E_c q) over the charges kept
+above PQ_FLOOR, and a term is G(a) wf + G(a') wb.  G sums its charges in a
+fixed order inside junction.ChargeAveraged, built once per integrator and
+distribution (Silveri et al., PRB 96, 094524 (2017), write the QCR rates
+through one tunneling function; here it carries the island charge too).
 
 The terms are built as arrays, but each entry adds its terms one at a time
 (np.add.at, which is sequential in index order), starting from zero, in
-the order sideband dm, then intermediate state sigma (class-2 cores only).
-A pairwise or blocked sum would round differently.  Entries that must
-interfere read bit-identical G at bit-identical anchors, and core2 stays
-exactly Hermitian: a partner entry reads the same G with the conjugate
-weight.  The rule protects the tables, core2's Hermiticity and the oracle
-cross-check qcr_bitflip_rate, which cancels interfering entries;
-bitflip_rates cancels nothing.
+sideband order.  A pairwise or blocked sum would round differently.
+Entries that must interfere read bit-identical G at bit-identical anchors,
+and gamma1 stays exactly Hermitian: a partner entry reads the same G with
+the conjugate weight.  The rule protects the tables, core2's Hermiticity
+and the oracle cross-check qcr_bitflip_rate, which cancels interfering
+entries; bitflip_rates cancels nothing.
 
 The spectrum alone fixes the secular terms (Breuer & Petruccione, The
 Theory of Open Quantum Systems, OUP 2002).  match_sets gives them as index
 arrays (MatchSets: class-1 rows (mu, mup, nu, nup) and their de, from
 clusters of the sorted differences E_mu - E_nu within match_tol of each
-cluster's first; class-2 rows (m, xi)), and every array downstream keeps
-their row order.
+cluster's first; class-2 pairs (m, xi), core2's matched entries), and every
+array downstream keeps their row order.
 
 Only the anchors depend on the bias.  A RatePlan holds the rest, built
 once per spectrum from match_sets, the sideband table and the parameters:
 the term rows' entries, weights and distinct anchor parts.  Its tables()
 reads G once for any number of biases, at a (P, 2, U) array of anchors, U
-distinct parts, and accumulates each bias's table in the row order above;
-by G's bitwise rule every value is the one a single-bias read gives.
-rate_table is a one-bias plan.  transition_rate is a one-bias plan
-masked to the class-1 rows of the entries it reports, so each of its rates
-is bitwise that table entry.
+distinct parts, accumulates each bias's gamma1 in the row order above and
+derives its core2; by G's bitwise rule every value is the one a single-bias
+read gives.  rate_table is a one-bias plan.  transition_rate is a one-bias
+plan masked to the class-1 rows of the entries it reports, so each of its
+rates is bitwise that table entry.
 """
 from __future__ import annotations
 
@@ -204,14 +207,12 @@ class RateTable:
     """Assembled transition tensors at one bias point."""
 
     bias_v: float
-    energies: np.ndarray
-    parity: np.ndarray
     gamma1: np.ndarray                  # (n, n, n, n) complex
     core2: np.ndarray = field(repr=False)   # (n, n) complex
 
     @property
     def n(self) -> int:
-        return self.energies.size
+        return self.core2.shape[0]
 
     def g1_diag(self, i: int, j: int) -> float:
         """Population transition rate |j> -> |i>, 1/s."""
@@ -229,76 +230,63 @@ def _kept(pq: ChargeDistribution):
     return tuple(q for q, _ in kept), tuple(p for _, p in kept)
 
 
+def _sigma_sum(gamma1: np.ndarray) -> np.ndarray:
+    """sum_sigma gamma1[sigma, sigma, m, xi] as an (n, n) array, in one
+    fixed reduction that core2 and trace_residual share."""
+    return np.einsum("ssij->sij", gamma1).sum(axis=0)
+
+
 class RatePlan:
     """The bias-free part of the rate tables of one spectrum, built once.
 
-    One row per term, in slot order, then dm, then sigma (class-2 cores
-    only): its flat entry in one storage, gamma1 then core2 (entry); its
-    forward and backward sideband weights (wf, wb); and which pair of
-    anchor parts it reads (which).  The pairs, de and E_c + dm * omega_rf
-    (de, base), are kept once each (597 for the 1,980 rows of a default
-    table), and tables() joins them with the bias as de + (base -+ V).
-    pairs holds the class-2 (m, xi) indices that core2 scales.  The slots
-    are match_sets' rows, read as arrays.  With keys, an index mask over
-    the flat class-1 indices keeps only those (mu, mup, nu, nup) keys' rows,
-    in their order, and no class-2 row, so each kept entry is bitwise the
-    full table's and every other entry is exactly zero.
+    One row per term, in slot order, then dm: its flat gamma1 entry
+    (entry); its forward and backward sideband weights (wf, wb); and which
+    pair of anchor parts it reads (which).  The pairs, de and
+    E_c + dm * omega_rf (de, base), are kept once each (597 for the 1,332
+    rows of a default table), and tables() joins them with the bias as
+    de + (base -+ V).  The slots are match_sets' class-1 rows, read as
+    arrays; pairs holds its class-2 (m, xi) indices, where tables() derives
+    core2 from gamma1.  With keys, an index mask over the flat class-1
+    indices keeps only those (mu, mup, nu, nup) keys' rows, in their order,
+    and no pair, so each kept entry is bitwise the full table's and every
+    other entry is exactly zero.
     """
 
     def __init__(self, params: SystemParams, spectrum: Spectrum,
                  eta: EtaTable, keys=None):
         matches = match_sets(spectrum, params.omega_rf, params.match_tol)
-        class1, de1, class2 = matches.class1, matches.de, matches.class2
-        energies = spectrum.energies
+        class1, de, class2 = matches.class1, matches.de, matches.class2
         parity = spectrum.parity
-        n = energies.size
+        shape = (parity.size,) * 4
+        flat = np.ravel_multi_index(class1.T, shape)
         if keys is not None:
-            shape = (n,) * 4
-            kept = np.isin(np.ravel_multi_index(class1.T, shape),
-                           np.ravel_multi_index(
-                               np.array(keys, np.intp).reshape(-1, 4).T,
-                               shape))
-            class1, de1, class2 = class1[kept], de1[kept], class2[:0]
+            kept = np.isin(flat, np.ravel_multi_index(
+                np.array(keys, np.intp).reshape(-1, 4).T, shape))
+            class1, de, flat, class2 = (class1[kept], de[kept], flat[kept],
+                                        class2[:0])
         dms = np.arange(-eta.dm_max, eta.dm_max + 1)
         pdm = _sideband_parity(dms)
 
-        # Class-1 terms over (slot, dm), both factors parity-allowed.
+        # Terms over (slot, dm), both factors parity-allowed.
         mu, mup, nu, nup = class1.T
-        slot1, d1 = np.nonzero(((parity[mu] * parity[nu])[:, None] == pdm)
-                               & ((parity[mup] * parity[nup])[:, None] == pdm))
-        i1, j1, k1, l1 = mu[slot1], nu[slot1], mup[slot1], nup[slot1]
-        # Class-2 terms over (pair, dm, sigma), sigma of the sideband's
-        # parity.
-        m, xi = class2.T
-        pair, d2, sigma = np.nonzero(
-            parity == pdm[:, None] * parity[m][:, None, None])
-        m2, xi2 = m[pair], xi[pair]
-
-        def weights(e):
-            """Sideband factor of every term row, from one direction's
-            stack."""
-            # Every entry of e is real or imaginary (real eigenvectors times
-            # i^|dm|), so numpy's fused complex product rounds like the
-            # scalar.
-            return np.concatenate(
-                [e[d1, i1, j1] * e[d1, k1, l1].conj(),
-                 e[d2, sigma, m2].conj() * e[d2, sigma, xi2]])
-
-        self.energies, self.parity = energies, parity
+        slot, d = np.nonzero(((parity[mu] * parity[nu])[:, None] == pdm)
+                             & ((parity[mup] * parity[nup])[:, None] == pdm))
+        mu, mup, nu, nup = class1[slot].T
+        # Every entry of a stack is real or imaginary (real eigenvectors
+        # times i^|dm|), so numpy's fused complex product rounds like the
+        # scalar.
+        self.wf, self.wb = (e[d, mu, nu] * e[d, mup, nup].conj()
+                            for e in (eta.f, eta.b))
+        self.n, self.entry, self.pairs = parity.size, flat[slot], class2.T
         self.r_ratio, self.e_island = params.r_ratio, params.e_island
-        self.entry = np.concatenate([((i1 * n + k1) * n + j1) * n + l1,
-                                     n ** 4 + m2 * n + xi2])
-        self.wf, self.wb = weights(eta.f), weights(eta.b)
-        de = np.concatenate([de1[slot1], energies[sigma] - energies[m2]])
-        base = (params.e_island
-                + params.omega_rf * dms)[np.concatenate([d1, d2])]
+        de = de[slot]
+        base = (params.e_island + params.omega_rf * dms)[d]
         # Each distinct (de, base) pair once, as the exact complex
         # de + i base; equal pairs give bit-identical anchors.
-        _pairs, first, self.which = np.unique(de + 1j * base,
+        _parts, first, self.which = np.unique(de + 1j * base,
                                               return_index=True,
                                               return_inverse=True)
         self.de, self.base = de[first], base[first]
-        self.pairs = m, xi
 
     def tables(self, voltages, pq: ChargeDistribution,
                integrator: PatIntegrator):
@@ -314,23 +302,18 @@ class RatePlan:
         values = averaged.evaluate(np.stack([self.de + (self.base - v),
                                              self.de + (self.base + v)],
                                             axis=1))
-        n = self.energies.size
+        n = self.n
         m, xi = self.pairs
         for bias_v, (vf, vb) in zip(v[:, 0].tolist(), values):
-            acc = np.zeros(n ** 4 + n ** 2, complex)
+            acc = np.zeros(n ** 4, complex)
             np.add.at(acc, self.entry,
                       vf[self.which] * self.wf + vb[self.which] * self.wb)
-            core2 = acc[n ** 4:].reshape(n, n)
-            # Scale the matched entries only: -r * 0j would leave a -0.0
-            # elsewhere.
-            core2[m, xi] = -self.r_ratio * core2[m, xi]
-            yield RateTable(
-                bias_v=bias_v,
-                energies=self.energies,
-                parity=self.parity,
-                gamma1=2.0 * self.r_ratio * acc[:n ** 4].reshape(n, n, n, n),
-                core2=core2,
-            )
+            gamma1 = 2.0 * self.r_ratio * acc.reshape((n,) * 4)
+            # K = -1/2 sum_k L_k^dag L_k.  Set the matched entries only:
+            # -0.5 * 0j would leave a -0.0 elsewhere.
+            core2 = np.zeros((n, n), complex)
+            core2[m, xi] = -0.5 * _sigma_sum(gamma1)[m, xi].conj()
+            yield RateTable(bias_v=bias_v, gamma1=gamma1, core2=core2)
 
 
 def rate_table(
@@ -370,12 +353,15 @@ def transition_rate(
 
 
 def trace_residual(table: RateTable) -> float:
-    """Max over columns of the population-conservation sum; zero exactly.
+    """Max over columns of the population-conservation sum, relative to
+    max|gamma1|.
 
     For every initial state nu the outflow generated by core2 and its
-    conjugate must cancel the inflow summed from gamma1.
+    conjugate must cancel the inflow summed from gamma1.  A table from
+    RatePlan gives exactly 0.0: its core2 diagonal is -0.5 times the
+    conjugate of this very inflow, which is real.
     """
-    inflow = np.einsum("iijj->ij", table.gamma1).sum(axis=0)
+    inflow = np.diagonal(_sigma_sum(table.gamma1))
     outflow = np.diagonal(table.core2)
     total = inflow + outflow + outflow.conj()
     return float(np.abs(total).max() / np.abs(table.gamma1).max())

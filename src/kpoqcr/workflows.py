@@ -327,7 +327,9 @@ def husimi_run(params: SystemParams, cfg: HusimiConfig) -> HusimiResult:
             assemble_generator(spectrum, params, table))
     else:
         rho0 = initial_state(spectrum, cfg.initial)
-        table = rate_table(params, spectrum) if cfg.qcr == "on" else None
+        # At time 0 the state is rho0 whatever the generator.
+        on = cfg.qcr == "on" and cfg.time > 0.0
+        table = rate_table(params, spectrum) if on else None
         gen = assemble_generator(spectrum, params, table)
         rho = evolve(rho0, np.array([0.0, cfg.time]), gen).states[-1]
         meta.update({"time": cfg.time, "initial": cfg.initial, "qcr": cfg.qcr})

@@ -351,6 +351,30 @@ def test_husimi_command(runner, params, spectrum):
     assert [float(row.split(",")[2]) for row in rows] == res.q.ravel().tolist()
 
 
+def test_husimi_builds_rate_table_only_to_evolve(runner, monkeypatch):
+    # At --time 0 the mapped state is the initial one, so no table is
+    # built and the map is --qcr off's; any later time builds one.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return rate_table(*args, **kwargs)
+
+    monkeypatch.setattr(workflows, "rate_table", counted)
+    args = ["husimi", "--source", "evolve", "--points", "9", "--time"]
+    maps = {}
+    for time, qcr, want in (("0", "on", 0), ("0", "off", 0),
+                            ("1e-4", "on", 1)):
+        calls.clear()
+        result = runner.invoke(main, args + [time, "--qcr", qcr])
+        assert result.exit_code == 0
+        assert len(calls) == want
+        maps[time, qcr] = [ln for ln in result.output.splitlines()
+                           if "qcr = " not in ln]
+    assert maps["0", "on"] == maps["0", "off"]
+    assert maps["0", "on"] != maps["1e-4", "on"]
+
+
 def test_husimi_extent_validation(runner):
     result = runner.invoke(main, ["husimi", "--extent", "-1.0"])
     assert result.exit_code == 2

@@ -12,7 +12,7 @@ from kpoqcr import (ConfigError, MatchingError, Spectrum, bitflip_rates,
                     match_sets, qcr_bitflip_rate, rate_table, rates_sweep,
                     trace_residual, transition_rate)
 from kpoqcr.junction import PatIntegrator, charge_distribution
-from kpoqcr.rates import PQ_FLOOR
+from kpoqcr.rates import PQ_FLOOR, RatePlan
 
 
 @pytest.fixture(scope="module")
@@ -238,16 +238,45 @@ def test_interference_argument_validated(params):
                     interference="maybe")
 
 
-def test_trace_and_hermiticity_identities(small_table):
-    # Population conservation and tensor Hermiticity hold to roundoff.
-    assert trace_residual(small_table) <= 1e-12
-    assert hermiticity_residual(small_table) <= 1e-12
+# The trace cases: defaults, both temperatures 0 K, a cold island, a hot
+# lead over a cold island, and a bias far below the default.
+TRACE_CASES = {"defaults": {}, "0/0K": {"temp_s": 0.0, "temp_n": 0.0},
+               "0.1/0K": {"temp_s": 0.1, "temp_n": 0.0},
+               "0.2/0.02K": {"temp_s": 0.2, "temp_n": 0.02},
+               "20GHz": {"bias_v": 20e9}}
+
+
+def _case_inputs(p):
+    """(params, spectrum, eta, pq, integrator, full table) at params p."""
+    spec = diagonalize_kpo(p)
+    eta = eta_table(spec, p.rho_c, p.dm_max)
+    integ = PatIntegrator.from_params(p)
+    pq = charge_distribution(p, integ)
+    return p, spec, eta, pq, integ, rate_table(p, spec, eta=eta, pq=pq,
+                                               integrator=integ)
+
+
+@pytest.fixture(scope="module")
+def trace_cases(params):
+    """_case_inputs at each of TRACE_CASES, by name."""
+    return {name: _case_inputs(params.replace(**changes))
+            for name, changes in TRACE_CASES.items()}
+
+
+def test_trace_and_hermiticity_identities(small_table, trace_cases):
+    # Populations are conserved exactly: core2's diagonal is -1/2 times
+    # the conjugate of the very (real) inflow sum that trace_residual
+    # forms.  gamma1 is Hermitian to roundoff.
+    tables = [small_table] + [case[-1] for case in trace_cases.values()]
+    for table in tables:
+        assert trace_residual(table) == 0.0
+        assert hermiticity_residual(table) <= 1e-12
 
 
 def test_core2_is_hermitian(table45, small_params, table_0k):
-    # core2 is Hermitian over each degenerate pair, exactly: the (xi, m)
-    # terms are the conjugates of the (m, xi) terms, added in the same
-    # order.
+    # core2 is Hermitian over each degenerate pair, exactly: it is summed
+    # from gamma1's (sigma, sigma, xi, m) and (sigma, sigma, m, xi)
+    # entries, which are exact conjugates added in the same order.
     spec = diagonalize_kpo(small_params.with_alpha(1.3))
     alpha13 = rate_table(small_params.with_alpha(1.3), spec)
     for table in (table45, table_0k[-1], alpha13):
@@ -255,62 +284,97 @@ def test_core2_is_hermitian(table45, small_params, table_0k):
         assert np.array_equal(table.core2, table.core2.conj().T)
 
 
+def _sideband_parity(dm):
+    return 1.0 if dm % 2 == 0 else -1.0
+
+
+def _anchors(params, de, dm):
+    """A term's forward and backward anchors, in the table's association."""
+    base = params.e_island + params.omega_rf * dm
+    return de + (base - params.bias_v), de + (base + params.bias_v)
+
+
+def _g_reader(params, pq, integ):
+    """Reads the charge-averaged G over the charges kept above PQ_FLOOR:
+    a list of offsets in, {offset: value} out."""
+    charges = [(q, p) for q, p in pq.items() if p >= PQ_FLOOR]
+    averaged = integ.averaged([q for q, _ in charges],
+                              [p for _, p in charges], params.e_island)
+
+    def read(offsets):
+        offsets = list(dict.fromkeys(offsets))
+        return dict(zip(offsets, averaged.evaluate(offsets).tolist()))
+    return read
+
+
 def _sequential_table(params, spectrum, eta, pq, integ, interference="on"):
-    """Reference assembly: every term of every entry in a plain loop over
-    _reference_match_sets' slots, in slot, dm, sigma order, added one at a
+    """Reference assembly: every term of every gamma1 entry in a plain loop
+    over _reference_match_sets' slots, in slot, dm order, added one at a
     time to 0j with numpy scalar arithmetic and the table's anchor
     association.  A term reads the charge-averaged G over the charges kept
-    above PQ_FLOOR at its forward and backward anchors."""
+    above PQ_FLOOR at its forward and backward anchors.  core2 on each
+    class-2 pair (m, xi) is -0.5 * conj(sum_sigma gamma1[sigma, sigma, m,
+    xi]), summed over sigma in order."""
     class1, class2 = _reference_match_sets(spectrum, params.match_tol)
-    energies, parity = spectrum.energies, spectrum.parity
-    charges = [(q, p) for q, p in pq.items() if p >= PQ_FLOOR]
+    parity = spectrum.parity
     # (dm, f, b) per sideband; row dm + dm_max of each stack holds dm.
     sidebands = list(zip(range(-eta.dm_max, eta.dm_max + 1), eta.f, eta.b))
-
-    def sideband_parity(dm):
-        return 1.0 if dm % 2 == 0 else -1.0
-
-    def anchors(de, dm):
-        base = params.e_island + params.omega_rf * dm
-        return de + (base - params.bias_v), de + (base + params.bias_v)
 
     terms = []          # (entry, wf, wb, anchor_f, anchor_b)
     for mu, mup, nu, nup, de in class1:
         for dm, f, b in sidebands:
-            pdm = sideband_parity(dm)
+            pdm = _sideband_parity(dm)
             if (parity[mu] * parity[nu] != pdm
                     or parity[mup] * parity[nup] != pdm):
                 continue
             wf = f[mu, nu] * f[mup, nup].conjugate()
             wb = b[mu, nu] * b[mup, nup].conjugate()
-            terms.append(((mu, mup, nu, nup), wf, wb, *anchors(de, dm)))
+            terms.append(((mu, mup, nu, nup), wf, wb,
+                          *_anchors(params, de, dm)))
+    value = _g_reader(params, pq, integ)(
+        [x for *_, a_f, a_b in terms for x in (a_f, a_b)])
+    acc = {key[:4]: 0j for key in class1}
+    for key, wf, wb, a_f, a_b in terms:
+        acc[key] += value[a_f] * wf + value[a_b] * wb
+    gamma1 = {k: 2.0 * params.r_ratio * v for k, v in acc.items()}
+    core2 = {}
     for m, xi in class2:
-        for dm, f, b in sidebands:
-            target = sideband_parity(dm) * parity[m]
+        total = 0j
+        for sigma in range(parity.size):
+            total += gamma1.get((sigma, sigma, m, xi), 0j)
+        core2[m, xi] = -0.5 * total.conjugate()
+    if interference == "off":
+        for key in ((0, 1, 1, 0), (1, 0, 0, 1)):
+            if key in gamma1:
+                gamma1[key] = 0j
+    return gamma1, core2
+
+
+def _class2_loop(params, spectrum, eta, pq, integ):
+    """core2 as its own term sum, as the tables once built it: on each
+    class-2 pair (m, xi), -r times the sum over dm, then sigma of the
+    sideband's parity, of G(a) conj(f[sigma, m]) f[sigma, xi]
+    + G(a') conj(b[sigma, m]) b[sigma, xi] at de = E_sigma - E_m."""
+    _class1, class2 = _reference_match_sets(spectrum, params.match_tol)
+    energies, parity = spectrum.energies, spectrum.parity
+    terms = []          # (pair, wf, wb, anchor_f, anchor_b)
+    for m, xi in class2:
+        for dm, f, b in zip(range(-eta.dm_max, eta.dm_max + 1), eta.f,
+                            eta.b):
+            target = _sideband_parity(dm) * parity[m]
             for sigma in range(energies.size):
                 if parity[sigma] != target:
                     continue
                 wf = f[sigma, m].conjugate() * f[sigma, xi]
                 wb = b[sigma, m].conjugate() * b[sigma, xi]
                 de = float(energies[sigma] - energies[m])
-                terms.append(((m, xi), wf, wb, *anchors(de, dm)))
-    averaged = integ.averaged([q for q, _ in charges],
-                              [p for _, p in charges], params.e_island)
-    offsets = list(dict.fromkeys(x for *_, a_f, a_b in terms
-                                 for x in (a_f, a_b)))
-    value = dict(zip(offsets, averaged.evaluate(offsets).tolist()))
-    acc = {key[:4]: 0j for key in class1}
-    acc.update((pair, 0j) for pair in class2)
-    for key, wf, wb, a_f, a_b in terms:
-        acc[key] += value[a_f] * wf + value[a_b] * wb
-    gamma1 = {k: 2.0 * params.r_ratio * v for k, v in acc.items()
-              if len(k) == 4}
-    core2 = {k: -params.r_ratio * v for k, v in acc.items() if len(k) == 2}
-    if interference == "off":
-        for key in ((0, 1, 1, 0), (1, 0, 0, 1)):
-            if key in gamma1:
-                gamma1[key] = 0j
-    return gamma1, core2
+                terms.append(((m, xi), wf, wb, *_anchors(params, de, dm)))
+    value = _g_reader(params, pq, integ)(
+        [x for *_, a_f, a_b in terms for x in (a_f, a_b)])
+    acc = {pair: 0j for pair in class2}
+    for pair, wf, wb, a_f, a_b in terms:
+        acc[pair] += value[a_f] * wf + value[a_b] * wb
+    return {pair: -params.r_ratio * v for pair, v in acc.items()}
 
 
 def _hex(array):
@@ -341,6 +405,38 @@ def test_assembly_bitwise_equals_sequential_loop(params, spectrum, eta, pq,
         assert _hex(table.core2) == _hex(_dense(core2, (n, n)))
 
 
+def test_core2_equals_class2_term_loop(params, trace_cases):
+    # The GKSL rule K = -1/2 sum_k L_k^dag L_k reproduces core2's own
+    # term sum over (dm, sigma) to roundoff, with the same zero pattern.
+    cases = list(trace_cases.values()) + [
+        _case_inputs(params.with_alpha(1.3)),
+        _case_inputs(params.replace(n_keep=20, n_fock=80))]
+    for *inputs, table in cases:
+        n = table.n
+        want = _dense(_class2_loop(*inputs), (n, n))
+        assert np.array_equal(table.core2 != 0.0, want != 0.0)
+        scale = np.abs(want).max()
+        assert np.abs(table.core2 - want).max() <= 2e-15 * scale
+
+
+@pytest.mark.parametrize("case", ["defaults", "0/0K"])
+def test_masked_plan_keeps_entries_bitwise(trace_cases, case):
+    # A plan masked to the population and interference keys: each kept
+    # gamma1 entry is the full table's bit for bit, every other entry and
+    # all of core2 is +0.0.
+    p, spec, eta, pq, integ, full = trace_cases[case]
+    n = spec.n_keep
+    keys = ([(i, i, j, j) for i in range(n) for j in range(n)]
+            + [(0, 1, 1, 0), (1, 0, 0, 1)])
+    [table] = RatePlan(p, spec, eta, keys).tables([p.bias_v], pq, integ)
+    kept = np.zeros(table.gamma1.shape, bool)
+    kept[tuple(np.array(keys).T)] = True
+    assert _hex(table.gamma1[kept]) == _hex(full.gamma1[kept])
+    for rest in (table.gamma1[~kept], table.core2):
+        parts = rest.view(float)
+        assert np.all(parts == 0.0) and not np.any(np.signbit(parts))
+
+
 def test_population_rates_nonnegative(small_table):
     n = small_table.n
     for i in range(n):
@@ -360,12 +456,7 @@ def _transition_case(request, case):
     p = {"39GHz": params.replace(bias_v=39e9),
          "10mK": params.replace(temp_n=0.01, temp_s=0.01),
          "n_keep6": request.getfixturevalue("small_params")}[case]
-    spec = diagonalize_kpo(p)
-    eta = eta_table(spec, p.rho_c, p.dm_max)
-    integ = PatIntegrator.from_params(p)
-    pq = charge_distribution(p, integ)
-    return p, spec, eta, pq, integ, rate_table(p, spec, eta=eta, pq=pq,
-                                               integrator=integ)
+    return _case_inputs(p)
 
 
 @pytest.mark.parametrize("case", ["45GHz", "39GHz", "0K", "10mK", "n_keep6"])
@@ -473,8 +564,14 @@ def test_charge_floor_constant():
     assert PQ_FLOOR == 1e-12
 
 
-def test_full_table_identities(table45):
-    assert trace_residual(table45) <= 1e-12
-    assert hermiticity_residual(table45) <= 1e-12
+def test_full_table_identities(table45, trace_cases):
+    for name, case in trace_cases.items():
+        table = case[-1]
+        assert trace_residual(table) == 0.0, name
+        assert hermiticity_residual(table) <= 1e-12, name
+        # core2 is exactly Hermitian with no -0.0 anywhere.
+        assert np.array_equal(table.core2, table.core2.conj().T), name
+        parts = table.core2.view(float)
+        assert not np.any(np.signbit(parts[parts == 0.0])), name
     # Cooling dominates heating at the default operating point.
     assert table45.g1_diag(1, 2) > 100.0 * table45.g1_diag(2, 1)
