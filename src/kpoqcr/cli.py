@@ -34,6 +34,8 @@ _SECTION_KEYS = ("sweep", "schedule", "husimi", "rates", "interference",
 _RUN_ERRORS = (QuadratureError, SpectrumError, CatStateError, MatchingError,
                ChargeDistributionError, EvolveError, SteadyStateError)
 
+_EMIT_ROWS = 1024   # CSV body rows formatted and written at a time
+
 _SWEEP_DEFAULTS = {
     "rates": {"voltage": (0.0, 60e9, 121), "alpha": (1.0, 2.5, 61)},
     "steady": {"voltage": (30e9, 55e9, 26)},
@@ -141,6 +143,20 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _csv_chunks(header: list[str], columns: list[str], rows: np.ndarray):
+    """The CSV document as text chunks: the header and column lines, then
+    the body in blocks of _EMIT_ROWS rows, each one % over its rows rather
+    than one per row, so no string of the whole body is built."""
+    yield "\n".join([*header, ",".join(columns)]) + "\n"
+    if not rows.size:
+        return
+    row_format = ",".join(["%.17g"] * len(columns))
+    for start in range(0, len(rows), _EMIT_ROWS):
+        block = rows[start:start + _EMIT_ROWS]
+        yield ("\n".join([row_format] * len(block))
+               % tuple(block.ravel().tolist())) + "\n"
+
+
 def _emit(out_path: str | None, as_json: bool, params: SystemParams,
           meta: dict, columns: list[str], rows) -> None:
     rows = np.asarray(rows, dtype=float)
@@ -151,24 +167,19 @@ def _emit(out_path: str | None, as_json: bool, params: SystemParams,
             "columns": columns,
             "rows": rows.tolist(),
         }
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        chunks = [json.dumps(payload, sort_keys=True, indent=2) + "\n"]
     else:
         echo = dict(params.echo_items())
         echo.update(meta)
-        lines = [f"# {key} = {_fmt(echo[key])}" for key in sorted(echo)]
-        lines.append(",".join(columns))
-        if rows.size:
-            # One % over the whole body, not one per row.
-            row_format = ",".join(["%.17g"] * len(columns))
-            lines.append("\n".join([row_format] * len(rows))
-                         % tuple(rows.ravel().tolist()))
-        text = "\n".join(lines) + "\n"
+        header = [f"# {key} = {_fmt(echo[key])}" for key in sorted(echo)]
+        chunks = _csv_chunks(header, columns, rows)
     if out_path is None:
-        click.echo(text, nl=False)
+        for chunk in chunks:
+            click.echo(chunk, nl=False)
         return
     try:
         with open(out_path, "w") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     except OSError as exc:
         raise ConfigError(f"cannot write {out_path}: {exc}") from exc
 

@@ -26,8 +26,8 @@ fixes by the jumps (Lindblad, Commun. Math. Phys. 48, 119 (1976)):
 
   core2[m, xi] = -0.5 * conj(sum_sigma gamma1[sigma, sigma, m, xi])
 
-on the matched pairs.  So core2 is Hermitian, the third term is the second
-one's Hermitian partner, and populations are conserved bit for bit.
+So core2 is Hermitian, the third term is the second one's Hermitian
+partner, and populations are conserved bit for bit.
 
 Every gamma1 entry is a sum over sidebands of
 sum_q p_q (F(a + 2 E_c q) wf + F(a' - 2 E_c q) wb), with F the forward
@@ -58,8 +58,7 @@ The spectrum alone fixes the secular terms (Breuer & Petruccione, The
 Theory of Open Quantum Systems, OUP 2002).  match_sets gives them as index
 arrays (MatchSets: class-1 rows (mu, mup, nu, nup) and their de, from
 clusters of the sorted differences E_mu - E_nu within match_tol of each
-cluster's first; class-2 pairs (m, xi), core2's matched entries), and every
-array downstream keeps their row order.
+cluster's first), and every array downstream keeps their row order.
 
 Only the anchors depend on the bias.  A RatePlan holds the rest, built
 once per spectrum from match_sets, the sideband table and the parameters:
@@ -160,18 +159,15 @@ class MatchSets:
     taken and holds every later d with d - d_first <= match_tol (not
     transitive chaining).  Every ordered pair (mu, nu), (mup, nup) of one
     cluster is a row, cluster by cluster in sorted order, at
-    de = 0.5 * (d1 + d2).  class2 is (M, 2) intp, rows (m, xi) of bit-equal
-    (snapped) energy and equal parity, in index order.
+    de = 0.5 * (d1 + d2).
     """
 
     class1: np.ndarray
     de: np.ndarray
-    class2: np.ndarray
 
 
 def match_sets(spectrum: Spectrum, omega_rf: float, match_tol: float) -> MatchSets:
     energies = spectrum.energies
-    parity = spectrum.parity
     n = energies.size
     spread = float(energies[0] - energies[-1])
     if 2.0 * spread + match_tol >= omega_rf:
@@ -197,9 +193,7 @@ def match_sets(spectrum: Spectrum, omega_rf: float, match_tol: float) -> MatchSe
     i2 = np.arange(i1.size) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)
     mu, nu = np.divmod(order, n)
     class1 = np.stack([mu[i1], mu[i2], nu[i1], nu[i2]], axis=1)
-    class2 = np.argwhere((energies[:, None] == energies)
-                         & (parity[:, None] == parity))
-    return MatchSets(class1=class1, de=0.5 * (d[i1] + d[i2]), class2=class2)
+    return MatchSets(class1=class1, de=0.5 * (d[i1] + d[i2]))
 
 
 @dataclass
@@ -245,25 +239,24 @@ class RatePlan:
     E_c + dm * omega_rf (de, base), are kept once each (597 for the 1,332
     rows of a default table), and tables() joins them with the bias as
     de + (base -+ V).  The slots are match_sets' class-1 rows, read as
-    arrays; pairs holds its class-2 (m, xi) indices, where tables() derives
-    core2 from gamma1.  With keys, an index mask over the flat class-1
-    indices keeps only those (mu, mup, nu, nup) keys' rows, in their order,
-    and no pair, so each kept entry is bitwise the full table's and every
-    other entry is exactly zero.
+    arrays, and tables() derives core2 from gamma1.  With keys, an index
+    mask over the flat class-1 indices keeps only those (mu, mup, nu, nup)
+    keys' rows, in their order, and core2 is not derived, so each kept
+    entry is bitwise the full table's and every other entry is exactly
+    zero.
     """
 
     def __init__(self, params: SystemParams, spectrum: Spectrum,
                  eta: EtaTable, keys=None):
         matches = match_sets(spectrum, params.omega_rf, params.match_tol)
-        class1, de, class2 = matches.class1, matches.de, matches.class2
+        class1, de = matches.class1, matches.de
         parity = spectrum.parity
         shape = (parity.size,) * 4
         flat = np.ravel_multi_index(class1.T, shape)
         if keys is not None:
             kept = np.isin(flat, np.ravel_multi_index(
                 np.array(keys, np.intp).reshape(-1, 4).T, shape))
-            class1, de, flat, class2 = (class1[kept], de[kept], flat[kept],
-                                        class2[:0])
+            class1, de, flat = class1[kept], de[kept], flat[kept]
         dms = np.arange(-eta.dm_max, eta.dm_max + 1)
         pdm = _sideband_parity(dms)
 
@@ -277,7 +270,7 @@ class RatePlan:
         # scalar.
         self.wf, self.wb = (e[d, mu, nu] * e[d, mup, nup].conj()
                             for e in (eta.f, eta.b))
-        self.n, self.entry, self.pairs = parity.size, flat[slot], class2.T
+        self.n, self.entry, self.derive = parity.size, flat[slot], keys is None
         self.r_ratio, self.e_island = params.r_ratio, params.e_island
         de = de[slot]
         base = (params.e_island + params.omega_rf * dms)[d]
@@ -303,16 +296,15 @@ class RatePlan:
                                              self.de + (self.base + v)],
                                             axis=1))
         n = self.n
-        m, xi = self.pairs
         for bias_v, (vf, vb) in zip(v[:, 0].tolist(), values):
             acc = np.zeros(n ** 4, complex)
             np.add.at(acc, self.entry,
                       vf[self.which] * self.wf + vb[self.which] * self.wb)
             gamma1 = 2.0 * self.r_ratio * acc.reshape((n,) * 4)
-            # K = -1/2 sum_k L_k^dag L_k.  Set the matched entries only:
-            # -0.5 * 0j would leave a -0.0 elsewhere.
-            core2 = np.zeros((n, n), complex)
-            core2[m, xi] = -0.5 * _sigma_sum(gamma1)[m, xi].conj()
+            # K = -1/2 sum_k L_k^dag L_k; + 0.0 clears the -0.0 that
+            # -0.5 * conj(0j) leaves on the unmatched entries.
+            core2 = (-0.5 * _sigma_sum(gamma1).conj() + 0.0 if self.derive
+                     else np.zeros((n, n), complex))
             yield RateTable(bias_v=bias_v, gamma1=gamma1, core2=core2)
 
 

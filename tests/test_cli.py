@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -13,7 +14,7 @@ import kpoqcr
 from kpoqcr import (HusimiConfig, Schedule, SystemParams, assemble_generator,
                     evolve, husimi_q, initial_state, junction, rate_table,
                     workflows)
-from kpoqcr.cli import _emit, main
+from kpoqcr.cli import _emit, _fmt, main
 from kpoqcr.workflows import dynamics_run, husimi_run
 
 
@@ -450,3 +451,62 @@ def test_csv_rows_match_the_per_value_formatter(run, tmp_path):
     lines = out.read_text().splitlines()
     body = lines[lines.index(",".join(columns)) + 1:]
     assert body == _per_value_csv(rows)
+
+
+def _whole_body_emit(params, meta, columns, rows):
+    """The CSV document as _emit built it before it streamed its body: one
+    % over every row at once."""
+    echo = dict(params.echo_items())
+    echo.update(meta)
+    lines = [f"# {key} = {_fmt(echo[key])}" for key in sorted(echo)]
+    lines.append(",".join(columns))
+    if rows.size:
+        row_format = ",".join(["%.17g"] * len(columns))
+        lines.append("\n".join([row_format] * len(rows))
+                     % tuple(rows.ravel().tolist()))
+    return "\n".join(lines) + "\n"
+
+
+def _emit_rows(n_rows):
+    """A command that emits n_rows random rows, specials first, through
+    _emit, and the rows."""
+    rows = np.random.default_rng(n_rows).normal(size=(n_rows, 3)) \
+        * np.logspace(-300, 300, 3)
+    rows[:1] = (math.inf, -0.0, 5e-324)
+
+    @click.command()
+    @click.option("--out", default=None)
+    @click.option("--json", "as_json", is_flag=True)
+    def emit(out, as_json):
+        _emit(out, as_json, SystemParams(), {"command": "emit"},
+              ["re", "im", "q"], rows)
+
+    return emit, rows
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 1023, 1024, 1025, 6561])
+def test_streamed_csv_equals_the_whole_body(runner, tmp_path, n_rows):
+    # The body is written in blocks of 1,024 rows; at every count around a
+    # block edge, and at the README Husimi grid's 6,561 rows, stdout and
+    # --out hold the bytes of the single-% document.
+    emit, rows = _emit_rows(n_rows)
+    want = _whole_body_emit(SystemParams(), {"command": "emit"},
+                            ["re", "im", "q"], rows).encode()
+    result = runner.invoke(emit, [])
+    assert result.exit_code == 0, result.output
+    assert result.stdout_bytes == want
+    out = tmp_path / "out.csv"
+    assert runner.invoke(emit, ["--out", str(out)]).exit_code == 0
+    assert out.read_bytes() == want
+
+
+def test_json_document_is_unchanged(runner, tmp_path):
+    emit, rows = _emit_rows(1025)
+    payload = {"params": dict(SystemParams().echo_items()),
+               "meta": {"command": "emit"}, "columns": ["re", "im", "q"],
+               "rows": rows.tolist()}
+    want = (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+    assert runner.invoke(emit, ["--json"]).stdout_bytes == want
+    out = tmp_path / "out.json"
+    assert runner.invoke(emit, ["--json", "--out", str(out)]).exit_code == 0
+    assert out.read_bytes() == want

@@ -1,5 +1,6 @@
 """Master-equation generator, propagation, steady state and Husimi maps."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -443,3 +444,44 @@ def test_husimi_matches_einsum_contraction(spectrum, rng):
     rho_f = spectrum.vectors @ rho @ spectrum.vectors.conj().T
     want = np.real(np.einsum("gm,mn,gn->g", amps.conj(), rho_f, amps)) / math.pi
     assert np.max(np.abs(q.ravel() - want)) < 1e-14
+
+
+def _unblocked_husimi(rho, spectrum, re_axis, im_axis):
+    """husimi_q with one amplitude matrix over the whole grid, then the
+    same 1,024-row products, as it was built before its blocks built their
+    own amplitudes."""
+    alphas = (re_axis[None, :] + 1j * im_axis[:, None]).ravel()
+    steps = alphas[:, None] / np.sqrt(np.arange(1, spectrum.n_fock))[None, :]
+    amps = np.concatenate(
+        [np.ones((alphas.size, 1), complex), np.cumprod(steps, axis=1)], axis=1)
+    amps *= np.exp(-0.5 * np.abs(alphas) ** 2)[:, None]
+    q = np.empty(alphas.size)
+    for start in range(0, alphas.size, 1024):
+        w = amps[start:start + 1024].conj() @ spectrum.vectors
+        q[start:start + w.shape[0]] = ((w @ rho) * w.conj()).sum(axis=1).real
+    return (q / math.pi).reshape(im_axis.size, re_axis.size)
+
+
+@pytest.mark.parametrize("points", [1, 32, 33, 81])
+def test_husimi_blocks_equal_the_unblocked_build(spectrum, rng, points):
+    # 32 x 32 is exactly one block, 33 x 33 one block plus 65 rows and
+    # 81 x 81 six blocks plus 417 rows: each map is the same bytes.
+    rho = _random_density(rng, spectrum.n_keep)
+    axis = np.linspace(-4.0, 4.0, points)
+    q = husimi_q(rho, spectrum, axis, axis)
+    assert q.tobytes() == \
+        _unblocked_husimi(rho, spectrum, axis, axis).tobytes()
+
+
+def test_husimi_memory_stays_flat_in_the_grid(spectrum):
+    # A 201 x 201 grid with all of its (points^2, n_fock) amplitudes held
+    # at once peaks at about 111 MiB; one block's buffer is under 1 MiB.
+    rho = initial_state(spectrum, "phi_alpha")
+    axis = np.linspace(-4.0, 4.0, 201)
+    tracemalloc.start()
+    try:
+        husimi_q(rho, spectrum, axis, axis)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20

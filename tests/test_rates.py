@@ -169,7 +169,7 @@ def _reference_match_sets(spectrum, match_tol):
 
 def test_match_sets_structure(spectrum, params):
     ms = match_sets(spectrum, params.omega_rf, params.match_tol)
-    assert ms.class1.shape == (ms.de.size, 4) and ms.class2.shape[1] == 2
+    assert ms.class1.shape == (ms.de.size, 4)
     keys = set(map(tuple, ms.class1.tolist()))
     n = spectrum.n_keep
     # Every population pair is matched with itself ...
@@ -180,10 +180,6 @@ def test_match_sets_structure(spectrum, params):
     assert (0, 1, 1, 0) in keys and (1, 0, 0, 1) in keys
     spread = float(spectrum.energies[0] - spectrum.energies[-1])
     assert spread < params.omega_rf / 2
-    # Class-2 pairs only couple equal energy and parity.
-    for m, xi in ms.class2:
-        assert spectrum.energies[m] == spectrum.energies[xi]
-        assert spectrum.parity[m] == spectrum.parity[xi]
 
 
 @pytest.mark.parametrize("changes", [
@@ -196,12 +192,11 @@ def test_match_sets_equal_reference_loop(params, changes):
     p = params.with_alpha(changes.pop("alpha", params.alpha))
     spec = diagonalize_kpo(p.replace(**changes))
     ms = match_sets(spec, p.omega_rf, p.match_tol)
-    class1, class2 = _reference_match_sets(spec, p.match_tol)
-    assert ms.class1.dtype == ms.class2.dtype == np.intp
+    class1, _class2 = _reference_match_sets(spec, p.match_tol)
+    assert ms.class1.dtype == np.intp
     assert ms.class1.tolist() == [list(row[:4]) for row in class1]
     assert [x.hex() for x in ms.de.tolist()] == \
         [row[4].hex() for row in class1]
-    assert ms.class2.tolist() == [list(pair) for pair in class2]
 
 
 def test_match_sets_cluster_from_first_member(params):
@@ -222,7 +217,6 @@ def test_match_sets_cluster_from_first_member(params):
     half = 0.3 * tol
     assert ms.de.tolist() == [-0.6 * tol, -half, -half, -half, 0.0, 0.0,
                               -half, 0.0, 0.0, 0.6 * tol]
-    assert ms.class2.tolist() == [[0, 0], [1, 1]]
 
 
 def test_match_sets_rejects_wide_spread(spectrum):

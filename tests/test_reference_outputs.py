@@ -1,0 +1,55 @@
+"""Pinned output bytes: the sha256 of the CSV that each command prints.
+
+The digests in reference/csv_sha256.json were taken on the numpy and BLAS
+build recorded beside them; on another build the bits of eigh, solve and
+expm can differ, so a failure message names both builds.  To rewrite the
+digests after a change that moves an output on purpose, run
+
+    PYTHONPATH=src python tests/test_reference_outputs.py
+
+and say in the change which outputs moved and why.
+"""
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+from kpoqcr.cli import main
+
+REFERENCE = Path(__file__).resolve().parent / "reference" / "csv_sha256.json"
+COMMANDS = (
+    "husimi --source steady --points 81 --extent 4",
+    "dynamics --initial phi0 --t-end 1e-4 --points 201 --t-qcr-on 5e-5",
+    "husimi --source evolve --initial phi_alpha --time 1e-4",
+)
+
+
+def _build() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__,
+            "blas": f"{blas['name']} {blas.get('version', '')}".strip()}
+
+
+def _digest(command: str) -> str:
+    result = CliRunner().invoke(main, command.split())
+    assert result.exit_code == 0, result.output
+    return hashlib.sha256(result.stdout_bytes).hexdigest()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_csv_bytes_match_the_pinned_digest(command):
+    reference = json.loads(REFERENCE.read_text())
+    got = _digest(command)
+    assert got == reference["sha256"][command], (
+        f"`kpoqcr {command}` printed other bytes: sha256 {got}. Pinned on "
+        f"numpy {reference['numpy']} with {reference['blas']}; this run has "
+        f"numpy {_build()['numpy']} with {_build()['blas']}.")
+
+
+if __name__ == "__main__":
+    REFERENCE.write_text(json.dumps(
+        {**_build(), "sha256": {c: _digest(c) for c in COMMANDS}},
+        indent=1) + "\n")
