@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import os
 import sys
@@ -34,7 +35,8 @@ _SECTION_KEYS = ("sweep", "schedule", "husimi", "rates", "interference",
 _RUN_ERRORS = (QuadratureError, SpectrumError, CatStateError, MatchingError,
                ChargeDistributionError, EvolveError, SteadyStateError)
 
-_EMIT_ROWS = 1024   # CSV body rows formatted and written at a time
+_EMIT_ROWS = 1024     # CSV body rows formatted and written at a time
+_EMIT_PIECES = 8192   # JSON encoder pieces joined and written at a time
 
 _SWEEP_DEFAULTS = {
     "rates": {"voltage": (0.0, 60e9, 121), "alpha": (1.0, 2.5, 61)},
@@ -157,6 +159,17 @@ def _csv_chunks(header: list[str], columns: list[str], rows: np.ndarray):
                % tuple(block.ravel().tolist())) + "\n"
 
 
+def _json_chunks(payload: dict):
+    """The JSON document and its trailing newline as text chunks, each
+    _EMIT_PIECES pieces of the encoder joined: json.dumps is the join of
+    the same pieces, so the bytes are its bytes, but no string of the whole
+    document is built."""
+    pieces = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
+    for first in pieces:
+        yield first + "".join(itertools.islice(pieces, _EMIT_PIECES - 1))
+    yield "\n"
+
+
 def _emit(out_path: str | None, as_json: bool, params: SystemParams,
           meta: dict, columns: list[str], rows) -> None:
     rows = np.asarray(rows, dtype=float)
@@ -167,7 +180,7 @@ def _emit(out_path: str | None, as_json: bool, params: SystemParams,
             "columns": columns,
             "rows": rows.tolist(),
         }
-        chunks = [json.dumps(payload, sort_keys=True, indent=2) + "\n"]
+        chunks = _json_chunks(payload)
     else:
         echo = dict(params.echo_items())
         echo.update(meta)

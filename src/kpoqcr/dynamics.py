@@ -49,6 +49,7 @@ _SNAP_REL = 1e-9        # interval lengths and times this close are equal
 # amplitudes, so memory does not grow with the grid; the block stays 1,024
 # rows because a matrix product's bits can depend on its row count.
 _HUSIMI_ROWS = 1024
+_CHECK_STATES = 16      # recorded states per block of evolve's checks
 
 # Degree-13 Pade coefficients and the 1-norm up to which that approximant
 # needs no scaling (Higham 2005, SIAM J. Matrix Anal. Appl. 26, 1179).
@@ -62,7 +63,12 @@ _THETA13 = 5.371920351148152
 def expm(mat: np.ndarray) -> np.ndarray:
     """Matrix exponential by the degree-13 Pade approximant with scaling
     and squaring: mat / 2**s has 1-norm at most _THETA13, and the
-    approximant is squared s times."""
+    approximant is squared s times.
+
+    The Pade sums u and v are built in place, one += a term in the order
+    of a6 (b13 a6 + b11 a4 + b9 a2) + b7 a6 + ... + b1 I, with b1 and b0
+    added on the diagonal only (off it, b1 I adds zeros): the README
+    generators' propagators are bitwise those of that expression."""
     mat = np.asarray(mat)
     norm = float(np.max(np.sum(np.abs(mat), axis=0), initial=0.0))
     s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
@@ -71,11 +77,18 @@ def expm(mat: np.ndarray) -> np.ndarray:
     a4 = a2 @ a2
     a6 = a4 @ a2
     b = _PADE13
-    eye = np.eye(mat.shape[0], dtype=a1.dtype)
-    u = a1 @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-              + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
-    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    sums = []
+    for k in (1, 0):           # u / a1 from the odd coefficients, v the even
+        inner = b[k + 12] * a6
+        inner += b[k + 10] * a4
+        inner += b[k + 8] * a2
+        total = a6 @ inner
+        total += b[k + 6] * a6
+        total += b[k + 4] * a4
+        total += b[k + 2] * a2
+        total.flat[::mat.shape[0] + 1] += b[k]
+        sums.append(total)
+    u, v = a1 @ sums[0], sums[1]
     result = np.linalg.solve(v - u, v + u)
     for _ in range(s):
         result = result @ result
@@ -203,6 +216,11 @@ def evolve(
     switch: (t_on, generator_on).  From t_on on, generator_on drives the
     state.  A t_on within a relative _SNAP_REL of a grid time is that grid
     time; otherwise its interval is split at t_on.
+
+    The trace drift, hermiticity drift and least eigenvalue are taken over
+    blocks of _CHECK_STATES recorded states, so no temporary grows with the
+    trajectory; each is per state (a stacked eigvalsh solves each matrix
+    on its own), so they are bitwise those of one pass over all states.
     """
     t_grid = np.asarray(t_grid, float)
     if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) < 0):
@@ -260,9 +278,16 @@ def evolve(
         t_now = t_next
         states[k] = vec.reshape(n, n)
 
-    traces = np.abs(np.einsum("tii->t", states) - 1.0)
-    herms = np.max(np.abs(states - states.conj().transpose(0, 2, 1)), axis=(1, 2))
-    eigs = np.linalg.eigvalsh(0.5 * (states + states.conj().transpose(0, 2, 1)))
+    traces = np.empty(t_grid.size)
+    herms = np.empty(t_grid.size)
+    least = np.empty(t_grid.size)
+    for start in range(0, t_grid.size, _CHECK_STATES):
+        rows = slice(start, start + _CHECK_STATES)
+        block = states[rows]
+        adjoint = block.conj().transpose(0, 2, 1)
+        traces[rows] = np.abs(np.einsum("tii->t", block) - 1.0)
+        herms[rows] = np.max(np.abs(block - adjoint), axis=(1, 2))
+        least[rows] = np.linalg.eigvalsh(0.5 * (block + adjoint))[:, 0]
     drift = float(np.max(traces))
     # expm scales L dt down by powers of two and squares back up, so its
     # rounding drift grows with ||L|| t: the allowance scales with it.
@@ -274,7 +299,7 @@ def evolve(
         states=states,
         trace_drift=drift,
         herm_drift=float(np.max(herms)),
-        min_eigenvalue=float(np.min(eigs)),
+        min_eigenvalue=float(np.min(least)),
     )
 
 

@@ -500,8 +500,11 @@ def test_streamed_csv_equals_the_whole_body(runner, tmp_path, n_rows):
     assert out.read_bytes() == want
 
 
-def test_json_document_is_unchanged(runner, tmp_path):
-    emit, rows = _emit_rows(1025)
+@pytest.mark.parametrize("n_rows", [0, 1, 1025, 6561])
+def test_json_document_is_unchanged(runner, tmp_path, n_rows):
+    # The document is written in batches of encoder pieces, several at
+    # 6,561 rows; stdout and --out hold the bytes of one json.dumps string.
+    emit, rows = _emit_rows(n_rows)
     payload = {"params": dict(SystemParams().echo_items()),
                "meta": {"command": "emit"}, "columns": ["re", "im", "q"],
                "rows": rows.tolist()}
@@ -510,3 +513,4 @@ def test_json_document_is_unchanged(runner, tmp_path):
     out = tmp_path / "out.json"
     assert runner.invoke(emit, ["--json", "--out", str(out)]).exit_code == 0
     assert out.read_bytes() == want
+

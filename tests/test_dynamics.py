@@ -74,6 +74,44 @@ def test_expm_of_zero_matrix():
     assert _rel_frobenius(dynamics.expm(zero), np.eye(6)) <= 1e-15
 
 
+def _expression_expm(mat):
+    """dynamics.expm with its Pade sums written as one expression each and
+    b1, b0 times an identity matrix, as it was before the sums were built
+    in place; also returns the number of squarings."""
+    b = dynamics._PADE13
+    norm = float(np.max(np.sum(np.abs(mat), axis=0), initial=0.0))
+    s = (math.ceil(math.log2(norm / dynamics._THETA13))
+         if norm > dynamics._THETA13 else 0)
+    a1 = mat / 2.0 ** s
+    a2 = a1 @ a1
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    eye = np.eye(mat.shape[0], dtype=a1.dtype)
+    u = a1 @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+              + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    result = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        result = result @ result
+    return result, s
+
+
+@pytest.mark.parametrize("dt", [5e-7, 1e-4, 1e-9])
+@pytest.mark.parametrize("sector", [0, 1])
+@pytest.mark.parametrize("qcr", ["off", "on"])
+def test_expm_bitwise_equals_expression_form(qcr, sector, dt, gen_off,
+                                              gen_on):
+    # The README generators' parity sectors at the dynamics step (5e-7 s),
+    # the husimi --time 1e-4 step, and a step short enough for no scaling.
+    gen = gen_on if qcr == "on" else gen_off
+    idx = gen.sectors[sector]
+    mat = gen.total[np.ix_(idx, idx)] * dt
+    want, squarings = _expression_expm(mat)
+    assert (squarings == 0) == (dt == 1e-9)
+    assert dynamics.expm(mat).tobytes() == want.tobytes()
+
+
 def _jump(op):
     """O (x) O* as an (n, n, n, n) jump tensor."""
     return op[:, None, :, None] * op.conj()[None, :, None, :]
@@ -369,6 +407,48 @@ def test_switch_time_honored(spectrum, gen_off, gen_on):
         ref = (expm(toy_on.total * (toy_grid[-1] - t_on))
                @ expm(toy_off.total * t_on) @ rho_toy.reshape(9))
         assert np.max(np.abs(traj.states[-1].reshape(9) - ref)) < 1e-12
+
+
+def _whole_stack_checks(states):
+    """evolve's trace drift, hermiticity drift and least eigenvalue over
+    the whole (nt, n, n) stack at once, as it took them before it took
+    them in blocks."""
+    traces = np.abs(np.einsum("tii->t", states) - 1.0)
+    herms = np.max(np.abs(states - states.conj().transpose(0, 2, 1)),
+                   axis=(1, 2))
+    eigs = np.linalg.eigvalsh(0.5 * (states + states.conj().transpose(0, 2, 1)))
+    return float(np.max(traces)), float(np.max(herms)), float(np.min(eigs))
+
+
+_BLOCK = dynamics._CHECK_STATES
+
+
+@pytest.mark.parametrize("points", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 201])
+def test_blocked_checks_equal_the_whole_stack(spectrum, gen_off, gen_on,
+                                              points):
+    # One recorded state, a block less one, one block and a block plus
+    # one, at the README step with the switch halfway; 201 is the README
+    # dynamics run itself (12 blocks and 9 states at 16 a block).
+    t_grid = np.linspace(0.0, 1e-4 * (points - 1) / 200, points)
+    traj = evolve(initial_state(spectrum, "phi0"), t_grid, gen_off,
+                  (t_grid[-1] / 2, gen_on))
+    assert traj.states.shape[0] == points
+    assert (traj.trace_drift, traj.herm_drift, traj.min_eigenvalue) \
+        == _whole_stack_checks(traj.states)
+
+
+def test_evolve_memory_stays_near_its_states(spectrum, gen_off, gen_on):
+    # 2,001 recorded states of the README run (4.6 MB at defaults).  Whole-
+    # trajectory checks held about three such arrays at once.
+    rho0 = initial_state(spectrum, "phi0")
+    t_grid = np.linspace(0.0, 1e-4, 2001)
+    tracemalloc.start()
+    try:
+        traj = evolve(rho0, t_grid, gen_off, (5e-5, gen_on))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * traj.states.nbytes
 
 
 def test_steady_state_is_fixed_point(gen_on):
