@@ -86,6 +86,14 @@ def rng():
     return np.random.default_rng(20260814)
 
 
+def numpy_build() -> dict:
+    """The numpy version and BLAS build that pinned digests were taken on:
+    the bits of eigh, solve and expm can differ on another build."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__,
+            "blas": f"{blas['name']} {blas.get('version', '')}".strip()}
+
+
 def held_integrals(integ) -> int:
     """Tunneling integrals an integrator holds, _CHEB_N nodes a panel."""
     return _CHEB_N * sum(len(lefts) for lefts, _x, _f in integ._store.values())

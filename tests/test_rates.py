@@ -1,5 +1,8 @@
 """Sideband matrix elements and the secular tunneling tensors."""
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,8 @@ from kpoqcr import (ConfigError, MatchingError, Spectrum, bitflip_rates,
                     trace_residual, transition_rate)
 from kpoqcr.junction import PatIntegrator, charge_distribution
 from kpoqcr.rates import PQ_FLOOR, RatePlan
+
+from conftest import numpy_build
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +260,34 @@ def trace_cases(params):
     """_case_inputs at each of TRACE_CASES, by name."""
     return {name: _case_inputs(params.replace(**changes))
             for name, changes in TRACE_CASES.items()}
+
+
+# The trace cases at T_N > 0, whose tables are pinned bit for bit: the
+# sha256 of every gamma1 and core2 entry, taken on the numpy and BLAS build
+# recorded beside them.  To rewrite the digests after a change that moves
+# a table on purpose, run
+#
+#     PYTHONPATH=src python tests/test_rates.py
+#
+# and say in the change which tables moved and why.
+TABLE_REFERENCE = (Path(__file__).resolve().parent / "reference"
+                   / "table_sha256.json")
+PINNED_TABLES = ("defaults", "0.2/0.02K", "20GHz")
+
+
+def _table_digests(table) -> dict:
+    return {name: hashlib.sha256(getattr(table, name).tobytes()).hexdigest()
+            for name in ("gamma1", "core2")}
+
+
+@pytest.mark.parametrize("case", PINNED_TABLES)
+def test_table_bytes_match_the_pinned_digest(trace_cases, case):
+    reference = json.loads(TABLE_REFERENCE.read_text())
+    got = _table_digests(trace_cases[case][-1])
+    assert got == reference["sha256"][case], (
+        f"the {case} table has other bytes: {got}. Pinned on numpy "
+        f"{reference['numpy']} with {reference['blas']}; this run has numpy "
+        f"{numpy_build()['numpy']} with {numpy_build()['blas']}.")
 
 
 def test_trace_and_hermiticity_identities(small_table, trace_cases):
@@ -569,3 +602,11 @@ def test_full_table_identities(table45, trace_cases):
         assert not np.any(np.signbit(parts[parts == 0.0])), name
     # Cooling dominates heating at the default operating point.
     assert table45.g1_diag(1, 2) > 100.0 * table45.g1_diag(2, 1)
+
+
+if __name__ == "__main__":
+    from kpoqcr import SystemParams
+    TABLE_REFERENCE.write_text(json.dumps({**numpy_build(), "sha256": {
+        case: _table_digests(_case_inputs(SystemParams().replace(
+            **TRACE_CASES[case]))[-1]) for case in PINNED_TABLES}},
+        indent=1) + "\n")

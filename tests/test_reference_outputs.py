@@ -1,4 +1,4 @@
-"""Pinned output bytes: the sha256 of the CSV that each command prints.
+"""Pinned output bytes: the sha256 of what each README command prints.
 
 The digests in reference/csv_sha256.json were taken on the numpy and BLAS
 build recorded beside them; on another build the bits of eigh, solve and
@@ -13,24 +13,25 @@ import hashlib
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from kpoqcr.cli import main
 
+from conftest import numpy_build
+
 REFERENCE = Path(__file__).resolve().parent / "reference" / "csv_sha256.json"
 COMMANDS = (
+    "rates --sweep voltage --from 0 --to 60e9 --points 121",
+    "rates --sweep alpha --from 1 --to 2.5 --points 61 --interference off",
+    "steady --from 30e9 --to 55e9 --points 26",
+    "bitflip --from 1 --to 2.5 --points 31",
     "husimi --source steady --points 81 --extent 4",
     "dynamics --initial phi0 --t-end 1e-4 --points 201 --t-qcr-on 5e-5",
     "husimi --source evolve --initial phi_alpha --time 1e-4",
+    "pq --pumped --json",
+    "validate",
 )
-
-
-def _build() -> dict:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"numpy": np.__version__,
-            "blas": f"{blas['name']} {blas.get('version', '')}".strip()}
 
 
 def _digest(command: str) -> str:
@@ -46,10 +47,10 @@ def test_csv_bytes_match_the_pinned_digest(command):
     assert got == reference["sha256"][command], (
         f"`kpoqcr {command}` printed other bytes: sha256 {got}. Pinned on "
         f"numpy {reference['numpy']} with {reference['blas']}; this run has "
-        f"numpy {_build()['numpy']} with {_build()['blas']}.")
+        f"numpy {numpy_build()['numpy']} with {numpy_build()['blas']}.")
 
 
 if __name__ == "__main__":
     REFERENCE.write_text(json.dumps(
-        {**_build(), "sha256": {c: _digest(c) for c in COMMANDS}},
+        {**numpy_build(), "sha256": {c: _digest(c) for c in COMMANDS}},
         indent=1) + "\n")
