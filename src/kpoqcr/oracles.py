@@ -355,12 +355,13 @@ def run_oracle_suite(params: SystemParams | None = None) -> list[OracleReport]:
     reports.append(_report_abs("qcr_bitflip_signed_sum", got, want,
                                max(1e-8 * abs(want), floor), "cross-check"))
 
-    # Zero temperature, on the per-offset path the integrator keeps for
-    # T_N = 0: for x < 0, F(x) = gap Re sqrt(z^2 - 1) at z = -x/gap + i gd,
-    # minus its value at x = 0 (the antiderivative of Re(z / sqrt(z^2 - 1))),
-    # and F(x) = 0 exactly for x >= 0.  The absolute floor rel_tol k_B T is
-    # zero here, so the relative tolerance alone applies; the quadrature
-    # meets it with room: 1.4e-13 at quad_rel_tol 1e-10 and at 1e-8.
+    # Zero temperature, through the interpolated F of the integrator: for
+    # x < 0, F(x) = gap Re sqrt(z^2 - 1) at z = -x/gap + i gd, minus its
+    # value at x = 0 (the antiderivative of Re(z / sqrt(z^2 - 1))), and
+    # F(x) = 0 exactly for x >= 0, from the panel edge x = 0 on.  The
+    # absolute floor rel_tol k_B T is zero here, so the relative tolerance
+    # alone applies; F meets it with room: 1.5e-13 at quad_rel_tol 1e-10
+    # and at 1e-8.
     cold = PatIntegrator(gap, gd, 0.0, 0.0, params.quad_rel_tol)
     x = np.array([-1.0, -5.0, -20.0, -40.0, -48.36, -50.0, -60.0, -80.0,
                   -95.0]) * 1e9

@@ -30,11 +30,13 @@ _GHZ_FIELDS = (
     "match_tol",
 )
 
-# The smallest quad_rel_tol at temp_n > 0.  There the tunneling function's
-# interpolation nodes are integrated at 1/100 of it, and below this floor
-# they ask the quadrature for less than its roundoff and stall (1e-12
-# already fails at 10 mK).  At temp_n = 0 there are no nodes.
-QUAD_REL_TOL_FLOOR = 3e-12
+# The smallest quad_rel_tol.  The tunneling function's interpolation nodes
+# are integrated at 1/100 of it, and below this floor their errors reach
+# the tail test's threshold, or the quadrature's roundoff: at temp_n > 0
+# 1e-12 already fails at 10 mK; at temp_n = 0, where each node is its own
+# quadrature and its error is its own, 6e-12 fails at 0 / 0 K and 1e-11
+# at 10 mK / 0 K.
+QUAD_REL_TOL_FLOOR = 2e-11
 
 
 @dataclass(frozen=True)
@@ -86,11 +88,8 @@ class SystemParams:
                  "dm_max must lie in [1, n_fock)")
         _require(self.q_max >= 1, "q_max must be at least 1")
         _require(self.match_tol > 0, "match_tol must be positive")
-        _require(0 < self.quad_rel_tol < 1e-2,
-                 "quad_rel_tol must lie in (0, 1e-2)")
-        _require(self.temp_n == 0 or self.quad_rel_tol >= QUAD_REL_TOL_FLOOR,
-                 f"quad_rel_tol must be at least {QUAD_REL_TOL_FLOOR:g} "
-                 "when temp_n > 0")
+        _require(QUAD_REL_TOL_FLOOR <= self.quad_rel_tol < 1e-2,
+                 f"quad_rel_tol must lie in [{QUAD_REL_TOL_FLOOR:g}, 1e-2)")
         _require(self.omega_rf > 0, "omega_c - delta_kpo must be positive")
 
     # -- derived quantities -------------------------------------------------

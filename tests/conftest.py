@@ -95,5 +95,6 @@ def numpy_build() -> dict:
 
 
 def held_integrals(integ) -> int:
-    """Tunneling integrals an integrator holds, _CHEB_N nodes a panel."""
+    """Tunneling integrals an integrator holds, _CHEB_N nodes a panel, at
+    every temperature."""
     return _CHEB_N * sum(len(lefts) for lefts, _x, _f in integ._store.values())

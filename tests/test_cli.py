@@ -265,9 +265,8 @@ def test_numerical_failures_exit_3(runner, tmp_path, monkeypatch):
 
 def test_sub_floor_tolerance_exits_2_before_any_work(runner, tmp_path,
                                                      monkeypatch):
-    # At temp_n > 0 the interpolation nodes cannot meet a quad_rel_tol
-    # below the floor, so the configuration is rejected up front; at
-    # temp_n = 0 there are no nodes and no floor.
+    # The interpolation nodes cannot meet a quad_rel_tol below the floor,
+    # at any temperature, so the configuration is rejected up front.
     calls = []
     real = workflows.charge_distribution
 
@@ -279,13 +278,14 @@ def test_sub_floor_tolerance_exits_2_before_any_work(runner, tmp_path,
     cfg = _write(tmp_path, "q.json", {"quad_rel_tol": 1e-12})
     result = runner.invoke(main, ["pq", "--config", cfg])
     assert result.exit_code == 2
-    assert "quad_rel_tol must be at least 3e-12" in result.output
+    assert "quad_rel_tol must lie in [2e-11, 1e-2)" in result.output
     assert calls == []
     cold = _write(tmp_path, "c.json", {"quad_rel_tol": 1e-13, "temp_n": 0.0,
                                        "temp_s": 0.0})
     result = runner.invoke(main, ["pq", "--config", cold])
-    assert result.exit_code == 0, result.output
-    assert calls == [1e-13]
+    assert result.exit_code == 2
+    assert "quad_rel_tol must lie in [2e-11, 1e-2)" in result.output
+    assert calls == []
 
 
 def test_pq_command_and_pumped_flag(runner):

@@ -133,6 +133,12 @@ def test_zero_temperature_closed_form(params):
     zero = pat_integrals([[0.0], [1e9], [50e9]], gap, gd, 0.0, 0.0,
                          rel_tol=1e-12)[:, 0]
     assert zero.tolist() == [0.0, 0.0, 0.0]
+    # The interpolated F meets the closed form too, and is exactly 0.0 from
+    # the panel edge x = 0 on.
+    integ = PatIntegrator(gap, gd, 0.0, 0.0)
+    assert np.max(np.abs(integ.evaluate(x) / want - 1.0)) <= 1e-12
+    above = np.concatenate([[0.0, 5e-324], np.geomspace(1.0, 500e9, 200)])
+    assert not integ.evaluate(above).any()
 
 
 def test_zero_temperature_integrals_have_sharp_support():
@@ -192,11 +198,14 @@ def test_quadrature_spec_covers_edges():
         assert edge in bps
 
 
-def test_integrator_caches_by_panel(params):
+@pytest.mark.parametrize("temp_s, temp_n", [(0.1, 0.1), (0.1, 0.0)])
+def test_integrator_caches_by_panel(params, temp_s, temp_n):
     # Values come from Chebyshev panels built per base index [k W, (k+1) W),
-    # W = 16 k_B T_N; a panel is 24 node integrals.  Another offset in a
-    # built panel integrates nothing; the negated offset lies in another.
-    integ = PatIntegrator.from_params(params)
+    # W = 16 k_B T_N, or 16 k_B T_S at T_N = 0; a panel is 24 node
+    # integrals.  Another offset in a built panel integrates nothing; the
+    # negated offset lies in another.
+    integ = PatIntegrator.from_params(params.replace(temp_s=temp_s,
+                                                    temp_n=temp_n))
     assert held_integrals(integ) == 0
     a = integ.forward(3e9)
     n1 = held_integrals(integ)
@@ -650,9 +659,20 @@ def test_table_integrals_meet_their_tolerance(params, temp_k, bias_hz):
     assert abs(got[worst] - want[worst]) <= tol[worst], sample[worst]
 
 
+def _table_errors(got, want, k_t):
+    """|got - want| in units of the table tolerance max(1e-10 |want|,
+    1e-10 k_B T); 0 where both are exactly 0.0, as at 0 / 0 K, where the
+    tolerance is 0."""
+    tol = np.maximum(1e-10 * np.abs(want), 1e-10 * k_t)
+    both_zero = (got == 0.0) & (want == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(both_zero, 0.0, np.abs(got - want) / tol)
+
+
 @pytest.mark.parametrize("temp_s, temp_n, bias_hz", [
     (0.1, 0.1, 45e9), (0.1, 0.1, 20e9), (0.03, 0.03, 45e9), (0.2, 0.2, 39e9),
-    (0.01, 0.01, 45e9), (0.2, 0.02, 45e9), (0.0, 0.1, 45e9)])
+    (0.01, 0.01, 45e9), (0.2, 0.02, 45e9), (0.0, 0.1, 45e9),
+    (0.1, 0.0, 45e9), (0.0, 0.0, 45e9)])
 def test_interpolated_values_match_direct_integrals(params, temp_s, temp_n,
                                                     bias_hz):
     # The Chebyshev panels against rel_tol 1e-13 integrals, in units of the
@@ -676,15 +696,14 @@ def test_interpolated_values_match_direct_integrals(params, temp_s, temp_n,
         pat_integrand(p.gap_hz, p.gamma_dynes, p.t_s_hz, p.t_n_hz), bps,
         edges, np.zeros_like(edges), rel_tol=1e-13, abs_tol=1e-13 * k_t,
         args=(sample[:, None],))
-    want = want[:, 0]
-    tol = np.maximum(1e-10 * np.abs(want), 1e-10 * k_t)
-    err = np.abs(got - want) / tol
+    err = _table_errors(got, want[:, 0], k_t)
     assert err.max() <= 0.1, sample[np.argmax(err)]
 
 
 @pytest.mark.parametrize("temp_s, temp_n, bias_hz", [
     (0.1, 0.1, 45e9), (0.1, 0.1, 20e9), (0.03, 0.03, 45e9), (0.2, 0.2, 39e9),
-    (0.01, 0.01, 45e9), (0.2, 0.02, 45e9), (0.0, 0.1, 45e9)])
+    (0.01, 0.01, 45e9), (0.2, 0.02, 45e9), (0.0, 0.1, 45e9),
+    (0.1, 0.0, 45e9), (0.0, 0.0, 45e9)])
 def test_charge_averaged_values_match_direct_sums(params, monkeypatch,
                                                   temp_s, temp_n, bias_hz):
     # G at every anchor of a cold table, against the sum over the kept
@@ -709,13 +728,13 @@ def test_charge_averaged_values_match_direct_sums(params, monkeypatch,
     want = averaged._probs[0] * f[:, 0]
     for p_k, f_k in zip(averaged._probs[1:], f.T[1:]):
         want += p_k * f_k
-    tol = np.maximum(1e-10 * np.abs(want), 1e-10 * k_t)
-    err = np.abs(got - want) / tol
+    err = _table_errors(got, want, k_t)
     assert err.max() <= 0.1, anchors[np.argmax(err)]
 
 
+@pytest.mark.parametrize("temp_s, temp_n", [(0.1, 0.1), (0.1, 0.0)])
 def test_offset_values_are_bitwise_alone_in_a_table_and_in_a_sweep(
-        params, spectrum, monkeypatch):
+        params, monkeypatch, temp_s, temp_n):
     # A value depends only on its offset, whichever panels were built
     # first: alone in a fresh integrator, after a rate table built the
     # panels, in one batch with the table's offsets in two orders, and
@@ -724,11 +743,11 @@ def test_offset_values_are_bitwise_alone_in_a_table_and_in_a_sweep(
     # each: a base panel edge k W, one ulp either side of it, a Chebyshev
     # node of one of the split panels around -gap, and a sample of the
     # table's own offsets.
-    width = junction._PANEL_KT * params.t_n_hz
-    edge = -2.0 * width
+    params = params.replace(temp_s=temp_s, temp_n=temp_n)
+    edge = -2.0 * PatIntegrator.from_params(params)._width
     monkeypatch.setattr(junction, "ChargeAveraged", _AnchorRecorder)
     recorder = _Recorder.from_params(params)
-    rate_table(params, spectrum, integrator=recorder)
+    rate_table(params, diagonalize_kpo(params), integrator=recorder)
     monkeypatch.undo()
     (charges, averaged), = recorder._averaged.items()
     rng = np.random.default_rng(7)
@@ -927,8 +946,8 @@ def test_unconverged_integral_in_batch_raises(params):
 
 @pytest.mark.parametrize("temp_k", [0.1, 0.0])
 def test_charge_averaged_nodes_are_the_charge_sum(params, temp_k):
-    # G's node values (at T_N = 0 its values) are sum_k p_k F(x + 2 E_c q_k)
-    # from F's own values, added in the order of the charges, bit for bit;
+    # G's node values are sum_k p_k F(x + 2 E_c q_k) from F's own values,
+    # added in the order of the charges, bit for bit, at every temperature;
     # G is built once per (charges, probs, E_c) and kept with F.
     p = params.replace(temp_n=temp_k, temp_s=temp_k)
     f = PatIntegrator.from_params(p)
@@ -936,12 +955,9 @@ def test_charge_averaged_nodes_are_the_charge_sum(params, temp_k):
     g = f.averaged(charges, probs, p.e_island)
     assert f.averaged(list(charges), list(probs), p.e_island) is g
     assert f.averaged(charges, probs, 1e9) is not g
-    x = np.array([-60e9, -48e9, -5e9, 0.0, 30e9])
-    got = g.evaluate(x)
-    if temp_k:
-        x = np.concatenate([nodes.ravel() for _l, nodes, _v in
-                            g._store.values()])
-        got = np.concatenate([v.ravel() for _l, _x, v in g._store.values()])
+    g.evaluate([-60e9, -48e9, -5e9, 0.0, 30e9])
+    x = np.concatenate([nodes.ravel() for _l, nodes, _v in g._store.values()])
+    got = np.concatenate([v.ravel() for _l, _x, v in g._store.values()])
     terms = [p_q * f.evaluate(x + 2.0 * p.e_island * q)
              for q, p_q in zip(charges, probs)]
     want = terms[0]
