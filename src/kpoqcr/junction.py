@@ -495,6 +495,7 @@ class PatIntegrator:
         k_t = max(self.temp_s_hz, self.temp_n_hz)
         pending = [(i, *piece) for i, k in enumerate(keys)
                    for piece in self._seed(k)]
+        limits = [self._limit(k) for k in keys]
         leaves = [[] for _ in keys]
         while pending:
             lo, hi = np.array([p[2:] for p in pending]).T[:, :, None]
@@ -515,7 +516,7 @@ class PatIntegrator:
                                                     tail <= tol):
                 if ok:
                     leaves[i].append((a, xi, fi))
-                elif depth == self._limit(keys[i]):
+                elif depth == limits[i]:
                     raise QuadratureError(
                         f"tunneling function unresolved on [{a!r}, {b!r}) Hz "
                         f"after {depth} halvings of its panel",
