@@ -4,14 +4,16 @@ Each integral is given by its breakpoints (interior discontinuities or kinks
 plus the two endpoints), one row of a 2-D breakpoint array per integral, and
 by its rows of the (n, K) arguments to the one integrand all integrals
 share.  Every result has that one shape: n integrals of K components each,
-K = 1 without arguments.  Panels carry the index of the integral they
-belong to and an optional square-root reparametrization anchored at a
-named edge point: on such a panel the integration variable is u with
-eps = edge +/- u^2, which turns an inverse-square-root integrable
-singularity at the edge (a BCS-like density-of-states peak) into a smooth
-integrand.  A caller that knows the width of the feature at an edge can
-grade that edge's square-root panels geometrically from the start
-(plan_panels' first_widths, zero where an edge is not graded).
+K = 1 without arguments.  Each interval between consecutive breakpoints
+starts as one panel, which carries the index of its integral and an
+optional square-root reparametrization anchored at the interval's edge end:
+on such a panel the integration variable is u with eps = edge +/- u^2,
+which turns an inverse-square-root integrable singularity at the edge (a
+BCS-like density-of-states peak) into a smooth integrand.  An interval has
+at most one edge end; the tunneling breakpoints always hold 0 between the
+gap edges -gap and +gap.  A caller that knows the width of the feature at
+an edge can grade that edge's square-root panels geometrically from the
+start (plan_panels' first_widths, zero where an edge is not graded).
 
 Each panel is integrated with the QUADPACK qk21 pair (Piessens et al.
 1983): the 21-point Kronrod rule gives the estimate, and its difference
@@ -24,18 +26,19 @@ once for K values.  Each component must meet the tolerance on its own,
 and a panel splits when any component asks for it.  The Chebyshev nodes of
 junction.PatIntegrator use this, one integral per panel of 24 nodes: a
 cold default charge distribution and rate table integrate 360 nodes in 2
-runs, 10 rounds and 13.9k points (928 a panel, 39 a node).  When 336 nodes
-took 14.5k points this way, they took 298k points (888 a node) and 39
-rounds as separate integrals, and 0.025-0.032 s instead of 0.015-0.020 s
-(medians of five interleaved runs on a shared 2-vCPU VM).
+runs, 10 rounds and 13.9k points (928 a panel, 39 a node), where separate
+integrals per node take about 20 times the points.
 
-Integrals are processed in blocks of BLOCK_INTEGRALS.  Every refinement
-round of a block evaluates all of its new panels in vectorized integrand
-calls of at most CALL_POINTS values (points times components), in panel
-order, plain and square-root panels in the same call (the halves of a
-split panel keep its kind).  Convergence, splitting and the panel budget
-(PANEL_BUDGET panels an integral, at most MAX_ROUNDS rounds) are decided
-per integral, and a converged integral leaves the active set.
+All integrals of a call share one adaptive run.  Every refinement round
+evaluates all of its new panels in vectorized integrand calls of at most
+CALL_POINTS values (points times components), in panel order, plain and
+square-root panels in the same call (the halves of a split panel keep its
+kind).  Convergence, splitting and the panel budget (PANEL_BUDGET panels an
+integral, at most MAX_ROUNDS rounds) are decided per integral, and a
+converged integral leaves the active set.  CALL_POINTS bounds the
+integrand's temporaries; the panel arrays grow with the call, whose rows
+are one Chebyshev build: at most 13 rows at 0.1 K, about 1,200 single-node
+rows in a T_N = 0 sweep.
 
 Batch independence: an integral's value and error depend only on its own
 breakpoints and arguments, never on which other integrals share the run or
@@ -56,7 +59,7 @@ exact, not merely close:
   component) slots, which adds an integral's panel values in their order
   in the panel arrays.  That order (kept panels first, then the left and
   then the right halves of the split ones) is the same whatever else is in
-  the block.
+  the run.
 """
 from __future__ import annotations
 
@@ -109,9 +112,8 @@ WGK = np.concatenate([_WGK_HALF, [_WGK_CENTER], _WGK_HALF[::-1]])
 WG = np.zeros(21)
 WG[1:20:2] = np.concatenate([_WG_HALF, _WG_HALF[::-1]])
 
-# Work sizes.  They bound memory and leave every result unchanged: blocks
-# and calls only group integrals and panels that are computed independently.
-BLOCK_INTEGRALS = 256
+# Work size.  It bounds memory and leaves every result unchanged: calls only
+# group panels that are computed independently.
 CALL_POINTS = 2 ** 14
 # Limits of one integral: an integral that would need more panels or rounds
 # raises QuadratureError.
@@ -134,12 +136,16 @@ def plan_panels(breakpoints, sqrt_edges,
     breakpoints: shape (n, k), one row per integral; NaN marks an unused
     slot and repeated values count once.  sqrt_edges: shape (n, e), the
     edge values of each integral; a breakpoint equal to one of its
-    integral's edges anchors square-root panels on both sides.  A row with
-    fewer than two distinct breakpoints gets no panels and integrates to
-    zero.  first_widths: shape (n, e) like sqrt_edges; a positive entry w
-    grades the square-root panels anchored at that edge, splitting each at
-    u = w, 2w, 4w, ... short of its end, so that panel widths in u double
-    away from the edge.  Zero leaves them whole.
+    integral's edges anchors square-root panels on both sides.  Each
+    interval between consecutive breakpoints is one panel: a plain one, or
+    a square-root panel over u in [0, sqrt(width)] from its edge end.  An
+    interval whose two ends are both edges raises ValueError: it needs a
+    breakpoint between them.  A row with fewer than two distinct
+    breakpoints gets no panels and integrates to zero.  first_widths:
+    shape (n, e) like sqrt_edges; a positive entry w grades the square-root
+    panels anchored at that edge, splitting each at u = w, 2w, 4w, ...
+    short of its end, so that panel widths in u double away from the edge.
+    Zero leaves them whole.
 
     Returns (panels, owner): panels has the rows a, b, edge and sgn, one
     column per panel, and owner[j] is the integral of column j.  Columns
@@ -161,28 +167,19 @@ def plan_panels(breakpoints, sqrt_edges,
         np.copyto(w, widths[:, j, None], where=at)
     x0, x1 = x[:, :-1], x[:, 1:]
     e0, e1 = is_edge[:, :-1], is_edge[:, 1:]
-    xm = 0.5 * (x0 + x1)
-    both = e0 & e1
-    # Up to two panels per interval: a plain one, one square-root panel
-    # anchored at its edge end, or two halves anchored at each end.  A
-    # square-root panel runs over u in [0, sqrt(width)] from its anchor.
-    first_end = np.where(both, xm, x1)
+    if (e0 & e1).any():
+        raise ValueError("an interval between two square-root edges needs "
+                         "a breakpoint between them")
     zero = np.zeros_like(x0)
-    first = np.where(e0 | e1,
-                     np.stack([zero, np.sqrt(first_end - x0),
-                               np.where(e0, x0, first_end),
-                               np.where(e0, 1.0, -1.0)]),
-                     np.stack([x0, x1, zero, zero]))
-    second = np.stack([zero, np.sqrt(x1 - xm), x1, zero - 1.0])
-    valid = ~np.isnan(x1)
-    keep = np.stack([valid, valid & both], axis=2)
-    owner = np.broadcast_to(np.arange(x.shape[0])[:, None, None], keep.shape)
-    panels, owner = np.stack([first, second], axis=3)[:, keep], owner[keep]
-    # Each panel's first width is the one at its anchor: x0 for the first
-    # panel if that is an edge, else x1.
-    w0, w1 = w[:, :-1], w[:, 1:]
-    return _grade(panels, owner,
-                  np.stack([np.where(e0, w0, w1), w1], axis=2)[keep])
+    panels = np.where(e0 | e1,
+                      np.stack([zero, np.sqrt(x1 - x0), np.where(e0, x0, x1),
+                                np.where(e0, 1.0, -1.0)]),
+                      np.stack([x0, x1, zero, zero]))
+    keep = ~np.isnan(x1)
+    owner = np.broadcast_to(np.arange(x.shape[0])[:, None], keep.shape)
+    # Each panel's first width is the one at its anchor.
+    return _grade(panels[:, keep], owner[keep],
+                  np.where(e0, w[:, :-1], w[:, 1:])[keep])
 
 
 def _grade(panels, owner, width):
@@ -251,8 +248,9 @@ def integrate(
     abs_tol: float = 0.0,
     args=(),
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate fn over each row of breakpoints, with square-root panels
-    at sqrt_edges graded by first_widths (see plan_panels).
+    """Integrate fn over each row of breakpoints in one adaptive run, with
+    square-root panels at sqrt_edges graded by first_widths (see
+    plan_panels).
 
     args are arrays of shape (n, K), one row per integral; K = 1 without
     args.  fn(eps, *rows) is evaluated on an (m, 21) array of points, where
@@ -266,26 +264,12 @@ def integrate(
     panels of the unconverged integrals on which any component holds more
     than its equidistributed share of that tolerance.  Returns (values,
     errors), each of shape (n, K).  Raises QuadratureError, with .index
-    naming the integral, if one stalls, would exceed PANEL_BUDGET panels,
-    or is still short after MAX_ROUNDS rounds.
+    naming its row, if one stalls, would exceed PANEL_BUDGET panels, or is
+    still short after MAX_ROUNDS rounds.
     """
-    bps = np.asarray(breakpoints, float)
-    edges = np.asarray(sqrt_edges, float)
-    widths = np.asarray(first_widths, float)
-    n = bps.shape[0]
+    n = np.shape(breakpoints)[0]
     k = args[0].shape[1] if args else 1
-    values = np.zeros((n, k))
-    errors = np.zeros((n, k))
-    for start in range(0, n, BLOCK_INTEGRALS):
-        rows = slice(start, start + BLOCK_INTEGRALS)
-        block = bps[rows]
-        values[rows], errors[rows] = _integrate_block(
-            fn, *plan_panels(block, edges[rows], widths[rows]), len(block),
-            k, rel_tol, abs_tol, [arg[rows] for arg in args], start)
-    return values, errors
-
-
-def _integrate_block(fn, panels, owner, n, k, rel_tol, abs_tol, args, first):
+    panels, owner = plan_panels(breakpoints, sqrt_edges, first_widths)
     values = np.zeros((n, k))
     errors = np.zeros((n, k))
     live = np.ones(n, bool)
@@ -323,7 +307,7 @@ def _integrate_block(fn, panels, owner, n, k, rel_tol, abs_tol, args, first):
             raise QuadratureError(
                 f"quadrature stalled at relative error {achieved:.3e} "
                 f"(requested {rel_tol:.3e}, {n_panels[i]} panels)",
-                achieved_rel_err=achieved, index=first + i)
+                achieved_rel_err=achieved, index=i)
         active[bad] = False
         keep = np.flatnonzero(active)
         new = _split(panels.take(bad, axis=1))

@@ -15,8 +15,7 @@ from kpoqcr import junction, quad, workflows
 from kpoqcr.junction import (PatIntegrator, pat_breakpoints, pat_integrals,
                              pat_integrand)
 from kpoqcr.oracles import flat_dos_forward
-from kpoqcr.quad import (BLOCK_INTEGRALS, WG, WGK, XGK, adaptive_gk,
-                         integrate, plan_panels)
+from kpoqcr.quad import WG, WGK, XGK, adaptive_gk, integrate, plan_panels
 
 from conftest import held_integrals
 
@@ -261,7 +260,7 @@ def test_backward_equals_its_own_integrand(params, temp_k):
 @pytest.mark.parametrize("temp_hz", [2.0836619123e9, 0.0])
 def test_batch_independence(temp_hz):
     # An integral's value depends only on its own offset, bit for bit:
-    # alone, or anywhere in a batch spanning several blocks.  Each probe
+    # alone, or anywhere in a batch of 2,100.  Each probe
     # offset comes with its negation, the lookup of the backward integral.
     # With thermal padding every window holds both gap edges; at zero
     # temperature a window holds at most one, and may end on it.
@@ -273,7 +272,7 @@ def test_batch_independence(temp_hz):
     probe = [s * x for x in probe for s in (1.0, -1.0)]
     filler = rng.uniform(-150e9, 150e9, 1900).tolist()
     batch = probe + filler
-    assert len(batch) > 4 * BLOCK_INTEGRALS
+    assert len(batch) == 2100
 
     def run(offsets):
         return pat_integrals(np.reshape(offsets, (-1, 1)), GAP, gamma,
@@ -405,9 +404,9 @@ def _node_rows(lefts, widths):
 
 def test_panel_row_values_do_not_depend_on_the_batch(monkeypatch):
     # A panel row's 24 values are one quadrature and depend only on that
-    # row, bit for bit: alone, in a batch spanning more than four blocks,
-    # in the reversed batch, and with integrand calls of one and of up to
-    # seven rows.  Probes: base panels at 0 and around -gap, the split
+    # row, bit for bit: alone, in a batch of 1,034 rows, in the reversed
+    # batch, and with integrand calls of one and of up to seven rows.
+    # Probes: base panels at 0 and around -gap, the split
     # panels next to -gap, a panel across +gap and random ones.
     p = SystemParams()
     gap, gamma, t = p.gap_hz, p.gamma_dynes, p.t_n_hz
@@ -419,7 +418,7 @@ def test_panel_row_values_do_not_depend_on_the_batch(monkeypatch):
              *(rng.integers(-9, 9, 5) * width)]
     probe = _node_rows(lefts, [width, width, width / 2, width / 4,
                                width] + [width] * 5)
-    n_filler = 4 * BLOCK_INTEGRALS + 10 - len(probe)
+    n_filler = 1034 - len(probe)
     filler = _node_rows(rng.integers(-9, 9, n_filler) * width,
                         width / 2.0 ** rng.integers(0, 3, n_filler))
 
@@ -428,7 +427,7 @@ def test_panel_row_values_do_not_depend_on_the_batch(monkeypatch):
 
     want = [run(row[None])[0].tobytes() for row in probe]
     batch = np.concatenate([probe, filler])
-    assert len(batch) > 4 * BLOCK_INTEGRALS
+    assert len(batch) == 1034
     first = run(batch)[:len(probe)]
     last = run(batch[::-1])[::-1][:len(probe)]
     assert [row.tobytes() for row in first] == want
@@ -879,6 +878,20 @@ def test_graded_square_root_panels_double_from_the_edge():
     assert graded[0, 0] == pytest.approx(exact, rel=1e-12)
 
 
+def test_interval_between_two_edges_raises():
+    # Each interval is one panel with at most one square-root end, so an
+    # interval between two edges needs a breakpoint between them; with one,
+    # each half is anchored at its own edge.
+    edges = [[-1.0, 1.0]]
+    with pytest.raises(ValueError, match="two square-root edges"):
+        plan_panels([[-2.0, -1.0, 1.0, 2.0]], edges, [[0.0, 0.0]])
+    (a, b, edge, sgn), _owner = plan_panels([[-2.0, -1.0, 0.0, 1.0, 2.0]],
+                                            edges, [[0.0, 0.0]])
+    assert edge.tolist() == [-1.0, -1.0, 1.0, 1.0]
+    assert sgn.tolist() == [-1.0, 1.0, -1.0, 1.0]
+    assert b.tolist() == [1.0] * 4 and a.tolist() == [0.0] * 4
+
+
 def test_pat_integrals_grade_only_the_peak_in_the_support(monkeypatch):
     # Only offsets < 0 have a support (0, -offset); only their panels at
     # +gap are graded, from sqrt(10 * gamma * gap).
@@ -902,12 +915,12 @@ def test_unconverged_integral_in_batch_raises(params):
     # At rel_tol 1e-17 only integrals under the absolute floor converge;
     # the one O(1) integral in each batch fails, names its own forward
     # offset and caches nothing: a backward one among forward ones, a
-    # forward one among backward ones, and one beyond the first block.
+    # forward one among backward ones, and one behind 306 forward ones.
     # Backward keys are looked up at the negated offset, as the rate
     # paths do.
     forward = [(True, 200e9 + k * 1e9) for k in range(20)]
     backward = [(False, -200.5e9 - k * 1e9) for k in range(20)]
-    many = [(True, 200e9 + k * 1e8) for k in range(BLOCK_INTEGRALS + 50)]
+    many = [(True, 200e9 + k * 1e8) for k in range(306)]
     cases = [
         (forward[:7] + [(False, -10e9)] + forward[7:],
          r"tunneling integral at offset 10000000000\.0 Hz", 7),
@@ -935,13 +948,12 @@ def test_unconverged_integral_in_batch_raises(params):
         integ.evaluate(grid)
     assert info.value.index == 1
     # pat_integrals itself keeps the order given: the last case's failure
-    # lies beyond the first block and its index counts from the start of
-    # the batch.
+    # is the batch's last row, and its index is that row.
     with pytest.raises(QuadratureError, match=message) as info:
         pat_integrals(np.reshape(offsets, (-1, 1)), params.gap_hz,
                       params.gamma_dynes, params.t_s_hz, params.t_n_hz,
                       rel_tol=1e-17)
-    assert info.value.index == len(offsets) - 1 >= BLOCK_INTEGRALS
+    assert info.value.index == len(offsets) - 1 == 306
 
 
 @pytest.mark.parametrize("temp_k", [0.1, 0.0])
