@@ -14,7 +14,6 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
-import os
 import sys
 
 import click
@@ -54,17 +53,16 @@ def _load_setup(config_path: str | None) -> tuple[SystemParams, dict]:
     return SystemParams.from_dict(raw), sections
 
 
-def _resolve_threads(flag: int | None, sections: dict) -> int:
+def _check_threads(flag: int | None, sections: dict) -> None:
     if flag is not None:
         value = flag
     elif "threads" in sections:
         value = config_number(sections["threads"], "config key 'threads'",
                               integer=True)
     else:
-        value = min(4, os.cpu_count() or 1)
+        return
     if value < 1:
         raise ConfigError("threads must be at least 1")
-    return int(value)
 
 
 def _resolve_out(flag: str | None, sections: dict) -> str | None:
@@ -239,17 +237,16 @@ def _run_command(fn):
     """Register `fn` as a subcommand with --config, --out, --json and
     --threads ahead of its own options.
 
-    `fn(params, sections, threads, **flags)` returns (meta, columns, rows);
-    the runner adds the command name to the meta and writes the document
-    to stdout or --out.
+    `fn(params, sections, **flags)` returns (meta, columns, rows); the
+    runner checks --threads, adds the command name to the meta and writes
+    the document to stdout or --out.
     """
     def run(config_path, out_path, as_json, threads, **flags):
         with _guarded():
             params, sections = _load_setup(config_path)
             out = _resolve_out(out_path, sections)
-            meta, columns, rows = fn(params, sections,
-                                     _resolve_threads(threads, sections),
-                                     **flags)
+            _check_threads(threads, sections)
+            meta, columns, rows = fn(params, sections, **flags)
             _emit(out, as_json, params, {"command": fn.__name__, **meta},
                   columns, rows)
 
@@ -291,8 +288,8 @@ def _section(sections: dict, key: str, **flags) -> dict:
               help="Keep or drop the degenerate-pair interference entries.")
 @click.option("--transitions", "transitions_flag", type=str, default=None,
               help="Comma-separated labels g1_<mu>_<mup>_<nu>_<nup>.")
-def rates(params, sections, threads, from_, to, points, axis_flag,
-          interference_flag, transitions_flag):
+def rates(params, sections, from_, to, points, axis_flag, interference_flag,
+          transitions_flag):
     """Tunneling transition rates along a voltage or alpha sweep."""
     axis, values = _resolve_sweep("rates", sections, axis_flag,
                                   from_, to, points)
@@ -300,24 +297,23 @@ def rates(params, sections, threads, from_, to, points, axis_flag,
     interference = interference_flag or sections.get("interference", "on")
     return _sweep_output(rates_sweep(params, axis, values,
                                      transitions=transitions,
-                                     interference=interference,
-                                     threads=threads))
+                                     interference=interference))
 
 
 @_run_command
 @_sweep_flags
-def steady(params, sections, threads, from_, to, points):
+def steady(params, sections, from_, to, points):
     """Stationary state of the full master equation along a voltage sweep."""
     _, values = _resolve_sweep("steady", sections, None, from_, to, points)
-    return _sweep_output(steady_sweep(params, values, threads=threads))
+    return _sweep_output(steady_sweep(params, values))
 
 
 @_run_command
 @_sweep_flags
-def bitflip(params, sections, threads, from_, to, points):
+def bitflip(params, sections, from_, to, points):
     """Branch-flip rate with and without the interference entries, vs alpha."""
     _, values = _resolve_sweep("bitflip", sections, None, from_, to, points)
-    return _sweep_output(bitflip_sweep(params, values, threads=threads))
+    return _sweep_output(bitflip_sweep(params, values))
 
 
 @_run_command
@@ -327,7 +323,7 @@ def bitflip(params, sections, threads, from_, to, points):
 @click.option("--points", type=int, default=None, help="Output grid points.")
 @click.option("--t-qcr-on", type=float, default=None,
               help="Time at which the tunneling junction is switched on, s.")
-def dynamics(params, sections, _threads, **schedule_flags):
+def dynamics(params, sections, **schedule_flags):
     """Populations versus time with the junction switched on mid-run."""
     schedule = Schedule.from_dict(_section(sections, "schedule",
                                            **schedule_flags))
@@ -354,8 +350,7 @@ def dynamics(params, sections, _threads, **schedule_flags):
               help="Grid points per phase-space axis.")
 @click.option("--extent", type=float, default=None,
               help="Symmetric window half-width in both quadratures.")
-def husimi(params, sections, _threads, source, time_, initial, qcr, points,
-           extent):
+def husimi(params, sections, source, time_, initial, qcr, points, extent):
     """Husimi Q map of the stationary or evolved state."""
     raw = _section(sections, "husimi", source=source, time=time_,
                    initial=initial, qcr=qcr, points=points)
@@ -374,7 +369,7 @@ def husimi(params, sections, _threads, source, time_, initial, qcr, points,
 @click.option("--pumped", is_flag=True,
               help="Evaluate the elastic rates at the operating bias instead "
                    "of in equilibrium (sensitivity check).")
-def pq(params, _sections, _threads, pumped):
+def pq(params, _sections, pumped):
     """Stationary island charge-state distribution."""
     result = pq_run(params, pumped=pumped)
     return result.meta, ["q", *result.columns], result.rows()
