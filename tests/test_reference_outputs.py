@@ -7,7 +7,8 @@ digests after a change that moves an output on purpose, run
 
     PYTHONPATH=src python tests/test_reference_outputs.py
 
-and say in the change which outputs moved and why.
+It prints each command whose digest moved, old -> new, and how many did
+not; say in the change why those outputs moved.
 """
 import hashlib
 import json
@@ -51,6 +52,13 @@ def test_csv_bytes_match_the_pinned_digest(command):
 
 
 if __name__ == "__main__":
-    REFERENCE.write_text(json.dumps(
-        {**numpy_build(), "sha256": {c: _digest(c) for c in COMMANDS}},
-        indent=1) + "\n")
+    old = json.loads(REFERENCE.read_text())["sha256"]
+    new = {c: _digest(c) for c in COMMANDS}
+    moved = [c for c in COMMANDS if old.get(c) != new[c]]
+    for command in moved:
+        print(f"moved: kpoqcr {command}\n  {old.get(command)} -> "
+              f"{new[command]}")
+    print(f"{len(moved)} of {len(COMMANDS)} digests moved; the other "
+          f"{len(COMMANDS) - len(moved)} did not.")
+    REFERENCE.write_text(json.dumps({**numpy_build(), "sha256": new},
+                                    indent=1) + "\n")
