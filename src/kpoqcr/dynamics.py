@@ -204,6 +204,16 @@ class Trajectory:
         return p + np.real(self.states[:, 0, 1])
 
 
+def switch_time(t_grid: np.ndarray, t_on: float) -> float:
+    """The time at which a switch at t_on acts on t_grid: the grid time
+    within a relative _SNAP_REL of t_on, else t_on.  A switch-on time a
+    rounding error away from a grid time is that grid time, not the start
+    of a sliver segment; the state evolves under the new generator from
+    the first grid time at or after it."""
+    near = float(t_grid[np.argmin(np.abs(t_grid - t_on))])
+    return near if math.isclose(t_on, near, rel_tol=_SNAP_REL) else t_on
+
+
 def evolve(
     rho0: np.ndarray,
     t_grid: np.ndarray,
@@ -213,9 +223,9 @@ def evolve(
     """Propagate rho0 across t_grid under generator; the state is recorded
     at every grid time.
 
-    switch: (t_on, generator_on).  From t_on on, generator_on drives the
-    state.  A t_on within a relative _SNAP_REL of a grid time is that grid
-    time; otherwise its interval is split at t_on.
+    switch: (t_on, generator_on).  From switch_time(t_grid, t_on) on,
+    generator_on drives the state; a t_on off the grid splits its
+    interval there.
 
     The trace drift, hermiticity drift and least eigenvalue are taken over
     blocks of _CHECK_STATES recorded states, so no temporary grows with the
@@ -227,11 +237,7 @@ def evolve(
         raise EvolveError("t_grid must be a non-decreasing 1-d array")
     t_on, generator_on = switch or (None, generator)
     if t_on is not None:
-        # A switch-on time a rounding error away from a grid time is that
-        # grid time, not the start of a sliver segment.
-        near = float(t_grid[np.argmin(np.abs(t_grid - t_on))])
-        if math.isclose(t_on, near, rel_tol=_SNAP_REL):
-            t_on = near
+        t_on = switch_time(t_grid, t_on)
     rho0 = np.asarray(rho0, complex)
     for gen in (generator, generator_on):
         if rho0.shape != (gen.n, gen.n):

@@ -52,7 +52,7 @@ from functools import partial
 import numpy as np
 
 from .dynamics import (assemble_generator, evolve, husimi_q, initial_state,
-                       steady_state)
+                       steady_state, switch_time)
 from .errors import ConfigError
 from .junction import PatIntegrator, charge_distribution
 from .params import SystemParams, config_fields
@@ -239,7 +239,7 @@ class DynamicsResult:
     populations: np.ndarray        # (nt, n_keep)
     branch_plus: np.ndarray
     qubit: np.ndarray
-    qcr_active: np.ndarray         # 0/1 per time
+    qcr_active: np.ndarray         # 1 from the row the junction acts on
     trace_drift: float
     herm_drift: float
     min_eigenvalue: float
@@ -257,8 +257,9 @@ def dynamics_run(params: SystemParams, schedule: Schedule) -> DynamicsResult:
     gen_on = assemble_generator(spectrum, params, table)
     gen_off = assemble_generator(spectrum, params, None)
     t_grid = np.linspace(0.0, schedule.t_end, schedule.points)
-    traj = evolve(rho0, t_grid, gen_off, (schedule.t_qcr_on, gen_on))
-    active = (t_grid >= schedule.t_qcr_on).astype(float)
+    t_on = switch_time(t_grid, schedule.t_qcr_on)
+    traj = evolve(rho0, t_grid, gen_off, (t_on, gen_on))
+    active = (t_grid >= t_on).astype(float)
     return DynamicsResult(
         times=traj.times,
         populations=traj.populations(),

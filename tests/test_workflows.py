@@ -371,6 +371,20 @@ def test_dynamics_run_converges_to_steady(params):
     assert len(rows) == 11 and len(rows[0]) == 1 + params.n_keep + 3
 
 
+def test_qcr_active_marks_the_rows_the_junction_drives(params):
+    # A switch-on time one ulp either side of the grid time 5e-5 s is that
+    # grid time: the state evolves under the junction from row 2 on, and
+    # qcr_active turns to 1 at that row, not one row early or late.
+    t_grid = np.linspace(0.0, 1e-4, 5)
+    off = dynamics_run(params, Schedule(t_end=1e-4, points=5, t_qcr_on=1.0))
+    for t_on in (np.nextafter(t_grid[2], 0.0), np.nextafter(t_grid[2], 1.0)):
+        res = dynamics_run(params, Schedule(t_end=1e-4, points=5,
+                                            t_qcr_on=float(t_on)))
+        assert res.qcr_active.tolist() == [0.0, 0.0, 1.0, 1.0, 1.0]
+        assert res.populations[:3].tobytes() == off.populations[:3].tobytes()
+        assert np.max(np.abs(res.populations[3] - off.populations[3])) > 1e-3
+
+
 def test_schedule_from_dict_validation():
     sched = Schedule.from_dict({"initial": "phi1", "t_end": 2e-4,
                                 "points": 5, "t_qcr_on": 1e-4})
