@@ -26,8 +26,7 @@ once for K values.  Each component must meet the tolerance on its own,
 and a panel splits when any component asks for it.  The Chebyshev nodes of
 junction.PatIntegrator use this, one integral per panel of 24 nodes: a
 cold default charge distribution and rate table integrate 360 nodes in 2
-runs, 10 rounds and 13.9k points (928 a panel, 39 a node), where separate
-integrals per node take about 20 times the points.
+runs, 10 rounds and 13.9k points (928 a panel, 39 a node).
 
 All integrals of a call share one adaptive run.  Every refinement round
 evaluates all of its new panels in vectorized integrand calls of at most
@@ -36,9 +35,9 @@ square-root panels in the same call (the halves of a split panel keep its
 kind).  Convergence, splitting and the panel budget (PANEL_BUDGET panels an
 integral, at most MAX_ROUNDS rounds) are decided per integral, and a
 converged integral leaves the active set.  CALL_POINTS bounds the
-integrand's temporaries; the panel arrays grow with the call, whose rows
-are one Chebyshev build: at most 13 rows at 0.1 K, about 1,200 single-node
-rows in a T_N = 0 sweep.
+integrand's temporaries; the panel arrays grow with the rows of a call:
+in a 26-point steady sweep at most 13 rows of 24 nodes at 0.1 K and 43 at
+0.01 K, and 1,152 single-node rows at T_S/T_N = 0.1/0 K.
 
 Batch independence: an integral's value and error depend only on its own
 breakpoints and arguments, never on which other integrals share the run or
