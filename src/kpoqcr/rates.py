@@ -62,13 +62,14 @@ cluster's first), and every array downstream keeps their row order.
 
 Only the anchors depend on the bias.  A RatePlan holds the rest, built
 once per spectrum from match_sets, the sideband table and the parameters:
-the term rows' entries, weights and distinct anchor parts.  Its tables()
-reads G once for any number of biases, at a (P, 2, U) array of anchors, U
-distinct parts, accumulates each bias's gamma1 in the row order above and
-derives its core2; by G's bitwise rule every value is the one a single-bias
-read gives.  rate_table is a one-bias plan.  transition_rate is a one-bias
-plan masked to the class-1 rows of the entries it reports, so each of its
-rates is bitwise that table entry.
+the term rows' entries, weights and distinct anchor parts.  plan_tables
+reads G once for any number of plans, each at any number of biases, at
+every plan's (P, 2, U) array of anchors, U its distinct parts; it
+accumulates each bias's gamma1 in the row order above and derives its
+core2.  By G's bitwise rule every value is the one a single-bias read of
+one plan gives.  rate_table is a one-bias plan.  transition_rate is a
+one-bias plan masked to the class-1 rows of the entries it reports, so
+each of its rates is bitwise that table entry.
 """
 from __future__ import annotations
 
@@ -131,11 +132,16 @@ class EtaTable:
     b: np.ndarray
 
 
-def eta_table(spectrum: Spectrum, rho_c: float, dm_max: int) -> EtaTable:
+def eta_table(spectrum: Spectrum, rho_c: float, dm_max: int,
+              bands: np.ndarray | None = None) -> EtaTable:
+    """The sideband stacks of spectrum.  bands, if given, must be
+    displacement_bands(spectrum.n_fock, rho_c, dm_max), which reads no
+    eigenvector: a sweep over alpha builds them once for all its points."""
     n = spectrum.n_fock
     if dm_max >= n:
         raise ValueError("dm_max must be smaller than n_fock")
-    bands = displacement_bands(n, rho_c, dm_max)
+    if bands is None:
+        bands = displacement_bands(n, rho_c, dm_max)
     vectors = spectrum.vectors
     f = np.empty((bands.shape[0], vectors.shape[1], vectors.shape[1]), complex)
     b = np.empty_like(f)
@@ -237,9 +243,9 @@ class RatePlan:
     (entry); its forward and backward sideband weights (wf, wb); and which
     pair of anchor parts it reads (which).  The pairs, de and
     E_c + dm * omega_rf (de, base), are kept once each (597 for the 1,332
-    rows of a default table), and tables() joins them with the bias as
+    rows of a default table), and plan_tables joins them with the bias as
     de + (base -+ V).  The slots are match_sets' class-1 rows, read as
-    arrays, and tables() derives core2 from gamma1.  With keys, an index
+    arrays, and plan_tables derives core2 from gamma1.  With keys, an index
     mask over the flat class-1 indices keeps only those (mu, mup, nu, nup)
     keys' rows, in their order, and core2 is not derived, so each kept
     entry is bitwise the full table's and every other entry is exactly
@@ -281,31 +287,52 @@ class RatePlan:
                                               return_inverse=True)
         self.de, self.base = de[first], base[first]
 
-    def tables(self, voltages, pq: ChargeDistribution,
-               integrator: PatIntegrator):
-        """The RateTable at each bias of voltages, in order.
-
-        G is read once, at every bias's forward and backward anchors of the
-        distinct anchor parts as one (P, 2, U) array; by G's bitwise rule
-        each value is the one a single-bias read of every row gives.  Each
-        table is accumulated only when the iteration reaches it.
-        """
-        v = np.asarray(voltages, float)[:, None]
-        averaged = integrator.averaged(*_kept(pq), self.e_island)
-        values = averaged.evaluate(np.stack([self.de + (self.base - v),
-                                             self.de + (self.base + v)],
-                                            axis=1))
+    def table(self, bias_v: float, vf: np.ndarray,
+              vb: np.ndarray) -> RateTable:
+        """The RateTable at bias_v from G at its forward and backward
+        anchors of the distinct anchor parts, vf and vb."""
         n = self.n
-        for bias_v, (vf, vb) in zip(v[:, 0].tolist(), values):
-            acc = np.zeros(n ** 4, complex)
-            np.add.at(acc, self.entry,
-                      vf[self.which] * self.wf + vb[self.which] * self.wb)
-            gamma1 = 2.0 * self.r_ratio * acc.reshape((n,) * 4)
-            # K = -1/2 sum_k L_k^dag L_k; + 0.0 clears the -0.0 that
-            # -0.5 * conj(0j) leaves on the unmatched entries.
-            core2 = (-0.5 * _sigma_sum(gamma1).conj() + 0.0 if self.derive
-                     else np.zeros((n, n), complex))
-            yield RateTable(bias_v=bias_v, gamma1=gamma1, core2=core2)
+        acc = np.zeros(n ** 4, complex)
+        np.add.at(acc, self.entry,
+                  vf[self.which] * self.wf + vb[self.which] * self.wb)
+        gamma1 = 2.0 * self.r_ratio * acc.reshape((n,) * 4)
+        # K = -1/2 sum_k L_k^dag L_k; + 0.0 clears the -0.0 that
+        # -0.5 * conj(0j) leaves on the unmatched entries.
+        core2 = (-0.5 * _sigma_sum(gamma1).conj() + 0.0 if self.derive
+                 else np.zeros((n, n), complex))
+        return RateTable(bias_v=bias_v, gamma1=gamma1, core2=core2)
+
+
+def evaluate_each(function, offsets) -> list[np.ndarray]:
+    """function.evaluate at each array of offsets, as arrays of the same
+    shapes, from one evaluate call.  By the bitwise rule of PatIntegrator,
+    each is bitwise what its own call gives."""
+    values = function.evaluate(np.concatenate([a.ravel() for a in offsets]))
+    bounds = np.cumsum([a.size for a in offsets])[:-1]
+    return [v.reshape(a.shape)
+            for v, a in zip(np.split(values, bounds), offsets)]
+
+
+def plan_tables(groups, pq: ChargeDistribution, integrator: PatIntegrator):
+    """The RateTable of each (plan, voltages) group at each of its biases,
+    in order.
+
+    G is read once, at every group's forward and backward anchors of its
+    plan's distinct anchor parts, a (P, 2, U) array each: one plan at many
+    biases along a voltage sweep, a plan per point along an alpha sweep.
+    By G's bitwise rule each value is the one a single-bias read of every
+    row gives.  Each table is accumulated only when the iteration reaches
+    it.  The plans share one charging energy, as the points of a sweep do.
+    """
+    groups = [(plan, np.asarray(voltages, float)[:, None])
+              for plan, voltages in groups]
+    averaged = integrator.averaged(*_kept(pq), groups[0][0].e_island)
+    values = evaluate_each(averaged, [
+        np.stack([plan.de + (plan.base - v), plan.de + (plan.base + v)],
+                 axis=1) for plan, v in groups])
+    for (plan, v), group_values in zip(groups, values):
+        for bias_v, (vf, vb) in zip(v[:, 0].tolist(), group_values):
+            yield plan.table(bias_v, vf, vb)
 
 
 def rate_table(
@@ -322,8 +349,8 @@ def rate_table(
         eta = eta_table(spectrum, params.rho_c, params.dm_max)
     if pq is None:
         pq = charge_distribution(params, integrator)
-    [table] = RatePlan(params, spectrum, eta).tables([params.bias_v], pq,
-                                                     integrator)
+    [table] = plan_tables([(RatePlan(params, spectrum, eta),
+                            [params.bias_v])], pq, integrator)
     return table
 
 
@@ -339,8 +366,8 @@ def transition_rate(
     masked to the keys' class-1 rows: each value is bitwise rate_table's
     entry, and an unmatched key gives exactly 0.0."""
     keys = [tuple(key) for key in keys]
-    [table] = RatePlan(params, spectrum, eta, keys).tables(
-        [params.bias_v], pq, integrator)
+    [table] = plan_tables([(RatePlan(params, spectrum, eta, keys),
+                            [params.bias_v])], pq, integrator)
     return [float(table.gamma1[key].real) for key in keys]
 
 
@@ -366,11 +393,51 @@ def hermiticity_residual(table: RateTable) -> float:
     return float(np.abs(mismatch).max() / np.abs(g).max())
 
 
+class BitflipPlan:
+    """What bitflip_rates reads of one point, without its spectrum: the
+    forward offsets of F, (2, channel de, sidebands, charges), and the
+    channel amplitudes, from the qubit corners of eta."""
+
+    def __init__(self, params: SystemParams, spectrum: Spectrum,
+                 eta: EtaTable, pq: ChargeDistribution):
+        qs, probs = (np.array(x, float) for x in _kept(pq))
+        dms = np.arange(-eta.dm_max, eta.dm_max + 1)
+        # The forward and backward offsets (A_q + dm * omega_rf) - V at
+        # de = 0, each (sidebands, charges).
+        base_f = (params.e_island * (1.0 + 2.0 * qs)
+                  + params.omega_rf * dms[:, None] - params.bias_v)
+        base_b = (-params.e_island * (1.0 - 2.0 * qs)
+                  - params.omega_rf * dms[:, None] - params.bias_v)
+        split = float(spectrum.energies[0] - spectrum.energies[1])
+        # One row of offsets per distinct channel de; row[k] is channel k's.
+        # Forward integrals at off_f = de + base_f and -off_b = de - base_b.
+        de, self.row = np.unique([0.0, split, -split], return_inverse=True)
+        self.offsets = np.stack([de[:, None, None] + base_f,
+                                 de[:, None, None] - base_b])
+        # Channel amplitudes a[direction, channel, sideband].
+        e = np.stack([eta.f, eta.b])[..., :2, :2]
+        self.amps = np.stack([e[..., 0, 0] - e[..., 1, 1], e[..., 0, 1],
+                              -e[..., 1, 0]], axis=1)
+        self.probs, self.r_ratio = probs, params.r_ratio
+
+    def rates(self, values: np.ndarray) -> tuple[float, float]:
+        """(rate_on, rate_off) from F at the offsets, values."""
+        def rate(v, a):
+            terms = self.probs * v * (np.abs(a) ** 2)[..., None]
+            return 0.5 * self.r_ratio * float(np.sum(terms))
+
+        rate_off = rate(values[:, self.row], self.amps)
+        if values.shape[1] > 1:
+            return rate_off, rate_off
+        return rate(values[:, 0], self.amps.sum(axis=1)), rate_off
+
+
 def bitflip_rates(params: SystemParams, spectrum: Spectrum, eta: EtaTable,
                   pq: ChargeDistribution,
                   integrator: PatIntegrator) -> tuple[float, float]:
     """Branch-flip rates (rate_on, rate_off), 1/s, with and without the
-    interference entries gamma1[0,1,1,0] and [1,0,0,1], from one batch.
+    interference entries gamma1[0,1,1,0] and [1,0,0,1], from one batch:
+    the BitflipPlan of the point, read at F in one evaluate call.
 
     qcr_bitflip_rate without its cancellation: core2 drops out, and gamma1
     gives 0.5 r p_q (F(off_f) |a_f|^2 + F(-off_b) |a_b|^2) per sideband and
@@ -381,38 +448,12 @@ def bitflip_rates(params: SystemParams, spectrum: Spectrum, eta: EtaTable,
     has no interference entry, and (0,1), (1,0) sit at de = +-(E0 - E1).
 
     It reads F at 2 x sidebands x charges offsets per channel de, not the
-    charge-averaged G of the tables: a point needs only (2, 3, 9, 11)
-    offsets, and a four-point bitflip_sweep took 23-25 ms through F
-    against 26-28 ms through G (quartiles of 15 interleaved runs, 2
-    vCPUs), whose build and extra F panels cost more than they save here.
+    charge-averaged G of the tables: a point needs only those few offsets,
+    and G's build and extra F panels would cost more than they save.  A
+    bitflip_sweep reads F once for all of its points' plans.
     """
-    qs, probs = (np.array(x, float) for x in _kept(pq))
-    dms = np.arange(-eta.dm_max, eta.dm_max + 1)
-    # The forward and backward offsets (A_q + dm * omega_rf) - V at de = 0,
-    # each (sidebands, charges).
-    base_f = (params.e_island * (1.0 + 2.0 * qs)
-              + params.omega_rf * dms[:, None] - params.bias_v)
-    base_b = (-params.e_island * (1.0 - 2.0 * qs)
-              - params.omega_rf * dms[:, None] - params.bias_v)
-    split = float(spectrum.energies[0] - spectrum.energies[1])
-    # One row of offsets per distinct channel de; row[k] is channel k's.
-    # Forward integrals at off_f = de + base_f and -off_b = de - base_b.
-    de, row = np.unique([0.0, split, -split], return_inverse=True)
-    v = integrator.evaluate(np.stack([de[:, None, None] + base_f,
-                                      de[:, None, None] - base_b]))
-    # Channel amplitudes a[direction, channel, sideband].
-    e = np.stack([eta.f, eta.b])[..., :2, :2]
-    a = np.stack([e[..., 0, 0] - e[..., 1, 1], e[..., 0, 1], -e[..., 1, 0]],
-                 axis=1)
-
-    def rate(v, a):
-        terms = probs * v * (np.abs(a) ** 2)[..., None]
-        return 0.5 * params.r_ratio * float(np.sum(terms))
-
-    rate_off = rate(v[:, row], a)
-    if de.size > 1:
-        return rate_off, rate_off
-    return rate(v[:, 0], a.sum(axis=1)), rate_off
+    plan = BitflipPlan(params, spectrum, eta, pq)
+    return plan.rates(integrator.evaluate(plan.offsets))
 
 
 def qcr_bitflip_rate(table: RateTable) -> float:

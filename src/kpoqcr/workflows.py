@@ -8,40 +8,34 @@ distribution is built.  It then builds what the points share once: one
 PatIntegrator, the tunneling function F of the junction, which bias and
 alpha only shift or re-pick offsets of; the island charge distribution,
 taken at zero bias (charge_distribution with pumped=False), which does not
-read the pump; and on the voltage axis the spectrum and sideband table,
-which do not depend on the bias.  Along the alpha axis each point
-diagonalizes its own oscillator.  Each group of points that shares a
-spectrum is one call rows(points, spectrum, eta, pq, integrator): all
-points at once on the voltage axis, one point at a time on the alpha axis.
-The steady and rates rows build one rates.RatePlan per call (the rates
-rows mask it to the reported entries) and read the charge-averaged
-function G of F and that distribution (PatIntegrator.averaged) once, at
-all of the call's anchors.  So a voltage sweep calls match_sets once,
-builds one plan, one F and one G, and reads G in one evaluate call; each
-point's table is accumulated when its row is computed.  Bit-flip rows read
-F.
+read the pump; and the sideband bands of D(i sqrt(rho_c))
+(displacement_bands), which read n_fock, rho_c and dm_max but no
+eigenvector.  On the voltage axis the spectrum and sideband table do not
+depend on the bias either, so all points form one group; along the alpha
+axis each point diagonalizes its own oscillator and takes its sideband
+table from the shared bands, one group a point.  The rows function gets
+every group in one call, rows(groups, pq, integrator), each group as
+(points, spectrum, eta), the alpha axis's built only as rows reads them.
+It keeps of each group only what its rates read and reads F or G once for
+the whole sweep:
+
+- steady and rates rows build one rates.RatePlan a group (the rates rows
+  mask it to the reported entries) and read the charge-averaged function
+  G of F and that distribution (PatIntegrator.averaged) once, at every
+  plan's anchors (rates.plan_tables).  So a voltage sweep calls match_sets
+  once and builds one plan; an alpha sweep builds a small masked plan a
+  point.  Each point's table is accumulated when its row is computed.
+- bitflip rows keep a rates.BitflipPlan a point, its F offsets and the
+  channel amplitudes from the qubit corners of its sideband table, and
+  read F once at all of their offsets.
 
 The points run serially: a pool does not pay for its start-up.  Measured
 when points read F at per-charge offsets, two fork workers saved at most
 0.07 s on the README sweeps and cost more than they saved on a 4-point
-one.  The README voltage sweeps in process, on 2 vCPUs of a shared host
-(ranges of the medians of 9 calls over five runs a side), against the
-same sweeps with a match_sets call, a term assembly and a G read at every
-point:
-
-  | sweep                  | one plan      | per point     |
-  |------------------------|---------------|---------------|
-  | rates voltage, 121     | 0.021-0.029 s | 0.077-0.137 s |
-  | steady, 26             | 0.043-0.054 s | 0.069-0.098 s |
-
-Per point, from the 121- less the 13-point rates sweep and the 26- less
-the 6-point steady one: 0.06-0.11 ms instead of 0.42-0.94 ms (rates), and
-1.0-1.35 ms instead of 1.9-3.4 ms (steady).  The alpha sweeps do the same
-work either way (rates, 61 points: 0.13-0.19 s; bitflip, 31 points:
-0.067-0.093 s).  Every value depends only on its offset and the
-parameters (see PatIntegrator), so results are identical for any
-`threads`; the argument is accepted and checked (at least 1) but has no
-effect.
+one.  Every value depends only on its offset and the parameters (see
+PatIntegrator), so one read for a whole sweep gives every row bitwise as
+a one-point sweep does, and results are identical for any `threads`; the
+argument is accepted and checked (at least 1) but has no effect.
 """
 from __future__ import annotations
 
@@ -56,7 +50,8 @@ from .dynamics import (assemble_generator, evolve, husimi_q, initial_state,
 from .errors import ConfigError
 from .junction import PatIntegrator, charge_distribution
 from .params import SystemParams, config_fields
-from .rates import RatePlan, bitflip_rates, eta_table, rate_table
+from .rates import (BitflipPlan, RatePlan, displacement_bands, eta_table,
+                    evaluate_each, plan_tables, rate_table)
 # perfbench/tracing.py wraps these by name here; no sweep calls them.
 from .rates import match_sets, qcr_bitflip_rate  # noqa: F401
 from .rates import transition_rate  # noqa: F401
@@ -109,11 +104,6 @@ def _check_transitions(transitions, n_keep: int):
 # Sweeps: one engine, one integrator, one loop
 
 
-def _spectrum_eta(params):
-    spectrum = diagonalize_kpo(params)
-    return spectrum, eta_table(spectrum, params.rho_c, params.dm_max)
-
-
 def _sweep(params: SystemParams, axis: str, values, rows, columns,
            threads: int, meta: dict) -> SweepResult:
     # Every point's parameters first, so a bad value fails before any work.
@@ -124,26 +114,36 @@ def _sweep(params: SystemParams, axis: str, values, rows, columns,
         raise ConfigError("sweep points must be a positive integer")
     if axis == "voltage":
         points = [params.replace(bias_v=float(v)) for v in values]
-        groups = [(points, *_spectrum_eta(params))]
     else:
         points = [params.with_alpha(float(a)) for a in values]
-        groups = (([p], *_spectrum_eta(p)) for p in points)
+    bands = displacement_bands(params.n_fock, params.rho_c, params.dm_max)
+
+    def group(points, p):
+        spectrum = diagonalize_kpo(p)
+        return points, spectrum, eta_table(spectrum, p.rho_c, p.dm_max,
+                                           bands)
+
+    # One group for the voltage axis; one a point, built as rows reads
+    # it, for the alpha axis.
+    groups = ([group(points, params)] if axis == "voltage"
+              else (group([p], p) for p in points))
     integrator = PatIntegrator.from_params(params)
     pq = charge_distribution(params, integrator)
-    data = [row for group, spectrum, eta in groups
-            for row in rows(group, spectrum, eta, pq, integrator)]
     return SweepResult(axis=axis, values=values, columns=columns,
-                       data=np.array(data, float), meta=meta)
+                       data=np.array(rows(groups, pq, integrator), float),
+                       meta=meta)
 
 
-def _rates_rows(points, spectrum, eta, pq, integrator, transitions,
-                interference):
-    # One plan masked to the reported keys, one read of G for all points;
-    # interference "off" reports the degenerate-pair entries as zero.
+def _rates_rows(groups, pq, integrator, transitions, interference):
+    # One plan a group masked to the reported keys, one read of G for all
+    # points; interference "off" reports the degenerate-pair entries as
+    # zero.
     keys = [key for key in transitions if interference == "on"
             or key not in ((0, 1, 1, 0), (1, 0, 0, 1))]
-    tables = RatePlan(points[0], spectrum, eta, keys).tables(
-        [p.bias_v for p in points], pq, integrator)
+    tables = plan_tables(((RatePlan(points[0], spectrum, eta, keys),
+                           [p.bias_v for p in points])
+                          for points, spectrum, eta in groups),
+                         pq, integrator)
     return [[float(table.gamma1[key].real) if key in keys else 0.0
              for key in transitions] for table in tables]
 
@@ -175,9 +175,10 @@ def rates_sweep(
                   {"interference": interference})
 
 
-def _steady_rows(points, spectrum, eta, pq, integrator):
-    tables = RatePlan(points[0], spectrum, eta).tables(
-        [p.bias_v for p in points], pq, integrator)
+def _steady_rows(groups, pq, integrator):
+    [(points, spectrum, eta)] = groups
+    tables = plan_tables([(RatePlan(points[0], spectrum, eta),
+                           [p.bias_v for p in points])], pq, integrator)
     out = []
     for p, table in zip(points, tables):
         rho, residual = steady_state(assemble_generator(spectrum, p, table))
@@ -194,10 +195,15 @@ def steady_sweep(params: SystemParams, voltages, threads: int = 1) -> SweepResul
                   {})
 
 
-def _bitflip_rows(points, spectrum, eta, pq, integrator):
+def _bitflip_rows(groups, pq, integrator):
+    # Each point's plan keeps only its offsets and amplitudes; F is read
+    # once for all of them.
+    plans = [BitflipPlan(p, spectrum, eta, pq)
+             for points, spectrum, eta in groups for p in points]
     out = []
-    for p in points:
-        rate_on, rate_off = bitflip_rates(p, spectrum, eta, pq, integrator)
+    for plan, values in zip(plans, evaluate_each(
+            integrator, [plan.offsets for plan in plans])):
+        rate_on, rate_off = plan.rates(values)
         ratio = rate_on / rate_off if rate_off != 0.0 else np.inf
         out.append([rate_on, rate_off, ratio])
     return out

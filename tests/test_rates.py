@@ -15,7 +15,7 @@ from kpoqcr import (ConfigError, MatchingError, Spectrum, bitflip_rates,
                     match_sets, qcr_bitflip_rate, rate_table, rates_sweep,
                     trace_residual, transition_rate)
 from kpoqcr.junction import PatIntegrator, charge_distribution
-from kpoqcr.rates import PQ_FLOOR, RatePlan
+from kpoqcr.rates import PQ_FLOOR, RatePlan, plan_tables
 
 from conftest import numpy_build
 
@@ -262,8 +262,8 @@ def trace_cases(params):
             for name, changes in TRACE_CASES.items()}
 
 
-# The trace cases at T_N > 0, whose tables are pinned bit for bit: the
-# sha256 of every gamma1 and core2 entry, taken on the numpy and BLAS build
+# The trace cases, whose tables are pinned bit for bit: the sha256 of
+# every gamma1 and core2 entry, taken on the numpy and BLAS build
 # recorded beside them.  To rewrite the digests after a change that moves
 # a table on purpose, run
 #
@@ -272,7 +272,7 @@ def trace_cases(params):
 # and say in the change which tables moved and why.
 TABLE_REFERENCE = (Path(__file__).resolve().parent / "reference"
                    / "table_sha256.json")
-PINNED_TABLES = ("defaults", "0.2/0.02K", "20GHz")
+PINNED_TABLES = tuple(TRACE_CASES)
 
 
 def _table_digests(table) -> dict:
@@ -446,6 +446,18 @@ def test_core2_equals_class2_term_loop(params, trace_cases):
         assert np.abs(table.core2 - want).max() <= 2e-15 * scale
 
 
+def test_eta_table_from_given_bands_is_bitwise(params):
+    # The bands read no eigenvector, so a sweep's one set serves every
+    # alpha: eta_table from them is bitwise eta_table building its own.
+    bands = displacement_bands(params.n_fock, params.rho_c, params.dm_max)
+    for alpha in (1.0, 1.3, 2.0):
+        spec = diagonalize_kpo(params.with_alpha(alpha))
+        own = eta_table(spec, params.rho_c, params.dm_max)
+        given = eta_table(spec, params.rho_c, params.dm_max, bands=bands)
+        assert own.f.tobytes() == given.f.tobytes()
+        assert own.b.tobytes() == given.b.tobytes()
+
+
 @pytest.mark.parametrize("case", ["defaults", "0/0K"])
 def test_masked_plan_keeps_entries_bitwise(trace_cases, case):
     # A plan masked to the population and interference keys: each kept
@@ -455,7 +467,8 @@ def test_masked_plan_keeps_entries_bitwise(trace_cases, case):
     n = spec.n_keep
     keys = ([(i, i, j, j) for i in range(n) for j in range(n)]
             + [(0, 1, 1, 0), (1, 0, 0, 1)])
-    [table] = RatePlan(p, spec, eta, keys).tables([p.bias_v], pq, integ)
+    [table] = plan_tables([(RatePlan(p, spec, eta, keys), [p.bias_v])], pq,
+                          integ)
     kept = np.zeros(table.gamma1.shape, bool)
     kept[tuple(np.array(keys).T)] = True
     assert _hex(table.gamma1[kept]) == _hex(full.gamma1[kept])

@@ -356,6 +356,46 @@ def test_bitflip_split_pair_has_no_interference(params, change):
     assert off == pytest.approx(table, rel=1e-12)
 
 
+@pytest.mark.parametrize("change", [{}, {"delta_kpo": 3e6}],
+                         ids=["defaults", "detuned"])
+def test_alpha_sweeps_read_once_and_match_one_point_sweeps(params, change,
+                                                           monkeypatch):
+    # An alpha sweep builds its sideband bands once and reads F (bitflip)
+    # or G (rates) in one evaluate call for all of its points, and every
+    # row is bitwise the row of a one-point sweep: with interference on
+    # and off, with a repeated alpha, and at alpha 1.0, where the detuned
+    # pair is unsnapped and bitflip reads three channel values.
+    p = params.replace(**change)
+    unsnapped = diagonalize_kpo(p.with_alpha(1.0)).energies[:2]
+    assert (unsnapped[0] != unsnapped[1]) == bool(change)
+    alphas = [1.0, 2.0, 1.3, 2.0]
+    sweeps = [lambda a: bitflip_sweep(p, a)] + [
+        lambda a, i=i: rates_sweep(p, "alpha", a, WITH_INTERFERENCE, i)
+        for i in ("on", "off")]
+    build_bands = rates.displacement_bands
+    for sweep in sweeps:
+        alone = [sweep(np.array([a])).data for a in alphas]
+        bands = []
+
+        def counted(*args):
+            bands.append(args)
+            return build_bands(*args)
+
+        built, after_pq = _counted_sweep_integrators(monkeypatch)
+        monkeypatch.setattr(workflows, "displacement_bands", counted)
+        monkeypatch.setattr(rates, "displacement_bands", counted)
+        whole = sweep(np.array(alphas)).data
+        monkeypatch.undo()
+        [counting] = built
+        assert bands == [(p.n_fock, p.rho_c, p.dm_max)]
+        if counting.averages:
+            assert [g.calls for g in counting.averages] == [1]
+            assert counting.calls == after_pq[0]
+        else:
+            assert counting.calls == after_pq[0] + 1
+        assert whole.tobytes() == np.concatenate(alone).tobytes()
+
+
 def test_dynamics_run_converges_to_steady(params):
     schedule = Schedule(initial="phi3", t_end=1e-4, points=11, t_qcr_on=5e-5)
     res = dynamics_run(params, schedule)
