@@ -118,10 +118,10 @@ def _sweep(params: SystemParams, axis: str, values, rows, columns,
         points = [params.with_alpha(float(a)) for a in values]
     bands = displacement_bands(params.n_fock, params.rho_c, params.dm_max)
 
-    def group(points, p):
+    def group(members, p):
         spectrum = diagonalize_kpo(p)
-        return points, spectrum, eta_table(spectrum, p.rho_c, p.dm_max,
-                                           bands)
+        return members, spectrum, eta_table(spectrum, p.rho_c, p.dm_max,
+                                            bands)
 
     # One group for the voltage axis; one a point, built as rows reads
     # it, for the alpha axis.
