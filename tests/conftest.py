@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from kpoqcr import (PatIntegrator, SystemParams, charge_distribution,
-                    diagonalize_kpo, eta_table, rate_table)
+                    diagonalize_kpo, displacement_bands, eta_table,
+                    rate_table)
 from kpoqcr.junction import _CHEB_N
 
 
@@ -92,6 +93,21 @@ def numpy_build() -> dict:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__,
             "blas": f"{blas['name']} {blas.get('version', '')}".strip()}
+
+
+def backward_stack(spectrum, rho_c: float, dm_max: int) -> np.ndarray:
+    """The backward sideband stack, D(-i sqrt(rho_c)) in the retained
+    eigenbasis, built on its own from the conjugate bands with one product
+    a sideband: row dm + dm_max holds sideband dm."""
+    n, vectors = spectrum.n_fock, spectrum.vectors
+    bands = displacement_bands(n, rho_c, dm_max)
+    b = np.empty((bands.shape[0],) + (vectors.shape[1],) * 2, complex)
+    for i, dm in enumerate(range(-dm_max, dm_max + 1)):
+        cols = np.arange(max(0, -dm), n - max(0, dm))
+        bra = vectors[cols + dm, :].conj()
+        d = bands[i, cols]
+        b[i] = (bra * d.conj()[:, None]).T @ vectors[cols, :]
+    return b
 
 
 def held_integrals(integ) -> int:

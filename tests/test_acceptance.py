@@ -23,6 +23,8 @@ from kpoqcr.oracles import (branch_element_fock, dephasing_bitflip_ratio,
                             threshold_voltages)
 from kpoqcr.spectrum import build_fock_operators
 
+from conftest import backward_stack
+
 THREADS = min(4, os.cpu_count() or 1)
 
 
@@ -215,7 +217,8 @@ def test_acceptance_8_structural_invariants(params, spectrum, eta, table45,
     trace_rel = trace_residual(table45)
     herm_rel = hermiticity_residual(table45)
     eta_conj = float(np.max(np.abs(
-        eta.b - eta.f[::-1].conj().transpose(0, 2, 1))))
+        backward_stack(spectrum, params.rho_c, params.dm_max)
+        - eta.f[::-1].conj().transpose(0, 2, 1))))
     tensors_ok = trace_rel <= 1e-6 and herm_rel <= 1e-12 and eta_conj <= 1e-12
 
     # Population dynamics with the junction switched on mid-run: the

@@ -17,7 +17,7 @@ from kpoqcr import (ConfigError, MatchingError, Spectrum, bitflip_rates,
 from kpoqcr.junction import PatIntegrator, charge_distribution
 from kpoqcr.rates import PQ_FLOOR, RatePlan, plan_tables
 
-from conftest import numpy_build
+from conftest import backward_stack, numpy_build
 
 
 @pytest.fixture(scope="module")
@@ -114,12 +114,14 @@ def test_displacement_bands_are_rows_of_the_full_table():
             assert bands.tobytes() == want.tobytes()
 
 
-def test_eta_direction_conjugation(spectrum, eta):
-    # b[dm] must equal conj(f[-dm]).T entry for entry; row dm + dm_max
-    # holds sideband dm, so f[::-1] holds -dm.
+def test_eta_direction_conjugation(params, spectrum, eta):
+    # The backward stack b, built on its own from the conjugate bands,
+    # must equal conj(f[-dm]).T entry for entry; row dm + dm_max holds
+    # sideband dm, so f[::-1] holds -dm.
     n = spectrum.n_keep
-    assert eta.f.shape == eta.b.shape == (2 * eta.dm_max + 1, n, n)
-    diff = np.max(np.abs(eta.b - eta.f[::-1].conj().transpose(0, 2, 1)))
+    b = backward_stack(spectrum, params.rho_c, params.dm_max)
+    assert eta.f.shape == b.shape == (2 * eta.dm_max + 1, n, n)
+    diff = np.max(np.abs(b - eta.f[::-1].conj().transpose(0, 2, 1)))
     assert diff < 1e-12
 
 
@@ -238,11 +240,15 @@ def test_interference_argument_validated(params):
 
 
 # The trace cases: defaults, both temperatures 0 K, a cold island, a hot
-# lead over a cold island, and a bias far below the default.
+# lead over a cold island, a bias far below the default, a 3 MHz detuning
+# at alpha 1.0 (beta 5 MHz), where the cat pair is split and not snapped,
+# and alpha 1.3 (beta 8.45 MHz, with_alpha's value bit for bit).
 TRACE_CASES = {"defaults": {}, "0/0K": {"temp_s": 0.0, "temp_n": 0.0},
                "0.1/0K": {"temp_s": 0.1, "temp_n": 0.0},
                "0.2/0.02K": {"temp_s": 0.2, "temp_n": 0.02},
-               "20GHz": {"bias_v": 20e9}}
+               "20GHz": {"bias_v": 20e9},
+               "detuned": {"delta_kpo": 3e6, "beta": 5e6},
+               "alpha1.3": {"beta": 8.45e6}}
 
 
 def _case_inputs(p):
@@ -269,7 +275,8 @@ def trace_cases(params):
 #
 #     PYTHONPATH=src python tests/test_rates.py
 #
-# and say in the change which tables moved and why.
+# It prints each table digest that moved, old -> new, and how many did
+# not; say in the change which tables moved and why.
 TABLE_REFERENCE = (Path(__file__).resolve().parent / "reference"
                    / "table_sha256.json")
 PINNED_TABLES = tuple(TRACE_CASES)
@@ -345,7 +352,9 @@ def _sequential_table(params, spectrum, eta, pq, integ, interference="on"):
     class1, class2 = _reference_match_sets(spectrum, params.match_tol)
     parity = spectrum.parity
     # (dm, f, b) per sideband; row dm + dm_max of each stack holds dm.
-    sidebands = list(zip(range(-eta.dm_max, eta.dm_max + 1), eta.f, eta.b))
+    sidebands = list(zip(range(-eta.dm_max, eta.dm_max + 1), eta.f,
+                         backward_stack(spectrum, params.rho_c,
+                                        params.dm_max)))
 
     terms = []          # (entry, wf, wb, anchor_f, anchor_b)
     for mu, mup, nu, nup, de in class1:
@@ -384,10 +393,11 @@ def _class2_loop(params, spectrum, eta, pq, integ):
     + G(a') conj(b[sigma, m]) b[sigma, xi] at de = E_sigma - E_m."""
     _class1, class2 = _reference_match_sets(spectrum, params.match_tol)
     energies, parity = spectrum.energies, spectrum.parity
+    backward = backward_stack(spectrum, params.rho_c, params.dm_max)
     terms = []          # (pair, wf, wb, anchor_f, anchor_b)
     for m, xi in class2:
         for dm, f, b in zip(range(-eta.dm_max, eta.dm_max + 1), eta.f,
-                            eta.b):
+                            backward):
             target = _sideband_parity(dm) * parity[m]
             for sigma in range(energies.size):
                 if parity[sigma] != target:
@@ -436,7 +446,6 @@ def test_core2_equals_class2_term_loop(params, trace_cases):
     # The GKSL rule K = -1/2 sum_k L_k^dag L_k reproduces core2's own
     # term sum over (dm, sigma) to roundoff, with the same zero pattern.
     cases = list(trace_cases.values()) + [
-        _case_inputs(params.with_alpha(1.3)),
         _case_inputs(params.replace(n_keep=20, n_fock=80))]
     for *inputs, table in cases:
         n = table.n
@@ -619,7 +628,16 @@ def test_full_table_identities(table45, trace_cases):
 
 if __name__ == "__main__":
     from kpoqcr import SystemParams
-    TABLE_REFERENCE.write_text(json.dumps({**numpy_build(), "sha256": {
-        case: _table_digests(_case_inputs(SystemParams().replace(
-            **TRACE_CASES[case]))[-1]) for case in PINNED_TABLES}},
-        indent=1) + "\n")
+    old = json.loads(TABLE_REFERENCE.read_text())["sha256"]
+    new = {case: _table_digests(_case_inputs(SystemParams().replace(
+        **TRACE_CASES[case]))[-1]) for case in PINNED_TABLES}
+    digests = [(case, name) for case in PINNED_TABLES for name in new[case]]
+    moved = [(case, name) for case, name in digests
+             if old.get(case, {}).get(name) != new[case][name]]
+    for case, name in moved:
+        print(f"moved: {case} {name}\n  {old.get(case, {}).get(name)} -> "
+              f"{new[case][name]}")
+    print(f"{len(moved)} of {len(digests)} digests moved; the other "
+          f"{len(digests) - len(moved)} did not.")
+    TABLE_REFERENCE.write_text(json.dumps({**numpy_build(), "sha256": new},
+                                          indent=1) + "\n")
