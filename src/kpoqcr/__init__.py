@@ -11,9 +11,9 @@ from .junction import (ChargeDistribution, PatIntegrator, charge_distribution,
                        dynes_dos, fermi, pat_integral)
 from .oracles import OracleReport, run_oracle_suite
 from .params import SystemParams, load_config
-from .rates import (EtaTable, MatchSets, RateTable, bitflip_rates,
-                    displacement_bands, eta_table, hermiticity_residual,
-                    match_sets, qcr_bitflip_rate, rate_table, trace_residual,
+from .rates import (MatchSets, RateTable, bitflip_rates, displacement_bands,
+                    eta_table, hermiticity_residual, match_sets,
+                    qcr_bitflip_rate, rate_table, trace_residual,
                     transition_rate)
 from .spectrum import (CatStates, FockOperators, Spectrum,
                        build_fock_operators, cat_states, coherent_state,
@@ -43,8 +43,8 @@ __all__ = [
     "fermi", "pat_integral",
     "OracleReport", "run_oracle_suite",
     "SystemParams", "load_config",
-    "EtaTable", "MatchSets", "RateTable", "bitflip_rates",
-    "displacement_bands", "eta_table",
+    "MatchSets", "RateTable", "bitflip_rates", "displacement_bands",
+    "eta_table",
     "hermiticity_residual", "match_sets", "qcr_bitflip_rate", "rate_table",
     "trace_residual", "transition_rate",
     "CatStates", "FockOperators", "Spectrum", "build_fock_operators",

@@ -263,10 +263,10 @@ def run_oracle_suite(params: SystemParams | None = None) -> list[OracleReport]:
     # Parity selection of the sideband tensors.
     spec = diagonalize_kpo(params)
     eta = eta_table(spec, params.rho_c, params.dm_max)
-    dms = np.arange(-eta.dm_max, eta.dm_max + 1)
+    dms = np.arange(-params.dm_max, params.dm_max + 1)
     forbidden = np.not_equal(np.outer(spec.parity, spec.parity),
                              ((-1.0) ** np.abs(dms))[:, None, None])
-    worst = float(np.max(np.abs(eta.f[forbidden]), initial=0.0))
+    worst = float(np.max(np.abs(eta[forbidden]), initial=0.0))
     reports.append(_report_abs(
         "eta_parity_selection", worst, 0.0, 0.0, "closed-form"))
 

@@ -9,9 +9,12 @@ assumed.
 
 The matrix elements are the bands |dm| <= dm_max of the junction
 displacement D(i sqrt(rho_c)) (displacement_bands), taken into the retained
-eigenbasis as (2 dm_max + 1, n_keep, n_keep) stacks whose row dm + dm_max
-holds sideband dm (EtaTable).  The backward stack uses D(-i sqrt(rho_c)),
-the exact conjugate, so it is built from the conjugate bands.
+eigenbasis as one (2 dm_max + 1, n_keep, n_keep) stack whose row
+dm + dm_max holds sideband dm (eta_table).  The backward direction uses
+D(-i sqrt(rho_c)), the exact conjugate of D(i sqrt(rho_c)).  Band dm
+carries the phase i^|dm| times a real number, and the eigenvectors are
+real, so every stack entry is real or imaginary and the backward stack is
+the forward one conjugated, exactly: it is never stored.
 
 Two dense arrays drive the density matrix in the eigenbasis:
 
@@ -116,43 +119,32 @@ def displacement_bands(n: int, rho_c: float, dm_max: int) -> np.ndarray:
     return bands
 
 
-@dataclass(frozen=True)
-class EtaTable:
-    """Sideband matrix elements between retained eigenstates.
-
-    f and b have shape (2 dm_max + 1, n_keep, n_keep), row dm + dm_max
-    holding sideband dm.  f[dm + dm_max][mu, nu] couples |nu> -> |mu> while
-    the junction displacement shifts the Fock ladder by dm quanta (forward
-    direction); b is the backward direction.  Identity, to roundoff:
-    b[dm] == conj(f[-dm]).T, that is b == f[::-1].conj().transpose(0, 2, 1).
-    """
-
-    dm_max: int
-    f: np.ndarray
-    b: np.ndarray
-
-
 def eta_table(spectrum: Spectrum, rho_c: float, dm_max: int,
-              bands: np.ndarray | None = None) -> EtaTable:
-    """The sideband stacks of spectrum.  bands, if given, must be
-    displacement_bands(spectrum.n_fock, rho_c, dm_max), which reads no
-    eigenvector: a sweep over alpha builds them once for all its points."""
+              bands: np.ndarray | None = None) -> np.ndarray:
+    """Sideband matrix elements between the retained eigenstates.
+
+    A complex (2 dm_max + 1, n_keep, n_keep) array, row dm + dm_max holding
+    sideband dm: eta[dm + dm_max][mu, nu] couples |nu> -> |mu> while the
+    junction displacement shifts the Fock ladder by dm quanta (forward
+    direction).  The eigenvectors are real, so each entry is real or
+    imaginary, and the backward direction is eta.conj() exactly.  bands, if
+    given, must be displacement_bands(spectrum.n_fock, rho_c, dm_max),
+    which reads no eigenvector: a sweep over alpha builds them once for all
+    its points.
+    """
     n = spectrum.n_fock
     if dm_max >= n:
         raise ValueError("dm_max must be smaller than n_fock")
     if bands is None:
         bands = displacement_bands(n, rho_c, dm_max)
     vectors = spectrum.vectors
-    f = np.empty((bands.shape[0], vectors.shape[1], vectors.shape[1]), complex)
-    b = np.empty_like(f)
+    eta = np.empty((bands.shape[0],) + (vectors.shape[1],) * 2, complex)
     for i, dm in enumerate(range(-dm_max, dm_max + 1)):
         # The Fock levels k whose k + dm is kept, and the shifted bras.
         cols = np.arange(max(0, -dm), n - max(0, dm))
         bra = vectors[cols + dm, :].conj()
-        d = bands[i, cols]
-        f[i] = (bra * d[:, None]).T @ vectors[cols, :]
-        b[i] = (bra * d.conj()[:, None]).T @ vectors[cols, :]
-    return EtaTable(dm_max=dm_max, f=f, b=b)
+        eta[i] = (bra * bands[i, cols, None]).T @ vectors[cols, :]
+    return eta
 
 
 @dataclass(frozen=True)
@@ -240,7 +232,9 @@ class RatePlan:
     """The bias-free part of the rate tables of one spectrum, built once.
 
     One row per term, in slot order, then dm: its flat gamma1 entry
-    (entry); its forward and backward sideband weights (wf, wb); and which
+    (entry); its forward and backward sideband weights (wf, wb), where
+    wb = conj(wf) exactly, since the backward stack is the conjugate of
+    the forward one (see eta_table); and which
     pair of anchor parts it reads (which).  The pairs, de and
     E_c + dm * omega_rf (de, base), are kept once each (597 for the 1,332
     rows of a default table), and plan_tables joins them with the bias as
@@ -253,7 +247,7 @@ class RatePlan:
     """
 
     def __init__(self, params: SystemParams, spectrum: Spectrum,
-                 eta: EtaTable, keys=None):
+                 eta: np.ndarray, keys=None):
         matches = match_sets(spectrum, params.omega_rf, params.match_tol)
         class1, de = matches.class1, matches.de
         parity = spectrum.parity
@@ -263,7 +257,8 @@ class RatePlan:
             kept = np.isin(flat, np.ravel_multi_index(
                 np.array(keys, np.intp).reshape(-1, 4).T, shape))
             class1, de, flat = class1[kept], de[kept], flat[kept]
-        dms = np.arange(-eta.dm_max, eta.dm_max + 1)
+        dm_max = eta.shape[0] // 2
+        dms = np.arange(-dm_max, dm_max + 1)
         pdm = _sideband_parity(dms)
 
         # Terms over (slot, dm), both factors parity-allowed.
@@ -271,11 +266,11 @@ class RatePlan:
         slot, d = np.nonzero(((parity[mu] * parity[nu])[:, None] == pdm)
                              & ((parity[mup] * parity[nup])[:, None] == pdm))
         mu, mup, nu, nup = class1[slot].T
-        # Every entry of a stack is real or imaginary (real eigenvectors
+        # Every entry of the stack is real or imaginary (real eigenvectors
         # times i^|dm|), so numpy's fused complex product rounds like the
         # scalar.
-        self.wf, self.wb = (e[d, mu, nu] * e[d, mup, nup].conj()
-                            for e in (eta.f, eta.b))
+        self.wf = eta[d, mu, nu] * eta[d, mup, nup].conj()
+        self.wb = self.wf.conj()
         self.n, self.entry, self.derive = parity.size, flat[slot], keys is None
         self.r_ratio, self.e_island = params.r_ratio, params.e_island
         de = de[slot]
@@ -338,7 +333,7 @@ def plan_tables(groups, pq: ChargeDistribution, integrator: PatIntegrator):
 def rate_table(
     params: SystemParams,
     spectrum: Spectrum,
-    eta: EtaTable | None = None,
+    eta: np.ndarray | None = None,
     pq: ChargeDistribution | None = None,
     integrator: PatIntegrator | None = None,
 ) -> RateTable:
@@ -357,7 +352,7 @@ def rate_table(
 def transition_rate(
     params: SystemParams,
     spectrum: Spectrum,
-    eta: EtaTable,
+    eta: np.ndarray,
     pq: ChargeDistribution,
     integrator: PatIntegrator,
     keys,
@@ -399,9 +394,10 @@ class BitflipPlan:
     channel amplitudes, from the qubit corners of eta."""
 
     def __init__(self, params: SystemParams, spectrum: Spectrum,
-                 eta: EtaTable, pq: ChargeDistribution):
+                 eta: np.ndarray, pq: ChargeDistribution):
         qs, probs = (np.array(x, float) for x in _kept(pq))
-        dms = np.arange(-eta.dm_max, eta.dm_max + 1)
+        dm_max = eta.shape[0] // 2
+        dms = np.arange(-dm_max, dm_max + 1)
         # The forward and backward offsets (A_q + dm * omega_rf) - V at
         # de = 0, each (sidebands, charges).
         base_f = (params.e_island * (1.0 + 2.0 * qs)
@@ -414,8 +410,9 @@ class BitflipPlan:
         de, self.row = np.unique([0.0, split, -split], return_inverse=True)
         self.offsets = np.stack([de[:, None, None] + base_f,
                                  de[:, None, None] - base_b])
-        # Channel amplitudes a[direction, channel, sideband].
-        e = np.stack([eta.f, eta.b])[..., :2, :2]
+        # Channel amplitudes a[direction, channel, sideband]; the backward
+        # direction is the conjugate stack.
+        e = np.stack([eta, eta.conj()])[..., :2, :2]
         self.amps = np.stack([e[..., 0, 0] - e[..., 1, 1], e[..., 0, 1],
                               -e[..., 1, 0]], axis=1)
         self.probs, self.r_ratio = probs, params.r_ratio
@@ -432,7 +429,7 @@ class BitflipPlan:
         return rate(values[:, 0], self.amps.sum(axis=1)), rate_off
 
 
-def bitflip_rates(params: SystemParams, spectrum: Spectrum, eta: EtaTable,
+def bitflip_rates(params: SystemParams, spectrum: Spectrum, eta: np.ndarray,
                   pq: ChargeDistribution,
                   integrator: PatIntegrator) -> tuple[float, float]:
     """Branch-flip rates (rate_on, rate_off), 1/s, with and without the

@@ -218,7 +218,7 @@ def test_acceptance_8_structural_invariants(params, spectrum, eta, table45,
     herm_rel = hermiticity_residual(table45)
     eta_conj = float(np.max(np.abs(
         backward_stack(spectrum, params.rho_c, params.dm_max)
-        - eta.f[::-1].conj().transpose(0, 2, 1))))
+        - eta[::-1].conj().transpose(0, 2, 1))))
     tensors_ok = trace_rel <= 1e-6 and herm_rel <= 1e-12 and eta_conj <= 1e-12
 
     # Population dynamics with the junction switched on mid-run: the

@@ -120,15 +120,44 @@ def test_eta_direction_conjugation(params, spectrum, eta):
     # sideband dm, so f[::-1] holds -dm.
     n = spectrum.n_keep
     b = backward_stack(spectrum, params.rho_c, params.dm_max)
-    assert eta.f.shape == b.shape == (2 * eta.dm_max + 1, n, n)
-    diff = np.max(np.abs(b - eta.f[::-1].conj().transpose(0, 2, 1)))
+    assert eta.shape == b.shape == (2 * params.dm_max + 1, n, n)
+    diff = np.max(np.abs(b - eta[::-1].conj().transpose(0, 2, 1)))
     assert diff < 1e-12
+
+
+@pytest.mark.parametrize("change", [{}, {"delta_kpo": 3e6}, {"rho_c": 0.0},
+                                    {"rho_c": 0.3}], ids=str)
+@pytest.mark.parametrize("alpha", [1.0, 1.3, 2.0, 2.5])
+def test_backward_stack_is_the_exact_conjugate(params, change, alpha):
+    # The rule the rates rely on: real eigenvectors times bands of phase
+    # i^|dm| make every stack entry real or imaginary, so the backward
+    # stack, built on its own from the conjugate bands, is the forward
+    # stack conjugated, and the plan's backward weights are the products
+    # b[d, mu, nu] conj(b[d, mup, nup]) of that backward stack.
+    p = params.replace(**change).with_alpha(alpha)
+    spec = diagonalize_kpo(p)
+    assert np.isrealobj(spec.vectors)
+    eta = eta_table(spec, p.rho_c, p.dm_max)
+    b = backward_stack(spec, p.rho_c, p.dm_max)
+    assert np.array_equal(b, eta.conj())
+    # The plan's term rows, rebuilt: slots, then parity-allowed sidebands.
+    plan = RatePlan(p, spec, eta)
+    class1 = match_sets(spec, p.omega_rf, p.match_tol).class1
+    mu, mup, nu, nup = class1.T
+    parity, pdm = spec.parity, (-1.0) ** np.arange(-p.dm_max, p.dm_max + 1)
+    slot, d = np.nonzero(((parity[mu] * parity[nu])[:, None] == pdm)
+                         & ((parity[mup] * parity[nup])[:, None] == pdm))
+    mu, mup, nu, nup = class1[slot].T
+    assert np.array_equal(plan.entry, np.ravel_multi_index(
+        class1[slot].T, (parity.size,) * 4))
+    assert np.array_equal(plan.wb, b[d, mu, nu] * b[d, mup, nup].conj())
 
 
 def test_eta_parity_selection_exact(spectrum, eta):
     # Odd (even) sidebands only connect opposite (equal) parity states.
     pp = np.outer(spectrum.parity, spectrum.parity)
-    for dm, mat in zip(range(-eta.dm_max, eta.dm_max + 1), eta.f):
+    dm_max = eta.shape[0] // 2
+    for dm, mat in zip(range(-dm_max, dm_max + 1), eta):
         forbidden = pp != (-1.0) ** abs(dm)
         if np.any(forbidden):
             assert np.max(np.abs(mat[forbidden])) == 0.0
@@ -352,7 +381,7 @@ def _sequential_table(params, spectrum, eta, pq, integ, interference="on"):
     class1, class2 = _reference_match_sets(spectrum, params.match_tol)
     parity = spectrum.parity
     # (dm, f, b) per sideband; row dm + dm_max of each stack holds dm.
-    sidebands = list(zip(range(-eta.dm_max, eta.dm_max + 1), eta.f,
+    sidebands = list(zip(range(-params.dm_max, params.dm_max + 1), eta,
                          backward_stack(spectrum, params.rho_c,
                                         params.dm_max)))
 
@@ -396,7 +425,7 @@ def _class2_loop(params, spectrum, eta, pq, integ):
     backward = backward_stack(spectrum, params.rho_c, params.dm_max)
     terms = []          # (pair, wf, wb, anchor_f, anchor_b)
     for m, xi in class2:
-        for dm, f, b in zip(range(-eta.dm_max, eta.dm_max + 1), eta.f,
+        for dm, f, b in zip(range(-params.dm_max, params.dm_max + 1), eta,
                             backward):
             target = _sideband_parity(dm) * parity[m]
             for sigma in range(energies.size):
@@ -463,8 +492,7 @@ def test_eta_table_from_given_bands_is_bitwise(params):
         spec = diagonalize_kpo(params.with_alpha(alpha))
         own = eta_table(spec, params.rho_c, params.dm_max)
         given = eta_table(spec, params.rho_c, params.dm_max, bands=bands)
-        assert own.f.tobytes() == given.f.tobytes()
-        assert own.b.tobytes() == given.b.tobytes()
+        assert own.tobytes() == given.tobytes()
 
 
 @pytest.mark.parametrize("case", ["defaults", "0/0K"])
@@ -590,7 +618,7 @@ def test_bitflip_rates_one_batch_and_well_conditioned(params, spectrum, eta,
     kept = sum(p >= PQ_FLOOR for _q, p in pq.items())
     exact = _PerturbedIntegrator(integrator, 0.0, 7)
     on, off = bitflip_rates(params, spectrum, eta, pq, exact)
-    assert exact.batches == [2 * (2 * eta.dm_max + 1) * kept]
+    assert exact.batches == [2 * (2 * params.dm_max + 1) * kept]
     assert (on, off) == bitflip_rates(params, spectrum, eta, pq, integrator)
     # The table route is quantized at the roundoff of its entries of about
     # 1.8e9, steps of about 6e-8, so a single draw may leave it unmoved; the
