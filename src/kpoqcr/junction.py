@@ -295,29 +295,27 @@ class PatIntegrator:
     any integral.  At T_N = 0, F' is -n_s(-x) (1 - f_S(-x)): the Dynes
     peaks put the singularities gamma_dynes * gap off the real axis, and
     at T_S = 0 F has a kink at the panel edge x = 0 and is exactly 0.0
-    from there on.  A cold
-    default table reads G (see ChargeAveraged) at 1,194 distinct anchors.
-    Its charge distribution and G's nodes read F, which takes 360 node
-    integrals in 15 pieces, all kept, in 2 pat_integrals runs and 10
-    adaptive rounds; G takes 312 node sums in 1 round and keeps 13.
-    Without the seed, the tail test split the panel at -gap in 3 more runs
-    (27 rounds), and G in 3 more rounds.  The charge distribution and
-    table take 12.8 ms of CPU against 18.3 ms without the seed (medians
-    of 15 calls in 7 interleaved fresh processes, 2 vCPUs); in earlier
-    runs, reading F at the table's 10.5k distinct per-charge offsets took
-    20-22 ms, and one integral per offset 0.22-0.28 s.  Against rel_tol 1e-13
-    integrals, over whole 45 GHz tables, node values are within 0.015 of
-    their own tolerance (0.01 to 0.3 K, 0.2 / 0.02 K and 0 / 0.1 K), and
-    the interpolated values within 1.5e-3 of the table tolerance
+    from there on.  A cold default table reads G (see ChargeAveraged) at
+    1,194 distinct anchors.  Its charge distribution and G's nodes read F,
+    which takes 360 node integrals in 15 pieces, all kept, in 2
+    pat_integrals runs and 10 adaptive rounds; G takes 312 node sums in 1
+    round and keeps 13.  Without the seed, the tail test split the panel
+    at -gap in 3 more runs (27 rounds), and G in 3 more rounds.  The
+    charge distribution and table take 12.8 ms of CPU against 18.3 ms
+    without the seed (medians of 15 calls in 7 interleaved fresh
+    processes, 2 vCPUs).  Against rel_tol 1e-13 integrals, over whole
+    45 GHz tables, node values are within 0.015 of their own tolerance
+    (0.01 to 0.3 K, 0.2 / 0.02 K and 0 / 0.1 K), and the interpolated
+    values within 1.5e-3 of the table tolerance
     max(rel_tol |F|, rel_tol k_B T) from 0.01 to 0.3 K and within 2.3e-4
-    at T_S / T_N = 0.2 / 0.02 K and 0 / 0.1 K (3.1e-3 and 1.9e-3 without
-    the seed).  At 0.1 / 0 K the table's F keeps 56 pieces of 50 seeded
-    ones, 1,488 node integrals in 5 runs, and G takes 12 rounds; at
-    0 / 0 K, 43 pieces, all seeded and kept, 1,032 node integrals in 2
-    runs, and G 1 round.  Its interpolated values are within 2.0e-3 and
-    3.9e-3 of the table tolerance there.  A 26-point steady sweep then
-    takes 99 and 40 ms of CPU against 402 and 114 ms with one integral per
-    offset, and a single cold table 63 and 27 ms against 121 and 12 ms.
+    at T_S / T_N = 0.2 / 0.02 K and 0 / 0.1 K.  At 0.1 / 0 K the table's
+    F keeps 56 pieces of 50 seeded ones, 1,488 node integrals in 5 runs,
+    and G takes 12 rounds; at 0 / 0 K, 43 pieces, all seeded and kept,
+    1,032 node integrals in 2 runs, and G 1 round.  Its interpolated
+    values are within 2.0e-3 and 3.9e-3 of the table tolerance there.  A
+    26-point steady sweep then takes 99 and 40 ms of CPU against 402 and
+    114 ms with one integral per offset, and a single cold table 63 and
+    27 ms against 121 and 12 ms.
 
     Since the nodes run at rel_tol / 100, a rel_tol below a few 1e-12
     asks them for less than the quadrature's roundoff (1e-12 fails at

@@ -64,6 +64,11 @@ def photonloss_bitflip_ratio(alpha: float) -> float:
     return 2.0 * alpha * alpha * u2 / (1.0 - u2)
 
 
+def _cat_fock(alpha: float) -> int:
+    """Fock levels that hold the cat states at alpha to high accuracy."""
+    return int(alpha * alpha + 12.0 * alpha + 25.0)
+
+
 def displaced_excited_fock(alpha: float, parity: int,
                            n_fock: int | None = None) -> np.ndarray:
     """Parity combination of displaced one-photon states, Fock amplitudes.
@@ -73,7 +78,7 @@ def displaced_excited_fock(alpha: float, parity: int,
     Uses <m|D(alpha)|1> = <m|alpha> (m - alpha^2)/alpha.
     """
     if n_fock is None:
-        n_fock = int(alpha * alpha + 12.0 * alpha + 25.0)
+        n_fock = _cat_fock(alpha)
     from .spectrum import coherent_state
 
     m = np.arange(n_fock)
@@ -85,7 +90,7 @@ def displaced_excited_fock(alpha: float, parity: int,
 def branch_element_fock(alpha: float, which: str, n_fock: int | None = None) -> complex:
     """Numeric twin of the branch matrix elements via explicit Fock vectors."""
     if n_fock is None:
-        n_fock = int(alpha * alpha + 12.0 * alpha + 25.0)
+        n_fock = _cat_fock(alpha)
     cats = cat_states(alpha, n_fock)
     ops = build_fock_operators(n_fock)
     op = ops.a if which == "a" else ops.num
@@ -104,7 +109,7 @@ def normalized_spectrum(alpha: float, n_fock: int | None = None,
     degeneracy tolerance scales with that instead of the lab-frame default.
     """
     if n_fock is None:
-        n_fock = int(alpha * alpha + 12.0 * alpha + 25.0)
+        n_fock = _cat_fock(alpha)
     params = SystemParams(chi=2.0, beta=alpha * alpha,
                           n_fock=n_fock, n_keep=n_keep,
                           match_tol=1e-6 * max(1.0, alpha ** 4))

@@ -140,9 +140,10 @@ def eta_table(spectrum: Spectrum, rho_c: float, dm_max: int,
     vectors = spectrum.vectors
     eta = np.empty((bands.shape[0],) + (vectors.shape[1],) * 2, complex)
     for i, dm in enumerate(range(-dm_max, dm_max + 1)):
-        # The Fock levels k whose k + dm is kept, and the shifted bras.
+        # The Fock levels k whose k + dm is kept, and the shifted bras,
+        # which are real as the eigenvectors are.
         cols = np.arange(max(0, -dm), n - max(0, dm))
-        bra = vectors[cols + dm, :].conj()
+        bra = vectors[cols + dm, :]
         eta[i] = (bra * bands[i, cols, None]).T @ vectors[cols, :]
     return eta
 
@@ -232,10 +233,10 @@ class RatePlan:
     """The bias-free part of the rate tables of one spectrum, built once.
 
     One row per term, in slot order, then dm: its flat gamma1 entry
-    (entry); its forward and backward sideband weights (wf, wb), where
-    wb = conj(wf) exactly, since the backward stack is the conjugate of
-    the forward one (see eta_table); and which
-    pair of anchor parts it reads (which).  The pairs, de and
+    (entry); its forward and backward sideband weights (wf, wb); and which
+    pair of anchor parts it reads (which).  Real eigenvectors make each
+    entry of eta real or imaginary, so the backward stack is eta.conj()
+    exactly and wb = conj(wf).  The pairs, de and
     E_c + dm * omega_rf (de, base), are kept once each (597 for the 1,332
     rows of a default table), and plan_tables joins them with the bias as
     de + (base -+ V).  The slots are match_sets' class-1 rows, read as

@@ -258,8 +258,7 @@ class DynamicsResult:
 def dynamics_run(params: SystemParams, schedule: Schedule) -> DynamicsResult:
     spectrum = diagonalize_kpo(params)
     rho0 = initial_state(spectrum, schedule.initial)
-    eta = eta_table(spectrum, params.rho_c, params.dm_max)
-    table = rate_table(params, spectrum, eta=eta)
+    table = rate_table(params, spectrum)
     gen_on = assemble_generator(spectrum, params, table)
     gen_off = assemble_generator(spectrum, params, None)
     t_grid = np.linspace(0.0, schedule.t_end, schedule.points)
