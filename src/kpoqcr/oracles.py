@@ -64,9 +64,10 @@ def photonloss_bitflip_ratio(alpha: float) -> float:
     return 2.0 * alpha * alpha * u2 / (1.0 - u2)
 
 
-def _cat_fock(alpha: float) -> int:
-    """Fock levels that hold the cat states at alpha to high accuracy."""
-    return int(alpha * alpha + 12.0 * alpha + 25.0)
+def _cat_fock(alpha: float, n_fock: int | None) -> int:
+    """n_fock, or by default enough Fock levels for the cats at alpha."""
+    return (int(alpha * alpha + 12.0 * alpha + 25.0) if n_fock is None
+            else n_fock)
 
 
 def displaced_excited_fock(alpha: float, parity: int,
@@ -77,8 +78,7 @@ def displaced_excited_fock(alpha: float, parity: int,
     first excited pair; parity +1 keeps even Fock levels, -1 odd ones.
     Uses <m|D(alpha)|1> = <m|alpha> (m - alpha^2)/alpha.
     """
-    if n_fock is None:
-        n_fock = _cat_fock(alpha)
+    n_fock = _cat_fock(alpha, n_fock)
     from .spectrum import coherent_state
 
     m = np.arange(n_fock)
@@ -89,8 +89,7 @@ def displaced_excited_fock(alpha: float, parity: int,
 
 def branch_element_fock(alpha: float, which: str, n_fock: int | None = None) -> complex:
     """Numeric twin of the branch matrix elements via explicit Fock vectors."""
-    if n_fock is None:
-        n_fock = _cat_fock(alpha)
+    n_fock = _cat_fock(alpha, n_fock)
     cats = cat_states(alpha, n_fock)
     ops = build_fock_operators(n_fock)
     op = ops.a if which == "a" else ops.num
@@ -108,8 +107,7 @@ def normalized_spectrum(alpha: float, n_fock: int | None = None,
     With chi = 2 the cat-pair eigenvalue is alpha**4 exactly, so the
     degeneracy tolerance scales with that instead of the lab-frame default.
     """
-    if n_fock is None:
-        n_fock = _cat_fock(alpha)
+    n_fock = _cat_fock(alpha, n_fock)
     params = SystemParams(chi=2.0, beta=alpha * alpha,
                           n_fock=n_fock, n_keep=n_keep,
                           match_tol=1e-6 * max(1.0, alpha ** 4))

@@ -258,8 +258,7 @@ class RatePlan:
             kept = np.isin(flat, np.ravel_multi_index(
                 np.array(keys, np.intp).reshape(-1, 4).T, shape))
             class1, de, flat = class1[kept], de[kept], flat[kept]
-        dm_max = eta.shape[0] // 2
-        dms = np.arange(-dm_max, dm_max + 1)
+        dms = np.arange(eta.shape[0]) - eta.shape[0] // 2
         pdm = _sideband_parity(dms)
 
         # Terms over (slot, dm), both factors parity-allowed.
@@ -397,8 +396,7 @@ class BitflipPlan:
     def __init__(self, params: SystemParams, spectrum: Spectrum,
                  eta: np.ndarray, pq: ChargeDistribution):
         qs, probs = (np.array(x, float) for x in _kept(pq))
-        dm_max = eta.shape[0] // 2
-        dms = np.arange(-dm_max, dm_max + 1)
+        dms = np.arange(eta.shape[0]) - eta.shape[0] // 2
         # The forward and backward offsets (A_q + dm * omega_rf) - V at
         # de = 0, each (sidebands, charges).
         base_f = (params.e_island * (1.0 + 2.0 * qs)
