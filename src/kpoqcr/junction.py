@@ -29,12 +29,24 @@ rows of offsets.  PatIntegrator holds F for a whole sweep as Chebyshev
 panels on a grid that the parameters alone fix, at every temperature.
 ChargeAveraged holds G the same way, from F's values.  A value of either
 depends only on its offset, bit for bit.
+
+F depends only on the junction: gap, gamma_dynes, T_S, T_N and
+quad_rel_tol.  shared_integrator keeps one PatIntegrator for each of the
+last _SHARED_JUNCTIONS junctions a process used, and rate_table,
+charge_distribution and every sweep take theirs from it when no integrator
+is passed; with F comes G, which PatIntegrator.averaged keeps once per
+charge distribution.  So every table, sweep and command of one process at
+one junction reads one F and one G.  Sharing changes no value: a value
+depends only on its offset, whichever panels were built first, and
+evaluate stores all of its new panels or none, so a QuadratureError leaves
+the shared function as it was.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import count
 
 import numpy as np
@@ -48,6 +60,7 @@ from .quad import adaptive_gk  # noqa: F401
 
 _THERMAL_WINDOW = 35.0   # Fermi factors are machine-zero this many k_B T out
 _PQ_TAIL_LIMIT = 1e-10   # required probability at the charge cutoff
+_SHARED_JUNCTIONS = 4    # junctions whose F a process keeps (shared_integrator)
 _DYNES_PANELS = 10.0     # Dynes widths gamma*gap in the first graded panel
 
 # The Chebyshev panels of PatIntegrator.
@@ -337,7 +350,8 @@ class PatIntegrator:
     Backward integrals are looked up at the negated offset.
 
     averaged() builds the charge-averaged G on this F, once per charge
-    distribution.
+    distribution.  The constructor and from_params always build a cold F;
+    shared_integrator hands out the one F a process keeps per junction.
     """
 
     def __init__(self, gap_hz: float, gamma_dynes: float, temp_s_hz: float,
@@ -590,6 +604,21 @@ class ChargeAveraged(PatIntegrator):
         return out
 
 
+@lru_cache(maxsize=_SHARED_JUNCTIONS)
+def _shared(gap_hz, gamma_dynes, temp_s_hz, temp_n_hz, rel_tol):
+    return PatIntegrator(gap_hz, gamma_dynes, temp_s_hz, temp_n_hz, rel_tol)
+
+
+def shared_integrator(params: SystemParams) -> PatIntegrator:
+    """The process's PatIntegrator of params' junction, (gap, gamma_dynes,
+    T_S, T_N, quad_rel_tol), built cold on first use.  The last
+    _SHARED_JUNCTIONS junctions used keep theirs; an older one's F and G
+    are dropped.  Bitwise safe by PatIntegrator's rule: whatever panels
+    earlier calls built, each value is the one a cold F gives."""
+    return _shared(params.gap_hz, params.gamma_dynes, params.t_s_hz,
+                   params.t_n_hz, params.quad_rel_tol)
+
+
 def _barycentric(x, nodes, values):
     """Each row's Chebyshev interpolant at x, in the second barycentric form
     (Berrut & Trefethen, SIAM Rev. 46, 501 (2004)); x on a node gives that
@@ -661,10 +690,11 @@ def charge_distribution(
     the island charge, which swamps the thermally activated rates at low
     temperature; island charge relaxation is dominated by inelastic
     processes outside this model, so the pumped variant is offered only to
-    quantify that sensitivity.
+    quantify that sensitivity.  Without an integrator it reads the shared
+    one of params' junction (shared_integrator).
     """
     if integrator is None:
-        integrator = PatIntegrator.from_params(params)
+        integrator = shared_integrator(params)
     bias_v = params.bias_v if pumped else 0.0
 
     def build(q_max: int) -> list[float]:

@@ -82,7 +82,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MatchingError
-from .junction import ChargeDistribution, PatIntegrator, charge_distribution
+from .junction import (ChargeDistribution, PatIntegrator, charge_distribution,
+                       shared_integrator)
 from .params import SystemParams
 from .spectrum import Spectrum, laguerre_table
 
@@ -337,9 +338,11 @@ def rate_table(
     pq: ChargeDistribution | None = None,
     integrator: PatIntegrator | None = None,
 ) -> RateTable:
-    """Compute all matched tensor entries at params.bias_v."""
+    """Compute all matched tensor entries at params.bias_v.  Without an
+    integrator it reads the shared one of params' junction
+    (junction.shared_integrator)."""
     if integrator is None:
-        integrator = PatIntegrator.from_params(params)
+        integrator = shared_integrator(params)
     if eta is None:
         eta = eta_table(spectrum, params.rho_c, params.dm_max)
     if pq is None:

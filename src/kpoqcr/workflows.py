@@ -4,11 +4,13 @@ The three sweeps (rates, steady, bitflip) run on one engine, `_sweep`.  It
 first builds every point's parameters (`replace(bias_v=v)` on the voltage
 axis, `with_alpha(a)` on the alpha axis), so an out-of-range value fails
 with a ConfigError before any spectrum, sideband table or charge
-distribution is built.  It then builds what the points share once: one
-PatIntegrator, the tunneling function F of the junction, which bias and
-alpha only shift or re-pick offsets of; the island charge distribution,
-taken at zero bias (charge_distribution with pumped=False), which does not
-read the pump; and the sideband bands of D(i sqrt(rho_c))
+distribution is built.  It then takes what the points share: the
+tunneling function F of the junction, which bias and alpha only shift or
+re-pick offsets of, as the process's shared PatIntegrator of that junction
+(junction.shared_integrator), so sweeps, tables and commands that one
+process runs at one junction read one F and one G; the island charge
+distribution, taken at zero bias (charge_distribution with pumped=False),
+which does not read the pump; and the sideband bands of D(i sqrt(rho_c))
 (displacement_bands), which read n_fock, rho_c and dm_max but no
 eigenvector.  On the voltage axis the spectrum and sideband table do not
 depend on the bias either, so all points form one group; along the alpha
@@ -34,8 +36,9 @@ when points read F at per-charge offsets, two fork workers saved at most
 0.07 s on the README sweeps and cost more than they saved on a 4-point
 one.  Every value depends only on its offset and the parameters (see
 PatIntegrator), so one read for a whole sweep gives every row bitwise as
-a one-point sweep does, and results are identical for any `threads`; the
-argument is accepted and checked (at least 1) but has no effect.
+a one-point sweep does, a warm shared F gives the values a cold one does,
+and results are identical for any `threads`; the argument is accepted and
+checked (at least 1) but has no effect.
 """
 from __future__ import annotations
 
@@ -48,7 +51,7 @@ import numpy as np
 from .dynamics import (assemble_generator, evolve, husimi_q, initial_state,
                        steady_state, switch_time)
 from .errors import ConfigError
-from .junction import PatIntegrator, charge_distribution
+from .junction import charge_distribution, shared_integrator
 from .params import SystemParams, config_fields
 from .rates import (BitflipPlan, RatePlan, displacement_bands, eta_table,
                     evaluate_each, plan_tables, rate_table)
@@ -127,7 +130,7 @@ def _sweep(params: SystemParams, axis: str, values, rows, columns,
     # it, for the alpha axis.
     groups = ([group(points, params)] if axis == "voltage"
               else (group([p], p) for p in points))
-    integrator = PatIntegrator.from_params(params)
+    integrator = shared_integrator(params)
     pq = charge_distribution(params, integrator)
     return SweepResult(axis=axis, values=values, columns=columns,
                        data=np.array(rows(groups, pq, integrator), float),

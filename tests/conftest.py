@@ -2,6 +2,9 @@
 
 The default-parameter spectrum, sideband table and tunneling integrator are
 expensive enough to build once per session; tests must not mutate them.
+The integrator fixtures are cold ones of their own.  The tunneling
+functions a process shares per junction (junction.shared_integrator) are
+emptied before each test, so no test sees panels that another built.
 """
 import dataclasses
 
@@ -11,7 +14,12 @@ import pytest
 from kpoqcr import (PatIntegrator, SystemParams, charge_distribution,
                     diagonalize_kpo, displacement_bands, eta_table,
                     rate_table)
-from kpoqcr.junction import _CHEB_N
+from kpoqcr.junction import _CHEB_N, _shared
+
+
+@pytest.fixture(autouse=True)
+def cold_shared_integrators():
+    _shared.cache_clear()
 
 
 @pytest.fixture(scope="session")

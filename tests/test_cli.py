@@ -200,7 +200,9 @@ def test_out_is_opened_only_to_write_a_finished_run(runner, tmp_path,
     result = runner.invoke(main, ["pq", "--out", str(out)])
     assert f"cannot write {out}" in _one_line_error(result, 2)
     # A run that fails leaves no empty file behind: node integrals at
-    # 1e-17 stall the tunneling quadrature.
+    # 1e-17 stall the tunneling quadrature of a cold F (the run above
+    # left its F warm in the process).
+    junction._shared.cache_clear()
     monkeypatch.setattr(junction, "_NODE_TOL", 1e-7)
     out = tmp_path / "p.csv"
     result = runner.invoke(main, ["pq", "--out", str(out)])

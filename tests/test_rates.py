@@ -1,7 +1,9 @@
 """Sideband matrix elements and the secular tunneling tensors."""
+import gc
 import hashlib
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -9,12 +11,12 @@ import pytest
 from scipy.linalg import expm
 from scipy.special import eval_genlaguerre, gammaln
 
-from kpoqcr import (ConfigError, MatchingError, Spectrum, bitflip_rates,
-                    build_fock_operators, diagonalize_kpo,
+from kpoqcr import (ConfigError, MatchingError, QuadratureError, Spectrum,
+                    bitflip_rates, build_fock_operators, diagonalize_kpo,
                     displacement_bands, eta_table, hermiticity_residual,
-                    match_sets, qcr_bitflip_rate, rate_table, rates_sweep,
-                    trace_residual, transition_rate)
-from kpoqcr.junction import PatIntegrator, charge_distribution
+                    junction, match_sets, qcr_bitflip_rate, rate_table,
+                    rates_sweep, trace_residual, transition_rate)
+from kpoqcr.junction import PatIntegrator, charge_distribution, pat_integrals
 from kpoqcr.rates import PQ_FLOOR, RatePlan, plan_tables
 
 from conftest import backward_stack, numpy_build
@@ -324,6 +326,62 @@ def test_table_bytes_match_the_pinned_digest(trace_cases, case):
         f"the {case} table has other bytes: {got}. Pinned on numpy "
         f"{reference['numpy']} with {reference['blas']}; this run has numpy "
         f"{numpy_build()['numpy']} with {numpy_build()['blas']}.")
+
+
+def test_a_second_default_table_reads_the_warm_shared_function(
+        params, spectrum, monkeypatch):
+    # Tables built without an integrator share the process's F of their
+    # junction: a second default table integrates nothing and has the
+    # first one's bytes, the pinned ones.
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return pat_integrals(*args, **kwargs)
+
+    monkeypatch.setattr(junction, "pat_integrals", counted)
+    first = rate_table(params, spectrum)
+    assert len(runs) == 2
+    second = rate_table(params, spectrum)
+    assert len(runs) == 2
+    pinned = json.loads(TABLE_REFERENCE.read_text())["sha256"]["defaults"]
+    assert _table_digests(first) == _table_digests(second) == pinned
+
+
+def _stored(integrator) -> dict:
+    return {k: [a.tobytes() for a in panels]
+            for k, panels in integrator._store.items()}
+
+
+def test_a_failed_build_leaves_the_shared_function_alone(params, spectrum,
+                                                         monkeypatch):
+    # Node integrals at 1e-17 stall the quadrature of F's missing panels:
+    # the table fails and the shared F keeps exactly the panels the charge
+    # distribution built, and the next table has the pinned bytes.
+    shared = junction.shared_integrator(params)
+    pq = charge_distribution(params)
+    before = _stored(shared)
+    monkeypatch.setattr(junction, "_NODE_TOL", 1e-7)
+    with pytest.raises(QuadratureError):
+        rate_table(params, spectrum, pq=pq)
+    assert _stored(shared) == before
+    monkeypatch.undo()
+    pinned = json.loads(TABLE_REFERENCE.read_text())["sha256"]["defaults"]
+    assert _table_digests(rate_table(params, spectrum)) == pinned
+    assert junction.shared_integrator(params) is shared
+
+
+def test_shared_functions_are_bounded(small_params):
+    # One more junction than the bound: the first one's F and G are
+    # dropped, the others' kept.
+    alive = []
+    for k in range(junction._SHARED_JUNCTIONS + 1):
+        p = small_params.replace(temp_n=0.1 + 0.01 * k)
+        rate_table(p, diagonalize_kpo(p))
+        alive.append(weakref.ref(junction.shared_integrator(p)))
+    gc.collect()
+    assert [ref() is not None for ref in alive] == [False] + [True] * (
+        len(alive) - 1)
 
 
 def test_trace_and_hermiticity_identities(small_table, trace_cases):

@@ -22,13 +22,14 @@ from kpoqcr.cli import main
 from conftest import numpy_build
 
 REFERENCE = Path(__file__).resolve().parent / "reference" / "csv_sha256.json"
+# In README order; the README gives the evolve Husimi map in its prose.
 COMMANDS = (
     "rates --sweep voltage --from 0 --to 60e9 --points 121",
     "rates --sweep alpha --from 1 --to 2.5 --points 61 --interference off",
     "steady --from 30e9 --to 55e9 --points 26",
     "bitflip --from 1 --to 2.5 --points 31",
-    "husimi --source steady --points 81 --extent 4",
     "dynamics --initial phi0 --t-end 1e-4 --points 201 --t-qcr-on 5e-5",
+    "husimi --source steady --points 81 --extent 4",
     "husimi --source evolve --initial phi_alpha --time 1e-4",
     "pq --pumped --json",
     "validate",
@@ -49,6 +50,17 @@ def test_csv_bytes_match_the_pinned_digest(command):
         f"`kpoqcr {command}` printed other bytes: sha256 {got}. Pinned on "
         f"numpy {reference['numpy']} with {reference['blas']}; this run has "
         f"numpy {numpy_build()['numpy']} with {numpy_build()['blas']}.")
+
+
+@pytest.mark.parametrize("order", ["readme", "reversed"])
+def test_commands_in_one_process_print_their_pinned_digests(order):
+    # The commands of one process at the default junction share one
+    # tunneling function and its charge average, warm from whichever
+    # command ran first; every command still prints its pinned bytes.
+    reference = json.loads(REFERENCE.read_text())["sha256"]
+    commands = COMMANDS if order == "readme" else COMMANDS[::-1]
+    got = {command: _digest(command) for command in commands}
+    assert got == {command: reference[command] for command in commands}
 
 
 if __name__ == "__main__":

@@ -69,22 +69,20 @@ class _Counting:
 
 
 def _counted_sweep_integrators(monkeypatch):
-    """Makes every sweep's integrator a _Counting one, returned with the F
-    call count at the end of its sweep's charge distribution."""
+    """Makes every sweep's integrator a cold _Counting one, returned with
+    the F call count at the end of its sweep's charge distribution."""
     built, after_pq = [], []
 
-    class Counted:
-        @staticmethod
-        def from_params(p):
-            built.append(_Counting(PatIntegrator.from_params(p)))
-            return built[-1]
+    def counted(p):
+        built.append(_Counting(PatIntegrator.from_params(p)))
+        return built[-1]
 
     def distribution(p, counting):
         pq = charge_distribution(p, counting)
         after_pq.append(counting.calls)
         return pq
 
-    monkeypatch.setattr(workflows, "PatIntegrator", Counted)
+    monkeypatch.setattr(workflows, "shared_integrator", counted)
     monkeypatch.setattr(workflows, "charge_distribution", distribution)
     monkeypatch.setattr(workflows, "rate_table", _refuse_table)
     return built, after_pq
@@ -135,7 +133,8 @@ def test_steady_sweep_tables_are_bitwise_single_bias_tables(
     assert [g.calls for g in built[0].averages] == [1]
     assert [t.bias_v for t in tables] == volts
     for v, batched in zip(volts, tables):
-        alone = rate_table(params.replace(bias_v=v), spectrum)
+        alone = rate_table(params.replace(bias_v=v), spectrum,
+                           integrator=PatIntegrator.from_params(params))
         assert _hex(batched.gamma1) == _hex(alone.gamma1)
         assert _hex(batched.core2) == _hex(alone.core2)
         assert np.array_equal(batched.core2, batched.core2.conj().T)
@@ -259,10 +258,12 @@ def test_sweeps_compute_the_charge_distribution_once(params, monkeypatch):
 
 
 def test_sweeps_share_one_integrator(params, monkeypatch):
-    # Each sweep builds one tunneling function F and hands it to the charge
-    # distribution and to every point, in one process; the rate points of
-    # the steady and rates sweeps read one charge average G of it, and the
-    # bit-flip points read F.  threads is checked but has no effect.
+    # The sweeps of one process at one junction share one tunneling
+    # function F: the first sweep builds it for its charge distribution and
+    # every point, and later sweeps, at any bias or alpha, read the same F.
+    # The rate points of the steady and rates sweeps read one charge
+    # average G of it, and the bit-flip points read F.  Another junction
+    # gets an F of its own.  threads is checked but has no effect.
     built = []
     averages = []
 
@@ -276,24 +277,24 @@ def test_sweeps_share_one_integrator(params, monkeypatch):
             super().__init__(*args, **kwargs)
             averages.append(self)
 
-    monkeypatch.setattr(workflows, "PatIntegrator", Recorded)
+    monkeypatch.setattr(junction, "PatIntegrator", Recorded)
     monkeypatch.setattr(junction, "ChargeAveraged", RecordedAverage)
     volts = np.array([45e9, 33e9])
     alphas = np.array([1.7, 2.5])
-    for run, n_averages in (
-            (lambda t: steady_sweep(params, volts, threads=t), 1),
-            (lambda t: rates_sweep(params, "voltage", volts, threads=t), 1),
-            (lambda t: rates_sweep(params, "alpha", alphas, threads=t), 1),
-            (lambda t: bitflip_sweep(params, alphas, threads=t), 0)):
-        built.clear()
-        averages.clear()
+    for run in (lambda t: steady_sweep(params, volts, threads=t),
+                lambda t: rates_sweep(params, "voltage", volts, threads=t),
+                lambda t: rates_sweep(params, "alpha", alphas, threads=t),
+                lambda t: bitflip_sweep(params, alphas, threads=t)):
         run(3)
         assert len(built) == 1 and held_integrals(built[0]) > 0
-        assert len(averages) == n_averages
-        assert all(held_integrals(g) > 0 and g._source is built[0]
-                   for g in averages)
+        assert len(averages) == 1
+        assert held_integrals(averages[0]) > 0
+        assert averages[0]._source is built[0]
         with pytest.raises(ConfigError, match="threads must be at least 1"):
             run(0)
+    steady_sweep(params.replace(temp_n=0.05), volts)
+    assert len(built) == 2 and len(averages) == 2
+    assert averages[1]._source is built[1]
 
 
 def test_rates_sweep_alpha_axis(params):
