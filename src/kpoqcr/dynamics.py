@@ -26,8 +26,8 @@ junction switched on as a dissipation source (Silveri et al., PRB 96,
 094524 (2017)).  The generator is constant between consecutive grid times
 and t_on, so each such interval is advanced by the exact propagator
 expm(L dt).
-One matrix is built per generator, sector and interval length; lengths that
-agree to a relative _SNAP_REL share it.
+One matrix is built per generator, occupied sector and interval length;
+lengths that agree to a relative _SNAP_REL share it.
 """
 from __future__ import annotations
 
@@ -227,6 +227,12 @@ def evolve(
     generator_on drives the state; a t_on off the grid splits its
     interval there.
 
+    Each generator propagates only the parity sectors that are not
+    exactly zero when it first acts: L never couples sectors, so the
+    others stay zero under it, and they are written as zeros with no
+    expm built (the README dynamics run from phi0 builds 2 matrices, not
+    4; a cat state such as phi_alpha fills both sectors).
+
     The trace drift, hermiticity drift and least eigenvalue are taken over
     blocks of _CHECK_STATES recorded states, so no temporary grows with the
     trajectory; each is per state (a stacked eigvalsh solves each matrix
@@ -247,19 +253,23 @@ def evolve(
     if abs(np.trace(rho0) - 1.0) > 1e-8:
         raise EvolveError(f"rho0 trace deviates from 1 by {abs(np.trace(rho0)-1):.2e}")
 
-    # (interval length, expm(L_s dt) of every sector s) pairs per
-    # generator: the spacings of a uniform grid differ by a few ulps and
-    # share the first one's matrices.
-    cache: dict[int, list[tuple[float, list[np.ndarray]]]] = {}
+    # Per generator, the sectors it moves and (interval length, expm(L_s
+    # dt) of each such sector s) pairs: the spacings of a uniform grid
+    # differ by a few ulps and share the first one's matrices.
+    cache: dict[int, tuple[list[np.ndarray], list]] = {}
 
-    def propagator(gen: Generator, dt: float) -> list[np.ndarray]:
-        built = cache.setdefault(id(gen), [])
+    def propagator(gen: Generator, dt: float, vec: np.ndarray):
+        if id(gen) not in cache:
+            # L never couples sectors, so one that is exactly zero when
+            # gen first acts stays zero under it.
+            cache[id(gen)] = [idx for idx in gen.sectors if vec[idx].any()], []
+        sectors, built = cache[id(gen)]
         for dt_built, mats in built:
             if math.isclose(dt, dt_built, rel_tol=_SNAP_REL):
-                return mats
-        mats = [expm(gen.total[np.ix_(idx, idx)] * dt) for idx in gen.sectors]
+                return sectors, mats
+        mats = [expm(gen.total[np.ix_(idx, idx)] * dt) for idx in sectors]
         built.append((dt, mats))
-        return mats
+        return sectors, mats
 
     vec = rho0.reshape(n * n).copy()
     states = np.empty((t_grid.size, n, n), dtype=complex)
@@ -274,9 +284,9 @@ def evolve(
                 seg_end = float(t_on)
             gen = (generator_on if t_on is not None and t_now >= t_on
                    else generator)
-            mats = propagator(gen, seg_end - t_now)
-            new = np.empty_like(vec)
-            for idx, mat in zip(gen.sectors, mats):
+            sectors, mats = propagator(gen, seg_end - t_now, vec)
+            new = np.zeros_like(vec)
+            for idx, mat in zip(sectors, mats):
                 new[idx] = mat @ vec[idx]
             vec = new
             normalized_time += (seg_end - t_now) * gen.norm_inf

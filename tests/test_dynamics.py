@@ -340,9 +340,11 @@ def test_evolve_shares_step_matrices_across_grid_spacings(rng, monkeypatch):
 
 def test_evolve_builds_sector_sized_step_matrices(spectrum, gen_off, gen_on,
                                                  monkeypatch):
-    # The README dynamics run: one expm per generator and parity sector,
-    # each 72 x 72 at defaults, and together the step matrix of the whole
-    # generator.
+    # The README dynamics schedule: one expm per generator and occupied
+    # parity sector, each 72 x 72 at defaults, and each the block of the
+    # step matrix of the whole generator.  phi0 is diagonal, so only the
+    # sector holding the diagonal moves; phi_alpha fills both, and the
+    # blocks together are the whole step matrix.
     built, own_expm = [], dynamics.expm
 
     def counted(mat):
@@ -350,18 +352,26 @@ def test_evolve_builds_sector_sized_step_matrices(spectrum, gen_off, gen_on,
         return built[-1]
 
     monkeypatch.setattr(dynamics, "expm", counted)
-    rho0 = initial_state(spectrum, "phi0")
     t_grid = np.linspace(0.0, 1e-4, 201)
-    evolve(rho0, t_grid, gen_off, (5e-5, gen_on))
     n2 = spectrum.n_keep ** 2
-    assert [mat.shape for mat in built] == [(n2 // 2, n2 // 2)] * 4
-    # Each generator's matrices are built for its first interval.
-    for gen, blocks, dt in ((gen_off, built[:2], t_grid[1] - t_grid[0]),
-                            (gen_on, built[2:], t_grid[101] - t_grid[100])):
-        step = np.zeros((n2, n2), dtype=complex)
-        for idx, block in zip(gen.sectors, blocks):
-            step[np.ix_(idx, idx)] = block
-        assert _rel_frobenius(step, expm(gen.total * dt)) <= 1e-12
+    for initial, n_sectors in (("phi0", 1), ("phi_alpha", 2)):
+        built.clear()
+        evolve(initial_state(spectrum, initial), t_grid, gen_off,
+               (5e-5, gen_on))
+        assert ([mat.shape for mat in built]
+                == [(n2 // 2, n2 // 2)] * (2 * n_sectors))
+        # Each generator's matrices are built for its first interval.
+        for gen, blocks, dt in (
+                (gen_off, built[:n_sectors], t_grid[1] - t_grid[0]),
+                (gen_on, built[n_sectors:], t_grid[101] - t_grid[100])):
+            step = np.zeros((n2, n2), dtype=complex)
+            for idx, block in zip(gen.sectors, blocks):
+                step[np.ix_(idx, idx)] = block
+            # The rows and columns of the built sectors: with both, the
+            # whole matrix.
+            moved = np.ix_(*[np.concatenate(gen.sectors[:n_sectors])] * 2)
+            assert _rel_frobenius(step[moved],
+                                  expm(gen.total * dt)[moved]) <= 1e-12
 
 
 def test_evolve_does_not_depend_on_output_grid(spectrum, gen_off, gen_on):
