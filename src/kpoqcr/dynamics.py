@@ -229,9 +229,8 @@ def evolve(
 
     Each generator propagates only the parity sectors that are not
     exactly zero when it first acts: L never couples sectors, so the
-    others stay zero under it, and they are written as zeros with no
-    expm built (the README dynamics run from phi0 builds 2 matrices, not
-    4; a cat state such as phi_alpha fills both sectors).
+    others stay zero under it and are written as zeros, with no expm (a
+    diagonal rho0 such as phi0 moves one sector, phi_alpha both).
 
     The trace drift, hermiticity drift and least eigenvalue are taken over
     blocks of _CHECK_STATES recorded states, so no temporary grows with the
@@ -260,8 +259,6 @@ def evolve(
 
     def propagator(gen: Generator, dt: float, vec: np.ndarray):
         if id(gen) not in cache:
-            # L never couples sectors, so one that is exactly zero when
-            # gen first acts stays zero under it.
             cache[id(gen)] = [idx for idx in gen.sectors if vec[idx].any()], []
         sectors, built = cache[id(gen)]
         for dt_built, mats in built:

@@ -610,11 +610,9 @@ def _shared(gap_hz, gamma_dynes, temp_s_hz, temp_n_hz, rel_tol):
 
 
 def shared_integrator(params: SystemParams) -> PatIntegrator:
-    """The process's PatIntegrator of params' junction, (gap, gamma_dynes,
-    T_S, T_N, quad_rel_tol), built cold on first use.  The last
-    _SHARED_JUNCTIONS junctions used keep theirs; an older one's F and G
-    are dropped.  Bitwise safe by PatIntegrator's rule: whatever panels
-    earlier calls built, each value is the one a cold F gives."""
+    """The process's PatIntegrator of params' junction, built cold on
+    first use; the last _SHARED_JUNCTIONS junctions used keep theirs, and
+    an older one's F and G are dropped (see the module docstring)."""
     return _shared(params.gap_hz, params.gamma_dynes, params.t_s_hz,
                    params.t_n_hz, params.quad_rel_tol)
 
