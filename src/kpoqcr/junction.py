@@ -31,12 +31,12 @@ ChargeAveraged holds G the same way, from F's values.  A value of either
 depends only on its offset, bit for bit.
 
 F depends only on the junction: gap, gamma_dynes, T_S, T_N and
-quad_rel_tol.  shared_integrator keeps one PatIntegrator for each of the
-last _SHARED_JUNCTIONS junctions a process used, and rate_table,
-charge_distribution and every sweep take theirs from it when no integrator
-is passed; with F comes G, which PatIntegrator.averaged keeps once per
-charge distribution.  So every table, sweep and command of one process at
-one junction reads one F and one G.  Sharing changes no value: a value
+quad_rel_tol.  shared_integrator keeps the PatIntegrator of the last
+junction a process used, and rate_table, charge_distribution and every
+sweep take theirs from it when no integrator is passed; with F comes G,
+which PatIntegrator.averaged keeps for the last charge distribution read.
+So every table, sweep and command of one process at one junction reads
+one F and one G, and a process holds at most one of each.  Sharing changes no value: a value
 depends only on its offset, whichever panels were built first, and
 evaluate stores all of its new panels or none, so a QuadratureError leaves
 the shared function as it was.
@@ -60,7 +60,6 @@ from .quad import adaptive_gk  # noqa: F401
 
 _THERMAL_WINDOW = 35.0   # Fermi factors are machine-zero this many k_B T out
 _PQ_TAIL_LIMIT = 1e-10   # required probability at the charge cutoff
-_SHARED_JUNCTIONS = 4    # junctions whose F a process keeps (shared_integrator)
 _DYNES_PANELS = 10.0     # Dynes widths gamma*gap in the first graded panel
 
 # The Chebyshev panels of PatIntegrator.
@@ -349,8 +348,8 @@ class PatIntegrator:
     exact.
     Backward integrals are looked up at the negated offset.
 
-    averaged() builds the charge-averaged G on this F, once per charge
-    distribution.  The constructor and from_params always build a cold F;
+    averaged() builds the charge-averaged G on this F and keeps the last
+    one.  The constructor and from_params always build a cold F;
     shared_integrator hands out the one F a process keeps per junction.
     """
 
@@ -372,8 +371,8 @@ class PatIntegrator:
         # Each base index's panels as (left edges, node offsets, node
         # values).
         self._store: dict = {}
-        # The charge averages of this function, by (charges, probs, E_c),
-        # and the shifts of F's offsets in this function's values.
+        # The last charge average of this function, by (charges, probs,
+        # E_c), and the shifts of F's offsets in this function's values.
         self._averaged: dict = {}
         self._shifts = np.zeros(1)
 
@@ -542,11 +541,12 @@ class PatIntegrator:
                 for k, panels in zip(keys, leaves)}
 
     def averaged(self, charges, probs, e_island: float) -> "ChargeAveraged":
-        """G(x) = sum_k probs[k] F(x + 2 e_island charges[k]), built once
-        per (charges, probs, e_island) and kept with this function."""
+        """G(x) = sum_k probs[k] F(x + 2 e_island charges[k]), kept with
+        this function until another (charges, probs, e_island) is asked
+        for: a table or sweep reads one charge distribution."""
         key = (tuple(charges), tuple(probs), e_island)
         if key not in self._averaged:
-            self._averaged[key] = ChargeAveraged(self, *key)
+            self._averaged = {key: ChargeAveraged(self, *key)}
         return self._averaged[key]
 
     def forward(self, offset: float) -> float:
@@ -604,15 +604,15 @@ class ChargeAveraged(PatIntegrator):
         return out
 
 
-@lru_cache(maxsize=_SHARED_JUNCTIONS)
+@lru_cache(maxsize=1)
 def _shared(gap_hz, gamma_dynes, temp_s_hz, temp_n_hz, rel_tol):
     return PatIntegrator(gap_hz, gamma_dynes, temp_s_hz, temp_n_hz, rel_tol)
 
 
 def shared_integrator(params: SystemParams) -> PatIntegrator:
     """The process's PatIntegrator of params' junction, built cold on
-    first use; the last _SHARED_JUNCTIONS junctions used keep theirs, and
-    an older one's F and G are dropped (see the module docstring)."""
+    first use; only the last junction used keeps its F and G, and another
+    junction's call drops them (see the module docstring)."""
     return _shared(params.gap_hz, params.gamma_dynes, params.t_s_hz,
                    params.t_n_hz, params.quad_rel_tol)
 

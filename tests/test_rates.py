@@ -372,16 +372,30 @@ def test_a_failed_build_leaves_the_shared_function_alone(params, spectrum,
 
 
 def test_shared_functions_are_bounded(small_params):
-    # One more junction than the bound: the first one's F and G are
-    # dropped, the others' kept.
+    # A process keeps the F and G of the last junction only: a table at a
+    # second junction drops the first one's.
     alive = []
-    for k in range(junction._SHARED_JUNCTIONS + 1):
+    for k in range(3):
         p = small_params.replace(temp_n=0.1 + 0.01 * k)
         rate_table(p, diagonalize_kpo(p))
         alive.append(weakref.ref(junction.shared_integrator(p)))
     gc.collect()
-    assert [ref() is not None for ref in alive] == [False] + [True] * (
-        len(alive) - 1)
+    assert [ref() is not None for ref in alive] == [False, False, True]
+
+
+def test_shared_function_keeps_one_charge_average(small_params):
+    # Default tables at one junction and several island charging energies
+    # read one shared F, which keeps only the last table's G.
+    spectrum = diagonalize_kpo(small_params)
+    seen = []
+    for e_island in (1.5e9, 2e9, 2.5e9, 3e9):
+        p = small_params.replace(e_island=e_island)
+        rate_table(p, spectrum)
+        shared = junction.shared_integrator(p)
+        seen.append(shared)
+        ((key, g),) = shared._averaged.items()
+        assert key[2] == e_island
+    assert all(f is seen[0] for f in seen)
 
 
 def test_trace_and_hermiticity_identities(small_table, trace_cases):
