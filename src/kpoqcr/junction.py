@@ -413,6 +413,14 @@ class PatIntegrator:
         values = self._interpolate(distinct, keys, start)
         return values[inverse].reshape(offsets.shape)
 
+    def prepare(self, blocks) -> None:
+        """Build the base panels that the offsets of every array in blocks
+        read, in one evaluate call at a midpoint of each, so that evaluate
+        at each block then reads stored panels only."""
+        keys = np.unique(np.concatenate(
+            [np.unique(np.floor(np.ravel(b) / self._width)) for b in blocks]))
+        self.evaluate((keys + 0.5) * self._width)
+
     def _interpolate(self, distinct, base, start):
         """Values at the sorted distinct offsets, in base panels base, each
         of which starts at its position in start.  At most _INTERP_ROWS

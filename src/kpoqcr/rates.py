@@ -66,10 +66,10 @@ cluster's first), and every array downstream keeps their row order.
 Only the anchors depend on the bias.  A RatePlan holds the rest, built
 once per spectrum from match_sets, the sideband table and the parameters:
 the term rows' entries, weights and distinct anchor parts.  plan_tables
-reads G once for any number of plans, each at any number of biases, at
-every plan's (P, 2, U) array of anchors, U its distinct parts; it
-accumulates each bias's gamma1 in the row order above and derives its
-core2.  By G's bitwise rule every value is the one a single-bias read of
+reads G for any number of plans, each at any number of biases, at every
+point's (2, U) array of anchors, U its plan's distinct parts, in blocks of
+points after one build of every panel they read; it accumulates each
+bias's gamma1 in the row order above and derives its core2.  By G's bitwise rule every value is the one a single-bias read of
 one plan gives.  rate_table is a one-bias plan.  transition_rate is a
 one-bias plan masked to the class-1 rows of the entries it reports, so
 each of its rates is bitwise that table entry.
@@ -90,6 +90,8 @@ from .spectrum import Spectrum, laguerre_table
 # Charge states below this probability are dropped from rate sums; they
 # contribute relative corrections of the same order.
 PQ_FLOOR = 1e-12
+# Points whose anchors plan_tables reads from G in one evaluate call.
+_BLOCK_POINTS = 24
 
 
 def displacement_bands(n: int, rho_c: float, dm_max: int) -> np.ndarray:
@@ -313,22 +315,42 @@ def plan_tables(groups, pq: ChargeDistribution, integrator: PatIntegrator):
     """The RateTable of each (plan, voltages) group at each of its biases,
     in order.
 
-    G is read once, at every group's forward and backward anchors of its
-    plan's distinct anchor parts, a (P, 2, U) array each: one plan at many
-    biases along a voltage sweep, a plan per point along an alpha sweep.
-    By G's bitwise rule each value is the one a single-bias read of every
-    row gives.  Each table is accumulated only when the iteration reaches
-    it.  The plans share one charging energy, as the points of a sweep do.
+    Each point reads G at its plan's forward and backward anchors of the
+    distinct anchor parts, a (2, U) array: one plan at many biases along a
+    voltage sweep, a plan per point along an alpha sweep.  G's panels for
+    every point are built first, in one round, and G is then read in
+    blocks of _BLOCK_POINTS points, so memory does not grow with the
+    points.  By G's bitwise rule each value is the one a single-bias read
+    of every row gives.  Each table is accumulated only when the iteration
+    reaches it.  The plans share one charging energy, as the points of a
+    sweep do.
     """
-    groups = [(plan, np.asarray(voltages, float)[:, None])
-              for plan, voltages in groups]
-    averaged = integrator.averaged(*_kept(pq), groups[0][0].e_island)
-    values = evaluate_each(averaged, [
-        np.stack([plan.de + (plan.base - v), plan.de + (plan.base + v)],
-                 axis=1) for plan, v in groups])
-    for (plan, v), group_values in zip(groups, values):
-        for bias_v, (vf, vb) in zip(v[:, 0].tolist(), group_values):
-            yield plan.table(bias_v, vf, vb)
+    # Each group's biases in chunks, and consecutive chunks in blocks, of at
+    # most _BLOCK_POINTS points.
+    blocks = []
+    for plan, voltages in groups:
+        v = np.asarray(voltages, float)[:, None]
+        for i in range(0, v.shape[0], _BLOCK_POINTS):
+            chunk = (plan, v[i:i + _BLOCK_POINTS])
+            if blocks and sum(c[1].shape[0] for c in blocks[-1]) \
+                    + chunk[1].shape[0] <= _BLOCK_POINTS:
+                blocks[-1].append(chunk)
+            else:
+                blocks.append([chunk])
+    averaged = integrator.averaged(*_kept(pq), blocks[0][0][0].e_island)
+
+    def anchors(block):
+        return [np.stack([plan.de + (plan.base - v), plan.de + (plan.base + v)],
+                         axis=1) for plan, v in block]
+
+    if len(blocks) > 1:
+        averaged.prepare(np.concatenate([a.ravel() for a in anchors(block)])
+                         for block in blocks)
+    for block in blocks:
+        for (plan, v), values in zip(block, evaluate_each(averaged,
+                                                          anchors(block))):
+            for bias_v, (vf, vb) in zip(v[:, 0].tolist(), values):
+                yield plan.table(bias_v, vf, vb)
 
 
 def rate_table(

@@ -67,6 +67,10 @@ class _Counting:
         self.calls += 1
         return self.integrator.evaluate(offsets)
 
+    def prepare(self, blocks):
+        self.calls += 1
+        self.integrator.prepare(blocks)
+
 
 def _counted_sweep_integrators(monkeypatch):
     """Makes every sweep's integrator a cold _Counting one, returned with
@@ -143,6 +147,65 @@ def test_steady_sweep_tables_are_bitwise_single_bias_tables(
 
 def _hex(array):
     return [float(x).hex() for x in np.asarray(array).view(float).ravel()]
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("voltage", [0.0, 21e9, 39e9, 45e9, 60e9]),
+    ("alpha", [1.0, 1.6, 2.0, 2.5, 1.3])])
+def test_sweeps_read_g_in_blocks_bitwise(params, monkeypatch, axis, values):
+    # In blocks of two points, a sweep builds G's panels for every point in
+    # its one build round first, and each row is bitwise the one-block row.
+    want = rates_sweep(params, axis, values).data
+    junction._shared.cache_clear()
+    built, _after_pq = _counted_sweep_integrators(monkeypatch)
+    monkeypatch.setattr(rates, "_BLOCK_POINTS", 2)
+    builds = []
+    build = junction.ChargeAveraged._build
+    monkeypatch.setattr(junction.ChargeAveraged, "_build",
+                        lambda self, keys: builds.append(keys)
+                        or build(self, keys))
+    got = rates_sweep(params, axis, values).data
+    assert len(builds) == 1
+    assert [g.calls for g in built[0].averages] == [4]
+    assert _hex(got) == _hex(want)
+
+
+_SWEEP_PEAK = """
+import resource, sys
+import numpy as np
+from kpoqcr import SystemParams, junction, steady_sweep
+counts = {"pat_integrals": 0, "g_rounds": 0}
+def counted(fn, key):
+    def wrapper(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+junction.pat_integrals = counted(junction.pat_integrals, "pat_integrals")
+junction.ChargeAveraged._integrals = counted(
+    junction.ChargeAveraged._integrals, "g_rounds")
+steady_sweep(SystemParams(), np.linspace(30e9, 55e9, int(sys.argv[1])))
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+      counts["pat_integrals"], counts["g_rounds"])
+"""
+
+
+def test_long_voltage_sweep_memory_is_flat():
+    # G is read in blocks of points after one build round, so a fresh
+    # 481-point steady sweep peaks within 3 MiB of a 26-point one (it grew
+    # by about 0.08 MiB a point when G was read at every anchor at once),
+    # with the same node quadratures and G rounds.
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+
+    def run(points):
+        out = subprocess.run([sys.executable, "-c", _SWEEP_PEAK, str(points)],
+                             env=env, capture_output=True, text=True,
+                             timeout=300, check=True).stdout.split()
+        return float(out[0]), out[1:]
+
+    (short, short_counts), (long, long_counts) = run(26), run(481)
+    assert long - short <= 3.0
+    assert long_counts == short_counts == ["2", "1"]
 
 
 def test_rates_sweep_pinned_row(params):
