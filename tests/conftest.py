@@ -6,7 +6,9 @@ The integrator fixtures are cold ones of their own.  The tunneling
 functions a process shares per junction (junction.shared_integrator) are
 emptied before each test, so no test sees panels that another built.
 """
+import ctypes
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ import pytest
 from kpoqcr import (PatIntegrator, SystemParams, charge_distribution,
                     diagonalize_kpo, displacement_bands, eta_table,
                     rate_table)
+from kpoqcr import _blas
 from kpoqcr.junction import _CHEB_N, _shared
 
 
@@ -96,11 +99,43 @@ def rng():
 
 
 def numpy_build() -> dict:
-    """The numpy version and BLAS build that pinned digests were taken on:
-    the bits of eigh, solve and expm can differ on another build."""
+    """The stamp of the machine that pinned digests were taken on: the
+    numpy version and BLAS build, the OpenBLAS core kernels chosen at run
+    time and numpy's active SIMD dispatch targets.  The bits of eigh, solve,
+    expm and of numpy's vectorized exp and tanh can differ under another."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    from numpy._core import _multiarray_umath as umath
     return {"numpy": np.__version__,
-            "blas": f"{blas['name']} {blas.get('version', '')}".strip()}
+            "blas": f"{blas['name']} {blas.get('version', '')}".strip(),
+            "openblas_core": _openblas_core(),
+            "cpu_dispatch": [t for t in umath.__cpu_dispatch__
+                             if umath.__cpu_features__.get(t)]}
+
+
+def _openblas_core() -> str:
+    """The core name of each OpenBLAS that kpoqcr._blas finds mapped."""
+    names = []
+    for path in _blas._loaded_openblas():
+        try:
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LAZY)
+        except OSError:
+            continue
+        get = next((getattr(lib, s) for s in ("scipy_openblas_get_corename64_",
+                                               "scipy_openblas_get_corename",
+                                               "openblas_get_corename")
+                    if hasattr(lib, s)), None)
+        if get is not None:
+            get.restype = ctypes.c_char_p
+            names.append(get().decode())
+    return " ".join(names) or "unknown"
+
+
+def stamp(build: dict) -> str:
+    """A numpy_build() stamp as one line; a stamp written before the core
+    and dispatch were recorded says so."""
+    return (f"numpy {build['numpy']} with {build['blas']}, OpenBLAS core "
+            f"{build.get('openblas_core', 'unrecorded')}, dispatch "
+            f"{' '.join(build.get('cpu_dispatch', ['unrecorded']))}")
 
 
 def backward_stack(spectrum, rho_c: float, dm_max: int) -> np.ndarray:

@@ -19,7 +19,7 @@ from kpoqcr import (ConfigError, MatchingError, QuadratureError, Spectrum,
 from kpoqcr.junction import PatIntegrator, charge_distribution, pat_integrals
 from kpoqcr.rates import PQ_FLOOR, RatePlan, plan_tables
 
-from conftest import backward_stack, numpy_build
+from conftest import backward_stack, numpy_build, stamp
 
 
 @pytest.fixture(scope="module")
@@ -300,9 +300,9 @@ def trace_cases(params):
 
 
 # The trace cases, whose tables are pinned bit for bit: the sha256 of
-# every gamma1 and core2 entry, taken on the numpy and BLAS build
-# recorded beside them.  To rewrite the digests after a change that moves
-# a table on purpose, run
+# every gamma1 and core2 entry, taken on the machine whose stamp is
+# recorded beside them (conftest.numpy_build).  To rewrite the digests
+# after a change that moves a table on purpose, run
 #
 #     PYTHONPATH=src python tests/test_rates.py
 #
@@ -323,9 +323,8 @@ def test_table_bytes_match_the_pinned_digest(trace_cases, case):
     reference = json.loads(TABLE_REFERENCE.read_text())
     got = _table_digests(trace_cases[case][-1])
     assert got == reference["sha256"][case], (
-        f"the {case} table has other bytes: {got}. Pinned on numpy "
-        f"{reference['numpy']} with {reference['blas']}; this run has numpy "
-        f"{numpy_build()['numpy']} with {numpy_build()['blas']}.")
+        f"the {case} table has other bytes: {got}. Pinned on "
+        f"{stamp(reference)}; this run has {stamp(numpy_build())}.")
 
 
 def test_a_second_default_table_reads_the_warm_shared_function(

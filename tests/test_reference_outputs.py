@@ -1,8 +1,9 @@
 """Pinned output bytes: the sha256 of what each README command prints.
 
-The digests in reference/csv_sha256.json were taken on the numpy and BLAS
-build recorded beside them; on another build the bits of eigh, solve and
-expm can differ, so a failure message names both builds.  To rewrite the
+The digests in reference/csv_sha256.json were taken on the machine whose
+stamp is recorded beside them (conftest.numpy_build); under another numpy,
+BLAS build, OpenBLAS core or SIMD dispatch the bits can differ, so a
+failure message names both stamps.  To rewrite the
 digests after a change that moves an output on purpose, run
 
     PYTHONPATH=src python tests/test_reference_outputs.py
@@ -19,7 +20,7 @@ from click.testing import CliRunner
 
 from kpoqcr.cli import main
 
-from conftest import numpy_build
+from conftest import numpy_build, stamp
 
 REFERENCE = Path(__file__).resolve().parent / "reference" / "csv_sha256.json"
 # In README order; the README gives the evolve Husimi map in its prose.
@@ -48,8 +49,7 @@ def test_csv_bytes_match_the_pinned_digest(command):
     got = _digest(command)
     assert got == reference["sha256"][command], (
         f"`kpoqcr {command}` printed other bytes: sha256 {got}. Pinned on "
-        f"numpy {reference['numpy']} with {reference['blas']}; this run has "
-        f"numpy {numpy_build()['numpy']} with {numpy_build()['blas']}.")
+        f"{stamp(reference)}; this run has {stamp(numpy_build())}.")
 
 
 @pytest.mark.parametrize("order", ["readme", "reversed"])
