@@ -173,20 +173,23 @@ def pat_breakpoints(offsets, gap_hz: float, temp_s_hz: float,
 
 def pat_integrand(gap_hz: float, gamma_dynes: float, temp_s_hz: float,
                   temp_n_hz: float):
-    """The forward tunneling integrand, fn(eps, offset) =
-    n_s(eps) * (1 - f_S(eps)) * f_N(eps + offset), multiplied in that order.
+    """The forward tunneling integrand times the quadrature's Jacobian,
+    fn(eps, jacobian, offset) =
+    n_s(eps) * (1 - f_S(eps)) * f_N(eps + offset) * jacobian, multiplied in
+    that order.
 
-    eps is (m, p) and offset (m, 1, K), K offsets a row: n_s (1 - f_S) is
-    computed once a point and f_N once a component, and the values are
-    (m, p, K).  It works in place on arrays of its own and never writes
-    into eps, which the quadrature may reuse.
+    eps and jacobian are (m, p) and offset (m, 1, K), K offsets a row:
+    n_s (1 - f_S) is computed once a point and f_N once a component, and
+    the values are (m, p, K).  It works in place on arrays of its own and
+    never writes into eps, which the quadrature may reuse.
     """
-    def integrand(eps, offset):
+    def integrand(eps, jacobian, offset):
         out = dynes_dos(eps, gap_hz, gamma_dynes)
         f_s = fermi(eps, temp_s_hz)
         out *= np.subtract(1.0, f_s, out=f_s)
         f_n = fermi(eps[..., None] + offset, temp_n_hz)
         f_n *= out[..., None]
+        f_n *= jacobian[..., None]
         return f_n
 
     return integrand

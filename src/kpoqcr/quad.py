@@ -217,6 +217,8 @@ def _evaluate(fn, panels, owner, args, k) -> np.ndarray:
     Both panel kinds share a call: on a square-root panel the points are
     eps = edge + sgn * u^2 with the Jacobian |d eps / d u| = 2u, on a plain
     one eps = u with the Jacobian 1.0, which leaves the values' bits alone.
+    The integrand gets each point's Jacobian and returns its values
+    multiplied by it.
     """
     out = np.empty((2, owner.size, k))
     call_rows = max(_CALL_ROWS // k, 1)
@@ -230,8 +232,7 @@ def _evaluate(fn, panels, owner, args, k) -> np.ndarray:
         sqrt_panel = sgn != 0.0
         eps = np.where(sqrt_panel, u * u * sgn + edge, u)
         jacobian = np.where(sqrt_panel, 2.0 * u, 1.0)
-        vals = fn(eps, *rows).reshape(*u.shape, k)
-        vals *= jacobian[:, :, None]
+        vals = fn(eps, jacobian, *rows).reshape(*u.shape, k)
         kron = h * np.einsum("ijk,j->ik", vals, WGK)
         out[0, sel] = kron
         out[1, sel] = np.abs(kron - h * np.einsum("ijk,j->ik", vals, WG))
@@ -252,11 +253,12 @@ def integrate(
     plan_panels).
 
     args are arrays of shape (n, K), one row per integral; K = 1 without
-    args.  fn(eps, *rows) is evaluated on an (m, 21) array of points, where
-    each entry of rows is the (m, 1, K) array of one arg's rows indexed by
-    the integral of each point's panel; with args=() fn gets eps alone.  It
-    returns the (m, 21, K) values, or (m, 21) when K = 1, of K integrands
-    that share each integral's panels.
+    args.  fn(eps, jacobian, *rows) is evaluated on an (m, 21) array of
+    points and their (m, 21) Jacobians d eps / d u, where each entry of rows
+    is the (m, 1, K) array of one arg's rows indexed by the integral of
+    each point's panel.  It returns the (m, 21, K) values, or (m, 21) when
+    K = 1, of K integrands that share each integral's panels, each times
+    its point's Jacobian.
 
     Integral i has converged when the error estimate of every component k
     is at most max(rel_tol * |value_ik|, abs_tol); each round splits the
@@ -325,7 +327,8 @@ def adaptive_gk(
     rel_tol: float = 1e-10,
     abs_tol: float = 0.0,
 ) -> tuple[float, float]:
-    """Integrate fn between the outermost breakpoints: integrate with n = 1.
+    """Integrate fn(eps) between the outermost breakpoints: integrate with
+    n = 1.
 
     breakpoints: interior discontinuities / kinks plus the two endpoints.
     sqrt_edges: breakpoints at which the integrand has an integrable
@@ -335,7 +338,8 @@ def adaptive_gk(
     is exhausted before the tolerance is met.
     """
     edges = np.reshape(np.asarray(sqrt_edges, float), (1, -1))
-    values, errors = integrate(fn, np.reshape(breakpoints, (1, -1)), edges,
+    values, errors = integrate(lambda eps, jacobian: fn(eps) * jacobian,
+                               np.reshape(breakpoints, (1, -1)), edges,
                                np.zeros_like(edges), rel_tol=rel_tol,
                                abs_tol=abs_tol)
     return float(values[0, 0]), float(errors[0, 0])

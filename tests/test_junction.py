@@ -103,7 +103,8 @@ def test_integrand_is_the_product_and_leaves_eps_alone(temp_hz):
     eps = nodes[8:40]
     eps.flags.writeable = False
     offset = rng.uniform(-100e9, 100e9, (32, 1, 1))
-    got = pat_integrand(GAP, gd, temp_hz, temp_hz)(eps, offset)
+    got = pat_integrand(GAP, gd, temp_hz, temp_hz)(eps, np.ones_like(eps),
+                                                   offset)
     want = ((dynes_dos(eps, GAP, gd) * (1.0 - fermi(eps, temp_hz)))[..., None]
             * fermi(eps[..., None] + offset, temp_hz))
     assert got.tobytes() == want.tobytes()
@@ -302,9 +303,9 @@ def test_panel_sums_do_not_depend_on_call_batching(monkeypatch):
     def recording(*args):
         integrand = make(*args)
 
-        def recorded(eps, offset):
+        def recorded(eps, *args):
             rows.append(eps.shape[0])
-            return integrand(eps, offset)
+            return integrand(eps, *args)
         return recorded
 
     monkeypatch.setattr(junction, "pat_integrand", recording)
@@ -379,8 +380,8 @@ def test_vector_integrand_components_meet_their_own_tolerance():
     r = np.array([0.5, 4.0, 4.0, 12.0])
     scales = np.array([[1.0, 1e-9, 1e-9, 1e6], [2.0, 1.0, 1.0, 1e-12]])
 
-    def fn(eps, s):
-        return s * np.exp(-r * eps[..., None])
+    def fn(eps, jacobian, s):
+        return s * np.exp(-r * eps[..., None]) * jacobian[..., None]
 
     values, errors = integrate(fn, [[0.0, 3.0], [0.0, 3.0]], np.empty((2, 0)),
                                np.empty((2, 0)), rel_tol=1e-12,
@@ -390,8 +391,8 @@ def test_vector_integrand_components_meet_their_own_tolerance():
     assert np.all(np.abs(values - exact) <= 1e-12 * np.abs(exact))
     assert np.all(errors <= 1e-12 * np.abs(values))
     assert values[:, 1].tobytes() == values[:, 2].tobytes()
-    scalar, _err = integrate(lambda eps: np.exp(-eps), [[0.0, 3.0]],
-                             np.empty((1, 0)), np.empty((1, 0)))
+    scalar, _err = integrate(lambda eps, jacobian: np.exp(-eps) * jacobian,
+                             [[0.0, 3.0]], np.empty((1, 0)), np.empty((1, 0)))
     assert scalar.shape == (1, 1)
 
 
@@ -439,9 +440,9 @@ def test_panel_row_values_do_not_depend_on_the_batch(monkeypatch):
     def recording(*args):
         integrand = make(*args)
 
-        def recorded(eps, offset):
+        def recorded(eps, *args):
             calls.append(eps.shape[0])
-            return integrand(eps, offset)
+            return integrand(eps, *args)
         return recorded
 
     monkeypatch.setattr(junction, "pat_integrand", recording)
@@ -877,8 +878,8 @@ def test_graded_square_root_panels_double_from_the_edge():
     assert set(sgn[1:6]) == {-1.0} and set(sgn[6:]) == {1.0}
     assert set(edge[1:]) == {1.0}
 
-    def peaked(x):
-        return 1.0 / np.sqrt(np.abs(x - 1.0) + 1e-4)
+    def peaked(x, jacobian):
+        return jacobian / np.sqrt(np.abs(x - 1.0) + 1e-4)
 
     graded, _err = integrate(peaked, bps, edges, [[0.1, 0.0]], rel_tol=1e-13)
     exact = 4.0 * (math.sqrt(4.0 + 1e-4) - math.sqrt(1e-4))
