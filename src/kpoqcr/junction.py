@@ -372,8 +372,9 @@ class PatIntegrator:
         self._singular = ((-gap_hz, _SEED_RHO),
                           (gap_hz, _SEED_RHO * weight ** (1 / (_CHEB_N - 2))))
         # Each base index's panels as (left edges, node offsets, node
-        # values).
+        # values), and its seed depth.
         self._store: dict = {}
+        self._depths: dict = {}
         # The last charge average of this function, by (charges, probs,
         # E_c), and the shifts of F's offsets in this function's values.
         self._averaged: dict = {}
@@ -441,7 +442,7 @@ class PatIntegrator:
 
     def _seed_depth(self, k) -> int:
         """Halvings of base panel k before its first tail test, from the
-        gap, T_S, T_N and k alone.
+        gap, T_S, T_N and k alone, computed once per k.
 
         F has a singularity above x = -gap, where the peak of n_s at +gap
         meets the island Fermi edge, and one above x = +gap for the peak at
@@ -458,6 +459,8 @@ class PatIntegrator:
         panel holding +gap is seeded too; at T_N = 0 the panel holding
         -gap 11 (0 / 0 K) to 13 (0.1 / 0 K) halvings deep.
         """
+        if k in self._depths:
+            return self._depths[k]
         depth = 0
         for x, need in self._singular:
             # x's place in the panel: 0 at its left end, 1 at its right.
@@ -471,6 +474,7 @@ class PatIntegrator:
                 if max(abs(s + root), abs(s - root)) >= need:
                     break
                 depth = d + 1
+        self._depths[k] = depth
         return depth
 
     def _seed(self, k) -> list:
