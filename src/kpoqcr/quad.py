@@ -112,8 +112,10 @@ WG = np.zeros(21)
 WG[1:20:2] = np.concatenate([_WG_HALF, _WG_HALF[::-1]])
 
 # Work size.  It bounds memory and leaves every result unchanged: calls only
-# group panels that are computed independently.
-CALL_POINTS = 2 ** 14
+# group panels that are computed independently.  At 2^16 the largest round
+# of a cold default table is one call; a larger size would change only the
+# low-temperature rounds, and their temporaries with them.
+CALL_POINTS = 2 ** 16
 # Limits of one integral: an integral that would need more panels or rounds
 # raises QuadratureError.
 PANEL_BUDGET = 2 ** 14
