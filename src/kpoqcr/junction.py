@@ -25,9 +25,13 @@ term folds into one charge-averaged function
 
 which every point of a sweep shares, because the charge distribution does
 not depend on the bias or the pump.  pat_integrals integrates F at given
-rows of offsets.  PatIntegrator holds F for a whole sweep as Chebyshev
-panels on a grid that the parameters alone fix, at every temperature.
-ChargeAveraged holds G the same way, from F's values.  A value of either
+rows of offsets, each row one quadrature whose integrand (pat_integrand)
+shares a point's density of states and lead Fermi factor among the row's
+offsets and costs one divide an offset.  PatIntegrator holds F for a
+whole sweep as Chebyshev panels on a grid that the parameters alone fix,
+at every temperature, each panel starting as pieces sized by their own
+Bernstein ellipses at F's singularities.  ChargeAveraged holds G the same
+way, from F's values.  A value of either
 depends only on its offset, bit for bit.
 
 F depends only on the junction: gap, gamma_dynes, T_S, T_N and
@@ -36,10 +40,10 @@ junction a process used, and rate_table, charge_distribution and every
 sweep take theirs from it when no integrator is passed; with F comes G,
 which PatIntegrator.averaged keeps for the last charge distribution read.
 So every table, sweep and command of one process at one junction reads
-one F and one G, and a process holds at most one of each.  Sharing changes no value: a value
-depends only on its offset, whichever panels were built first, and
-evaluate stores all of its new panels or none, so a QuadratureError leaves
-the shared function as it was.
+one F and one G, and a process holds at most one of each.  Sharing changes
+no value: a value depends only on its offset, whichever panels were built
+first, and evaluate stores all of its new panels or none, so a
+QuadratureError leaves the shared function as it was.
 """
 from __future__ import annotations
 
@@ -47,7 +51,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
 
 import numpy as np
 
@@ -61,18 +64,17 @@ from .quad import adaptive_gk  # noqa: F401
 _THERMAL_WINDOW = 35.0   # Fermi factors are machine-zero this many k_B T out
 _PQ_TAIL_LIMIT = 1e-10   # required probability at the charge cutoff
 _DYNES_PANELS = 10.0     # Dynes widths gamma*gap in the first graded panel
+_ROW_KT = 1400.0         # widest row of offsets in k_B T_N (pat_arguments)
 
 # The Chebyshev panels of PatIntegrator.
 _PANEL_KT = 16.0         # base panel width in k_B T_N, else in k_B T_S
-_SEED_REACH = 8.0        # seeded pieces within this many times the
-                         # distance of a singularity from the real axis
 _NODE_TOL = 1e-2         # node integrals at this fraction of rel_tol
 _TAIL_TOL = 1e-2         # tail coefficients within this fraction of tol
 _MAX_SPLITS = 8          # halvings of a base panel before giving up
 _CHEB_N = 24
 _INTERP_ROWS = 2 ** 12   # offsets a barycentric call, 0.75 MiB a node array
 # The least Bernstein parameter rho of a seeded piece at a singularity of F
-# (PatIntegrator._seed_depth): where the bound 2 rho^-(n - 2) on the
+# (PatIntegrator._seed): where the bound 2 rho^-(n - 2) on the
 # coefficients of a function bounded by 1 in the ellipse (Trefethen, ATAP,
 # thm 8.1) meets the tail threshold at rel_tol 1e-10, about 3.62.
 _SEED_RHO = (2.0 / (_TAIL_TOL * 1e-10)) ** (1.0 / (_CHEB_N - 2))
@@ -173,26 +175,60 @@ def pat_breakpoints(offsets, gap_hz: float, temp_s_hz: float,
 
 def pat_integrand(gap_hz: float, gamma_dynes: float, temp_s_hz: float,
                   temp_n_hz: float):
-    """The forward tunneling integrand times the quadrature's Jacobian,
-    fn(eps, jacobian, offset) =
-    n_s(eps) * (1 - f_S(eps)) * f_N(eps + offset) * jacobian, multiplied in
-    that order.
+    """The forward tunneling integrand times the quadrature's Jacobian J,
+    fn(eps, jacobian, scale, centre) = w / (1 + e^((eps + c) / k_B T_N) s)
+    with w = n_s(eps) (1 - f_S(eps)) J, multiplied in that order.
 
-    eps and jacobian are (m, p) and offset (m, 1, K), K offsets a row:
-    n_s (1 - f_S) is computed once a point and f_N once a component, and
-    the values are (m, p, K).  It works in place on arrays of its own and
-    never writes into eps, which the quadrature may reuse.
+    That is w f_N(eps + x) at each offset x of a row, with c the row's
+    centre and s = e^((x - c) / k_B T_N) (see pat_arguments): a product
+    of two exponentials, each finite while the row spans at most
+    _ROW_KT k_B T_N.  w and e^((eps + c) / k_B T_N) are computed once a
+    point, and each component costs one multiply, one add and one divide.
+    In the tails the factor is exactly 0.0 (the exponential overflows) or
+    exactly w (it underflows); it never cancels, as 1/2 (1 - tanh) does.
+    At T_N = 0 the factor is the step f_N(eps + c), each row one offset.
+
+    eps and jacobian are (m, p), scale (m, 1, K) and centre (m, 1, 1), K
+    offsets a row, and the values are (m, p, K).  It works in place on
+    arrays of its own and never writes into eps, which the quadrature may
+    reuse.
     """
-    def integrand(eps, jacobian, offset):
-        out = dynes_dos(eps, gap_hz, gamma_dynes)
+    def integrand(eps, jacobian, scale, centre):
+        w = dynes_dos(eps, gap_hz, gamma_dynes)
         f_s = fermi(eps, temp_s_hz)
-        out *= np.subtract(1.0, f_s, out=f_s)
-        f_n = fermi(eps[..., None] + offset, temp_n_hz)
-        f_n *= out[..., None]
-        f_n *= jacobian[..., None]
-        return f_n
+        w *= np.subtract(1.0, f_s, out=f_s)
+        w *= jacobian
+        if not temp_n_hz:
+            f_n = fermi(eps[..., None] + centre, 0.0)
+            f_n *= w[..., None]
+            return f_n
+        e = np.add(eps[..., None], centre)
+        e /= temp_n_hz
+        with np.errstate(over="ignore"):
+            np.exp(e, out=e)
+            out = np.multiply(e, scale)
+        out += 1.0
+        return np.divide(w[..., None], out, out=out)
 
     return integrand
+
+
+def pat_arguments(rows, temp_n_hz: float) -> tuple[np.ndarray, np.ndarray]:
+    """pat_integrand's arguments (scale, centre) at rows of offsets, (n, K)
+    and (n, 1): each row's centre c, halfway between its extreme offsets,
+    and s = e^((x - c) / k_B T_N) at each offset x, or 1.0 at T_N = 0.
+    Raises ValueError for a row wider than _ROW_KT k_B T_N, where s could
+    overflow."""
+    rows = np.asarray(rows, float)
+    lo = rows.min(axis=1, keepdims=True)
+    hi = rows.max(axis=1, keepdims=True)
+    centre = 0.5 * (lo + hi)
+    if not temp_n_hz:
+        return np.ones_like(rows), centre
+    if (hi - lo > _ROW_KT * temp_n_hz).any():
+        raise ValueError(f"a row of offsets spans more than {_ROW_KT:g} "
+                         f"k_B T_N")
+    return np.exp((rows - centre) / temp_n_hz), centre
 
 
 def pat_integrals(
@@ -224,12 +260,10 @@ def pat_integrals(
     at +gap are split at u = u0 * 2^k with u0 = sqrt(10 * gamma_dynes *
     gap): the first panel holds ten Dynes widths and the rest double
     outward.  The rule reads the integral's own offsets only, and the cuts
-    stay in the square-root variable, where the integrand is smooth.  The
-    node rows of a cold default charge distribution and table take about
-    930 points a row, 39 a node (15 rows of 24 offsets, 13.9k points, in 10
-    rounds); when they were 14 rows, 1,035 a row, grading their panels at
-    -gap as well took 983 a row in the same number of rounds, with no
-    measurable gain.
+    stay in the square-root variable, where the integrand is smooth.
+    Grading the panels at -gap as well saved 5% of the points of a cold
+    default table's node rows, in as many rounds, with no measurable gain.
+    A row wider than _ROW_KT k_B T_N raises ValueError (pat_arguments).
     """
     offsets = np.asarray(offsets, float)
     rows = offsets.reshape(-1, offsets.shape[1] if temp_n_hz else 1)
@@ -247,7 +281,7 @@ def pat_integrals(
     try:
         values, _err = integrate(integrand, bps, edges, widths,
                                  rel_tol=rel_tol, abs_tol=abs_floor,
-                                 args=(rows,))
+                                 args=pat_arguments(rows, temp_n_hz))
     except QuadratureError as exc:
         row, i = rows[exc.index], exc.index * len(offsets) // len(rows)
         lo, hi = float(row.min()), float(row.max())
@@ -286,8 +320,8 @@ class PatIntegrator:
 
     - base panel k is [k W, (k + 1) W) with W = 16 k_B T_N where T_N > 0,
       else W = 16 k_B T_S, else a quarter of the gap, so x = 0 is always
-      a panel edge; it starts as the pieces of _seed(k), read from the
-      gap, T_S, T_N and k alone;
+      a panel edge; it starts as the pieces of _seed(k), each halved until
+      its own Bernstein ellipse clears F's singularities;
     - a piece holds F at its 24 first-kind Chebyshev nodes, integrated by
       pat_integrals at rel_tol / 100: where T_N > 0 as one row, one
       quadrature whose 24 integrands share its panels and its density of
@@ -305,32 +339,17 @@ class PatIntegrator:
 
     F' is n_s (1 - f_S) smoothed by the island Fermi edge, so where
     T_N > 0 F is analytic within pi k_B T_N of the real axis, and
-    16 k_B T_N panels need pieces only near its singularities above
-    x = -gap and, at high T_S, x = +gap; the seed puts them there before
-    any integral.  At T_N = 0, F' is -n_s(-x) (1 - f_S(-x)): the Dynes
-    peaks put the singularities gamma_dynes * gap off the real axis, and
-    at T_S = 0 F has a kink at the panel edge x = 0 and is exactly 0.0
-    from there on.  A cold default table reads G (see ChargeAveraged) at
-    1,194 distinct anchors.  Its charge distribution and G's nodes read F,
-    which takes 360 node integrals in 15 pieces, all kept, in 2
-    pat_integrals runs and 10 adaptive rounds; G takes 312 node sums in 1
-    round and keeps 13.  Without the seed, the tail test split the panel
-    at -gap in 3 more runs (27 rounds), and G in 3 more rounds.  The
-    charge distribution and table take 12.8 ms of CPU against 18.3 ms
-    without the seed (medians of 15 calls in 7 interleaved fresh
-    processes, 2 vCPUs).  Against rel_tol 1e-13 integrals, over whole
-    45 GHz tables, node values are within 0.015 of their own tolerance
-    (0.01 to 0.3 K, 0.2 / 0.02 K and 0 / 0.1 K), and the interpolated
-    values within 1.5e-3 of the table tolerance
-    max(rel_tol |F|, rel_tol k_B T) from 0.01 to 0.3 K and within 2.3e-4
-    at T_S / T_N = 0.2 / 0.02 K and 0 / 0.1 K.  At 0.1 / 0 K the table's
-    F keeps 56 pieces of 50 seeded ones, 1,488 node integrals in 5 runs,
-    and G takes 12 rounds; at 0 / 0 K, 43 pieces, all seeded and kept,
-    1,032 node integrals in 2 runs, and G 1 round.  Its interpolated
-    values are within 2.0e-3 and 3.9e-3 of the table tolerance there.  A
-    26-point steady sweep then takes 99 and 40 ms of CPU against 402 and
-    114 ms with one integral per offset, and a single cold table 63 and
-    27 ms against 121 and 12 ms.
+    16 k_B T_N panels need small pieces only near its singularities above
+    x = -gap and, at high T_S, x = +gap.  At T_N = 0, F' is
+    -n_s(-x) (1 - f_S(-x)): the Dynes peaks put the singularities
+    gamma_dynes * gap off the real axis, and at T_S = 0 F has a kink at the
+    panel edge x = 0 and is exactly 0.0 from there on.  The seed puts the
+    pieces there before any integral: a cold default charge distribution
+    and table build F in 2 pat_integrals runs and G in 1 round, where the
+    tail test alone reaches the same pieces in 5 runs and 4 rounds at
+    about 1.7 times the CPU.  At T_N = 0, panels replace one integral per
+    offset, which took 4 and 3 times the CPU of a 26-point steady sweep at
+    0.1 / 0 K and 0 / 0 K.
 
     Since the nodes run at rel_tol / 100, a rel_tol below a few 1e-12
     asks them for less than the quadrature's roundoff (1e-12 fails at
@@ -366,7 +385,7 @@ class PatIntegrator:
         # Base panels of 16 k_B T_N, else 16 k_B T_S, else a quarter gap.
         self._width = _PANEL_KT * (temp_n_hz or temp_s_hz) or 0.25 * gap_hz
         # How far F's singularities at -+gap lie off the real axis, and the
-        # least Bernstein parameter of a seeded piece at each (_seed_depth).
+        # least Bernstein parameter of a seeded piece at each (_seed).
         self._reach = math.pi * temp_n_hz or gamma_dynes * gap_hz
         weight = math.exp(-gap_hz / temp_s_hz) if temp_s_hz > 0.0 else 0.0
         self._singular = ((-gap_hz, _SEED_RHO),
@@ -441,8 +460,37 @@ class PatIntegrator:
         return out
 
     def _seed_depth(self, k) -> int:
-        """Halvings of base panel k before its first tail test, from the
-        gap, T_S, T_N and k alone, computed once per k.
+        """The depth of base panel k's deepest seeded piece, from the gap,
+        T_S, T_N and k alone, computed once per k."""
+        if k not in self._depths:
+            self._depths[k] = max(depth for depth, _a, _b in self._pieces(
+                [k * self._width, (k + 1) * self._width]))
+        return self._depths[k]
+
+    def _pieces(self, cuts) -> list:
+        """The pieces (depth, left, right) of the intervals between
+        consecutive cuts, left to right, each halved while its Bernstein
+        parameter rho at some singularity of F is below that singularity's
+        need (see _seed)."""
+        pieces, pending = [], [(0, a, b) for a, b in zip(cuts, cuts[1:])]
+        pending.reverse()
+        while pending:
+            depth, a, b = pending.pop()
+            half = 0.5 * (b - a)
+            mid = a + half
+            for x, need in self._singular:
+                s = complex((x - mid) / half, self._reach / half)
+                root = cmath.sqrt(s * s - 1.0)
+                if max(abs(s + root), abs(s - root)) < need:
+                    pending += [(depth + 1, mid, b), (depth + 1, a, mid)]
+                    break
+            else:
+                pieces.append((depth, a, b))
+        return pieces
+
+    def _seed(self, k) -> list:
+        """The pieces (depth, left, right) base panel k starts as, read
+        from the gap, T_S, T_N and k alone.
 
         F has a singularity above x = -gap, where the peak of n_s at +gap
         meets the island Fermi edge, and one above x = +gap for the peak at
@@ -452,55 +500,18 @@ class PatIntegrator:
         Dynes width gamma_dynes * gap.  A piece's Chebyshev coefficients
         fall like rho^-n, rho the parameter of its Bernstein ellipse
         through the singularity (Trefethen, Approximation Theory and
-        Approximation Practice, SIAM 2013, ch. 8).  The seed is the least
-        depth at which the piece nearest each singularity has
-        rho >= _SEED_RHO * w^(1 / (n - 2)).  At the defaults only the panel
-        holding -gap is seeded, as 8 pieces of 2 k_B T_N; at high T_S the
-        panel holding +gap is seeded too; at T_N = 0 the panel holding
-        -gap 11 (0 / 0 K) to 13 (0.1 / 0 K) halvings deep.
-        """
-        if k in self._depths:
-            return self._depths[k]
-        depth = 0
-        for x, need in self._singular:
-            # x's place in the panel: 0 at its left end, 1 at its right.
-            u = x / self._width - k
-            for d in count(depth):
-                half = 0.5 ** (d + 1)
-                j = min(max(math.floor(u / (2 * half)), 0), 2 ** d - 1)
-                s = complex(u / half - 2 * j - 1,
-                            self._reach / (half * self._width))
-                root = cmath.sqrt(s * s - 1.0)
-                if max(abs(s + root), abs(s - root)) >= need:
-                    break
-                depth = d + 1
-        self._depths[k] = depth
-        return depth
-
-    def _seed(self, k) -> list:
-        """The pieces (depth, left, right) base panel k starts as: halved
-        _seed_depth(k) times, each time the pieces within _SEED_REACH *
-        _reach of a singularity.  Where T_N > 0 every piece of a seeded
-        panel lies within 23.2 k_B T_N of the singularity that seeded it,
-        so the panel is halved evenly, as 2^d pieces.  At T_N = 0 the
-        pieces 2^-d panels wide sit within 8 Dynes widths of it, one of
-        each greater width beside them, and the tail test halves those
-        that need it (a cold table at 0.1 / 0 K keeps 56 pieces of 50
-        seeded ones; at 0 / 0 K, all 43 as seeded).  At
+        Approximation Practice, SIAM 2013, ch. 8).  Each piece is halved
+        while its own rho at either singularity is below that
+        singularity's need, _SEED_RHO for the one at -gap and
+        _SEED_RHO * w^(1 / (n - 2)) for the one at +gap, so pieces shrink
+        toward a singularity and keep their width away from it.  At
         T_S = T_N = 0, F has a kink at x = 0, a panel edge, and G one at
         each -2 E_c q_k: the panel starts split there."""
         lo, hi = k * self._width, (k + 1) * self._width
         # F's kink at x = 0 where T_S = T_N = 0, at -2 E_c q_k in G.
         kinks = [] if self.temp_s_hz or self.temp_n_hz else [
             x for x in (-self._shifts).tolist() if lo < x < hi]
-        cuts = [lo, *sorted(kinks), hi]
-        pieces = [(0, a, b) for a, b in zip(cuts, cuts[1:])]
-        for _ in range(self._seed_depth(k)):
-            pieces = [half for d, a, b in pieces for half in (
-                ((d + 1, a, 0.5 * (a + b)), (d + 1, 0.5 * (a + b), b))
-                if any(max(a - x, x - b) < _SEED_REACH * self._reach
-                       for x, _need in self._singular) else ((d, a, b),))]
-        return pieces
+        return self._pieces([lo, *sorted(kinks), hi])
 
     def _limit(self, k) -> int:
         """The depth at which a piece of base panel k that still fails the
@@ -542,7 +553,7 @@ class PatIntegrator:
                                                     tail <= tol):
                 if ok:
                     leaves[i].append((a, xi, fi))
-                elif depth == limits[i]:
+                elif depth >= limits[i]:
                     raise QuadratureError(
                         f"tunneling function unresolved on [{a!r}, {b!r}) Hz "
                         f"after {depth} halvings of its panel",
@@ -580,15 +591,11 @@ class ChargeAveraged(PatIntegrator):
     the sum in the order given.  G is held like F: on F's grid, with its
     node count, seed, tail test, split rule and error paths.  Its own
     singularities, F's shifted by each 2 E_c q_k, are not seeded, so its
-    tail test halves toward them (12 rounds at 0.1 / 0 K, where G keeps 9
-    charges; 3 at 0.01 K; 1 at the defaults), as deep as F's seeds reach
-    in the panels it reads.  A node value is that sum of F's values,
-    read in one evaluate call per build round.  So G carries F's
-    interpolation error and adds its own at the same tail threshold; its
-    nodes add no quadrature of their own.  Against sums of rel_tol 1e-13
-    integrals, G at every anchor of a cold table is within 7.7e-3 of the
-    table tolerance max(rel_tol |G|, rel_tol k_B T) (0.2 / 0.02 K; 2.9e-3
-    at defaults, 0.054 at 0.1 / 0 K and 1e-5 at 0 / 0 K).
+    tail test halves toward them, as deep as F's seeds reach in the panels
+    it reads.  A node value is that sum of F's values, read in one
+    evaluate call per build round.  So G carries F's interpolation error
+    and adds its own at the same tail threshold; its nodes add no
+    quadrature of their own.
 
     A value depends only on its offset, F's parameters and the charges,
     bit for bit: F's values do, by F's rule, and the sum runs in a fixed

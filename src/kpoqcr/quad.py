@@ -2,9 +2,9 @@
 
 Each integral is given by its breakpoints (interior discontinuities or kinks
 plus the two endpoints), one row of a 2-D breakpoint array per integral, and
-by its rows of the (n, K) arguments to the one integrand all integrals
-share.  Every result has that one shape: n integrals of K components each,
-K = 1 without arguments.  Each interval between consecutive breakpoints
+by its row of each argument to the one integrand all integrals share, the
+first argument (n, K).  Every result has that one shape: n integrals of K
+components each, K = 1 without arguments.  Each interval between consecutive breakpoints
 starts as one panel, which carries the index of its integral and an
 optional square-root reparametrization anchored at the interval's edge end:
 on such a panel the integration variable is u with eps = edge +/- u^2,
@@ -19,14 +19,15 @@ Each panel is integrated with the QUADPACK qk21 pair (Piessens et al.
 1983): the 21-point Kronrod rule gives the estimate, and its difference
 from the embedded 10-point Gauss rule the error.
 
-An integrand returns K components at each point, one per column of its
-arguments: K integrands that share an integral's panels, so that the
+An integrand is called as fn(eps, jacobian, *rows), with each point's
+Jacobian d eps / d u beside it, and returns its values times that
+Jacobian, so that it can fold the Jacobian into a factor it computes once
+a point.  It returns K components at each point, one per column of its
+first argument: K integrands that share an integral's panels, so that the
 points, the factors common to all K and the per-round bookkeeping are paid
 once for K values.  Each component must meet the tolerance on its own,
 and a panel splits when any component asks for it.  The Chebyshev nodes of
-junction.PatIntegrator use this, one integral per panel of 24 nodes: a
-cold default charge distribution and rate table integrate 360 nodes in 2
-runs, 10 rounds and 13.9k points (928 a panel, 39 a node).
+junction.PatIntegrator use this, one integral per piece of 24 nodes.
 
 All integrals of a call share one adaptive run.  Every refinement round
 evaluates all of its new panels in vectorized integrand calls of at most
@@ -35,9 +36,7 @@ square-root panels in the same call (the halves of a split panel keep its
 kind).  Convergence, splitting and the panel budget (PANEL_BUDGET panels an
 integral, at most MAX_ROUNDS rounds) are decided per integral, and a
 converged integral leaves the active set.  CALL_POINTS bounds the
-integrand's temporaries; the panel arrays grow with the rows of a call:
-in a 26-point steady sweep at most 13 rows of 24 nodes at 0.1 K and 43 at
-0.01 K, and 1,152 single-node rows at T_S/T_N = 0.1/0 K.
+integrand's temporaries; the panel arrays grow with the rows of a call.
 
 Batch independence: an integral's value and error depend only on its own
 breakpoints and arguments, never on which other integrals share the run or
@@ -254,13 +253,13 @@ def integrate(
     square-root panels at sqrt_edges graded by first_widths (see
     plan_panels).
 
-    args are arrays of shape (n, K), one row per integral; K = 1 without
-    args.  fn(eps, jacobian, *rows) is evaluated on an (m, 21) array of
-    points and their (m, 21) Jacobians d eps / d u, where each entry of rows
-    is the (m, 1, K) array of one arg's rows indexed by the integral of
-    each point's panel.  It returns the (m, 21, K) values, or (m, 21) when
-    K = 1, of K integrands that share each integral's panels, each times
-    its point's Jacobian.
+    args are arrays with one row per integral, the first of shape (n, K);
+    K = 1 without args.  fn(eps, jacobian, *rows) is evaluated on an
+    (m, 21) array of points and their (m, 21) Jacobians d eps / d u, where
+    each entry of rows is the (m, 1, ...) array of one arg's rows indexed
+    by the integral of each point's panel.  It returns the (m, 21, K)
+    values, or (m, 21) when K = 1, of K integrands that share each
+    integral's panels, each times its point's Jacobian.
 
     Integral i has converged when the error estimate of every component k
     is at most max(rel_tol * |value_ik|, abs_tol); each round splits the

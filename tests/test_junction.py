@@ -1,4 +1,5 @@
 """Tunneling integrals, lead density of states and the island charge state."""
+import cmath
 import math
 import re
 
@@ -92,23 +93,76 @@ def test_fermi_is_the_tanh_form_bitwise():
     assert fermi(eps[7], t) == want[7]
 
 
-@pytest.mark.parametrize("temp_hz", [2.0836619123e9, 0.0])
+@pytest.mark.parametrize("temp_hz", [2.0836619123e9, 2.0836619123e8, 0.0])
 def test_integrand_is_the_product_and_leaves_eps_alone(temp_hz):
-    # The quadrature hands the integrand views of its node array and reuses
-    # them afterwards; a read-only view fails on any write.
+    # The values are n_s (1 - f_S) J times the textbook island Fermi
+    # function 1 / (1 + e^y), y = (eps + x) / k_B T_N, here in extended
+    # precision: within (8 + |y|) ulps, since y's own rounding moves e^y by
+    # up to |y| ulps; at T_N = 0, the step times n_s (1 - f_S) J, bitwise.
+    # Rows span 16 k_B T_N, as PatIntegrator's do.  The quadrature hands
+    # the integrand views of its node array and reuses them afterwards; a
+    # read-only view fails on any write.
     gd = SystemParams().gamma_dynes
     rng = np.random.default_rng(5)
     nodes = rng.uniform(-3 * GAP, 3 * GAP, (64, 15))
     kept = nodes.copy()
     eps = nodes[8:40]
     eps.flags.writeable = False
-    offset = rng.uniform(-100e9, 100e9, (32, 1, 1))
-    got = pat_integrand(GAP, gd, temp_hz, temp_hz)(eps, np.ones_like(eps),
-                                                   offset)
-    want = ((dynes_dos(eps, GAP, gd) * (1.0 - fermi(eps, temp_hz)))[..., None]
-            * fermi(eps[..., None] + offset, temp_hz))
-    assert got.tobytes() == want.tobytes()
+    jacobian = rng.uniform(0.0, 2.0, eps.shape)
+    k = 1 if temp_hz == 0.0 else 24
+    rows = (rng.uniform(-100e9, 100e9, (32, 1))
+            + rng.uniform(0.0, 16.0 * temp_hz, (32, k)))
+    scale, centre = junction.pat_arguments(rows, temp_hz)
+    got = pat_integrand(GAP, gd, temp_hz, temp_hz)(
+        eps, jacobian, scale[:, None], centre[:, None])
+    w = (dynes_dos(eps, GAP, gd) * (1.0 - fermi(eps, temp_hz)) * jacobian)
+    if temp_hz == 0.0:
+        want = w[..., None] * fermi(eps[..., None] + rows[:, None], 0.0)
+        assert got.tobytes() == want.tobytes()
+    else:
+        y = ((eps.astype(np.longdouble)[..., None] + rows[:, None])
+             / np.longdouble(temp_hz))
+        want = w[..., None] / (1.0 + np.exp(y))
+        normal = want > 1e-290
+        ulps = np.abs(got - want)[normal] / (want[normal]
+                                               * np.finfo(float).eps)
+        assert normal.sum() > 2000
+        assert np.all(ulps <= 8.0 + np.abs(y[normal])), ulps.max()
     assert nodes.tobytes() == kept.tobytes()
+
+
+def test_integrand_tails_are_exact():
+    # At 0.01 K and offsets out to +-150 GHz, (eps + x) / k_B T_N reaches
+    # about +-1,400, far past exp's range: the Fermi factor is exactly 0.0
+    # or exactly 1.0 there, and never NaN.
+    p = SystemParams().replace(temp_n=0.01, temp_s=0.01)
+    t = p.t_n_hz
+    eps = np.linspace(-150e9, 150e9, 3001)[None, :]
+    rows = np.array([[-150e9], [-150e9 + 8 * t], [0.0], [150e9]])
+    scale, centre = junction.pat_arguments(rows, t)
+    integrand = pat_integrand(p.gap_hz, p.gamma_dynes, p.t_s_hz, t)
+    w = dynes_dos(eps, p.gap_hz, p.gamma_dynes) * (1.0 - fermi(eps, p.t_s_hz))
+    tails = [0, 0]
+    for x, s, c in zip(rows[:, 0], scale, centre):
+        got = integrand(eps, np.ones_like(eps), s[None, None],
+                        c[None, None])[..., 0]
+        y = (eps + x) / t
+        high, low = y > 745.0, y < -40.0
+        assert not np.isnan(got).any()
+        assert np.all(got[high] == 0.0) and np.all(got[low] == w[low])
+        tails = [tails[0] + high.sum(), tails[1] + low.sum()]
+    assert min(tails) > 1000
+
+
+def test_too_wide_row_raises():
+    # A row of offsets wider than 1,400 k_B T_N could overflow its
+    # components' factors, so pat_integrals refuses it; at T_N = 0 every
+    # row is one offset.
+    t = 2e9
+    gamma = SystemParams().gamma_dynes
+    with pytest.raises(ValueError, match="1400 k_B T_N"):
+        pat_integrals([[0.0, 1401 * t]], GAP, gamma, t, t)
+    pat_integrals([[0.0, 1399 * t]], GAP, gamma, t, t)
 
 
 def test_fermi_limits():
@@ -499,21 +553,28 @@ def _leaf_widths(integ, k):
 
 def test_cold_default_table_builds_in_one_pass(params, spectrum, eta,
                                                 monkeypatch):
-    # The panel holding -gap starts as the pieces the tail test would
-    # reach, so a cold default charge distribution and table each make one
-    # node quadrature of F, in few adaptive rounds, and G's nodes are one
-    # round of F reads.
-    counts = dict.fromkeys(["pat_integrals", "rounds", "g_rounds"], 0)
+    # The seed puts every piece of F where the tail test keeps it, so a
+    # cold default charge distribution and table each make one node
+    # quadrature of F, 12 node rows in all (5 of them on the panel holding
+    # -gap), 10,836 quadrature points in 10 adaptive rounds, and G's
+    # nodes are one round of F reads.
+    counts = dict.fromkeys(["pat_integrals", "rows", "rounds", "points",
+                            "g_rounds"], 0)
 
-    def counted(fn, key):
+    def counted(fn, key, size=None):
         def wrapper(*args, **kwargs):
             counts[key] += 1
+            if size is not None:
+                counts[size[0]] += size[1](*args)
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(junction, "pat_integrals",
-                        counted(junction.pat_integrals, "pat_integrals"))
-    monkeypatch.setattr(quad, "_evaluate", counted(quad._evaluate, "rounds"))
+    monkeypatch.setattr(junction, "pat_integrals", counted(
+        junction.pat_integrals, "pat_integrals",
+        ("rows", lambda offsets, *_: len(offsets))))
+    monkeypatch.setattr(quad, "_evaluate", counted(
+        quad._evaluate, "rounds",
+        ("points", lambda fn, panels, owner, *_: owner.size * XGK.size)))
     monkeypatch.setattr(junction.ChargeAveraged, "_integrals",
                         counted(junction.ChargeAveraged._integrals,
                                 "g_rounds"))
@@ -521,68 +582,100 @@ def test_cold_default_table_builds_in_one_pass(params, spectrum, eta,
     pq = charge_distribution(params, integ)
     assert counts["pat_integrals"] == 1
     rate_table(params, spectrum, eta, pq, integ)
-    assert counts["pat_integrals"] == 2
-    assert counts["rounds"] <= 10
-    assert counts["g_rounds"] == 1
+    assert counts == {"pat_integrals": 2, "rows": 12, "rounds": 10,
+                      "points": 10836, "g_rounds": 1}
+    k = math.floor(-params.gap_hz / integ._width)
+    quarter = integ._width / 4
+    assert _leaf_widths(integ, k) == pytest.approx(
+        [quarter, quarter, quarter / 2, quarter / 2, quarter], rel=1e-9)
+
+
+def _rho(a, b, x, reach):
+    """The Bernstein parameter of the ellipse of [a, b] through x + i reach
+    (Trefethen, ATAP, ch. 8)."""
+    s = complex((2 * x - a - b) / (b - a), 2 * reach / (b - a))
+    root = cmath.sqrt(s * s - 1.0)
+    return max(abs(s + root), abs(s - root))
 
 
 @pytest.mark.parametrize("temp_s, temp_n", [
-    (0.1, 0.1), (0.01, 0.01), (0.03, 0.03), (0.3, 0.3), (0.2, 0.02)])
-def test_seed_depth_covers_the_tail_test(params, spectrum, eta, temp_s,
-                                         temp_n):
-    # Every panel of F that a cold table builds keeps its seeded pieces:
-    # the seed already reaches the depth the tail test asks for, at -gap
-    # (8 pieces at the defaults), beside it and at +gap where T_S is high.
+    (0.1, 0.1), (0.01, 0.01), (0.03, 0.03), (0.3, 0.3), (0.2, 0.02),
+    (0.1, 0.0), (0.0, 0.0)])
+def test_each_seeded_piece_meets_its_need_and_its_parent_did_not(
+        params, temp_s, temp_n):
+    # Each piece the seed starts a panel as has rho at least its need at
+    # both singularities of F, and the piece it was halved from (if any)
+    # fell short at one of them: the seed halves exactly as far as each
+    # piece's own ellipse asks.  At the defaults only the panel holding
+    # -gap is split, into 5 pieces.
+    p = params.replace(temp_s=temp_s, temp_n=temp_n)
+    integ = PatIntegrator.from_params(p)
+    width, reach = integ._width, integ._reach
+    low, high = (math.floor(x / width) for x in (-p.gap_hz, p.gap_hz))
+
+    def short(a, b):
+        return any(_rho(a, b, x, reach) < need
+                   for x, need in integ._singular)
+
+    split = {}
+    for k in range(low - 3, high + 4):
+        pieces = integ._seed(k)
+        lefts = [a for _d, a, _b in pieces]
+        assert lefts == sorted(lefts) and pieces[0][1] == k * width
+        assert all(b == a2 for (_d, _a, b), (_d2, a2, _b2)
+                   in zip(pieces, pieces[1:]))
+        assert pieces[-1][2] == (k + 1) * width
+        for depth, a, b in pieces:
+            assert not short(a, b)
+            if depth:
+                # The parent: this piece and its right or left sibling.
+                left_child = round((a - k * width) / (b - a)) % 2 == 0
+                parent = (a, 2 * b - a) if left_child else (2 * a - b, b)
+                assert short(*parent), (k, a, b)
+        assert max(d for d, _a, _b in pieces) == integ._seed_depth(k)
+        if len(pieces) > 1:
+            split[k] = len(pieces)
+    assert low in split
+    if (temp_s, temp_n) == (0.1, 0.1):
+        assert split == {low: 5}
+
+
+@pytest.mark.parametrize("temp_s, temp_n", [
+    (0.1, 0.1), (0.03, 0.03), (0.3, 0.3), (0.2, 0.02)])
+def test_the_tail_test_keeps_every_seeded_piece(params, spectrum, eta,
+                                                temp_s, temp_n):
+    # Every panel of F that a cold table builds keeps the pieces it was
+    # seeded as: the tail test splits none of them.
     p = params.replace(temp_s=temp_s, temp_n=temp_n)
     integ = PatIntegrator.from_params(p)
     rate_table(p, spectrum, eta, integrator=integ)
-    width = junction._PANEL_KT * p.t_n_hz
-    for k in integ._store:
-        want = width / 2 ** integ._seed_depth(k)
-        assert _leaf_widths(integ, k) == pytest.approx(want, rel=1e-9), k
-    depths = {k: integ._seed_depth(k) for k in range(-40, 40)}
-    low, high = (math.floor(x / width) for x in (-p.gap_hz, p.gap_hz))
-    assert depths[low] >= 2
-    if (temp_s, temp_n) == (0.1, 0.1):
-        assert depths == {k: 3 if k == low else 0 for k in depths}
-    if temp_s > temp_n:
-        assert depths[low + 1] >= 1 and depths[high] >= 1
-    if temp_s == 0.3:
-        assert depths[high] >= 1
+    for k, (lefts, _x, _f) in integ._store.items():
+        assert lefts.tolist() == [a for _d, a, _b in integ._seed(k)], k
 
 
 def test_unseeded_build_reaches_the_seeded_pieces(params, monkeypatch):
-    # The seed only starts the split tree deeper.  With it at 0, the tail
-    # test still halves the panel holding -gap down to 2 k_B T_N pieces
-    # around -gap, and a piece both builds hold has the same node values
-    # bit for bit: a piece's nodes are one quadrature of that piece alone.
+    # The seed only starts the split tree deeper.  Without it, the tail
+    # test halves the panel holding -gap into the very pieces the seed
+    # starts it as, and each piece has the same node values bit for bit:
+    # a piece's nodes are one quadrature of that piece alone.
     width = junction._PANEL_KT * params.t_n_hz
     k = math.floor(-params.gap_hz / width)
     seeded = PatIntegrator.from_params(params)
     seeded.evaluate([-params.gap_hz])
-    monkeypatch.setattr(PatIntegrator, "_seed_depth", lambda self, k: 0)
+    monkeypatch.setattr(PatIntegrator, "_pieces", lambda self, cuts: [
+        (0, a, b) for a, b in zip(cuts, cuts[1:])])
     unseeded = PatIntegrator.from_params(params)
     unseeded.evaluate([-params.gap_hz])
-    assert _leaf_widths(seeded, k) == pytest.approx(width / 8, rel=1e-9)
-    lefts, x, f = seeded._store[k]
-    u_lefts, u_x, u_f = unseeded._store[k]
-    u_widths = _leaf_widths(unseeded, k)
-    hold = np.searchsorted(u_lefts, -params.gap_hz, "right") - 1
-    assert u_widths[hold] == pytest.approx(width / 8, rel=1e-9)
-    assert set(u_lefts.tolist()) <= set(lefts.tolist())
-    shared = np.flatnonzero(np.isclose(u_widths, width / 8, rtol=1e-9))
-    assert shared.size >= 2
-    for i in shared:
-        j = int(np.flatnonzero(lefts == u_lefts[i])[0])
-        assert u_x[i].tobytes() == x[j].tobytes()
-        assert u_f[i].tobytes() == f[j].tobytes()
+    assert len(seeded._store[k][0]) == 5
+    for got, want in zip(unseeded._store[k], seeded._store[k]):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_halving_limit_counts_from_the_base_panel(params, monkeypatch):
-    # With every tail test failing, the seeded panel holding -gap (8
-    # pieces) is halved 5 more times: the limit is 8 halvings of the base
-    # panel, not of a seeded piece, and the error names a 2^-8 piece of it
-    # and stores nothing.
+    # With every tail test failing, the seeded pieces of the panel holding
+    # -gap, 2 and 3 halvings deep, are halved until 8 halvings of the base
+    # panel: the limit counts from the base panel, not from a seeded
+    # piece, and the error names a 2^-8 piece of it and stores nothing.
     monkeypatch.setattr(junction, "_TAIL_TOL", 1e-300)
     width = junction._PANEL_KT * params.t_n_hz
     k = math.floor(-params.gap_hz / width)
@@ -652,7 +745,7 @@ def test_table_integrals_meet_their_tolerance(params, temp_k, bias_hz):
     want, _err = integrate(
         pat_integrand(p.gap_hz, p.gamma_dynes, p.t_s_hz, p.t_n_hz), bps,
         edges, np.zeros_like(edges), rel_tol=1e-13, abs_tol=1e-13 * k_t,
-        args=(sample[:, None],))
+        args=junction.pat_arguments(sample[:, None], p.t_n_hz))
     want = want[:, 0]
     tol = np.maximum(1e-10 * np.abs(want), 1e-10 * k_t)
     worst = int(np.argmax(np.abs(got - want) / tol))
@@ -695,7 +788,7 @@ def test_interpolated_values_match_direct_integrals(params, temp_s, temp_n,
     want, _err = integrate(
         pat_integrand(p.gap_hz, p.gamma_dynes, p.t_s_hz, p.t_n_hz), bps,
         edges, np.zeros_like(edges), rel_tol=1e-13, abs_tol=1e-13 * k_t,
-        args=(sample[:, None],))
+        args=junction.pat_arguments(sample[:, None], p.t_n_hz))
     err = _table_errors(got, want[:, 0], k_t)
     assert err.max() <= 0.1, sample[np.argmax(err)]
 
@@ -723,7 +816,7 @@ def test_charge_averaged_values_match_direct_sums(params, monkeypatch,
     f, _err = integrate(
         pat_integrand(p.gap_hz, p.gamma_dynes, p.t_s_hz, p.t_n_hz), bps,
         edges, np.zeros_like(edges), rel_tol=1e-13, abs_tol=1e-13 * k_t,
-        args=(x[:, None],))
+        args=junction.pat_arguments(x[:, None], p.t_n_hz))
     f = f.reshape(anchors.size, -1)
     want = averaged._probs[0] * f[:, 0]
     for p_k, f_k in zip(averaged._probs[1:], f.T[1:]):
