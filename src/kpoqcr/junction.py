@@ -25,13 +25,11 @@ term folds into one charge-averaged function
 
 which every point of a sweep shares, because the charge distribution does
 not depend on the bias or the pump.  pat_integrals integrates F at given
-rows of offsets, each row one quadrature whose integrand (pat_integrand)
-shares a point's density of states and lead Fermi factor among the row's
-offsets and costs one divide an offset.  PatIntegrator holds F for a
-whole sweep as Chebyshev panels on a grid that the parameters alone fix,
-at every temperature, each panel starting as pieces sized by their own
-Bernstein ellipses at F's singularities.  ChargeAveraged holds G the same
-way, from F's values.  A value of either
+rows of offsets, one divide an offset a point (pat_integrand).
+PatIntegrator holds F for a whole sweep as Chebyshev panels on a grid that
+the parameters alone fix, at every temperature, seeded as pieces sized by
+their own Bernstein ellipses.  ChargeAveraged holds G the same way, from
+F's values.  A value of either
 depends only on its offset, bit for bit.
 
 F depends only on the junction: gap, gamma_dynes, T_S, T_N and
@@ -180,18 +178,15 @@ def pat_integrand(gap_hz: float, gamma_dynes: float, temp_s_hz: float,
     with w = n_s(eps) (1 - f_S(eps)) J, multiplied in that order.
 
     That is w f_N(eps + x) at each offset x of a row, with c the row's
-    centre and s = e^((x - c) / k_B T_N) (see pat_arguments): a product
-    of two exponentials, each finite while the row spans at most
-    _ROW_KT k_B T_N.  w and e^((eps + c) / k_B T_N) are computed once a
-    point, and each component costs one multiply, one add and one divide.
-    In the tails the factor is exactly 0.0 (the exponential overflows) or
-    exactly w (it underflows); it never cancels, as 1/2 (1 - tanh) does.
-    At T_N = 0 the factor is the step f_N(eps + c), each row one offset.
+    centre and s = e^((x - c) / k_B T_N) (pat_arguments).  w and
+    e^((eps + c) / k_B T_N) are computed once a point, and a component
+    costs one multiply, one add and one divide.  In the tails the factor
+    is exactly 0.0 or exactly w; it never cancels, as 1/2 (1 - tanh) does.
+    At T_N = 0 it is the step f_N(eps + c), each row one offset.
 
-    eps and jacobian are (m, p), scale (m, 1, K) and centre (m, 1, 1), K
-    offsets a row, and the values are (m, p, K).  It works in place on
-    arrays of its own and never writes into eps, which the quadrature may
-    reuse.
+    eps and jacobian are (m, p), scale (m, 1, K) and centre (m, 1, 1), and
+    the values are (m, p, K).  It never writes into eps, which the
+    quadrature may reuse.
     """
     def integrand(eps, jacobian, scale, centre):
         w = dynes_dos(eps, gap_hz, gamma_dynes)
@@ -214,11 +209,10 @@ def pat_integrand(gap_hz: float, gamma_dynes: float, temp_s_hz: float,
 
 
 def pat_arguments(rows, temp_n_hz: float) -> tuple[np.ndarray, np.ndarray]:
-    """pat_integrand's arguments (scale, centre) at rows of offsets, (n, K)
-    and (n, 1): each row's centre c, halfway between its extreme offsets,
-    and s = e^((x - c) / k_B T_N) at each offset x, or 1.0 at T_N = 0.
-    Raises ValueError for a row wider than _ROW_KT k_B T_N, where s could
-    overflow."""
+    """pat_integrand's (scale, centre) at rows of offsets, (n, K) and
+    (n, 1): each row's centre c, halfway between its extreme offsets, and
+    s = e^((x - c) / k_B T_N), or 1.0 at T_N = 0.  Raises ValueError for
+    a row wider than _ROW_KT k_B T_N, where s could overflow."""
     rows = np.asarray(rows, float)
     lo = rows.min(axis=1, keepdims=True)
     hi = rows.max(axis=1, keepdims=True)
@@ -261,9 +255,8 @@ def pat_integrals(
     gap): the first panel holds ten Dynes widths and the rest double
     outward.  The rule reads the integral's own offsets only, and the cuts
     stay in the square-root variable, where the integrand is smooth.
-    Grading the panels at -gap as well saved 5% of the points of a cold
-    default table's node rows, in as many rounds, with no measurable gain.
-    A row wider than _ROW_KT k_B T_N raises ValueError (pat_arguments).
+    Grading the panels at -gap as well saved 5% of the points, with no
+    measurable gain.  A row wider than _ROW_KT k_B T_N raises ValueError.
     """
     offsets = np.asarray(offsets, float)
     rows = offsets.reshape(-1, offsets.shape[1] if temp_n_hz else 1)
@@ -494,19 +487,17 @@ class PatIntegrator:
 
         F has a singularity above x = -gap, where the peak of n_s at +gap
         meets the island Fermi edge, and one above x = +gap for the peak at
-        -gap, weighted relative to the first by w = exp(-gap / k_B T_S),
-        the ratio of the two peaks' 1 - f_S.  Both lie _reach off the real
-        axis: pi k_B T_N, where the edge's poles lie, or at T_N = 0 the
-        Dynes width gamma_dynes * gap.  A piece's Chebyshev coefficients
-        fall like rho^-n, rho the parameter of its Bernstein ellipse
-        through the singularity (Trefethen, Approximation Theory and
-        Approximation Practice, SIAM 2013, ch. 8).  Each piece is halved
-        while its own rho at either singularity is below that
-        singularity's need, _SEED_RHO for the one at -gap and
-        _SEED_RHO * w^(1 / (n - 2)) for the one at +gap, so pieces shrink
-        toward a singularity and keep their width away from it.  At
-        T_S = T_N = 0, F has a kink at x = 0, a panel edge, and G one at
-        each -2 E_c q_k: the panel starts split there."""
+        -gap, weighted by w = exp(-gap / k_B T_S), the ratio of the peaks'
+        1 - f_S.  Both lie _reach off the real axis: pi k_B T_N, where the
+        edge's poles lie, or at T_N = 0 the Dynes width gamma_dynes * gap.
+        A piece's Chebyshev coefficients fall like rho^-n, rho the
+        parameter of its Bernstein ellipse through the singularity
+        (Trefethen, Approximation Theory and Approximation Practice, SIAM
+        2013, ch. 8).  Each piece is halved while its own rho is below
+        _SEED_RHO at -gap or _SEED_RHO * w^(1 / (n - 2)) at +gap, so pieces
+        shrink toward a singularity only.  At T_S = T_N = 0, F has a kink
+        at x = 0, a panel edge, and G one at each -2 E_c q_k: the panel
+        starts split there."""
         lo, hi = k * self._width, (k + 1) * self._width
         # F's kink at x = 0 where T_S = T_N = 0, at -2 E_c q_k in G.
         kinks = [] if self.temp_s_hz or self.temp_n_hz else [

@@ -19,11 +19,10 @@ Each panel is integrated with the QUADPACK qk21 pair (Piessens et al.
 1983): the 21-point Kronrod rule gives the estimate, and its difference
 from the embedded 10-point Gauss rule the error.
 
-An integrand is called as fn(eps, jacobian, *rows), with each point's
-Jacobian d eps / d u beside it, and returns its values times that
-Jacobian, so that it can fold the Jacobian into a factor it computes once
-a point.  It returns K components at each point, one per column of its
-first argument: K integrands that share an integral's panels, so that the
+An integrand fn(eps, jacobian, *rows) returns its values times each
+point's Jacobian d eps / d u, which it can fold into a factor it computes
+once a point, at K components a point, one per column of its first
+argument: K integrands that share an integral's panels, so that the
 points, the factors common to all K and the per-round bookkeeping are paid
 once for K values.  Each component must meet the tolerance on its own,
 and a panel splits when any component asks for it.  The Chebyshev nodes of
@@ -111,9 +110,8 @@ WG = np.zeros(21)
 WG[1:20:2] = np.concatenate([_WG_HALF, _WG_HALF[::-1]])
 
 # Work size.  It bounds memory and leaves every result unchanged: calls only
-# group panels that are computed independently.  At 2^16 the largest round
-# of a cold default table is one call; a larger size would change only the
-# low-temperature rounds, and their temporaries with them.
+# group panels that are computed independently.  At 2^16 each round of a
+# cold default table is one call; more would only grow low-T temporaries.
 CALL_POINTS = 2 ** 16
 # Limits of one integral: an integral that would need more panels or rounds
 # raises QuadratureError.

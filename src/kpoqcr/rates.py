@@ -67,9 +67,9 @@ Only the anchors depend on the bias.  A RatePlan holds the rest, built
 once per spectrum from match_sets, the sideband table and the parameters:
 the term rows' entries, weights and distinct anchor parts.  plan_tables
 reads G for any number of plans, each at any number of biases, at every
-point's (2, U) array of anchors, U its plan's distinct parts, in blocks of
-points after one build of every panel they read; it accumulates each
-bias's gamma1 in the row order above and derives its core2.  By G's bitwise rule every value is the one a single-bias read of
+point's (2, U) anchors, U its plan's distinct parts, in blocks of points;
+it accumulates each bias's gamma1 in the row order above and derives its
+core2.  By G's bitwise rule every value is the one a single-bias read of
 one plan gives.  rate_table is a one-bias plan.  transition_rate is a
 one-bias plan masked to the class-1 rows of the entries it reports, so
 each of its rates is bitwise that table entry.
@@ -315,28 +315,24 @@ def plan_tables(groups, pq: ChargeDistribution, integrator: PatIntegrator):
     """The RateTable of each (plan, voltages) group at each of its biases,
     in order.
 
-    Each point reads G at its plan's forward and backward anchors of the
-    distinct anchor parts, a (2, U) array: one plan at many biases along a
-    voltage sweep, a plan per point along an alpha sweep.  G's panels for
-    every point are built first, in one round, and G is then read in
-    blocks of _BLOCK_POINTS points, so memory does not grow with the
-    points.  By G's bitwise rule each value is the one a single-bias read
-    of every row gives.  Each table is accumulated only when the iteration
-    reaches it.  The plans share one charging energy, as the points of a
-    sweep do.
+    Each point reads G at its plan's forward and backward anchors, a
+    (2, U) array: one plan at many biases along a voltage sweep, a plan per
+    point along an alpha sweep.  G's panels for every point are built in
+    one round, and G is read in blocks of at most _BLOCK_POINTS points, so
+    memory does not grow with the points.  By G's bitwise rule each value
+    is the one a single-bias read gives.  Each table is accumulated only
+    when the iteration reaches it.  The plans share one charging energy.
     """
-    # Each group's biases in chunks, and consecutive chunks in blocks, of at
-    # most _BLOCK_POINTS points.
-    blocks = []
+    blocks, size = [], _BLOCK_POINTS
     for plan, voltages in groups:
         v = np.asarray(voltages, float)[:, None]
-        for i in range(0, v.shape[0], _BLOCK_POINTS):
-            chunk = (plan, v[i:i + _BLOCK_POINTS])
-            if blocks and sum(c[1].shape[0] for c in blocks[-1]) \
-                    + chunk[1].shape[0] <= _BLOCK_POINTS:
-                blocks[-1].append(chunk)
-            else:
-                blocks.append([chunk])
+        for i in range(0, len(v), _BLOCK_POINTS):
+            chunk = v[i:i + _BLOCK_POINTS]
+            if size + len(chunk) > _BLOCK_POINTS:
+                blocks.append([])
+                size = 0
+            blocks[-1].append((plan, chunk))
+            size += len(chunk)
     averaged = integrator.averaged(*_kept(pq), blocks[0][0][0].e_island)
 
     def anchors(block):
@@ -344,8 +340,7 @@ def plan_tables(groups, pq: ChargeDistribution, integrator: PatIntegrator):
                          axis=1) for plan, v in block]
 
     if len(blocks) > 1:
-        averaged.prepare(np.concatenate([a.ravel() for a in anchors(block)])
-                         for block in blocks)
+        averaged.prepare(a for block in blocks for a in anchors(block))
     for block in blocks:
         for (plan, v), values in zip(block, evaluate_each(averaged,
                                                           anchors(block))):

@@ -641,7 +641,8 @@ def test_each_seeded_piece_meets_its_need_and_its_parent_did_not(
 
 
 @pytest.mark.parametrize("temp_s, temp_n", [
-    (0.1, 0.1), (0.03, 0.03), (0.3, 0.3), (0.2, 0.02)])
+    (0.1, 0.1), (0.01, 0.01), (0.03, 0.03), (0.3, 0.3), (0.2, 0.02),
+    (0.0, 0.0)])
 def test_the_tail_test_keeps_every_seeded_piece(params, spectrum, eta,
                                                 temp_s, temp_n):
     # Every panel of F that a cold table builds keeps the pieces it was
