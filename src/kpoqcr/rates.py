@@ -90,8 +90,9 @@ from .spectrum import Spectrum, laguerre_table
 # Charge states below this probability are dropped from rate sums; they
 # contribute relative corrections of the same order.
 PQ_FLOOR = 1e-12
-# Points whose anchors plan_tables reads from G in one evaluate call.
-_BLOCK_POINTS = 24
+# The most anchors plan_tables reads from G in one evaluate call: 27 points
+# of a default table, so a sweep's memory does not grow with its points.
+_BLOCK_ANCHORS = 2 ** 15
 
 
 def displacement_bands(n: int, rho_c: float, dm_max: int) -> np.ndarray:
@@ -318,21 +319,23 @@ def plan_tables(groups, pq: ChargeDistribution, integrator: PatIntegrator):
     Each point reads G at its plan's forward and backward anchors, a
     (2, U) array: one plan at many biases along a voltage sweep, a plan per
     point along an alpha sweep.  G's panels for every point are built in
-    one round, and G is read in blocks of at most _BLOCK_POINTS points, so
-    memory does not grow with the points.  By G's bitwise rule each value
+    one round, and G is read in blocks of at most _BLOCK_ANCHORS anchors,
+    whole points each.  By G's bitwise rule each value
     is the one a single-bias read gives.  Each table is accumulated only
     when the iteration reaches it.  The plans share one charging energy.
     """
-    blocks, size = [], _BLOCK_POINTS
+    blocks, size = [], _BLOCK_ANCHORS
     for plan, voltages in groups:
         v = np.asarray(voltages, float)[:, None]
-        for i in range(0, len(v), _BLOCK_POINTS):
-            chunk = v[i:i + _BLOCK_POINTS]
-            if size + len(chunk) > _BLOCK_POINTS:
+        per = max(2 * plan.de.size, 1)
+        step = max(_BLOCK_ANCHORS // per, 1)
+        for i in range(0, len(v), step):
+            chunk = v[i:i + step]
+            if size + per * len(chunk) > _BLOCK_ANCHORS:
                 blocks.append([])
                 size = 0
             blocks[-1].append((plan, chunk))
-            size += len(chunk)
+            size += per * len(chunk)
     averaged = integrator.averaged(*_kept(pq), blocks[0][0][0].e_island)
 
     def anchors(block):

@@ -24,9 +24,9 @@ the whole sweep:
 - steady and rates rows build one rates.RatePlan a group (the rates rows
   mask it to the reported entries) and read the charge-averaged function
   G of F and that distribution (PatIntegrator.averaged) at every plan's
-  anchors, in one build round and blocks of points (rates.plan_tables).  So a voltage sweep calls match_sets
-  once and builds one plan; an alpha sweep builds a small masked plan a
-  point.  Each point's table is accumulated when its row is computed.
+  anchors, in one build round and blocks of points (rates.plan_tables).
+  So a voltage sweep calls match_sets once and builds one plan; an alpha
+  sweep builds a small masked plan a point.  Each point's table is accumulated when its row is computed.
 - bitflip rows keep a rates.BitflipPlan a point, its F offsets and the
   channel amplitudes from the qubit corners of its sideband table, and
   read F once at all of their offsets.

@@ -153,12 +153,12 @@ def _hex(array):
     ("voltage", [0.0, 21e9, 39e9, 45e9, 60e9]),
     ("alpha", [1.0, 1.6, 2.0, 2.5, 1.3])])
 def test_sweeps_read_g_in_blocks_bitwise(params, monkeypatch, axis, values):
-    # In blocks of two points, a sweep builds G's panels for every point in
+    # In blocks of one point, a sweep builds G's panels for every point in
     # its one build round first, and each row is bitwise the one-block row.
     want = rates_sweep(params, axis, values).data
     junction._shared.cache_clear()
     built, _after_pq = _counted_sweep_integrators(monkeypatch)
-    monkeypatch.setattr(rates, "_BLOCK_POINTS", 2)
+    monkeypatch.setattr(rates, "_BLOCK_ANCHORS", 1)
     builds = []
     build = junction.ChargeAveraged._build
     monkeypatch.setattr(junction.ChargeAveraged, "_build",
@@ -166,7 +166,7 @@ def test_sweeps_read_g_in_blocks_bitwise(params, monkeypatch, axis, values):
                         or build(self, keys))
     got = rates_sweep(params, axis, values).data
     assert len(builds) == 1
-    assert [g.calls for g in built[0].averages] == [4]
+    assert [g.calls for g in built[0].averages] == [1 + len(values)]
     assert _hex(got) == _hex(want)
 
 
