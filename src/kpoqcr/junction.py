@@ -25,12 +25,11 @@ term folds into one charge-averaged function
 
 which every point of a sweep shares, because the charge distribution does
 not depend on the bias or the pump.  pat_integrals integrates F at given
-rows of offsets, one divide an offset a point (pat_integrand).
+rows of offsets, at one divide a point and offset (pat_integrand).
 PatIntegrator holds F for a whole sweep as Chebyshev panels on a grid that
 the parameters alone fix, at every temperature, seeded as pieces sized by
 their own Bernstein ellipses.  ChargeAveraged holds G the same way, from
-F's values.  A value of either
-depends only on its offset, bit for bit.
+F's values.  A value of either depends only on its offset, bit for bit.
 
 F depends only on the junction: gap, gamma_dynes, T_S, T_N and
 quad_rel_tol.  shared_integrator keeps the PatIntegrator of the last

@@ -4,12 +4,13 @@ Each integral is given by its breakpoints (interior discontinuities or kinks
 plus the two endpoints), one row of a 2-D breakpoint array per integral, and
 by its row of each argument to the one integrand all integrals share, the
 first argument (n, K).  Every result has that one shape: n integrals of K
-components each, K = 1 without arguments.  Each interval between consecutive breakpoints
-starts as one panel, which carries the index of its integral and an
-optional square-root reparametrization anchored at the interval's edge end:
-on such a panel the integration variable is u with eps = edge +/- u^2,
-which turns an inverse-square-root integrable singularity at the edge (a
-BCS-like density-of-states peak) into a smooth integrand.  An interval has
+components each, K = 1 without arguments.  Each interval between
+consecutive breakpoints starts as one panel, which carries the index of its
+integral and an optional square-root reparametrization anchored at the
+interval's edge end: on such a panel the integration variable is u with
+eps = edge +/- u^2, which turns an inverse-square-root integrable
+singularity at the edge (a BCS-like density-of-states peak) into a smooth
+integrand.  An interval has
 at most one edge end; the tunneling breakpoints always hold 0 between the
 gap edges -gap and +gap.  A caller that knows the width of the feature at
 an edge can grade that edge's square-root panels geometrically from the

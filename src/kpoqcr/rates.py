@@ -320,9 +320,9 @@ def plan_tables(groups, pq: ChargeDistribution, integrator: PatIntegrator):
     (2, U) array: one plan at many biases along a voltage sweep, a plan per
     point along an alpha sweep.  G's panels for every point are built in
     one round, and G is read in blocks of at most _BLOCK_ANCHORS anchors,
-    whole points each.  By G's bitwise rule each value
-    is the one a single-bias read gives.  Each table is accumulated only
-    when the iteration reaches it.  The plans share one charging energy.
+    whole points each.  By G's bitwise rule each value is the one a
+    single-bias read gives.  Each table is accumulated only when the
+    iteration reaches it.  The plans share one charging energy.
     """
     blocks, size = [], _BLOCK_ANCHORS
     for plan, voltages in groups:
@@ -339,8 +339,9 @@ def plan_tables(groups, pq: ChargeDistribution, integrator: PatIntegrator):
     averaged = integrator.averaged(*_kept(pq), blocks[0][0][0].e_island)
 
     def anchors(block):
-        return [np.stack([plan.de + (plan.base - v), plan.de + (plan.base + v)],
-                         axis=1) for plan, v in block]
+        return [np.stack([plan.de + (plan.base - v),
+                          plan.de + (plan.base + v)], axis=1)
+                for plan, v in block]
 
     if len(blocks) > 1:
         averaged.prepare(a for block in blocks for a in anchors(block))
