@@ -3,16 +3,12 @@
 numpy bundles an OpenBLAS (its symbols carry the `scipy_openblas` prefix)
 whose thread pool spans the machine.  kpoqcr loads no other; one that the
 caller mapped first, such as scipy's, is capped as well.  On the small
-matrices here that pool costs far more than it gives: on 2 vCPUs the
-144x144 steady-state solve takes up to 160 ms with two threads and 1-3 ms
-with one.
+matrices here that pool costs far more than it gives.
 
 Capping does not stop the worker thread that OpenBLAS started when numpy
-loaded it; left alone it spins through a process's first BLAS calls (a
-4-point steady sweep in a fresh interpreter took 0.102 s of CPU for 0.051 s
-of wall time).  So each capped library that exports blas_thread_shutdown_
-has its thread server shut down as well; with one thread it starts none
-again.
+loaded it, which spins through a process's first BLAS calls.  So each
+capped library that exports blas_thread_shutdown_ has its thread server
+shut down as well; with one thread it starts none again.
 """
 from __future__ import annotations
 

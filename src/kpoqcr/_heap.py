@@ -5,12 +5,9 @@ hands the top of the heap back to the kernel once more than
 M_TRIM_THRESHOLD bytes of it are free.  Both start at 128 KiB and rise only
 after a large block is freed.  The rate tables and the propagator allocate
 and free numpy temporaries of 40 KiB to a few MiB many times, so at the
-start values each round faults its pages in again: in a fresh process a
-cold default table took 656 minor page faults, and a 4-point steady sweep
-(one process) 1,530.  With the thresholds below they take 198 and 398, and
-the sweep's median time falls from 0.026 to 0.022 s (8 fresh-process
-pairs, 2 vCPUs).  The values are those glibc's own rule would reach after
-freeing a 16 MiB block; the sweep's peak RSS stays at 34 MiB.
+start values each round faults its pages in again.  The thresholds below,
+those glibc's own rule would reach after freeing a 16 MiB block, keep those
+pages in the process.
 """
 from __future__ import annotations
 

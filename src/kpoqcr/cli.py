@@ -23,14 +23,14 @@ from .errors import (CatStateError, ChargeDistributionError, ConfigError,
                      EvolveError, MatchingError, QuadratureError,
                      SpectrumError, SteadyStateError)
 from .oracles import run_oracle_suite
-from .params import SystemParams, config_fields, config_number, load_config
+from .params import SystemParams, config_fields, load_config
 from .workflows import (DEFAULT_TRANSITIONS, HusimiConfig, Schedule,
                         bitflip_sweep, dynamics_run, husimi_run,
                         parse_transition_label, pq_run, rates_sweep,
                         steady_sweep)
 
 _SECTION_KEYS = ("sweep", "schedule", "husimi", "rates", "interference",
-                 "threads", "out")
+                 "out")
 _RUN_ERRORS = (QuadratureError, SpectrumError, CatStateError, MatchingError,
                ChargeDistributionError, EvolveError, SteadyStateError)
 
@@ -53,15 +53,8 @@ def _load_setup(config_path: str | None) -> tuple[SystemParams, dict]:
     return SystemParams.from_dict(raw), sections
 
 
-def _check_threads(flag: int | None, sections: dict) -> None:
-    if flag is not None:
-        value = flag
-    elif "threads" in sections:
-        value = config_number(sections["threads"], "config key 'threads'",
-                              integer=True)
-    else:
-        return
-    if value < 1:
+def _check_threads(flag: int | None) -> None:
+    if flag is not None and flag < 1:
         raise ConfigError("threads must be at least 1")
 
 
@@ -229,7 +222,8 @@ _COMMON_OPTIONS = (
                  help="Emit JSON instead of CSV."),
     click.option("--threads", type=int, default=None,
                  help="Accepted and checked (at least 1) but without "
-                      "effect: every command runs in one process."),
+                      "effect: every command runs in one process, and "
+                      "results are identical whatever it says."),
 )
 
 
@@ -245,7 +239,7 @@ def _run_command(fn):
         with _guarded():
             params, sections = _load_setup(config_path)
             out = _resolve_out(out_path, sections)
-            _check_threads(threads, sections)
+            _check_threads(threads)
             meta, columns, rows = fn(params, sections, **flags)
             _emit(out, as_json, params, {"command": fn.__name__, **meta},
                   columns, rows)

@@ -2,32 +2,16 @@
 
 The state is vectorized row-major: vec(rho)[mu * n + mup] = rho[mu, mup].
 The generator has one GKSL form (Lindblad, Commun. Math. Phys. 48, 119
-(1976); Gorini, Kossakowski & Sudarshan, J. Math. Phys. 17, 821 (1976)):
+(1976); Gorini, Kossakowski & Sudarshan, J. Math. Phys. 17, 821 (1976)),
 
-  L rho = sum jump[mu,mup,nu,nup] rho[nu,nup] + K rho + rho K^dag
+  L rho = sum jump[mu,mup,nu,nup] rho[nu,nup] + K rho + rho K^dag,
 
-liouvillian turns (jump, K) into the matrix on vec(rho).  Coherent motion
-is K = -i 2 pi diag(E), whose phases -i 2 pi (E_mu - E_mup) are exactly
-zero inside snapped groups.  Single-photon loss (O = a, r = pi kappa) and
-pure dephasing (O = a^dag a, r = 2 pi gamma_p), with kappa and gamma_p the
-configured Hz values, each add 2 r O (x) O* to jump and -r O^dag O to K;
-tunneling adds its matched jump tensor gamma1 to jump and core2, the
--1/2 sum L_k^dag L_k that gamma1 fixes, to K (rates module).
-
-The Hamiltonian commutes with photon parity and every tunneling term keeps
-parity[mu] parity[mup] = parity[nu] parity[nup], so L never couples
-rho[mu,mup] of relative parity +1 with relative parity -1 (the symmetry
-block-diagonalization of Albert & Jiang, PRA 89, 022118 (2014)).  A
-generator carries these sectors as index arrays into vec(rho); evolve and
-steady_state work on each sector's block of L on its own.
-
-evolve runs one generator, or switches to a second one at a time t_on: the
-junction switched on as a dissipation source (Silveri et al., PRB 96,
-094524 (2017)).  The generator is constant between consecutive grid times
-and t_on, so each such interval is advanced by the exact propagator
-expm(L dt).
-One matrix is built per generator, occupied sector and interval length;
-lengths that agree to a relative _SNAP_REL share it.
+which liouvillian turns into a matrix on vec(rho) and assemble_generator
+fills with the coherent, intrinsic and tunneling parts.  evolve advances
+a state by exact interval propagators expm(L dt), with the junction
+switched on as a dissipation source at a time t_on (Silveri et al., PRB
+96, 094524 (2017)); steady_state solves for the stationary state; husimi_q
+maps a state on a phase-space grid.
 """
 from __future__ import annotations
 
@@ -116,15 +100,11 @@ class Generator:
     """Master-equation generator L as one (n^2, n^2) matrix on vec(rho).
 
     sectors: index arrays into vec(rho) that L never couples, the first one
-    holding the diagonal; by default one sector holding every index.
+    holding the diagonal (see assemble_generator).
     """
 
     total: np.ndarray
-    sectors: tuple[np.ndarray, ...] = ()
-
-    def __post_init__(self):
-        if not self.sectors:
-            self.sectors = (np.arange(self.total.shape[0]),)
+    sectors: tuple[np.ndarray, ...]
 
     @cached_property
     def norm_inf(self) -> float:
@@ -141,7 +121,23 @@ def assemble_generator(
     table: RateTable | None = None,
 ) -> Generator:
     """Generator of the retained levels, with the junction's tunneling
-    terms if a rate table is given (module docstring)."""
+    terms if a rate table is given.
+
+    Coherent motion is K = -i 2 pi diag(E), whose phases -i 2 pi (E_mu -
+    E_mup) are exactly zero inside snapped groups.  Single-photon loss
+    (O = a, r = pi kappa) and pure dephasing (O = a^dag a, r = 2 pi
+    gamma_p), with kappa and gamma_p the configured Hz values, each add
+    2 r O (x) O* to jump and -r O^dag O to K; tunneling adds gamma1 to
+    jump and core2 to K (rates.RateTable).
+
+    Parity sectors: the Hamiltonian commutes with photon parity and every
+    tunneling term keeps parity[mu] parity[mup] = parity[nu] parity[nup],
+    so L never couples rho[mu,mup] of relative parity +1 with relative
+    parity -1 (the symmetry block-diagonalization of Albert & Jiang, PRA
+    89, 022118 (2014)).  The generator carries the two sectors as index
+    arrays into vec(rho), and evolve and steady_state work on each
+    sector's block of L on its own.
+    """
     ops = build_fock_operators(spectrum.n_fock)
     jump = 0.0
     k = np.diag(-1j * TWO_PI * spectrum.energies)
@@ -225,12 +221,15 @@ def evolve(
 
     switch: (t_on, generator_on).  From switch_time(t_grid, t_on) on,
     generator_on drives the state; a t_on off the grid splits its
-    interval there.
+    interval there.  The generator is constant on each interval, which
+    expm(L dt) advances exactly; one matrix is built per generator,
+    occupied sector and interval length, and lengths that agree to a
+    relative _SNAP_REL share it.
 
     Each generator propagates only the parity sectors that are not
-    exactly zero when it first acts: L never couples sectors, so the
-    others stay zero under it and are written as zeros, with no expm (a
-    diagonal rho0 such as phi0 moves one sector, phi_alpha both).
+    exactly zero when it first acts; the others stay zero under it and
+    are written as zeros, with no expm (a diagonal rho0 such as phi0
+    moves one sector, phi_alpha both).
 
     The trace drift, hermiticity drift and least eigenvalue are taken over
     blocks of _CHECK_STATES recorded states, so no temporary grows with the

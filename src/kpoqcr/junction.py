@@ -1,46 +1,20 @@
-"""Photon-assisted tunneling integrals through a Dynes-broadened NIS junction.
+"""The tunneling function of a Dynes-broadened NIS junction.
 
-All energies are frequencies (E/h, Hz).  One elementary integral serves both
-tunneling directions:
+All energies are frequencies (E/h, Hz).  Every QCR rate reads one forward
+tunneling function (Silveri et al., PRB 96, 094524 (2017)),
 
-  forward(offset)  = int n_s(eps) [1 - f_S(eps)] f_N(eps + offset) d eps
-  backward(offset) = int n_s(eps) f_S(eps) [1 - f_N(eps + offset)] d eps
-                   = forward(-offset)
+  F(x) = int n_s(eps) [1 - f_S(eps)] f_N(eps + x) d eps,
 
-with n_s the smeared superconductor density of states at lead temperature
-T_S and f_N the island Fermi function at T_N.  The identity is exact in the
-mathematics: substituting eps -> -eps maps one integrand onto the other,
-because n_s is even and f(-x) = 1 - f(x) for either Fermi function (also
-the zero-temperature step).  Negating an offset is exact in floating point,
-so terms of either direction that must interfere still share bit-identical
-offsets.  Rate formulas supply the offset; the normalization 1/h is absorbed
-by the Hz energy convention.
+with n_s the smeared density of states at lead temperature T_S and f_N the
+island Fermi function at T_N.  A backward integral is F at the negated
+offset: eps -> -eps maps one integrand onto the other, since n_s is even
+and f(-x) = 1 - f(x), also for the zero-temperature step.
 
-Every QCR rate is a sum of this one tunneling function F(x) = forward(x) at
-offsets x = de + A_q + dm omega_rf - V, with A_q = E_c (1 + 2q) at island
-charge q (Silveri et al., PRB 96, 094524 (2017)).  The charge sum of a rate
-term folds into one charge-averaged function
-
-  G(a) = sum_q p_q F(a + 2 E_c q),  a = de + E_c + dm omega_rf - V,
-
-which every point of a sweep shares, because the charge distribution does
-not depend on the bias or the pump.  pat_integrals integrates F at given
-rows of offsets, at one divide a point and offset (pat_integrand).
-PatIntegrator holds F for a whole sweep as Chebyshev panels on a grid that
-the parameters alone fix, at every temperature, seeded as pieces sized by
-their own Bernstein ellipses.  ChargeAveraged holds G the same way, from
-F's values.  A value of either depends only on its offset, bit for bit.
-
-F depends only on the junction: gap, gamma_dynes, T_S, T_N and
-quad_rel_tol.  shared_integrator keeps the PatIntegrator of the last
-junction a process used, and rate_table, charge_distribution and every
-sweep take theirs from it when no integrator is passed; with F comes G,
-which PatIntegrator.averaged keeps for the last charge distribution read.
-So every table, sweep and command of one process at one junction reads
-one F and one G, and a process holds at most one of each.  Sharing changes
-no value: a value depends only on its offset, whichever panels were built
-first, and evaluate stores all of its new panels or none, so a
-QuadratureError leaves the shared function as it was.
+- dynes_dos, fermi, pat_integrand: the integrand and its factors.
+- pat_integrals: F at rows of offsets, in one quadrature run.
+- PatIntegrator: F of one junction as Chebyshev pieces; ChargeAveraged: its
+  charge average G; shared_integrator: the F a process keeps.
+- charge_distribution: the island's stationary charge distribution.
 """
 from __future__ import annotations
 
@@ -239,10 +213,10 @@ def pat_integrals(
     panels (see quad.integrate), and each of them meets rel_tol on its
     own; n single offsets are offsets[:, None].  At T_N = 0 each offset's
     Fermi step is a kink at its own -x, which only a quadrature of its own
-    has as a breakpoint, so each offset is one.  Each value depends only
-    on its own row, bit for bit, whatever else is in the batch.  Raises
-    QuadratureError naming the offset, or the offsets, of a quadrature
-    that does not converge, its index that of its row.
+    has as a breakpoint, so each offset is one.  A value depends on its
+    own row only (quad's batch independence).  Raises QuadratureError
+    naming the offset, or the offsets, of a quadrature that does not
+    converge, its index that of its row.
 
     Panels are planned from the integrand's known scales.  The density of
     states peaks at +-gap with a width of gamma_dynes * gap (about 4.8 MHz
@@ -253,9 +227,9 @@ def pat_integrals(
     at +gap are split at u = u0 * 2^k with u0 = sqrt(10 * gamma_dynes *
     gap): the first panel holds ten Dynes widths and the rest double
     outward.  The rule reads the integral's own offsets only, and the cuts
-    stay in the square-root variable, where the integrand is smooth.
-    Grading the panels at -gap as well saved 5% of the points, with no
-    measurable gain.  A row wider than _ROW_KT k_B T_N raises ValueError.
+    stay in the square-root variable, where the integrand is smooth.  The
+    panels at -gap are not graded: it saves too few points to pay.  A row
+    wider than _ROW_KT k_B T_N raises ValueError.
     """
     offsets = np.asarray(offsets, float)
     rows = offsets.reshape(-1, offsets.shape[1] if temp_n_hz else 1)
@@ -302,69 +276,43 @@ def pat_integral(
 
 
 class PatIntegrator:
-    """The forward tunneling function F(x) of one junction, shared by every
-    rate built from it.
+    """The forward tunneling function F(x) of one junction, held as
+    Chebyshev pieces on a grid that (gap, gamma_dynes, T_S, T_N, rel_tol)
+    alone fix, so one integrator serves every bias, sideband and charge.
 
-    F depends only on (gap, gamma_dynes, T_S, T_N, rel_tol), never on the
-    bias, the sideband or the charge that produce an offset, so one
-    integrator serves a whole sweep.  It holds F as Chebyshev panels on a
-    grid fixed by those parameters alone:
+    - Base panel k is [k W, (k + 1) W), W = 16 k_B T_N where T_N > 0, else
+      16 k_B T_S, else a quarter of the gap, so x = 0 is a panel edge.  It
+      starts as the pieces of _seed(k), each halved until its own
+      Bernstein ellipse clears F's singularities, so a cold build spends
+      no rounds halving toward them.
+    - A piece holds F at its 24 first-kind Chebyshev nodes, from
+      pat_integrals at rel_tol / 100: one row, whose 24 integrands share
+      one quadrature, where T_N > 0; at T_N = 0 a row a node, since each
+      node's Fermi step is a kink at its own -x.  Even so, pieces cost far
+      less than one quadrature per offset.
+    - Tail test: a piece is kept if its last two Chebyshev coefficients
+      are within 1e-2 of rel_tol * max(min |F|, k_B T) on it, and halved
+      otherwise; one that still fails at depth _limit(k) raises
+      QuadratureError.
+    - Panels are built lazily, a base index's whole split tree at once,
+      and one evaluate call stores all of its new pieces or none.
 
-    - base panel k is [k W, (k + 1) W) with W = 16 k_B T_N where T_N > 0,
-      else W = 16 k_B T_S, else a quarter of the gap, so x = 0 is always
-      a panel edge; it starts as the pieces of _seed(k), each halved until
-      its own Bernstein ellipse clears F's singularities;
-    - a piece holds F at its 24 first-kind Chebyshev nodes, integrated by
-      pat_integrals at rel_tol / 100: where T_N > 0 as one row, one
-      quadrature whose 24 integrands share its panels and its density of
-      states; at T_N = 0 each node as a row of its own, since each node's
-      Fermi step is a kink at its own -x;
-    - the tail test reads that piece's own node values: the piece is kept
-      if its last two Chebyshev coefficients are within 1e-2 of the
-      smallest tolerance on it, rel_tol * max(min |F|, k_B T) with the
-      floor of pat_integrals, and is halved otherwise; a piece that still
-      fails 8 halvings below its base panel, or as deep as the panel's
-      deepest seeded piece if that is deeper, raises QuadratureError,
-      since deeper ones would only chase node noise;
-    - panels are built lazily, the whole split tree of a base index at
-      once, and one evaluate() call stores all of its new pieces or none.
-
-    F' is n_s (1 - f_S) smoothed by the island Fermi edge, so where
-    T_N > 0 F is analytic within pi k_B T_N of the real axis, and
-    16 k_B T_N panels need small pieces only near its singularities above
-    x = -gap and, at high T_S, x = +gap.  At T_N = 0, F' is
-    -n_s(-x) (1 - f_S(-x)): the Dynes peaks put the singularities
-    gamma_dynes * gap off the real axis, and at T_S = 0 F has a kink at the
-    panel edge x = 0 and is exactly 0.0 from there on.  The seed puts the
-    pieces there before any integral: a cold default charge distribution
-    and table build F in 2 pat_integrals runs and G in 1 round, where the
-    tail test alone reaches the same pieces in 5 runs and 4 rounds at
-    about 1.7 times the CPU.  At T_N = 0, panels replace one integral per
-    offset, which took 4 and 3 times the CPU of a 26-point steady sweep at
-    0.1 / 0 K and 0 / 0 K.
-
-    Since the nodes run at rel_tol / 100, a rel_tol below a few 1e-12
-    asks them for less than the quadrature's roundoff (1e-12 fails at
-    0.01 K, 1e-13 at 0.1 K), and at T_N = 0, where each node's error is
-    its own, for errors the tail test takes for structure (6e-12 fails at
-    0 / 0 K), so SystemParams rejects a quad_rel_tol below
-    params.QUAD_REL_TOL_FLOOR, before any work.
-
-    Bitwise rule: a value depends only on its offset and the parameters.
+    Bitwise rule: a value depends only on its offset and the parameters,
+    never on what else is in the batch or which panels were built first.
     The piece an offset reads is fixed by the grid, by seeds read from the
-    parameters and by tail tests that see one piece's nodes each, a
-    piece's node values are one quadrature of that piece alone, and the
-    barycentric sums are row-local (einsum, never a BLAS product, see
-    quad).  So equal offsets get bit-identical values alone, in a rate
-    table or in a sweep, whichever panels were built first.  Degenerate
-    eigenstates are energy-snapped upstream, so transitions that must
-    interfere share bit-identical offsets, and their cancellations stay
-    exact.
-    Backward integrals are looked up at the negated offset.
+    parameters and by tail tests that each see one piece's nodes; a
+    piece's node values are one quadrature of that piece alone (quad's
+    batch independence); and the barycentric sums are row-local einsums,
+    never a BLAS product.  Degenerate eigenstates are energy-snapped
+    upstream and negating an offset is exact, so transitions that must
+    interfere read bit-identical values and their cancellations stay
+    exact.  Every batch, cache and shared function of F and G relies on
+    this rule, and tests check it.
 
     averaged() builds the charge-averaged G on this F and keeps the last
-    one.  The constructor and from_params always build a cold F;
-    shared_integrator hands out the one F a process keeps per junction.
+    one.  The constructor and from_params build a cold F;
+    shared_integrator hands out the one a process keeps.  As the nodes run
+    at rel_tol / 100, quad_rel_tol has a floor, params.QUAD_REL_TOL_FLOOR.
     """
 
     def __init__(self, gap_hz: float, gamma_dynes: float, temp_s_hz: float,
@@ -578,19 +526,18 @@ class ChargeAveraged(PatIntegrator):
 
       G(x) = sum_k p_k F(x + 2 E_c q_k),
 
-    the sum in the order given.  G is held like F: on F's grid, with its
-    node count, seed, tail test, split rule and error paths.  Its own
-    singularities, F's shifted by each 2 E_c q_k, are not seeded, so its
-    tail test halves toward them, as deep as F's seeds reach in the panels
-    it reads.  A node value is that sum of F's values, read in one
-    evaluate call per build round.  So G carries F's interpolation error
-    and adds its own at the same tail threshold; its nodes add no
-    quadrature of their own.
+    the sum in the order given.  The island charge sum of every rate term
+    is G at one anchor (rates.RatePlan), and the distribution does not
+    depend on the bias or the pump, so every point of a sweep shares G.
 
-    A value depends only on its offset, F's parameters and the charges,
-    bit for bit: F's values do, by F's rule, and the sum runs in a fixed
-    order.  A failure of F's integrals raises QuadratureError through G's
-    evaluate, naming G's offset and panel.
+    G is held like F: on F's grid, with its node count, seed, tail test,
+    split rule and error paths.  Its own singularities, F's shifted by
+    each 2 E_c q_k, are not seeded, so its tail test halves toward them
+    (_limit).  A node value is the sum of F's values, read in one evaluate
+    call per build round, so G adds no quadrature of its own.  Its values
+    keep F's bitwise rule, since the sum runs in a fixed order.  A failure
+    of F's integrals raises QuadratureError through G's evaluate, naming
+    G's offset and panel.
     """
 
     def __init__(self, source: PatIntegrator, charges, probs,
@@ -623,8 +570,18 @@ def _shared(gap_hz, gamma_dynes, temp_s_hz, temp_n_hz, rel_tol):
 
 def shared_integrator(params: SystemParams) -> PatIntegrator:
     """The process's PatIntegrator of params' junction, built cold on
-    first use; only the last junction used keeps its F and G, and another
-    junction's call drops them (see the module docstring)."""
+    first use.
+
+    F depends only on the junction: gap, gamma_dynes, T_S, T_N and
+    quad_rel_tol.  rate_table, charge_distribution and every sweep take
+    their integrator from here when none is passed, and with F comes the
+    G that PatIntegrator.averaged keeps for the last charge distribution.
+    So every table, sweep and command that a process runs at one junction
+    reads one F and one G, and only the last junction used keeps them.
+    Sharing changes no value, by PatIntegrator's bitwise rule, and a
+    failed evaluate stores nothing, so a QuadratureError leaves the shared
+    F as it was.
+    """
     return _shared(params.gap_hz, params.gamma_dynes, params.t_s_hz,
                    params.t_n_hz, params.quad_rel_tol)
 
@@ -669,8 +626,8 @@ class ChargeDistribution:
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        # Rates read the backward charge sum at a' - 2 E_c q as the forward
-        # one at a' + 2 E_c q, which needs p_q = p_-q bit for bit.
+        # rates.RatePlan reads both charge sums of a term as G, which needs
+        # p_q = p_-q bit for bit.
         if (self.q_values != tuple(-q for q in reversed(self.q_values))
                 or [float(p).hex() for p in self.probs]
                 != [float(p).hex() for p in reversed(self.probs)]):
@@ -700,8 +657,8 @@ def charge_distribution(
     the island charge, which swamps the thermally activated rates at low
     temperature; island charge relaxation is dominated by inelastic
     processes outside this model, so the pumped variant is offered only to
-    quantify that sensitivity.  Without an integrator it reads the shared
-    one of params' junction (shared_integrator).
+    quantify that sensitivity.  Without an integrator it reads
+    shared_integrator(params).
     """
     if integrator is None:
         integrator = shared_integrator(params)

@@ -246,7 +246,8 @@ def run_oracle_suite(params: SystemParams | None = None) -> list[OracleReport]:
                              rel_tol=1e-11)[:, 0]
     reports.append(_report(
         "detailed_balance_5GHz",
-        fwd / bwd, math.exp(-e / t_hz), 1e-8, "closed-form"))
+        fwd / bwd, math.exp(-e / t_hz) if t_hz else 0.0, 1e-8,
+        "closed-form"))
 
     # Sideband displacement amplitudes against a dense matrix exponential.
     # With dm_max = n_small - 1 the bands hold the whole leading block:
@@ -377,18 +378,22 @@ def run_oracle_suite(params: SystemParams | None = None) -> list[OracleReport]:
     reports.append(_report_abs("zero_temperature_closed_form", worst, 0.0,
                                1e-12, "closed-form"))
 
-    # Zero-bias detailed balance makes the charge distribution Boltzmann in
-    # the charging energy, p_q ~ exp(-E_c q^2 / k_B T), for any density of
-    # states; here through the interpolated F.  The worst relative
-    # deviation over the charges kept above PQ_FLOOR is what the floor
-    # rel_tol k_B T costs: the gain integrals F(E_c (1 + 2q)) fall toward
-    # it as |q| grows (1.3e5 Hz at q = 0, 349 Hz at q = 4, against 0.21 Hz
-    # at defaults), and the panel nodes meet rel_tol / 100 of it.  Measured:
-    # 1.3e-7 at q = +-5 at defaults, 3.5e-8 at 0.12 K, 6.9e-8 at 0.03 K.
-    equilibrium = charge_distribution(params)
+    # Zero-bias detailed balance at T_S = T_N makes the charge distribution
+    # Boltzmann in the charging energy, p_q ~ exp(-E_c q^2 / k_B T), for any
+    # density of states, and a delta at q = 0 at T = 0; here through the
+    # interpolated F, at the lead temperature set to T_N.  The worst
+    # relative deviation over the charges kept above PQ_FLOOR is what the
+    # floor rel_tol k_B T costs: the gain integrals F(E_c (1 + 2q)) fall
+    # toward it as |q| grows, and the panel nodes meet rel_tol / 100 of it
+    # (1.3e-7 at q = +-5 at defaults).
+    balanced = params.replace(temp_s=params.temp_n)
+    equilibrium = charge_distribution(balanced)
     qs = np.array(equilibrium.q_values, float)
-    boltzmann = np.exp(-params.e_island * qs * qs / params.t_n_hz)
-    boltzmann /= boltzmann.sum()
+    if balanced.t_n_hz:
+        boltzmann = np.exp(-params.e_island * qs * qs / balanced.t_n_hz)
+        boltzmann /= boltzmann.sum()
+    else:
+        boltzmann = (qs == 0.0).astype(float)
     kept = boltzmann >= PQ_FLOOR
     deviation = np.abs(np.array(equilibrium.probs)[kept] / boltzmann[kept]
                        - 1.0)

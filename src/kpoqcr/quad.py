@@ -1,63 +1,21 @@
 """Adaptive Gauss-Kronrod quadrature of many integrals in one run.
 
-Each integral is given by its breakpoints (interior discontinuities or kinks
-plus the two endpoints), one row of a 2-D breakpoint array per integral, and
-by its row of each argument to the one integrand all integrals share, the
-first argument (n, K).  Every result has that one shape: n integrals of K
-components each, K = 1 without arguments.  Each interval between
-consecutive breakpoints starts as one panel, which carries the index of its
-integral and an optional square-root reparametrization anchored at the
-interval's edge end: on such a panel the integration variable is u with
-eps = edge +/- u^2, which turns an inverse-square-root integrable
-singularity at the edge (a BCS-like density-of-states peak) into a smooth
-integrand.  An interval has
-at most one edge end; the tunneling breakpoints always hold 0 between the
-gap edges -gap and +gap.  A caller that knows the width of the feature at
-an edge can grade that edge's square-root panels geometrically from the
-start (plan_panels' first_widths, zero where an edge is not graded).
-
-Each panel is integrated with the QUADPACK qk21 pair (Piessens et al.
-1983): the 21-point Kronrod rule gives the estimate, and its difference
-from the embedded 10-point Gauss rule the error.
-
-An integrand fn(eps, jacobian, *rows) returns its values times each
-point's Jacobian d eps / d u, which it can fold into a factor it computes
-once a point, at K components a point, one per column of its first
-argument: K integrands that share an integral's panels, so that the
-points, the factors common to all K and the per-round bookkeeping are paid
-once for K values.  Each component must meet the tolerance on its own,
-and a panel splits when any component asks for it.  The Chebyshev nodes of
-junction.PatIntegrator use this, one integral per piece of 24 nodes.
-
-All integrals of a call share one adaptive run.  Every refinement round
-evaluates all of its new panels in vectorized integrand calls of at most
-CALL_POINTS values (points times components), in panel order, plain and
-square-root panels in the same call (the halves of a split panel keep its
-kind).  Convergence, splitting and the panel budget (PANEL_BUDGET panels an
-integral, at most MAX_ROUNDS rounds) are decided per integral, and a
-converged integral leaves the active set.  CALL_POINTS bounds the
-integrand's temporaries; the panel arrays grow with the rows of a call.
+Each integral is a row of breakpoints and a row of each argument of the
+integrand that all integrals share; its K components share its panels.  A
+panel is plain or a square-root panel, eps = edge +- u^2, which smooths an
+inverse-square-root singularity at a gap edge (plan_panels), and is
+integrated with the QUADPACK qk21 pair (Piessens et al. 1983).  integrate
+runs all integrals of a call in one adaptive run; adaptive_gk is one.
 
 Batch independence: an integral's value and error depend only on its own
 breakpoints and arguments, never on which other integrals share the run or
-how its panels are grouped into integrand calls.  Two choices make this
-exact, not merely close:
-
-- Panel sums are row-local, np.einsum("ijk,j->ik", vals, WGK), whose
-  rounding sees one panel's 21 values of one component only, whatever the
-  number of rows, their memory offset or their neighbours
-  (tests/test_junction.py checks 1 to 64 rows, shifted and copied ones
-  included); with one component the sums are those of "ij,j->i", bit for
-  bit.  Both sums cost 1.6-2.8 ns a point, against 6.6-7.5 ns as
-  (vals * W).sum(axis=1) (780-row calls on a 2-vCPU VM).  A matrix-vector
-  product vals @ WGK is not row-local: BLAS picks kernels and blocking by
-  the number of rows, so a panel's last bits would depend on how many
-  panels share the call.
-- Per-integral totals use one fixed reduction, np.bincount over (integral,
-  component) slots, which adds an integral's panel values in their order
-  in the panel arrays.  That order (kept panels first, then the left and
-  then the right halves of the split ones) is the same whatever else is in
-  the run.
+how its panels are grouped into integrand calls.  Panel sums are row-local
+einsums, whose rounding sees one panel's 21 values of one component only
+(a BLAS product vals @ WGK is not row-local: BLAS picks kernels by the
+number of rows).  Per-integral totals use one np.bincount over (integral,
+component) slots, in the panels' order, which is the same whatever else is
+in the run (kept panels first, then the left and the right halves of the
+split ones).
 """
 from __future__ import annotations
 

@@ -1,78 +1,19 @@
-"""Secular tunneling-induced transition tensors for the driven oscillator.
+"""Secular tunneling-rate tensors of the driven oscillator.
 
 Tunneling electrons exchange photons with the oscillator in sidebands of
-delta_m rotating-frame quanta, each worth one pump-half frequency omega_rf
-of lab-frame energy.  The retained level spread is far smaller than
-omega_rf, so secular matching forces equal sideband indices on the two
-matrix-element factors of every second-order term; this is asserted, not
-assumed.
+dm rotating-frame quanta, each worth one pump-half frequency omega_rf of
+lab-frame energy.  The retained level spread is far below omega_rf, so
+secular matching gives both matrix-element factors of a term the same
+sideband; match_sets asserts this rather than assuming it (Breuer &
+Petruccione, The Theory of Open Quantum Systems, OUP 2002).
 
-The matrix elements are the bands |dm| <= dm_max of the junction
-displacement D(i sqrt(rho_c)) (displacement_bands), taken into the retained
-eigenbasis as one (2 dm_max + 1, n_keep, n_keep) stack whose row
-dm + dm_max holds sideband dm (eta_table).  The backward direction uses
-D(-i sqrt(rho_c)), the exact conjugate of D(i sqrt(rho_c)).  Band dm
-carries the phase i^|dm| times a real number, and the eigenvectors are
-real, so every stack entry is real or imaginary and the backward stack is
-the forward one conjugated, exactly: it is never stored.
-
-Two dense arrays drive the density matrix in the eigenbasis:
-
-  d rho[mu,mup] / dt  +=  sum gamma1[mu,mup,nu,nup] rho[nu,nup]
-                        + sum core2[mu,xi] rho[xi,mup]
-                        + sum conj(core2[mup,xi]) rho[mu,xi]
-
-gamma1 has shape (n, n, n, n) and core2 shape (n, n).  Entries outside the
-energy-matched index sets are exactly zero.  gamma1 is the jump tensor and
-core2 the tunneling part of the effective matrix K, which the GKSL form
-fixes by the jumps (Lindblad, Commun. Math. Phys. 48, 119 (1976)):
-
-  core2[m, xi] = -0.5 * conj(sum_sigma gamma1[sigma, sigma, m, xi])
-
-So core2 is Hermitian, the third term is the second one's Hermitian
-partner, and populations are conserved bit for bit.
-
-Every gamma1 entry is a sum over sidebands of
-sum_q p_q (F(a + 2 E_c q) wf + F(a' - 2 E_c q) wb), with F the forward
-tunneling integral (the backward one is F at the negated offset, see
-junction) at the anchors
-
-  a  = de + ((E_c + dm * omega_rf) - V),
-  a' = de + ((E_c + dm * omega_rf) + V),
-
-with de = 0.5 * (d1 + d2).  The charge distribution is symmetric,
-p_q = p_-q bit for bit (ChargeDistribution checks it), so both charge sums
-are one function G(x) = sum_q p_q F(x + 2 E_c q) over the charges kept
-above PQ_FLOOR, and a term is G(a) wf + G(a') wb.  G sums its charges in a
-fixed order inside junction.ChargeAveraged, built once per integrator and
-distribution (Silveri et al., PRB 96, 094524 (2017), write the QCR rates
-through one tunneling function; here it carries the island charge too).
-
-The terms are built as arrays, but each entry adds its terms one at a time
-(np.add.at, which is sequential in index order), starting from zero, in
-sideband order.  A pairwise or blocked sum would round differently.
-Entries that must interfere read bit-identical G at bit-identical anchors,
-and gamma1 stays exactly Hermitian: a partner entry reads the same G with
-the conjugate weight.  The rule protects the tables, core2's Hermiticity
-and the oracle cross-check qcr_bitflip_rate, which cancels interfering
-entries; bitflip_rates cancels nothing.
-
-The spectrum alone fixes the secular terms (Breuer & Petruccione, The
-Theory of Open Quantum Systems, OUP 2002).  match_sets gives them as index
-arrays (MatchSets: class-1 rows (mu, mup, nu, nup) and their de, from
-clusters of the sorted differences E_mu - E_nu within match_tol of each
-cluster's first), and every array downstream keeps their row order.
-
-Only the anchors depend on the bias.  A RatePlan holds the rest, built
-once per spectrum from match_sets, the sideband table and the parameters:
-the term rows' entries, weights and distinct anchor parts.  plan_tables
-reads G for any number of plans, each at any number of biases, at every
-point's (2, U) anchors, U its plan's distinct parts, in blocks of points;
-it accumulates each bias's gamma1 in the row order above and derives its
-core2.  By G's bitwise rule every value is the one a single-bias read of
-one plan gives.  rate_table is a one-bias plan.  transition_rate is a
-one-bias plan masked to the class-1 rows of the entries it reports, so
-each of its rates is bitwise that table entry.
+- displacement_bands, eta_table: the sideband matrix elements.
+- match_sets: the energy-matched index sets.
+- RatePlan, plan_tables: the bias-free part of the tables of a spectrum,
+  and its RateTables at any biases; rate_table and transition_rate are
+  one-bias plans.
+- BitflipPlan, bitflip_rates: the branch-flip rates, read from F.
+- trace_residual, hermiticity_residual, qcr_bitflip_rate: checks.
 """
 from __future__ import annotations
 
@@ -201,15 +142,24 @@ def match_sets(spectrum: Spectrum, omega_rf: float, match_tol: float) -> MatchSe
 
 @dataclass
 class RateTable:
-    """Assembled transition tensors at one bias point."""
+    """The tunneling tensors at one bias, which drive the density matrix
+    in the eigenbasis as
+
+      d rho[mu,mup] / dt  +=  sum gamma1[mu,mup,nu,nup] rho[nu,nup]
+                            + sum core2[mu,xi] rho[xi,mup]
+                            + sum conj(core2[mup,xi]) rho[mu,xi].
+
+    gamma1 (n, n, n, n) is the jump tensor, exactly zero off the matched
+    index sets.  core2 (n, n) is the tunneling part of the effective
+    matrix K, which the GKSL form fixes by the jumps (Lindblad, Commun.
+    Math. Phys. 48, 119 (1976)): core2 = -1/2 conj(sum_sigma
+    gamma1[sigma, sigma, ., .]).  So core2 is Hermitian and populations
+    are conserved exactly.
+    """
 
     bias_v: float
     gamma1: np.ndarray                  # (n, n, n, n) complex
     core2: np.ndarray = field(repr=False)   # (n, n) complex
-
-    @property
-    def n(self) -> int:
-        return self.core2.shape[0]
 
     def g1_diag(self, i: int, j: int) -> float:
         """Population transition rate |j> -> |i>, 1/s."""
@@ -236,19 +186,26 @@ def _sigma_sum(gamma1: np.ndarray) -> np.ndarray:
 class RatePlan:
     """The bias-free part of the rate tables of one spectrum, built once.
 
-    One row per term, in slot order, then dm: its flat gamma1 entry
-    (entry); its forward and backward sideband weights (wf, wb); and which
-    pair of anchor parts it reads (which).  Real eigenvectors make each
-    entry of eta real or imaginary, so the backward stack is eta.conj()
-    exactly and wb = conj(wf).  The pairs, de and
-    E_c + dm * omega_rf (de, base), are kept once each (597 for the 1,332
-    rows of a default table), and plan_tables joins them with the bias as
-    de + (base -+ V).  The slots are match_sets' class-1 rows, read as
-    arrays, and plan_tables derives core2 from gamma1.  With keys, an index
-    mask over the flat class-1 indices keeps only those (mu, mup, nu, nup)
-    keys' rows, in their order, and core2 is not derived, so each kept
-    entry is bitwise the full table's and every other entry is exactly
-    zero.
+    A gamma1 entry sums a term per slot, match_sets' class-1 row
+    (mu, mup, nu, nup) at de = (d1 + d2) / 2, and per sideband dm that
+    parity allows on both factors, in that order:
+
+      sum_q p_q (F(a + 2 E_c q) wf + F(a' - 2 E_c q) wb) = G(a) wf + G(a') wb,
+      a, a' = de + ((E_c + dm * omega_rf) -+ V),
+
+    with F the forward tunneling function, a backward integral being F at
+    the negated offset, and G the charge average (junction.ChargeAveraged).
+    Both charge sums are G because p_q = p_-q bit for bit
+    (ChargeDistribution checks it).  The sideband weights are wf =
+    eta[dm, mu, nu] conj(eta[dm, mup, nup]) and wb = conj(wf), exactly,
+    since every entry of eta is real or imaginary.
+
+    Only the anchors depend on the bias.  So a plan keeps each term's flat
+    gamma1 entry (entry), its weights (wf, wb) and which distinct pair
+    (de, E_c + dm * omega_rf) it reads (which), and plan_tables joins the
+    pairs with each bias.  With keys, only those (mu, mup, nu, nup)
+    entries' rows are kept, in their order, and core2 is not derived: each
+    kept entry is bitwise the full table's, every other one exactly zero.
     """
 
     def __init__(self, params: SystemParams, spectrum: Spectrum,
@@ -291,6 +248,8 @@ class RatePlan:
         """The RateTable at bias_v from G at its forward and backward
         anchors of the distinct anchor parts, vf and vb."""
         n = self.n
+        # np.add.at adds an entry's terms one at a time in row order, so
+        # entries that must interfere, and Hermitian partners, round alike.
         acc = np.zeros(n ** 4, complex)
         np.add.at(acc, self.entry,
                   vf[self.which] * self.wf + vb[self.which] * self.wb)
@@ -304,8 +263,8 @@ class RatePlan:
 
 def evaluate_each(function, offsets) -> list[np.ndarray]:
     """function.evaluate at each array of offsets, as arrays of the same
-    shapes, from one evaluate call.  By the bitwise rule of PatIntegrator,
-    each is bitwise what its own call gives."""
+    shapes, from one evaluate call: bitwise each one's own call, by
+    PatIntegrator's bitwise rule."""
     values = function.evaluate(np.concatenate([a.ravel() for a in offsets]))
     bounds = np.cumsum([a.size for a in offsets])[:-1]
     return [v.reshape(a.shape)
@@ -320,9 +279,9 @@ def plan_tables(groups, pq: ChargeDistribution, integrator: PatIntegrator):
     (2, U) array: one plan at many biases along a voltage sweep, a plan per
     point along an alpha sweep.  G's panels for every point are built in
     one round, and G is read in blocks of at most _BLOCK_ANCHORS anchors,
-    whole points each.  By G's bitwise rule each value is the one a
-    single-bias read gives.  Each table is accumulated only when the
-    iteration reaches it.  The plans share one charging energy.
+    whole points each, which changes no value (PatIntegrator's bitwise
+    rule).  Each table is accumulated only when the iteration reaches it.
+    The plans share one charging energy.
     """
     blocks, size = [], _BLOCK_ANCHORS
     for plan, voltages in groups:
@@ -360,8 +319,7 @@ def rate_table(
     integrator: PatIntegrator | None = None,
 ) -> RateTable:
     """Compute all matched tensor entries at params.bias_v.  Without an
-    integrator it reads the shared one of params' junction
-    (junction.shared_integrator)."""
+    integrator it reads junction.shared_integrator(params)."""
     if integrator is None:
         integrator = shared_integrator(params)
     if eta is None:

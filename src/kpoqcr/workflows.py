@@ -1,44 +1,19 @@
 """Run engines shared by the command-line interface.
 
-The three sweeps (rates, steady, bitflip) run on one engine, `_sweep`.  It
-first builds every point's parameters (`replace(bias_v=v)` on the voltage
-axis, `with_alpha(a)` on the alpha axis), so an out-of-range value fails
-with a ConfigError before any spectrum, sideband table or charge
-distribution is built.  It then takes what the points share: the
-tunneling function F of the junction, which bias and alpha only shift or
-re-pick offsets of, as the process's shared PatIntegrator of that junction
-(junction.shared_integrator), so sweeps, tables and commands that one
-process runs at one junction read one F and one G; the island charge
-distribution, taken at zero bias (charge_distribution with pumped=False),
-which does not read the pump; and the sideband bands of D(i sqrt(rho_c))
-(displacement_bands), which read n_fock, rho_c and dm_max but no
-eigenvector.  On the voltage axis the spectrum and sideband table do not
-depend on the bias either, so all points form one group; along the alpha
-axis each point diagonalizes its own oscillator and takes its sideband
-table from the shared bands, one group a point.  The rows function gets
-every group in one call, rows(groups, pq, integrator), each group as
-(points, spectrum, eta), the alpha axis's built only as rows reads them.
-It keeps of each group only what its rates read and reads F or G once for
-the whole sweep:
+The three sweeps (rates, steady, bitflip) run on one engine, _sweep.  It
+builds every point's parameters first, so an out-of-range value fails
+with a ConfigError before any work, and then what the points share: the
+process's tunneling function of the junction (shared_integrator), the
+zero-bias charge distribution and the sideband bands of the junction
+displacement, which read no eigenvector.  A voltage sweep is one group of
+points with one spectrum and sideband table; an alpha sweep is a group a
+point, built as its rows read it.  rates and steady rows read G at every
+plan's anchors (rates.plan_tables), bitflip rows F at every point's
+offsets (rates.BitflipPlan), once for the whole sweep; by PatIntegrator's
+bitwise rule every row is bitwise a one-point sweep's.  The points run in
+one process: a pool costs more to start than it saves on these sweeps.
 
-- steady and rates rows build one rates.RatePlan a group (the rates rows
-  mask it to the reported entries) and read the charge-averaged function
-  G of F and that distribution (PatIntegrator.averaged) at every plan's
-  anchors, in one build round and blocks of points (rates.plan_tables).
-  So a voltage sweep calls match_sets once and builds one plan; an alpha
-  sweep builds a small masked plan a point.  Each point's table is accumulated when its row is computed.
-- bitflip rows keep a rates.BitflipPlan a point, its F offsets and the
-  channel amplitudes from the qubit corners of its sideband table, and
-  read F once at all of their offsets.
-
-The points run serially: a pool does not pay for its start-up.  Measured
-when points read F at per-charge offsets, two fork workers saved at most
-0.07 s on the README sweeps and cost more than they saved on a 4-point
-one.  Every value depends only on its offset and the parameters (see
-PatIntegrator), so one read for a whole sweep gives every row bitwise as
-a one-point sweep does, a warm shared F gives the values a cold one does,
-and results are identical for any `threads`; the argument is accepted and
-checked (at least 1) but has no effect.
+dynamics_run, husimi_run and pq_run run the other commands.
 """
 from __future__ import annotations
 
@@ -159,11 +134,8 @@ def rates_sweep(
     interference: str = "on",
     threads: int = 1,
 ) -> SweepResult:
-    """Population and interference rates, 1/s, per bias or alpha value.
-
-    threads is accepted and checked (at least 1) but has no effect: the
-    points run in one process (see the module docstring).
-    """
+    """Population and interference rates, 1/s, per bias or alpha value;
+    threads is checked as the --threads flag is (see its help)."""
     if interference not in ("on", "off"):
         raise ConfigError(
             f"interference must be 'on' or 'off', got {interference!r}")
@@ -191,8 +163,8 @@ def _steady_rows(groups, pq, integrator):
 
 
 def steady_sweep(params: SystemParams, voltages, threads: int = 1) -> SweepResult:
-    """Stationary populations of the qubit pair per bias; threads has no
-    effect, as in rates_sweep."""
+    """Stationary populations of the qubit pair per bias; threads as in
+    rates_sweep."""
     return _sweep(params, "voltage", voltages, _steady_rows,
                   ["pop_phi0", "pop_phi1", "pop_qubit", "residual"], threads,
                   {})
@@ -214,7 +186,7 @@ def _bitflip_rows(groups, pq, integrator):
 
 def bitflip_sweep(params: SystemParams, alphas, threads: int = 1) -> SweepResult:
     """Branch-flip rates with and without interference per alpha; threads
-    has no effect, as in rates_sweep."""
+    as in rates_sweep."""
     return _sweep(params, "alpha", alphas, _bitflip_rows,
                   ["rate_interference", "rate_no_interference", "ratio"],
                   threads, {})

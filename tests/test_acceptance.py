@@ -154,7 +154,7 @@ def test_acceptance_5_bitflip_suppression(params, capsys):
 def test_acceptance_6_idle_junction_floors(params, spectrum, eta, pq, capsys):
     # With the bias off the junction barely disturbs the qubit manifold.
     idle = rate_table(params.replace(bias_v=0.0), spectrum, eta=eta, pq=pq)
-    n = idle.n
+    n = idle.core2.shape[0]
     heat0 = sum(idle.g1_diag(mu, 0) for mu in range(2, n))
     heat1 = sum(idle.g1_diag(mu, 1) for mu in range(2, n))
     phase = idle.g1_diag(0, 1) + idle.g1_diag(1, 0)

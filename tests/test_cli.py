@@ -74,7 +74,6 @@ def test_rates_config_sections(runner, tmp_path):
         "temp_n": 0.1,
         "sweep": {"from_ghz": 39.0, "to_ghz": 40.0, "points": 2},
         "rates": {"transitions": ["g1_1_1_2_2"]},
-        "threads": 1,
     })
     result = runner.invoke(main, ["rates", "--config", cfg])
     assert result.exit_code == 0
@@ -114,9 +113,8 @@ def test_config_errors_exit_2(runner, tmp_path):
     bad_label = runner.invoke(main, ["rates", "--transitions", "flip"])
     assert bad_label.exit_code == 2
 
-    bad_threads = _write(tmp_path, "c.json", {"threads": 0})
-    result = runner.invoke(main, ["rates", "--config", bad_threads])
-    assert result.exit_code == 2
+    result = runner.invoke(main, ["rates", "--threads", "0"])
+    assert "threads must be at least 1" in _one_line_error(result, 2)
 
     for command, payload, message in (
             ("rates", {"sweep": 3},
@@ -163,7 +161,7 @@ def test_run_commands_reject_unknown_config_keys(runner, tmp_path, command):
      "unknown initial state 'bogus'"),
     (["husimi", "--source", "evolve", "--initial", "phi99"], None,
      "initial state 'phi99' outside the 12 retained levels"),
-    (["rates"], {"threads": 2.5}, "config key 'threads' must be an integer"),
+    (["rates"], {"threads": 2.5}, "unknown parameter key: 'threads'"),
     (["steady"], {"sweep": {"points": 1.5}},
      "sweep key 'points' must be an integer"),
 ], ids=["axis_list", "dm_max_n_fock", "dynamics_initial", "husimi_initial",
@@ -181,11 +179,10 @@ def test_bad_inputs_exit_2_before_any_rate_table(runner, tmp_path,
 
 
 def test_integral_floats_read_as_integers(runner, tmp_path):
-    # threads and sweep.points take 2.0 for 2, like every integer key.
+    # sweep.points takes 2.0 for 2, like every integer key.
     outputs = []
     for number in (2, 2.0):
         cfg = _write(tmp_path, "n.json", {
-            "threads": number,
             "sweep": {"from_ghz": 39.0, "to_ghz": 40.0, "points": number}})
         result = runner.invoke(main, ["rates", "--config", cfg])
         assert result.exit_code == 0, result.output
@@ -354,6 +351,19 @@ def test_husimi_command(runner, params, spectrum):
     assert [float(row.split(",")[2]) for row in rows] == res.q.ravel().tolist()
 
 
+@pytest.mark.parametrize("args", [
+    ["dynamics", "--initial", "phi0", "--t-end", "2e-5", "--points", "3",
+     "--t-qcr-on", "1e-5"],
+    ["husimi", "--source", "evolve", "--time", "1e-5", "--points", "9"],
+], ids=["dynamics", "husimi"])
+def test_threads_flag_is_accepted_and_changes_nothing(runner, args):
+    # The benchmark's cat_dynamics workload passes --threads to these two.
+    plain = runner.invoke(main, args)
+    threaded = runner.invoke(main, args + ["--threads", "2"])
+    assert plain.exit_code == 0 and threaded.exit_code == 0
+    assert threaded.output == plain.output
+
+
 def test_husimi_builds_rate_table_only_to_evolve(runner, monkeypatch):
     # At --time 0 the mapped state is the initial one, so no table is
     # built and the map is --qcr off's; any later time builds one.
@@ -396,6 +406,19 @@ def test_validate_passes(runner):
     assert result.exit_code == 0
     assert "22/22 checks passed" in result.output
     assert "FAIL" not in result.output
+
+
+@pytest.mark.parametrize("temp_n, temp_s", [(0.1, 0.0), (0.0, 0.0),
+                                            (0.0, 0.1), (0.1, 0.1)])
+def test_validate_passes_at_zero_temperatures(runner, tmp_path, temp_n,
+                                              temp_s):
+    # A step Fermi function on either side: the detailed-balance ratio's
+    # reference is exp(-inf) = 0, and the charge check runs at T_S = T_N.
+    cfg = _write(tmp_path, "t.json", {"temp_n": temp_n, "temp_s": temp_s})
+    result = runner.invoke(main, ["validate", "--config", cfg])
+    assert result.exit_code == 0, result.output
+    assert result.exception is None
+    assert result.output.splitlines()[-1] == "22/22 checks passed"
 
 
 def test_validate_json(runner):

@@ -212,7 +212,7 @@ def test_generator_conserves_trace(gen_on, gen_off, table45):
     assert _trace_defect(gen_off) < 1e-6
     assert gen_on.norm_inf > gen_off.norm_inf > 0.0
     # The tunneling part alone is trace-free as well.
-    n = table45.n
+    n = table45.core2.shape[0]
     sup = liouvillian(table45.gamma1, table45.core2)
     row = sup.reshape(n, n, n * n)[np.arange(n), np.arange(n)].sum(axis=0)
     scale = np.max(np.abs(sup))
@@ -282,7 +282,8 @@ def _toy_generator(rng, n=3, scale=0.1):
     op = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     op *= scale / np.linalg.norm(op)
     k = np.diag(-2j * math.pi * energies) - op.conj().T @ op
-    return Generator(total=liouvillian(2.0 * _jump(op), k))
+    return Generator(total=liouvillian(2.0 * _jump(op), k),
+                     sectors=(np.arange(n * n),))
 
 
 def test_evolve_matches_matrix_exponential(spectrum, gen_off):

@@ -537,7 +537,7 @@ def test_assembly_bitwise_equals_sequential_loop(params, spectrum, eta, pq,
              (table_0k[:5], "on", table_0k[5])]
     for inputs, interference, table in cases:
         gamma1, core2 = _sequential_table(*inputs, interference=interference)
-        n = table.n
+        n = table.core2.shape[0]
         assert _hex(table.gamma1) == _hex(_dense(gamma1, (n, n, n, n)))
         assert _hex(table.core2) == _hex(_dense(core2, (n, n)))
 
@@ -548,7 +548,7 @@ def test_core2_equals_class2_term_loop(params, trace_cases):
     cases = list(trace_cases.values()) + [
         _case_inputs(params.replace(n_keep=20, n_fock=80))]
     for *inputs, table in cases:
-        n = table.n
+        n = table.core2.shape[0]
         want = _dense(_class2_loop(*inputs), (n, n))
         assert np.array_equal(table.core2 != 0.0, want != 0.0)
         scale = np.abs(want).max()
@@ -586,7 +586,7 @@ def test_masked_plan_keeps_entries_bitwise(trace_cases, case):
 
 
 def test_population_rates_nonnegative(small_table):
-    n = small_table.n
+    n = small_table.core2.shape[0]
     for i in range(n):
         for j in range(n):
             if i != j:
@@ -636,8 +636,9 @@ def test_interference_off_zeroes_cross_terms(params, spectrum, eta, pq,
     assert off.gamma1[(0, 1, 1, 0)] == 0j
     assert off.gamma1[(1, 0, 0, 1)] == 0j
     # Populations are untouched by the switch.
-    for i in range(on.n):
-        for j in range(on.n):
+    n = on.core2.shape[0]
+    for i in range(n):
+        for j in range(n):
             assert on.g1_diag(i, j) == off.g1_diag(i, j)
     # Without the interference entries nothing cancels: the table route
     # gives bitflip_rates' rate_off to roundoff.
