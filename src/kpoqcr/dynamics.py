@@ -10,8 +10,9 @@ which liouvillian turns into a matrix on vec(rho) and assemble_generator
 fills with the coherent, intrinsic and tunneling parts.  evolve advances
 a state by exact interval propagators expm(L dt), with the junction
 switched on as a dissipation source at a time t_on (Silveri et al., PRB
-96, 094524 (2017)); steady_state solves for the stationary state; husimi_q
-maps a state on a phase-space grid.
+96, 094524 (2017)); it works in real Hermitian coordinates, so its states
+are Hermitian by construction.  steady_state solves for the stationary
+state; husimi_q maps a state on a phase-space grid.
 """
 from __future__ import annotations
 
@@ -99,8 +100,9 @@ def liouvillian(jump: np.ndarray | float, k: np.ndarray) -> np.ndarray:
 class Generator:
     """Master-equation generator L as one (n^2, n^2) matrix on vec(rho).
 
-    sectors: index arrays into vec(rho) that L never couples, the first one
-    holding the diagonal (see assemble_generator).
+    sectors: index arrays into vec(rho) that L never couples, each closed
+    under the transposition mu <-> mup, the first one holding the diagonal
+    (see assemble_generator).
     """
 
     total: np.ndarray
@@ -181,6 +183,10 @@ def initial_state(spectrum: Spectrum, name: str) -> np.ndarray:
 
 @dataclass
 class Trajectory:
+    """States recorded by evolve.  herm_drift is kept as a check and reads
+    0.0, as evolve writes Hermitian states by construction; trace_drift
+    and min_eigenvalue measure the propagation."""
+
     times: np.ndarray
     states: np.ndarray            # (nt, n, n)
     trace_drift: float
@@ -210,6 +216,39 @@ def switch_time(t_grid: np.ndarray, t_on: float) -> float:
     return near if math.isclose(t_on, near, rel_tol=_SNAP_REL) else t_on
 
 
+def _real_coordinates(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unitary map W from vec(rho) to real coordinates y, by entries:
+    y[mu n + mu] = rho[mu, mu] and, for mu < nu, y[mu n + nu] = sqrt2 Re
+    rho[mu, nu] and y[nu n + mu] = sqrt2 Im rho[mu, nu].  Row r of W holds
+    w[r] at column r and w_flip[r] at column flip[r], the transposed entry.
+    """
+    mu, nu = np.divmod(np.arange(n * n), n)
+    w = np.where(mu < nu, 1.0, np.where(mu > nu, 1j, math.sqrt(2.0)))
+    w_flip = np.where(mu < nu, 1.0, np.where(mu > nu, -1j, 0.0))
+    return nu * n + mu, w / math.sqrt(2.0), w_flip / math.sqrt(2.0)
+
+
+def _real_block(gen: Generator, idx: np.ndarray) -> np.ndarray:
+    """The sector idx of W L W^dag, gathered from L's block: real, because
+    L preserves hermiticity (Alicki & Lendi, LNP 286 (1987)).  Raises
+    EvolveError if its imaginary part exceeds 1e-12 of its largest entry.
+    """
+    flip, w, w_flip = _real_coordinates(gen.n)
+    # Position in idx of each entry's transpose; a sector that is not
+    # closed under transposition indexes out of range.
+    where = np.full(flip.size, flip.size)
+    where[idx] = np.arange(idx.size)
+    pos = where[flip[idx]]
+    sub = gen.total[np.ix_(idx, idx)]
+    left = w[idx, None] * sub + w_flip[idx, None] * sub[pos]
+    block = left * w[idx].conj() + left[:, pos] * w_flip[idx].conj()
+    imag = float(np.max(np.abs(block.imag), initial=0.0))
+    if imag > 1e-12 * np.max(np.abs(block), initial=0.0):
+        raise EvolveError(f"generator does not preserve hermiticity: its real "
+                          f"form has an imaginary part of {imag:.2e}")
+    return block.real
+
+
 def evolve(
     rho0: np.ndarray,
     t_grid: np.ndarray,
@@ -226,15 +265,22 @@ def evolve(
     occupied sector and interval length, and lengths that agree to a
     relative _SNAP_REL share it.
 
-    Each generator propagates only the parity sectors that are not
-    exactly zero when it first acts; the others stay zero under it and
-    are written as zeros, with no expm (a diagonal rho0 such as phi0
-    moves one sector, phi_alpha both).
+    The state is carried in the real coordinates y = W vec(rho) of
+    _real_coordinates, and each sector's step matrix is expm of its real
+    block of W L W^dag (_real_block), so the arithmetic is real.  Each
+    generator propagates only the parity sectors that are not exactly zero
+    when it first acts; the others stay zero under it, with no expm (a
+    diagonal rho0 such as phi0 moves one sector, phi_alpha both).  rho0
+    must be Hermitian to 1e-12; its Hermitian part is what is propagated,
+    and it is recorded exactly at every grid time equal to the first.
 
-    The trace drift, hermiticity drift and least eigenvalue are taken over
-    blocks of _CHECK_STATES recorded states, so no temporary grows with the
-    trajectory; each is per state (a stacked eigvalsh solves each matrix
-    on its own), so they are bitwise those of one pass over all states.
+    The recorded states are written back to complex density matrices in
+    blocks of _CHECK_STATES, with each entry below the diagonal the exact
+    conjugate of its mirror, so hermiticity holds by construction and
+    herm_drift reads 0.0.  The trace drift and least eigenvalue are taken
+    over the same blocks, so no temporary grows with the trajectory; each
+    is per state (a stacked eigvalsh solves each matrix on its own), so
+    they are bitwise those of one pass over all states.
     """
     t_grid = np.asarray(t_grid, float)
     if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) < 0):
@@ -250,27 +296,37 @@ def evolve(
     n = rho0.shape[0]
     if abs(np.trace(rho0) - 1.0) > 1e-8:
         raise EvolveError(f"rho0 trace deviates from 1 by {abs(np.trace(rho0)-1):.2e}")
+    skew = float(np.max(np.abs(rho0 - rho0.conj().T)))
+    if skew > 1e-12:
+        raise EvolveError(f"rho0 is not Hermitian: off by {skew:.2e}")
+    flip, w, w_flip = _real_coordinates(n)
 
-    # Per generator, the sectors it moves and (interval length, expm(L_s
-    # dt) of each such sector s) pairs: the spacings of a uniform grid
-    # differ by a few ulps and share the first one's matrices.
-    cache: dict[int, tuple[list[np.ndarray], list]] = {}
+    # Per generator, the sectors it moves, their real blocks and (interval
+    # length, expm(R_s dt) of each such sector s) pairs: the spacings of a
+    # uniform grid differ by a few ulps and share the first one's matrices.
+    cache: dict[int, tuple[list[np.ndarray], list[np.ndarray], list]] = {}
 
-    def propagator(gen: Generator, dt: float, vec: np.ndarray):
+    def propagator(gen: Generator, dt: float, y: np.ndarray):
         if id(gen) not in cache:
-            cache[id(gen)] = [idx for idx in gen.sectors if vec[idx].any()], []
-        sectors, built = cache[id(gen)]
+            moved = [idx for idx in gen.sectors if y[idx].any()]
+            cache[id(gen)] = moved, [_real_block(gen, i) for i in moved], []
+        sectors, blocks, built = cache[id(gen)]
         for dt_built, mats in built:
             if math.isclose(dt, dt_built, rel_tol=_SNAP_REL):
                 return sectors, mats
-        mats = [expm(gen.total[np.ix_(idx, idx)] * dt) for idx in sectors]
+        mats = [expm(block * dt) for block in blocks]
         built.append((dt, mats))
         return sectors, mats
 
-    vec = rho0.reshape(n * n).copy()
     states = np.empty((t_grid.size, n, n), dtype=complex)
+    # Until its block is written back, the coordinates of state k sit in
+    # the first half of states[k]'s bytes, so no second (nt, n^2) array
+    # is held.
+    recorded = states.reshape(t_grid.size, n * n).view(float)[:, :n * n]
+    vec = rho0.reshape(n * n)
+    y = (w * vec + w_flip * vec[flip]).real.copy()
+    recorded[0] = y
     t_now = float(t_grid[0])
-    states[0] = vec.reshape(n, n)
     normalized_time = 0.0
     for k in range(1, t_grid.size):
         t_next = float(t_grid[k])
@@ -280,26 +336,31 @@ def evolve(
                 seg_end = float(t_on)
             gen = (generator_on if t_on is not None and t_now >= t_on
                    else generator)
-            sectors, mats = propagator(gen, seg_end - t_now, vec)
-            new = np.zeros_like(vec)
+            sectors, mats = propagator(gen, seg_end - t_now, y)
             for idx, mat in zip(sectors, mats):
-                new[idx] = mat @ vec[idx]
-            vec = new
+                y[idx] = mat @ y[idx]
             normalized_time += (seg_end - t_now) * gen.norm_inf
             t_now = seg_end
         t_now = t_next
-        states[k] = vec.reshape(n, n)
+        recorded[k] = y
 
     traces = np.empty(t_grid.size)
     herms = np.empty(t_grid.size)
     least = np.empty(t_grid.size)
+    back, back_flip = w.conj(), w_flip[flip].conj()
+    initial = 0.5 * (rho0 + rho0.conj().T)
     for start in range(0, t_grid.size, _CHECK_STATES):
         rows = slice(start, start + _CHECK_STATES)
+        coords = recorded[rows]
+        states[rows] = (back * coords
+                        + back_flip * coords[:, flip]).reshape(-1, n, n)
+        # States not yet propagated are rho0's, not a trip through W.
+        states[rows][t_grid[rows] == t_grid[0]] = initial
         block = states[rows]
-        adjoint = block.conj().transpose(0, 2, 1)
         traces[rows] = np.abs(np.einsum("tii->t", block) - 1.0)
-        herms[rows] = np.max(np.abs(block - adjoint), axis=(1, 2))
-        least[rows] = np.linalg.eigvalsh(0.5 * (block + adjoint))[:, 0]
+        herms[rows] = np.max(np.abs(block - block.conj().transpose(0, 2, 1)),
+                             axis=(1, 2))
+        least[rows] = np.linalg.eigvalsh(block)[:, 0]
     drift = float(np.max(traces))
     # expm scales L dt down by powers of two and squares back up, so its
     # rounding drift grows with ||L|| t: the allowance scales with it.

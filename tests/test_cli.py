@@ -14,7 +14,7 @@ import kpoqcr
 from kpoqcr import (HusimiConfig, Schedule, SystemParams, assemble_generator,
                     evolve, husimi_q, initial_state, junction, rate_table,
                     workflows)
-from kpoqcr.cli import _emit, _fmt, main
+from kpoqcr.cli import _emit, _fmt, _repeated_columns, main
 from kpoqcr.workflows import dynamics_run, husimi_run
 
 
@@ -492,12 +492,19 @@ def _whole_body_emit(params, meta, columns, rows):
     return "\n".join(lines) + "\n"
 
 
-def _emit_rows(n_rows):
+_SPECIALS = (-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324,
+             0.1, 1.0 / 3.0)
+
+
+def _emit_rows(n_rows, repeated=False):
     """A command that emits n_rows random rows, specials first, through
-    _emit, and the rows."""
-    rows = np.random.default_rng(n_rows).normal(size=(n_rows, 3)) \
-        * np.logspace(-300, 300, 3)
+    _emit, and the rows; if repeated, the first two columns draw their
+    values from _SPECIALS."""
+    rng = np.random.default_rng(n_rows)
+    rows = rng.normal(size=(n_rows, 3)) * np.logspace(-300, 300, 3)
     rows[:1] = (math.inf, -0.0, 5e-324)
+    if repeated:
+        rows[:, :2] = rng.choice(np.array(_SPECIALS), size=(n_rows, 2))
 
     @click.command()
     @click.option("--out", default=None)
@@ -509,12 +516,23 @@ def _emit_rows(n_rows):
     return emit, rows
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, 1023, 1024, 1025, 6561])
-def test_streamed_csv_equals_the_whole_body(runner, tmp_path, n_rows):
+@pytest.mark.parametrize("n_rows, repeated", [
+    *(pytest.param(n, False, id=str(n))
+      for n in (0, 1, 1023, 1024, 1025, 6561)),
+    pytest.param(1025, True, id="1025-repeated"),
+    pytest.param(3000, True, id="3000-repeated")])
+def test_streamed_csv_equals_the_whole_body(runner, tmp_path, n_rows,
+                                            repeated):
     # The body is written in blocks of 1,024 rows; at every count around a
     # block edge, and at the README Husimi grid's 6,561 rows, stdout and
-    # --out hold the bytes of the single-% document.
-    emit, rows = _emit_rows(n_rows)
+    # --out hold the bytes of the single-% document.  Columns that repeat
+    # -0.0, 0.0, nans, infinities and 5e-324 over 3,000 rows print each
+    # bit pattern's string; over 1,025 rows they repeat too few cells and
+    # are formatted cell by cell.
+    emit, rows = _emit_rows(n_rows, repeated)
+    picked = [j for j, _, _ in _repeated_columns(rows)]
+    assert picked == ([0, 1] if repeated and n_rows - len(_SPECIALS) >= 1024
+                      else [])
     want = _whole_body_emit(SystemParams(), {"command": "emit"},
                             ["re", "im", "q"], rows).encode()
     result = runner.invoke(emit, [])

@@ -15,6 +15,7 @@ from kpoqcr import (EvolveError, SteadyStateError, SystemParams,
 from kpoqcr import TWO_PI, build_fock_operators, dynamics
 from kpoqcr.dynamics import Generator, liouvillian
 from kpoqcr.spectrum import coherent_state
+from kpoqcr.workflows import Schedule, dynamics_run
 
 
 @pytest.fixture(scope="module")
@@ -102,11 +103,11 @@ def _expression_expm(mat):
 @pytest.mark.parametrize("qcr", ["off", "on"])
 def test_expm_bitwise_equals_expression_form(qcr, sector, dt, gen_off,
                                               gen_on):
-    # The README generators' parity sectors at the dynamics step (5e-7 s),
-    # the husimi --time 1e-4 step, and a step short enough for no scaling.
+    # The README generators' real parity-sector blocks, as evolve steps
+    # them, at the dynamics step (5e-7 s), the husimi --time 1e-4 step,
+    # and a step short enough for no scaling.
     gen = gen_on if qcr == "on" else gen_off
-    idx = gen.sectors[sector]
-    mat = gen.total[np.ix_(idx, idx)] * dt
+    mat = dynamics._real_block(gen, gen.sectors[sector]) * dt
     want, squarings = _expression_expm(mat)
     assert (squarings == 0) == (dt == 1e-9)
     assert dynamics.expm(mat).tobytes() == want.tobytes()
@@ -261,6 +262,26 @@ def test_evolve_validates_inputs(spectrum, gen_off):
         evolve(2.0 * rho0, np.array([0.0, 1e-6]), gen_off)
 
 
+def test_evolve_rejects_what_has_no_real_form(spectrum, gen_off):
+    # A rho0 off hermiticity by more than 1e-12, and a generator whose real
+    # block is not real: i L maps Hermitian matrices to anti-Hermitian ones.
+    rho0 = initial_state(spectrum, "phi_alpha")
+    t_grid = np.array([0.0, 1e-6])
+    skewed = rho0.copy()
+    skewed[0, 1] += 1e-9
+    with pytest.raises(EvolveError, match="not Hermitian"):
+        evolve(skewed, t_grid, gen_off)
+    turned = Generator(total=1j * gen_off.total, sectors=gen_off.sectors)
+    with pytest.raises(EvolveError, match="does not preserve hermiticity"):
+        evolve(rho0, t_grid, turned)
+    # Below 1e-12 the Hermitian part is propagated.
+    skewed[0, 1] = rho0[0, 1] + 1e-13
+    near = evolve(skewed, t_grid, gen_off)
+    assert near.herm_drift == 0.0
+    assert np.max(np.abs(near.states - evolve(rho0, t_grid, gen_off).states)) \
+        <= 1e-13
+
+
 def test_evolve_rejects_rho0_of_another_size(spectrum, params, gen_off):
     # rho0 must be n x n for each generator, also the one switched on later.
     small_params = params.replace(n_keep=4)
@@ -297,6 +318,9 @@ def test_evolve_matches_matrix_exponential(spectrum, gen_off):
     assert np.linalg.cond(vecs) < 10.0
     coef = np.linalg.solve(vecs, rho0.reshape(n * n))
     ref = (vecs @ (np.exp(lam * t) * coef)).reshape(n, n)
+    assert np.array_equal(traj.states[0], rho0)
+    still = evolve(rho0, np.array([0.0, 0.0]), gen_off)
+    assert np.array_equal(still.states, np.stack([rho0, rho0]))
     assert np.max(np.abs(traj.states[-1] - ref)) < 1e-10
     assert traj.trace_drift < 1e-9
     assert traj.herm_drift < 1e-11
@@ -339,13 +363,54 @@ def test_evolve_shares_step_matrices_across_grid_spacings(rng, monkeypatch):
     assert np.max(np.abs(traj.states[-1].reshape(n * n) - ref)) < 1e-12
 
 
+def _real_coordinate_map(n):
+    """evolve's unitary W from vec(rho) to real coordinates, entry by
+    entry: y[mu n + mu] = rho[mu, mu] and, for mu < nu, y[mu n + nu] =
+    sqrt2 Re rho[mu, nu] and y[nu n + mu] = sqrt2 Im rho[mu, nu]."""
+    w = np.zeros((n * n, n * n), dtype=complex)
+    for mu in range(n):
+        w[mu * n + mu, mu * n + mu] = 1.0
+        for nu in range(mu + 1, n):
+            up, low = mu * n + nu, nu * n + mu
+            w[up, up] = w[up, low] = 1.0 / math.sqrt(2.0)
+            w[low, up], w[low, low] = -1j / math.sqrt(2.0), 1j / math.sqrt(2.0)
+    return w
+
+
+@pytest.mark.parametrize("qcr", ["off", "on"])
+def test_real_block_equals_w_l_w_dagger(qcr, gen_off, gen_on):
+    # Each parity sector's gathered real block is its block of the dense
+    # W L W^dag, whose imaginary part is rounding.
+    gen = gen_on if qcr == "on" else gen_off
+    w = _real_coordinate_map(gen.n)
+    assert np.max(np.abs(w @ w.conj().T - np.eye(gen.n ** 2))) <= 1e-15
+    dense = w @ gen.total @ w.conj().T
+    scale = np.max(np.abs(dense))
+    assert np.max(np.abs(dense.imag)) <= 1e-15 * scale
+    for idx in gen.sectors:
+        block = dynamics._real_block(gen, idx)
+        assert block.dtype == float and block.shape == (idx.size, idx.size)
+        assert (np.max(np.abs(block - dense[np.ix_(idx, idx)]))
+                <= 1e-15 * scale)
+
+
+def test_evolve_states_are_hermitian_by_construction():
+    # The README dynamics run: every recorded state's entries below the
+    # diagonal are the exact conjugates of their mirrors.
+    run = dynamics_run(SystemParams(), Schedule(initial="phi0", t_end=1e-4,
+                                                points=201, t_qcr_on=5e-5))
+    assert run.herm_drift == 0.0
+    assert run.trace_drift < 1e-9 and run.min_eigenvalue > -1e-10
+
+
 def test_evolve_builds_sector_sized_step_matrices(spectrum, gen_off, gen_on,
                                                  monkeypatch):
-    # The README dynamics schedule: one expm per generator and occupied
-    # parity sector, each 72 x 72 at defaults, and each the block of the
-    # step matrix of the whole generator.  phi0 is diagonal, so only the
-    # sector holding the diagonal moves; phi_alpha fills both, and the
-    # blocks together are the whole step matrix.
+    # The README dynamics schedule: one real expm per generator and
+    # occupied parity sector, each 72 x 72 at defaults, and each, mapped
+    # back through W, the block of the step matrix of the whole generator.
+    # phi0 is diagonal, so only the sector holding the diagonal moves;
+    # phi_alpha fills both, and the blocks together are the whole step
+    # matrix.
     built, own_expm = [], dynamics.expm
 
     def counted(mat):
@@ -355,19 +420,21 @@ def test_evolve_builds_sector_sized_step_matrices(spectrum, gen_off, gen_on,
     monkeypatch.setattr(dynamics, "expm", counted)
     t_grid = np.linspace(0.0, 1e-4, 201)
     n2 = spectrum.n_keep ** 2
+    w = _real_coordinate_map(spectrum.n_keep)
     for initial, n_sectors in (("phi0", 1), ("phi_alpha", 2)):
         built.clear()
         evolve(initial_state(spectrum, initial), t_grid, gen_off,
                (5e-5, gen_on))
-        assert ([mat.shape for mat in built]
-                == [(n2 // 2, n2 // 2)] * (2 * n_sectors))
+        assert ([(mat.shape, mat.dtype) for mat in built]
+                == [((n2 // 2, n2 // 2), float)] * (2 * n_sectors))
         # Each generator's matrices are built for its first interval.
         for gen, blocks, dt in (
                 (gen_off, built[:n_sectors], t_grid[1] - t_grid[0]),
                 (gen_on, built[n_sectors:], t_grid[101] - t_grid[100])):
-            step = np.zeros((n2, n2), dtype=complex)
+            real_step = np.zeros((n2, n2))
             for idx, block in zip(gen.sectors, blocks):
-                step[np.ix_(idx, idx)] = block
+                real_step[np.ix_(idx, idx)] = block
+            step = w.conj().T @ real_step @ w
             # The rows and columns of the built sectors: with both, the
             # whole matrix.
             moved = np.ix_(*[np.concatenate(gen.sectors[:n_sectors])] * 2)
