@@ -30,9 +30,9 @@ from .spectrum import Spectrum, build_fock_operators, coherent_state
 
 _TRACE_TOL = 1e-9       # allowed trace drift per unit normalized time
 _SNAP_REL = 1e-9        # interval lengths and times this close are equal
-# Phase-space points per Husimi block.  Each block builds its own coherent
-# amplitudes, so memory does not grow with the grid; the block stays 1,024
-# rows because a matrix product's bits can depend on its row count.
+# Phase-space points per Husimi block, the columns of its amplitude buffer.
+# Each block builds its own amplitudes, so memory does not grow with the grid;
+# the width stays fixed because a matrix product's bits can depend on it.
 _HUSIMI_ROWS = 1024
 _CHECK_STATES = 16      # recorded states per block of evolve's checks
 
@@ -429,12 +429,16 @@ def husimi_q(
     """Husimi Q(alpha) = <alpha| rho |alpha> / pi on a phase-space grid.
 
     Returns Q with shape (len(im_axis), len(re_axis)); integrates to 1 over
-    the full plane with measure d^2alpha.  The grid runs in blocks of
-    _HUSIMI_ROWS points, and each block builds its own conjugated Fock
-    amplitudes <alpha|k> in one (rows, n_fock) buffer, so memory stays flat
-    in the grid size.  The amplitudes are a row-local cumulative product,
-    and every block but the last has the same row count, so Q is bitwise
-    the same as from one whole-grid amplitude matrix.
+    the full plane with measure d^2alpha.  With c = conj(alpha), s = c^2 and
+    e_m = exp(-|alpha|^2/2) s^m / sqrt((2m)!) = e_{m-1} s / sqrt(2m(2m-1)),
+    <alpha|2m> = e_m and <alpha|2m+1> = c e_m / sqrt(2m+1).  So the eigenbasis
+    amplitudes w = <alpha| V = V[0::2]^T e + c (V[1::2] / sqrt(2m+1))^T e take
+    a recurrence half as long as the Fock basis, and hold for any real V: no
+    eigenvector needs a definite parity.  The grid runs in blocks of
+    _HUSIMI_ROWS points, the columns of one (n_fock/2, points) buffer, so
+    memory stays flat in the grid size; the recurrence is column-local and
+    every block but the last has the same width, so Q is bitwise the same as
+    from one whole-grid amplitude matrix.
     """
     re_axis = np.asarray(re_axis, float)
     im_axis = np.asarray(im_axis, float)
@@ -445,20 +449,25 @@ def husimi_q(
     # A norm deficit d at the grid corner perturbs Q there by at most
     # ~2d/pi, far below the peak scale 1/pi, so a loose bound suffices.
     coherent_state(peak, n_fock, tol=1e-4)
-    root_m = np.sqrt(np.arange(1, n_fock))
-    rho_eig = np.asarray(rho_eig, complex)
-    buf = np.empty((min(alphas.size, _HUSIMI_ROWS), n_fock), complex)
-    # <alpha| rho |alpha> = w rho w^dag with w = <alpha| V in the retained
-    # eigenbasis; <alpha|k> = exp(-|alpha|^2/2) prod_{m<=k} alpha/sqrt(m).
+    even = spectrum.vectors[0::2].T
+    odd = spectrum.vectors[1::2].T / np.sqrt(np.arange(1.0, n_fock, 2))
+    two_m = np.arange(2.0, n_fock, 2)
+    step = 1.0 / np.sqrt(two_m * (two_m - 1.0))
+    rho_t = np.asarray(rho_eig, complex).T
+    buf = np.empty((even.shape[1], min(alphas.size, _HUSIMI_ROWS)), complex)
     q = np.empty(alphas.size)
     for start in range(0, alphas.size, _HUSIMI_ROWS):
-        block = alphas[start:start + _HUSIMI_ROWS]
-        amps = buf[:block.size]
-        amps[:, 0] = 1.0
-        steps = amps[:, 1:]
-        np.divide(block[:, None], root_m, out=steps)
-        np.cumprod(steps, axis=1, out=steps)
-        amps *= np.exp(-0.5 * np.abs(block) ** 2)[:, None]
-        w = np.conjugate(amps, out=amps) @ spectrum.vectors
-        q[start:start + block.size] = ((w @ rho_eig) * w.conj()).sum(axis=1).real
+        c = np.conjugate(alphas[start:start + _HUSIMI_ROWS])
+        e = buf[:, :c.size]
+        s = c * c
+        e[0] = np.exp(-0.5 * np.abs(c) ** 2)
+        for m, factor in enumerate(step, 1):
+            np.multiply(e[m - 1], s, out=e[m])
+            e[m] *= factor
+        # V is real: a real product on e's interleaved parts is bitwise the
+        # complex product, and cheaper.
+        parts = e.view(float)
+        w = (even @ parts).view(complex)
+        w += c * (odd @ parts[:odd.shape[1]]).view(complex)
+        q[start:start + c.size] = (w.conj() * (rho_t @ w)).sum(axis=0).real
     return (q / math.pi).reshape(im_axis.size, re_axis.size)

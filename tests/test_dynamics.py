@@ -14,7 +14,7 @@ from kpoqcr import (EvolveError, SteadyStateError, SystemParams,
                     steady_state)
 from kpoqcr import TWO_PI, build_fock_operators, dynamics
 from kpoqcr.dynamics import Generator, liouvillian
-from kpoqcr.spectrum import coherent_state
+from kpoqcr.spectrum import Spectrum, coherent_state
 from kpoqcr.workflows import Schedule, dynamics_run
 
 
@@ -591,39 +591,72 @@ def test_husimi_normalization(spectrum):
     assert float(q.sum() * cell) == pytest.approx(1.0, abs=5e-3)
 
 
+def _direct_husimi(rho, spectrum, re_axis, im_axis):
+    """Q from each grid point's Fock amplitudes and rho in the Fock basis."""
+    alphas = (re_axis[None, :] + 1j * im_axis[:, None]).ravel()
+    amps = np.array([coherent_state(a, spectrum.n_fock, tol=1.0)
+                     for a in alphas])
+    rho_f = spectrum.vectors @ rho @ spectrum.vectors.conj().T
+    want = np.real(np.einsum("gm,mn,gn->g", amps.conj(), rho_f, amps)) / math.pi
+    return want.reshape(im_axis.size, re_axis.size)
+
+
 def test_husimi_matches_einsum_contraction(spectrum, rng):
     # The README grid, 81 x 81 over +-4, against the direct contraction.
     rho = _random_density(rng, spectrum.n_keep)
     axis = np.linspace(-4.0, 4.0, 81)
     q = husimi_q(rho, spectrum, axis, axis)
-    alphas = (axis[None, :] + 1j * axis[:, None]).ravel()
-    amps = np.array([coherent_state(a, spectrum.n_fock, tol=1.0)
-                     for a in alphas])
-    rho_f = spectrum.vectors @ rho @ spectrum.vectors.conj().T
-    want = np.real(np.einsum("gm,mn,gn->g", amps.conj(), rho_f, amps)) / math.pi
-    assert np.max(np.abs(q.ravel() - want)) < 1e-14
+    assert np.max(np.abs(q - _direct_husimi(rho, spectrum, axis, axis))) < 1e-14
+
+
+def test_husimi_needs_no_parity_in_the_eigenvectors(rng):
+    # Orthonormal real columns that mix even and odd Fock rows, and an odd
+    # n_fock, so the odd rows are one fewer than the even ones.
+    n_fock, n_keep = 61, 12
+    vectors, _ = np.linalg.qr(rng.normal(size=(n_fock, n_keep)))
+    assert np.all(np.abs(vectors[0::2]).sum(axis=0) > 0.1)
+    assert np.all(np.abs(vectors[1::2]).sum(axis=0) > 0.1)
+    spec = Spectrum(energies=np.zeros(n_keep), vectors=vectors,
+                    parity=np.ones(n_keep), raw_energies=np.zeros(n_keep))
+    rho = _random_density(rng, n_keep)
+    re_axis = np.linspace(-4.0, 4.0, 41)
+    im_axis = np.linspace(-3.0, 3.0, 31)
+    q = husimi_q(rho, spec, re_axis, im_axis)
+    want = _direct_husimi(rho, spec, re_axis, im_axis)
+    assert np.max(np.abs(q - want)) < 1e-14
+    empty = husimi_q(rho, spec, np.linspace(-1.0, 1.0, 5), np.array([]))
+    assert empty.shape == (0, 5)
+    one = husimi_q(rho, spec, np.array([0.5]), np.array([-0.25]))
+    assert one.shape == (1, 1)
+    want = _direct_husimi(rho, spec, np.array([0.5]), np.array([-0.25]))
+    assert np.max(np.abs(one - want)) < 1e-14
 
 
 def _unblocked_husimi(rho, spectrum, re_axis, im_axis):
-    """husimi_q with one amplitude matrix over the whole grid, then the
-    same 1,024-row products, as it was built before its blocks built their
-    own amplitudes."""
-    alphas = (re_axis[None, :] + 1j * im_axis[:, None]).ravel()
-    steps = alphas[:, None] / np.sqrt(np.arange(1, spectrum.n_fock))[None, :]
-    amps = np.concatenate(
-        [np.ones((alphas.size, 1), complex), np.cumprod(steps, axis=1)], axis=1)
-    amps *= np.exp(-0.5 * np.abs(alphas) ** 2)[:, None]
-    q = np.empty(alphas.size)
-    for start in range(0, alphas.size, 1024):
-        w = amps[start:start + 1024].conj() @ spectrum.vectors
-        q[start:start + w.shape[0]] = ((w @ rho) * w.conj()).sum(axis=1).real
+    """husimi_q with one amplitude recurrence over the whole grid, then the
+    same 1,024-point products in plain complex arithmetic."""
+    c = np.conjugate((re_axis[None, :] + 1j * im_axis[:, None]).ravel())
+    n_even, n_odd = (spectrum.n_fock + 1) // 2, spectrum.n_fock // 2
+    e = np.empty((n_even, c.size), complex)
+    e[0] = np.exp(-0.5 * np.abs(c) ** 2)
+    for m in range(1, n_even):
+        e[m] = e[m - 1] * (c * c)
+        e[m] *= 1.0 / np.sqrt(2.0 * m * (2.0 * m - 1.0))
+    even = spectrum.vectors[0::2].T
+    odd = (spectrum.vectors[1::2]
+           / np.sqrt(2.0 * np.arange(n_odd) + 1.0)[:, None]).T
+    q = np.empty(c.size)
+    for start in range(0, c.size, 1024):
+        cols = slice(start, start + 1024)
+        w = even @ e[:, cols] + c[cols] * (odd @ e[:n_odd, cols])
+        q[cols] = (w.conj() * (rho.T @ w)).sum(axis=0).real
     return (q / math.pi).reshape(im_axis.size, re_axis.size)
 
 
 @pytest.mark.parametrize("points", [1, 32, 33, 81])
 def test_husimi_blocks_equal_the_unblocked_build(spectrum, rng, points):
-    # 32 x 32 is exactly one block, 33 x 33 one block plus 65 rows and
-    # 81 x 81 six blocks plus 417 rows: each map is the same bytes.
+    # 32 x 32 is exactly one block, 33 x 33 one block plus 65 points and
+    # 81 x 81 six blocks plus 417 points: each map is the same bytes.
     rho = _random_density(rng, spectrum.n_keep)
     axis = np.linspace(-4.0, 4.0, points)
     q = husimi_q(rho, spectrum, axis, axis)
@@ -632,8 +665,9 @@ def test_husimi_blocks_equal_the_unblocked_build(spectrum, rng, points):
 
 
 def test_husimi_memory_stays_flat_in_the_grid(spectrum):
-    # A 201 x 201 grid with all of its (points^2, n_fock) amplitudes held
-    # at once peaks at about 111 MiB; one block's buffer is under 1 MiB.
+    # A 201 x 201 grid with all of its (n_fock/2, points^2) amplitudes held
+    # at once (_unblocked_husimi) peaks at about 20 MiB; one block's buffer
+    # is under 0.5 MiB.
     rho = initial_state(spectrum, "phi_alpha")
     axis = np.linspace(-4.0, 4.0, 201)
     tracemalloc.start()
