@@ -34,8 +34,12 @@ _SECTION_KEYS = ("sweep", "schedule", "husimi", "rates", "interference",
 _RUN_ERRORS = (QuadratureError, SpectrumError, CatStateError, MatchingError,
                ChargeDistributionError, EvolveError, SteadyStateError)
 
-_EMIT_ROWS = 1024     # CSV body rows formatted and written at a time
-_EMIT_PIECES = 8192   # JSON encoder pieces joined and written at a time
+_EMIT_ROWS = 1024     # body rows formatted and written at a time
+# How CSV and --json lay out body rows: (cell format, row open, cell
+# separator, row close, row separator, body end).  JSON rows are laid out
+# as json.dumps(indent=2) lays them out.
+_CSV_ROWS = ("%.17g", "", ",", "", "\n", "\n")
+_JSON_ROWS = ("%r", "\n    [\n      ", ",\n      ", "\n    ]", ",", "\n  ")
 
 _SWEEP_DEFAULTS = {
     "rates": {"voltage": (0.0, 60e9, 121), "alpha": (1.0, 2.5, 61)},
@@ -136,14 +140,14 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _repeated_columns(rows: np.ndarray) -> list:
+def _repeated_columns(rows: np.ndarray, cell: str) -> list:
     """(column, strings, index) for each body column whose distinct
     values, told apart by their bits (so -0.0 is not 0.0), fill at most
     half its cells and leave at least _EMIT_ROWS cells repeating one:
-    each distinct value is formatted once, and strings[index] is the
-    column's text.  Finding and looking up the distinct values costs
-    about what formatting a few dozen cells saves, so a body of one block
-    formats every cell."""
+    each distinct value is formatted once with the cell format, and
+    strings[index] is the column's text.  Finding and looking up the
+    distinct values costs about what formatting a few dozen cells saves,
+    so a body of one block formats every cell."""
     if len(rows) <= _EMIT_ROWS:
         return []
     found = []
@@ -151,61 +155,55 @@ def _repeated_columns(rows: np.ndarray) -> list:
         distinct, index = np.unique(rows[:, j].view(np.uint64),
                                     return_inverse=True)
         if len(rows) - distinct.size >= max(distinct.size, _EMIT_ROWS):
-            strings = ["%.17g" % x for x in distinct.view(float).tolist()]
+            strings = [cell % x for x in distinct.view(float).tolist()]
             found.append((j, np.array(strings, dtype=object), index))
     return found
 
 
-def _csv_chunks(header: list[str], columns: list[str], rows: np.ndarray):
-    """The CSV document as text chunks: the header and column lines, then
-    the body in blocks of _EMIT_ROWS rows, each one % over its rows rather
-    than one per row, so no string of the whole body is built.  The cells
-    of _repeated_columns enter the % as their formatted strings."""
-    yield "\n".join([*header, ",".join(columns)]) + "\n"
+def _row_blocks(rows: np.ndarray, layout: tuple):
+    """The body as text in blocks of _EMIT_ROWS rows, each one % over its
+    rows rather than one per row, so no string of the whole body is built,
+    and then the layout's end; nothing for an empty body.  The cells of
+    _repeated_columns enter the % as their formatted strings."""
     if not rows.size:
         return
+    cell, row_open, cell_sep, row_close, row_sep, end = layout
     width = rows.shape[1]
-    repeated = _repeated_columns(rows)
-    cells = ["%.17g"] * width
+    repeated = _repeated_columns(rows, cell)
+    cells = [cell] * width
     for j, _, _ in repeated:
         cells[j] = "%s"
-    row_format = ",".join(cells)
+    row_format = row_open + cell_sep.join(cells) + row_close
     for start in range(0, len(rows), _EMIT_ROWS):
         block = rows[start:start + _EMIT_ROWS]
         values = block.ravel().tolist()
         for j, strings, index in repeated:
             rows_index = index[start:start + len(block)]
             values[j::width] = strings[rows_index].tolist()
-        yield ("\n".join([row_format] * len(block)) % tuple(values)) + "\n"
-
-
-def _json_chunks(payload: dict):
-    """The JSON document and its trailing newline as text chunks, each
-    _EMIT_PIECES pieces of the encoder joined: json.dumps is the join of
-    the same pieces, so the bytes are its bytes, but no string of the whole
-    document is built."""
-    pieces = json.JSONEncoder(sort_keys=True, indent=2).iterencode(payload)
-    for first in pieces:
-        yield first + "".join(itertools.islice(pieces, _EMIT_PIECES - 1))
-    yield "\n"
+        text = row_sep.join([row_format] * len(block)) % tuple(values)
+        yield row_sep + text if start else text
+    yield end
 
 
 def _emit(out_path: str | None, as_json: bool, params: SystemParams,
           meta: dict, columns: list[str], rows) -> None:
     rows = np.asarray(rows, dtype=float)
     if as_json:
-        payload = {
-            "params": {k: v for k, v in params.echo_items()},
-            "meta": meta,
-            "columns": columns,
-            "rows": rows.tolist(),
-        }
-        chunks = _json_chunks(payload)
+        document = {"params": dict(params.echo_items()), "meta": meta,
+                    "columns": columns, "rows": []}
+        # "rows" sorts last, so the document ends in its empty list.
+        head = json.dumps(document, sort_keys=True, indent=2)[:-len("]\n}")]
+        # A float's repr is json's text for it, but for nan and +-inf.
+        body = (text.replace("nan", "NaN").replace("inf", "Infinity")
+                for text in _row_blocks(rows, _JSON_ROWS))
+        tail = "]\n}\n"
     else:
         echo = dict(params.echo_items())
         echo.update(meta)
         header = [f"# {key} = {_fmt(echo[key])}" for key in sorted(echo)]
-        chunks = _csv_chunks(header, columns, rows)
+        head = "\n".join([*header, ",".join(columns)]) + "\n"
+        body, tail = _row_blocks(rows, _CSV_ROWS), ""
+    chunks = itertools.chain([head], body, [tail])
     if out_path is None:
         for chunk in chunks:
             click.echo(chunk, nl=False)

@@ -260,7 +260,9 @@ def evolve(
 
     switch: (t_on, generator_on).  From switch_time(t_grid, t_on) on,
     generator_on drives the state; a t_on off the grid splits its
-    interval there.  The generator is constant on each interval, which
+    interval there, t_on = inf never switches and -inf switches from the
+    start.  A nan t_on or a grid time that is not finite raises
+    EvolveError.  The generator is constant on each interval, which
     expm(L dt) advances exactly; one matrix is built per generator,
     occupied sector and interval length, and lengths that agree to a
     relative _SNAP_REL share it.
@@ -283,10 +285,14 @@ def evolve(
     they are bitwise those of one pass over all states.
     """
     t_grid = np.asarray(t_grid, float)
-    if t_grid.ndim != 1 or t_grid.size < 1 or np.any(np.diff(t_grid) < 0):
-        raise EvolveError("t_grid must be a non-decreasing 1-d array")
+    if t_grid.ndim != 1 or t_grid.size < 1 or \
+            not np.isfinite(t_grid).all() or np.any(np.diff(t_grid) < 0):
+        raise EvolveError("t_grid must be a non-decreasing 1-d array of "
+                          "finite times")
     t_on, generator_on = switch or (None, generator)
     if t_on is not None:
+        if math.isnan(t_on):
+            raise EvolveError("switch time t_on is nan")
         t_on = switch_time(t_grid, t_on)
     rho0 = np.asarray(rho0, complex)
     for gen in (generator, generator_on):

@@ -198,6 +198,14 @@ def pat_arguments(rows, temp_n_hz: float) -> tuple[np.ndarray, np.ndarray]:
     return np.exp((rows - centre) / temp_n_hz), centre
 
 
+def _refuse_nonfinite(flat: np.ndarray) -> None:
+    """Raise ValueError naming the first offset in flat not finite."""
+    bad = ~np.isfinite(flat)
+    if bad.any():
+        raise ValueError(f"tunneling offset {float(flat[np.argmax(bad)])!r} "
+                         f"Hz is not finite")
+
+
 def pat_integrals(
     offsets,
     gap_hz: float,
@@ -229,9 +237,11 @@ def pat_integrals(
     outward.  The rule reads the integral's own offsets only, and the cuts
     stay in the square-root variable, where the integrand is smooth.  The
     panels at -gap are not graded: it saves too few points to pay.  A row
-    wider than _ROW_KT k_B T_N raises ValueError.
+    wider than _ROW_KT k_B T_N, or an offset that is not finite, raises
+    ValueError.
     """
     offsets = np.asarray(offsets, float)
+    _refuse_nonfinite(offsets.ravel())
     rows = offsets.reshape(-1, offsets.shape[1] if temp_n_hz else 1)
     bps, edges = pat_breakpoints(rows, gap_hz, temp_s_hz, temp_n_hz)
     # Exponentially suppressed integrals hit the roundoff floor long before
@@ -354,11 +364,15 @@ class PatIntegrator:
         Missing panels are integrated in one batch and stored; if an
         integral fails, nothing is stored and QuadratureError propagates,
         naming the first offset that needed it, its index that offset's
-        position in the flattened offsets.
+        position in the flattened offsets.  An offset that is not finite
+        raises ValueError before any panel is built.
         """
         offsets = np.asarray(offsets, float)
         flat = offsets.ravel()
         distinct, inverse = np.unique(flat, return_inverse=True)
+        # -inf sorts first, +inf and nan last.
+        if distinct.size and not np.isfinite(distinct[[0, -1]]).all():
+            _refuse_nonfinite(flat)
         keys = np.floor(distinct / self._width)
         # Where each key starts in the sorted keys.  (np.unique would do,
         # but without return_index it imports numpy.ma on first use, about

@@ -530,7 +530,7 @@ def test_streamed_csv_equals_the_whole_body(runner, tmp_path, n_rows,
     # bit pattern's string; over 1,025 rows they repeat too few cells and
     # are formatted cell by cell.
     emit, rows = _emit_rows(n_rows, repeated)
-    picked = [j for j, _, _ in _repeated_columns(rows)]
+    picked = [j for j, _, _ in _repeated_columns(rows, "%.17g")]
     assert picked == ([0, 1] if repeated and n_rows - len(_SPECIALS) >= 1024
                       else [])
     want = _whole_body_emit(SystemParams(), {"command": "emit"},
@@ -543,11 +543,21 @@ def test_streamed_csv_equals_the_whole_body(runner, tmp_path, n_rows,
     assert out.read_bytes() == want
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, 1025, 6561])
-def test_json_document_is_unchanged(runner, tmp_path, n_rows):
-    # The document is written in batches of encoder pieces, several at
-    # 6,561 rows; stdout and --out hold the bytes of one json.dumps string.
-    emit, rows = _emit_rows(n_rows)
+@pytest.mark.parametrize("n_rows, repeated", [
+    *(pytest.param(n, False, id=str(n))
+      for n in (0, 1, 1023, 1024, 1025, 6561)),
+    pytest.param(1025, True, id="1025-repeated"),
+    pytest.param(3000, True, id="3000-repeated")])
+def test_json_document_is_unchanged(runner, tmp_path, n_rows, repeated):
+    # The rows are written in the CSV's blocks of 1,024, each cell as its
+    # repr with json's NaN and Infinity; at every count around a block
+    # edge, at 6,561 rows, and with -0.0, 0.0, nans, infinities and 5e-324
+    # repeated in the first two columns (formatted once a bit pattern over
+    # 3,000 rows), stdout and --out hold the bytes of one json.dumps string.
+    emit, rows = _emit_rows(n_rows, repeated)
+    picked = [j for j, _, _ in _repeated_columns(rows, "%r")]
+    assert picked == ([0, 1] if repeated and n_rows - len(_SPECIALS) >= 1024
+                      else [])
     payload = {"params": dict(SystemParams().echo_items()),
                "meta": {"command": "emit"}, "columns": ["re", "im", "q"],
                "rows": rows.tolist()}
@@ -557,3 +567,28 @@ def test_json_document_is_unchanged(runner, tmp_path, n_rows):
     assert runner.invoke(emit, ["--json", "--out", str(out)]).exit_code == 0
     assert out.read_bytes() == want
 
+
+_HUSIMI_PEAK = """
+import resource, sys
+from kpoqcr.cli import main
+main(sys.argv[1:], standalone_mode=False)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
+
+
+def test_json_memory_stays_with_the_csv(tmp_path):
+    # JSON rows go through the CSV's row blocks, so a fresh 401-point
+    # evolved Husimi map peaks within 5 MiB of the CSV run (74.4 against
+    # 48.9 MiB when the whole row list went through json's encoder).
+    src = os.path.dirname(os.path.dirname(kpoqcr.__file__))
+
+    def peak(*flags):
+        args = ["husimi", "--source", "evolve", "--time", "1e-4",
+                "--points", "401", "--out", str(tmp_path / "q"), *flags]
+        result = subprocess.run([sys.executable, "-c", _HUSIMI_PEAK, *args],
+                                env={**os.environ, "PYTHONPATH": src},
+                                capture_output=True, text=True, timeout=300)
+        assert result.returncode == 0, result.stderr
+        return float(result.stdout)
+
+    assert peak("--json") - peak() <= 5.0

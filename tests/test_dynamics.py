@@ -262,6 +262,23 @@ def test_evolve_validates_inputs(spectrum, gen_off):
         evolve(2.0 * rho0, np.array([0.0, 1e-6]), gen_off)
 
 
+def test_evolve_refuses_times_that_are_not_finite(spectrum, gen_off,
+                                                 gen_on):
+    # A nan or inf grid time returned the unpropagated state, and a nan
+    # switch time was never applied.  An inf t_on still never switches and
+    # -inf switches from the start.
+    rho0 = initial_state(spectrum, "phi0")
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(EvolveError, match="finite times"):
+            evolve(rho0, np.array([0.0, bad]), gen_off)
+    t_grid = np.array([0.0, 1e-6])
+    with pytest.raises(EvolveError, match="t_on is nan"):
+        evolve(rho0, t_grid, gen_off, (math.nan, gen_on))
+    for t_on, gen in ((math.inf, gen_off), (-math.inf, gen_on)):
+        got = evolve(rho0, t_grid, gen_off, (t_on, gen_on)).states
+        assert got.tobytes() == evolve(rho0, t_grid, gen).states.tobytes()
+
+
 def test_evolve_rejects_what_has_no_real_form(spectrum, gen_off):
     # A rho0 off hermiticity by more than 1e-12, and a generator whose real
     # block is not real: i L maps Hermitian matrices to anti-Hermitian ones.

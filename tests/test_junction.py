@@ -165,6 +165,21 @@ def test_too_wide_row_raises():
     pat_integrals([[0.0, 1399 * t]], GAP, gamma, t, t)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pat_integrals_refuse_offsets_that_are_not_finite(bad):
+    # A nan offset integrated to 0.0, +inf to nan, and -inf failed inside
+    # numpy; now the first offset that is not finite is named, at either
+    # temperature rule.
+    t = 2e9
+    gamma = SystemParams().gamma_dynes
+    named = f"offset {bad!r} Hz is not finite"
+    for temp_n in (t, 0.0):
+        with pytest.raises(ValueError, match=named):
+            pat_integrals([[1e9, bad, -bad]], GAP, gamma, t, temp_n)
+    with pytest.raises(ValueError, match=named):
+        pat_integral(bad, "forward", GAP, gamma, t, t)
+
+
 def test_fermi_limits():
     t = 2e9
     assert fermi(0.0, t) == 0.5
@@ -270,6 +285,24 @@ def test_integrator_caches_by_panel(params, temp_s, temp_n):
     assert held_integrals(integ) == n1
     integ.backward(3e9)
     assert held_integrals(integ) > n1 and held_integrals(integ) % 24 == 0
+
+
+def test_evaluate_refuses_offsets_that_are_not_finite(params):
+    # nan and inf failed deep inside the panel build.  Now the first offset
+    # that is not finite is named before any panel is built, so F stays as
+    # it was and finite offsets read the same bits.
+    integ = PatIntegrator.from_params(params)
+    want = integ.evaluate([3e9])
+    n = held_integrals(integ)
+    for offsets, named in (([1e9, math.nan], "nan"),
+                           ([math.inf, 2e9, -math.inf], "inf"),
+                           ([[-math.inf], [1e9]], "-inf")):
+        with pytest.raises(ValueError,
+                           match=f"offset {named} Hz is not finite"):
+            integ.evaluate(offsets)
+        assert held_integrals(integ) == n
+    assert integ.evaluate([3e9]).tobytes() == want.tobytes()
+    assert integ.evaluate(np.empty(0)).shape == (0,)
 
 
 def test_backward_is_cached_forward_at_negated_offset(params):
