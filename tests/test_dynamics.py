@@ -1,6 +1,7 @@
 """Master-equation generator, propagation, steady state and Husimi maps."""
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -571,6 +572,16 @@ def test_steady_state_degenerate_kernel_detected(spectrum, params):
                                                          gamma_p=0.0), None)
     with pytest.raises(SteadyStateError, match="not unique"):
         steady_state(lonely)
+
+
+def test_steady_state_refuses_a_residual_over_its_bound(spectrum, params):
+    # A uniform decay K = -c I on top of the intrinsic channels does not
+    # preserve the trace: every sector solves, but L rho carries -2c on the
+    # trace row, far above 1e-10 of the norm, and no kernel to blame.
+    leak = SimpleNamespace(gamma1=0.0, core2=-1e6 * np.eye(spectrum.n_keep))
+    gen = assemble_generator(spectrum, params, leak)
+    with pytest.raises(SteadyStateError, match=r"residual 2\.0\d*e\+06 exceeds"):
+        steady_state(gen)
 
 
 def test_steady_state_zero_sector_is_not_unique():
