@@ -6,19 +6,19 @@ The generator has one GKSL form (Lindblad, Commun. Math. Phys. 48, 119
 
   L rho = sum jump[mu,mup,nu,nup] rho[nu,nup] + K rho + rho K^dag,
 
-which liouvillian turns into a matrix on vec(rho) and assemble_generator
-fills with the coherent, intrinsic and tunneling parts.  evolve advances
-a state by exact interval propagators expm(L dt), with the junction
-switched on as a dissipation source at a time t_on (Silveri et al., PRB
-96, 094524 (2017)); it works in real Hermitian coordinates, so its states
-are Hermitian by construction.  steady_state solves for the stationary
-state; husimi_q maps a state on a phase-space grid.
+with the coherent, intrinsic and tunneling parts of generator_terms.
+assemble_generator gathers it from liouvillian's matrix on vec(rho) into
+one real block per parity sector (Generator).  steady_state solves those
+blocks for the stationary state, and evolve advances a state by their
+exact interval propagators, with the junction switched on as a dissipation
+source at a time t_on (Silveri et al., PRB 96, 094524 (2017)); both give
+Hermitian states by construction.  husimi_q maps a state in phase space.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -96,34 +96,10 @@ def liouvillian(jump: np.ndarray | float, k: np.ndarray) -> np.ndarray:
     return sup.reshape(n * n, n * n)
 
 
-@dataclass
-class Generator:
-    """Master-equation generator L as one (n^2, n^2) matrix on vec(rho).
-
-    sectors: index arrays into vec(rho) that L never couples, each closed
-    under the transposition mu <-> mup, the first one holding the diagonal
-    (see assemble_generator).
-    """
-
-    total: np.ndarray
-    sectors: tuple[np.ndarray, ...]
-
-    @cached_property
-    def norm_inf(self) -> float:
-        return float(np.max(np.sum(np.abs(self.total), axis=1)))
-
-    @property
-    def n(self) -> int:
-        return int(round(math.sqrt(self.total.shape[0])))
-
-
-def assemble_generator(
-    spectrum: Spectrum,
-    params: SystemParams,
-    table: RateTable | None = None,
-) -> Generator:
-    """Generator of the retained levels, with the junction's tunneling
-    terms if a rate table is given.
+def generator_terms(spectrum: Spectrum, params: SystemParams,
+                    table: RateTable | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The jump tensor and K of the retained levels, with the junction's
+    tunneling terms if a rate table is given.
 
     Coherent motion is K = -i 2 pi diag(E), whose phases -i 2 pi (E_mu -
     E_mup) are exactly zero inside snapped groups.  Single-photon loss
@@ -131,14 +107,6 @@ def assemble_generator(
     gamma_p), with kappa and gamma_p the configured Hz values, each add
     2 r O (x) O* to jump and -r O^dag O to K; tunneling adds gamma1 to
     jump and core2 to K (rates.RateTable).
-
-    Parity sectors: the Hamiltonian commutes with photon parity and every
-    tunneling term keeps parity[mu] parity[mup] = parity[nu] parity[nup],
-    so L never couples rho[mu,mup] of relative parity +1 with relative
-    parity -1 (the symmetry block-diagonalization of Albert & Jiang, PRA
-    89, 022118 (2014)).  The generator carries the two sectors as index
-    arrays into vec(rho), and evolve and steady_state work on each
-    sector's block of L on its own.
     """
     ops = build_fock_operators(spectrum.n_fock)
     jump = 0.0
@@ -151,11 +119,87 @@ def assemble_generator(
     if table is not None:
         jump = jump + table.gamma1
         k = k + table.core2
-    relative = np.outer(spectrum.parity, spectrum.parity).ravel()
-    return Generator(
-        total=liouvillian(jump, k),
-        sectors=(np.flatnonzero(relative > 0), np.flatnonzero(relative < 0)),
-    )
+    return jump, k
+
+
+@lru_cache(maxsize=4)
+def _real_coordinates(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unitary map W from vec(rho) to real coordinates y, by entries:
+    y[mu n + mu] = rho[mu, mu] and, for mu < nu, y[mu n + nu] = sqrt2 Re
+    rho[mu, nu] and y[nu n + mu] = sqrt2 Im rho[mu, nu].  Row r of W holds
+    w[r] at column r and w_flip[r] at column flip[r], the transposed entry.
+    The cache hands every caller the same arrays, which none writes.
+    """
+    mu, nu = np.divmod(np.arange(n * n), n)
+    w = np.where(mu < nu, 1.0, np.where(mu > nu, 1j, math.sqrt(2.0)))
+    w_flip = np.where(mu < nu, 1.0, np.where(mu > nu, -1j, 0.0))
+    return nu * n + mu, w / math.sqrt(2.0), w_flip / math.sqrt(2.0)
+
+
+@lru_cache(maxsize=4)
+def _sector_maps(parity: tuple[float, ...]) -> tuple[tuple[np.ndarray, ...], ...]:
+    """Per sector of relative parity +1, then -1, of levels of these
+    parities (cached, so shared): its indices idx into vec(rho), their flat
+    positions idx x idx in L, each transpose's place in idx, w[idx], w_flip[idx]."""
+    flip, w, w_flip = _real_coordinates(len(parity))
+    relative = np.outer(parity, parity).ravel()
+    return tuple((idx, idx[:, None] * flip.size + idx,
+                  np.searchsorted(idx, flip[idx]), w[idx], w_flip[idx])
+                 for idx in (np.flatnonzero(relative > 0),
+                             np.flatnonzero(relative < 0)))
+
+
+@dataclass
+class Generator:
+    """Master-equation generator L as one real matrix per parity sector.
+
+    sectors: index arrays into vec(rho), each closed under mu <-> mup, the
+    first holding the diagonal; L never couples them, as every term keeps
+    parity[mu] parity[mup] = parity[nu] parity[nup] (Albert & Jiang, PRA 89,
+    022118 (2014)).  blocks: each sector's block of W L W^dag
+    (_real_coordinates), real as L preserves hermiticity (Alicki & Lendi,
+    LNP 286 (1987)).
+    """
+
+    sectors: tuple[np.ndarray, ...]
+    blocks: tuple[np.ndarray, ...]
+
+    @classmethod
+    def from_terms(cls, jump: np.ndarray | float, k: np.ndarray,
+                   parity: np.ndarray) -> Generator:
+        """The blocks of liouvillian(jump, k) in the sectors of relative
+        parity +1 and -1 of levels of these parities.  Raises EvolveError if
+        a block's imaginary part exceeds 1e-12 of its real part's maximum."""
+        total = liouvillian(jump, k).ravel()
+        maps = _sector_maps(tuple(parity.tolist()))
+        blocks = []
+        for _, at, pos, w, w_flip in maps:
+            sub = total.take(at)
+            left = w[:, None] * sub + w_flip[:, None] * sub[pos]
+            block = left * w.conj() + left[:, pos] * w_flip.conj()
+            imag = float(np.max(np.abs(block.imag), initial=0.0))
+            if imag > 1e-12 * np.max(np.abs(block.real), initial=0.0):
+                raise EvolveError(f"generator does not preserve hermiticity: its "
+                                  f"real form has an imaginary part of {imag:.2e}")
+            blocks.append(block.real.copy())
+        return cls(tuple(m[0] for m in maps), tuple(blocks))
+
+    @cached_property
+    def norm_inf(self) -> float:
+        """The largest absolute row sum of the blocks."""
+        return max(float(np.max(np.sum(np.abs(block), axis=1), initial=0.0))
+                   for block in self.blocks)
+
+    @property
+    def n(self) -> int:
+        return math.isqrt(sum(idx.size for idx in self.sectors))
+
+
+def assemble_generator(spectrum: Spectrum, params: SystemParams,
+                       table: RateTable | None = None) -> Generator:
+    """The Generator of generator_terms in the spectrum's parity sectors."""
+    return Generator.from_terms(*generator_terms(spectrum, params, table),
+                                spectrum.parity)
 
 
 def initial_state(spectrum: Spectrum, name: str) -> np.ndarray:
@@ -216,39 +260,6 @@ def switch_time(t_grid: np.ndarray, t_on: float) -> float:
     return near if math.isclose(t_on, near, rel_tol=_SNAP_REL) else t_on
 
 
-def _real_coordinates(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The unitary map W from vec(rho) to real coordinates y, by entries:
-    y[mu n + mu] = rho[mu, mu] and, for mu < nu, y[mu n + nu] = sqrt2 Re
-    rho[mu, nu] and y[nu n + mu] = sqrt2 Im rho[mu, nu].  Row r of W holds
-    w[r] at column r and w_flip[r] at column flip[r], the transposed entry.
-    """
-    mu, nu = np.divmod(np.arange(n * n), n)
-    w = np.where(mu < nu, 1.0, np.where(mu > nu, 1j, math.sqrt(2.0)))
-    w_flip = np.where(mu < nu, 1.0, np.where(mu > nu, -1j, 0.0))
-    return nu * n + mu, w / math.sqrt(2.0), w_flip / math.sqrt(2.0)
-
-
-def _real_block(gen: Generator, idx: np.ndarray) -> np.ndarray:
-    """The sector idx of W L W^dag, gathered from L's block: real, because
-    L preserves hermiticity (Alicki & Lendi, LNP 286 (1987)).  Raises
-    EvolveError if its imaginary part exceeds 1e-12 of its largest entry.
-    """
-    flip, w, w_flip = _real_coordinates(gen.n)
-    # Position in idx of each entry's transpose; a sector that is not
-    # closed under transposition indexes out of range.
-    where = np.full(flip.size, flip.size)
-    where[idx] = np.arange(idx.size)
-    pos = where[flip[idx]]
-    sub = gen.total[np.ix_(idx, idx)]
-    left = w[idx, None] * sub + w_flip[idx, None] * sub[pos]
-    block = left * w[idx].conj() + left[:, pos] * w_flip[idx].conj()
-    imag = float(np.max(np.abs(block.imag), initial=0.0))
-    if imag > 1e-12 * np.max(np.abs(block), initial=0.0):
-        raise EvolveError(f"generator does not preserve hermiticity: its real "
-                          f"form has an imaginary part of {imag:.2e}")
-    return block.real
-
-
 def evolve(
     rho0: np.ndarray,
     t_grid: np.ndarray,
@@ -267,14 +278,12 @@ def evolve(
     occupied sector and interval length, and lengths that agree to a
     relative _SNAP_REL share it.
 
-    The state is carried in the real coordinates y = W vec(rho) of
-    _real_coordinates, and each sector's step matrix is expm of its real
-    block of W L W^dag (_real_block), so the arithmetic is real.  Each
-    generator propagates only the parity sectors that are not exactly zero
-    when it first acts; the others stay zero under it, with no expm (a
-    diagonal rho0 such as phi0 moves one sector, phi_alpha both).  rho0
-    must be Hermitian to 1e-12; its Hermitian part is what is propagated,
-    and it is recorded exactly at every grid time equal to the first.
+    The state moves in the real coordinates y = W vec(rho) of
+    _real_coordinates, each sector by expm of its block, so the arithmetic
+    is real; a generator moves only the sectors not exactly zero when it
+    first acts (phi0 moves one, phi_alpha both).  rho0 must be Hermitian to
+    1e-12; its Hermitian part is propagated, and recorded exactly at every
+    grid time equal to the first.
 
     The recorded states are written back to complex density matrices in
     blocks of _CHECK_STATES, with each entry below the diagonal the exact
@@ -307,22 +316,20 @@ def evolve(
         raise EvolveError(f"rho0 is not Hermitian: off by {skew:.2e}")
     flip, w, w_flip = _real_coordinates(n)
 
-    # Per generator, the sectors it moves, their real blocks and (interval
-    # length, expm(R_s dt) of each such sector s) pairs: the spacings of a
-    # uniform grid differ by a few ulps and share the first one's matrices.
-    cache: dict[int, tuple[list[np.ndarray], list[np.ndarray], list]] = {}
+    # Per generator, (dt, [(sector, expm(block dt))]) pairs over the sectors
+    # it moves, which stay the same under it: the spacings of a uniform grid
+    # differ by a few ulps and share the first one's matrices.
+    built: dict[int, list] = {}
 
     def propagator(gen: Generator, dt: float, y: np.ndarray):
-        if id(gen) not in cache:
-            moved = [idx for idx in gen.sectors if y[idx].any()]
-            cache[id(gen)] = moved, [_real_block(gen, i) for i in moved], []
-        sectors, blocks, built = cache[id(gen)]
-        for dt_built, mats in built:
+        steps = built.setdefault(id(gen), [])
+        for dt_built, mats in steps:
             if math.isclose(dt, dt_built, rel_tol=_SNAP_REL):
-                return sectors, mats
-        mats = [expm(block * dt) for block in blocks]
-        built.append((dt, mats))
-        return sectors, mats
+                return mats
+        mats = [(idx, expm(block * dt))
+                for idx, block in zip(gen.sectors, gen.blocks) if y[idx].any()]
+        steps.append((dt, mats))
+        return mats
 
     states = np.empty((t_grid.size, n, n), dtype=complex)
     # Until its block is written back, the coordinates of state k sit in
@@ -342,8 +349,7 @@ def evolve(
                 seg_end = float(t_on)
             gen = (generator_on if t_on is not None and t_now >= t_on
                    else generator)
-            sectors, mats = propagator(gen, seg_end - t_now, y)
-            for idx, mat in zip(sectors, mats):
+            for idx, mat in propagator(gen, seg_end - t_now, y):
                 y[idx] = mat @ y[idx]
             normalized_time += (seg_end - t_now) * gen.norm_inf
             t_now = seg_end
@@ -383,46 +389,41 @@ def evolve(
 
 
 def steady_state(generator: Generator) -> tuple[np.ndarray, float]:
-    """Unique trace-one kernel element of the generator.
+    """Unique trace-one kernel element of the generator, and its residual.
 
-    Solves each sector on its own: the sector holding the diagonal with its
-    first row replaced by the trace, every other one with a zero right-hand
-    side.  Verifies the residual of the whole generator against 1e-10 of
-    its norm; diagnoses a degenerate kernel via singular values if a solve
-    fails.
+    Each sector's block R is solved on its own: the diagonal's with its
+    first row replaced by the trace (ones at y[mu n + mu]), the other with a
+    zero right-hand side.  The residual max |R y| must be within 1e-10 of
+    norm_inf; if it is not, or a solve fails, the blocks' singular values
+    tell a degenerate kernel from a residual over its bound.
     """
-    total = generator.total
-    n = generator.n
-    x: np.ndarray | None = np.zeros(n * n, dtype=complex)
+    n, pairs = generator.n, tuple(zip(generator.sectors, generator.blocks))
+    y = np.zeros(n * n)
     try:
-        for idx in generator.sectors:
-            a = total[np.ix_(idx, idx)]
-            b = np.zeros(idx.size, dtype=complex)
-            if idx[0] == 0:
-                a[0, :] = 0.0
-                a[0, idx % (n + 1) == 0] = 1.0
-                b[0] = 1.0
-            x[idx] = np.linalg.solve(a, b)
+        for idx, block in pairs:
+            a, b = block.copy(), np.zeros(idx.size)
+            if idx.size and idx[0] == 0:
+                a[0], b[0] = idx % (n + 1) == 0, 1.0
+            y[idx] = np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
-        x = None
-    if x is not None:
-        residual = float(np.max(np.abs(total @ x)))
-        if residual <= 1e-10 * generator.norm_inf:
-            rho = x.reshape(n, n)
-            rho = 0.5 * (rho + rho.conj().T)
-            rho /= np.trace(rho).real
-            return rho, residual
+        residual = math.inf
+    else:
+        residual = max(float(np.max(np.abs(block @ y[idx]), initial=0.0))
+                       for idx, block in pairs)
+    if residual <= 1e-10 * generator.norm_inf:
+        flip, w, w_flip = _real_coordinates(n)
+        rho = w.conj() * y + w_flip[flip].conj() * y[flip]
+        return rho.reshape(n, n), residual
 
-    svals = np.linalg.svd(total, compute_uv=False)
-    null_tol = max(1e-13 * svals[0], 1e4 * np.finfo(float).eps * svals[0])
-    null_dim = int(np.sum(svals < null_tol))
+    svals = np.concatenate([np.linalg.svd(block, compute_uv=False)
+                            for block in generator.blocks])
+    null_dim = int(np.sum(svals < 1e4 * np.finfo(float).eps * svals.max()))
     if null_dim > 1:
         raise SteadyStateError(
             f"steady state not unique: generator kernel has dimension "
             f"{null_dim} (e.g. no dissipation selects a single state)")
-    achieved = float(np.max(np.abs(total @ x))) if x is not None else float("inf")
     raise SteadyStateError(
-        f"steady-state residual {achieved:.3e} exceeds "
+        f"steady-state residual {residual:.3e} exceeds "
         f"{1e-10 * generator.norm_inf:.3e}")
 
 

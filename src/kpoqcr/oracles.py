@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import assemble_generator, expm
+from .dynamics import expm, generator_terms
 from .junction import (PatIntegrator, charge_distribution, dynes_dos, fermi,
                        pat_integrals)
 from .params import SystemParams
@@ -274,15 +274,13 @@ def run_oracle_suite(params: SystemParams | None = None) -> list[OracleReport]:
     reports.append(_report_abs(
         "eta_parity_selection", worst, 0.0, 0.0, "closed-form"))
 
-    # The same selection keeps the generator with the junction on from
-    # coupling rho[mu,mup] of relative parity +1 with relative parity -1,
-    # the sectors that evolve and steady_state solve apart.
-    relative = np.outer(spec.parity, spec.parity).ravel()
-    plus, minus = relative > 0, relative < 0
-    total = assemble_generator(
-        spec, params, rate_table(params, spec, eta=eta)).total
-    worst = max(float(np.max(np.abs(total[np.ix_(plus, minus)]))),
-                float(np.max(np.abs(total[np.ix_(minus, plus)]))))
+    # The same selection keeps every jump and K term with the junction on
+    # from coupling rho[mu,mup] of relative parity +1 with -1 (K[mu,nu] does
+    # where parity[mu] != parity[nu]), the sectors solved apart.
+    jump, k = generator_terms(spec, params, rate_table(params, spec, eta=eta))
+    relative = np.outer(spec.parity, spec.parity)
+    cross = jump[np.not_equal.outer(relative, relative)], k[relative < 0]
+    worst = max(float(np.max(np.abs(part))) for part in cross)
     reports.append(_report_abs(
         "generator_parity_sectors", worst, 0.0, 0.0, "closed-form"))
 

@@ -14,7 +14,7 @@ from kpoqcr import (EvolveError, SteadyStateError, SystemParams,
                     evolve, husimi_q, initial_state, rate_table,
                     steady_state)
 from kpoqcr import TWO_PI, build_fock_operators, dynamics
-from kpoqcr.dynamics import Generator, liouvillian
+from kpoqcr.dynamics import Generator, generator_terms, liouvillian
 from kpoqcr.spectrum import Spectrum, coherent_state
 from kpoqcr.workflows import Schedule, dynamics_run
 
@@ -29,6 +29,17 @@ def gen_off(spectrum, params):
     return assemble_generator(spectrum, params, None)
 
 
+@pytest.fixture(scope="module")
+def dense_on(spectrum, params, table45):
+    """gen_on's L as one (n^2, n^2) matrix on vec(rho), the reference."""
+    return liouvillian(*generator_terms(spectrum, params, table45))
+
+
+@pytest.fixture(scope="module")
+def dense_off(spectrum, params):
+    return liouvillian(*generator_terms(spectrum, params, None))
+
+
 def _random_density(rng, n):
     m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     rho = m @ m.conj().T
@@ -39,10 +50,10 @@ def _rel_frobenius(got, want):
     return np.linalg.norm(got - want) / np.linalg.norm(want)
 
 
-def _trace_defect(gen):
-    """Norm of trace composed with the generator; zero for a valid L."""
-    n = gen.n
-    rows = gen.total.reshape(n, n, n * n)[np.arange(n), np.arange(n)]
+def _trace_defect(total):
+    """Norm of trace composed with a dense L; zero for a valid L."""
+    n = math.isqrt(total.shape[0])
+    rows = total.reshape(n, n, n * n)[np.arange(n), np.arange(n)]
     return float(np.max(np.abs(rows.sum(axis=0))))
 
 
@@ -54,9 +65,9 @@ def _density_metrics(rho):
 
 
 @pytest.mark.parametrize("qcr", ["off", "on"])
-def test_expm_matches_scipy_on_readme_generators(qcr, gen_off, gen_on):
+def test_expm_matches_scipy_on_readme_generators(qcr, dense_off, dense_on):
     # The step of the README dynamics run: --t-end 1e-4 --points 201.
-    mat = (gen_on if qcr == "on" else gen_off).total * (1e-4 / 200)
+    mat = (dense_on if qcr == "on" else dense_off) * (1e-4 / 200)
     assert _rel_frobenius(dynamics.expm(mat), expm(mat)) <= 1e-12
 
 
@@ -108,7 +119,7 @@ def test_expm_bitwise_equals_expression_form(qcr, sector, dt, gen_off,
     # them, at the dynamics step (5e-7 s), the husimi --time 1e-4 step,
     # and a step short enough for no scaling.
     gen = gen_on if qcr == "on" else gen_off
-    mat = dynamics._real_block(gen, gen.sectors[sector]) * dt
+    mat = gen.blocks[sector] * dt
     want, squarings = _expression_expm(mat)
     assert (squarings == 0) == (dt == 1e-9)
     assert dynamics.expm(mat).tobytes() == want.tobytes()
@@ -146,8 +157,8 @@ def test_lindblad_rates_scale(spectrum, params):
     # coherent part is imaginary and the intrinsic channels are real, so
     # the real part of the generator is the dissipator alone.
     def dissipator(kappa, gamma_p):
-        return assemble_generator(
-            spectrum, params.replace(kappa=kappa, gamma_p=gamma_p)).total.real
+        return liouvillian(*generator_terms(
+            spectrum, params.replace(kappa=kappa, gamma_p=gamma_p))).real
 
     d1 = dissipator(1.0, 0.0)
     d2 = dissipator(2.0, 0.0)
@@ -203,15 +214,16 @@ def test_generator_bitwise_equals_entry_loop(params, spectrum, table45,
                              (params, spectrum, table45),
                              (params, spectrum, table45_off),
                              (p0, spec0, None), (p0, spec0, table0)):
-        got = assemble_generator(spec, prm, table).total
+        got = liouvillian(*generator_terms(spec, prm, table))
         assert got.tobytes() == _generator_loop(spec, prm, table).tobytes()
 
 
-def test_generator_conserves_trace(gen_on, gen_off, table45):
+def test_generator_conserves_trace(gen_on, gen_off, dense_on, dense_off,
+                                   table45):
     # Defects scale with the tunneling-rate magnitudes (~1e6 1/s here), so
     # these absolute bounds are ~1e-11 in relative terms.
-    assert _trace_defect(gen_on) < 1e-5
-    assert _trace_defect(gen_off) < 1e-6
+    assert _trace_defect(dense_on) < 1e-5
+    assert _trace_defect(dense_off) < 1e-6
     assert gen_on.norm_inf > gen_off.norm_inf > 0.0
     # The tunneling part alone is trace-free as well.
     n = table45.core2.shape[0]
@@ -233,10 +245,11 @@ def test_generator_never_couples_parity_sectors(alpha, bias_v, temp_n,
     relative = np.outer(spectrum.parity, spectrum.parity).ravel()
     plus, minus = relative > 0, relative < 0
     for table in (None, rate_table(params, spectrum)):
-        gen = assemble_generator(spectrum, params, table)
+        total = liouvillian(*generator_terms(spectrum, params, table))
         # Every entry between relative parities +1 and -1 is exactly zero.
-        assert np.max(np.abs(gen.total[np.ix_(plus, minus)])) == 0.0
-        assert np.max(np.abs(gen.total[np.ix_(minus, plus)])) == 0.0
+        assert np.max(np.abs(total[np.ix_(plus, minus)])) == 0.0
+        assert np.max(np.abs(total[np.ix_(minus, plus)])) == 0.0
+        gen = assemble_generator(spectrum, params, table)
         assert [idx.tolist() for idx in gen.sectors] == [
             np.flatnonzero(plus).tolist(), np.flatnonzero(minus).tolist()]
 
@@ -280,18 +293,19 @@ def test_evolve_refuses_times_that_are_not_finite(spectrum, gen_off,
         assert got.tobytes() == evolve(rho0, t_grid, gen).states.tobytes()
 
 
-def test_evolve_rejects_what_has_no_real_form(spectrum, gen_off):
-    # A rho0 off hermiticity by more than 1e-12, and a generator whose real
-    # block is not real: i L maps Hermitian matrices to anti-Hermitian ones.
+def test_evolve_rejects_what_has_no_real_form(spectrum, params, gen_off):
+    # A rho0 off hermiticity by more than 1e-12, and terms whose real
+    # blocks are not real: i O rho O^dag is anti-Hermitian where rho is
+    # Hermitian, so the block builder refuses them.
     rho0 = initial_state(spectrum, "phi_alpha")
     t_grid = np.array([0.0, 1e-6])
     skewed = rho0.copy()
     skewed[0, 1] += 1e-9
     with pytest.raises(EvolveError, match="not Hermitian"):
         evolve(skewed, t_grid, gen_off)
-    turned = Generator(total=1j * gen_off.total, sectors=gen_off.sectors)
+    jump, k = generator_terms(spectrum, params, None)
     with pytest.raises(EvolveError, match="does not preserve hermiticity"):
-        evolve(rho0, t_grid, turned)
+        Generator.from_terms(1j * jump, k, spectrum.parity)
     # Below 1e-12 the Hermitian part is propagated.
     skewed[0, 1] = rho0[0, 1] + 1e-13
     near = evolve(skewed, t_grid, gen_off)
@@ -316,23 +330,25 @@ def test_evolve_rejects_rho0_of_another_size(spectrum, params, gen_off):
 
 
 def _toy_generator(rng, n=3, scale=0.1):
-    """Slow trace-preserving generator on n levels."""
+    """Slow trace-preserving generator on n levels of one parity, one
+    sector, and its dense L."""
     energies = scale * np.arange(n, dtype=float) / n
     op = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     op *= scale / np.linalg.norm(op)
     k = np.diag(-2j * math.pi * energies) - op.conj().T @ op
-    return Generator(total=liouvillian(2.0 * _jump(op), k),
-                     sectors=(np.arange(n * n),))
+    gen = Generator.from_terms(2.0 * _jump(op), k, np.ones(n))
+    assert [idx.tolist() for idx in gen.sectors] == [list(range(n * n)), []]
+    return gen, liouvillian(2.0 * _jump(op), k)
 
 
-def test_evolve_matches_matrix_exponential(spectrum, gen_off):
+def test_evolve_matches_matrix_exponential(spectrum, gen_off, dense_off):
     rho0 = initial_state(spectrum, "phi_alpha")
     t = 2e-5
     traj = evolve(rho0, np.array([0.0, t]), gen_off)
     n = gen_off.n
     # Reference from the eigendecomposition of L, independent of expm; the
     # eigenvectors of the QCR-off generator are well conditioned.
-    lam, vecs = np.linalg.eig(gen_off.total)
+    lam, vecs = np.linalg.eig(dense_off)
     assert np.linalg.cond(vecs) < 10.0
     coef = np.linalg.solve(vecs, rho0.reshape(n * n))
     ref = (vecs @ (np.exp(lam * t) * coef)).reshape(n, n)
@@ -347,11 +363,11 @@ def test_evolve_matches_matrix_exponential(spectrum, gen_off):
 
 def test_evolve_toy_generator_small_step_limit(rng):
     # The toy problem is machine accurate in one interval.
-    gen = _toy_generator(rng)
+    gen, total = _toy_generator(rng)
     n = gen.n
     rho0 = np.eye(n, dtype=complex) / n
     t = 2.0
-    ref = (expm(gen.total * t) @ rho0.reshape(n * n)).reshape(n, n)
+    ref = (expm(total * t) @ rho0.reshape(n * n)).reshape(n, n)
     traj = evolve(rho0, np.array([0.0, t]), gen)
     assert np.max(np.abs(traj.states[-1] - ref)) < 1e-12
 
@@ -360,7 +376,8 @@ def test_evolve_shares_step_matrices_across_grid_spacings(rng, monkeypatch):
     # The README schedule: uniform-grid spacings differ by a few ulps and
     # the switch-on time lies a rounding error off grid point 100.  One
     # matrix per generator serves the whole run.
-    gen_off, gen_on = _toy_generator(rng), _toy_generator(rng)
+    (gen_off, dense_off), (gen_on, dense_on) = (_toy_generator(rng),
+                                                _toy_generator(rng))
     built = []
 
     def counted(mat):
@@ -375,8 +392,8 @@ def test_evolve_shares_step_matrices_across_grid_spacings(rng, monkeypatch):
     traj = evolve(rho0, t_grid, gen_off, (t_on, gen_on))
     assert len(built) <= 2
     n = gen_on.n
-    ref = (expm(gen_on.total * (t_grid[-1] - t_on))
-           @ expm(gen_off.total * t_on) @ rho0.reshape(n * n))
+    ref = (expm(dense_on * (t_grid[-1] - t_on))
+           @ expm(dense_off * t_on) @ rho0.reshape(n * n))
     # Switching a grid step early or late would be off by about 1e-9.
     assert np.max(np.abs(traj.states[-1].reshape(n * n) - ref)) < 1e-12
 
@@ -396,20 +413,26 @@ def _real_coordinate_map(n):
 
 
 @pytest.mark.parametrize("qcr", ["off", "on"])
-def test_real_block_equals_w_l_w_dagger(qcr, gen_off, gen_on):
+def test_real_block_equals_w_l_w_dagger(qcr, gen_off, gen_on, dense_off,
+                                        dense_on):
     # Each parity sector's gathered real block is its block of the dense
-    # W L W^dag, whose imaginary part is rounding.
-    gen = gen_on if qcr == "on" else gen_off
+    # W L W^dag, whose imaginary part is rounding, and the blocks cover it:
+    # every entry outside them is zero.
+    gen, total = (gen_on, dense_on) if qcr == "on" else (gen_off, dense_off)
     w = _real_coordinate_map(gen.n)
     assert np.max(np.abs(w @ w.conj().T - np.eye(gen.n ** 2))) <= 1e-15
-    dense = w @ gen.total @ w.conj().T
+    dense = w @ total @ w.conj().T
     scale = np.max(np.abs(dense))
     assert np.max(np.abs(dense.imag)) <= 1e-15 * scale
-    for idx in gen.sectors:
-        block = dynamics._real_block(gen, idx)
+    assert sorted(np.concatenate(gen.sectors).tolist()) == list(
+        range(gen.n ** 2))
+    outside = np.ones(dense.shape, bool)
+    for idx, block in zip(gen.sectors, gen.blocks):
+        outside[np.ix_(idx, idx)] = False
         assert block.dtype == float and block.shape == (idx.size, idx.size)
         assert (np.max(np.abs(block - dense[np.ix_(idx, idx)]))
                 <= 1e-15 * scale)
+    assert np.max(np.abs(dense[outside])) == 0.0
 
 
 def test_evolve_states_are_hermitian_by_construction():
@@ -422,6 +445,7 @@ def test_evolve_states_are_hermitian_by_construction():
 
 
 def test_evolve_builds_sector_sized_step_matrices(spectrum, gen_off, gen_on,
+                                                 dense_off, dense_on,
                                                  monkeypatch):
     # The README dynamics schedule: one real expm per generator and
     # occupied parity sector, each 72 x 72 at defaults, and each, mapped
@@ -446,9 +470,10 @@ def test_evolve_builds_sector_sized_step_matrices(spectrum, gen_off, gen_on,
         assert ([(mat.shape, mat.dtype) for mat in built]
                 == [((n2 // 2, n2 // 2), float)] * (2 * n_sectors))
         # Each generator's matrices are built for its first interval.
-        for gen, blocks, dt in (
-                (gen_off, built[:n_sectors], t_grid[1] - t_grid[0]),
-                (gen_on, built[n_sectors:], t_grid[101] - t_grid[100])):
+        for gen, total, blocks, dt in (
+                (gen_off, dense_off, built[:n_sectors], t_grid[1] - t_grid[0]),
+                (gen_on, dense_on, built[n_sectors:],
+                 t_grid[101] - t_grid[100])):
             real_step = np.zeros((n2, n2))
             for idx, block in zip(gen.sectors, blocks):
                 real_step[np.ix_(idx, idx)] = block
@@ -457,7 +482,7 @@ def test_evolve_builds_sector_sized_step_matrices(spectrum, gen_off, gen_on,
             # whole matrix.
             moved = np.ix_(*[np.concatenate(gen.sectors[:n_sectors])] * 2)
             assert _rel_frobenius(step[moved],
-                                  expm(gen.total * dt)[moved]) <= 1e-12
+                                  expm(total * dt)[moved]) <= 1e-12
 
 
 def test_evolve_does_not_depend_on_output_grid(spectrum, gen_off, gen_on):
@@ -495,13 +520,14 @@ def test_switch_time_honored(spectrum, gen_off, gen_on):
     # The toy problem on the same grid in units of 1e-5 s: an off-grid
     # switch splits its interval at t_on.
     rng = np.random.default_rng(13)
-    toy_off, toy_on = _toy_generator(rng), _toy_generator(rng)
+    (toy_off, dense_off), (toy_on, dense_on) = (_toy_generator(rng),
+                                                _toy_generator(rng))
     toy_grid = t_grid * 1e5
     rho_toy = np.diag([1.0, 0.0, 0.0]).astype(complex)
     for t_on in (2.0, 1.3):
         traj = evolve(rho_toy, toy_grid, toy_off, (t_on, toy_on))
-        ref = (expm(toy_on.total * (toy_grid[-1] - t_on))
-               @ expm(toy_off.total * t_on) @ rho_toy.reshape(9))
+        ref = (expm(dense_on * (toy_grid[-1] - t_on))
+               @ expm(dense_off * t_on) @ rho_toy.reshape(9))
         assert np.max(np.abs(traj.states[-1].reshape(9) - ref)) < 1e-12
 
 
@@ -547,7 +573,7 @@ def test_evolve_memory_stays_near_its_states(spectrum, gen_off, gen_on):
     assert peak < 1.5 * traj.states.nbytes
 
 
-def test_steady_state_is_fixed_point(gen_on):
+def test_steady_state_is_fixed_point(gen_on, dense_on):
     rho, residual = steady_state(gen_on)
     trace_error, hermiticity, min_eigenvalue = _density_metrics(rho)
     assert trace_error < 1e-12
@@ -555,7 +581,7 @@ def test_steady_state_is_fixed_point(gen_on):
     assert min_eigenvalue > -1e-12
     assert residual <= 1e-10 * gen_on.norm_inf
     # Propagating from the fixed point goes nowhere.
-    drift = gen_on.total @ rho.reshape(-1)
+    drift = dense_on @ rho.reshape(-1)
     assert np.max(np.abs(drift)) <= 1e-9 * gen_on.norm_inf
 
 
@@ -589,11 +615,12 @@ def test_steady_state_zero_sector_is_not_unique():
     # sector zeroed by hand: the population sector has one stationary
     # state, and every coherence is stationary too.
     sigma = np.array([[0.0, 1.0], [0.0, 0.0]])
-    loss = liouvillian(2.0 * _jump(sigma), -(sigma.T @ sigma))
-    coherences = np.array([1, 2])
-    loss[np.ix_(coherences, coherences)] = 0.0
-    gen = Generator(total=loss, sectors=(np.array([0, 3]), coherences))
-    assert _trace_defect(gen) == 0.0
+    jump, k = 2.0 * _jump(sigma), -(sigma.T @ sigma)
+    loss = Generator.from_terms(jump, k, np.array([1.0, -1.0]))
+    assert _trace_defect(liouvillian(jump, k)) == 0.0
+    assert [idx.tolist() for idx in loss.sectors] == [[0, 3], [1, 2]]
+    gen = Generator(sectors=loss.sectors,
+                    blocks=(loss.blocks[0], np.zeros((2, 2))))
     with pytest.raises(SteadyStateError, match="not unique"):
         steady_state(gen)
 

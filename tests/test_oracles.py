@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kpoqcr import SystemParams, run_oracle_suite
+from kpoqcr import SystemParams, diagonalize_kpo, oracles, run_oracle_suite
 from kpoqcr.oracles import (branch_element_fock, branch_vector,
                             cat_normalizations, dephasing_bitflip_ratio,
                             displaced_excited_fock, eigen_unit,
@@ -135,3 +135,27 @@ def test_suite_accepts_modified_parameters():
     fails = [r.name for r in reports if not r.passed]
     # Published thresholds depend only on gap and omega_rf, untouched here.
     assert not fails
+
+
+@pytest.mark.parametrize("term", ["jump", "k"])
+def test_parity_check_fails_on_a_planted_cross_sector_term(params,
+                                                           monkeypatch, term):
+    # One tiny term across the parity sectors fails generator_parity_sectors:
+    # a jump entry taking rho[even, odd] (relative parity -1) into
+    # rho[even, even] (+1), or a K entry between an even and an odd level.
+    parity = diagonalize_kpo(params).parity
+    even, odd = int(np.argmax(parity > 0)), int(np.argmax(parity < 0))
+    clean = oracles.generator_terms
+
+    def planted(*args):
+        jump, k = clean(*args)
+        if term == "jump":
+            jump[even, even, even, odd] = 1e-300
+        else:
+            k[even, odd] = 1e-300
+        return jump, k
+
+    monkeypatch.setattr(oracles, "generator_terms", planted)
+    reports = {r.name: r for r in run_oracle_suite(params)}
+    check = reports["generator_parity_sectors"]
+    assert not check.passed and check.computed == 1e-300
