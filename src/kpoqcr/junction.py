@@ -148,14 +148,15 @@ def pat_integrand(gap_hz: float, gamma_dynes: float, temp_s_hz: float,
                   temp_n_hz: float):
     """The forward tunneling integrand times the quadrature's Jacobian J,
     fn(eps, jacobian, scale, centre) = w / (1 + e^((eps + c) / k_B T_N) s)
-    with w = n_s(eps) (1 - f_S(eps)) J, multiplied in that order.
+    with w = n_s(eps) / (1 + e^(-eps / k_B T_S)) J, in that order.
 
     That is w f_N(eps + x) at each offset x of a row, with c the row's
-    centre and s = e^((x - c) / k_B T_N) (pat_arguments).  w and
-    e^((eps + c) / k_B T_N) are computed once a point, and a component
-    costs one multiply, one add and one divide.  In the tails the factor
-    is exactly 0.0 or exactly w; it never cancels, as 1/2 (1 - tanh) does.
-    At T_N = 0 it is the step f_N(eps + c), each row one offset.
+    centre and s = e^((x - c) / k_B T_N) (pat_arguments), and w holds
+    1 - f_S(eps).  w and e^((eps + c) / k_B T_N) are computed once a point,
+    and a component costs one multiply, one add and one divide.  In the
+    tails each Fermi factor is exactly 0.0 or exactly 1; neither cancels,
+    as 1/2 (1 - tanh) does.  Each is a step at zero temperature, and at
+    T_N = 0 each row is one offset.
 
     eps and jacobian are (m, p), scale (m, 1, K) and centre (m, 1, 1), and
     the values are (m, p, K).  It never writes into eps, which the
@@ -163,8 +164,11 @@ def pat_integrand(gap_hz: float, gamma_dynes: float, temp_s_hz: float,
     """
     def integrand(eps, jacobian, scale, centre):
         w = dynes_dos(eps, gap_hz, gamma_dynes)
-        f_s = fermi(eps, temp_s_hz)
-        w *= np.subtract(1.0, f_s, out=f_s)
+        if temp_s_hz:
+            with np.errstate(over="ignore"):
+                w /= 1.0 + np.exp(eps / -temp_s_hz)
+        else:
+            w *= fermi(-eps, 0.0)
         w *= jacobian
         if not temp_n_hz:
             f_n = fermi(eps[..., None] + centre, 0.0)

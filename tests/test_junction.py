@@ -115,11 +115,16 @@ def test_integrand_is_the_product_and_leaves_eps_alone(temp_hz):
     scale, centre = junction.pat_arguments(rows, temp_hz)
     got = pat_integrand(GAP, gd, temp_hz, temp_hz)(
         eps, jacobian, scale[:, None], centre[:, None])
-    w = (dynes_dos(eps, GAP, gd) * (1.0 - fermi(eps, temp_hz)) * jacobian)
+    w = dynes_dos(eps, GAP, gd)
     if temp_hz == 0.0:
+        w = w * (1.0 - fermi(eps, temp_hz)) * jacobian
         want = w[..., None] * fermi(eps[..., None] + rows[:, None], 0.0)
         assert got.tobytes() == want.tobytes()
     else:
+        # 1 - f_S as 1 / (1 + e^(-eps / k_B T_S)), from the same rounded
+        # quotient; 1 - 1/2 (1 - tanh) cancels far below the Fermi level.
+        lead = np.exp(np.divide(eps, -temp_hz).astype(np.longdouble))
+        w = w * jacobian / (1.0 + lead)
         y = ((eps.astype(np.longdouble)[..., None] + rows[:, None])
              / np.longdouble(temp_hz))
         want = w[..., None] / (1.0 + np.exp(y))
@@ -141,7 +146,9 @@ def test_integrand_tails_are_exact():
     rows = np.array([[-150e9], [-150e9 + 8 * t], [0.0], [150e9]])
     scale, centre = junction.pat_arguments(rows, t)
     integrand = pat_integrand(p.gap_hz, p.gamma_dynes, p.t_s_hz, t)
-    w = dynes_dos(eps, p.gap_hz, p.gamma_dynes) * (1.0 - fermi(eps, p.t_s_hz))
+    with np.errstate(over="ignore"):
+        w = dynes_dos(eps, p.gap_hz, p.gamma_dynes) / (
+            1.0 + np.exp(eps / -p.t_s_hz))
     tails = [0, 0]
     for x, s, c in zip(rows[:, 0], scale, centre):
         got = integrand(eps, np.ones_like(eps), s[None, None],
@@ -568,7 +575,7 @@ def test_unresolved_panel_is_named(params):
     # A node quadrature that fails names its interpolation panel and the
     # offsets of its row.
     integ = PatIntegrator(params.gap_hz, params.gamma_dynes, params.t_s_hz,
-                          params.t_n_hz, rel_tol=1e-17)
+                          params.t_n_hz, rel_tol=1e-24)
     width = junction._PANEL_KT * params.t_n_hz
     with pytest.raises(QuadratureError) as info:
         integ.evaluate([10e9])
@@ -1047,10 +1054,11 @@ def test_pat_integrals_grade_only_the_peak_in_the_support(monkeypatch):
 
 
 def test_unconverged_integral_in_batch_raises(params):
-    # At rel_tol 1e-17 only integrals under the absolute floor converge;
-    # the one O(1) integral in each batch fails, names its own forward
-    # offset and caches nothing: a backward one among forward ones, a
-    # forward one among backward ones, and one behind 306 forward ones.
+    # At rel_tol 1e-24 only integrals under the absolute floor converge
+    # (an O(1) one stalls near 1e-18); the one O(1) integral in each batch
+    # fails, names its own forward offset and caches nothing: a backward
+    # one among forward ones, a forward one among backward ones, and one
+    # behind 306 forward ones.
     # Backward keys are looked up at the negated offset, as the rate
     # paths do.
     forward = [(True, 200e9 + k * 1e9) for k in range(20)]
@@ -1066,7 +1074,7 @@ def test_unconverged_integral_in_batch_raises(params):
     ]
     for keys, message, position in cases:
         integ = PatIntegrator(params.gap_hz, params.gamma_dynes,
-                              params.t_s_hz, params.t_n_hz, rel_tol=1e-17)
+                              params.t_s_hz, params.t_n_hz, rel_tol=1e-24)
         offsets = [x if is_forward else -x for is_forward, x in keys]
         with pytest.raises(QuadratureError, match=message) as info:
             integ.evaluate(offsets)
@@ -1077,7 +1085,7 @@ def test_unconverged_integral_in_batch_raises(params):
         assert info.value.index == position
     # A repeated offset reports its first position, also in a 2-d input.
     integ = PatIntegrator(params.gap_hz, params.gamma_dynes, params.t_s_hz,
-                          params.t_n_hz, rel_tol=1e-17)
+                          params.t_n_hz, rel_tol=1e-24)
     grid = [[200e9, 10e9, 201e9], [202e9, 203e9, 10e9]]
     with pytest.raises(QuadratureError) as info:
         integ.evaluate(grid)
@@ -1087,7 +1095,7 @@ def test_unconverged_integral_in_batch_raises(params):
     with pytest.raises(QuadratureError, match=message) as info:
         pat_integrals(np.reshape(offsets, (-1, 1)), params.gap_hz,
                       params.gamma_dynes, params.t_s_hz, params.t_n_hz,
-                      rel_tol=1e-17)
+                      rel_tol=1e-24)
     assert info.value.index == len(offsets) - 1 == 306
 
 

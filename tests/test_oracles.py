@@ -137,6 +137,16 @@ def test_suite_accepts_modified_parameters():
     assert not fails
 
 
+def test_detailed_balance_survives_a_cold_lead():
+    # At 5 mK the lead factor 1 - f_S of the backward integral, taken as
+    # 1 - 1/2 (1 - tanh), cancelled to a 25% error in the 5 GHz ratio.  The
+    # check's own 1e-8 tolerance still fails there, on the absolute floor
+    # of F's quadrature.
+    reports = run_oracle_suite(SystemParams(temp_n=0.005, temp_s=0.005))
+    report = next(r for r in reports if r.name == "detailed_balance_5GHz")
+    assert report.rel_err < 1e-6, report.line()
+
+
 @pytest.mark.parametrize("term", ["jump", "k"])
 def test_parity_check_fails_on_a_planted_cross_sector_term(params,
                                                            monkeypatch, term):
